@@ -6,6 +6,8 @@
 use coconut::client::{build_schedule, Windows};
 use coconut::stats::Stats;
 use coconut_bench::harness::{black_box, Group};
+use coconut_chains::IngressLoad;
+use coconut_consensus::diembft::DiemBftCluster;
 use coconut_consensus::raft::RaftCluster;
 use coconut_consensus::{BatchConfig, Command};
 use coconut_simnet::{EventQueue, LatencyModel, NetConfig, NetSim, Topology};
@@ -72,6 +74,27 @@ fn main() {
         black_box(batches.len())
     });
 
+    // 100 k arrivals at 10 k/s against a 2 s window: about 20 k entries
+    // stay in the window, so a per-arrival re-sum would cost 2·10⁹ adds.
+    group.bench_function("ingress_load_record_100k", || {
+        let mut load =
+            IngressLoad::new(SimDuration::from_secs(2), SimDuration::from_micros(50), 0.9);
+        let mut acc = 0.0;
+        for i in 0..100_000u64 {
+            acc += load.record(SimTime::from_micros(100 * i), 1 + (i % 3) as u32);
+        }
+        black_box(acc)
+    });
+
+    // The same simulated time as four 20 s runs and as one 80 s run. A
+    // trickle of 5 commands every 250 ms leaves the mempool empty at many
+    // propose timers. Equal times mean the cost per round does not grow
+    // with the length of the run.
+    group.bench_function("diem_4n_4x20s_trickle", || {
+        (0..4).map(|_| diem_trickle(20)).sum::<usize>()
+    });
+    group.bench_function("diem_4n_1x80s_trickle", || diem_trickle(80));
+
     group.bench_function("schedule_build_30s_1600tps", || {
         let s = build_schedule(PayloadKind::KeyValueSet, 1600.0, 1, Windows::scaled(0.1), 9);
         black_box(s.len())
@@ -85,4 +108,21 @@ fn main() {
     }
 
     group.finish();
+}
+
+/// Runs a 4-node DiemBFT cluster for `secs` simulated seconds, submitting
+/// 5 commands every 250 ms, and returns the committed command count.
+fn diem_trickle(secs: u64) -> usize {
+    let mut diem = DiemBftCluster::builder(4).seed(5).build();
+    let mut committed = 0;
+    let mut seq = 0u64;
+    for step in 1..=secs * 4 {
+        for _ in 0..5 {
+            diem.submit(Command::unit(TxId::new(ClientId(0), seq)));
+            seq += 1;
+        }
+        let batches = diem.run_until(SimTime::from_millis(250 * step));
+        committed += batches.iter().map(|b| b.commands.len()).sum::<usize>();
+    }
+    committed
 }

@@ -69,12 +69,18 @@ pub fn cut_by_budget(
 /// This is the paper's recurring "raising the rate limiter *lowers*
 /// throughput" mechanism: Sawtooth's gossip admission (§5.6), Diem's
 /// mempool admission (§5.7) and Corda's RPC ingress (§5.1) all use it.
+///
+/// [`IngressLoad::record`] is amortized O(1): a running count of the
+/// items inside the window is added to on push and subtracted from on
+/// pop, so the window is never re-summed.
 #[derive(Debug, Clone)]
 pub struct IngressLoad {
     window: SimDuration,
     per_item: SimDuration,
     cap: f64,
     arrivals: VecDeque<(SimTime, u32)>,
+    /// Sum of the item counts in `arrivals`.
+    in_window: u64,
 }
 
 impl IngressLoad {
@@ -86,6 +92,7 @@ impl IngressLoad {
             per_item,
             cap,
             arrivals: VecDeque::new(),
+            in_window: 0,
         }
     }
 
@@ -100,15 +107,17 @@ impl IngressLoad {
     /// time and overestimate λ for the whole run.
     pub fn record(&mut self, now: SimTime, items: u32) -> f64 {
         self.arrivals.push_back((now, items));
-        while let Some(&(front, _)) = self.arrivals.front() {
+        self.in_window += u64::from(items);
+        while let Some(&(front, n)) = self.arrivals.front() {
             if now - front > self.window {
                 self.arrivals.pop_front();
+                self.in_window -= u64::from(n);
             } else {
                 break;
             }
         }
         let window_secs = self.window.as_secs_f64().min(now.as_secs_f64()).max(0.25);
-        let rate = self.arrivals.iter().map(|&(_, n)| n as u64).sum::<u64>() as f64 / window_secs;
+        let rate = self.in_window as f64 / window_secs;
         let utilization = (rate * self.per_item.as_secs_f64()).min(self.cap);
         1.0 / (1.0 - utilization)
     }
@@ -986,6 +995,7 @@ impl ChainRuntime {
 mod tests {
     use super::*;
     use coconut_types::{ClientId, Payload, ThreadId};
+    use std::collections::BTreeSet;
 
     fn rt() -> ChainRuntime {
         ChainRuntime::new(&SeedDeriver::new(42), &NetConfig::lan(), 4, 3)
@@ -1270,6 +1280,84 @@ mod tests {
             "floor applies after the window clamp: {slow} vs {expected}"
         );
         assert!(slow < 2.0, "pre-fix this hit the utilization cap");
+    }
+
+    /// Reference estimator: re-sums the whole window on every arrival.
+    struct ResummingIngressLoad {
+        window: SimDuration,
+        per_item: SimDuration,
+        cap: f64,
+        arrivals: VecDeque<(SimTime, u32)>,
+    }
+
+    impl ResummingIngressLoad {
+        fn record(&mut self, now: SimTime, items: u32) -> f64 {
+            self.arrivals.push_back((now, items));
+            while let Some(&(front, _)) = self.arrivals.front() {
+                if now - front > self.window {
+                    self.arrivals.pop_front();
+                } else {
+                    break;
+                }
+            }
+            let window_secs = self.window.as_secs_f64().min(now.as_secs_f64()).max(0.25);
+            let rate =
+                self.arrivals.iter().map(|&(_, n)| n as u64).sum::<u64>() as f64 / window_secs;
+            let utilization = (rate * self.per_item.as_secs_f64()).min(self.cap);
+            1.0 / (1.0 - utilization)
+        }
+    }
+
+    #[test]
+    fn ingress_load_running_count_is_bit_equal_to_resumming() {
+        let window = SimDuration::from_millis(500);
+        let per_item = SimDuration::from_micros(90);
+        let mut fast = IngressLoad::new(window, per_item, 0.9);
+        let mut slow = ResummingIngressLoad {
+            window,
+            per_item,
+            cap: 0.9,
+            arrivals: VecDeque::new(),
+        };
+        let mut rng = coconut_types::SimRng::seed_from_u64(12);
+        let mut now = SimTime::ZERO;
+        let mut distinct = BTreeSet::new();
+        for i in 0..20_000u64 {
+            // Bursts of up to 5,000 items between runs of single items;
+            // gaps of zero, a few ms, and exactly one window (the
+            // `now - front > window` boundary keeps such an entry).
+            let items = if i % 97 < 5 {
+                rng.gen_range_inclusive(1_000, 5_000) as u32
+            } else {
+                rng.gen_range_inclusive(0, 3) as u32
+            };
+            now = match rng.gen_range_inclusive(0, 9) {
+                0 => now,
+                1 => now + window,
+                _ => now + SimDuration::from_micros(rng.gen_range_inclusive(1, 4_000)),
+            };
+            let (a, b) = (fast.record(now, items), slow.record(now, items));
+            assert_eq!(a.to_bits(), b.to_bits(), "arrival {i} at {now:?}");
+            distinct.insert(a.to_bits());
+        }
+        assert!(distinct.len() > 200, "the estimate must move");
+        assert!(
+            distinct.contains(&(1.0f64 / (1.0 - 0.9)).to_bits()),
+            "cap hit"
+        );
+    }
+
+    #[test]
+    fn ingress_load_keeps_an_arrival_exactly_one_window_old() {
+        let w = SimDuration::from_secs(1);
+        let mut l = IngressLoad::new(w, SimDuration::from_millis(1), 0.9);
+        l.record(SimTime::from_secs(5), 100);
+        // 1 s later: the first entry is exactly `window` old and stays.
+        let both = l.record(SimTime::from_secs(6), 100);
+        assert_eq!(both.to_bits(), (1.0f64 / (1.0 - 0.2)).to_bits());
+        // 1 µs past the window the first entry leaves.
+        let one = l.record(SimTime::from_secs(6) + SimDuration::from_micros(1), 0);
+        assert_eq!(one.to_bits(), (1.0f64 / (1.0 - 0.1)).to_bits());
     }
 
     #[test]

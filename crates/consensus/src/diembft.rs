@@ -58,8 +58,6 @@ enum DiemMsg {
         digest: u64,
         parent: u64,
         parent_round: u64,
-        /// The QC this proposal carries (certifies `qc_round`).
-        qc_round: u64,
         batch: Vec<Command>,
     },
     Vote {
@@ -222,6 +220,7 @@ impl DiemBftBuilder {
             highest_qc: (0, 0),
             timeout_votes: HashMap::new(),
             committed_digests: HashSet::new(),
+            uncommitted_work: HashSet::new(),
             last_committed_round: 0,
             round_interval: self.round_interval,
             round_timeout: self.round_timeout,
@@ -270,6 +269,12 @@ pub struct DiemBftCluster {
     highest_qc: (u64, u64),
     timeout_votes: HashMap<u64, u32>,
     committed_digests: HashSet<u64>,
+    /// Digests of certified, uncommitted blocks with a non-empty batch —
+    /// the blocks that still need a child QC. Kept in step with `qcs`,
+    /// `committed_digests` and `blocks` by [`DiemBftCluster::refresh_work`]
+    /// so [`DiemBftCluster::has_work`] never scans `qcs`, which is never
+    /// pruned.
+    uncommitted_work: HashSet<u64>,
     last_committed_round: u64,
     round_interval: SimDuration,
     round_timeout: SimDuration,
@@ -500,9 +505,8 @@ impl DiemBftCluster {
                 digest,
                 parent,
                 parent_round,
-                qc_round,
                 batch,
-            } => self.on_proposal(me, at, round, digest, parent, parent_round, qc_round, batch),
+            } => self.on_proposal(me, at, round, digest, parent, parent_round, batch),
             DiemMsg::Vote {
                 epoch,
                 round,
@@ -569,6 +573,7 @@ impl DiemBftCluster {
                     }
                 }
             }
+            self.refresh_work(d);
         }
         reclaimed.append(&mut self.pending);
         self.pending = reclaimed;
@@ -588,12 +593,26 @@ impl DiemBftCluster {
     /// to commit under the 2-chain rule. An empty certified tail carries
     /// nothing to commit, so the cluster may go idle on it.
     fn has_work(&self) -> bool {
-        !self.pending.is_empty()
-            || self.qcs.iter().any(|(digest, _)| {
-                *digest != 0
-                    && !self.committed_digests.contains(digest)
-                    && self.blocks.get(digest).is_some_and(|b| !b.batch.is_empty())
-            })
+        !self.pending.is_empty() || !self.uncommitted_work.is_empty()
+    }
+
+    /// Recomputes whether `digest` belongs in `uncommitted_work`. Called
+    /// after every write that can change one of its four facts: the QC,
+    /// the commit, the block (a re-proposed round can overwrite a drained
+    /// block under the same digest) and the block's batch.
+    fn refresh_work(&mut self, digest: u64) {
+        if digest != 0
+            && self.qcs.contains_key(&digest)
+            && !self.committed_digests.contains(&digest)
+            && self
+                .blocks
+                .get(&digest)
+                .is_some_and(|b| !b.batch.is_empty())
+        {
+            self.uncommitted_work.insert(digest);
+        } else {
+            self.uncommitted_work.remove(&digest);
+        }
     }
 
     fn on_propose_timer(&mut self, me: NodeId, round: u64) {
@@ -612,7 +631,7 @@ impl DiemBftCluster {
         }
         let take = self.pending.len().min(self.batch.max_commands);
         let batch: Vec<Command> = self.pending.drain(..take).collect();
-        let (qc_round, parent_digest) = self.highest_qc;
+        let parent_digest = self.highest_qc.1;
         let parent_round = self.blocks.get(&parent_digest).map_or(0, |b| b.round);
         let digest = {
             let mut h = Hasher64::with_key(round);
@@ -633,6 +652,7 @@ impl DiemBftCluster {
                 proposer: me,
             },
         );
+        self.refresh_work(digest);
         self.monitor.observe_proposal(0, round, me, digest);
         let bytes = 96 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
         let cost = self.proc_per_msg + self.proc_per_command * batch.len() as u64;
@@ -655,6 +675,7 @@ impl DiemBftCluster {
                     proposer: me,
                 },
             );
+            self.refresh_work(alt);
             self.monitor.observe_proposal(0, round, me, alt);
             let mut honest_idx = 0usize;
             for i in 0..self.nodes.len() {
@@ -667,7 +688,6 @@ impl DiemBftCluster {
                     digest: d,
                     parent: parent_digest,
                     parent_round,
-                    qc_round,
                     batch: batch.clone(),
                 };
                 if self.byz[i].is_byzantine(now) {
@@ -695,7 +715,6 @@ impl DiemBftCluster {
                     digest,
                     parent: parent_digest,
                     parent_round,
-                    qc_round,
                     batch: batch.clone(),
                 });
             // Leader votes for its own proposal (vote goes to next leader).
@@ -726,18 +745,10 @@ impl DiemBftCluster {
         digest: u64,
         parent: u64,
         parent_round: u64,
-        qc_round: u64,
         batch: Vec<Command>,
     ) {
         let cost = self.proc_per_msg + self.proc_per_command * batch.len() as u64;
         let _ = self.cpu.process(me, at, cost);
-        // Sync to the carried QC.
-        if qc_round >= self.highest_qc.0
-            && parent != self.highest_qc.1
-            && self.qcs.contains_key(&parent)
-        {
-            // parent certified elsewhere; fine.
-        }
         let proposer = self.leader_of(round);
         self.blocks.entry(digest).or_insert(BlockInfo {
             round,
@@ -746,6 +757,7 @@ impl DiemBftCluster {
             batch,
             proposer,
         });
+        self.refresh_work(digest);
         // A double-voting validator answers a conflicting proposal for the
         // round it just voted in with a second vote, violating the
         // vote-once safety rule.
@@ -806,6 +818,7 @@ impl DiemBftCluster {
                 .observe_quorum(me, VotePhase::Vote, 0, round, digest);
             self.monitor.observe_certificate(round, digest);
             self.qcs.insert(digest, round);
+            self.refresh_work(digest);
             if round > self.highest_qc.0 {
                 self.highest_qc = (round, digest);
             }
@@ -850,6 +863,7 @@ impl DiemBftCluster {
                 continue;
             }
             self.committed_digests.insert(digest);
+            self.uncommitted_work.remove(&digest);
             self.last_committed_round = info.round;
             self.liveness.observe_commit(now);
             // Vote tallies are reset on every membership change, so the QC
@@ -921,6 +935,7 @@ impl DiemBftCluster {
                                 }
                             }
                         }
+                        self.refresh_work(d);
                     }
                     reclaimed.append(&mut self.pending);
                     self.pending = reclaimed;
@@ -928,10 +943,10 @@ impl DiemBftCluster {
                 // Pretend rounds up to `round` are skipped: the new leader
                 // extends the highest QC but at round `next`.
                 let leader = self.leader_of(next);
-                let (qc_round, qc_digest) = self.highest_qc;
+                let qc_digest = self.highest_qc.1;
                 // Propose directly here to keep the skip logic in one place.
                 if self.nodes[leader.0 as usize].alive && !self.proposed_rounds.contains(&next) {
-                    self.propose_skip(leader, next, qc_round, qc_digest);
+                    self.propose_skip(leader, next, qc_digest);
                 } else {
                     // The skip target is dead too: keep the pacemaker
                     // running so `next` can also be timed out.
@@ -945,7 +960,7 @@ impl DiemBftCluster {
     /// A post-timeout proposal: extends the highest QC at a non-contiguous
     /// round (so it cannot immediately commit its parent — matching the
     /// protocol's safety rule).
-    fn propose_skip(&mut self, me: NodeId, round: u64, qc_round: u64, parent_digest: u64) {
+    fn propose_skip(&mut self, me: NodeId, round: u64, parent_digest: u64) {
         let take = self.pending.len().min(self.batch.max_commands);
         let batch: Vec<Command> = self.pending.drain(..take).collect();
         let parent_round = self.blocks.get(&parent_digest).map_or(0, |b| b.round);
@@ -968,6 +983,7 @@ impl DiemBftCluster {
                 proposer: me,
             },
         );
+        self.refresh_work(digest);
         self.monitor.observe_proposal(0, round, me, digest);
         let bytes = 96 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
         let now = self.net.now();
@@ -979,7 +995,6 @@ impl DiemBftCluster {
                 digest,
                 parent: parent_digest,
                 parent_round,
-                qc_round,
                 batch: batch.clone(),
             });
         self.cast_vote(me, round, digest);
@@ -995,6 +1010,117 @@ mod tests {
 
     fn tx(seq: u64) -> Command {
         Command::unit(TxId::new(ClientId(0), seq))
+    }
+
+    impl DiemBftCluster {
+        /// The full `qcs` scan `has_work` used to make: certified,
+        /// uncommitted, non-genesis blocks with a non-empty batch.
+        fn uncommitted_work_by_scan(&self) -> HashSet<u64> {
+            self.qcs
+                .keys()
+                .copied()
+                .filter(|digest| {
+                    *digest != 0
+                        && !self.committed_digests.contains(digest)
+                        && self.blocks.get(digest).is_some_and(|b| !b.batch.is_empty())
+                })
+                .collect()
+        }
+
+        /// Runs to `deadline` in 50 ms steps, checking the maintained set
+        /// against the scan after every step. Returns the commits and
+        /// how many steps saw a non-empty set.
+        fn run_checking_work(&mut self, deadline: SimTime) -> (Vec<CommittedBatch>, usize) {
+            let mut blocks = Vec::new();
+            let mut busy_steps = 0;
+            while self.now() < deadline {
+                let step = (self.now() + SimDuration::from_millis(50)).min(deadline);
+                blocks.extend(self.run_until(step));
+                let scanned = self.uncommitted_work_by_scan();
+                assert_eq!(self.uncommitted_work, scanned, "at {:?}", self.now());
+                assert_eq!(
+                    self.has_work(),
+                    !self.pending.is_empty() || !scanned.is_empty()
+                );
+                busy_steps += usize::from(!scanned.is_empty());
+            }
+            (blocks, busy_steps)
+        }
+    }
+
+    fn equivocating_cluster(byzantine: &[u32], seed: u64) -> DiemBftCluster {
+        let mut c = DiemBftCluster::builder(4).seed(seed).build();
+        for &node in byzantine {
+            for behaviour in [
+                ByzantineBehaviour::EquivocateProposer,
+                ByzantineBehaviour::DoubleVote,
+            ] {
+                c.set_byzantine(NodeId(node), behaviour, SimTime::from_secs(60));
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn work_set_matches_scan_with_equivocating_leaders() {
+        // f = 1 equivocator, then f + 1 = 2 colluders certifying siblings.
+        for (byzantine, seed) in [(&[1][..], 31), (&[1, 2][..], 32)] {
+            let mut c = equivocating_cluster(byzantine, seed);
+            for s in 0..40 {
+                c.submit(tx(s));
+            }
+            let (_, busy) = c.run_checking_work(SimTime::from_secs(10));
+            for s in 40..80 {
+                c.submit(tx(s));
+            }
+            let (_, more) = c.run_checking_work(SimTime::from_secs(30));
+            assert!(busy + more > 0, "the set must be exercised");
+            assert!(c.safety_report().observed.equivocating_proposals > 0);
+        }
+    }
+
+    #[test]
+    fn work_set_matches_scan_through_timeout_certificates() {
+        let mut c = DiemBftCluster::builder(4).seed(5).build();
+        for s in 0..20 {
+            c.submit(tx(s));
+        }
+        let _ = c.run_checking_work(SimTime::from_secs(5));
+        let leader = c.leader_of(c.highest_qc.0 + 1);
+        c.crash(leader);
+        for s in 20..60 {
+            c.submit(tx(s));
+        }
+        let (blocks, busy) = c.run_checking_work(c.now() + SimDuration::from_secs(30));
+        assert!(busy > 0);
+        assert!(
+            c.liveness_report().view_changes > 0,
+            "a timeout certificate must have formed"
+        );
+        assert!(blocks
+            .iter()
+            .any(|b| b.commands.iter().any(|cmd| cmd.tx.seq() >= 20)));
+    }
+
+    #[test]
+    fn work_set_matches_scan_through_join_and_leave() {
+        let mut c = DiemBftCluster::builder(4).standby(1).seed(44).build();
+        for s in 0..30 {
+            c.submit(tx(s));
+        }
+        let _ = c.run_checking_work(SimTime::from_secs(4));
+        assert!(c.join(NodeId(4)));
+        for s in 30..60 {
+            c.submit(tx(s));
+        }
+        let _ = c.run_checking_work(SimTime::from_secs(8));
+        assert!(c.leave(NodeId(1)));
+        for s in 60..90 {
+            c.submit(tx(s));
+        }
+        let (blocks, _) = c.run_checking_work(SimTime::from_secs(40));
+        assert!(!blocks.is_empty());
+        assert_eq!(c.config_epoch(), 2);
     }
 
     #[test]

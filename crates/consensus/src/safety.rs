@@ -22,13 +22,56 @@
 //! The monitor distinguishes *observations* (Byzantine behaviour seen on
 //! the wire — expected whenever a fault campaign flags nodes) from
 //! *violations* (safety actually lost — expected only beyond f). All state
-//! is kept in `BTreeMap`/`BTreeSet` so reports are deterministic for a
+//! is kept in ordered maps (`BTreeMap`, `BTreeSet`, and an ordered set that
+//! stores its first element inline) so reports are deterministic for a
 //! deterministic message schedule.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use coconut_simnet::ByzantineBehaviour;
 use coconut_types::{NodeId, SimTime};
+
+/// An ordered set that holds its first element inline and spills to a
+/// sorted `Vec` only on the second. Nearly every key the monitor tracks
+/// sees one digest or one voter, and the rest see a handful, so this spares
+/// each entry the tree node a `BTreeSet` would allocate.
+#[derive(Debug, Clone, Default)]
+enum InlineSet<T> {
+    #[default]
+    Empty,
+    One(T),
+    Many(Vec<T>),
+}
+
+impl<T: Ord + Copy> InlineSet<T> {
+    /// Adds `value`; `true` if it was not present (as `BTreeSet::insert`).
+    fn insert(&mut self, value: T) -> bool {
+        match self {
+            InlineSet::Empty => *self = InlineSet::One(value),
+            InlineSet::One(first) if *first == value => return false,
+            InlineSet::One(first) => {
+                *self = InlineSet::Many(vec![(*first).min(value), (*first).max(value)])
+            }
+            InlineSet::Many(set) => match set.binary_search(&value) {
+                Ok(_) => return false,
+                Err(at) => set.insert(at, value),
+            },
+        }
+        true
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, InlineSet::Empty)
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            InlineSet::Empty => 0,
+            InlineSet::One(_) => 1,
+            InlineSet::Many(set) => set.len(),
+        }
+    }
+}
 
 /// Which voting phase a vote belongs to; phases never mix in the counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -117,17 +160,17 @@ pub struct SafetyMonitor {
     /// Any vote by such a node is a `presync_votes` violation.
     syncing: BTreeSet<NodeId>,
     /// (epoch, slot, proposer) → digests proposed.
-    proposals: BTreeMap<(u64, u64, NodeId), BTreeSet<u64>>,
+    proposals: BTreeMap<(u64, u64, NodeId), InlineSet<u64>>,
     /// (phase, epoch, slot, voter) → digests voted for (global view,
     /// feeds double-vote detection).
-    voter_digests: BTreeMap<(VotePhase, u64, u64, NodeId), BTreeSet<u64>>,
+    voter_digests: BTreeMap<(VotePhase, u64, u64, NodeId), InlineSet<u64>>,
     /// (observer, phase, epoch, slot, digest) → distinct voters the
     /// observer has seen (feeds the quorum-size check).
-    tallies: BTreeMap<(NodeId, VotePhase, u64, u64, u64), BTreeSet<NodeId>>,
+    tallies: BTreeMap<(NodeId, VotePhase, u64, u64, u64), InlineSet<NodeId>>,
     /// slot → digests certified by some quorum.
-    certificates: BTreeMap<u64, BTreeSet<u64>>,
+    certificates: BTreeMap<u64, InlineSet<u64>>,
     /// slot → digests committed by some node.
-    commits: BTreeMap<u64, BTreeSet<u64>>,
+    commits: BTreeMap<u64, InlineSet<u64>>,
     /// Nodes caught equivocating or double-voting.
     flagged: BTreeSet<NodeId>,
     violations: SafetyViolations,
@@ -461,6 +504,38 @@ mod tests {
         m.observe_vote(NodeId(1), VotePhase::Commit, 0, 9, 0xAA, NodeId(0));
         m.observe_quorum(NodeId(1), VotePhase::Commit, 0, 9, 0xAA);
         assert_eq!(m.report().violations.undersized_quorums, 0);
+    }
+
+    #[test]
+    fn inline_set_insert_and_len_from_empty_to_many() {
+        let mut s = InlineSet::default();
+        assert!(s.is_empty());
+        assert_eq!(s.len(), 0);
+        assert!(s.insert(7u64), "empty → one");
+        assert!(!s.insert(7), "repeat of the inline element");
+        assert!(!s.is_empty());
+        assert_eq!(s.len(), 1);
+        assert!(s.insert(3), "one → many");
+        assert!(!s.insert(7), "repeat of the first element after the move");
+        assert!(!s.insert(3));
+        assert_eq!(s.len(), 2);
+        assert!(s.insert(11));
+        assert!(!s.insert(11));
+        assert_eq!(s.len(), 3);
+    }
+
+    #[test]
+    fn inline_set_agrees_with_btreeset() {
+        let mut rng = coconut_types::SimRng::seed_from_u64(9);
+        for _ in 0..200 {
+            let (mut inline, mut tree) = (InlineSet::default(), BTreeSet::new());
+            for _ in 0..rng.gen_range_inclusive(0, 12) {
+                let v = NodeId(rng.gen_range_inclusive(0, 9) as u32);
+                assert_eq!(inline.insert(v), tree.insert(v));
+                assert_eq!(inline.len(), tree.len());
+                assert_eq!(inline.is_empty(), tree.is_empty());
+            }
+        }
     }
 
     #[test]
