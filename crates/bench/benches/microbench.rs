@@ -8,12 +8,33 @@ use coconut::stats::Stats;
 use coconut_bench::harness::{black_box, Group};
 use coconut_chains::IngressLoad;
 use coconut_consensus::diembft::DiemBftCluster;
+use coconut_consensus::ibft::IbftCluster;
+use coconut_consensus::pbft::PbftCluster;
 use coconut_consensus::raft::RaftCluster;
 use coconut_consensus::{BatchConfig, Command};
 use coconut_simnet::{EventQueue, LatencyModel, NetConfig, NetSim, Topology};
 use coconut_types::{
     chain_hash, ClientId, Hash256, NodeId, PayloadKind, SimDuration, SimRng, SimTime, TxId,
 };
+
+/// Runs `cluster` for `secs` simulated seconds, submitting 5 commands
+/// every 250 ms, and returns the committed command count.
+macro_rules! trickle {
+    ($cluster:expr, $secs:expr) => {{
+        let mut cluster = $cluster;
+        let mut committed = 0;
+        let mut seq = 0u64;
+        for step in 1..=$secs * 4 {
+            for _ in 0..5 {
+                cluster.submit(Command::unit(TxId::new(ClientId(0), seq)));
+                seq += 1;
+            }
+            let batches = cluster.run_until(SimTime::from_millis(250 * step));
+            committed += batches.iter().map(|b| b.commands.len()).sum::<usize>();
+        }
+        committed
+    }};
+}
 
 fn main() {
     let mut group = Group::new("microbench");
@@ -95,6 +116,15 @@ fn main() {
     });
     group.bench_function("diem_4n_1x80s_trickle", || diem_trickle(80));
 
+    // The same trickle on the two policies of the three-phase BFT engine:
+    // PBFT waits out empty publish timers, IBFT mints empty blocks.
+    group.bench_function("pbft_4n_20s_trickle", || {
+        trickle!(PbftCluster::builder(4).seed(5).build(), 20)
+    });
+    group.bench_function("ibft_4n_20s_trickle", || {
+        trickle!(IbftCluster::builder(4).seed(5).build(), 20)
+    });
+
     group.bench_function("schedule_build_30s_1600tps", || {
         let s = build_schedule(PayloadKind::KeyValueSet, 1600.0, 1, Windows::scaled(0.1), 9);
         black_box(s.len())
@@ -110,19 +140,7 @@ fn main() {
     group.finish();
 }
 
-/// Runs a 4-node DiemBFT cluster for `secs` simulated seconds, submitting
-/// 5 commands every 250 ms, and returns the committed command count.
+/// The trickle on a 4-node DiemBFT cluster.
 fn diem_trickle(secs: u64) -> usize {
-    let mut diem = DiemBftCluster::builder(4).seed(5).build();
-    let mut committed = 0;
-    let mut seq = 0u64;
-    for step in 1..=secs * 4 {
-        for _ in 0..5 {
-            diem.submit(Command::unit(TxId::new(ClientId(0), seq)));
-            seq += 1;
-        }
-        let batches = diem.run_until(SimTime::from_millis(250 * step));
-        committed += batches.iter().map(|b| b.commands.len()).sum::<usize>();
-    }
-    committed
+    trickle!(DiemBftCluster::builder(4).seed(5).build(), secs)
 }

@@ -691,8 +691,7 @@ fn parse_systems(list: &str) -> Vec<SystemKind> {
 }
 
 /// Parses a comma-separated, case-insensitive list of workload names
-/// ("smallbank,ycsb") against
-/// [`WORKLOADS`](coconut::experiments::WORKLOADS), with the same
+/// ("smallbank,ycsb") against [`WORKLOADS`], with the same
 /// hard-error + did-you-mean contract as [`parse_systems`].
 fn parse_workloads(list: &str) -> Vec<&'static str> {
     let mut out = Vec::new();

@@ -5,7 +5,7 @@
 //! input states by querying the vault (a linear scan — §5.1 reason 1),
 //! collects signatures from **every** node in the network (§5.1 reason 2:
 //! "each of the four nodes must sign the submitted transaction"; Corda OS
-//! does this *serially*, Corda Enterprise in parallel [48]), sends the
+//! does this *serially*, Corda Enterprise in parallel \[48\]), sends the
 //! transaction to the notary for a double-spend check, and distributes
 //! finality to all nodes before the client is notified.
 //!

@@ -117,7 +117,7 @@ impl Quorum {
             .seed(seeds.seed("ibft", 0))
             .net(config.net.clone())
             .topology(Topology::round_robin(total, total.min(8)))
-            .block_period(config.block_period)
+            .period(config.block_period)
             .batch(BatchConfig::new(config.block_tx_limit, config.block_period))
             .build();
         let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes, total);

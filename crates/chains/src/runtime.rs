@@ -365,7 +365,7 @@ impl StageAccum {
     }
 
     /// Nearest-rank quantile from the histogram, reported as the bucket
-    /// midpoint — within one bucket width ([`STAGE_BUCKET_SECS`]) of the
+    /// midpoint — within one bucket width (`STAGE_BUCKET_SECS`) of the
     /// exact per-sample quantile for in-range residences.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {

@@ -121,11 +121,11 @@ impl Sawtooth {
             .seed(seeds.seed("pbft", 0))
             .net(config.net.clone())
             .topology(Topology::round_robin(total, total.min(8)))
-            .publishing_delay(config.publishing_delay)
+            .period(config.publishing_delay)
             // The view-change timeout must comfortably exceed the
             // publishing cadence, or idle gaps between slow blocks would
             // look like a dead primary.
-            .commit_timeout((config.publishing_delay * 3).max(SimDuration::from_secs(4)))
+            .timeout((config.publishing_delay * 3).max(SimDuration::from_secs(4)))
             .batch(BatchConfig::new(
                 config.batches_per_block,
                 config.publishing_delay,

@@ -116,7 +116,7 @@ pub trait BlockchainSystem {
     }
 
     /// Snapshots the committed ledger for post-run workload invariant
-    /// checks ([`Workload::verify`]-style). `None` when the system exposes
+    /// checks (`Workload::verify`-style). `None` when the system exposes
     /// no inspectable ledger.
     fn ledger_state(&self) -> Option<coconut_iel::LedgerState> {
         None

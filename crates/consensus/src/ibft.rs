@@ -1,241 +1,45 @@
 //! Istanbul BFT — the consensus of the modelled Quorum (the paper runs
 //! ConsenSys Quorum with `istanbul.blockperiod` ∈ {1, 2, 5, 10} s, Table 6).
 //!
-//! IBFT is a three-phase BFT protocol with a rotating proposer: the proposer
-//! of height *h*, round *r* is node `(h + r) mod n`. Like the real Quorum,
-//! the modelled cluster produces a block every `blockperiod` *even when the
-//! transaction pool is empty* — empty blocks are exactly what the paper
-//! observes during Quorum's liveness anomaly (§5.5), so the engine must be
-//! able to emit them.
+//! IBFT is a three-phase BFT protocol with a rotating proposer, run on the
+//! shared [`three_phase`] engine: the proposer of height *h*, round *r* is
+//! node `(h + r) mod n`. Like the real Quorum, the modelled cluster
+//! produces a block every `blockperiod` ([`Builder::period`]) *even when
+//! the transaction pool is empty* — empty blocks are exactly what the paper
+//! observes during Quorum's liveness anomaly (§5.5), so the engine emits
+//! them.
 //!
-//! A round change (`RoundChange` messages, 2f + 1 quorum) replaces a
-//! non-performing proposer.
+//! The [`Ibft`] policy keys everything to `(height, round)`: votes count
+//! only at the node's current height and round, and a committed height
+//! starts the next one at round 0. A round change (`RoundChange` messages,
+//! 2f + 1 quorum per height and round) replaces a non-performing proposer;
+//! every validator adopts the new round on quorum and reclaims the blocks
+//! of that height's abandoned rounds.
 //!
-//! # Byzantine behaviour
-//!
-//! Nodes flagged via [`IbftCluster::set_byzantine`] misbehave while their
-//! fault window is open, mirroring the PBFT engine: an equivocating
-//! proposer sends conflicting blocks for one height to disjoint halves of
-//! the honest validators, and a double-voting validator backs both with
-//! prepare and commit votes. The embedded [`SafetyMonitor`] counts
-//! observed misbehaviour and any invariant actually broken.
+//! [`three_phase`]: crate::three_phase
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, NetSim, NetStats, Topology};
-use coconut_types::{Hasher64, NodeId, SimDuration, SimTime};
+use coconut_types::{Hasher64, NodeId, SimDuration};
 
-use crate::liveness::{LivenessMonitor, LivenessReport};
-use crate::safety::{ByzantineFlags, SafetyMonitor, SafetyReport, VotePhase};
-use crate::{bft_quorum, BatchConfig, Command, CommittedBatch, CpuModel, Membership};
+use crate::three_phase::{Builder, Cluster, Msg, Node, Policy, CHANGE_BYTES};
+use crate::Command;
 
-/// Base catch-up time a joiner spends before it may vote (state-transfer
-/// handshake), plus a per-committed-block transfer cost.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
-const SYNC_PER_BATCH: SimDuration = SimDuration::from_millis(2);
+/// The IBFT policy of the three-phase engine.
+#[derive(Debug, Clone, Copy)]
+pub struct Ibft;
 
-/// IBFT protocol messages and timers.
-#[derive(Debug, Clone)]
-enum IbftMsg {
-    /// Proposer cadence timer for a height/round.
-    ProposeTimer { height: u64, round: u64 },
-    /// Round-progress timer at a validator.
-    RoundTimeout { height: u64, round: u64 },
-    PrePrepare {
-        height: u64,
-        round: u64,
-        digest: u64,
-        batch: Vec<Command>,
-    },
-    Prepare {
-        epoch: u64,
-        height: u64,
-        round: u64,
-        digest: u64,
-        from: NodeId,
-    },
-    Commit {
-        epoch: u64,
-        height: u64,
-        round: u64,
-        digest: u64,
-        from: NodeId,
-    },
-    RoundChange {
-        height: u64,
-        round: u64,
-        from: NodeId,
-    },
-    /// A joiner's catch-up/state transfer finished: activate it.
-    SyncDone { node: NodeId },
+/// A validator's round-change state.
+#[derive(Debug, Default)]
+pub struct RoundChange {
+    /// Round-change votes received, per (height, round).
+    votes: HashMap<(u64, u64), u32>,
+    /// Highest round this validator has voted to move to, per height.
+    voted: HashMap<u64, u64>,
 }
 
-/// Per-(height, round) progress at one validator; vote tallies are kept per
-/// digest so an equivocated sibling block can never inflate the count of
-/// the block this node actually holds.
-#[derive(Debug, Default, Clone)]
-struct SlotState {
-    digest: Option<u64>,
-    batch: Option<Vec<Command>>,
-    prepares: HashMap<u64, u32>,
-    commits: HashMap<u64, u32>,
-    prepared: bool,
-    committed: bool,
-}
-
-#[derive(Debug)]
-struct IbftNode {
-    height: u64,
-    round: u64,
-    slots: HashMap<(u64, u64), SlotState>,
-    round_change_votes: HashMap<(u64, u64), u32>,
-    voted_round: HashMap<u64, u64>,
-    alive: bool,
-}
-
-impl IbftNode {
-    fn new() -> Self {
-        IbftNode {
-            height: 0,
-            round: 0,
-            slots: HashMap::new(),
-            round_change_votes: HashMap::new(),
-            voted_round: HashMap::new(),
-            alive: true,
-        }
-    }
-}
-
-/// Configuration for an [`IbftCluster`]; build with [`IbftCluster::builder`].
-#[derive(Debug, Clone)]
-pub struct IbftBuilder {
-    nodes: u32,
-    standby: u32,
-    topology: Option<Topology>,
-    net: NetConfig,
-    seed: u64,
-    batch: BatchConfig,
-    block_period: SimDuration,
-    round_timeout: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-}
-
-impl IbftBuilder {
-    /// Node placement (defaults to one node per server).
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = Some(t);
-        self
-    }
-
-    /// Pre-provisions `k` standby validators (ids `nodes..nodes + k`) that
-    /// start outside the active membership and can be admitted at runtime
-    /// via [`IbftCluster::join`]. Default 0.
-    pub fn standby(mut self, k: u32) -> Self {
-        self.standby = k;
-        self
-    }
-
-    /// Network characteristics.
-    pub fn net(mut self, c: NetConfig) -> Self {
-        self.net = c;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Maximum transactions per block.
-    pub fn batch(mut self, b: BatchConfig) -> Self {
-        self.batch = b;
-        self
-    }
-
-    /// Quorum's `istanbul.blockperiod`: minimum time between consecutive
-    /// blocks.
-    pub fn block_period(mut self, d: SimDuration) -> Self {
-        self.block_period = d;
-        self
-    }
-
-    /// Round-change timeout.
-    pub fn round_timeout(mut self, d: SimDuration) -> Self {
-        self.round_timeout = d;
-        self
-    }
-
-    /// Fixed CPU cost of handling any protocol message.
-    pub fn proc_per_msg(mut self, d: SimDuration) -> Self {
-        self.proc_per_msg = d;
-        self
-    }
-
-    /// Additional CPU cost per command in a proposal.
-    pub fn proc_per_command(mut self, d: SimDuration) -> Self {
-        self.proc_per_command = d;
-        self
-    }
-
-    /// Builds the cluster; the first proposal fires after one block period.
-    pub fn build(self) -> IbftCluster {
-        let n = self.nodes;
-        let total = n + self.standby;
-        let topology = self
-            .topology
-            .unwrap_or_else(|| Topology::round_robin(total, total));
-        assert_eq!(
-            topology.node_count(),
-            total,
-            "topology must cover baseline + standby nodes"
-        );
-        let mut net = NetSim::new(topology, self.net, self.seed);
-        net.timer(
-            NodeId(0),
-            self.block_period,
-            IbftMsg::ProposeTimer {
-                height: 0,
-                round: 0,
-            },
-        );
-        // Every validator watches height 0 so a dead first proposer is
-        // detected (Quorum keeps minting blocks via round changes).
-        for i in 0..n {
-            net.timer(
-                NodeId(i),
-                self.round_timeout,
-                IbftMsg::RoundTimeout {
-                    height: 0,
-                    round: 0,
-                },
-            );
-        }
-        IbftCluster {
-            nodes: (0..total).map(|_| IbftNode::new()).collect(),
-            membership: Membership::new(n, self.standby),
-            net,
-            cpu: CpuModel::new(total),
-            batch: self.batch,
-            pending: Vec::new(),
-            committed: Vec::new(),
-            next_height: 0,
-            block_period: self.block_period,
-            round_timeout: self.round_timeout,
-            proc_per_msg: self.proc_per_msg,
-            proc_per_command: self.proc_per_command,
-            commit_quorum: HashMap::new(),
-            emit_empty_blocks: true,
-            byz: vec![ByzantineFlags::default(); total as usize],
-            monitor: SafetyMonitor::new(bft_quorum(n)),
-            liveness: LivenessMonitor::default(),
-            equiv_sibling: HashMap::new(),
-            stale_epoch_rejections: 0,
-            committed_txs: BTreeSet::new(),
-        }
-    }
-}
+/// Configuration for an [`IbftCluster`]; build with [`Cluster::builder`].
+pub type IbftBuilder = Builder<Ibft>;
 
 /// A simulated Istanbul BFT validator set.
 ///
@@ -247,809 +51,140 @@ impl IbftBuilder {
 ///
 /// let mut ibft = IbftCluster::builder(4)
 ///     .seed(5)
-///     .block_period(SimDuration::from_secs(1))
+///     .period(SimDuration::from_secs(1))
 ///     .build();
 /// ibft.submit(Command::unit(TxId::new(ClientId(0), 1)));
 /// let blocks = ibft.run_until(SimTime::from_secs(3));
 /// assert!(blocks.iter().any(|b| !b.commands.is_empty()));
 /// ```
-#[derive(Debug)]
-pub struct IbftCluster {
-    nodes: Vec<IbftNode>,
-    /// Epoch-versioned active membership over the provisioned universe.
-    membership: Membership,
-    net: NetSim<IbftMsg>,
-    cpu: CpuModel,
-    batch: BatchConfig,
-    pending: Vec<Command>,
-    committed: Vec<CommittedBatch>,
-    next_height: u64,
-    block_period: SimDuration,
-    round_timeout: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-    commit_quorum: HashMap<(u64, u64), Vec<(NodeId, SimTime)>>,
-    emit_empty_blocks: bool,
-    /// Per-node Byzantine fault windows.
-    byz: Vec<ByzantineFlags>,
-    /// Message-level safety invariant checker.
-    monitor: SafetyMonitor,
-    /// Commit-cadence and round-change-storm liveness tracker.
-    liveness: LivenessMonitor,
-    /// (height, round) → the conflicting sibling digest an equivocating
-    /// proposer broadcast alongside its real proposal.
-    equiv_sibling: HashMap<(u64, u64), u64>,
-    /// Votes dropped because they carried a superseded membership epoch.
-    stale_epoch_rejections: u64,
-    /// Transactions already finalized, so a batch orphaned by a round or
-    /// epoch change is never re-proposed after its commands committed.
-    committed_txs: BTreeSet<u64>,
-}
+pub type IbftCluster = Cluster<Ibft>;
 
-impl IbftCluster {
-    /// Starts building an IBFT cluster of `nodes` validators.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn builder(nodes: u32) -> IbftBuilder {
-        assert!(nodes > 0, "a cluster needs at least one node");
-        IbftBuilder {
-            nodes,
-            standby: 0,
-            topology: None,
-            net: NetConfig::lan(),
-            seed: 0,
-            batch: BatchConfig::new(1000, SimDuration::from_secs(1)),
-            block_period: SimDuration::from_secs(1),
-            round_timeout: SimDuration::from_secs(4),
-            proc_per_msg: SimDuration::from_micros(30),
-            proc_per_command: SimDuration::from_micros(4),
+impl Policy for Ibft {
+    type Change = RoundChange;
+    const BATCH_COMMANDS: usize = 1000;
+    const PROC_PER_COMMAND: SimDuration = SimDuration::from_micros(4);
+    const PROPOSES_EMPTY_BLOCKS: bool = true;
+
+    fn rotation(height: u64, round: u64) -> u64 {
+        height + round
+    }
+
+    fn digest(batch: &[Command], height: u64, round: u64, sibling: bool) -> u64 {
+        let key = height.wrapping_mul(31).wrapping_add(round);
+        let key = if sibling {
+            key.wrapping_add(0xB12A_57DE)
+        } else {
+            key
+        };
+        let mut h = Hasher64::with_key(key);
+        for c in batch {
+            h.write_u64(c.tx.as_u64());
         }
+        h.finish()
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
+    fn accepts_vote(node: &Node<RoundChange>, height: u64, round: u64) -> bool {
+        height == node.height && round == node.view
     }
 
-    /// Number of validators.
-    pub fn node_count(&self) -> u32 {
-        self.nodes.len() as u32
+    fn view_after_commit(_round: u64) -> u64 {
+        0
     }
 
-    /// Whether empty blocks are emitted to the caller (Quorum's behaviour).
-    /// Disable to only surface non-empty blocks.
-    pub fn set_emit_empty_blocks(&mut self, emit: bool) {
-        self.emit_empty_blocks = emit;
+    /// The next proposer waits a block period before proposing, so the
+    /// watch covers that too.
+    fn watch_delay(period: SimDuration, timeout: SimDuration) -> SimDuration {
+        period + timeout
     }
 
-    /// Network counters.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
-    }
-
-    /// Applies a network-level fault (partition, heal, loss burst, latency
-    /// spike) to the cluster's message fabric. Crash/restart events are not
-    /// network faults and return `false`.
-    pub fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.net.apply_fault(at, event)
-    }
-
-    /// Commands accepted but not yet included in a block.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submits a command to the transaction pool.
-    pub fn submit(&mut self, cmd: Command) {
-        self.pending.push(cmd);
-    }
-
-    /// Removes every queued command (models a txpool flush).
-    pub fn drop_pending(&mut self) -> usize {
-        let n = self.pending.len();
-        self.pending.clear();
-        n
-    }
-
-    /// Flags `node` to misbehave (`behaviour`) until virtual time `until`.
-    pub fn set_byzantine(&mut self, node: NodeId, behaviour: ByzantineBehaviour, until: SimTime) {
-        self.byz[node.0 as usize].arm(behaviour, until);
-    }
-
-    /// The safety monitor's verdict over everything observed so far.
-    pub fn safety_report(&self) -> SafetyReport {
-        self.monitor.report()
-    }
-
-    /// The liveness monitor's verdict as of the current virtual time.
-    pub fn liveness_report(&self) -> LivenessReport {
-        self.liveness.report(self.net.now())
-    }
-
-    /// Crashes a validator.
-    pub fn crash(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = false;
-    }
-
-    /// Recovers a crashed validator.
-    pub fn recover(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = true;
-    }
-
-    /// Runs the protocol until `deadline`, returning blocks committed in
-    /// this window (empty blocks included when enabled).
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<CommittedBatch> {
-        while let Some(ev) = self.net.pop_at_or_before(deadline) {
-            self.dispatch(ev.dst, ev.at, ev.msg);
-        }
-        self.net.advance_to(deadline);
-        std::mem::take(&mut self.committed)
-    }
-
-    /// Due time of the next internal event.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.net.next_event_time()
-    }
-
-    /// Validators currently in the active membership.
-    pub fn active_count(&self) -> u32 {
-        self.membership.active_count()
-    }
-
-    /// Current membership configuration epoch.
-    pub fn config_epoch(&self) -> u64 {
-        self.membership.epoch()
-    }
-
-    /// Votes dropped because they carried a superseded membership epoch.
-    pub fn stale_epoch_rejections(&self) -> u64 {
-        self.stale_epoch_rejections
-    }
-
-    /// Starts admitting a pre-provisioned standby validator: it first syncs
-    /// the chain (catch-up takes longer the more blocks were committed) and
-    /// only joins the active membership — bumping the epoch — when the
-    /// transfer completes. Returns `false` if `node` is unknown, already
-    /// active, or already syncing.
-    pub fn join(&mut self, node: NodeId) -> bool {
-        if node.0 >= self.membership.provisioned()
-            || self.membership.is_active(node)
-            || self.monitor.is_syncing(node)
-        {
-            return false;
-        }
-        self.monitor.observe_sync_start(node);
-        let sync = SYNC_BASE + SYNC_PER_BATCH * self.next_height;
-        self.net.timer(node, sync, IbftMsg::SyncDone { node });
-        true
-    }
-
-    /// Removes a validator from the active membership, bumping the epoch
-    /// and recomputing the quorum. Returns `false` if `node` is not an
-    /// active member or is the last one.
-    pub fn leave(&mut self, node: NodeId) -> bool {
-        if !self.membership.leave(node) {
-            return false;
-        }
-        self.on_epoch_change();
-        true
-    }
-
-    fn quorum(&self) -> u32 {
-        bft_quorum(self.membership.active_count())
-    }
-
-    fn proposer_of(&self, height: u64, round: u64) -> NodeId {
-        // Rotation over the active membership; identical to
-        // `(height + round) mod n` until the first join/leave.
-        self.membership.select(height + round)
-    }
-
-    fn dispatch(&mut self, me: NodeId, at: SimTime, msg: IbftMsg) {
-        if !self.nodes[me.0 as usize].alive {
-            return;
-        }
-        if !self.membership.is_active(me) {
-            // A standby/departed validator ignores the protocol entirely;
-            // only its own sync-completion timer is meaningful.
-            if let IbftMsg::SyncDone { node } = msg {
-                self.on_sync_done(node);
-            }
-            return;
-        }
-        match msg {
-            IbftMsg::ProposeTimer { height, round } => self.on_propose_timer(me, height, round),
-            IbftMsg::RoundTimeout { height, round } => self.on_round_timeout(me, height, round),
-            IbftMsg::PrePrepare {
-                height,
-                round,
-                digest,
-                batch,
-            } => self.on_pre_prepare(me, at, height, round, digest, batch),
-            IbftMsg::Prepare {
-                epoch,
-                height,
-                round,
-                digest,
-                from,
-            } => {
-                if epoch != self.membership.epoch() {
-                    self.stale_epoch_rejections += 1;
-                    return;
-                }
-                self.on_prepare(me, at, height, round, digest, from)
-            }
-            IbftMsg::Commit {
-                epoch,
-                height,
-                round,
-                digest,
-                from,
-            } => {
-                if epoch != self.membership.epoch() {
-                    self.stale_epoch_rejections += 1;
-                    return;
-                }
-                self.on_commit(me, at, height, round, digest, from)
-            }
-            IbftMsg::RoundChange {
-                height,
-                round,
-                from,
-            } => self.on_round_change(me, at, height, round, from),
-            IbftMsg::SyncDone { .. } => {}
-        }
-    }
-
-    /// A joiner finished its catch-up: admit it to the active membership at
-    /// the next open height and bump the configuration epoch.
-    fn on_sync_done(&mut self, node: NodeId) {
-        if !self.monitor.is_syncing(node) || !self.membership.join(node) {
-            return;
-        }
-        self.monitor.observe_sync_complete(node);
-        {
-            let joiner = &mut self.nodes[node.0 as usize];
-            joiner.height = self.next_height;
-            joiner.round = 0;
-        }
-        self.on_epoch_change();
-    }
-
-    /// Applies a membership change: recompute the quorum over the new
-    /// active count, abandon in-flight slots (their epoch is superseded —
-    /// a quorum of the old membership must not certify a commit), reclaim
-    /// their commands, and restart the proposal cadence over the new
-    /// membership.
-    fn on_epoch_change(&mut self) {
-        let quorum = self.quorum();
-        self.monitor.begin_epoch(self.membership.epoch(), quorum);
-        // Reclaim commands stuck in uncommitted slots, in (height, round)
-        // order, deduplicated (several validators hold the same in-flight
-        // block) and filtered against already-finalized transactions.
-        let mut by_slot: BTreeMap<(u64, u64), Vec<Command>> = BTreeMap::new();
-        for node in &mut self.nodes {
-            for (&(height, round), slot) in node.slots.iter() {
-                if slot.committed {
-                    continue;
-                }
-                if let Some(batch) = &slot.batch {
-                    by_slot
-                        .entry((height, round))
-                        .or_insert_with(|| batch.clone());
-                }
-            }
-            node.slots.retain(|_, s| s.committed);
-            node.round_change_votes.clear();
-            node.voted_round.clear();
-        }
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut restored: Vec<Command> = Vec::new();
-        for batch in by_slot.into_values() {
-            for c in batch {
-                if !self.committed_txs.contains(&c.tx.as_u64()) && seen.insert(c.tx.as_u64()) {
-                    restored.push(c);
-                }
-            }
-        }
-        restored.append(&mut self.pending);
-        self.pending = restored;
-        let height = self.next_height;
-        self.commit_quorum.retain(|&(h, _), _| h < height);
-        // Restart the pipeline under the new epoch: every active validator
-        // realigns on (next_height, round 0) and the proposer re-proposes.
-        for i in 0..self.nodes.len() {
-            let id = NodeId(i as u32);
-            if self.nodes[i].alive && self.membership.is_active(id) {
-                let node = &mut self.nodes[i];
-                node.height = height;
-                node.round = 0;
-                self.net.timer(
-                    id,
-                    self.round_timeout,
-                    IbftMsg::RoundTimeout { height, round: 0 },
-                );
-            }
-        }
-        self.net.timer(
-            self.proposer_of(height, 0),
-            self.block_period,
-            IbftMsg::ProposeTimer { height, round: 0 },
-        );
-    }
-
-    fn on_propose_timer(&mut self, me: NodeId, height: u64, round: u64) {
-        {
-            let node = &self.nodes[me.0 as usize];
-            if height != self.next_height
-                || node.round != round
-                || self.proposer_of(height, round) != me
-            {
-                return;
-            }
-            if node
+    fn on_timeout(c: &mut IbftCluster, me: NodeId, height: u64, round: u64) {
+        let node = &mut c.nodes[me.0 as usize];
+        if node.height != height
+            || node.view != round
+            || node
                 .slots
                 .get(&(height, round))
-                .is_some_and(|s| s.digest.is_some())
-            {
-                return; // already proposed this slot
-            }
-        }
-        // Unlike PBFT/Sawtooth, IBFT proposes on cadence even with an empty
-        // pool — Quorum mints empty blocks.
-        let take = self.pending.len().min(self.batch.max_commands);
-        let batch: Vec<Command> = self.pending.drain(..take).collect();
-        let digest = digest_of(&batch, height, round);
-        let bytes = 64 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
-        let cost = self.proc_per_msg + self.proc_per_command * batch.len() as u64;
-        let now = self.net.now();
-        let done = self.cpu.process(me, now, cost);
+                .is_some_and(|s| s.committed)
         {
-            let slot = self.nodes[me.0 as usize]
-                .slots
-                .entry((height, round))
-                .or_default();
-            slot.digest = Some(digest);
-            slot.batch = Some(batch.clone());
-            slot.prepares.insert(digest, 1);
-        }
-        self.monitor.observe_proposal(round, height, me, digest);
-        self.monitor
-            .observe_vote(me, VotePhase::Prepare, round, height, digest, me);
-        if self.byz[me.0 as usize].equivocates(now) && self.nodes.len() >= 3 {
-            // Equivocating proposer: a sibling block with the same commands
-            // but a conflicting digest goes to half the honest validators;
-            // Byzantine accomplices receive both versions.
-            let alt = sibling_digest_of(&batch, height, round);
-            self.equiv_sibling.insert((height, round), alt);
-            self.monitor.observe_proposal(round, height, me, alt);
-            let extra = done - now;
-            let mut honest_idx = 0usize;
-            for i in 0..self.nodes.len() {
-                let dst = NodeId(i as u32);
-                if dst == me {
-                    continue;
-                }
-                let accomplice = self.byz[i].is_byzantine(now);
-                if accomplice || honest_idx.is_multiple_of(2) {
-                    self.net.send_delayed(
-                        me,
-                        dst,
-                        extra,
-                        bytes,
-                        IbftMsg::PrePrepare {
-                            height,
-                            round,
-                            digest,
-                            batch: batch.clone(),
-                        },
-                    );
-                }
-                if accomplice || honest_idx % 2 == 1 {
-                    self.net.send_delayed(
-                        me,
-                        dst,
-                        extra,
-                        bytes,
-                        IbftMsg::PrePrepare {
-                            height,
-                            round,
-                            digest: alt,
-                            batch: batch.clone(),
-                        },
-                    );
-                }
-                if !accomplice {
-                    honest_idx += 1;
-                }
-            }
-        } else {
-            self.net
-                .broadcast_delayed(me, done - now, bytes, |_| IbftMsg::PrePrepare {
-                    height,
-                    round,
-                    digest,
-                    batch: batch.clone(),
-                });
-        }
-        self.net.timer(
-            me,
-            self.round_timeout,
-            IbftMsg::RoundTimeout { height, round },
-        );
-    }
-
-    fn on_pre_prepare(
-        &mut self,
-        me: NodeId,
-        at: SimTime,
-        height: u64,
-        round: u64,
-        digest: u64,
-        batch: Vec<Command>,
-    ) {
-        let cost = self.proc_per_msg + self.proc_per_command * batch.len() as u64;
-        let done = self.cpu.process(me, at, cost);
-        let extra = done - at;
-        let epoch = self.membership.epoch();
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if height != node.height || round != node.round {
-                return;
-            }
-            let slot = node.slots.entry((height, round)).or_default();
-            if slot.batch.is_some() {
-                if slot.digest != Some(digest) && self.byz[me.0 as usize].double_votes(at) {
-                    // A conflicting proposal for a slot we already accepted:
-                    // honest validators drop it; a double-voting validator
-                    // votes for it anyway without adopting it.
-                    self.net
-                        .broadcast_delayed(me, extra, 64, |_| IbftMsg::Prepare {
-                            epoch,
-                            height,
-                            round,
-                            digest,
-                            from: me,
-                        });
-                    self.net
-                        .broadcast_delayed(me, extra, 64, |_| IbftMsg::Commit {
-                            epoch,
-                            height,
-                            round,
-                            digest,
-                            from: me,
-                        });
-                }
-                return;
-            }
-            slot.digest = Some(digest);
-            slot.batch = Some(batch);
-            *slot.prepares.entry(digest).or_insert(0) += 2; // proposer implicit + own
-        }
-        let proposer = self.proposer_of(height, round);
-        self.monitor
-            .observe_vote(me, VotePhase::Prepare, round, height, digest, proposer);
-        self.monitor
-            .observe_vote(me, VotePhase::Prepare, round, height, digest, me);
-        self.net
-            .broadcast_delayed(me, extra, 64, |_| IbftMsg::Prepare {
-                epoch,
-                height,
-                round,
-                digest,
-                from: me,
-            });
-        self.net.timer(
-            me,
-            self.round_timeout,
-            IbftMsg::RoundTimeout { height, round },
-        );
-        self.check_prepared(me, height, round, digest);
-    }
-
-    fn on_prepare(
-        &mut self,
-        me: NodeId,
-        at: SimTime,
-        height: u64,
-        round: u64,
-        digest: u64,
-        from: NodeId,
-    ) {
-        let _ = self.cpu.process(me, at, self.proc_per_msg);
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if height != node.height || round != node.round {
-                return;
-            }
-            let slot = node.slots.entry((height, round)).or_default();
-            if slot.digest.is_some() && slot.digest != Some(digest) {
-                return;
-            }
-            *slot.prepares.entry(digest).or_insert(0) += 1;
-        }
-        self.monitor
-            .observe_vote(me, VotePhase::Prepare, round, height, digest, from);
-        self.check_prepared(me, height, round, digest);
-    }
-
-    fn check_prepared(&mut self, me: NodeId, height: u64, round: u64, digest: u64) {
-        let quorum = self.quorum();
-        let now = self.net.now();
-        let should_commit;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            let slot = node.slots.entry((height, round)).or_default();
-            should_commit = !slot.prepared
-                && slot.digest == Some(digest)
-                && slot.prepares.get(&digest).copied().unwrap_or(0) >= quorum;
-            if should_commit {
-                slot.prepared = true;
-                *slot.commits.entry(digest).or_insert(0) += 1;
-            }
-        }
-        if should_commit {
-            self.monitor
-                .observe_quorum(me, VotePhase::Prepare, round, height, digest);
-            self.monitor
-                .observe_vote(me, VotePhase::Commit, round, height, digest, me);
-            let epoch = self.membership.epoch();
-            let done = self.cpu.process(me, now, self.proc_per_msg);
-            self.net
-                .broadcast_delayed(me, done - now, 64, |_| IbftMsg::Commit {
-                    epoch,
-                    height,
-                    round,
-                    digest,
-                    from: me,
-                });
-            // An equivocating proposer finishes its attack: the sibling
-            // fork needs its commit vote too.
-            if self.proposer_of(height, round) == me {
-                if let Some(&alt) = self.equiv_sibling.get(&(height, round)) {
-                    if alt != digest {
-                        self.net
-                            .broadcast_delayed(me, done - now, 64, |_| IbftMsg::Commit {
-                                epoch,
-                                height,
-                                round,
-                                digest: alt,
-                                from: me,
-                            });
-                    }
-                }
-            }
-            self.check_committed(me, height, round, digest);
-        }
-    }
-
-    fn on_commit(
-        &mut self,
-        me: NodeId,
-        at: SimTime,
-        height: u64,
-        round: u64,
-        digest: u64,
-        from: NodeId,
-    ) {
-        let _ = self.cpu.process(me, at, self.proc_per_msg);
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if height != node.height || round != node.round {
-                return;
-            }
-            let slot = node.slots.entry((height, round)).or_default();
-            if slot.digest.is_some() && slot.digest != Some(digest) {
-                return;
-            }
-            *slot.commits.entry(digest).or_insert(0) += 1;
-        }
-        self.monitor
-            .observe_vote(me, VotePhase::Commit, round, height, digest, from);
-        self.check_committed(me, height, round, digest);
-    }
-
-    fn check_committed(&mut self, me: NodeId, height: u64, round: u64, digest: u64) {
-        let quorum = self.quorum();
-        let now = self.net.now();
-        let locally_committed;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            let slot = node.slots.entry((height, round)).or_default();
-            locally_committed = !slot.committed
-                && slot.prepared
-                && slot.digest == Some(digest)
-                && slot.commits.get(&digest).copied().unwrap_or(0) >= quorum;
-            if locally_committed {
-                slot.committed = true;
-                node.height = node.height.max(height + 1);
-                node.round = 0;
-            }
-        }
-        if !locally_committed {
-            return;
-        }
-        self.liveness.observe_progress(me, now);
-        self.monitor
-            .observe_quorum(me, VotePhase::Commit, round, height, digest);
-        // Vote tallies are reset on every membership change, so the quorum
-        // behind this commit formed entirely in the current epoch.
-        self.monitor
-            .observe_epoch_commit(self.membership.epoch(), height, digest);
-        // Watch the next height: its proposer might be dead.
-        self.net.timer(
-            me,
-            self.block_period + self.round_timeout,
-            IbftMsg::RoundTimeout {
-                height: height + 1,
-                round: 0,
-            },
-        );
-        let entry = self.commit_quorum.entry((height, round)).or_default();
-        if !entry.iter().any(|(n, _)| *n == me) {
-            entry.push((me, now));
-        }
-        if entry.len() as u32 >= quorum && height == self.next_height {
-            let committed_at = entry.iter().map(|&(_, t)| t).max().unwrap_or(now);
-            let batch = self
-                .nodes
-                .iter()
-                .find_map(|n| n.slots.get(&(height, round)).and_then(|s| s.batch.clone()))
-                .unwrap_or_default();
-            self.next_height = height + 1;
-            self.liveness.observe_commit(committed_at);
-            for c in &batch {
-                self.committed_txs.insert(c.tx.as_u64());
-            }
-            if !batch.is_empty() || self.emit_empty_blocks {
-                self.committed.push(CommittedBatch {
-                    commands: batch,
-                    proposer: self.proposer_of(height, round),
-                    round: height,
-                    committed_at,
-                });
-            }
-            let next_proposer = self.proposer_of(height + 1, 0);
-            self.net.timer(
-                next_proposer,
-                self.block_period,
-                IbftMsg::ProposeTimer {
-                    height: height + 1,
-                    round: 0,
-                },
-            );
-        }
-    }
-
-    fn on_round_timeout(&mut self, me: NodeId, height: u64, round: u64) {
-        let should_complain;
-        {
-            let node = &self.nodes[me.0 as usize];
-            should_complain = node.height == height
-                && node.round == round
-                && node
-                    .slots
-                    .get(&(height, round))
-                    .is_none_or(|s| !s.committed);
-        }
-        if !should_complain {
             return;
         }
         let new_round = round + 1;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            let voted = node.voted_round.entry(height).or_insert(0);
-            if *voted >= new_round {
-                return;
-            }
-            *voted = new_round;
+        let voted = node.change.voted.entry(height).or_insert(0);
+        if *voted >= new_round {
+            return;
         }
-        let now = self.net.now();
-        let done = self.cpu.process(me, now, self.proc_per_msg);
-        self.net
-            .broadcast_delayed(me, done - now, 48, |_| IbftMsg::RoundChange {
+        *voted = new_round;
+        let now = c.net.now();
+        let done = c.cpu.process(me, now, c.proc_per_msg);
+        c.net
+            .broadcast_delayed(me, done - now, CHANGE_BYTES, |_| Msg::ViewChange {
                 height,
-                round: new_round,
-                from: me,
+                view: new_round,
             });
-        self.on_round_change(me, now, height, new_round, me);
+        Self::on_view_change(c, me, height, new_round);
     }
 
-    fn on_round_change(
-        &mut self,
-        me: NodeId,
-        _at: SimTime,
-        height: u64,
-        round: u64,
-        _from: NodeId,
-    ) {
-        let quorum = self.quorum();
-        let reached;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if node.height != height || round <= node.round {
-                return;
-            }
-            let votes = node.round_change_votes.entry((height, round)).or_insert(0);
-            *votes += 1;
-            reached = *votes >= quorum;
+    fn on_view_change(c: &mut IbftCluster, me: NodeId, height: u64, round: u64) {
+        let quorum = c.quorum();
+        let node = &mut c.nodes[me.0 as usize];
+        if node.height != height || round <= node.view {
+            return;
         }
-        if reached {
-            {
-                let node = &mut self.nodes[me.0 as usize];
-                node.round = round;
-                // Blocks stuck in the abandoned rounds of this height are
-                // reclaimed so their commands are re-proposed, not
-                // stranded. Reclaim in round order (slot iteration order is
-                // not deterministic).
-                let mut by_round: BTreeMap<u64, Vec<Command>> = BTreeMap::new();
-                for (&(h, r), slot) in node.slots.iter_mut() {
-                    if h == height && r < round && !slot.committed {
-                        if let Some(batch) = slot.batch.take() {
-                            by_round.insert(r, batch);
-                        }
-                    }
-                }
-                let mut seen: BTreeSet<u64> = self.pending.iter().map(|c| c.tx.as_u64()).collect();
-                for batch in by_round.into_values() {
-                    for c in batch {
-                        if !self.committed_txs.contains(&c.tx.as_u64())
-                            && seen.insert(c.tx.as_u64())
-                        {
-                            self.pending.push(c);
-                        }
-                    }
-                }
-            }
-            if self.proposer_of(height, round) == me {
-                // Exactly one node is the new proposer, so this is counted
-                // once per successful round change across the cluster.
-                self.liveness.observe_view_change(self.net.now());
-                self.net.timer(
-                    me,
-                    SimDuration::from_millis(10),
-                    IbftMsg::ProposeTimer { height, round },
-                );
-            }
-            self.net.timer(
+        let votes = node.change.votes.entry((height, round)).or_insert(0);
+        *votes += 1;
+        if *votes < quorum {
+            return;
+        }
+        node.view = round;
+        // Blocks stuck in the abandoned rounds of this height are reclaimed
+        // so their commands are re-proposed, not stranded.
+        c.reclaim(me, |h, r| h == height && r < round);
+        if c.leader(height, round) == me {
+            // Exactly one node is the new proposer, so this is counted once
+            // per successful round change across the cluster.
+            c.liveness.observe_view_change(c.net.now());
+            c.net.timer(
                 me,
-                self.round_timeout,
-                IbftMsg::RoundTimeout { height, round },
+                SimDuration::from_millis(10),
+                Msg::ProposeTimer {
+                    height,
+                    view: round,
+                },
             );
         }
+        c.watch(me, height, round);
     }
-}
 
-/// Deterministic digest of a block proposal.
-fn digest_of(batch: &[Command], height: u64, round: u64) -> u64 {
-    let mut h = Hasher64::with_key(height.wrapping_mul(31).wrapping_add(round));
-    for c in batch {
-        h.write_u64(c.tx.as_u64());
+    fn align_joiner(c: &mut IbftCluster, joiner: NodeId) {
+        c.nodes[joiner.0 as usize].view = 0;
     }
-    h.finish()
-}
 
-/// The conflicting digest an equivocating proposer pairs with
-/// [`digest_of`]: same commands, different serialization.
-fn sibling_digest_of(batch: &[Command], height: u64, round: u64) -> u64 {
-    let mut h = Hasher64::with_key(
-        height
-            .wrapping_mul(31)
-            .wrapping_add(round)
-            .wrapping_add(0xB12A_57DE),
-    );
-    for c in batch {
-        h.write_u64(c.tx.as_u64());
+    /// Every active validator realigns on (next height, round 0) and
+    /// watches it; then its proposer re-proposes.
+    fn restart_epoch(c: &mut IbftCluster) {
+        let height = c.next_height;
+        for (i, node) in c.nodes.iter_mut().enumerate() {
+            node.change = RoundChange::default();
+            if node.alive && c.membership.is_active(NodeId(i as u32)) {
+                node.height = height;
+                node.view = 0;
+            }
+        }
+        c.watch_active(height, 0);
+        c.net.timer(
+            c.leader(height, 0),
+            c.period,
+            Msg::ProposeTimer { height, view: 0 },
+        );
     }
-    h.finish()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coconut_types::{ClientId, TxId};
+    use crate::BatchConfig;
+    use coconut_simnet::ByzantineBehaviour;
+    use coconut_types::{ClientId, SimTime, TxId};
 
     fn tx(seq: u64) -> Command {
         Command::unit(TxId::new(ClientId(0), seq))
@@ -1070,7 +205,7 @@ mod tests {
     fn produces_empty_blocks_on_cadence() {
         let mut c = IbftCluster::builder(4)
             .seed(2)
-            .block_period(SimDuration::from_secs(1))
+            .period(SimDuration::from_secs(1))
             .build();
         let blocks = c.run_until(SimTime::from_secs(10));
         assert!(
@@ -1082,19 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_block_emission_can_be_disabled() {
-        let mut c = IbftCluster::builder(4).seed(3).build();
-        c.set_emit_empty_blocks(false);
-        let blocks = c.run_until(SimTime::from_secs(5));
-        assert!(blocks.is_empty());
-    }
-
-    #[test]
     fn block_period_paces_production() {
         for period_s in [1u64, 2] {
             let mut c = IbftCluster::builder(4)
                 .seed(4)
-                .block_period(SimDuration::from_secs(period_s))
+                .period(SimDuration::from_secs(period_s))
                 .build();
             let blocks = c.run_until(SimTime::from_secs(20));
             for w in blocks.windows(2) {
@@ -1149,7 +276,7 @@ mod tests {
         let mut c = IbftCluster::builder(4)
             .seed(8)
             .batch(BatchConfig::new(3, SimDuration::from_secs(1)))
-            .block_period(SimDuration::from_millis(500))
+            .period(SimDuration::from_millis(500))
             .build();
         for s in 0..12 {
             c.submit(tx(s));

@@ -8,8 +8,7 @@
 //! | Engine | Used by | Module |
 //! |---|---|---|
 //! | Raft (leader election + log replication) | Fabric ordering service | [`raft`] |
-//! | PBFT (pre-prepare/prepare/commit + view change) | Sawtooth | [`pbft`] |
-//! | Istanbul BFT (3-phase, proposer rotation, block period) | Quorum | [`ibft`] |
+//! | Three-phase BFT (pre-prepare/prepare/commit) with the [`pbft::Pbft`] policy (global view change) and the [`ibft::Ibft`] policy (per-height round change, empty blocks) | Sawtooth, Quorum | [`three_phase`] |
 //! | DiemBFT (chained rounds, quorum certificates, pacemaker) | Diem | [`diembft`] |
 //! | Delegated Proof-of-Stake (witness schedule, slots) | BitShares | [`dpos`] |
 //! | Notary uniqueness service (consumed-state checking) | Corda | [`notary`] |
@@ -43,6 +42,7 @@ pub mod notary;
 pub mod pbft;
 pub mod raft;
 pub mod safety;
+pub mod three_phase;
 
 pub use liveness::{LivenessConfig, LivenessMonitor, LivenessReport, LivenessVerdict};
 pub use safety::{

@@ -2,250 +2,48 @@
 //! Hyperledger Sawtooth (the paper runs Sawtooth 1.2.6 with `sawtooth-pbft`,
 //! Table 2).
 //!
-//! Message-level three-phase PBFT: the primary broadcasts a `PrePrepare`
-//! carrying the block (batch), replicas exchange `Prepare` and `Commit`
-//! messages, and a batch finalizes when 2f + 1 nodes have committed. A view
-//! change (new primary) is triggered when replicas see no progress on an
-//! outstanding proposal within the commit timeout.
+//! Message-level three-phase PBFT on the shared [`three_phase`] engine: the
+//! primary broadcasts a `PrePrepare` carrying the block (batch), replicas
+//! exchange `Prepare` and `Commit` messages, and a batch finalizes when
+//! 2f + 1 nodes have committed. A view change (new primary) is triggered
+//! when replicas see no progress on an outstanding proposal within the
+//! commit timeout ([`Builder::timeout`]).
 //!
 //! Sawtooth's `sawtooth.consensus.pbft.block_publishing_delay` maps to
-//! [`PbftBuilder::publishing_delay`]: the primary waits this long after the
-//! previous block before publishing the next one.
+//! [`Builder::period`]: the primary waits this long after the previous
+//! block before publishing the next one, and with an empty pool it waits
+//! another period rather than publish an empty block.
 //!
-//! # Byzantine behaviour
+//! The [`Pbft`] policy keys everything to one global view: the primary of
+//! view *v* is member `v mod n`, votes count in the node's view at any
+//! sequence, and view-change votes are tallied per view. Only the incoming
+//! primary adopts a view on quorum; it broadcasts `NewView` and the others
+//! follow.
 //!
-//! Nodes flagged via [`PbftCluster::set_byzantine`] misbehave while their
-//! fault window is open: an equivocating primary proposes two conflicting
-//! blocks (same commands, different digests) to disjoint halves of the
-//! honest peers, and a double-voting replica answers a conflicting
-//! pre-prepare with prepare *and* commit votes for both digests. A
-//! [`SafetyMonitor`] observes every proposal, vote, and commit and counts
-//! invariant breaks — with ≤ f flagged nodes the minority fork starves
-//! below quorum and the report stays clean; beyond f the forged votes
-//! carry a conflicting block to commit and the monitor records it.
+//! [`three_phase`]: crate::three_phase
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::HashMap;
 
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, NetSim, NetStats, Topology};
-use coconut_types::{Hasher64, NodeId, SimDuration, SimTime};
+use coconut_types::{Hasher64, NodeId, SimDuration};
 
-use crate::liveness::{LivenessMonitor, LivenessReport};
-use crate::safety::{ByzantineFlags, SafetyMonitor, SafetyReport, VotePhase};
-use crate::{bft_quorum, BatchConfig, Command, CommittedBatch, CpuModel, Membership};
+use crate::three_phase::{Builder, Cluster, Msg, Node, Policy, CHANGE_BYTES};
+use crate::Command;
 
-/// Base catch-up time a joiner spends before it may vote (state-transfer
-/// handshake), plus a per-committed-batch transfer cost.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
-const SYNC_PER_BATCH: SimDuration = SimDuration::from_millis(2);
+/// The PBFT policy of the three-phase engine.
+#[derive(Debug, Clone, Copy)]
+pub struct Pbft;
 
-/// PBFT protocol messages and local timers.
-#[derive(Debug, Clone)]
-enum PbftMsg {
-    /// Primary cadence timer: publish the next block.
-    PublishTimer {
-        view: u64,
-        seq: u64,
-    },
-    /// Replica progress timer for an outstanding proposal.
-    CommitTimeout {
-        view: u64,
-        seq: u64,
-    },
-    PrePrepare {
-        view: u64,
-        seq: u64,
-        digest: u64,
-        batch: Vec<Command>,
-    },
-    Prepare {
-        epoch: u64,
-        view: u64,
-        seq: u64,
-        digest: u64,
-        from: NodeId,
-    },
-    Commit {
-        epoch: u64,
-        view: u64,
-        seq: u64,
-        digest: u64,
-        from: NodeId,
-    },
-    ViewChange {
-        new_view: u64,
-        from: NodeId,
-    },
-    NewView {
-        view: u64,
-    },
-    /// A joiner's catch-up/state transfer finished: activate it.
-    SyncDone {
-        node: NodeId,
-    },
+/// A node's view-change state.
+#[derive(Debug, Default)]
+pub struct ViewChange {
+    /// View-change votes received, per target view.
+    votes: HashMap<u64, u32>,
+    /// Highest view this node has voted to move to.
+    voted: u64,
 }
 
-/// Per-sequence consensus progress at one node. Vote tallies are kept per
-/// digest so that votes for an equivocated sibling block can never inflate
-/// the count of the block this node actually holds.
-#[derive(Debug, Default, Clone)]
-struct SlotState {
-    digest: Option<u64>,
-    batch: Option<Vec<Command>>,
-    prepares: HashMap<u64, u32>,
-    commits: HashMap<u64, u32>,
-    prepared: bool,
-    committed: bool,
-}
-
-#[derive(Debug)]
-struct PbftNode {
-    view: u64,
-    /// Next sequence this node expects to commit.
-    low_water: u64,
-    slots: HashMap<(u64, u64), SlotState>,
-    view_change_votes: HashMap<u64, u32>,
-    voted_view: u64,
-    alive: bool,
-}
-
-impl PbftNode {
-    fn new() -> Self {
-        PbftNode {
-            view: 0,
-            low_water: 0,
-            slots: HashMap::new(),
-            view_change_votes: HashMap::new(),
-            voted_view: 0,
-            alive: true,
-        }
-    }
-}
-
-/// Configuration for a [`PbftCluster`]; build with [`PbftCluster::builder`].
-#[derive(Debug, Clone)]
-pub struct PbftBuilder {
-    nodes: u32,
-    standby: u32,
-    topology: Option<Topology>,
-    net: NetConfig,
-    seed: u64,
-    batch: BatchConfig,
-    publishing_delay: SimDuration,
-    commit_timeout: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-}
-
-impl PbftBuilder {
-    /// Node placement (defaults to one node per server).
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = Some(t);
-        self
-    }
-
-    /// Pre-provisions `k` standby replicas (ids `nodes..nodes + k`) that
-    /// start outside the active membership and can be admitted at runtime
-    /// via [`PbftCluster::join`]. Default 0.
-    pub fn standby(mut self, k: u32) -> Self {
-        self.standby = k;
-        self
-    }
-
-    /// Network characteristics.
-    pub fn net(mut self, c: NetConfig) -> Self {
-        self.net = c;
-        self
-    }
-
-    /// RNG seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Batch-cut policy (block size bound).
-    pub fn batch(mut self, b: BatchConfig) -> Self {
-        self.batch = b;
-        self
-    }
-
-    /// Sawtooth's `block_publishing_delay`: the pause between a commit and
-    /// the next proposal.
-    pub fn publishing_delay(mut self, d: SimDuration) -> Self {
-        self.publishing_delay = d;
-        self
-    }
-
-    /// How long replicas wait for an outstanding proposal to commit before
-    /// voting for a view change.
-    pub fn commit_timeout(mut self, d: SimDuration) -> Self {
-        self.commit_timeout = d;
-        self
-    }
-
-    /// Fixed CPU cost of handling any protocol message.
-    pub fn proc_per_msg(mut self, d: SimDuration) -> Self {
-        self.proc_per_msg = d;
-        self
-    }
-
-    /// Additional CPU cost per command in a `PrePrepare`.
-    pub fn proc_per_command(mut self, d: SimDuration) -> Self {
-        self.proc_per_command = d;
-        self
-    }
-
-    /// Builds the cluster. The initial primary (view 0 → node 0) arms its
-    /// publish timer immediately.
-    pub fn build(self) -> PbftCluster {
-        let n = self.nodes;
-        let total = n + self.standby;
-        let topology = self
-            .topology
-            .unwrap_or_else(|| Topology::round_robin(total, total));
-        assert_eq!(
-            topology.node_count(),
-            total,
-            "topology must cover baseline + standby nodes"
-        );
-        let mut net = NetSim::new(topology, self.net, self.seed);
-        net.timer(
-            NodeId(0),
-            self.publishing_delay,
-            PbftMsg::PublishTimer { view: 0, seq: 0 },
-        );
-        // Every active replica watches the first sequence so a dead initial
-        // primary is detected even though it never sends a pre-prepare.
-        for i in 0..n {
-            net.timer(
-                NodeId(i),
-                self.commit_timeout,
-                PbftMsg::CommitTimeout { view: 0, seq: 0 },
-            );
-        }
-        PbftCluster {
-            nodes: (0..total).map(|_| PbftNode::new()).collect(),
-            membership: Membership::new(n, self.standby),
-            net,
-            cpu: CpuModel::new(total),
-            batch: self.batch,
-            pending: Vec::new(),
-            committed: Vec::new(),
-            next_commit_seq: 0,
-            publishing_delay: self.publishing_delay,
-            commit_timeout: self.commit_timeout,
-            proc_per_msg: self.proc_per_msg,
-            proc_per_command: self.proc_per_command,
-            commit_quorum_times: HashMap::new(),
-            byz: vec![ByzantineFlags::default(); total as usize],
-            monitor: SafetyMonitor::new(bft_quorum(n)),
-            liveness: LivenessMonitor::default(),
-            equiv_sibling: HashMap::new(),
-            stale_epoch_rejections: 0,
-            committed_txs: BTreeSet::new(),
-        }
-    }
-}
+/// Configuration for a [`PbftCluster`]; build with [`Cluster::builder`].
+pub type PbftBuilder = Builder<Pbft>;
 
 /// A simulated PBFT cluster.
 ///
@@ -260,831 +58,167 @@ impl PbftBuilder {
 /// let batches = pbft.run_until(SimTime::from_secs(5));
 /// assert_eq!(batches.len(), 1);
 /// ```
-#[derive(Debug)]
-pub struct PbftCluster {
-    nodes: Vec<PbftNode>,
-    /// Epoch-versioned active membership over the provisioned universe.
-    membership: Membership,
-    net: NetSim<PbftMsg>,
-    cpu: CpuModel,
-    batch: BatchConfig,
-    pending: Vec<Command>,
-    committed: Vec<CommittedBatch>,
-    next_commit_seq: u64,
-    publishing_delay: SimDuration,
-    commit_timeout: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-    /// (view, seq) → nodes that reached local commit, for quorum detection.
-    commit_quorum_times: HashMap<(u64, u64), Vec<(NodeId, SimTime)>>,
-    /// Per-node Byzantine fault windows.
-    byz: Vec<ByzantineFlags>,
-    /// Message-level safety invariant checker.
-    monitor: SafetyMonitor,
-    /// Commit-cadence and view-change-storm liveness tracker.
-    liveness: LivenessMonitor,
-    /// (view, seq) → the conflicting sibling digest an equivocating primary
-    /// broadcast alongside its real proposal.
-    equiv_sibling: HashMap<(u64, u64), u64>,
-    /// Votes dropped because they carried a superseded membership epoch.
-    stale_epoch_rejections: u64,
-    /// Transactions already finalized, so a batch orphaned by a view or
-    /// epoch change is never re-proposed after its commands committed.
-    committed_txs: BTreeSet<u64>,
-}
+pub type PbftCluster = Cluster<Pbft>;
 
-impl PbftCluster {
-    /// Starts building a PBFT cluster of `nodes` replicas.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn builder(nodes: u32) -> PbftBuilder {
-        assert!(nodes > 0, "a cluster needs at least one node");
-        PbftBuilder {
-            nodes,
-            standby: 0,
-            topology: None,
-            net: NetConfig::lan(),
-            seed: 0,
-            batch: BatchConfig::new(200, SimDuration::from_secs(1)),
-            publishing_delay: SimDuration::from_secs(1),
-            commit_timeout: SimDuration::from_secs(4),
-            proc_per_msg: SimDuration::from_micros(30),
-            proc_per_command: SimDuration::from_micros(5),
+impl Policy for Pbft {
+    type Change = ViewChange;
+    const BATCH_COMMANDS: usize = 200;
+    const PROC_PER_COMMAND: SimDuration = SimDuration::from_micros(5);
+    const PROPOSES_EMPTY_BLOCKS: bool = false;
+
+    fn rotation(_seq: u64, view: u64) -> u64 {
+        view
+    }
+
+    fn digest(batch: &[Command], seq: u64, view: u64, sibling: bool) -> u64 {
+        let key = view ^ (seq << 32) ^ if sibling { 0xB12A_57DE } else { 0 };
+        let mut h = Hasher64::with_key(key);
+        for c in batch {
+            h.write_u64(c.tx.as_u64()).write_u64(c.ops as u64);
         }
+        h.finish()
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
+    fn accepts_vote(node: &Node<ViewChange>, _seq: u64, view: u64) -> bool {
+        view == node.view
     }
 
-    /// Number of replicas.
-    pub fn node_count(&self) -> u32 {
-        self.nodes.len() as u32
+    fn accepts_proposal(node: &Node<ViewChange>, seq: u64, view: u64) -> bool {
+        view == node.view && seq >= node.height
     }
 
-    /// The primary of the current highest view.
-    pub fn primary(&self) -> NodeId {
-        let view = self
-            .nodes
-            .iter()
-            .filter(|n| n.alive)
-            .map(|n| n.view)
-            .max()
-            .unwrap_or(0);
-        self.primary_of(view)
+    fn view_after_commit(view: u64) -> u64 {
+        view
     }
 
-    /// Network counters.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
+    fn watch_delay(_period: SimDuration, timeout: SimDuration) -> SimDuration {
+        timeout
     }
 
-    /// Applies a network-level fault (partition, heal, loss burst, latency
-    /// spike) to the cluster's message fabric. Crash/restart events are not
-    /// network faults and return `false`.
-    pub fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.net.apply_fault(at, event)
-    }
-
-    /// Commands accepted but not yet proposed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submits a command for ordering.
-    pub fn submit(&mut self, cmd: Command) {
-        self.pending.push(cmd);
-    }
-
-    /// Flags `node` to misbehave (`behaviour`) until virtual time `until`.
-    pub fn set_byzantine(&mut self, node: NodeId, behaviour: ByzantineBehaviour, until: SimTime) {
-        self.byz[node.0 as usize].arm(behaviour, until);
-    }
-
-    /// The safety monitor's verdict over everything observed so far.
-    pub fn safety_report(&self) -> SafetyReport {
-        self.monitor.report()
-    }
-
-    /// The liveness monitor's verdict as of the current virtual time.
-    pub fn liveness_report(&self) -> LivenessReport {
-        self.liveness.report(self.net.now())
-    }
-
-    /// Crashes a replica (it stops processing messages).
-    pub fn crash(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = false;
-    }
-
-    /// Recovers a crashed replica in its old view.
-    pub fn recover(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = true;
-    }
-
-    /// Current active-membership size (`n` of the quorum arithmetic).
-    pub fn active_count(&self) -> u32 {
-        self.membership.active_count()
-    }
-
-    /// Current membership-configuration epoch.
-    pub fn config_epoch(&self) -> u64 {
-        self.membership.epoch()
-    }
-
-    /// Votes dropped for carrying a superseded membership epoch.
-    pub fn stale_epoch_rejections(&self) -> u64 {
-        self.stale_epoch_rejections
-    }
-
-    /// Admits standby replica `node`: catch-up (state transfer of the
-    /// committed ledger) starts now, and only once it completes does the
-    /// epoch advance and the joiner vote or lead. Returns `false` when
-    /// `node` is not a provisioned standby or is already joining/active.
-    pub fn join(&mut self, node: NodeId) -> bool {
-        if node.0 >= self.membership.provisioned()
-            || self.membership.is_active(node)
-            || self.monitor.is_syncing(node)
-        {
-            return false;
+    fn on_timeout(c: &mut PbftCluster, me: NodeId, seq: u64, view: u64) {
+        let node = &c.nodes[me.0 as usize];
+        if node.view != view || seq < c.next_height {
+            return; // stale timer
         }
-        self.monitor.observe_sync_start(node);
-        let sync = SYNC_BASE + SYNC_PER_BATCH * self.next_commit_seq;
-        self.net.timer(node, sync, PbftMsg::SyncDone { node });
-        true
-    }
-
-    /// Removes `node` from the active membership: the epoch advances,
-    /// quorum sizes shrink with `n`, and in-flight votes of the superseded
-    /// epoch are rejected. Returns `false` when `node` is not active or is
-    /// the last active replica.
-    pub fn leave(&mut self, node: NodeId) -> bool {
-        if !self.membership.leave(node) {
-            return false;
-        }
-        self.on_epoch_change();
-        true
-    }
-
-    /// Runs the protocol until `deadline`, returning batches that reached
-    /// commit quorum in this window.
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<CommittedBatch> {
-        while let Some(ev) = self.net.pop_at_or_before(deadline) {
-            self.dispatch(ev.dst, ev.at, ev.msg);
-        }
-        self.net.advance_to(deadline);
-        std::mem::take(&mut self.committed)
-    }
-
-    /// Due time of the next internal event.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.net.next_event_time()
-    }
-
-    fn quorum(&self) -> u32 {
-        bft_quorum(self.membership.active_count())
-    }
-
-    fn dispatch(&mut self, me: NodeId, at: SimTime, msg: PbftMsg) {
-        if !self.nodes[me.0 as usize].alive {
+        let slot = node.slots.get(&(seq, view));
+        if slot.is_some_and(|s| s.committed) {
             return;
-        }
-        // Only the sync-completion timer reaches a node outside the active
-        // membership: standbys and departed replicas neither vote nor lead.
-        if !self.membership.is_active(me) {
-            if let PbftMsg::SyncDone { node } = msg {
-                self.on_sync_done(node);
-            }
-            return;
-        }
-        match msg {
-            PbftMsg::PublishTimer { view, seq } => self.on_publish_timer(me, view, seq),
-            PbftMsg::CommitTimeout { view, seq } => self.on_commit_timeout(me, view, seq),
-            PbftMsg::PrePrepare {
-                view,
-                seq,
-                digest,
-                batch,
-            } => self.on_pre_prepare(me, at, view, seq, digest, batch),
-            PbftMsg::Prepare {
-                epoch,
-                view,
-                seq,
-                digest,
-                from,
-            } => {
-                if epoch != self.membership.epoch() {
-                    self.stale_epoch_rejections += 1;
-                    return;
-                }
-                self.on_prepare(me, at, view, seq, digest, from);
-            }
-            PbftMsg::Commit {
-                epoch,
-                view,
-                seq,
-                digest,
-                from,
-            } => {
-                if epoch != self.membership.epoch() {
-                    self.stale_epoch_rejections += 1;
-                    return;
-                }
-                self.on_commit(me, at, view, seq, digest, from);
-            }
-            PbftMsg::ViewChange { new_view, from } => self.on_view_change(me, at, new_view, from),
-            PbftMsg::NewView { view } => self.on_new_view(me, view),
-            PbftMsg::SyncDone { .. } => {} // already active: stale sync timer
-        }
-    }
-
-    /// A joiner finished catch-up: it enters the membership, the epoch
-    /// advances, and quorum arithmetic now runs over the grown `n`.
-    fn on_sync_done(&mut self, node: NodeId) {
-        if !self.monitor.is_syncing(node) || !self.membership.join(node) {
-            return;
-        }
-        self.monitor.observe_sync_complete(node);
-        // The joiner adopts the highest view among its peers and starts
-        // watching the next open sequence.
-        let view = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, n)| n.alive && self.membership.is_active(NodeId(i as u32)))
-            .map(|(_, n)| n.view)
-            .max()
-            .unwrap_or(0);
-        {
-            let joiner = &mut self.nodes[node.0 as usize];
-            joiner.view = view;
-            joiner.voted_view = joiner.voted_view.max(view);
-            joiner.low_water = self.next_commit_seq;
-        }
-        self.on_epoch_change();
-    }
-
-    /// Applies a membership change: recompute the quorum over the new
-    /// active count, abandon in-flight slots (their epoch is superseded —
-    /// a quorum of the old membership must not certify a commit), reclaim
-    /// their commands, and restart proposal/watchdog timers over the new
-    /// membership.
-    fn on_epoch_change(&mut self) {
-        let quorum = self.quorum();
-        self.monitor.begin_epoch(self.membership.epoch(), quorum);
-        // Reclaim commands stuck in uncommitted slots, in sequence order,
-        // deduplicated (several replicas hold the same in-flight batch).
-        let mut by_slot: BTreeMap<(u64, u64), Vec<Command>> = BTreeMap::new();
-        for node in &mut self.nodes {
-            for (&(view, seq), slot) in node.slots.iter() {
-                if slot.committed {
-                    continue;
-                }
-                if let Some(batch) = &slot.batch {
-                    by_slot.entry((seq, view)).or_insert_with(|| batch.clone());
-                }
-            }
-            node.slots.retain(|_, s| s.committed);
-        }
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut restored: Vec<Command> = Vec::new();
-        for batch in by_slot.into_values() {
-            for c in batch {
-                if !self.committed_txs.contains(&c.tx.as_u64()) && seen.insert(c.tx.as_u64()) {
-                    restored.push(c);
-                }
-            }
-        }
-        restored.append(&mut self.pending);
-        self.pending = restored;
-        self.commit_quorum_times
-            .retain(|&(_, seq), _| seq < self.next_commit_seq);
-        // Restart the pipeline under the new epoch: the primary of the
-        // highest active view proposes the next sequence, and every active
-        // replica watches it.
-        let view = self
-            .nodes
-            .iter()
-            .enumerate()
-            .filter(|&(i, n)| n.alive && self.membership.is_active(NodeId(i as u32)))
-            .map(|(_, n)| n.view)
-            .max()
-            .unwrap_or(0);
-        let seq = self.next_commit_seq;
-        self.net.timer(
-            self.primary_of(view),
-            self.publishing_delay,
-            PbftMsg::PublishTimer { view, seq },
-        );
-        for i in 0..self.nodes.len() {
-            let dst = NodeId(i as u32);
-            if self.nodes[i].alive && self.membership.is_active(dst) {
-                self.net.timer(
-                    dst,
-                    self.commit_timeout,
-                    PbftMsg::CommitTimeout { view, seq },
-                );
-            }
-        }
-    }
-
-    fn on_publish_timer(&mut self, me: NodeId, view: u64, seq: u64) {
-        {
-            let node = &self.nodes[me.0 as usize];
-            if node.view != view || seq != self.next_commit_seq || self.primary_of(view) != me {
-                return;
-            }
-            if node
-                .slots
-                .get(&(view, seq))
-                .is_some_and(|s| s.batch.is_some())
-            {
-                return; // already proposed this slot (duplicate timer)
-            }
-        }
-        if self.pending.is_empty() {
-            // Nothing to propose; retry a publishing-delay later.
-            self.net.timer(
-                me,
-                self.publishing_delay,
-                PbftMsg::PublishTimer { view, seq },
-            );
-            return;
-        }
-        let take = self.pending.len().min(self.batch.max_commands);
-        let batch: Vec<Command> = self.pending.drain(..take).collect();
-        let digest = digest_of(&batch, view, seq);
-        let bytes = 64 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
-        let cost = self.proc_per_msg + self.proc_per_command * batch.len() as u64;
-        let now = self.net.now();
-        let done = self.cpu.process(me, now, cost);
-        // Primary pre-prepares locally.
-        let slot = self.nodes[me.0 as usize]
-            .slots
-            .entry((view, seq))
-            .or_default();
-        slot.digest = Some(digest);
-        slot.batch = Some(batch.clone());
-        slot.prepares.insert(digest, 1); // own implicit prepare
-        self.monitor.observe_proposal(view, seq, me, digest);
-        self.monitor
-            .observe_vote(me, VotePhase::Prepare, view, seq, digest, me);
-        if self.byz[me.0 as usize].equivocates(now) && self.nodes.len() >= 3 {
-            // Equivocating primary: a sibling block with the same commands
-            // but a conflicting digest goes to half the honest peers;
-            // Byzantine accomplices receive both versions.
-            let alt = sibling_digest_of(&batch, view, seq);
-            self.equiv_sibling.insert((view, seq), alt);
-            self.monitor.observe_proposal(view, seq, me, alt);
-            let extra = done - now;
-            let mut honest_idx = 0usize;
-            for i in 0..self.nodes.len() {
-                let dst = NodeId(i as u32);
-                if dst == me {
-                    continue;
-                }
-                let accomplice = self.byz[i].is_byzantine(now);
-                if accomplice || honest_idx.is_multiple_of(2) {
-                    self.net.send_delayed(
-                        me,
-                        dst,
-                        extra,
-                        bytes,
-                        PbftMsg::PrePrepare {
-                            view,
-                            seq,
-                            digest,
-                            batch: batch.clone(),
-                        },
-                    );
-                }
-                if accomplice || honest_idx % 2 == 1 {
-                    self.net.send_delayed(
-                        me,
-                        dst,
-                        extra,
-                        bytes,
-                        PbftMsg::PrePrepare {
-                            view,
-                            seq,
-                            digest: alt,
-                            batch: batch.clone(),
-                        },
-                    );
-                }
-                if !accomplice {
-                    honest_idx += 1;
-                }
-            }
-        } else {
-            self.net
-                .broadcast_delayed(me, done - now, bytes, |_| PbftMsg::PrePrepare {
-                    view,
-                    seq,
-                    digest,
-                    batch: batch.clone(),
-                });
-        }
-        // Arm the primary's own progress timer.
-        self.net.timer(
-            me,
-            self.commit_timeout,
-            PbftMsg::CommitTimeout { view, seq },
-        );
-    }
-
-    fn on_pre_prepare(
-        &mut self,
-        me: NodeId,
-        at: SimTime,
-        view: u64,
-        seq: u64,
-        digest: u64,
-        batch: Vec<Command>,
-    ) {
-        let cost = self.proc_per_msg + self.proc_per_command * batch.len() as u64;
-        let done = self.cpu.process(me, at, cost);
-        let extra = done - at;
-        let epoch = self.membership.epoch();
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if view != node.view || seq < node.low_water {
-                return;
-            }
-            let slot = node.slots.entry((view, seq)).or_default();
-            if slot.batch.is_some() {
-                if slot.digest != Some(digest) && self.byz[me.0 as usize].double_votes(at) {
-                    // A conflicting pre-prepare for a slot we already
-                    // accepted: honest replicas drop it; a double-voting
-                    // replica votes for it anyway (prepare and commit)
-                    // without adopting it.
-                    self.net
-                        .broadcast_delayed(me, extra, 64, |_| PbftMsg::Prepare {
-                            epoch,
-                            view,
-                            seq,
-                            digest,
-                            from: me,
-                        });
-                    self.net
-                        .broadcast_delayed(me, extra, 64, |_| PbftMsg::Commit {
-                            epoch,
-                            view,
-                            seq,
-                            digest,
-                            from: me,
-                        });
-                }
-                return; // duplicate (or conflicting) pre-prepare
-            }
-            slot.digest = Some(digest);
-            slot.batch = Some(batch);
-            *slot.prepares.entry(digest).or_insert(0) += 2; // primary implicit + own
-        }
-        let primary = self.primary_of(view);
-        self.monitor
-            .observe_vote(me, VotePhase::Prepare, view, seq, digest, primary);
-        self.monitor
-            .observe_vote(me, VotePhase::Prepare, view, seq, digest, me);
-        self.net
-            .broadcast_delayed(me, extra, 64, |_| PbftMsg::Prepare {
-                epoch,
-                view,
-                seq,
-                digest,
-                from: me,
-            });
-        self.net.timer(
-            me,
-            self.commit_timeout,
-            PbftMsg::CommitTimeout { view, seq },
-        );
-        self.check_prepared(me, view, seq, digest);
-    }
-
-    fn on_prepare(
-        &mut self,
-        me: NodeId,
-        at: SimTime,
-        view: u64,
-        seq: u64,
-        digest: u64,
-        from: NodeId,
-    ) {
-        let _ = self.cpu.process(me, at, self.proc_per_msg);
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if view != node.view {
-                return;
-            }
-            let slot = node.slots.entry((view, seq)).or_default();
-            if slot.digest.is_some() && slot.digest != Some(digest) {
-                return;
-            }
-            *slot.prepares.entry(digest).or_insert(0) += 1;
-        }
-        self.monitor
-            .observe_vote(me, VotePhase::Prepare, view, seq, digest, from);
-        self.check_prepared(me, view, seq, digest);
-    }
-
-    fn check_prepared(&mut self, me: NodeId, view: u64, seq: u64, digest: u64) {
-        let quorum = self.quorum();
-        let now = self.net.now();
-        let should_commit;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            let slot = node.slots.entry((view, seq)).or_default();
-            should_commit = !slot.prepared
-                && slot.digest == Some(digest)
-                && slot.prepares.get(&digest).copied().unwrap_or(0) >= quorum;
-            if should_commit {
-                slot.prepared = true;
-                *slot.commits.entry(digest).or_insert(0) += 1; // own commit
-            }
-        }
-        if should_commit {
-            let epoch = self.membership.epoch();
-            self.monitor
-                .observe_quorum(me, VotePhase::Prepare, view, seq, digest);
-            self.monitor
-                .observe_vote(me, VotePhase::Commit, view, seq, digest, me);
-            let done = self.cpu.process(me, now, self.proc_per_msg);
-            self.net
-                .broadcast_delayed(me, done - now, 64, |_| PbftMsg::Commit {
-                    epoch,
-                    view,
-                    seq,
-                    digest,
-                    from: me,
-                });
-            // An equivocating primary finishes its attack: the sibling fork
-            // needs its commit vote too.
-            if self.primary_of(view) == me {
-                if let Some(&alt) = self.equiv_sibling.get(&(view, seq)) {
-                    if alt != digest {
-                        self.net
-                            .broadcast_delayed(me, done - now, 64, |_| PbftMsg::Commit {
-                                epoch,
-                                view,
-                                seq,
-                                digest: alt,
-                                from: me,
-                            });
-                    }
-                }
-            }
-            self.check_committed(me, view, seq, digest);
-        }
-    }
-
-    fn on_commit(
-        &mut self,
-        me: NodeId,
-        at: SimTime,
-        view: u64,
-        seq: u64,
-        digest: u64,
-        from: NodeId,
-    ) {
-        let _ = self.cpu.process(me, at, self.proc_per_msg);
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if view != node.view {
-                return;
-            }
-            let slot = node.slots.entry((view, seq)).or_default();
-            if slot.digest.is_some() && slot.digest != Some(digest) {
-                return;
-            }
-            *slot.commits.entry(digest).or_insert(0) += 1;
-        }
-        self.monitor
-            .observe_vote(me, VotePhase::Commit, view, seq, digest, from);
-        self.check_committed(me, view, seq, digest);
-    }
-
-    fn check_committed(&mut self, me: NodeId, view: u64, seq: u64, digest: u64) {
-        let quorum = self.quorum();
-        let now = self.net.now();
-        let locally_committed;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            let slot = node.slots.entry((view, seq)).or_default();
-            locally_committed = !slot.committed
-                && slot.prepared
-                && slot.digest == Some(digest)
-                && slot.commits.get(&digest).copied().unwrap_or(0) >= quorum;
-            if locally_committed {
-                slot.committed = true;
-                node.low_water = node.low_water.max(seq + 1);
-            }
-        }
-        if !locally_committed {
-            return;
-        }
-        self.liveness.observe_progress(me, now);
-        self.monitor
-            .observe_quorum(me, VotePhase::Commit, view, seq, digest);
-        // Vote tallies are reset on every membership change, so the quorum
-        // behind this commit formed entirely in the current epoch.
-        self.monitor
-            .observe_epoch_commit(self.membership.epoch(), seq, digest);
-        // Watch the next sequence so a primary that dies between blocks is
-        // detected.
-        self.net.timer(
-            me,
-            self.commit_timeout,
-            PbftMsg::CommitTimeout { view, seq: seq + 1 },
-        );
-        // Record this node's local commit; on quorum, finalize cluster-wide.
-        let entry = self.commit_quorum_times.entry((view, seq)).or_default();
-        if !entry.iter().any(|(n, _)| *n == me) {
-            entry.push((me, now));
-        }
-        if entry.len() as u32 >= quorum && seq == self.next_commit_seq {
-            let committed_at = self.commit_quorum_times[&(view, seq)]
-                .iter()
-                .map(|&(_, t)| t)
-                .max()
-                .unwrap_or(now);
-            let batch = self
-                .nodes
-                .iter()
-                .find_map(|n| n.slots.get(&(view, seq)).and_then(|s| s.batch.clone()))
-                .unwrap_or_default();
-            self.next_commit_seq = seq + 1;
-            self.liveness.observe_commit(committed_at);
-            for c in &batch {
-                self.committed_txs.insert(c.tx.as_u64());
-            }
-            self.committed.push(CommittedBatch {
-                commands: batch,
-                proposer: self.primary_of(view),
-                round: seq,
-                committed_at,
-            });
-            // Schedule the next publication at the (possibly new) primary.
-            let next_primary = self.primary_of(view);
-            self.net.timer(
-                next_primary,
-                self.publishing_delay,
-                PbftMsg::PublishTimer { view, seq: seq + 1 },
-            );
-        }
-    }
-
-    fn on_commit_timeout(&mut self, me: NodeId, view: u64, seq: u64) {
-        let has_proposal;
-        {
-            let node = &self.nodes[me.0 as usize];
-            if node.view != view || seq < self.next_commit_seq {
-                return; // stale timer
-            }
-            if node.slots.get(&(view, seq)).is_some_and(|s| s.committed) {
-                return;
-            }
-            has_proposal = node.slots.contains_key(&(view, seq));
         }
         // Only complain when there is actually stalled work: an outstanding
         // proposal, or queued commands nobody is proposing. Otherwise keep
         // watching.
-        if !has_proposal && self.pending.is_empty() {
-            self.net.timer(
-                me,
-                self.commit_timeout,
-                PbftMsg::CommitTimeout { view, seq },
-            );
+        if slot.is_none() && c.pending.is_empty() {
+            c.watch(me, seq, view);
             return;
         }
         let new_view = view + 1;
-        let now = self.net.now();
-        let done = self.cpu.process(me, now, self.proc_per_msg);
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if node.voted_view >= new_view {
-                return;
-            }
-            node.voted_view = new_view;
+        let now = c.net.now();
+        let done = c.cpu.process(me, now, c.proc_per_msg);
+        let change = &mut c.nodes[me.0 as usize].change;
+        if change.voted >= new_view {
+            return;
         }
-        self.net
-            .broadcast_delayed(me, done - now, 48, |_| PbftMsg::ViewChange {
-                new_view,
-                from: me,
+        change.voted = new_view;
+        c.net
+            .broadcast_delayed(me, done - now, CHANGE_BYTES, |_| Msg::ViewChange {
+                height: seq,
+                view: new_view,
             });
         // Count own vote.
-        self.on_view_change(me, now, new_view, me);
+        Self::on_view_change(c, me, seq, new_view);
     }
 
-    fn on_view_change(&mut self, me: NodeId, _at: SimTime, new_view: u64, _from: NodeId) {
-        let quorum = self.quorum();
-        let is_new_primary = self.primary_of(new_view) == me;
-        let reached;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if new_view <= node.view {
-                return;
-            }
-            let votes = node.view_change_votes.entry(new_view).or_insert(0);
-            *votes += 1;
-            reached = *votes >= quorum;
+    fn on_view_change(c: &mut PbftCluster, me: NodeId, _seq: u64, new_view: u64) {
+        let quorum = c.quorum();
+        let is_new_primary = c.leader(0, new_view) == me;
+        let node = &mut c.nodes[me.0 as usize];
+        if new_view <= node.view {
+            return;
         }
-        if reached && is_new_primary {
-            let now = self.net.now();
+        let votes = node.change.votes.entry(new_view).or_insert(0);
+        *votes += 1;
+        if *votes >= quorum && is_new_primary {
+            let now = c.net.now();
             // Only the incoming primary reaches this branch, so each
             // successful view change is counted once cluster-wide.
-            self.liveness.observe_view_change(now);
-            let done = self.cpu.process(me, now, self.proc_per_msg);
-            self.adopt_view(me, new_view);
-            self.net
-                .broadcast_delayed(me, done - now, 48, |_| PbftMsg::NewView { view: new_view });
-            // The new primary re-proposes pending work.
-            self.net.timer(
-                me,
-                self.publishing_delay,
-                PbftMsg::PublishTimer {
+            c.liveness.observe_view_change(now);
+            let done = c.cpu.process(me, now, c.proc_per_msg);
+            adopt_view(c, me, new_view);
+            c.net
+                .broadcast_delayed(me, done - now, CHANGE_BYTES, |_| Msg::NewView {
                     view: new_view,
-                    seq: self.next_commit_seq,
+                });
+            // The new primary re-proposes pending work.
+            c.net.timer(
+                me,
+                c.period,
+                Msg::ProposeTimer {
+                    height: c.next_height,
+                    view: new_view,
                 },
             );
         }
     }
 
-    fn on_new_view(&mut self, me: NodeId, view: u64) {
-        if view > self.nodes[me.0 as usize].view {
-            self.adopt_view(me, view);
-            let seq = self.next_commit_seq;
-            self.net.timer(
-                me,
-                self.commit_timeout,
-                PbftMsg::CommitTimeout { view, seq },
-            );
+    fn on_new_view(c: &mut PbftCluster, me: NodeId, view: u64) {
+        if view > c.nodes[me.0 as usize].view {
+            adopt_view(c, me, view);
+            c.watch(me, c.next_height, view);
         }
     }
 
-    fn adopt_view(&mut self, me: NodeId, view: u64) {
-        let next = self.next_commit_seq;
-        let node = &mut self.nodes[me.0 as usize];
-        node.view = view;
-        node.voted_view = node.voted_view.max(view);
-        // Outstanding uncommitted slots from older views are abandoned, but
-        // their commands are reclaimed into the pending queue so a proposal
-        // orphaned by the view change is re-proposed rather than stranded.
-        // Reclaim in (seq, view) order: slot iteration order is not
-        // deterministic and the pending order feeds the next proposal.
-        let mut by_slot: BTreeMap<(u64, u64), Vec<Command>> = BTreeMap::new();
-        for (&(v, seq), slot) in node.slots.iter_mut() {
-            if v < view && !slot.committed && seq >= next {
-                if let Some(batch) = slot.batch.take() {
-                    by_slot.insert((seq, v), batch);
-                }
-            }
-        }
-        node.slots.retain(|&(v, _), s| v >= view || s.committed);
-        let reclaimed: Vec<Command> = by_slot.into_values().flatten().collect();
-        if !reclaimed.is_empty() {
-            let mut seen: BTreeSet<u64> = self.pending.iter().map(|c| c.tx.as_u64()).collect();
-            for c in reclaimed {
-                if !self.committed_txs.contains(&c.tx.as_u64()) && seen.insert(c.tx.as_u64()) {
-                    self.pending.push(c);
-                }
-            }
-        }
+    /// The joiner adopts the highest view among its peers.
+    fn align_joiner(c: &mut PbftCluster, joiner: NodeId) {
+        let view = highest_active_view(c);
+        let joiner = &mut c.nodes[joiner.0 as usize];
+        joiner.view = view;
+        joiner.change.voted = joiner.change.voted.max(view);
     }
 
-    fn primary_of(&self, view: u64) -> NodeId {
-        // Rotation over the active membership; identical to `view mod n`
-        // until the first join/leave.
-        self.membership.select(view)
+    /// The primary of the highest active view proposes the next sequence,
+    /// and every active replica watches it.
+    fn restart_epoch(c: &mut PbftCluster) {
+        let view = highest_active_view(c);
+        let seq = c.next_height;
+        c.net.timer(
+            c.leader(seq, view),
+            c.period,
+            Msg::ProposeTimer { height: seq, view },
+        );
+        c.watch_active(seq, view);
     }
 }
 
-/// Deterministic digest of a batch proposal.
-fn digest_of(batch: &[Command], view: u64, seq: u64) -> u64 {
-    let mut h = Hasher64::with_key(view ^ (seq << 32));
-    for c in batch {
-        h.write_u64(c.tx.as_u64()).write_u64(c.ops as u64);
-    }
-    h.finish()
+/// The highest view among live active replicas.
+fn highest_active_view(c: &PbftCluster) -> u64 {
+    c.nodes
+        .iter()
+        .enumerate()
+        .filter(|&(i, n)| n.alive && c.membership.is_active(NodeId(i as u32)))
+        .map(|(_, n)| n.view)
+        .max()
+        .unwrap_or(0)
 }
 
-/// The conflicting digest an equivocating primary pairs with [`digest_of`]:
-/// same commands, different serialization, so honest replicas see two
-/// irreconcilable proposals for one slot.
-fn sibling_digest_of(batch: &[Command], view: u64, seq: u64) -> u64 {
-    let mut h = Hasher64::with_key(view ^ (seq << 32) ^ 0xB12A_57DE);
-    for c in batch {
-        h.write_u64(c.tx.as_u64()).write_u64(c.ops as u64);
-    }
-    h.finish()
+/// Moves `me` to `view`. Outstanding uncommitted slots from older views
+/// are abandoned, but their commands are reclaimed into the pending queue.
+fn adopt_view(c: &mut PbftCluster, me: NodeId, view: u64) {
+    let next = c.next_height;
+    let node = &mut c.nodes[me.0 as usize];
+    node.view = view;
+    node.change.voted = node.change.voted.max(view);
+    c.reclaim(me, |seq, v| v < view && seq >= next);
+    c.nodes[me.0 as usize]
+        .slots
+        .retain(|&(_, v), s| v >= view || s.committed);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use coconut_types::{ClientId, TxId};
+    use crate::BatchConfig;
+    use coconut_simnet::ByzantineBehaviour;
+    use coconut_types::{ClientId, SimTime, TxId};
 
     fn tx(seq: u64) -> Command {
         Command::unit(TxId::new(ClientId(0), seq))
@@ -1104,7 +238,7 @@ mod tests {
     fn respects_publishing_delay() {
         let mut c = PbftCluster::builder(4)
             .seed(2)
-            .publishing_delay(SimDuration::from_secs(2))
+            .period(SimDuration::from_secs(2))
             .batch(BatchConfig::new(1, SimDuration::from_secs(1)))
             .build();
         for s in 0..3 {
@@ -1126,7 +260,7 @@ mod tests {
         let mut c = PbftCluster::builder(4)
             .seed(3)
             .batch(BatchConfig::new(5, SimDuration::from_secs(1)))
-            .publishing_delay(SimDuration::from_millis(100))
+            .period(SimDuration::from_millis(100))
             .build();
         for s in 0..17 {
             c.submit(tx(s));
@@ -1141,7 +275,7 @@ mod tests {
     fn commit_order_matches_submission_order() {
         let mut c = PbftCluster::builder(4)
             .seed(4)
-            .publishing_delay(SimDuration::from_millis(50))
+            .period(SimDuration::from_millis(50))
             .batch(BatchConfig::new(8, SimDuration::from_millis(100)))
             .build();
         for s in 0..40 {
@@ -1201,7 +335,7 @@ mod tests {
         let run = |seed| {
             let mut c = PbftCluster::builder(4)
                 .seed(seed)
-                .publishing_delay(SimDuration::from_millis(200))
+                .period(SimDuration::from_millis(200))
                 .build();
             for s in 0..10 {
                 c.submit(tx(s));
@@ -1372,7 +506,7 @@ mod tests {
             let mut c = PbftCluster::builder(n)
                 .seed(10)
                 .proc_per_msg(SimDuration::from_micros(200))
-                .publishing_delay(SimDuration::from_millis(10))
+                .period(SimDuration::from_millis(10))
                 .build();
             let t0 = c.now();
             c.submit(tx(1));

@@ -3,11 +3,11 @@
 //! The paper's client (§4.4) fires transactions at a fixed rate and simply
 //! counts what comes back; a lost transaction is a lost transaction. This
 //! module extends that client for fault campaigns: a declarative
-//! [`FaultPlan`](coconut_simnet::FaultPlan) is replayed in virtual-time
-//! order while the schedule runs, and the client re-sends transactions that
-//! were rejected at ingress or missed their finalization timeout — bounded
-//! retries with exponential backoff and seeded jitter, so runs stay
-//! deterministic per seed.
+//! [`FaultPlan`] is replayed in virtual-time order while the schedule
+//! runs, and the client re-sends transactions that were rejected at
+//! ingress or missed their finalization timeout — bounded retries with
+//! exponential backoff and seeded jitter, so runs stay deterministic per
+//! seed.
 //!
 //! Number-of-transactions accounting separates the failure modes the paper
 //! lumps together: [`DeliveryAccounting`] splits unconfirmed transactions

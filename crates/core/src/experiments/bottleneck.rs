@@ -1,6 +1,6 @@
 //! Per-stage bottleneck attribution: *why* each system tops out.
 //!
-//! The overload campaign ([`super::overload`]) shows *that* every system's
+//! The overload campaign ([`super::overload()`]) shows *that* every system's
 //! goodput collapses past a saturation knee; this campaign explains *which
 //! pipeline stage* is responsible. Each system runs one ramp-to-saturation
 //! cell — base load at ¼ of its reference rate, ramping linearly to

@@ -115,8 +115,9 @@ pub fn byzantine_domain(kind: SystemKind) -> Option<ByzantineDomain> {
 }
 
 /// The fault axes a sweep campaign can walk. Each kind maps a scalar
-/// severity step to a concrete [`FaultPlan`]; severity 0 is always the
-/// fault-free baseline cell of the degradation curve.
+/// severity step to a concrete [`FaultPlan`](coconut_simnet::FaultPlan);
+/// severity 0 is always the fault-free baseline cell of the degradation
+/// curve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultKind {
     /// Crash `severity` consensus-critical nodes mid-run, heal them at the
@@ -209,7 +210,7 @@ impl FaultCampaign {
     /// The severity steps `system` admits for `kind` — the degradation
     /// curve's x-axis. Empty when the axis does not apply (Byzantine
     /// counts on a CFT system). Crash walks f = 0..=beyond-f; loss walks
-    /// [`LOSS_STEPS`] percent; Byzantine walks 0..=f+1 flagged validators.
+    /// `LOSS_STEPS` percent; Byzantine walks 0..=f+1 flagged validators.
     pub fn severities(system: SystemKind, kind: FaultKind) -> Vec<u32> {
         match kind {
             FaultKind::Crash => (0..=fault_domain(system).beyond_f).collect(),

@@ -4,9 +4,8 @@
 //! The paper's workloads are engineered to be conflict-free ("account *n*
 //! pays account *n + 1*"), so none of its campaigns exercise the systems'
 //! concurrency-control paths. This campaign does: every system runs the
-//! [`Smallbank`](crate::workload::Smallbank) transfer mix and the
-//! Zipf-skewed [`Ycsb`](crate::workload::Ycsb) mix over a bounded account
-//! pool, at three contention levels ([`LEVELS`]) that jointly raise the
+//! [`Smallbank`] transfer mix and the Zipf-skewed [`Ycsb`] mix over a
+//! bounded account pool, at three contention levels ([`LEVELS`]) that jointly raise the
 //! Zipfian exponent and the hot-set draw probability. As footprints
 //! concentrate, each system loses transactions through *its own* mechanism
 //! — Fabric invalidates stale MVCC read sets at validation, the Cordas

@@ -1,7 +1,7 @@
 //! Gray-failure campaign: limping nodes, half-open links, flaky paths and
 //! WAN stretch — the faults that don't crash anything.
 //!
-//! The chaos campaign ([`super::chaos`]) kills nodes outright; real
+//! The chaos campaign ([`super::chaos()`]) kills nodes outright; real
 //! deployments degrade more often than they die. This campaign injects the
 //! four canonical gray failures from the gray-failure literature into every
 //! system, at three severities each, and grades the outcome with the
@@ -21,7 +21,8 @@
 //! * **asym-partition** — node 0's *outbound* traffic to a growing victim
 //!   set is dropped while inbound replies still flow (the half-open
 //!   failure that defeats naive "can I reach it?" health checks).
-//! * **region-wan** — a three-region [`RegionMap`] adds {20, 80, 240} ms of
+//! * **region-wan** — a three-region
+//!   [`RegionMap`](coconut_simnet::RegionMap) adds {20, 80, 240} ms of
 //!   cross-region RTT to every inter-region link.
 //!
 //! Every fault opens at ¼ of the send window and heals at ½, so each cell

@@ -3,22 +3,22 @@
 //!
 //! A [`ScenarioBuilder`] composes an experiment as a *timeline* — load
 //! phases (flash crowds, ramps, diurnal cycles) layered over a constant
-//! base rate, fault events reusing the simnet
-//! [`FaultPlan`](coconut_simnet::FaultPlan) vocabulary (crash/heal windows,
-//! partitions, loss bursts, Byzantine windows, membership join/leave), and
-//! checkpointed [`Check`] assertions evaluated on the deterministic clock —
-//! and compiles it into an immutable [`Timeline`]. The runner executes a
+//! base rate, fault events reusing the simnet [`FaultPlan`] vocabulary
+//! (crash/heal windows, partitions, loss bursts, Byzantine windows,
+//! membership join/leave), and checkpointed [`Check`] assertions evaluated
+//! on the deterministic clock — and compiles it into an immutable [`Timeline`]. The runner executes a
 //! timeline against any system with a content-addressed per-cell seed,
 //! exactly like the classic experiment grids, so filtering a campaign or
 //! changing the worker count never changes a remaining cell's bytes.
 //!
-//! All four classic campaigns ([`crate::experiments::chaos`],
-//! the sweep, [`crate::experiments::overload`],
-//! [`crate::experiments::churn`]) are expressed on this engine, and their
+//! All four classic campaigns ([`crate::experiments::chaos()`],
+//! the sweep, [`crate::experiments::overload()`],
+//! [`crate::experiments::churn()`]) are expressed on this engine, and their
 //! golden-pinned reports are reproduced byte-for-byte: an overlay-free
-//! timeline builds exactly the schedule [`run_chaos`] built, and a single
-//! flash-crowd overlay reproduces the overload campaign's pulse schedule
-//! (same seed streams, same id tagging, same merge order).
+//! timeline builds exactly the schedule
+//! [`run_chaos`](crate::chaos::run_chaos) built, and a single flash-crowd
+//! overlay reproduces the overload campaign's pulse schedule (same seed
+//! streams, same id tagging, same merge order).
 //!
 //! # Same-tick ordering
 //!

@@ -6,9 +6,9 @@
 //! "only using the functions offered by Corda", which "require, for example
 //! in the case of a read operation, iterating over each KeyValue pair to
 //! find a specific one. This greatly slows down the processing of
-//! transactions" (§5.1 reason 1). [`Vault::query`] therefore reports how
-//! many states were scanned so the chain layer can charge the iteration
-//! cost.
+//! transactions" (§5.1 reason 1). [`Vault::query_kv`] and
+//! [`Vault::query_account`] therefore report how many states were scanned
+//! so the chain layer can charge the iteration cost.
 
 use std::collections::HashMap;
 

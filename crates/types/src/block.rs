@@ -1,7 +1,7 @@
 //! Blocks produced by the modelled blockchain systems.
 //!
 //! Corda is block-less (UTXO finality per transaction); every other modelled
-//! system links [`Block`]s with [`chain_hash`](crate::chain_hash).
+//! system links [`Block`]s with [`chain_hash`].
 
 use crate::hash::{chain_hash, Hash256};
 use crate::id::{BlockId, NodeId, TxId};

@@ -175,7 +175,7 @@ fn pbft_storms_under_a_beyond_f_slow_quorum() {
     };
     let mut c = PbftCluster::builder(4)
         .net(slow_lan)
-        .commit_timeout(SimDuration::from_millis(100))
+        .timeout(SimDuration::from_millis(100))
         .seed(9)
         .build();
     for node in [NodeId(1), NodeId(2), NodeId(3)] {
