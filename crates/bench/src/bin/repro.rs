@@ -74,29 +74,21 @@
 //!   --list        scenario only: print the scenario library and exit
 //!   --out DIR     also write results as JSON (and CSV where applicable)
 //!                 into DIR
-//!
-//! Every campaign target (chaos, overload, churn, scenario, bottleneck,
-//! contention, grayfail, all) also writes `BENCH_0008.json` — wall-clock timing of the run
-//! itself (simulated tx/s and client events/s per wall second) — into
-//! --out DIR when given, the working directory otherwise. It is a perf
-//! trajectory for the harness, not a result: timings vary by machine, so
-//! it is never golden-diffed.
 //! ```
+//!
+//! How fast the simulator runs is measured by the separate `perfbench`
+//! package, not by this binary.
 
 use std::path::PathBuf;
-use std::time::Instant;
 
-use coconut::chaos::ChaosRun;
 use coconut::experiments::ablations::render_arms;
 use coconut::experiments::{
     all_ablations, bottleneck_for, chaos, chaos_sweep, churn_for, contention_for, fig3, fig4, fig5,
     grayfail_for, overload_curves_for, overload_probes_for, render_scenario_list, scenario_names,
     scenarios_for, table11_12, table13_14, table15_16, table17_18, table19_20, table7_8, table9_10,
-    BottleneckResult, ChaosResult, ChurnCampaign, ChurnResult, ContentionResult, ExperimentConfig,
-    FaultCampaign, GrayfailResult, OverloadResult, ScenarioCampaign, ScenarioResult, SweepResult,
-    TableResult, WORKLOADS,
+    ChurnCampaign, ExperimentConfig, FaultCampaign, OverloadResult, ScenarioCampaign, TableResult,
+    WORKLOADS,
 };
-use coconut::json::Json;
 use coconut::params::SystemKind;
 use coconut::report::Report;
 
@@ -238,7 +230,6 @@ fn main() {
             .map_or_else(|| "auto".to_string(), |n| n.to_string()),
     );
 
-    let mut bench = BenchRecorder::default();
     match cli.target.as_str() {
         "fig3" => {
             let f = fig3(&cfg);
@@ -282,30 +273,26 @@ fn main() {
             }
         }
         "ablations" => run_ablations(&cfg),
-        "chaos" => run_chaos_campaign(&cfg, cli.sweep, &cli.systems, &cli.out_dir, &mut bench),
-        "overload" => run_overload_campaign(&cfg, &cli.systems, &cli.out_dir, &mut bench),
-        "churn" => run_churn_campaign(&cfg, &cli.systems, &cli.out_dir, &mut bench),
-        "scenario" => {
-            run_scenario_campaign(&cfg, &cli.systems, &cli.names, &cli.out_dir, &mut bench)
-        }
-        "bottleneck" => run_bottleneck_campaign(&cfg, &cli.systems, &cli.out_dir, &mut bench),
-        "contention" => {
-            run_contention_campaign(&cfg, &cli.systems, &cli.workloads, &cli.out_dir, &mut bench)
-        }
-        "grayfail" => run_grayfail_campaign(&cfg, &cli.systems, &cli.out_dir, &mut bench),
+        "chaos" => run_chaos_campaign(&cfg, cli.sweep, &cli.systems, &cli.out_dir),
+        "overload" => run_overload_campaign(&cfg, &cli.systems, &cli.out_dir),
+        "churn" => run_churn_campaign(&cfg, &cli.systems, &cli.out_dir),
+        "scenario" => run_scenario_campaign(&cfg, &cli.systems, &cli.names, &cli.out_dir),
+        "bottleneck" => run_bottleneck_campaign(&cfg, &cli.systems, &cli.out_dir),
+        "contention" => run_contention_campaign(&cfg, &cli.systems, &cli.workloads, &cli.out_dir),
+        "grayfail" => run_grayfail_campaign(&cfg, &cli.systems, &cli.out_dir),
         "all" => {
             for (name, t) in all_tables(&cfg) {
                 print_table(t, &cli.out_dir, name);
             }
             run_ablations(&cfg);
-            run_chaos_campaign(&cfg, false, &None, &cli.out_dir, &mut bench);
-            run_chaos_campaign(&cfg, true, &cli.systems, &cli.out_dir, &mut bench);
-            run_overload_campaign(&cfg, &cli.systems, &cli.out_dir, &mut bench);
-            run_churn_campaign(&cfg, &cli.systems, &cli.out_dir, &mut bench);
-            run_scenario_campaign(&cfg, &cli.systems, &cli.names, &cli.out_dir, &mut bench);
-            run_bottleneck_campaign(&cfg, &cli.systems, &cli.out_dir, &mut bench);
-            run_contention_campaign(&cfg, &cli.systems, &cli.workloads, &cli.out_dir, &mut bench);
-            run_grayfail_campaign(&cfg, &cli.systems, &cli.out_dir, &mut bench);
+            run_chaos_campaign(&cfg, false, &None, &cli.out_dir);
+            run_chaos_campaign(&cfg, true, &cli.systems, &cli.out_dir);
+            run_overload_campaign(&cfg, &cli.systems, &cli.out_dir);
+            run_churn_campaign(&cfg, &cli.systems, &cli.out_dir);
+            run_scenario_campaign(&cfg, &cli.systems, &cli.names, &cli.out_dir);
+            run_bottleneck_campaign(&cfg, &cli.systems, &cli.out_dir);
+            run_contention_campaign(&cfg, &cli.systems, &cli.workloads, &cli.out_dir);
+            run_grayfail_campaign(&cfg, &cli.systems, &cli.out_dir);
             let base = fig3(&cfg);
             emit("Figure 3", &base, &cli.out_dir, "fig3");
             let f4 = fig4(&cfg, Some(&base));
@@ -315,7 +302,6 @@ fn main() {
         }
         other => die(&format!("unknown target {other}")),
     }
-    bench.write(&cli.out_dir);
 }
 
 fn all_tables(cfg: &ExperimentConfig) -> Vec<(&'static str, TableResult)> {
@@ -341,15 +327,13 @@ fn run_chaos_campaign(
     sweep: bool,
     systems: &Option<Vec<SystemKind>>,
     out: &Option<PathBuf>,
-    bench: &mut BenchRecorder,
 ) {
     if sweep {
         let mut campaign = FaultCampaign::full();
         if let Some(list) = systems {
             campaign = campaign.with_systems(list);
         }
-        let (r, wall) = timed(|| chaos_sweep(cfg, &campaign));
-        bench.record("chaos_sweep", wall, &sweep_runs(&r));
+        let r = chaos_sweep(cfg, &campaign);
         emit(
             "Chaos sweep — degradation curves over fault severity + heat map",
             &r,
@@ -357,8 +341,7 @@ fn run_chaos_campaign(
             "chaos_sweep",
         );
     } else {
-        let (r, wall) = timed(|| chaos(cfg));
-        bench.record("chaos", wall, &chaos_runs(&r));
+        let r = chaos(cfg);
         emit(
             "Chaos campaign — crash/heal, beyond-f halt, loss burst, Byzantine window",
             &r,
@@ -372,14 +355,12 @@ fn run_churn_campaign(
     cfg: &ExperimentConfig,
     systems: &Option<Vec<SystemKind>>,
     out: &Option<PathBuf>,
-    bench: &mut BenchRecorder,
 ) {
     let mut campaign = ChurnCampaign::full();
     if let Some(list) = systems {
         campaign = campaign.with_systems(list);
     }
-    let (r, wall) = timed(|| churn_for(cfg, &campaign));
-    bench.record("churn", wall, &churn_runs(&r));
+    let r = churn_for(cfg, &campaign);
     emit(
         "Churn campaign — join/leave/rolling-replacement/join-under-overload per system",
         &r,
@@ -392,14 +373,12 @@ fn run_overload_campaign(
     cfg: &ExperimentConfig,
     systems: &Option<Vec<SystemKind>>,
     out: &Option<PathBuf>,
-    bench: &mut BenchRecorder,
 ) {
     let list = systems.clone().unwrap_or_else(|| SystemKind::ALL.to_vec());
-    let (r, wall) = timed(|| OverloadResult {
+    let r = OverloadResult {
         curves: overload_curves_for(cfg, &list),
         probes: overload_probes_for(cfg, &list),
-    });
-    bench.record("overload", wall, &overload_runs(&r));
+    };
     emit(
         "Overload campaign — goodput collapse under tight admission pools + metastable probe",
         &r,
@@ -412,11 +391,9 @@ fn run_bottleneck_campaign(
     cfg: &ExperimentConfig,
     systems: &Option<Vec<SystemKind>>,
     out: &Option<PathBuf>,
-    bench: &mut BenchRecorder,
 ) {
     let list = systems.clone().unwrap_or_else(|| SystemKind::ALL.to_vec());
-    let (r, wall) = timed(|| bottleneck_for(cfg, &list));
-    bench.record("bottleneck", wall, &bottleneck_runs(&r));
+    let r = bottleneck_for(cfg, &list);
     emit(
         "Bottleneck attribution — per-stage residence, saturation, and verdicts",
         &r,
@@ -429,11 +406,9 @@ fn run_grayfail_campaign(
     cfg: &ExperimentConfig,
     systems: &Option<Vec<SystemKind>>,
     out: &Option<PathBuf>,
-    bench: &mut BenchRecorder,
 ) {
     let list = systems.clone().unwrap_or_else(|| SystemKind::ALL.to_vec());
-    let (r, wall) = timed(|| grayfail_for(cfg, &list));
-    bench.record("grayfail", wall, &grayfail_runs(&r));
+    let r = grayfail_for(cfg, &list);
     emit(
         "Gray-failure campaign — stragglers, flaky links, half-open partitions, WAN stretch",
         &r,
@@ -447,12 +422,10 @@ fn run_contention_campaign(
     systems: &Option<Vec<SystemKind>>,
     workloads: &Option<Vec<&'static str>>,
     out: &Option<PathBuf>,
-    bench: &mut BenchRecorder,
 ) {
     let list = systems.clone().unwrap_or_else(|| SystemKind::ALL.to_vec());
     let wl = workloads.clone().unwrap_or_else(|| WORKLOADS.to_vec());
-    let (r, wall) = timed(|| contention_for(cfg, &list, &wl));
-    bench.record("contention", wall, &contention_runs(&r));
+    let r = contention_for(cfg, &list, &wl);
     emit(
         "Contention sweeps — Smallbank and Zipf-skewed YCSB, losses split by cause",
         &r,
@@ -466,7 +439,6 @@ fn run_scenario_campaign(
     systems: &Option<Vec<SystemKind>>,
     names: &Option<Vec<String>>,
     out: &Option<PathBuf>,
-    bench: &mut BenchRecorder,
 ) {
     let mut campaign = ScenarioCampaign::full();
     if let Some(list) = names {
@@ -478,8 +450,7 @@ fn run_scenario_campaign(
     if let Some(list) = systems {
         campaign = campaign.with_systems(list);
     }
-    let (r, wall) = timed(|| scenarios_for(cfg, &campaign));
-    bench.record_counts("scenario", wall, scenario_counts(&r));
+    let r = scenarios_for(cfg, &campaign);
     emit(
         "Scenario library — named timelines with checkpointed assertions",
         &r,
@@ -508,149 +479,6 @@ fn emit(heading: &str, r: &dyn Report, out: &Option<PathBuf>, name: &str) {
         if let Some(csv) = r.to_csv() {
             std::fs::write(dir.join(format!("{name}.csv")), csv).expect("write csv");
         }
-    }
-}
-
-fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let start = Instant::now();
-    let r = f();
-    (r, start.elapsed().as_secs_f64())
-}
-
-/// Per-campaign counts feeding `BENCH_0008.json`: cells, scheduled and
-/// confirmed simulated transactions, and client-visible simulator events
-/// (sends + re-sends + confirmations).
-#[derive(Default, Clone, Copy)]
-struct BenchCounts {
-    cells: u64,
-    scheduled: u64,
-    confirmed: u64,
-    events: u64,
-}
-
-impl BenchCounts {
-    fn add_run(&mut self, run: &ChaosRun) {
-        let a = &run.accounting;
-        self.cells += 1;
-        self.scheduled += a.scheduled;
-        self.confirmed += a.confirmed;
-        self.events += a.scheduled + a.retries + a.confirmed;
-    }
-}
-
-fn chaos_runs(r: &ChaosResult) -> Vec<&ChaosRun> {
-    r.tolerant
-        .iter()
-        .chain(&r.halt)
-        .chain(&r.bursts)
-        .chain(&r.byzantine)
-        .map(|c| &c.run)
-        .collect()
-}
-
-fn sweep_runs(r: &SweepResult) -> Vec<&ChaosRun> {
-    r.curves
-        .iter()
-        .flat_map(|c| c.cells.iter().map(|cell| &cell.run))
-        .collect()
-}
-
-fn overload_runs(r: &OverloadResult) -> Vec<&ChaosRun> {
-    r.curves
-        .iter()
-        .flat_map(|c| c.cells.iter().map(|cell| &cell.run))
-        .chain(
-            r.probes
-                .iter()
-                .flat_map(|p| [&p.unprotected.run, &p.protected.run]),
-        )
-        .collect()
-}
-
-fn churn_runs(r: &ChurnResult) -> Vec<&ChaosRun> {
-    r.cells.iter().map(|c| &c.run).collect()
-}
-
-fn bottleneck_runs(r: &BottleneckResult) -> Vec<&ChaosRun> {
-    r.cells.iter().map(|c| &c.run).collect()
-}
-
-fn contention_runs(r: &ContentionResult) -> Vec<&ChaosRun> {
-    r.cells.iter().map(|c| &c.run).collect()
-}
-
-fn grayfail_runs(r: &GrayfailResult) -> Vec<&ChaosRun> {
-    r.cells.iter().map(|c| &c.run).collect()
-}
-
-fn scenario_counts(r: &ScenarioResult) -> BenchCounts {
-    let mut counts = BenchCounts::default();
-    for c in &r.cells {
-        counts.cells += 1;
-        counts.scheduled += c.scheduled;
-        counts.confirmed += c.confirmed;
-        counts.events += c.scheduled + c.retries + c.confirmed;
-    }
-    counts
-}
-
-/// Collects per-campaign wall-clock measurements and writes
-/// `BENCH_0008.json`. The file is a harness perf trajectory (how fast the
-/// simulator runs, not what it computes): `sim_tx_per_sec` is confirmed
-/// simulated transactions per wall second, `wall_events_per_sec` is
-/// client-visible simulator events (sends + re-sends + confirmations) per
-/// wall second. Machine-dependent by design — excluded from golden diffs.
-#[derive(Default)]
-struct BenchRecorder {
-    entries: Vec<(String, f64, BenchCounts)>,
-}
-
-impl BenchRecorder {
-    fn record(&mut self, target: &str, wall_secs: f64, runs: &[&ChaosRun]) {
-        let mut counts = BenchCounts::default();
-        for run in runs {
-            counts.add_run(run);
-        }
-        self.record_counts(target, wall_secs, counts);
-    }
-
-    fn record_counts(&mut self, target: &str, wall_secs: f64, counts: BenchCounts) {
-        self.entries.push((target.to_string(), wall_secs, counts));
-    }
-
-    fn write(&self, out: &Option<PathBuf>) {
-        if self.entries.is_empty() {
-            return;
-        }
-        let campaigns = self
-            .entries
-            .iter()
-            .map(|(target, wall, c)| {
-                let rate = |n: u64| if *wall > 0.0 { n as f64 / wall } else { 0.0 };
-                Json::Obj(vec![
-                    ("target".into(), Json::Str(target.clone())),
-                    ("wall_secs".into(), Json::Num(*wall)),
-                    ("cells".into(), Json::Num(c.cells as f64)),
-                    ("tx_scheduled".into(), Json::Num(c.scheduled as f64)),
-                    ("tx_confirmed".into(), Json::Num(c.confirmed as f64)),
-                    ("client_events".into(), Json::Num(c.events as f64)),
-                    ("sim_tx_per_sec".into(), Json::Num(rate(c.confirmed))),
-                    ("wall_events_per_sec".into(), Json::Num(rate(c.events))),
-                ])
-            })
-            .collect();
-        let mut json = Json::Obj(vec![
-            ("bench_id".into(), Json::Str("BENCH_0008".into())),
-            ("campaigns".into(), Json::Arr(campaigns)),
-        ])
-        .to_pretty();
-        json.push('\n');
-        let path = out
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("."))
-            .join("BENCH_0008.json");
-        std::fs::write(&path, json).expect("write BENCH_0008.json");
-        eprintln!("# wrote {}", path.display());
     }
 }
 

@@ -1,8 +1,10 @@
-//! Fault-injection campaigns: the chaos client loop with retry/backoff.
+//! The client loop: every measurement, from the paper's tables to the
+//! fault campaigns, runs through [`run_chaos_with_schedule`].
 //!
 //! The paper's client (§4.4) fires transactions at a fixed rate and simply
-//! counts what comes back; a lost transaction is a lost transaction. This
-//! module extends that client for fault campaigns: a declarative
+//! counts what comes back; a lost transaction is a lost transaction. With
+//! an empty plan and both policies disabled the loop is exactly that
+//! client. This module extends it for fault campaigns: a declarative
 //! [`FaultPlan`] is replayed in virtual-time order while the schedule
 //! runs, and the client re-sends transactions that were rejected at
 //! ingress or missed their finalization timeout — bounded retries with
@@ -30,9 +32,9 @@ use std::collections::{BinaryHeap, HashMap};
 use coconut_chains::BlockchainSystem;
 use coconut_consensus::{LivenessReport, SafetyReport};
 use coconut_simnet::{ByzantineBehaviour, FaultEvent, FaultPlan, FaultScheduler};
-use coconut_types::{SeedDeriver, SimDuration, SimRng, SimTime, TxId};
+use coconut_types::{ClientTx, SeedDeriver, SimDuration, SimRng, SimTime, TxId, TxOutcome};
 
-use crate::client::{build_schedule, ScheduledTx};
+use crate::client::ScheduledTx;
 use crate::runner::BenchmarkSpec;
 use crate::stats::percentile;
 
@@ -461,7 +463,7 @@ impl DeliveryAccounting {
 }
 
 /// The client-side observations of one chaos run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ChaosRun {
     /// Terminal per-transaction classification.
     pub accounting: DeliveryAccounting,
@@ -471,14 +473,24 @@ pub struct ChaosRun {
     pub buckets: Vec<u64>,
     /// Width of each bucket.
     pub bucket_len: SimDuration,
-    /// Mean throughput over the active span (ops/s, formula 2).
+    /// Mean throughput over the active span (ops/s, formula 2), from the
+    /// bucketed operations.
     pub mtps: f64,
     /// Mean finalization latency over confirmed transactions (s).
     pub mfls: f64,
+    /// Median finalization latency (s).
+    pub p50: f64,
     /// 95th-percentile finalization latency (s).
     pub p95: f64,
     /// 99th-percentile finalization latency (s) — the gray-failure tail.
     pub p99: f64,
+    /// The active span `t_lrtx − t_fstx` in seconds (formula 3), or 0.0
+    /// when nothing was confirmed after the first send.
+    pub duration: f64,
+    /// Operations confirmed inside the listen window, once per scheduled
+    /// transaction. Unlike `buckets`, this includes a confirmation landing
+    /// exactly on an integral listen end.
+    pub confirmed_ops: u64,
     /// Whether the system still served confirmations at the end.
     pub live: bool,
     /// The consensus safety monitor's verdict, for systems that carry one
@@ -539,14 +551,81 @@ enum Action {
     Submit(TxId),
 }
 
-#[derive(Debug)]
+/// The client's timed actions. Ties resolve timeout < submit, then by the
+/// original id, then by insertion order. Each entry also carries the
+/// transaction's schedule position, which never decides an ordering.
+struct Agenda {
+    heap: BinaryHeap<Reverse<(SimTime, Action, u64, usize)>>,
+    seq: u64,
+}
+
+impl Agenda {
+    fn push(&mut self, at: SimTime, action: Action, i: usize) {
+        self.heap.push(Reverse((at, action, self.seq, i)));
+        self.seq += 1;
+    }
+}
+
+/// One scheduled transaction's client-side state.
+#[derive(Debug, Clone, Copy, Default)]
 struct Track {
-    created: SimTime,
+    /// When the client first popped the transaction; `None` until then.
+    created: Option<SimTime>,
     attempts: u32,
     accepted_once: bool,
     last_was_client_lost: bool,
     last_was_busy: bool,
     confirmed: bool,
+}
+
+/// What the client has observed: per-transaction state indexed by schedule
+/// position, and the confirmations counted inside the listen window.
+struct Observed {
+    tracks: Vec<Track>,
+    /// Every wire id the client has used → its schedule position. An
+    /// original id enters at its first pop, a re-send id when derived.
+    positions: HashMap<TxId, usize>,
+    listen_end: SimTime,
+    bucket_len: SimDuration,
+    accounting: DeliveryAccounting,
+    buckets: Vec<u64>,
+    latencies: Vec<f64>,
+    confirmed_ops: u64,
+    t_lrtx: Option<SimTime>,
+}
+
+impl Observed {
+    /// Counts each commit inside the listen window once per scheduled
+    /// transaction. Outcomes for ids the client never sent are ignored.
+    fn harvest(&mut self, outcomes: Vec<TxOutcome>) {
+        for o in outcomes {
+            if !o.is_committed() || o.finalized_at > self.listen_end {
+                continue;
+            }
+            let Some(&i) = self.positions.get(&o.tx) else {
+                continue;
+            };
+            let track = &mut self.tracks[i];
+            if track.confirmed {
+                continue; // a retry raced its original; count once
+            }
+            track.confirmed = true;
+            let created = track.created.expect("mapped ids were popped");
+            let ops = o.ops_confirmed() as u64;
+            self.accounting.confirmed += 1;
+            self.confirmed_ops += ops;
+            self.latencies
+                .push((o.finalized_at - created).as_secs_f64());
+            self.t_lrtx = Some(
+                self.t_lrtx
+                    .map_or(o.finalized_at, |t| t.max(o.finalized_at)),
+            );
+            let b = (o.finalized_at.as_secs_f64() / self.bucket_len.as_secs_f64()) as usize;
+            if let Some(slot) = self.buckets.get_mut(b) {
+                *slot += ops;
+            }
+        }
+    }
 }
 
 /// Spends a retry token, counting the drop when the bucket is dry. A run
@@ -569,9 +648,20 @@ fn take_retry_token(
     }
 }
 
-/// Runs `spec`'s schedule against `system` while replaying `plan`, with
-/// `policy` governing re-sends. All randomness (ingress loss, backoff
-/// jitter) derives from `seed`; identical inputs give identical runs.
+/// The client loop: runs `schedule` against `system` while replaying
+/// `plan`, with `policy` governing re-sends and `protection` arming the
+/// overload defences. Every measurement goes through here. The paper's
+/// tables and figures pass an empty plan and both policies disabled,
+/// which is the fire-and-forget client of §4.4; the campaigns add faults,
+/// retries and protections.
+///
+/// `schedule` must be ordered by `(at, tx.id())` with distinct ids. The
+/// listen window ends at `SimTime::ZERO + spec.windows.listen`, so a
+/// schedule shifted to start at a later base, with its windows made
+/// absolute, runs back to back on a system that already served an earlier
+/// one (the paper's benchmark units). All randomness (ingress loss,
+/// backoff and breaker jitter) derives from `seed`; identical inputs give
+/// identical runs.
 ///
 /// Fault semantics: `CrashNode`/`RestartNode` route to
 /// [`BlockchainSystem::crash_node`] / [`BlockchainSystem::recover_node`];
@@ -587,48 +677,11 @@ fn take_retry_token(
 /// while the burst is active each submission is dropped with probability
 /// `p` before reaching the system (the client cannot tell — only the
 /// finalization timeout recovers such transactions).
-pub fn run_chaos(
-    system: &mut (dyn BlockchainSystem + Send),
-    spec: &BenchmarkSpec,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    seed: u64,
-) -> ChaosRun {
-    run_chaos_protected(
-        system,
-        spec,
-        plan,
-        policy,
-        &ClientProtection::disabled(),
-        seed,
-    )
-}
-
-/// [`run_chaos`] with client-side overload protections armed. The
-/// schedule is the spec's own; see [`run_chaos_with_schedule`] for
-/// campaigns that overlay extra traffic (overload pulses).
-pub fn run_chaos_protected(
-    system: &mut (dyn BlockchainSystem + Send),
-    spec: &BenchmarkSpec,
-    plan: &FaultPlan,
-    policy: &RetryPolicy,
-    protection: &ClientProtection,
-    seed: u64,
-) -> ChaosRun {
-    let schedule = build_schedule(
-        spec.benchmark,
-        spec.rate,
-        spec.ops_per_tx,
-        spec.windows,
-        SeedDeriver::new(seed).seed("schedule", 0),
-    );
-    run_chaos_with_schedule(system, spec, plan, policy, protection, &schedule, seed)
-}
-
-/// The chaos loop against an explicit, already-sorted `schedule` (must be
-/// ordered by `(at, tx.id())` with distinct ids). This is the overload
-/// experiment's entry point: it merges a baseline schedule with a pulse
-/// overlay before handing both to the same client.
+///
+/// Every scheduled transaction ends in one class of
+/// [`DeliveryAccounting`]: one the client never popped is `unsent`, one
+/// popped but never attempted (every send deferred) is `backpressured`,
+/// and an attempted one is classified by its last answer.
 pub fn run_chaos_with_schedule(
     system: &mut (dyn BlockchainSystem + Send),
     spec: &BenchmarkSpec,
@@ -653,73 +706,37 @@ pub fn run_chaos_with_schedule(
     let bucket_len = SimDuration::from_secs(1);
     let n_buckets = (spec.windows.listen.as_secs_f64() / bucket_len.as_secs_f64()).ceil() as usize;
 
-    let mut tracks: HashMap<TxId, Track> = HashMap::with_capacity(schedule.len());
-    let mut originals: HashMap<TxId, TxId> = HashMap::new();
-    let mut payloads: HashMap<TxId, coconut_types::ClientTx> = HashMap::new();
+    let mut seen = Observed {
+        tracks: vec![Track::default(); schedule.len()],
+        positions: HashMap::with_capacity(schedule.len()),
+        listen_end,
+        bucket_len,
+        accounting: DeliveryAccounting {
+            scheduled: schedule.len() as u64,
+            ..DeliveryAccounting::default()
+        },
+        buckets: vec![0; n_buckets],
+        latencies: Vec::new(),
+        confirmed_ops: 0,
+        t_lrtx: None,
+    };
     let mut scheduler = FaultScheduler::new(plan.clone());
     let mut client_loss: Option<(f64, SimTime)> = None;
+    let mut t_fstx: Option<SimTime> = None;
 
-    // One queue of timed client actions; ties resolve fault < timeout <
-    // submit, then by insertion order via the sequence number.
-    let mut queue: BinaryHeap<Reverse<(SimTime, Action, u64)>> = BinaryHeap::new();
-    let mut seq = 0u64;
-    for sched in schedule {
-        queue.push(Reverse((sched.at, Action::Submit(sched.tx.id()), seq)));
-        seq += 1;
-        payloads.insert(sched.tx.id(), sched.tx.clone());
+    let mut agenda = Agenda {
+        heap: BinaryHeap::with_capacity(schedule.len()),
+        seq: 0,
+    };
+    for (i, sched) in schedule.iter().enumerate() {
+        agenda.push(sched.at, Action::Submit(sched.tx.id()), i);
     }
 
-    let mut accounting = DeliveryAccounting {
-        scheduled: schedule.len() as u64,
-        ..DeliveryAccounting::default()
-    };
-    let mut buckets = vec![0u64; n_buckets];
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut t_fstx: Option<SimTime> = None;
-    let mut t_lrtx: Option<SimTime> = None;
-
-    let harvest = |outcomes: Vec<coconut_types::TxOutcome>,
-                   tracks: &mut HashMap<TxId, Track>,
-                   originals: &HashMap<TxId, TxId>,
-                   accounting: &mut DeliveryAccounting,
-                   buckets: &mut [u64],
-                   latencies: &mut Vec<f64>,
-                   t_lrtx: &mut Option<SimTime>| {
-        for o in outcomes {
-            if !o.is_committed() || o.finalized_at > listen_end {
-                continue;
-            }
-            let orig = originals.get(&o.tx).copied().unwrap_or(o.tx);
-            let Some(track) = tracks.get_mut(&orig) else {
-                continue;
-            };
-            if track.confirmed {
-                continue; // a retry raced its original; count once
-            }
-            track.confirmed = true;
-            accounting.confirmed += 1;
-            latencies.push((o.finalized_at - track.created).as_secs_f64());
-            *t_lrtx = Some(t_lrtx.map_or(o.finalized_at, |t| t.max(o.finalized_at)));
-            let b = (o.finalized_at.as_secs_f64() / bucket_len.as_secs_f64()) as usize;
-            if let Some(slot) = buckets.get_mut(b) {
-                *slot += o.ops_confirmed() as u64;
-            }
-        }
-    };
-
-    while let Some(&Reverse((at, _, _))) = queue.peek() {
+    while let Some(&Reverse((at, ..))) = agenda.heap.peek() {
         // Interleave faults strictly before client actions at the same time.
         let fault_due = scheduler.next_due().filter(|&f| f <= at);
         if let Some(fat) = fault_due {
-            harvest(
-                system.run_until(fat),
-                &mut tracks,
-                &originals,
-                &mut accounting,
-                &mut buckets,
-                &mut latencies,
-                &mut t_lrtx,
-            );
+            seen.harvest(system.run_until(fat));
             while let Some((fat, event)) = scheduler.pop_due(fat) {
                 match event {
                     FaultEvent::CrashNode(node) => {
@@ -755,30 +772,19 @@ pub fn run_chaos_with_schedule(
             continue;
         }
 
-        let Reverse((at, action, _)) = queue.pop().expect("peeked");
+        let Reverse((at, action, _, i)) = agenda.heap.pop().expect("peeked");
         if at > listen_end {
             break;
         }
-        harvest(
-            system.run_until(at),
-            &mut tracks,
-            &originals,
-            &mut accounting,
-            &mut buckets,
-            &mut latencies,
-            &mut t_lrtx,
-        );
+        seen.harvest(system.run_until(at));
+        let track = &mut seen.tracks[i];
 
         match action {
             Action::Submit(orig) => {
-                let track = tracks.entry(orig).or_insert(Track {
-                    created: at,
-                    attempts: 0,
-                    accepted_once: false,
-                    last_was_client_lost: false,
-                    last_was_busy: false,
-                    confirmed: false,
-                });
+                if track.created.is_none() {
+                    track.created = Some(at);
+                    seen.positions.insert(orig, i);
+                }
                 if track.confirmed {
                     continue; // confirmed while this retry was queued
                 }
@@ -786,8 +792,7 @@ pub fn run_chaos_with_schedule(
                 // deferred send is re-queued, not consumed.
                 if let Some(a) = aimd.as_mut() {
                     if at < a.gate {
-                        queue.push(Reverse((a.gate, Action::Submit(orig), seq)));
-                        seq += 1;
+                        agenda.push(a.gate, Action::Submit(orig), i);
                         continue;
                     }
                     a.pace(at);
@@ -801,12 +806,7 @@ pub fn run_chaos_with_schedule(
                             .policy()
                             .open_for
                             .mul_f64(b.policy().jitter.max(0.0) * breaker_rng.gen_f64());
-                        queue.push(Reverse((
-                            b.retry_at().max(at) + jitter,
-                            Action::Submit(orig),
-                            seq,
-                        )));
-                        seq += 1;
+                        agenda.push(b.retry_at().max(at) + jitter, Action::Submit(orig), i);
                         continue;
                     }
                 }
@@ -818,31 +818,22 @@ pub fn run_chaos_with_schedule(
                 let wire_id = if track.attempts == 1 {
                     orig
                 } else {
-                    accounting.retries += 1;
+                    seen.accounting.retries += 1;
                     let derived =
                         TxId::new(orig.client(), orig.seq() | (track.attempts as u64) << 56);
-                    originals.insert(derived, orig);
+                    seen.positions.insert(derived, i);
                     derived
                 };
-                let template = &payloads[&orig];
-                let tx = coconut_types::ClientTx::new(
-                    wire_id,
-                    template.thread(),
-                    template.payloads().to_vec(),
-                    at,
-                );
+                let template = &schedule[i].tx;
+                let tx =
+                    ClientTx::new(wire_id, template.thread(), template.payloads().to_vec(), at);
 
                 // Client-side ingress loss during an active burst window.
                 if let Some((p, until)) = client_loss {
                     if at < until && loss_rng.gen_bool(p) {
                         track.last_was_client_lost = true;
                         if policy.enabled() {
-                            queue.push(Reverse((
-                                at + policy.finalization_timeout,
-                                Action::Timeout(orig),
-                                seq,
-                            )));
-                            seq += 1;
+                            agenda.push(at + policy.finalization_timeout, Action::Timeout(orig), i);
                         }
                         continue;
                     }
@@ -860,17 +851,12 @@ pub fn run_chaos_with_schedule(
                         a.on_success();
                     }
                     if policy.enabled() {
-                        queue.push(Reverse((
-                            at + policy.finalization_timeout,
-                            Action::Timeout(orig),
-                            seq,
-                        )));
-                        seq += 1;
+                        agenda.push(at + policy.finalization_timeout, Action::Timeout(orig), i);
                     }
                 } else if let Some(retry_after) = outcome.retry_after() {
                     // Busy: overload backpressure. The client honors the
                     // hold-off hint and the breaker counts the failure.
-                    accounting.busy_responses += 1;
+                    seen.accounting.busy_responses += 1;
                     track.last_was_busy = true;
                     if let Some(b) = breaker.as_mut() {
                         b.on_failure(at, Some(retry_after));
@@ -880,28 +866,25 @@ pub fn run_chaos_with_schedule(
                     }
                     if policy.enabled()
                         && track.attempts <= policy.max_retries
-                        && take_retry_token(&mut budget, at, &mut accounting)
+                        && take_retry_token(&mut budget, at, &mut seen.accounting)
                     {
                         let delay = policy
                             .backoff(track.attempts, &mut backoff_rng)
                             .max(retry_after);
-                        queue.push(Reverse((at + delay, Action::Submit(orig), seq)));
-                        seq += 1;
+                        agenda.push(at + delay, Action::Submit(orig), i);
                     }
                 } else if policy.enabled()
                     && track.attempts <= policy.max_retries
-                    && take_retry_token(&mut budget, at, &mut accounting)
+                    && take_retry_token(&mut budget, at, &mut seen.accounting)
                 {
                     // Rejected: a semantic refusal, not overload — the
                     // breaker ignores it.
                     let delay = policy.backoff(track.attempts, &mut backoff_rng);
-                    queue.push(Reverse((at + delay, Action::Submit(orig), seq)));
-                    seq += 1;
+                    agenda.push(at + delay, Action::Submit(orig), i);
                 }
                 // else: terminal rejection, classified at the end.
             }
             Action::Timeout(orig) => {
-                let track = tracks.get_mut(&orig).expect("timeout implies track");
                 if track.confirmed || track.attempts > policy.max_retries {
                     continue;
                 }
@@ -911,25 +894,25 @@ pub fn run_chaos_with_schedule(
                 if let Some(a) = aimd.as_mut() {
                     a.on_failure();
                 }
-                if !take_retry_token(&mut budget, at, &mut accounting) {
+                if !take_retry_token(&mut budget, at, &mut seen.accounting) {
                     continue;
                 }
                 let delay = policy.backoff(track.attempts, &mut backoff_rng);
-                queue.push(Reverse((at + delay, Action::Submit(orig), seq)));
-                seq += 1;
+                agenda.push(at + delay, Action::Submit(orig), i);
             }
         }
     }
 
-    harvest(
-        system.run_until(listen_end),
-        &mut tracks,
-        &originals,
-        &mut accounting,
-        &mut buckets,
-        &mut latencies,
-        &mut t_lrtx,
-    );
+    seen.harvest(system.run_until(listen_end));
+    let Observed {
+        tracks,
+        mut accounting,
+        buckets,
+        mut latencies,
+        confirmed_ops,
+        t_lrtx,
+        ..
+    } = seen;
 
     if let Some(b) = &breaker {
         accounting.breaker_opens = b.opens();
@@ -937,46 +920,52 @@ pub fn run_chaos_with_schedule(
     }
 
     // Terminal classification of everything unconfirmed.
-    for sched in schedule {
-        match tracks.get(&sched.tx.id()) {
+    for t in &tracks {
+        match t {
             // The client terminated before the send slot came up: the
             // transaction was never attempted, which is a distinct class
             // from a submission swallowed mid-fault.
-            None => accounting.unsent += 1,
-            Some(t) if t.confirmed => {}
-            Some(t) if t.last_was_client_lost => accounting.lost_in_fault += 1,
-            Some(t) if t.accepted_once => accounting.timed_out += 1,
+            Track { created: None, .. } => accounting.unsent += 1,
+            t if t.confirmed => {}
+            t if t.last_was_client_lost => accounting.lost_in_fault += 1,
+            t if t.accepted_once => accounting.timed_out += 1,
             // Popped at least once but every send was deferred by the
             // breaker (attempts == 0), or the last answer was `Busy`:
             // the transaction was backpressured away.
-            Some(t) if t.last_was_busy || t.attempts == 0 => accounting.backpressured += 1,
-            Some(_) => accounting.rejected += 1,
+            t if t.last_was_busy || t.attempts == 0 => accounting.backpressured += 1,
+            _ => accounting.rejected += 1,
         }
     }
     debug_assert!(accounting.is_complete());
 
-    let mtps = match (t_fstx, t_lrtx) {
-        (Some(first), Some(last)) if last > first => {
-            let ops: u64 = buckets.iter().sum();
-            ops as f64 / (last - first).as_secs_f64()
-        }
+    let duration = match (t_fstx, t_lrtx) {
+        (Some(first), Some(last)) if last > first => (last - first).as_secs_f64(),
         _ => 0.0,
+    };
+    let mtps = if duration > 0.0 {
+        buckets.iter().sum::<u64>() as f64 / duration
+    } else {
+        0.0
     };
     let mfls = if latencies.is_empty() {
         0.0
     } else {
         latencies.iter().sum::<f64>() / latencies.len() as f64
     };
-    let p95 = percentile(&latencies, 0.95);
-    let p99 = percentile(&latencies, 0.99);
+    // Sorted once after the mean (whose float sum keeps arrival order), so
+    // each percentile re-sorts an already sorted copy.
+    latencies.sort_by(f64::total_cmp);
     ChaosRun {
         accounting,
         buckets,
         bucket_len,
         mtps,
         mfls,
-        p95,
-        p99,
+        p50: percentile(&latencies, 0.50),
+        p95: percentile(&latencies, 0.95),
+        p99: percentile(&latencies, 0.99),
+        duration,
+        confirmed_ops,
         live: system.is_live(),
         safety: system.safety_report(),
         liveness: system.liveness_report(),
@@ -986,9 +975,10 @@ pub fn run_chaos_with_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::Windows;
+    use crate::client::{build_schedule, Windows};
     use crate::params::{build_system, SystemKind, SystemSetup};
-    use coconut_types::PayloadKind;
+    use coconut_chains::SubmitOutcome;
+    use coconut_types::{BlockId, ClientId, PayloadKind, ThreadId};
 
     fn quick_spec(system: SystemKind, rate: f64) -> BenchmarkSpec {
         // A listen margin generous enough that the send-window tail can
@@ -1004,8 +994,24 @@ mod tests {
 
     fn run(kind: SystemKind, plan: &FaultPlan, policy: &RetryPolicy, seed: u64) -> ChaosRun {
         let spec = quick_spec(kind, 100.0);
+        let schedule = build_schedule(
+            spec.benchmark,
+            spec.rate,
+            spec.ops_per_tx,
+            spec.windows,
+            SeedDeriver::new(seed).seed("schedule", 0),
+        );
         let mut sys = build_system(kind, &SystemSetup::default(), seed);
-        run_chaos(sys.as_mut(), &spec, plan, policy, seed)
+        let protection = ClientProtection::disabled();
+        run_chaos_with_schedule(
+            sys.as_mut(),
+            &spec,
+            plan,
+            policy,
+            &protection,
+            &schedule,
+            seed,
+        )
     }
 
     #[test]
@@ -1080,6 +1086,183 @@ mod tests {
         );
     }
 
+    /// A scripted system for the loop's edge cases. It answers successive
+    /// submissions from `answers` (accepting once they run out), commits
+    /// each accepted one `commit_after` later when set, and releases every
+    /// `script`ed outcome at the first `run_until` reaching its release
+    /// time.
+    #[derive(Default)]
+    struct Scripted {
+        answers: std::collections::VecDeque<SubmitOutcome>,
+        commit_after: Option<SimDuration>,
+        script: Vec<(SimTime, TxOutcome)>,
+        submitted: Vec<TxId>,
+    }
+
+    impl BlockchainSystem for Scripted {
+        fn name(&self) -> &str {
+            "scripted"
+        }
+
+        fn node_count(&self) -> u32 {
+            1
+        }
+
+        fn submit(&mut self, now: SimTime, tx: ClientTx) -> SubmitOutcome {
+            self.submitted.push(tx.id());
+            let answer = self.answers.pop_front().unwrap_or(SubmitOutcome::Accepted);
+            if let (true, Some(d)) = (answer.is_accepted(), self.commit_after) {
+                let ops = tx.op_count() as u32;
+                let done = TxOutcome::committed(tx.id(), BlockId(0), now + d, ops);
+                self.script.push((now + d, done));
+            }
+            answer
+        }
+
+        fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
+            let (due, later) = self.script.drain(..).partition(|(at, _)| *at <= deadline);
+            self.script = later;
+            due.into_iter().map(|(_, o)| o).collect()
+        }
+
+        fn stats(&self) -> coconut_chains::SystemStats {
+            coconut_chains::SystemStats::default()
+        }
+    }
+
+    /// Transaction `seq` of client 0 with `ops` DoNothing payloads, due at
+    /// second `at`.
+    fn tx_at(seq: u64, at: u64, ops: usize) -> ScheduledTx {
+        let at = SimTime::from_secs(at);
+        let id = TxId::new(ClientId(0), seq);
+        let payloads = vec![coconut_types::Payload::DoNothing; ops];
+        ScheduledTx {
+            at,
+            tx: ClientTx::new(id, ThreadId(0), payloads, at),
+        }
+    }
+
+    /// Drives `system` through `schedule` with a 10 s listen window.
+    fn drive(
+        system: &mut Scripted,
+        schedule: &[ScheduledTx],
+        policy: &RetryPolicy,
+        protection: &ClientProtection,
+    ) -> ChaosRun {
+        let spec = quick_spec(SystemKind::Fabric, 100.0).windows(Windows {
+            send: SimDuration::from_secs(5),
+            listen: SimDuration::from_secs(10),
+        });
+        let plan = FaultPlan::new();
+        run_chaos_with_schedule(system, &spec, &plan, policy, protection, schedule, 1)
+    }
+
+    #[test]
+    fn scripted_commits_count_once_inside_the_listen_window() {
+        let schedule = [
+            tx_at(1, 1, 2),
+            tx_at(2, 2, 1),
+            tx_at(3, 3, 1),
+            tx_at(4, 4, 1),
+        ];
+        let id = |i: usize| schedule[i].tx.id();
+        // A commit of `ops` operations finalized at `at`, released then.
+        let commit =
+            |tx: TxId, at: SimTime, ops: u32| (at, TxOutcome::committed(tx, BlockId(0), at, ops));
+        let secs = SimTime::from_secs;
+        let late = TxOutcome::committed(id(2), BlockId(0), secs(11), 1);
+        let mut sys = Scripted {
+            script: vec![
+                // An id the client never scheduled, released before the
+                // first transaction's own commit.
+                commit(TxId::new(ClientId(9), 1), SimTime::from_millis(1500), 1),
+                commit(id(0), secs(2), 2),
+                // A duplicate commit of the first transaction.
+                commit(id(0), secs(4), 2),
+                // Exactly on the integral listen end: counted, but past
+                // the last bucket.
+                commit(id(1), secs(10), 1),
+                // Released in time but finalized after the listen end.
+                (secs(10), late),
+            ],
+            ..Scripted::default()
+        };
+        let r = drive(
+            &mut sys,
+            &schedule,
+            &RetryPolicy::disabled(),
+            &ClientProtection::disabled(),
+        );
+        let a = r.accounting;
+        assert!(a.is_complete(), "{a:?}");
+        assert_eq!((a.confirmed, a.timed_out), (2, 2), "{a:?}");
+        assert_eq!(r.confirmed_ops, 3);
+        assert_eq!(
+            r.buckets.iter().sum::<u64>(),
+            2,
+            "the listen-end commit has no bucket"
+        );
+        // The duplicate neither adds a latency nor moves the last receipt.
+        assert_eq!(r.mfls, 4.5);
+        assert_eq!(r.duration, 9.0);
+        assert_eq!(r.mtps, 2.0 / 9.0);
+    }
+
+    #[test]
+    fn retry_wire_id_maps_back_to_its_original() {
+        let schedule = [tx_at(1, 1, 1)];
+        let mut sys = Scripted {
+            answers: [SubmitOutcome::Rejected].into(),
+            commit_after: Some(SimDuration::from_secs(1)),
+            ..Scripted::default()
+        };
+        let policy = RetryPolicy {
+            max_retries: 1,
+            base_backoff: SimDuration::from_millis(500),
+            max_backoff: SimDuration::from_millis(500),
+            jitter: 0.0,
+            ..RetryPolicy::chaos_default()
+        };
+        let r = drive(&mut sys, &schedule, &policy, &ClientProtection::disabled());
+        // The re-send travels under a fresh wire id ...
+        assert_eq!(sys.submitted.len(), 2);
+        assert_eq!(sys.submitted[0], schedule[0].tx.id());
+        assert_ne!(sys.submitted[1], sys.submitted[0]);
+        // ... whose commit confirms the original, timed from its first send.
+        assert_eq!((r.accounting.confirmed, r.accounting.retries), (1, 1));
+        assert_eq!(r.mfls, 1.5);
+        assert!(r.accounting.is_complete());
+    }
+
+    #[test]
+    fn deferred_sends_are_backpressured_and_unpopped_ones_unsent() {
+        // The first send answers Busy and trips a one-failure breaker for
+        // 100 s: the second is deferred past the listen end without an
+        // attempt, and the third is due after the listen end.
+        let schedule = [tx_at(1, 1, 1), tx_at(2, 2, 1), tx_at(3, 12, 1)];
+        let mut sys = Scripted {
+            answers: [SubmitOutcome::Busy {
+                retry_after: SimDuration::from_secs(1),
+            }]
+            .into(),
+            ..Scripted::default()
+        };
+        let protection = ClientProtection {
+            breaker: Some(BreakerPolicy {
+                failure_threshold: 1,
+                open_for: SimDuration::from_secs(100),
+                jitter: 0.0,
+            }),
+            ..ClientProtection::disabled()
+        };
+        let r = drive(&mut sys, &schedule, &RetryPolicy::disabled(), &protection);
+        let a = r.accounting;
+        assert_eq!(sys.submitted, vec![schedule[0].tx.id()]);
+        assert_eq!((a.backpressured, a.unsent, a.confirmed), (2, 1, 0), "{a:?}");
+        assert_eq!(a.breaker_opens, 1);
+        assert!(a.is_complete());
+    }
+
     #[test]
     fn backoff_grows_and_caps() {
         let p = RetryPolicy {
@@ -1096,18 +1279,7 @@ mod tests {
 
     #[test]
     fn recovery_detection_finds_heal_point() {
-        let r = ChaosRun {
-            accounting: DeliveryAccounting::default(),
-            buckets: vec![10, 10, 10, 0, 0, 0, 0, 10, 10, 10, 10],
-            bucket_len: SimDuration::from_secs(1),
-            mtps: 0.0,
-            mfls: 0.0,
-            p95: 0.0,
-            p99: 0.0,
-            live: true,
-            safety: None,
-            liveness: None,
-        };
+        let r = synthetic(vec![10, 10, 10, 0, 0, 0, 0, 10, 10, 10, 10]);
         let rec = r
             .recovery_secs(SimTime::from_secs(3), SimTime::from_secs(6), 0.7)
             .expect("recovers");
@@ -1126,16 +1298,10 @@ mod tests {
     /// A bare run with the given 1 s buckets, for windowing edge cases.
     fn synthetic(buckets: Vec<u64>) -> ChaosRun {
         ChaosRun {
-            accounting: DeliveryAccounting::default(),
             buckets,
             bucket_len: SimDuration::from_secs(1),
-            mtps: 0.0,
-            mfls: 0.0,
-            p95: 0.0,
-            p99: 0.0,
             live: true,
-            safety: None,
-            liveness: None,
+            ..ChaosRun::default()
         }
     }
 

@@ -6,10 +6,18 @@
 //! sequential run:
 //!
 //! 1. **Content-addressed seeds** — a cell's seed is derived from *what it
-//!    measures* ([`cell_seed`] / [`unit_seed`] hash the system, benchmark,
-//!    setup, rate, windows, … through [`SeedDeriver::seed_parts`]), never
-//!    from its position in an enumeration. Reordering, filtering, or
-//!    parallelizing the grid cannot change any cell's random stream.
+//!    measures*, never from its position in an enumeration. Reordering,
+//!    filtering, or parallelizing the grid cannot change any cell's random
+//!    stream. [`cell_seed`] / [`unit_seed`] hash a whole spec (system,
+//!    benchmark, setup, rate, windows, …) through
+//!    [`SeedDeriver::seed_parts`]. The campaigns call `seed_parts` directly
+//!    on their cell coordinates: `["chaos-sweep", kind, system, severity]`,
+//!    `["scenario", name, system]`, `["bottleneck", system]`,
+//!    `["contention", system, workload, level]` and `["grayfail", system,
+//!    kind, severity]`. That is what lets `--systems`, `--workloads`,
+//!    `--name` and `--jobs` reproduce exactly the cells of the full
+//!    campaign. The part strings are seed components: never reorder or
+//!    rename them.
 //! 2. **Ordered collection** — [`run_grid`] returns results in input
 //!    order regardless of which worker finished first, so serialized
 //!    output (JSON, CSV, rendered tables) is byte-identical for any
@@ -94,66 +102,6 @@ pub fn cell_seed(root: u64, scope: &str, spec: &BenchmarkSpec) -> u64 {
 /// benchmark sequences under different units.
 pub fn unit_seed(root: u64, scope: &str, unit: BenchmarkUnit, template: &BenchmarkSpec) -> u64 {
     seed_of(root, scope, Some(unit), template)
-}
-
-/// The content-addressed seed of one fault-sweep cell: a pure function of
-/// `(root, fault kind, system, severity)`. Filtering the campaign to a
-/// subset of systems or kinds, reordering the grid, or changing the worker
-/// count cannot change any remaining cell's stream — which is what lets
-/// `repro chaos --sweep --systems …` reproduce exactly the cells of the
-/// full sweep.
-pub fn sweep_cell_seed(
-    root: u64,
-    fault: &str,
-    system: crate::params::SystemKind,
-    severity: u32,
-) -> u64 {
-    let severity = severity.to_string();
-    SeedDeriver::new(root).seed_parts(&["chaos-sweep", fault, system.label(), severity.as_str()])
-}
-
-/// The content-addressed seed of one named-scenario cell: a pure function
-/// of `(root, scenario name, system)`. Running one scenario via
-/// `repro scenario --name …` or filtering `--systems` reproduces exactly
-/// the cells of the full library run.
-pub fn scenario_cell_seed(root: u64, name: &str, system: crate::params::SystemKind) -> u64 {
-    SeedDeriver::new(root).seed_parts(&["scenario", name, system.label()])
-}
-
-/// The content-addressed seed of one bottleneck-attribution cell: a pure
-/// function of `(root, system)`. Filtering `repro bottleneck --systems …`
-/// or changing `--jobs` reproduces exactly the cells of the full campaign.
-pub fn bottleneck_cell_seed(root: u64, system: crate::params::SystemKind) -> u64 {
-    SeedDeriver::new(root).seed_parts(&["bottleneck", system.label()])
-}
-
-/// The content-addressed seed of one contention-sweep cell: a pure
-/// function of `(root, system, workload, cell)` where `cell` names the
-/// contention level ("low", "mid", "high"). Filtering `repro contention`
-/// by `--systems`/`--workloads` or changing `--jobs` reproduces exactly
-/// the cells of the full campaign.
-pub fn contention_cell_seed(
-    root: u64,
-    system: crate::params::SystemKind,
-    workload: &str,
-    cell: &str,
-) -> u64 {
-    SeedDeriver::new(root).seed_parts(&["contention", system.label(), workload, cell])
-}
-
-/// The content-addressed seed of one gray-failure cell: a pure function
-/// of `(root, system, kind, severity)` where `kind` names the injected
-/// gray fault ("slow-leader", "flaky-link", …) and `severity` its level
-/// ("low", "mid", "high"; "-" for the fault-free baseline). Filtering
-/// `repro grayfail --systems …` or changing `--jobs` reproduces exactly
-/// the cells of the full campaign.
-pub fn grayfail_cell_seed(
-    root: u64,
-    system: crate::params::SystemKind,
-    kind: &str,
-    severity: &str,
-) -> u64 {
-    SeedDeriver::new(root).seed_parts(&["grayfail", system.label(), kind, severity])
 }
 
 fn seed_of(root: u64, scope: &str, unit: Option<BenchmarkUnit>, spec: &BenchmarkSpec) -> u64 {
@@ -261,86 +209,60 @@ mod tests {
         assert_ne!(a, cell_seed(8, "run-many", &spec));
     }
 
+    /// A campaign cell's seed from its `seed_parts` coordinates.
+    fn parts(root: u64, parts: &[&str]) -> u64 {
+        SeedDeriver::new(root).seed_parts(parts)
+    }
+
     #[test]
     fn sweep_cell_seed_is_content_addressed() {
-        let a = sweep_cell_seed(7, "crash", SystemKind::Fabric, 2);
+        let a = parts(7, &["chaos-sweep", "crash", "Fabric", "2"]);
         // Same content, same seed — independent of any campaign context.
-        assert_eq!(a, sweep_cell_seed(7, "crash", SystemKind::Fabric, 2));
+        assert_eq!(a, parts(7, &["chaos-sweep", "crash", "Fabric", "2"]));
         // Kind, system, severity, and root each separate streams.
-        assert_ne!(a, sweep_cell_seed(7, "loss", SystemKind::Fabric, 2));
-        assert_ne!(a, sweep_cell_seed(7, "crash", SystemKind::Quorum, 2));
-        assert_ne!(a, sweep_cell_seed(7, "crash", SystemKind::Fabric, 1));
-        assert_ne!(a, sweep_cell_seed(8, "crash", SystemKind::Fabric, 2));
+        assert_ne!(a, parts(7, &["chaos-sweep", "loss", "Fabric", "2"]));
+        assert_ne!(a, parts(7, &["chaos-sweep", "crash", "Quorum", "2"]));
+        assert_ne!(a, parts(7, &["chaos-sweep", "crash", "Fabric", "1"]));
+        assert_ne!(a, parts(8, &["chaos-sweep", "crash", "Fabric", "2"]));
     }
 
     #[test]
     fn scenario_cell_seed_is_content_addressed() {
-        let a = scenario_cell_seed(7, "crash-heal", SystemKind::Fabric);
-        assert_eq!(a, scenario_cell_seed(7, "crash-heal", SystemKind::Fabric));
-        assert_ne!(
-            a,
-            scenario_cell_seed(7, "beyond-f-halt", SystemKind::Fabric)
-        );
-        assert_ne!(a, scenario_cell_seed(7, "crash-heal", SystemKind::Quorum));
-        assert_ne!(a, scenario_cell_seed(8, "crash-heal", SystemKind::Fabric));
+        let a = parts(7, &["scenario", "crash-heal", "Fabric"]);
+        assert_eq!(a, parts(7, &["scenario", "crash-heal", "Fabric"]));
+        assert_ne!(a, parts(7, &["scenario", "beyond-f-halt", "Fabric"]));
+        assert_ne!(a, parts(7, &["scenario", "crash-heal", "Quorum"]));
+        assert_ne!(a, parts(8, &["scenario", "crash-heal", "Fabric"]));
     }
 
     #[test]
     fn bottleneck_cell_seed_is_content_addressed() {
-        let a = bottleneck_cell_seed(7, SystemKind::Fabric);
-        assert_eq!(a, bottleneck_cell_seed(7, SystemKind::Fabric));
-        assert_ne!(a, bottleneck_cell_seed(7, SystemKind::Quorum));
-        assert_ne!(a, bottleneck_cell_seed(8, SystemKind::Fabric));
+        let a = parts(7, &["bottleneck", "Fabric"]);
+        assert_eq!(a, parts(7, &["bottleneck", "Fabric"]));
+        assert_ne!(a, parts(7, &["bottleneck", "Quorum"]));
+        assert_ne!(a, parts(8, &["bottleneck", "Fabric"]));
+        // The scope separates campaigns that share a system label.
+        assert_ne!(a, parts(7, &["scenario", "Fabric"]));
     }
 
     #[test]
     fn contention_cell_seed_is_content_addressed() {
-        let a = contention_cell_seed(7, SystemKind::Fabric, "Smallbank", "low");
-        assert_eq!(
-            a,
-            contention_cell_seed(7, SystemKind::Fabric, "Smallbank", "low")
-        );
-        assert_ne!(
-            a,
-            contention_cell_seed(7, SystemKind::Quorum, "Smallbank", "low")
-        );
-        assert_ne!(
-            a,
-            contention_cell_seed(7, SystemKind::Fabric, "YCSB", "low")
-        );
-        assert_ne!(
-            a,
-            contention_cell_seed(7, SystemKind::Fabric, "Smallbank", "high")
-        );
-        assert_ne!(
-            a,
-            contention_cell_seed(8, SystemKind::Fabric, "Smallbank", "low")
-        );
+        let a = parts(7, &["contention", "Fabric", "Smallbank", "low"]);
+        assert_eq!(a, parts(7, &["contention", "Fabric", "Smallbank", "low"]));
+        assert_ne!(a, parts(7, &["contention", "Quorum", "Smallbank", "low"]));
+        assert_ne!(a, parts(7, &["contention", "Fabric", "YCSB", "low"]));
+        assert_ne!(a, parts(7, &["contention", "Fabric", "Smallbank", "high"]));
+        assert_ne!(a, parts(8, &["contention", "Fabric", "Smallbank", "low"]));
     }
 
     #[test]
     fn grayfail_cell_seed_is_content_addressed() {
-        let a = grayfail_cell_seed(7, SystemKind::Fabric, "slow-leader", "mid");
-        assert_eq!(
-            a,
-            grayfail_cell_seed(7, SystemKind::Fabric, "slow-leader", "mid")
-        );
-        assert_ne!(
-            a,
-            grayfail_cell_seed(7, SystemKind::Quorum, "slow-leader", "mid")
-        );
-        assert_ne!(
-            a,
-            grayfail_cell_seed(7, SystemKind::Fabric, "flaky-link", "mid")
-        );
-        assert_ne!(
-            a,
-            grayfail_cell_seed(7, SystemKind::Fabric, "slow-leader", "high")
-        );
-        assert_ne!(
-            a,
-            grayfail_cell_seed(8, SystemKind::Fabric, "slow-leader", "mid")
-        );
+        let a = parts(7, &["grayfail", "Fabric", "slow-leader", "mid"]);
+        assert_eq!(a, parts(7, &["grayfail", "Fabric", "slow-leader", "mid"]));
+        assert_ne!(a, parts(7, &["grayfail", "Quorum", "slow-leader", "mid"]));
+        assert_ne!(a, parts(7, &["grayfail", "Fabric", "flaky-link", "mid"]));
+        assert_ne!(a, parts(7, &["grayfail", "Fabric", "slow-leader", "high"]));
+        assert_ne!(a, parts(8, &["grayfail", "Fabric", "slow-leader", "mid"]));
     }
 
     #[test]

@@ -9,10 +9,13 @@ use coconut_chains::fabric::{Fabric, FabricConfig};
 use coconut_chains::quorum::{Quorum, QuorumConfig};
 use coconut_chains::sawtooth::{Sawtooth, SawtoothConfig};
 use coconut_chains::BlockchainSystem;
+use coconut_simnet::FaultPlan;
 use coconut_types::{PayloadKind, SimDuration, SimTime};
 
+use crate::chaos::{run_chaos_with_schedule, ClientProtection, RetryPolicy};
+use crate::client::build_schedule;
 use crate::params::SystemKind;
-use crate::runner::{run_one, BenchmarkSpec, RepMeasurement};
+use crate::runner::{BenchmarkSpec, RepMeasurement};
 
 use super::ExperimentConfig;
 
@@ -56,7 +59,17 @@ fn measure(
         .ops_per_tx(ops)
         .windows(cfg.windows())
         .repetitions(1);
-    run_one(system, &spec, SimTime::ZERO, 0, cfg.seed)
+    let schedule = build_schedule(benchmark, rate, ops, spec.windows, cfg.seed);
+    let run = run_chaos_with_schedule(
+        system,
+        &spec,
+        &FaultPlan::new(),
+        &RetryPolicy::disabled(),
+        &ClientProtection::disabled(),
+        &schedule,
+        cfg.seed,
+    );
+    RepMeasurement::of(&run, &schedule)
 }
 
 /// All seven ablations as `(title, arms)` pairs, run on the grid executor

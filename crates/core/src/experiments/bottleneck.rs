@@ -31,21 +31,20 @@
 //! Sawtooth in its bounded queue (mempool backpressure, §5.6), Quorum in
 //! ordering (the block-period stall, §5.5).
 //!
-//! Every cell's seed is content-addressed
-//! ([`crate::exec::bottleneck_cell_seed`]), so `--systems` filters and any
+//! Every cell's seed is content-addressed by `["bottleneck", system]`
+//! (see [`crate::exec`]), so `--systems` filters and any
 //! `--jobs` worker count render byte-identical reports.
 
 use super::overload::{payload, reference_rate, tight_limits};
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
 use crate::client::Windows;
-use crate::exec::bottleneck_cell_seed;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
 use crate::scenario::{ScenarioBuilder, Timeline};
 use coconut_chains::{Stage, StageReport, SystemStats};
-use coconut_types::{SimDuration, SimTime};
+use coconut_types::{SeedDeriver, SimDuration, SimTime};
 
 /// Offered load at the end of the ramp, relative to the cell's base rate
 /// (¼ of the system's reference rate): 8× the reference rate, past every
@@ -225,7 +224,7 @@ pub fn bottleneck_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> Bottlen
     let windows = windows(cfg);
     let items: Vec<SystemKind> = systems.to_vec();
     let cells = crate::exec::run_grid(&items, cfg.jobs, |_, &system| {
-        let seed = bottleneck_cell_seed(cfg.seed, system);
+        let seed = SeedDeriver::new(cfg.seed).seed_parts(&["bottleneck", system.label()]);
         let base_rate = reference_rate(system) * 0.25;
         let sr = cell_scenario(system, windows).run(system, seed);
         let report = sr.stage_report.expect("bottleneck cells always arm probes");
@@ -503,16 +502,10 @@ mod tests {
     #[test]
     fn knee_picks_earliest_peak_bucket() {
         let run = ChaosRun {
-            accounting: Default::default(),
             buckets: vec![5, 40, 40, 10],
             bucket_len: SimDuration::from_secs(1),
-            mtps: 0.0,
-            mfls: 0.0,
-            p95: 0.0,
-            p99: 0.0,
             live: true,
-            safety: None,
-            liveness: None,
+            ..ChaosRun::default()
         };
         let (mtps, at) = knee(&run);
         assert_eq!(mtps, 40.0);

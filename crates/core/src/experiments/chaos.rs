@@ -17,8 +17,8 @@
 //!   and delivery ratio per system × fault kind.
 //!
 //! Every cell's seed is content-addressed — classic arms by
-//! `(arm, system)`, sweep cells by [`crate::exec::sweep_cell_seed`]`(kind,
-//! system, severity)` — never by grid position, so filtering a campaign to
+//! `(arm, system)`, sweep cells by `["chaos-sweep", kind, system,
+//! severity]` (see [`crate::exec`]) — never by grid position, so filtering a campaign to
 //! a subset of systems or kinds cannot change any remaining cell's
 //! numbers. Every number is a pure function of the root seed: the same
 //! [`ExperimentConfig`] renders byte-identical reports.
@@ -160,7 +160,7 @@ const LOSS_STEPS: [u32; 4] = [0, 1, 5, 10];
 /// into one cell per severity step the protocol admits
 /// ([`FaultCampaign::severities`]); filtering never changes a remaining
 /// cell's numbers because each cell's seed is content-addressed by
-/// [`crate::exec::sweep_cell_seed`].
+/// `(kind, system, severity)`.
 #[derive(Debug, Clone)]
 pub struct FaultCampaign {
     systems: Vec<SystemKind>,
@@ -472,8 +472,8 @@ fn sweep_scenario(
 /// `campaign` on the grid executor (`cfg.jobs` workers), grouped into
 /// per-system [`DegradationCurve`]s. All cells use the retry/backoff
 /// client and the shared fault window, so curves are comparable across
-/// axes; each cell's seed comes from [`crate::exec::sweep_cell_seed`], so
-/// any filtering or worker count reproduces the same cell bytes.
+/// axes; each cell's seed is content-addressed by `(kind, system,
+/// severity)`, so any filtering or worker count reproduces the same cell bytes.
 pub fn chaos_sweep(cfg: &ExperimentConfig, campaign: &FaultCampaign) -> SweepResult {
     let tl = anchors(cfg);
 
@@ -496,7 +496,12 @@ pub fn chaos_sweep(cfg: &ExperimentConfig, campaign: &FaultCampaign) -> SweepRes
                 severity,
                 faults,
                 timeline,
-                seed: crate::exec::sweep_cell_seed(cfg.seed, kind.label(), system, severity),
+                seed: SeedDeriver::new(cfg.seed).seed_parts(&[
+                    "chaos-sweep",
+                    kind.label(),
+                    system.label(),
+                    severity.to_string().as_str(),
+                ]),
             }
         })
         .collect();

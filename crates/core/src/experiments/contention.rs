@@ -19,21 +19,20 @@
 //! the concurrency-control path never double-applied or half-applied a
 //! transfer; YCSB checks its preloaded keyspace survived.
 //!
-//! Every cell's seed is content-addressed
-//! ([`crate::exec::contention_cell_seed`]), so `--systems`, `--workloads`,
+//! Every cell's seed is content-addressed by `["contention", system,
+//! workload, level]` (see [`crate::exec`]), so `--systems`, `--workloads`,
 //! and `--jobs` subsets render byte-identical cells.
 
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
 use crate::client::Windows;
-use crate::exec::contention_cell_seed;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
 use crate::scenario::{ScenarioBuilder, Timeline};
 use crate::workload::{ContentionKnobs, Smallbank, Workload, Ycsb};
 use coconut_chains::SystemStats;
-use coconut_types::{PayloadKind, SimDuration};
+use coconut_types::{PayloadKind, SeedDeriver, SimDuration};
 
 /// Accounts (Smallbank) / keys (YCSB) in the shared pool. Small enough
 /// that the hot set is genuinely hot within a shortened window, large
@@ -208,7 +207,12 @@ pub fn contention_for(
         }
     }
     let cells = crate::exec::run_grid(&items, cfg.jobs, |_, &(system, workload, level)| {
-        let seed = contention_cell_seed(cfg.seed, system, workload, level.name);
+        let seed = SeedDeriver::new(cfg.seed).seed_parts(&[
+            "contention",
+            system.label(),
+            workload,
+            level.name,
+        ]);
         let sr = cell_scenario(system, workload, level, windows).run(system, seed);
         let accepted = sr.stats.accepted.max(1);
         ContentionCell {

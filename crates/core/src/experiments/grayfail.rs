@@ -36,8 +36,8 @@
 //! the straggler arms reach their notary pool, and the other kinds are
 //! documented no-ops (cells stay at baseline by construction).
 //!
-//! Every cell's seed is content-addressed
-//! ([`crate::exec::grayfail_cell_seed`]), so `--systems` filters and any
+//! Every cell's seed is content-addressed by `["grayfail", system, kind,
+//! severity]` (see [`crate::exec`]), so `--systems` filters and any
 //! `--jobs` worker count render byte-identical reports.
 
 use super::chaos::fault_domain;
@@ -45,13 +45,12 @@ use super::churn::{payload, steady_rate};
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
 use crate::client::Windows;
-use crate::exec::grayfail_cell_seed;
 use crate::json::Json;
 use crate::params::SystemKind;
 use crate::report::Report;
 use crate::scenario::{ScenarioBuilder, Timeline};
 use coconut_chains::SystemStats;
-use coconut_types::{NodeId, SimDuration, SimTime};
+use coconut_types::{NodeId, SeedDeriver, SimDuration, SimTime};
 
 /// Straggler time-stretch factors, low → high severity. The mid factor is
 /// chosen to trip every BFT timeout (e.g. 100 ms base delays × 32 exceeds
@@ -68,7 +67,7 @@ pub const WAN_RTTS_MS: [u64; 3] = [20, 80, 240];
 pub const WAN_REGIONS: u32 = 3;
 
 /// Severity labels, in grid order. They are seed components — never
-/// reorder or rename (see [`crate::exec::grayfail_cell_seed`]).
+/// reorder or rename (see [`crate::exec`]).
 pub const SEVERITIES: [&str; 3] = ["low", "mid", "high"];
 
 /// Goodput-recovery threshold after the heal: sustained ≥ 70 % of the
@@ -334,7 +333,8 @@ pub fn grayfail_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> GrayfailR
     // fault-free run of the same windows and seed scope.
     let baseline_items: Vec<SystemKind> = systems.to_vec();
     let baselines = crate::exec::run_grid(&baseline_items, cfg.jobs, |_, &system| {
-        let seed = grayfail_cell_seed(cfg.seed, system, "baseline", "-");
+        let seed =
+            SeedDeriver::new(cfg.seed).seed_parts(&["grayfail", system.label(), "baseline", "-"]);
         let (tl, params) = cell_scenario(system, None, 0, &a);
         finish_cell(system, None, "-", params, &a, None, tl.run(system, seed))
     });
@@ -348,7 +348,12 @@ pub fn grayfail_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> GrayfailR
         .collect();
     let fault_cells = crate::exec::run_grid(&items, cfg.jobs, |_, &(system, kind, sev)| {
         let severity = SEVERITIES[sev];
-        let seed = grayfail_cell_seed(cfg.seed, system, kind.label(), severity);
+        let seed = SeedDeriver::new(cfg.seed).seed_parts(&[
+            "grayfail",
+            system.label(),
+            kind.label(),
+            severity,
+        ]);
         let (tl, params) = cell_scenario(system, Some(kind), sev, &a);
         let baseline = baselines.iter().find(|b| b.system == system);
         finish_cell(

@@ -664,16 +664,10 @@ mod tests {
             busy: 0,
             evicted: 0,
             run: ChaosRun {
-                accounting: Default::default(),
                 buckets: vec![],
                 bucket_len: SimDuration::from_secs(1),
-                mtps: 0.0,
-                mfls: 0.0,
-                p95: 0.0,
-                p99: 0.0,
                 live: true,
-                safety: None,
-                liveness: None,
+                ..ChaosRun::default()
             },
         };
         let curve = OverloadCurve {

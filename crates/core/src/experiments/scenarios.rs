@@ -7,8 +7,8 @@
 //! composites no bespoke campaign ever covered — churn under 8× overload,
 //! a partition during a flash crowd, rolling restarts under a diurnal
 //! load cycle, a ramp to saturation. Every cell's seed is
-//! content-addressed by [`crate::exec::scenario_cell_seed`]`(name,
-//! system)`, so running one scenario or one system reproduces exactly the
+//! content-addressed by `["scenario", name, system]` (see
+//! [`crate::exec`]), so running one scenario or one system reproduces exactly the
 //! bytes of the full library run, at any worker count.
 //!
 //! Checkpointed assertions ride on each timeline; their verdicts are part
@@ -25,7 +25,7 @@ use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
 use crate::scenario::{Check, CheckOutcome, ScenarioBuilder, Timeline};
 use coconut_chains::Stage;
-use coconut_types::{NodeId, PayloadKind, SimDuration, SimTime};
+use coconut_types::{NodeId, PayloadKind, SeedDeriver, SimDuration, SimTime};
 
 /// Virtual-time anchors shared by every library scenario, derived from the
 /// config's scale — the chaos campaign's grid: at least 20 s of sending,
@@ -598,7 +598,7 @@ pub fn scenarios_for(cfg: &ExperimentConfig, campaign: &ScenarioCampaign) -> Sce
     let a = anchors(cfg);
     let items = campaign.cells();
     let cells = crate::exec::run_grid(&items, cfg.jobs, |_, (s, k)| {
-        let seed = crate::exec::scenario_cell_seed(cfg.seed, s.name, *k);
+        let seed = SeedDeriver::new(cfg.seed).seed_parts(&["scenario", s.name, k.label()]);
         let timeline = (s.build)(*k, a);
         let sr = timeline.run(*k, seed);
         let acct = &sr.run.accounting;

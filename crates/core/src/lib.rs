@@ -48,19 +48,13 @@ pub mod workload;
 pub mod zipf;
 
 pub use chaos::{
-    run_chaos, run_chaos_protected, run_chaos_with_schedule, AimdPolicy, BreakerPolicy,
-    BreakerState, ChaosRun, CircuitBreaker, ClientProtection, DeliveryAccounting, RetryBudget,
-    RetryPolicy,
+    run_chaos_with_schedule, AimdPolicy, BreakerPolicy, BreakerState, ChaosRun, CircuitBreaker,
+    ClientProtection, DeliveryAccounting, RetryBudget, RetryPolicy,
 };
-pub use exec::{
-    bottleneck_cell_seed, cell_seed, contention_cell_seed, run_grid, scenario_cell_seed,
-    sweep_cell_seed, unit_seed,
-};
+pub use exec::{cell_seed, run_grid, unit_seed};
 pub use params::{BlockParam, SystemKind, SystemSetup};
 pub use report::Report;
-pub use runner::{
-    run_benchmark, run_unit, run_workload_one, BenchmarkResult, BenchmarkSpec, UnitResult,
-};
+pub use runner::{run_benchmark, run_unit, BenchmarkResult, BenchmarkSpec, UnitResult};
 pub use saturation::{SaturationResult, SaturationSearch};
 pub use scenario::{
     Check, CheckOutcome, Cursor, LoadPhase, LoadShape, ScenarioBuilder, ScenarioRun, Timeline,

@@ -1,15 +1,14 @@
 //! Benchmark execution: drives a modelled blockchain with the COCONUT
 //! client schedule and computes the paper's metrics.
 
-use std::collections::HashSet;
+use coconut_simnet::FaultPlan;
+use coconut_types::{ClientTx, PayloadKind, SeedDeriver, SimDuration, TxId};
 
-use coconut_chains::BlockchainSystem;
-use coconut_types::{PayloadKind, SeedDeriver, SimDuration, SimTime, TxId};
-
-use crate::client::{build_schedule_for, Windows};
+use crate::chaos::{run_chaos_with_schedule, ChaosRun, ClientProtection, RetryPolicy};
+use crate::client::{build_schedule, ScheduledTx, Windows};
 use crate::params::{build_system, BlockParam, SystemKind, SystemSetup};
-use crate::stats::{percentile, Stats};
-use crate::workload::{paper, BenchmarkUnit, Workload};
+use crate::stats::Stats;
+use crate::workload::BenchmarkUnit;
 
 /// Everything needed to run one benchmark (§4.1's combination of a client
 /// workload and an interface execution layer, plus parameters).
@@ -29,9 +28,10 @@ pub struct BenchmarkSpec {
     pub windows: Windows,
     /// Repetitions to average over (the paper uses 3).
     pub repetitions: u32,
-    /// Name of the non-paper [`Workload`] driving this spec, if any. Paper
-    /// benchmarks leave this `None`; it joins the content-addressed seed
-    /// only when set, so every pre-existing paper seed is unchanged.
+    /// Name of the non-paper [`Workload`](crate::workload::Workload)
+    /// driving this spec, if any. Paper benchmarks leave this `None`; it
+    /// joins the content-addressed seed only when set, so every
+    /// pre-existing paper seed is unchanged.
     pub workload: Option<String>,
 }
 
@@ -110,7 +110,8 @@ impl BenchmarkSpec {
     }
 }
 
-/// The raw measurements of one repetition.
+/// The raw measurements of one repetition: the paper's metrics as the
+/// client loop observed them ([`RepMeasurement::of`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepMeasurement {
     /// Mean transactions per second (operations for BitShares; formula 2).
@@ -132,6 +133,31 @@ pub struct RepMeasurement {
     pub expected: f64,
     /// Whether the system still served confirmations at the end.
     pub live: bool,
+}
+
+impl RepMeasurement {
+    /// Projects the client loop's `run` of `schedule` onto the paper's
+    /// metrics. Received payloads and MTPS come from
+    /// [`ChaosRun::confirmed_ops`], which also counts a confirmation
+    /// landing exactly on the listen end.
+    pub fn of(run: &ChaosRun, schedule: &[ScheduledTx]) -> Self {
+        let received = run.confirmed_ops as f64;
+        RepMeasurement {
+            mtps: if run.duration > 0.0 {
+                received / run.duration
+            } else {
+                0.0
+            },
+            mfls: run.mfls,
+            duration: run.duration,
+            p50: run.p50,
+            p95: run.p95,
+            p99: run.p99,
+            received,
+            expected: schedule.iter().map(|s| s.tx.op_count() as f64).sum(),
+            live: run.live,
+        }
+    }
 }
 
 /// Aggregated results of a benchmark across repetitions — one row of the
@@ -208,96 +234,6 @@ pub struct UnitResult {
     pub benchmarks: Vec<BenchmarkResult>,
 }
 
-/// Runs one benchmark of `spec.benchmark` against `system`, with the
-/// client schedule offset to start at `base`. Returns the repetition
-/// measurement computed from client-side observations only.
-pub fn run_one(
-    system: &mut (dyn BlockchainSystem + Send),
-    spec: &BenchmarkSpec,
-    base: SimTime,
-    run_tag: u64,
-    seed: u64,
-) -> RepMeasurement {
-    run_workload_one(system, &paper(spec.benchmark), spec, base, run_tag, seed)
-}
-
-/// [`run_one`] for an arbitrary [`Workload`]: the schedule's payload
-/// stream comes from the trait instance instead of `spec.benchmark`. Both
-/// entry points share the measurement loop, so paper benchmarks measure
-/// bit-identically through either.
-pub fn run_workload_one(
-    system: &mut (dyn BlockchainSystem + Send),
-    workload: &dyn Workload,
-    spec: &BenchmarkSpec,
-    base: SimTime,
-    run_tag: u64,
-    seed: u64,
-) -> RepMeasurement {
-    let schedule = build_schedule_for(workload, spec.rate, spec.ops_per_tx, spec.windows, seed);
-    let expected: u64 = schedule.iter().map(|s| s.tx.op_count() as u64).sum();
-    let mut my_ids: HashSet<TxId> = HashSet::with_capacity(schedule.len());
-    let mut created = std::collections::HashMap::with_capacity(schedule.len());
-    let listen_end = base + spec.windows.listen;
-    let mut t_fstx: Option<SimTime> = None;
-    let mut outcomes = Vec::new();
-
-    for sched in schedule {
-        let at = base + (sched.at - SimTime::ZERO);
-        // Re-tag the id so different benchmarks of a unit never collide.
-        let id = TxId::new(
-            sched.tx.id().client(),
-            sched.tx.id().seq() | (run_tag << 40),
-        );
-        let tx =
-            coconut_types::ClientTx::new(id, sched.tx.thread(), sched.tx.payloads().to_vec(), at);
-        outcomes.extend(system.run_until(at));
-        t_fstx.get_or_insert(at);
-        my_ids.insert(id);
-        created.insert(id, at);
-        system.submit(at, tx);
-    }
-    outcomes.extend(system.run_until(listen_end));
-
-    // Client-side filtering: only this benchmark's confirmations, only
-    // inside the listen window.
-    let mut received_ops: u64 = 0;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut t_lrtx: Option<SimTime> = None;
-    for o in &outcomes {
-        if !o.is_committed() || !my_ids.contains(&o.tx) || o.finalized_at > listen_end {
-            continue;
-        }
-        received_ops += o.ops_confirmed() as u64;
-        let start = created[&o.tx];
-        latencies.push((o.finalized_at - start).as_secs_f64());
-        t_lrtx = Some(t_lrtx.map_or(o.finalized_at, |t| t.max(o.finalized_at)));
-    }
-
-    let (mtps, duration) = match (t_fstx, t_lrtx) {
-        (Some(first), Some(last)) if last > first => {
-            let d = (last - first).as_secs_f64();
-            (received_ops as f64 / d, d)
-        }
-        _ => (0.0, 0.0),
-    };
-    let mfls = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies.iter().sum::<f64>() / latencies.len() as f64
-    };
-    RepMeasurement {
-        mtps,
-        mfls,
-        duration,
-        p50: percentile(&latencies, 0.50),
-        p95: percentile(&latencies, 0.95),
-        p99: percentile(&latencies, 0.99),
-        received: received_ops as f64,
-        expected: expected as f64,
-        live: system.is_live(),
-    }
-}
-
 /// Runs `spec` on a freshly provisioned system per repetition and
 /// aggregates the statistics (the paper's per-table rows).
 pub fn run_benchmark(spec: &BenchmarkSpec, seed: u64) -> BenchmarkResult {
@@ -306,13 +242,24 @@ pub fn run_benchmark(spec: &BenchmarkSpec, seed: u64) -> BenchmarkResult {
     for rep in 0..spec.repetitions {
         let rep_seeds = seeds.for_repetition(rep);
         let mut system = build_system(spec.system, &spec.setup, rep_seeds.seed("system", 0));
-        reps.push(run_one(
+        let schedule_seed = rep_seeds.seed("schedule", 0);
+        let schedule = build_schedule(
+            spec.benchmark,
+            spec.rate,
+            spec.ops_per_tx,
+            spec.windows,
+            schedule_seed,
+        );
+        let run = run_chaos_with_schedule(
             system.as_mut(),
             spec,
-            SimTime::ZERO,
-            0,
-            rep_seeds.seed("schedule", 0),
-        ));
+            &FaultPlan::new(),
+            &RetryPolicy::disabled(),
+            &ClientProtection::disabled(),
+            &schedule,
+            schedule_seed,
+        );
+        reps.push(RepMeasurement::of(&run, &schedule));
     }
     BenchmarkResult::from_reps(spec, &reps)
 }
@@ -320,6 +267,11 @@ pub fn run_benchmark(spec: &BenchmarkSpec, seed: u64) -> BenchmarkResult {
 /// Runs a whole benchmark unit (§4.1): the unit's benchmarks execute
 /// back-to-back on the *same* deployed system; only the clients are
 /// re-provisioned in between. The system is re-provisioned per repetition.
+///
+/// Benchmark `i` of a repetition starts at `base = i × term`: its schedule
+/// is shifted by `base`, its ids are re-tagged with `(i + 1) << 40` so
+/// benchmarks sharing the system never collide, and its windows are made
+/// absolute, so the client loop listens only to this benchmark.
 pub fn run_unit(
     system: SystemKind,
     unit: BenchmarkUnit,
@@ -337,21 +289,44 @@ pub fn run_unit(
     for rep in 0..template.repetitions {
         let rep_seeds = seeds.for_repetition(rep);
         let mut sys = build_system(system, &template.setup, rep_seeds.seed("system", 0));
-        let mut base = SimTime::ZERO;
+        let mut base = SimDuration::ZERO;
         for (i, &benchmark) in benchmarks.iter().enumerate() {
+            let tag = (i as u64 + 1) << 40;
+            let schedule_seed = rep_seeds.seed("schedule", i as u64);
+            let schedule: Vec<ScheduledTx> = build_schedule(
+                benchmark,
+                template.rate,
+                template.ops_per_tx,
+                template.windows,
+                schedule_seed,
+            )
+            .into_iter()
+            .map(|s| {
+                let at = s.at + base;
+                let id = TxId::new(s.tx.id().client(), s.tx.id().seq() | tag);
+                let tx = ClientTx::new(id, s.tx.thread(), s.tx.payloads().to_vec(), at);
+                ScheduledTx { at, tx }
+            })
+            .collect();
             let spec = BenchmarkSpec {
                 system,
                 benchmark,
+                windows: Windows {
+                    send: base + template.windows.send,
+                    listen: base + template.windows.listen,
+                },
                 ..template.clone()
             };
-            let m = run_one(
+            let run = run_chaos_with_schedule(
                 sys.as_mut(),
                 &spec,
-                base,
-                i as u64 + 1,
-                rep_seeds.seed("schedule", i as u64),
+                &FaultPlan::new(),
+                &RetryPolicy::disabled(),
+                &ClientProtection::disabled(),
+                &schedule,
+                schedule_seed,
             );
-            measurements[i].push(m);
+            measurements[i].push(RepMeasurement::of(&run, &schedule));
             base += term;
         }
     }

@@ -15,10 +15,10 @@
 //! the sweep, [`crate::experiments::overload()`],
 //! [`crate::experiments::churn()`]) are expressed on this engine, and their
 //! golden-pinned reports are reproduced byte-for-byte: an overlay-free
-//! timeline builds exactly the schedule
-//! [`run_chaos`](crate::chaos::run_chaos) built, and a single flash-crowd
-//! overlay reproduces the overload campaign's pulse schedule (same seed
-//! streams, same id tagging, same merge order).
+//! timeline builds the classic client's schedule (seed stream
+//! `("schedule", 0)`), and a single flash-crowd overlay reproduces the
+//! overload campaign's pulse schedule (same seed streams, same id tagging,
+//! same merge order).
 //!
 //! # Same-tick ordering
 //!
@@ -314,8 +314,7 @@ impl ScenarioBuilder {
     /// [`crate::workload::Ycsb`]). The builder's `payload` kind is kept
     /// for spec labelling; the schedule's payload stream comes entirely
     /// from `workload`. The default is the paper workload of the `payload`
-    /// kind passed to [`ScenarioBuilder::new`], which reproduces the
-    /// legacy `payload_for` stream bit-for-bit.
+    /// kind passed to [`ScenarioBuilder::new`], `paper(payload)`.
     pub fn workload(mut self, workload: impl Workload + Send + Sync + 'static) -> Self {
         self.workload = Arc::new(workload);
         self
@@ -662,11 +661,9 @@ impl Timeline {
     /// `("schedule", 0)` — identical to the classic client's) merged with
     /// one overlay per load phase (seed stream `("pulse", i)`, ids tagged
     /// with [`overlay_tag`]`(i)`), sorted by `(at, tx.id())`. With no
-    /// phases this is byte-identical to what [`run_chaos`] builds
-    /// internally; with a single flash phase it is byte-identical to the
-    /// overload campaign's pulse schedule.
-    ///
-    /// [`run_chaos`]: crate::chaos::run_chaos
+    /// phases this is the classic client's schedule; with a single flash
+    /// phase it is byte-identical to the overload campaign's pulse
+    /// schedule.
     pub fn schedule(&self, seed: u64) -> Vec<ScheduledTx> {
         let seeds = SeedDeriver::new(seed);
         let mut all = build_schedule_for(
@@ -1003,16 +1000,10 @@ mod tests {
         // boundary assertion can never read half a bucket from the next
         // phase.
         let run = ChaosRun {
-            accounting: Default::default(),
             buckets: vec![10, 10, 0, 0, 20, 20],
             bucket_len: SimDuration::from_secs(1),
-            mtps: 0.0,
-            mfls: 0.0,
-            p95: 0.0,
-            p99: 0.0,
             live: true,
-            safety: None,
-            liveness: None,
+            ..ChaosRun::default()
         };
         // Phase boundary at t = 2 s: [0, 2) sees only the two 10-buckets.
         let c = Check::GoodputFloor {

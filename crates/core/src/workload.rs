@@ -106,33 +106,28 @@ fn payment_endpoints(client: ClientId, thread: ThreadId, seq: u64) -> (AccountId
 /// Payment amount used by BankingApp-SendPayment.
 pub const PAYMENT_AMOUNT: u64 = 1;
 
-/// Generates the `seq`-th payload of benchmark `kind` for a workload
-/// thread.
+/// One benchmark phase of the paper's workloads as a [`Workload`] instance.
+///
+/// [`paper`] builds these, and [`BenchmarkUnit`] groups them into the
+/// paper's back-to-back units.
 ///
 /// # Example
 ///
 /// ```
-/// use coconut::workload::payload_for;
-/// use coconut_types::{ClientId, PayloadKind, ThreadId};
+/// use coconut::workload::{paper, Workload};
+/// use coconut_types::{ClientId, Payload, PayloadKind, ThreadId};
 ///
-/// let set = payload_for(PayloadKind::KeyValueSet, ClientId(0), ThreadId(1), 7);
-/// let get = payload_for(PayloadKind::KeyValueGet, ClientId(0), ThreadId(1), 7);
+/// let (c, t) = (ClientId(0), ThreadId(1));
+/// let set = paper(PayloadKind::KeyValueSet).payload_at(c, t, 7);
+/// let get = paper(PayloadKind::KeyValueGet).payload_at(c, t, 7);
 /// // The Get benchmark reads what the Set benchmark wrote:
 /// match (set, get) {
-///     (coconut_types::Payload::KeyValueSet { key: k1, .. },
-///      coconut_types::Payload::KeyValueGet { key: k2 }) => assert_eq!(k1, k2),
+///     (Payload::KeyValueSet { key: k1, .. }, Payload::KeyValueGet { key: k2 }) => {
+///         assert_eq!(k1, k2)
+///     }
 ///     _ => unreachable!(),
 /// }
 /// ```
-pub fn payload_for(kind: PayloadKind, client: ClientId, thread: ThreadId, seq: u64) -> Payload {
-    // Thin compat shim: the stream lives in the trait instance now.
-    paper(kind).payload_at(client, thread, seq)
-}
-
-/// One benchmark phase of the paper's workloads as a [`Workload`] instance.
-///
-/// [`paper`] builds these; [`payload_for`] is a shim over them, and
-/// [`BenchmarkUnit`] groups them into the paper's back-to-back units.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperWorkload {
     kind: PayloadKind,
@@ -496,8 +491,8 @@ mod tests {
     #[test]
     fn get_reads_what_set_wrote() {
         for s in 0..100 {
-            let set = payload_for(PayloadKind::KeyValueSet, ClientId(2), ThreadId(3), s);
-            let get = payload_for(PayloadKind::KeyValueGet, ClientId(2), ThreadId(3), s);
+            let set = paper(PayloadKind::KeyValueSet).payload_at(ClientId(2), ThreadId(3), s);
+            let get = paper(PayloadKind::KeyValueGet).payload_at(ClientId(2), ThreadId(3), s);
             let (Payload::KeyValueSet { key: k1, .. }, Payload::KeyValueGet { key: k2 }) =
                 (set, get)
             else {
@@ -511,7 +506,7 @@ mod tests {
     fn payments_chain_across_threads() {
         // Thread 0's 5th payment starts at thread (0+5)%4 = 1's account 5
         // and pays the next thread's account 5.
-        let p = payload_for(PayloadKind::SendPayment, ClientId(0), ThreadId(0), 5);
+        let p = paper(PayloadKind::SendPayment).payload_at(ClientId(0), ThreadId(0), 5);
         let Payload::SendPayment { from, to, amount } = p else {
             panic!("wrong kind");
         };
@@ -519,12 +514,8 @@ mod tests {
         assert_eq!(to, account(ClientId(0), ThreadId(2), 5));
         assert_eq!(amount, PAYMENT_AMOUNT);
         // The pool wraps: payment 69 (seq 5 + 64) reuses pool slot 5.
-        let wrapped = payload_for(
-            PayloadKind::SendPayment,
-            ClientId(0),
-            ThreadId(0),
-            5 + PAYMENT_POOL,
-        );
+        let wrapped =
+            paper(PayloadKind::SendPayment).payload_at(ClientId(0), ThreadId(0), 5 + PAYMENT_POOL);
         let Payload::SendPayment { from: f2, .. } = wrapped else {
             panic!("wrong kind");
         };
@@ -540,7 +531,7 @@ mod tests {
         let mut touched: Vec<AccountId> = Vec::new();
         for t in 0..4u32 {
             let Payload::SendPayment { from, to, .. } =
-                payload_for(PayloadKind::SendPayment, c, ThreadId(t), seq)
+                paper(PayloadKind::SendPayment).payload_at(c, ThreadId(t), seq)
             else {
                 panic!("wrong kind");
             };
@@ -561,7 +552,7 @@ mod tests {
         for t in 0..4u32 {
             for s in 0..40u64 {
                 let Payload::SendPayment { from, to, .. } =
-                    payload_for(PayloadKind::SendPayment, c, ThreadId(t), s)
+                    paper(PayloadKind::SendPayment).payload_at(c, ThreadId(t), s)
                 else {
                     panic!("wrong kind");
                 };
@@ -574,7 +565,7 @@ mod tests {
                     );
                 }
                 let Payload::Balance { account: b } =
-                    payload_for(PayloadKind::Balance, c, ThreadId(t), s)
+                    paper(PayloadKind::Balance).payload_at(c, ThreadId(t), s)
                 else {
                     panic!("wrong kind");
                 };
@@ -603,34 +594,13 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         for kind in PayloadKind::ALL {
-            assert_eq!(
-                payload_for(kind, ClientId(3), ThreadId(1), 42),
-                payload_for(kind, ClientId(3), ThreadId(1), 42)
-            );
-        }
-    }
-
-    #[test]
-    fn trait_streams_match_legacy_payload_for_bit_for_bit() {
-        // The API-redesign contract: every paper workload reimplemented on
-        // the trait reproduces the legacy free-function stream exactly,
-        // over a broad (client, thread, seq) grid.
-        for kind in PayloadKind::ALL {
             let w = paper(kind);
             assert_eq!(w.phases(), &[kind]);
             assert_eq!(w.name(), kind.label());
-            for c in 0..4u32 {
-                for t in 0..4u32 {
-                    for s in (0..2000u64).step_by(37).chain([u32::MAX as u64, 1 << 39]) {
-                        let (client, thread) = (ClientId(c), ThreadId(t));
-                        assert_eq!(
-                            w.payload_at(client, thread, s),
-                            payload_for(kind, client, thread, s),
-                            "{kind:?} diverged at ({c}, {t}, {s})"
-                        );
-                    }
-                }
-            }
+            assert_eq!(
+                w.payload_at(ClientId(3), ThreadId(1), 42),
+                paper(kind).payload_at(ClientId(3), ThreadId(1), 42)
+            );
         }
     }
 

@@ -8,12 +8,12 @@
 //! deterministically per seed — instead of panicking. Crash-fault-tolerant
 //! systems carry no monitor and report `None`.
 
-use coconut::chaos::{run_chaos, ChaosRun, RetryPolicy};
-use coconut::client::Windows;
+use coconut::chaos::{run_chaos_with_schedule, ChaosRun, ClientProtection, RetryPolicy};
+use coconut::client::{build_schedule, Windows};
 use coconut::params::build_system;
 use coconut::prelude::*;
 use coconut_simnet::FaultPlan;
-use coconut_types::NodeId;
+use coconut_types::{NodeId, SeedDeriver};
 
 /// The three systems whose consensus has a Byzantine quorum, with their
 /// baseline validator count and tolerance (n = 4 → f = 1).
@@ -39,12 +39,22 @@ fn byz_run(kind: SystemKind, byz_nodes: u32, seed: u64) -> ChaosRun {
     let nodes: Vec<NodeId> = (0..byz_nodes).map(NodeId).collect();
     let plan =
         FaultPlan::new().byzantine_window(&nodes, SimTime::from_secs(6), SimTime::from_secs(12));
+    let spec = spec(kind);
+    let schedule = build_schedule(
+        spec.benchmark,
+        spec.rate,
+        spec.ops_per_tx,
+        spec.windows,
+        SeedDeriver::new(seed).seed("schedule", 0),
+    );
     let mut sys = build_system(kind, &SystemSetup::default(), seed);
-    run_chaos(
+    run_chaos_with_schedule(
         sys.as_mut(),
-        &spec(kind),
+        &spec,
         &plan,
         &RetryPolicy::chaos_default(),
+        &ClientProtection::disabled(),
+        &schedule,
         seed,
     )
 }

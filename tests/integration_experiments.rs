@@ -2,8 +2,8 @@
 //! the paper's qualitative shapes at reduced scale.
 
 use coconut::experiments::{
-    fig5, table11_12, table13_14, table15_16, table17_18, table19_20, table7_8, table9_10,
-    ExperimentConfig,
+    fig3, fig4, fig5, table11_12, table13_14, table15_16, table17_18, table19_20, table7_8,
+    table9_10, ExperimentConfig,
 };
 use coconut::prelude::{Report, SystemKind};
 
@@ -166,4 +166,89 @@ fn fig5_scalability_shapes() {
     assert!(c32 < c8, "but declines with n: {c8} vs {c32}");
     // The rendered table marks failures.
     assert!(f.render().contains("fail"));
+}
+
+/// The configuration of the paper goldens, the same cells as
+/// `repro <target> --scale 0.02 --reps 1 --seed 49344 --jobs 2`.
+fn golden_cfg() -> ExperimentConfig {
+    ExperimentConfig {
+        scale: 0.02,
+        repetitions: 1,
+        seed: 0xC0C0,
+        full_sweep: false,
+        jobs: Some(2),
+    }
+}
+
+/// Every paper table as `(file stem, JSON)`, rendered as `repro tables
+/// --out` writes them.
+fn paper_tables() -> Vec<(&'static str, String)> {
+    let cfg = golden_cfg();
+    vec![
+        ("table7_8", table7_8(&cfg).to_json()),
+        ("table9_10", table9_10(&cfg).to_json()),
+        ("table11_12", table11_12(&cfg).to_json()),
+        ("table13_14", table13_14(&cfg).to_json()),
+        ("table15_16", table15_16(&cfg).to_json()),
+        ("table17_18", table17_18(&cfg).to_json()),
+        ("table19_20", table19_20(&cfg).to_json()),
+    ]
+}
+
+/// Figures 3 and 4 as `repro fig3` / `repro fig4` write them (Figure 4
+/// starts from Figure 3's best configurations).
+fn paper_figures() -> Vec<(&'static str, String)> {
+    let cfg = golden_cfg();
+    let base = fig3(&cfg);
+    let f4 = fig4(&cfg, Some(&base));
+    vec![("fig3", base.to_json()), ("fig4", f4.to_json())]
+}
+
+const PAPER_GOLDEN_DIR: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/paper_scale002_seed_c0c0"
+);
+
+fn assert_matches_golden(files: Vec<(&'static str, String)>) {
+    for (name, json) in files {
+        let path = format!("{PAPER_GOLDEN_DIR}/{name}.json");
+        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        assert_eq!(
+            json.trim_end(),
+            golden.trim_end(),
+            "{name} JSON drifted from {path}; if the change is intentional run: \
+             cargo test --release --test integration_experiments regenerate_paper_goldens -- --ignored"
+        );
+    }
+}
+
+/// The paper tables' JSON, pinned byte for byte. These are the only
+/// goldens that drive benchmark units back to back on one system, so they
+/// cover the client loop's shifted, re-tagged schedules.
+#[test]
+fn paper_tables_json_match_golden_files() {
+    assert_matches_golden(paper_tables());
+}
+
+/// Figures 3 and 4, pinned byte for byte. Release-only: the full grids are
+/// too slow unoptimized, and CI runs the suite in release.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "full figure grids are release-only; CI runs them via cargo test --release"
+)]
+fn paper_figures_json_match_golden_files() {
+    assert_matches_golden(paper_figures());
+}
+
+/// Rewrites the paper goldens from the current implementation. Run only
+/// when a change is intentional; the diff is the review artifact.
+#[test]
+#[ignore = "regenerates tests/golden/paper_scale002_seed_c0c0/; run explicitly after intentional changes"]
+fn regenerate_paper_goldens() {
+    std::fs::create_dir_all(PAPER_GOLDEN_DIR).unwrap();
+    for (name, mut json) in paper_tables().into_iter().chain(paper_figures()) {
+        json.push('\n');
+        std::fs::write(format!("{PAPER_GOLDEN_DIR}/{name}.json"), json).unwrap();
+    }
 }

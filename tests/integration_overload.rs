@@ -7,8 +7,8 @@
 //! system subsets, which the content-addressed cell seeds guarantee are
 //! byte-identical to the full campaign's cells.
 
-use coconut::chaos::{run_chaos_protected, ClientProtection, RetryPolicy};
-use coconut::client::Windows;
+use coconut::chaos::{run_chaos_with_schedule, ClientProtection, RetryPolicy};
+use coconut::client::{build_schedule, Windows};
 use coconut::experiments::{
     fault_domain, overload, overload_curves_for, overload_probes_for, tight_limits,
     ExperimentConfig,
@@ -16,7 +16,7 @@ use coconut::experiments::{
 use coconut::params::build_system;
 use coconut::prelude::*;
 use coconut_simnet::FaultPlan;
-use coconut_types::{NodeId, SimTime};
+use coconut_types::{NodeId, SeedDeriver, SimTime};
 
 fn quick_cfg() -> ExperimentConfig {
     ExperimentConfig {
@@ -54,17 +54,25 @@ fn combined_crash_loss_overload_accounting_is_complete() {
             .windows(Windows::scaled(0.02))
             .repetitions(1);
         let setup = SystemSetup::default().with_admission(tight_limits(kind));
+        let schedule = build_schedule(
+            spec.benchmark,
+            spec.rate,
+            spec.ops_per_tx,
+            spec.windows,
+            SeedDeriver::new(7).seed("schedule", 0),
+        );
         for protection in [
             ClientProtection::disabled(),
             ClientProtection::overload_default(),
         ] {
             let mut sys = build_system(kind, &setup, 7);
-            let run = run_chaos_protected(
+            let run = run_chaos_with_schedule(
                 sys.as_mut(),
                 &spec,
                 &plan,
                 &RetryPolicy::chaos_default(),
                 &protection,
+                &schedule,
                 7,
             );
             let a = run.accounting;
