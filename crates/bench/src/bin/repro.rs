@@ -61,8 +61,9 @@
 //!   --sweep       chaos only: run the fault-sweep campaign (f = 0..=beyond-f
 //!                 crash curves, loss-rate and Byzantine-count steps) instead
 //!                 of the classic four arms
-//!   --systems A,B chaos --sweep, overload, churn, scenario, bottleneck,
-//!                 grayfail: restrict the campaign to these systems (labels as printed,
+//!   --systems A,B chaos (with or without --sweep), overload, churn,
+//!                 scenario, bottleneck, contention, grayfail: restrict the
+//!                 campaign to these systems (labels as printed,
 //!                 case-insensitive, e.g. "fabric,corda os"); remaining
 //!                 cells keep their numbers. Unknown names are a hard
 //!                 error with a did-you-mean hint
@@ -83,11 +84,10 @@ use std::path::PathBuf;
 
 use coconut::experiments::ablations::render_arms;
 use coconut::experiments::{
-    all_ablations, bottleneck_for, chaos, chaos_sweep, churn_for, contention_for, fig3, fig4, fig5,
-    grayfail_for, overload_curves_for, overload_probes_for, render_scenario_list, scenario_names,
-    scenarios_for, table11_12, table13_14, table15_16, table17_18, table19_20, table7_8, table9_10,
-    ChurnCampaign, ExperimentConfig, FaultCampaign, OverloadResult, ScenarioCampaign, TableResult,
-    WORKLOADS,
+    all_ablations, bottleneck_for, chaos_for, chaos_sweep, churn_for, contention_for, fig3, fig4,
+    fig5, grayfail_for, overload_for, render_scenario_list, scenario_names, scenarios_for,
+    table11_12, table13_14, table15_16, table17_18, table19_20, table7_8, table9_10, ChurnArm,
+    ExperimentConfig, FaultKind, TableResult, WORKLOADS,
 };
 use coconut::params::SystemKind;
 use coconut::report::Report;
@@ -100,9 +100,9 @@ struct Cli {
     cfg: ExperimentConfig,
     out_dir: Option<PathBuf>,
     sweep: bool,
-    systems: Option<Vec<SystemKind>>,
-    workloads: Option<Vec<&'static str>>,
-    names: Option<Vec<String>>,
+    systems: Vec<SystemKind>,
+    workloads: Vec<&'static str>,
+    names: Vec<&'static str>,
     list: bool,
 }
 
@@ -113,9 +113,9 @@ impl Cli {
             cfg: ExperimentConfig::default(),
             out_dir: None,
             sweep: false,
-            systems: None,
-            workloads: None,
-            names: None,
+            systems: SystemKind::ALL.to_vec(),
+            workloads: WORKLOADS.to_vec(),
+            names: scenario_names(),
             list: false,
         };
         let mut i = 1;
@@ -166,24 +166,17 @@ impl Cli {
                     i += 1;
                 }
                 "--systems" => {
-                    let list = args
-                        .get(i + 1)
-                        .unwrap_or_else(|| die("--systems needs a comma-separated list"));
-                    cli.systems = Some(parse_systems(list));
+                    let noun = ("system", "label");
+                    cli.systems = parse_list(args, i, noun, &SystemKind::ALL, SystemKind::label);
                     i += 2;
                 }
                 "--workloads" => {
-                    let list = args
-                        .get(i + 1)
-                        .unwrap_or_else(|| die("--workloads needs a comma-separated list"));
-                    cli.workloads = Some(parse_workloads(list));
+                    cli.workloads = parse_list(args, i, ("workload", "name"), &WORKLOADS, |w| w);
                     i += 2;
                 }
                 "--name" => {
-                    let list = args
-                        .get(i + 1)
-                        .unwrap_or_else(|| die("--name needs a comma-separated list"));
-                    cli.names = Some(parse_names(list));
+                    let known = scenario_names();
+                    cli.names = parse_list(args, i, ("scenario", "name"), &known, |n| n);
                     i += 2;
                 }
                 "--list" => {
@@ -273,26 +266,19 @@ fn main() {
             }
         }
         "ablations" => run_ablations(&cfg),
-        "chaos" => run_chaos_campaign(&cfg, cli.sweep, &cli.systems, &cli.out_dir),
-        "overload" => run_overload_campaign(&cfg, &cli.systems, &cli.out_dir),
-        "churn" => run_churn_campaign(&cfg, &cli.systems, &cli.out_dir),
-        "scenario" => run_scenario_campaign(&cfg, &cli.systems, &cli.names, &cli.out_dir),
-        "bottleneck" => run_bottleneck_campaign(&cfg, &cli.systems, &cli.out_dir),
-        "contention" => run_contention_campaign(&cfg, &cli.systems, &cli.workloads, &cli.out_dir),
-        "grayfail" => run_grayfail_campaign(&cfg, &cli.systems, &cli.out_dir),
+        "chaos" if cli.sweep => run_campaign(&cli, "chaos_sweep"),
+        "scenario" => run_campaign(&cli, "scenarios"),
+        "chaos" | "overload" | "churn" | "bottleneck" | "contention" | "grayfail" => {
+            run_campaign(&cli, &cli.target)
+        }
         "all" => {
             for (name, t) in all_tables(&cfg) {
                 print_table(t, &cli.out_dir, name);
             }
             run_ablations(&cfg);
-            run_chaos_campaign(&cfg, false, &None, &cli.out_dir);
-            run_chaos_campaign(&cfg, true, &cli.systems, &cli.out_dir);
-            run_overload_campaign(&cfg, &cli.systems, &cli.out_dir);
-            run_churn_campaign(&cfg, &cli.systems, &cli.out_dir);
-            run_scenario_campaign(&cfg, &cli.systems, &cli.names, &cli.out_dir);
-            run_bottleneck_campaign(&cfg, &cli.systems, &cli.out_dir);
-            run_contention_campaign(&cfg, &cli.systems, &cli.workloads, &cli.out_dir);
-            run_grayfail_campaign(&cfg, &cli.systems, &cli.out_dir);
+            for name in CAMPAIGNS {
+                run_campaign(&cli, name);
+            }
             let base = fig3(&cfg);
             emit("Figure 3", &base, &cli.out_dir, "fig3");
             let f4 = fig4(&cfg, Some(&base));
@@ -322,141 +308,59 @@ fn run_ablations(cfg: &ExperimentConfig) {
     }
 }
 
-fn run_chaos_campaign(
-    cfg: &ExperimentConfig,
-    sweep: bool,
-    systems: &Option<Vec<SystemKind>>,
-    out: &Option<PathBuf>,
-) {
-    if sweep {
-        let mut campaign = FaultCampaign::full();
-        if let Some(list) = systems {
-            campaign = campaign.with_systems(list);
-        }
-        let r = chaos_sweep(cfg, &campaign);
-        emit(
-            "Chaos sweep — degradation curves over fault severity + heat map",
-            &r,
-            out,
-            "chaos_sweep",
-        );
-    } else {
-        let r = chaos(cfg);
-        emit(
+/// The campaigns by output name, in the order `all` runs them.
+const CAMPAIGNS: [&str; 8] = [
+    "chaos",
+    "chaos_sweep",
+    "overload",
+    "churn",
+    "scenarios",
+    "bottleneck",
+    "contention",
+    "grayfail",
+];
+
+/// Runs one of the [`CAMPAIGNS`] over the command line's `--systems` (and
+/// its `--workloads` or `--name`) filter, then prints it and writes its
+/// JSON under its name.
+fn run_campaign(cli: &Cli, name: &str) {
+    let (cfg, systems) = (&cli.cfg, &cli.systems[..]);
+    let (heading, report): (&str, Box<dyn Report>) = match name {
+        "chaos" => (
             "Chaos campaign — crash/heal, beyond-f halt, loss burst, Byzantine window",
-            &r,
-            out,
-            "chaos",
-        );
-    }
-}
-
-fn run_churn_campaign(
-    cfg: &ExperimentConfig,
-    systems: &Option<Vec<SystemKind>>,
-    out: &Option<PathBuf>,
-) {
-    let mut campaign = ChurnCampaign::full();
-    if let Some(list) = systems {
-        campaign = campaign.with_systems(list);
-    }
-    let r = churn_for(cfg, &campaign);
-    emit(
-        "Churn campaign — join/leave/rolling-replacement/join-under-overload per system",
-        &r,
-        out,
-        "churn",
-    );
-}
-
-fn run_overload_campaign(
-    cfg: &ExperimentConfig,
-    systems: &Option<Vec<SystemKind>>,
-    out: &Option<PathBuf>,
-) {
-    let list = systems.clone().unwrap_or_else(|| SystemKind::ALL.to_vec());
-    let r = OverloadResult {
-        curves: overload_curves_for(cfg, &list),
-        probes: overload_probes_for(cfg, &list),
+            Box::new(chaos_for(cfg, systems)),
+        ),
+        "chaos_sweep" => (
+            "Chaos sweep — degradation curves over fault severity + heat map",
+            Box::new(chaos_sweep(cfg, systems, &FaultKind::ALL)),
+        ),
+        "overload" => (
+            "Overload campaign — goodput collapse under tight admission pools + metastable probe",
+            Box::new(overload_for(cfg, systems)),
+        ),
+        "churn" => (
+            "Churn campaign — join/leave/rolling-replacement/join-under-overload per system",
+            Box::new(churn_for(cfg, systems, &ChurnArm::ALL)),
+        ),
+        "scenarios" => (
+            "Scenario library — named timelines with checkpointed assertions",
+            Box::new(scenarios_for(cfg, systems, &cli.names)),
+        ),
+        "bottleneck" => (
+            "Bottleneck attribution — per-stage residence, saturation, and verdicts",
+            Box::new(bottleneck_for(cfg, systems)),
+        ),
+        "contention" => (
+            "Contention sweeps — Smallbank and Zipf-skewed YCSB, losses split by cause",
+            Box::new(contention_for(cfg, systems, &cli.workloads)),
+        ),
+        "grayfail" => (
+            "Gray-failure campaign — stragglers, flaky links, half-open partitions, WAN stretch",
+            Box::new(grayfail_for(cfg, systems)),
+        ),
+        other => unreachable!("{other} is not one of CAMPAIGNS"),
     };
-    emit(
-        "Overload campaign — goodput collapse under tight admission pools + metastable probe",
-        &r,
-        out,
-        "overload",
-    );
-}
-
-fn run_bottleneck_campaign(
-    cfg: &ExperimentConfig,
-    systems: &Option<Vec<SystemKind>>,
-    out: &Option<PathBuf>,
-) {
-    let list = systems.clone().unwrap_or_else(|| SystemKind::ALL.to_vec());
-    let r = bottleneck_for(cfg, &list);
-    emit(
-        "Bottleneck attribution — per-stage residence, saturation, and verdicts",
-        &r,
-        out,
-        "bottleneck",
-    );
-}
-
-fn run_grayfail_campaign(
-    cfg: &ExperimentConfig,
-    systems: &Option<Vec<SystemKind>>,
-    out: &Option<PathBuf>,
-) {
-    let list = systems.clone().unwrap_or_else(|| SystemKind::ALL.to_vec());
-    let r = grayfail_for(cfg, &list);
-    emit(
-        "Gray-failure campaign — stragglers, flaky links, half-open partitions, WAN stretch",
-        &r,
-        out,
-        "grayfail",
-    );
-}
-
-fn run_contention_campaign(
-    cfg: &ExperimentConfig,
-    systems: &Option<Vec<SystemKind>>,
-    workloads: &Option<Vec<&'static str>>,
-    out: &Option<PathBuf>,
-) {
-    let list = systems.clone().unwrap_or_else(|| SystemKind::ALL.to_vec());
-    let wl = workloads.clone().unwrap_or_else(|| WORKLOADS.to_vec());
-    let r = contention_for(cfg, &list, &wl);
-    emit(
-        "Contention sweeps — Smallbank and Zipf-skewed YCSB, losses split by cause",
-        &r,
-        out,
-        "contention",
-    );
-}
-
-fn run_scenario_campaign(
-    cfg: &ExperimentConfig,
-    systems: &Option<Vec<SystemKind>>,
-    names: &Option<Vec<String>>,
-    out: &Option<PathBuf>,
-) {
-    let mut campaign = ScenarioCampaign::full();
-    if let Some(list) = names {
-        let refs: Vec<&str> = list.iter().map(String::as_str).collect();
-        campaign = campaign
-            .with_names(&refs)
-            .unwrap_or_else(|unknown| die(&format!("unknown scenario \"{unknown}\"")));
-    }
-    if let Some(list) = systems {
-        campaign = campaign.with_systems(list);
-    }
-    let r = scenarios_for(cfg, &campaign);
-    emit(
-        "Scenario library — named timelines with checkpointed assertions",
-        &r,
-        out,
-        "scenarios",
-    );
+    emit(heading, report.as_ref(), &cli.out_dir, name);
 }
 
 fn print_table(t: TableResult, out: &Option<PathBuf>, name: &str) {
@@ -482,97 +386,42 @@ fn emit(heading: &str, r: &dyn Report, out: &Option<PathBuf>, name: &str) {
     }
 }
 
-/// Parses a comma-separated, case-insensitive list of system labels
-/// ("fabric,corda os") against [`SystemKind::ALL`]. An unknown name is a
-/// hard error — never silently skipped — with a did-you-mean hint naming
-/// the closest known label plus the full listing.
-fn parse_systems(list: &str) -> Vec<SystemKind> {
+/// Parses the comma-separated, case-insensitive list after the list flag
+/// `args[i]` (`--systems`, `--workloads` or `--name`) against `known`,
+/// matched by `label`. `noun` names one entry in error messages, e.g.
+/// `("system", "label")`. An unknown entry is a hard error — never
+/// silently skipped — with a did-you-mean hint naming the closest known
+/// label plus the full listing.
+fn parse_list<T: Copy>(
+    args: &[String],
+    i: usize,
+    (noun, unit): (&str, &str),
+    known: &[T],
+    label: fn(T) -> &'static str,
+) -> Vec<T> {
+    let flag = &args[i];
+    let list = args
+        .get(i + 1)
+        .unwrap_or_else(|| die(&format!("{flag} needs a comma-separated list")));
+    let labels: Vec<&'static str> = known.iter().map(|&k| label(k)).collect();
     let mut out = Vec::new();
-    for part in list.split(',') {
-        let want = part.trim().to_lowercase();
-        if want.is_empty() {
-            continue;
-        }
-        match SystemKind::ALL
-            .into_iter()
-            .find(|s| s.label().to_lowercase() == want)
-        {
-            Some(s) => out.push(s),
+    for part in list.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+        let want = part.to_lowercase();
+        match labels.iter().position(|l| l.to_lowercase() == want) {
+            Some(at) => out.push(known[at]),
             None => {
-                let labels: Vec<&'static str> =
-                    SystemKind::ALL.into_iter().map(|s| s.label()).collect();
                 let hint = closest(&want, &labels)
                     .map(|l| format!(" — did you mean \"{l}\"?"))
                     .unwrap_or_default();
                 die(&format!(
-                    "unknown system \"{}\" in --systems{hint} (known: {})",
-                    part.trim(),
+                    "unknown {noun} \"{part}\" in {flag}{hint} (known: {})",
                     labels.join(", ")
                 ))
             }
         }
     }
     if out.is_empty() {
-        die("--systems needs at least one system label");
-    }
-    out
-}
-
-/// Parses a comma-separated, case-insensitive list of workload names
-/// ("smallbank,ycsb") against [`WORKLOADS`], with the same
-/// hard-error + did-you-mean contract as [`parse_systems`].
-fn parse_workloads(list: &str) -> Vec<&'static str> {
-    let mut out = Vec::new();
-    for part in list.split(',') {
-        let want = part.trim().to_lowercase();
-        if want.is_empty() {
-            continue;
-        }
-        match WORKLOADS.into_iter().find(|w| w.to_lowercase() == want) {
-            Some(w) => out.push(w),
-            None => {
-                let hint = closest(&want, &WORKLOADS)
-                    .map(|l| format!(" — did you mean \"{l}\"?"))
-                    .unwrap_or_default();
-                die(&format!(
-                    "unknown workload \"{}\" in --workloads{hint} (known: {})",
-                    part.trim(),
-                    WORKLOADS.join(", ")
-                ))
-            }
-        }
-    }
-    if out.is_empty() {
-        die("--workloads needs at least one workload name");
-    }
-    out
-}
-
-/// Parses a comma-separated list of scenario names against the library,
-/// with the same hard-error + did-you-mean contract as [`parse_systems`].
-fn parse_names(list: &str) -> Vec<String> {
-    let known = scenario_names();
-    let mut out = Vec::new();
-    for part in list.split(',') {
-        let want = part.trim().to_lowercase();
-        if want.is_empty() {
-            continue;
-        }
-        if known.contains(&want.as_str()) {
-            out.push(want);
-        } else {
-            let hint = closest(&want, &known)
-                .map(|l| format!(" — did you mean \"{l}\"?"))
-                .unwrap_or_default();
-            die(&format!(
-                "unknown scenario \"{}\" in --name{hint} (known: {})",
-                part.trim(),
-                known.join(", ")
-            ))
-        }
-    }
-    if out.is_empty() {
-        die("--name needs at least one scenario name");
+        die(&format!("{flag} needs at least one {noun} {unit}"));
     }
     out
 }

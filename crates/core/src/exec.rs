@@ -10,14 +10,9 @@
 //!    filtering, or parallelizing the grid cannot change any cell's random
 //!    stream. [`cell_seed`] / [`unit_seed`] hash a whole spec (system,
 //!    benchmark, setup, rate, windows, …) through
-//!    [`SeedDeriver::seed_parts`]. The campaigns call `seed_parts` directly
-//!    on their cell coordinates: `["chaos-sweep", kind, system, severity]`,
-//!    `["scenario", name, system]`, `["bottleneck", system]`,
-//!    `["contention", system, workload, level]` and `["grayfail", system,
-//!    kind, severity]`. That is what lets `--systems`, `--workloads`,
-//!    `--name` and `--jobs` reproduce exactly the cells of the full
-//!    campaign. The part strings are seed components: never reorder or
-//!    rename them.
+//!    [`SeedDeriver::seed_parts`]; the campaigns hash their cell
+//!    coordinates (see [`crate::experiments::harness`], which lists each
+//!    campaign's seed parts).
 //! 2. **Ordered collection** — [`run_grid`] returns results in input
 //!    order regardless of which worker finished first, so serialized
 //!    output (JSON, CSV, rendered tables) is byte-identical for any

@@ -32,19 +32,19 @@
 //! ordering (the block-period stall, §5.5).
 //!
 //! Every cell's seed is content-addressed by `["bottleneck", system]`
-//! (see [`crate::exec`]), so `--systems` filters and any
-//! `--jobs` worker count render byte-identical reports.
+//! (see [`super::harness`]), so `--systems` filters and any `--jobs`
+//! worker count render byte-identical reports.
 
-use super::overload::{payload, reference_rate, tight_limits};
+use super::harness::{canonical, run_cells, steady_payload, Cell, Span};
+use super::overload::{reference_rate, tight_limits};
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
-use crate::client::Windows;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
 use crate::scenario::{ScenarioBuilder, Timeline};
 use coconut_chains::{Stage, StageReport, SystemStats};
-use coconut_types::{SeedDeriver, SimDuration, SimTime};
+use coconut_types::SimTime;
 
 /// Offered load at the end of the ramp, relative to the cell's base rate
 /// (¼ of the system's reference rate): 8× the reference rate, past every
@@ -168,33 +168,22 @@ impl BottleneckResult {
     }
 }
 
-/// Virtual-time anchors: the overload campaign's shortened windows (at
-/// least 10 s of sending, listen = send + 8 s), with the ramp opening at
-/// [`ramp_start`] so every system has a sub-saturation baseline first.
-fn windows(cfg: &ExperimentConfig) -> Windows {
-    let send_secs = ((100.0 * cfg.scale).round() as u64).max(10);
-    Windows {
-        send: SimDuration::from_secs(send_secs),
-        listen: SimDuration::from_secs(send_secs + 8),
-    }
-}
-
-/// When the ramp starts (the first 2 s are pure base load).
-fn ramp_start() -> SimTime {
-    SimTime::from_secs(2)
-}
-
-/// One cell as a scenario: base load at ¼ reference, a linear ramp to
-/// [`PEAK_MULTIPLIER`]× base over the rest of the send window, tight
-/// admission pools, probes armed.
-fn cell_scenario(kind: SystemKind, windows: Windows) -> Timeline {
-    let send_end = SimTime::ZERO + windows.send;
-    ScenarioBuilder::new(payload(kind), reference_rate(kind) * 0.25, windows)
-        .setup(SystemSetup::default().with_admission(tight_limits(kind)))
-        .probes(true)
-        .at(ramp_start())
-        .ramp_load(PEAK_MULTIPLIER, send_end)
-        .build()
+/// One cell as a scenario over the load campaigns' [`Span`]: base load at
+/// ¼ reference, then — after 2 s of pure base load, so every system has a
+/// sub-saturation baseline first — a linear ramp to [`PEAK_MULTIPLIER`]×
+/// base over the rest of the send window, tight admission pools, probes
+/// armed.
+fn cell_scenario(kind: SystemKind, span: Span) -> Timeline {
+    ScenarioBuilder::new(
+        steady_payload(kind),
+        reference_rate(kind) * 0.25,
+        span.windows,
+    )
+    .setup(SystemSetup::default().with_admission(tight_limits(kind)))
+    .probes(true)
+    .at(SimTime::from_secs(2))
+    .ramp_load(PEAK_MULTIPLIER, span.send_end())
+    .build()
 }
 
 /// The saturation knee of a finished run: the bucket where goodput peaked
@@ -217,20 +206,29 @@ pub fn bottleneck(cfg: &ExperimentConfig) -> BottleneckResult {
     bottleneck_for(cfg, &SystemKind::ALL)
 }
 
-/// Runs the campaign over `systems` only. Cell seeds are content-addressed
-/// by system, so a subset's cells are byte-identical to the same cells of
-/// the full campaign, for any worker count.
+/// Runs the campaign over `systems` only (canonicalized to
+/// [`SystemKind::ALL`] order). Cell seeds are content-addressed by system,
+/// so a subset's cells are byte-identical to the same cells of the full
+/// campaign, for any worker count.
 pub fn bottleneck_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> BottleneckResult {
-    let windows = windows(cfg);
-    let items: Vec<SystemKind> = systems.to_vec();
-    let cells = crate::exec::run_grid(&items, cfg.jobs, |_, &system| {
-        let seed = SeedDeriver::new(cfg.seed).seed_parts(&["bottleneck", system.label()]);
-        let base_rate = reference_rate(system) * 0.25;
-        let sr = cell_scenario(system, windows).run(system, seed);
+    let span = Span::load(cfg);
+    let cells: Vec<Cell<()>> = canonical(&SystemKind::ALL, systems)
+        .into_iter()
+        .map(|system| {
+            Cell::new(
+                &["bottleneck", system.label()],
+                system,
+                cell_scenario(system, span),
+                (),
+            )
+        })
+        .collect();
+    let cells = run_cells(cfg, &cells, |c, sr| {
+        let base_rate = c.timeline.rate();
         let report = sr.stage_report.expect("bottleneck cells always arm probes");
         let (knee_mtps, knee_at) = knee(&sr.run);
         BottleneckCell {
-            system,
+            system: c.system,
             base_rate,
             offered_peak: base_rate * PEAK_MULTIPLIER,
             knee_mtps,
@@ -385,6 +383,7 @@ impl Report for BottleneckResult {
 mod tests {
     use super::*;
     use coconut_chains::StageProbe;
+    use coconut_types::SimDuration;
 
     /// A report hand-built from raw spans: `spans[i]` = (stage, enter µs,
     /// exit µs), plus optional utilization samples and sheds.

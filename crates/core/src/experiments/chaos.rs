@@ -8,8 +8,8 @@
 //!   halt commits, a 5 % loss burst against the retry client (Fabric,
 //!   Quorum), and a Byzantine window at ≤ f and f + 1 flagged validators
 //!   (the BFT systems).
-//! * **The fault sweep** ([`chaos_sweep`]): a [`FaultCampaign`] — system ×
-//!   [`FaultKind`] × severity step — expanded into independent cells on the
+//! * **The fault sweep** ([`chaos_sweep`]): systems × [`FaultKind`] ×
+//!   severity step ([`severities`]), expanded into independent cells on the
 //!   grid executor, producing per-system **degradation curves** (MTPS
 //!   before/during/after, delivery ratio, and recovery time as functions
 //!   of crashed-node count f = 0..=beyond-f, loss rate, or flagged-
@@ -17,20 +17,20 @@
 //!   and delivery ratio per system × fault kind.
 //!
 //! Every cell's seed is content-addressed — classic arms by
-//! `(arm, system)`, sweep cells by `["chaos-sweep", kind, system,
-//! severity]` (see [`crate::exec`]) — never by grid position, so filtering a campaign to
-//! a subset of systems or kinds cannot change any remaining cell's
+//! `(arm, system)`, sweep cells by `(kind, system, severity)` (see
+//! [`super::harness`]) — never by grid position, so filtering a campaign
+//! to a subset of systems or kinds cannot change any remaining cell's
 //! numbers. Every number is a pure function of the root seed: the same
 //! [`ExperimentConfig`] renders byte-identical reports.
 
+use super::harness::{canonical, run_cells, steady_payload, steady_rate, Cell, Span};
 use super::ExperimentConfig;
 use crate::chaos::{ChaosRun, RetryPolicy};
-use crate::client::Windows;
 use crate::json::Json;
 use crate::params::SystemKind;
 use crate::report::{self, Report};
-use crate::scenario::ScenarioBuilder;
-use coconut_types::{NodeId, PayloadKind, SeedDeriver, SimDuration, SimTime};
+use crate::scenario::{ScenarioBuilder, Timeline};
+use coconut_types::{NodeId, SimDuration};
 
 /// The crashable consensus role of one system's baseline deployment: which
 /// nodes the crash arms take away, and how many of them the protocol
@@ -154,86 +154,32 @@ impl std::fmt::Display for FaultKind {
 /// The loss-rate severity axis, in percent drop probability.
 const LOSS_STEPS: [u32; 4] = [0, 1, 5, 10];
 
-/// A parameterized fault-sweep campaign: which systems × fault kinds to
-/// walk. [`FaultCampaign::full`] covers all seven systems and all three
-/// kinds; the builder methods filter. Each (system, kind) pair expands
-/// into one cell per severity step the protocol admits
-/// ([`FaultCampaign::severities`]); filtering never changes a remaining
-/// cell's numbers because each cell's seed is content-addressed by
-/// `(kind, system, severity)`.
-#[derive(Debug, Clone)]
-pub struct FaultCampaign {
-    systems: Vec<SystemKind>,
-    kinds: Vec<FaultKind>,
+/// The severity steps `system` admits for `kind` — the degradation
+/// curve's x-axis. Empty when the axis does not apply (Byzantine counts on
+/// a CFT system). Crash walks f = 0..=beyond-f; loss walks `LOSS_STEPS`
+/// percent; Byzantine walks 0..=f+1 flagged validators.
+pub fn severities(system: SystemKind, kind: FaultKind) -> Vec<u32> {
+    match kind {
+        FaultKind::Crash => (0..=fault_domain(system).beyond_f).collect(),
+        FaultKind::Loss => LOSS_STEPS.to_vec(),
+        FaultKind::Byzantine => {
+            byzantine_domain(system).map_or_else(Vec::new, |d| (0..=d.beyond_f()).collect())
+        }
+    }
 }
 
-impl FaultCampaign {
-    /// All seven systems × all three fault kinds.
-    pub fn full() -> Self {
-        FaultCampaign {
-            systems: SystemKind::ALL.to_vec(),
-            kinds: FaultKind::ALL.to_vec(),
-        }
-    }
-
-    /// Restricts the campaign to `systems`. The report always walks
-    /// systems in [`SystemKind::ALL`] order, whatever order the filter
-    /// lists them in, so output stays canonical.
-    pub fn with_systems(mut self, systems: &[SystemKind]) -> Self {
-        self.systems = SystemKind::ALL
-            .into_iter()
-            .filter(|s| systems.contains(s))
-            .collect();
-        self
-    }
-
-    /// Restricts the campaign to `kinds` (canonicalized to
-    /// [`FaultKind::ALL`] order, like [`FaultCampaign::with_systems`]).
-    pub fn with_kinds(mut self, kinds: &[FaultKind]) -> Self {
-        self.kinds = FaultKind::ALL
-            .into_iter()
-            .filter(|k| kinds.contains(k))
-            .collect();
-        self
-    }
-
-    /// The systems this campaign sweeps, in canonical order.
-    pub fn systems(&self) -> &[SystemKind] {
-        &self.systems
-    }
-
-    /// The fault kinds this campaign sweeps, in canonical order.
-    pub fn kinds(&self) -> &[FaultKind] {
-        &self.kinds
-    }
-
-    /// The severity steps `system` admits for `kind` — the degradation
-    /// curve's x-axis. Empty when the axis does not apply (Byzantine
-    /// counts on a CFT system). Crash walks f = 0..=beyond-f; loss walks
-    /// `LOSS_STEPS` percent; Byzantine walks 0..=f+1 flagged validators.
-    pub fn severities(system: SystemKind, kind: FaultKind) -> Vec<u32> {
-        match kind {
-            FaultKind::Crash => (0..=fault_domain(system).beyond_f).collect(),
-            FaultKind::Loss => LOSS_STEPS.to_vec(),
-            FaultKind::Byzantine => {
-                byzantine_domain(system).map_or_else(Vec::new, |d| (0..=d.beyond_f()).collect())
+/// The `(system, kind, severity)` cells of a sweep over `systems` ×
+/// `kinds` (both in canonical order), in report order.
+fn sweep_cells(systems: &[SystemKind], kinds: &[FaultKind]) -> Vec<(SystemKind, FaultKind, u32)> {
+    let mut out = Vec::new();
+    for &system in systems {
+        for &kind in kinds {
+            for severity in severities(system, kind) {
+                out.push((system, kind, severity));
             }
         }
     }
-
-    /// Expands the campaign into `(system, kind, severity)` cell
-    /// coordinates, in canonical report order.
-    pub fn cells(&self) -> Vec<(SystemKind, FaultKind, u32)> {
-        let mut out = Vec::new();
-        for &system in &self.systems {
-            for &kind in &self.kinds {
-                for severity in FaultCampaign::severities(system, kind) {
-                    out.push((system, kind, severity));
-                }
-            }
-        }
-        out
-    }
+    out
 }
 
 /// One system × one fault arm of the classic campaign.
@@ -336,195 +282,105 @@ pub struct ChaosResult {
     pub byzantine: Vec<ChaosCell>,
 }
 
-/// Virtual-time anchors of the campaign, derived from the config's scale.
-#[derive(Debug, Clone, Copy)]
-struct Anchors {
-    windows: Windows,
-    crash_at: SimTime,
-    heal_at: SimTime,
+/// The campaign's base scenario for one system: the steady workload, rate
+/// and windows, before any fault timeline is attached.
+fn scenario(kind: SystemKind, span: Span) -> ScenarioBuilder {
+    ScenarioBuilder::new(steady_payload(kind), steady_rate(kind), span.windows)
 }
 
-fn anchors(cfg: &ExperimentConfig) -> Anchors {
-    // At least 20 virtual seconds of sending so every phase (pre / fault /
-    // post) spans several 1 s buckets, plus a 10 s listen margin so the
-    // send-window tail and time-outed retries can still confirm.
-    let send_secs = ((300.0 * cfg.scale).round() as u64).max(20);
-    let windows = Windows {
-        send: SimDuration::from_secs(send_secs),
-        listen: SimDuration::from_secs(send_secs + 10),
-    };
-    Anchors {
-        windows,
-        crash_at: SimTime::from_secs(send_secs / 4),
-        heal_at: SimTime::from_secs(send_secs / 2),
-    }
-}
-
-/// The campaign's base scenario for one system: workload, rate, and
-/// windows, before any fault timeline is attached.
-fn scenario(kind: SystemKind, anchors: Anchors) -> ScenarioBuilder {
-    // A write workload for Corda (DoNothing has no states and is answered
-    // locally, so it would bypass the notary under test); DoNothing for
-    // the block-based systems.
-    let payload = match kind {
-        SystemKind::CordaOs | SystemKind::CordaEnterprise => PayloadKind::KeyValueSet,
-        _ => PayloadKind::DoNothing,
-    };
-    // Well below saturation, so throughput changes are attributable to the
-    // fault — below Corda OS's ~5 tx/s KeyValue-Set ceiling (Table 7; the
-    // flow pipeline resolves at submit time, so a saturated backlog would
-    // smear commits far past a crash), and below the rate where a 4 s IBFT
-    // round change would push Quorum's pending pool over its §5.5 stall
-    // threshold, which would conflate the modelled liveness anomaly with
-    // crash tolerance.
-    let rate = match kind {
-        SystemKind::CordaOs | SystemKind::CordaEnterprise => 4.0,
-        _ => 50.0,
-    };
-    ScenarioBuilder::new(payload, rate, anchors.windows)
-}
-
-/// The measured metrics of one cell, classic or sweep.
-struct Measured {
-    rate: f64,
-    pre_mtps: f64,
-    fault_mtps: f64,
-    post_mtps: f64,
-    recovery_secs: Option<f64>,
-    run: ChaosRun,
-}
-
-/// Runs one cell's compiled scenario timeline against a fresh deployment
-/// of `kind` and windows the run into pre/fault/post MTPS plus the
-/// recovery time (computed only for `healed` cells — halt arms are not
-/// heal-and-recover experiments).
-fn measure(
-    kind: SystemKind,
-    tl: Anchors,
-    timeline: &crate::scenario::Timeline,
-    healed: bool,
-    seed: u64,
-) -> Measured {
-    let run = timeline.run(kind, seed).run;
-    let listen_end = SimTime::ZERO + tl.windows.listen;
-    let pre_mtps = run.window_mtps(SimTime::ZERO, tl.crash_at);
-    let fault_mtps = run.window_mtps(tl.crash_at, tl.heal_at);
-    let post_mtps = run.window_mtps(tl.heal_at, listen_end);
-    let recovery_secs = if healed {
-        run.recovery_secs(tl.crash_at, tl.heal_at, 0.7)
-    } else {
-        None
-    };
-    Measured {
-        rate: timeline.rate(),
-        pre_mtps,
-        fault_mtps,
-        post_mtps,
-        recovery_secs,
-        run,
-    }
+/// Nodes `0..n`: the crashed or flagged nodes of a cell.
+fn first_nodes(n: u32) -> Vec<NodeId> {
+    (0..n).map(NodeId).collect()
 }
 
 /// The fault description and scenario of one sweep cell. All kinds share
-/// the `[crash_at, heal_at)` fault window so the during-fault measurement
-/// window lines up across axes; severity 0 always maps to an event-free
-/// timeline (the curve's fault-free baseline).
+/// the `[q1, mid)` fault window so the during-fault measurement window
+/// lines up across axes; severity 0 always maps to an event-free timeline
+/// (the curve's fault-free baseline).
 fn sweep_scenario(
     system: SystemKind,
     kind: FaultKind,
     severity: u32,
-    tl: Anchors,
-) -> (String, crate::scenario::Timeline) {
-    let base = scenario(system, tl);
+    span: Span,
+) -> (String, Timeline) {
+    let base = scenario(system, span);
+    let nodes = first_nodes(severity);
     match kind {
-        FaultKind::Crash => {
-            let d = fault_domain(system);
-            let nodes: Vec<NodeId> = (0..severity).map(NodeId).collect();
-            (
-                d.describe(severity),
-                base.at(tl.crash_at).crash_until(&nodes, tl.heal_at).build(),
-            )
-        }
+        FaultKind::Crash => (
+            fault_domain(system).describe(severity),
+            base.at(span.q1()).crash_until(&nodes, span.mid()).build(),
+        ),
         FaultKind::Loss => {
             let timeline = if severity == 0 {
                 base.build()
             } else {
-                base.at(tl.crash_at)
-                    .loss(f64::from(severity) / 100.0, tl.heal_at)
+                base.at(span.q1())
+                    .loss(f64::from(severity) / 100.0, span.mid())
                     .build()
             };
             (format!("{severity}% loss"), timeline)
         }
         FaultKind::Byzantine => {
             let d = byzantine_domain(system).expect("severities() admits Byzantine only for BFT");
-            let nodes: Vec<NodeId> = (0..severity).map(NodeId).collect();
             let timeline = if severity == 0 {
                 base.build()
             } else {
-                base.at(tl.crash_at).byzantine(&nodes, tl.heal_at).build()
+                base.at(span.q1()).byzantine(&nodes, span.mid()).build()
             };
             (d.describe(severity), timeline)
         }
     }
 }
 
-/// Runs a fault-sweep campaign: every (system, kind, severity) cell of
-/// `campaign` on the grid executor (`cfg.jobs` workers), grouped into
-/// per-system [`DegradationCurve`]s. All cells use the retry/backoff
-/// client and the shared fault window, so curves are comparable across
-/// axes; each cell's seed is content-addressed by `(kind, system,
-/// severity)`, so any filtering or worker count reproduces the same cell bytes.
-pub fn chaos_sweep(cfg: &ExperimentConfig, campaign: &FaultCampaign) -> SweepResult {
-    let tl = anchors(cfg);
-
-    struct SpecCell {
-        system: SystemKind,
-        kind: FaultKind,
-        severity: u32,
-        faults: String,
-        timeline: crate::scenario::Timeline,
-        seed: u64,
-    }
-    let specs: Vec<SpecCell> = campaign
-        .cells()
+/// Runs the fault sweep over `systems` × `kinds` (canonicalized to
+/// [`SystemKind::ALL`] × [`FaultKind::ALL`] order): every admitted
+/// `(system, kind, severity)` cell on the grid executor (`cfg.jobs`
+/// workers), grouped into per-system [`DegradationCurve`]s. All cells use
+/// the retry/backoff client and the shared fault window, so curves are
+/// comparable across axes; each cell's seed is content-addressed by
+/// `(kind, system, severity)`, so any filtering or worker count reproduces
+/// the same cell bytes.
+pub fn chaos_sweep(
+    cfg: &ExperimentConfig,
+    systems: &[SystemKind],
+    kinds: &[FaultKind],
+) -> SweepResult {
+    let span = Span::fault(cfg);
+    let systems = canonical(&SystemKind::ALL, systems);
+    let kinds = canonical(&FaultKind::ALL, kinds);
+    let cells: Vec<Cell<(FaultKind, u32, String)>> = sweep_cells(&systems, &kinds)
         .into_iter()
         .map(|(system, kind, severity)| {
-            let (faults, timeline) = sweep_scenario(system, kind, severity, tl);
-            SpecCell {
-                system,
-                kind,
-                severity,
-                faults,
-                timeline,
-                seed: SeedDeriver::new(cfg.seed).seed_parts(&[
-                    "chaos-sweep",
-                    kind.label(),
-                    system.label(),
-                    severity.to_string().as_str(),
-                ]),
-            }
+            let (faults, timeline) = sweep_scenario(system, kind, severity, span);
+            let parts = [
+                "chaos-sweep",
+                kind.label(),
+                system.label(),
+                &severity.to_string(),
+            ];
+            Cell::new(&parts, system, timeline, (kind, severity, faults))
         })
         .collect();
 
-    let cells = crate::exec::run_grid(&specs, cfg.jobs, |_, s| {
-        let m = measure(s.system, tl, &s.timeline, true, s.seed);
+    let cells = run_cells(cfg, &cells, |c, sr| {
+        let (kind, severity, faults) = &c.spec;
+        let p = sr.run.phases(span.q1(), span.mid(), span.listen_end());
         SweepCell {
-            system: s.system,
-            kind: s.kind,
-            severity: s.severity,
-            faults: s.faults.clone(),
-            rate: m.rate,
-            pre_mtps: m.pre_mtps,
-            fault_mtps: m.fault_mtps,
-            post_mtps: m.post_mtps,
-            recovery_secs: m.recovery_secs,
-            run: m.run,
+            system: c.system,
+            kind: *kind,
+            severity: *severity,
+            faults: faults.clone(),
+            rate: c.timeline.rate(),
+            pre_mtps: p.pre_mtps,
+            fault_mtps: p.during_mtps,
+            post_mtps: p.post_mtps,
+            recovery_secs: p.recovery_secs,
+            run: sr.run,
         }
     });
 
-    // Group the flat cell list back into (system, kind) curves; run_grid
-    // returns results in input order, which is exactly the nested
-    // campaign.cells() order.
+    // Group the flat cell list back into (system, kind) curves; run_cells
+    // returns results in input order, which is exactly sweep_cells order.
     let mut curves: Vec<DegradationCurve> = Vec::new();
     for cell in cells {
         match curves.last_mut() {
@@ -537,118 +393,118 @@ pub fn chaos_sweep(cfg: &ExperimentConfig, campaign: &FaultCampaign) -> SweepRes
         }
     }
     SweepResult {
-        systems: campaign.systems.clone(),
-        kinds: campaign.kinds.clone(),
+        systems,
+        kinds,
         curves,
     }
 }
 
-/// Runs the full classic campaign: the f-tolerant crash/heal arm and the
-/// beyond-f halt arm for all seven systems, the loss-burst arm for Fabric
-/// and Quorum, and the Byzantine-window arm (≤ f and f + 1 flagged
+/// Runs the full classic campaign over all seven systems.
+pub fn chaos(cfg: &ExperimentConfig) -> ChaosResult {
+    chaos_for(cfg, &SystemKind::ALL)
+}
+
+/// Runs the classic campaign over `systems` (canonicalized to
+/// [`SystemKind::ALL`] order): the f-tolerant crash/heal arm and the
+/// beyond-f halt arm for every system, the loss-burst arm for Fabric and
+/// Quorum, and the Byzantine-window arm (≤ f and f + 1 flagged
 /// validators) for the BFT systems. All cells are independent and run on
 /// the grid executor (`cfg.jobs` workers); each cell's seed is derived
 /// from its arm and system — never from loop order — so any worker count
-/// produces byte-identical reports.
-pub fn chaos(cfg: &ExperimentConfig) -> ChaosResult {
-    let tl = anchors(cfg);
-    let seeds = SeedDeriver::new(cfg.seed);
-
-    struct Arm {
-        kind: SystemKind,
-        arm: &'static str,
-        faults: String,
-        timeline: crate::scenario::Timeline,
-        healed: bool,
-        seed: u64,
-    }
-    let mut arms: Vec<Arm> = Vec::new();
-    for kind in SystemKind::ALL {
+/// or subset of systems reproduces the same cell bytes.
+pub fn chaos_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> ChaosResult {
+    let span = Span::fault(cfg);
+    let systems = canonical(&SystemKind::ALL, systems);
+    // (arm, faults, healed): halt and Byzantine arms are not
+    // heal-and-recover experiments, so they report no recovery time.
+    let mut cells: Vec<Cell<(&'static str, String, bool)>> = Vec::new();
+    for &kind in &systems {
         let d = fault_domain(kind);
-        let nodes: Vec<NodeId> = (0..d.f_tolerant).map(NodeId).collect();
-        arms.push(Arm {
+        let timeline = scenario(kind, span)
+            .at(span.q1())
+            .crash_until(&first_nodes(d.f_tolerant), span.mid())
+            .build();
+        let spec = ("crash-f", d.describe(d.f_tolerant), true);
+        cells.push(Cell::new(
+            &["chaos-tolerant", kind.label()],
             kind,
-            arm: "crash-f",
-            faults: d.describe(d.f_tolerant),
-            timeline: scenario(kind, tl)
-                .at(tl.crash_at)
-                .crash_until(&nodes, tl.heal_at)
-                .build(),
-            healed: true,
-            seed: seeds.seed_parts(&["chaos-tolerant", kind.label()]),
-        });
+            timeline,
+            spec,
+        ));
     }
-    for kind in SystemKind::ALL {
+    for &kind in &systems {
         let d = fault_domain(kind);
-        let nodes: Vec<NodeId> = (0..d.beyond_f).map(NodeId).collect();
-        arms.push(Arm {
+        // No retries: a retry storm against a halted system only
+        // reclassifies losses; the halt must show in raw commits.
+        let timeline = scenario(kind, span)
+            .policy(RetryPolicy::disabled())
+            .at(span.q1())
+            .crash(&first_nodes(d.beyond_f))
+            .build();
+        let spec = ("crash-beyond-f", d.describe(d.beyond_f), false);
+        cells.push(Cell::new(
+            &["chaos-halt", kind.label()],
             kind,
-            arm: "crash-beyond-f",
-            faults: d.describe(d.beyond_f),
-            // No retries: a retry storm against a halted system only
-            // reclassifies losses; the halt must show in raw commits.
-            timeline: scenario(kind, tl)
-                .policy(RetryPolicy::disabled())
-                .at(tl.crash_at)
-                .crash(&nodes)
-                .build(),
-            healed: false,
-            seed: seeds.seed_parts(&["chaos-halt", kind.label()]),
-        });
+            timeline,
+            spec,
+        ));
     }
-    for kind in [SystemKind::Fabric, SystemKind::Quorum] {
-        let window = SimDuration::from_secs_f64(tl.windows.send.as_secs_f64() / 5.0);
-        arms.push(Arm {
+    for &kind in systems
+        .iter()
+        .filter(|k| matches!(k, SystemKind::Fabric | SystemKind::Quorum))
+    {
+        let window = SimDuration::from_secs_f64(span.windows.send.as_secs_f64() / 5.0);
+        let timeline = scenario(kind, span)
+            .at(span.q1())
+            .loss_burst(0.05, window)
+            .build();
+        let spec = ("loss-burst", "5% loss".to_string(), true);
+        cells.push(Cell::new(
+            &["chaos-burst", kind.label()],
             kind,
-            arm: "loss-burst",
-            faults: "5% loss".to_string(),
-            timeline: scenario(kind, tl)
-                .at(tl.crash_at)
-                .loss_burst(0.05, window)
-                .build(),
-            healed: true,
-            seed: seeds.seed_parts(&["chaos-burst", kind.label()]),
-        });
+            timeline,
+            spec,
+        ));
     }
-    for kind in SystemKind::ALL {
+    for &kind in &systems {
         let Some(d) = byzantine_domain(kind) else {
             continue;
         };
         for (arm, count) in [("byz-f", d.f_tolerant), ("byz-beyond-f", d.beyond_f())] {
-            let nodes: Vec<NodeId> = (0..count).map(NodeId).collect();
-            arms.push(Arm {
+            let timeline = scenario(kind, span)
+                .at(span.q1())
+                .byzantine(&first_nodes(count), span.mid())
+                .build();
+            let spec = (arm, d.describe(count), false);
+            cells.push(Cell::new(
+                &["chaos-byz", arm, kind.label()],
                 kind,
-                arm,
-                faults: d.describe(count),
-                timeline: scenario(kind, tl)
-                    .at(tl.crash_at)
-                    .byzantine(&nodes, tl.heal_at)
-                    .build(),
-                healed: false,
-                seed: seeds.seed_parts(&["chaos-byz", arm, kind.label()]),
-            });
+                timeline,
+                spec,
+            ));
         }
     }
 
-    let mut cells = crate::exec::run_grid(&arms, cfg.jobs, |_, a| {
-        let m = measure(a.kind, tl, &a.timeline, a.healed, a.seed);
+    let cells = run_cells(cfg, &cells, |c, sr| {
+        let (arm, faults, healed) = &c.spec;
+        let p = sr.run.phases(span.q1(), span.mid(), span.listen_end());
         ChaosCell {
-            system: a.kind,
-            arm: a.arm,
-            faults: a.faults.clone(),
-            rate: m.rate,
-            pre_mtps: m.pre_mtps,
-            fault_mtps: m.fault_mtps,
-            post_mtps: m.post_mtps,
-            recovery_secs: m.recovery_secs,
-            run: m.run,
+            system: c.system,
+            arm,
+            faults: faults.clone(),
+            rate: c.timeline.rate(),
+            pre_mtps: p.pre_mtps,
+            fault_mtps: p.during_mtps,
+            post_mtps: p.post_mtps,
+            recovery_secs: p.recovery_secs.filter(|_| *healed),
+            run: sr.run,
         }
     });
-    let mut bursts = cells.split_off(2 * SystemKind::ALL.len());
-    let byzantine = bursts.split_off(2);
-    let halt = cells.split_off(SystemKind::ALL.len());
+    let (tolerant, rest): (Vec<_>, Vec<_>) = cells.into_iter().partition(|c| c.arm == "crash-f");
+    let (halt, rest): (Vec<_>, Vec<_>) = rest.into_iter().partition(|c| c.arm == "crash-beyond-f");
+    let (bursts, byzantine) = rest.into_iter().partition(|c| c.arm == "loss-burst");
     ChaosResult {
-        tolerant: cells,
+        tolerant,
         halt,
         bursts,
         byzantine,
@@ -1003,6 +859,7 @@ impl Report for SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coconut_types::SimTime;
 
     fn quick() -> ExperimentConfig {
         ExperimentConfig {
@@ -1028,37 +885,37 @@ mod tests {
 
     #[test]
     fn campaign_expands_admitted_severities_only() {
-        let full = FaultCampaign::full();
-        assert_eq!(full.systems().len(), 7);
-        assert_eq!(full.kinds().len(), 3);
+        let full = sweep_cells(&SystemKind::ALL, &FaultKind::ALL);
+        assert!(SystemKind::ALL
+            .iter()
+            .all(|s| full.iter().any(|c| c.0 == *s)));
+        assert!(FaultKind::ALL
+            .iter()
+            .all(|k| full.iter().any(|c| c.1 == *k)));
         // Crash curves span 0..=beyond-f for every system.
         for kind in SystemKind::ALL {
-            let sev = FaultCampaign::severities(kind, FaultKind::Crash);
+            let sev = severities(kind, FaultKind::Crash);
             assert_eq!(sev.first(), Some(&0), "{kind} starts fault-free");
             assert_eq!(sev.last(), Some(&fault_domain(kind).beyond_f));
         }
         // Byzantine axes exist only where a vote quorum exists.
-        assert!(FaultCampaign::severities(SystemKind::Fabric, FaultKind::Byzantine).is_empty());
+        assert!(severities(SystemKind::Fabric, FaultKind::Byzantine).is_empty());
         assert_eq!(
-            FaultCampaign::severities(SystemKind::Diem, FaultKind::Byzantine),
+            severities(SystemKind::Diem, FaultKind::Byzantine),
             vec![0, 1, 2]
         );
         // Filtering canonicalizes order and drops the rest.
-        let f = FaultCampaign::full()
-            .with_systems(&[SystemKind::Quorum, SystemKind::Fabric])
-            .with_kinds(&[FaultKind::Byzantine, FaultKind::Crash]);
-        assert_eq!(f.systems(), &[SystemKind::Fabric, SystemKind::Quorum]);
-        assert_eq!(f.kinds(), &[FaultKind::Crash, FaultKind::Byzantine]);
+        let systems = canonical(&SystemKind::ALL, &[SystemKind::Quorum, SystemKind::Fabric]);
+        let kinds = canonical(&FaultKind::ALL, &[FaultKind::Byzantine, FaultKind::Crash]);
+        assert_eq!(systems, [SystemKind::Fabric, SystemKind::Quorum]);
+        assert_eq!(kinds, [FaultKind::Crash, FaultKind::Byzantine]);
         // Fabric: crash 0..=2 (no byz axis); Quorum: crash 0..=2 + byz 0..=2.
-        assert_eq!(f.cells().len(), 3 + 3 + 3);
+        assert_eq!(sweep_cells(&systems, &kinds).len(), 3 + 3 + 3);
     }
 
     #[test]
     fn crash_sweep_degrades_and_recovers() {
-        let campaign = FaultCampaign::full()
-            .with_systems(&[SystemKind::Fabric])
-            .with_kinds(&[FaultKind::Crash]);
-        let r = chaos_sweep(&quick(), &campaign);
+        let r = chaos_sweep(&quick(), &[SystemKind::Fabric], &[FaultKind::Crash]);
         assert_eq!(r.curves.len(), 1);
         let curve = r.curve(SystemKind::Fabric, FaultKind::Crash).unwrap();
         let d = fault_domain(SystemKind::Fabric);
@@ -1088,10 +945,7 @@ mod tests {
 
     #[test]
     fn loss_sweep_keeps_delivery_with_retries() {
-        let campaign = FaultCampaign::full()
-            .with_systems(&[SystemKind::Quorum])
-            .with_kinds(&[FaultKind::Loss]);
-        let r = chaos_sweep(&quick(), &campaign);
+        let r = chaos_sweep(&quick(), &[SystemKind::Quorum], &[FaultKind::Loss]);
         let curve = r.curve(SystemKind::Quorum, FaultKind::Loss).unwrap();
         assert_eq!(curve.cells.len(), LOSS_STEPS.len());
         let base = curve.at(0).unwrap();
@@ -1110,10 +964,7 @@ mod tests {
 
     #[test]
     fn byzantine_sweep_breaks_safety_only_beyond_f() {
-        let campaign = FaultCampaign::full()
-            .with_systems(&[SystemKind::Sawtooth])
-            .with_kinds(&[FaultKind::Byzantine]);
-        let r = chaos_sweep(&quick(), &campaign);
+        let r = chaos_sweep(&quick(), &[SystemKind::Sawtooth], &[FaultKind::Byzantine]);
         let curve = r.curve(SystemKind::Sawtooth, FaultKind::Byzantine).unwrap();
         let d = byzantine_domain(SystemKind::Sawtooth).unwrap();
         assert_eq!(curve.cells.len(), (d.beyond_f() + 1) as usize);
@@ -1138,8 +989,7 @@ mod tests {
 
     #[test]
     fn sweep_heatmap_pins_tolerated_severities() {
-        let campaign = FaultCampaign::full().with_systems(&[SystemKind::Fabric]);
-        let r = chaos_sweep(&quick(), &campaign);
+        let r = chaos_sweep(&quick(), &[SystemKind::Fabric], &FaultKind::ALL);
         // Crash pins f-tolerant, loss pins the largest swept rate.
         assert_eq!(
             r.heatmap_cell(SystemKind::Fabric, FaultKind::Crash)
@@ -1165,16 +1015,10 @@ mod tests {
     fn sweep_subset_is_seed_independent() {
         // Filtering the campaign to a subset of systems must not change
         // any remaining cell's numbers: seeds are content-addressed.
-        let crash_only = |systems: &[SystemKind]| {
-            FaultCampaign::full()
-                .with_systems(systems)
-                .with_kinds(&[FaultKind::Crash])
-        };
-        let both = chaos_sweep(
-            &quick(),
-            &crash_only(&[SystemKind::Fabric, SystemKind::Quorum]),
-        );
-        let alone = chaos_sweep(&quick(), &crash_only(&[SystemKind::Quorum]));
+        let crash_only =
+            |systems: &[SystemKind]| chaos_sweep(&quick(), systems, &[FaultKind::Crash]);
+        let both = crash_only(&[SystemKind::Fabric, SystemKind::Quorum]);
+        let alone = crash_only(&[SystemKind::Quorum]);
         let from_both = both.curve(SystemKind::Quorum, FaultKind::Crash).unwrap();
         let from_alone = alone.curve(SystemKind::Quorum, FaultKind::Crash).unwrap();
         assert_eq!(from_both.cells.len(), from_alone.cells.len());
@@ -1223,8 +1067,7 @@ mod tests {
     }
 
     fn quick_crash_secs() -> u64 {
-        let tl = anchors(&quick());
-        tl.crash_at.as_secs_f64() as u64
+        Span::fault(&quick()).q1().as_secs_f64() as u64
     }
 
     #[test]
@@ -1281,6 +1124,26 @@ mod tests {
         }) {
             assert!(c.run.safety.is_none(), "{} is CFT", c.system);
         }
+    }
+
+    #[test]
+    fn classic_subset_cells_match_the_full_campaign() {
+        // The classic arms are seeded by (arm, system): a subset of
+        // systems reproduces exactly those systems' cells of the full run,
+        // in the same order.
+        let picked = [SystemKind::Quorum, SystemKind::CordaOs];
+        let full = chaos(&quick());
+        let subset = chaos_for(&quick(), &picked);
+        let json = |c: &ChaosCell| c.to_json().to_pretty();
+        let expected: Vec<String> = full
+            .cells()
+            .filter(|c| picked.contains(&c.system))
+            .map(json)
+            .collect();
+        let got: Vec<String> = subset.cells().map(json).collect();
+        // Two crash arms each, Quorum's loss burst and its two Byzantine arms.
+        assert_eq!(got.len(), 2 + 2 + 1 + 2);
+        assert_eq!(got, expected);
     }
 
     #[test]

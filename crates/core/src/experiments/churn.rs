@@ -25,15 +25,17 @@
 //! byte-identical reports.
 
 use super::chaos::fault_domain;
+use super::harness::{
+    canonical, run_cells, steady_payload, steady_rate, Cell, Span, RECOVERY_THRESHOLD,
+};
 use super::overload::tight_limits;
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
-use crate::client::Windows;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
-use crate::scenario::ScenarioBuilder;
-use coconut_types::{NodeId, PayloadKind, SeedDeriver, SimDuration, SimTime};
+use crate::scenario::{ScenarioBuilder, Timeline};
+use coconut_types::NodeId;
 
 /// The offered-load multiplier of the join-under-overload arm, relative
 /// to the arm's steady rate.
@@ -91,68 +93,13 @@ impl std::fmt::Display for ChurnArm {
     }
 }
 
-/// A parameterized churn campaign: which systems × arms to run.
-/// [`ChurnCampaign::full`] covers all seven systems and all four arms; the
-/// builders filter. Filtering never changes a remaining cell's numbers
-/// because every cell's seed is content-addressed by
-/// `("churn", system, arm)`.
-#[derive(Debug, Clone)]
-pub struct ChurnCampaign {
-    systems: Vec<SystemKind>,
-    arms: Vec<ChurnArm>,
-}
-
-impl ChurnCampaign {
-    /// All seven systems × all four arms.
-    pub fn full() -> Self {
-        ChurnCampaign {
-            systems: SystemKind::ALL.to_vec(),
-            arms: ChurnArm::ALL.to_vec(),
-        }
-    }
-
-    /// Restricts the campaign to `systems` (canonicalized to
-    /// [`SystemKind::ALL`] order, whatever order the filter lists them in,
-    /// so output stays canonical).
-    pub fn with_systems(mut self, systems: &[SystemKind]) -> Self {
-        self.systems = SystemKind::ALL
-            .into_iter()
-            .filter(|s| systems.contains(s))
-            .collect();
-        self
-    }
-
-    /// Restricts the campaign to `arms` (canonicalized to
-    /// [`ChurnArm::ALL`] order).
-    pub fn with_arms(mut self, arms: &[ChurnArm]) -> Self {
-        self.arms = ChurnArm::ALL
-            .into_iter()
-            .filter(|a| arms.contains(a))
-            .collect();
-        self
-    }
-
-    /// The systems this campaign runs, in canonical order.
-    pub fn systems(&self) -> &[SystemKind] {
-        &self.systems
-    }
-
-    /// The arms this campaign runs, in canonical order.
-    pub fn arms(&self) -> &[ChurnArm] {
-        &self.arms
-    }
-
-    /// Expands the campaign into `(system, arm)` cell coordinates, in
-    /// canonical report order.
-    pub fn cells(&self) -> Vec<(SystemKind, ChurnArm)> {
-        let mut out = Vec::new();
-        for &system in &self.systems {
-            for &arm in &self.arms {
-                out.push((system, arm));
-            }
-        }
-        out
-    }
+/// The `(system, arm)` cells of `systems` × `arms` (both in canonical
+/// order), systems outer, arms inner.
+fn churn_cells(systems: &[SystemKind], arms: &[ChurnArm]) -> Vec<(SystemKind, ChurnArm)> {
+    systems
+        .iter()
+        .flat_map(|&system| arms.iter().map(move |&arm| (system, arm)))
+        .collect()
 }
 
 /// One churn cell: one system through one arm.
@@ -169,19 +116,14 @@ pub struct ChurnCell {
     pub rate: f64,
     /// MTPS before the first membership event.
     pub pre_mtps: f64,
-    /// MTPS over the churn window (first event until the last event).
+    /// MTPS over `[q1, mid)` — from the first membership event to where
+    /// the rolling arm's second event lands — on every arm.
     pub churn_mtps: f64,
     /// MTPS after the last membership event.
     pub post_mtps: f64,
     /// `churn_mtps / pre_mtps` — the throughput dip while membership
     /// changes (1.0 = no dip; 0.0 when there is no pre-churn baseline).
     pub dip_ratio: f64,
-    /// Mean finalization latency over the whole run (s) — churn-induced
-    /// latency shows up here against the fault-free arm of the same
-    /// system.
-    pub mfls: f64,
-    /// 95th-percentile finalization latency (s).
-    pub p95: f64,
     /// Virtual seconds from the last membership event until throughput
     /// sustains ≥ 70 % of the pre-churn mean (`None` — never
     /// re-stabilized).
@@ -197,7 +139,8 @@ pub struct ChurnCell {
     /// reported zero violations — including the cross-epoch invariants.
     /// Vacuously `true` for the CFT systems.
     pub safety_ok: bool,
-    /// The full run this cell summarizes.
+    /// The full run this cell summarizes; its whole-run `mfls` and `p95`
+    /// show churn-induced latency against the same system's other arms.
     pub run: ChaosRun,
 }
 
@@ -209,7 +152,7 @@ pub struct ChurnResult {
     pub systems: Vec<SystemKind>,
     /// The arms the campaign ran, canonical order.
     pub arms: Vec<ChurnArm>,
-    /// The cells, in [`ChurnCampaign::cells`] order.
+    /// The cells, systems outer, arms inner.
     pub cells: Vec<ChurnCell>,
 }
 
@@ -222,62 +165,12 @@ impl ChurnResult {
     }
 }
 
-/// Virtual-time anchors of the campaign, derived from the config's scale.
-#[derive(Debug, Clone, Copy)]
-struct Anchors {
-    windows: Windows,
-    /// The first membership event (join, or the leave of the leave arm).
-    first_at: SimTime,
-    /// The second membership event (the rolling arm's leave). Joiner sync
-    /// takes ~250 ms, so the joiner is long active by this point.
-    second_at: SimTime,
-}
-
-fn anchors(cfg: &ExperimentConfig) -> Anchors {
-    // Same anchors as the chaos campaign: at least 20 virtual seconds of
-    // sending so pre / churn / post each span several 1 s buckets, plus a
-    // 10 s listen margin for the send-window tail and time-outed retries.
-    let send_secs = ((300.0 * cfg.scale).round() as u64).max(20);
-    Anchors {
-        windows: Windows {
-            send: SimDuration::from_secs(send_secs),
-            listen: SimDuration::from_secs(send_secs + 10),
-        },
-        first_at: SimTime::from_secs(send_secs / 4),
-        second_at: SimTime::from_secs(send_secs / 2),
-    }
-}
-
-/// The steady offered load of one system — the chaos campaign's
-/// below-saturation rates, so throughput changes are attributable to the
-/// membership change.
-pub(crate) fn steady_rate(kind: SystemKind) -> f64 {
-    match kind {
-        SystemKind::CordaOs | SystemKind::CordaEnterprise => 4.0,
-        _ => 50.0,
-    }
-}
-
-/// Same payload mapping as the chaos campaign: a write workload for the
-/// Cordas (exercising flows and the notary under test), DoNothing
-/// elsewhere.
-pub(crate) fn payload(kind: SystemKind) -> PayloadKind {
-    match kind {
-        SystemKind::CordaOs | SystemKind::CordaEnterprise => PayloadKind::KeyValueSet,
-        _ => PayloadKind::DoNothing,
-    }
-}
-
 /// The scenario and description of one cell. The joiner is the first
 /// provisioned standby (`NodeId(total)`); the leaver is the
 /// highest-numbered original member (`NodeId(total − 1)`) — never node 0,
 /// so the initial leader/primary keeps the chain moving while the
 /// membership changes around it.
-fn churn_scenario(
-    system: SystemKind,
-    arm: ChurnArm,
-    tl: Anchors,
-) -> (String, crate::scenario::Timeline) {
+fn churn_scenario(system: SystemKind, arm: ChurnArm, span: Span) -> (String, Timeline) {
     let d = fault_domain(system);
     let joiner = NodeId(d.total);
     let leaver = NodeId(d.total - 1);
@@ -289,21 +182,21 @@ fn churn_scenario(
     if arm == ChurnArm::JoinUnderLoad {
         setup = setup.with_admission(tight_limits(system));
     }
-    let base = ScenarioBuilder::new(payload(system), rate, tl.windows).setup(setup);
+    let base = ScenarioBuilder::new(steady_payload(system), rate, span.windows).setup(setup);
     match arm {
         ChurnArm::SingleJoin => (
             format!("join {}→{} {}", d.total, d.total + 1, d.role_label),
-            base.at(tl.first_at).join(joiner).build(),
+            base.at(span.q1()).join(joiner).build(),
         ),
         ChurnArm::SingleLeave => (
             format!("leave {}→{} {}", d.total, d.total - 1, d.role_label),
-            base.at(tl.first_at).leave(leaver).build(),
+            base.at(span.q1()).leave(leaver).build(),
         ),
         ChurnArm::RollingReplace => (
             format!("replace 1/{} {}", d.total, d.role_label),
-            base.at(tl.first_at)
+            base.at(span.q1())
                 .join(joiner)
-                .at(tl.second_at)
+                .at(span.mid())
                 .leave(leaver)
                 .build(),
         ),
@@ -315,84 +208,72 @@ fn churn_scenario(
                 d.role_label,
                 OVERLOAD_MULTIPLIER as u64
             ),
-            base.at(tl.first_at).join(joiner).build(),
+            base.at(span.q1()).join(joiner).build(),
         ),
     }
 }
 
 /// Runs the full campaign: all seven systems × all four arms.
 pub fn churn(cfg: &ExperimentConfig) -> ChurnResult {
-    churn_for(cfg, &ChurnCampaign::full())
+    churn_for(cfg, &SystemKind::ALL, &ChurnArm::ALL)
 }
 
-/// Runs `campaign`'s cells on the grid executor (`cfg.jobs` workers). Each
-/// cell's seed is content-addressed by `("churn", system, arm)`, so any
-/// worker count or campaign subset reproduces the same cell bytes.
-pub fn churn_for(cfg: &ExperimentConfig, campaign: &ChurnCampaign) -> ChurnResult {
-    let tl = anchors(cfg);
-    let seeds = SeedDeriver::new(cfg.seed);
-
-    struct SpecCell {
-        system: SystemKind,
-        arm: ChurnArm,
-        churn: String,
-        timeline: crate::scenario::Timeline,
-        seed: u64,
-    }
-    let specs: Vec<SpecCell> = campaign
-        .cells()
+/// Runs the `systems` × `arms` cells (canonicalized to [`SystemKind::ALL`]
+/// × [`ChurnArm::ALL`] order) on the grid executor (`cfg.jobs` workers).
+/// Each cell's seed is content-addressed by `("churn", system, arm)`, so
+/// any worker count or subset reproduces the same cell bytes.
+pub fn churn_for(cfg: &ExperimentConfig, systems: &[SystemKind], arms: &[ChurnArm]) -> ChurnResult {
+    let span = Span::fault(cfg);
+    let systems = canonical(&SystemKind::ALL, systems);
+    let arms = canonical(&ChurnArm::ALL, arms);
+    let cells: Vec<Cell<(ChurnArm, String)>> = churn_cells(&systems, &arms)
         .into_iter()
         .map(|(system, arm)| {
-            let (churn, timeline) = churn_scenario(system, arm, tl);
-            SpecCell {
-                system,
-                arm,
-                churn,
-                timeline,
-                seed: seeds.seed_parts(&["churn", system.label(), arm.label()]),
-            }
+            let (churn, timeline) = churn_scenario(system, arm, span);
+            let parts = ["churn", system.label(), arm.label()];
+            Cell::new(&parts, system, timeline, (arm, churn))
         })
         .collect();
 
-    let cells = crate::exec::run_grid(&specs, cfg.jobs, |_, s| {
-        let sr = s.timeline.run(s.system, s.seed);
-        let run = sr.run;
-        let listen_end = SimTime::ZERO + tl.windows.listen;
-        let last_event = match s.arm {
-            ChurnArm::RollingReplace => tl.second_at,
-            _ => tl.first_at,
+    let cells = run_cells(cfg, &cells, |c, sr| {
+        let (arm, churn) = &c.spec;
+        let p = sr.run.phases(span.q1(), span.mid(), span.listen_end());
+        // Re-stabilization counts from the last membership event.
+        let last_event = match arm {
+            ChurnArm::RollingReplace => span.mid(),
+            _ => span.q1(),
         };
-        let pre_mtps = run.window_mtps(SimTime::ZERO, tl.first_at);
-        let churn_mtps = run.window_mtps(tl.first_at, tl.second_at);
-        let post_mtps = run.window_mtps(tl.second_at, listen_end);
-        let restabilize_secs = run.recovery_secs(tl.first_at, last_event, 0.7);
         ChurnCell {
-            system: s.system,
-            arm: s.arm,
-            churn: s.churn.clone(),
-            rate: s.timeline.rate(),
-            pre_mtps,
-            churn_mtps,
-            post_mtps,
-            dip_ratio: if pre_mtps > 0.0 {
-                churn_mtps / pre_mtps
+            system: c.system,
+            arm: *arm,
+            churn: churn.clone(),
+            rate: c.timeline.rate(),
+            pre_mtps: p.pre_mtps,
+            churn_mtps: p.during_mtps,
+            post_mtps: p.post_mtps,
+            dip_ratio: if p.pre_mtps > 0.0 {
+                p.during_mtps / p.pre_mtps
             } else {
                 0.0
             },
-            mfls: run.mfls,
-            p95: run.p95,
-            restabilize_secs,
+            restabilize_secs: sr
+                .run
+                .recovery_secs(span.q1(), last_event, RECOVERY_THRESHOLD),
             epochs: sr.epochs,
             joins: sr.stats.joins,
             leaves: sr.stats.leaves,
-            safety_ok: run.safety.as_ref().is_none_or(|r| r.violations.is_clean()),
-            run,
+            safety_ok: sr
+                .run
+                .safety
+                .as_ref()
+                .is_none_or(|r| r.violations.is_clean()),
+            run: sr.run,
         }
     });
 
     ChurnResult {
-        systems: campaign.systems.clone(),
-        arms: campaign.arms.clone(),
+        systems,
+        arms,
         cells,
     }
 }
@@ -432,8 +313,8 @@ impl ChurnCell {
             ("churn_mtps".into(), Json::Num(self.churn_mtps)),
             ("post_mtps".into(), Json::Num(self.post_mtps)),
             ("dip_ratio".into(), Json::Num(self.dip_ratio)),
-            ("mfls".into(), Json::Num(self.mfls)),
-            ("p95".into(), Json::Num(self.p95)),
+            ("mfls".into(), Json::Num(self.run.mfls)),
+            ("p95".into(), Json::Num(self.run.p95)),
             (
                 "restabilize_secs".into(),
                 self.restabilize_secs.map_or(Json::Null, Json::Num),
@@ -537,16 +418,17 @@ mod tests {
 
     #[test]
     fn campaign_cells_expand_in_canonical_order() {
-        let c = ChurnCampaign::full();
-        assert_eq!(c.cells().len(), 7 * 4);
+        assert_eq!(churn_cells(&SystemKind::ALL, &ChurnArm::ALL).len(), 7 * 4);
         // Filters canonicalize to ALL order regardless of input order.
-        let f = ChurnCampaign::full()
-            .with_systems(&[SystemKind::Fabric, SystemKind::CordaOs])
-            .with_arms(&[ChurnArm::SingleLeave, ChurnArm::SingleJoin]);
-        assert_eq!(f.systems(), &[SystemKind::CordaOs, SystemKind::Fabric]);
-        assert_eq!(f.arms(), &[ChurnArm::SingleJoin, ChurnArm::SingleLeave]);
+        let systems = canonical(&SystemKind::ALL, &[SystemKind::Fabric, SystemKind::CordaOs]);
+        let arms = canonical(
+            &ChurnArm::ALL,
+            &[ChurnArm::SingleLeave, ChurnArm::SingleJoin],
+        );
+        assert_eq!(systems, [SystemKind::CordaOs, SystemKind::Fabric]);
+        assert_eq!(arms, [ChurnArm::SingleJoin, ChurnArm::SingleLeave]);
         assert_eq!(
-            f.cells()[0],
+            churn_cells(&systems, &arms)[0],
             (SystemKind::CordaOs, ChurnArm::SingleJoin),
             "cells walk systems outer, arms inner"
         );
@@ -554,13 +436,13 @@ mod tests {
 
     #[test]
     fn churn_plan_schedules_the_described_events() {
-        let tl = anchors(&quick());
+        let span = Span::fault(&quick());
         // The rolling arm joins before it leaves, with the sync window
         // (≈ 250 ms) fitting comfortably between the two events.
-        let (desc, timeline) = churn_scenario(SystemKind::Quorum, ChurnArm::RollingReplace, tl);
+        let (desc, timeline) = churn_scenario(SystemKind::Quorum, ChurnArm::RollingReplace, span);
         assert!(desc.contains("replace"));
         assert_eq!(timeline.plan().events().len(), 2);
-        assert!(tl.second_at - tl.first_at >= SimDuration::from_secs(1));
+        assert!(span.mid() - span.q1() >= coconut_types::SimDuration::from_secs(1));
         // The single-leave arm needs no standby; every join arm needs one.
         assert_eq!(ChurnArm::SingleLeave.standby(), 0);
         assert_eq!(ChurnArm::RollingReplace.standby(), 1);
@@ -568,12 +450,7 @@ mod tests {
 
     #[test]
     fn single_join_grows_membership_and_keeps_safety() {
-        let r = churn_for(
-            &quick(),
-            &ChurnCampaign::full()
-                .with_systems(&[SystemKind::Quorum])
-                .with_arms(&[ChurnArm::SingleJoin]),
-        );
+        let r = churn_for(&quick(), &[SystemKind::Quorum], &[ChurnArm::SingleJoin]);
         let c = &r.cells[0];
         assert_eq!(c.joins, 1, "the standby must complete its join");
         assert_eq!(c.epochs, 1, "one membership change, one epoch bump");
@@ -584,12 +461,7 @@ mod tests {
 
     #[test]
     fn single_leave_shrinks_membership_without_stalling() {
-        let r = churn_for(
-            &quick(),
-            &ChurnCampaign::full()
-                .with_systems(&[SystemKind::Fabric])
-                .with_arms(&[ChurnArm::SingleLeave]),
-        );
+        let r = churn_for(&quick(), &[SystemKind::Fabric], &[ChurnArm::SingleLeave]);
         let c = &r.cells[0];
         assert_eq!(c.leaves, 1);
         assert_eq!(c.epochs, 1);

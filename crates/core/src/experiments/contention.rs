@@ -20,19 +20,19 @@
 //! transfer; YCSB checks its preloaded keyspace survived.
 //!
 //! Every cell's seed is content-addressed by `["contention", system,
-//! workload, level]` (see [`crate::exec`]), so `--systems`, `--workloads`,
-//! and `--jobs` subsets render byte-identical cells.
+//! workload, level]` (see [`super::harness`]), so `--systems`,
+//! `--workloads`, and `--jobs` subsets render byte-identical cells.
 
+use super::harness::{canonical, run_cells, Cell, Span};
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
-use crate::client::Windows;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
 use crate::scenario::{ScenarioBuilder, Timeline};
 use crate::workload::{ContentionKnobs, Smallbank, Workload, Ycsb};
 use coconut_chains::SystemStats;
-use coconut_types::{PayloadKind, SeedDeriver, SimDuration};
+use coconut_types::PayloadKind;
 
 /// Accounts (Smallbank) / keys (YCSB) in the shared pool. Small enough
 /// that the hot set is genuinely hot within a shortened window, large
@@ -112,20 +112,16 @@ pub struct ContentionCell {
     pub level: ContentionLevel,
     /// Offered load (tx/s across all clients).
     pub rate: f64,
-    /// Goodput (confirmed ops/s over the measurement window).
-    pub goodput: f64,
-    /// Concurrency-control losses ([`SystemStats::conflicts`]): MVCC
+    /// Concurrency-control losses ([`SystemStats::conflicts`]: MVCC
     /// invalidations, notary double-spends, interacting-op rejections,
-    /// aborted batches.
-    pub conflicts: u64,
-    /// `conflicts` as a share of transactions accepted at ingress.
+    /// aborted batches) as a share of transactions accepted at ingress.
     pub conflict_share: f64,
     /// The workload invariant over the final ledger (`None` when the
     /// system exposes no ledger).
     pub verified: Option<Result<(), String>>,
     /// System-side counters at the end of the run.
     pub stats: SystemStats,
-    /// The full client-side run.
+    /// The full client-side run; its `mtps` is the cell's goodput.
     pub run: ChaosRun,
 }
 
@@ -145,16 +141,6 @@ impl ContentionResult {
     }
 }
 
-/// Virtual-time anchors: the bottleneck campaign's windows (at least 10 s
-/// of sending so per-cause rates have statistics, listen = send + 8 s).
-fn windows(cfg: &ExperimentConfig) -> Windows {
-    let send_secs = ((100.0 * cfg.scale).round() as u64).max(10);
-    Windows {
-        send: SimDuration::from_secs(send_secs),
-        listen: SimDuration::from_secs(send_secs + 8),
-    }
-}
-
 /// Offered load: each system's smallest paper rate limiter (200 tx/s),
 /// comfortably below every saturation knee so the losses the campaign
 /// measures come from contention, not overload. The Cordas run at half
@@ -169,15 +155,12 @@ fn cell_rate(kind: SystemKind) -> f64 {
     }
 }
 
-/// One cell as a scenario: constant load, default deployment, the named
-/// workload installed over the builder's label payload.
-fn cell_scenario(
-    kind: SystemKind,
-    workload: &'static str,
-    level: ContentionLevel,
-    windows: Windows,
-) -> Timeline {
-    ScenarioBuilder::new(PayloadKind::SendPayment, cell_rate(kind), windows)
+/// One cell as a scenario over the load campaigns' [`Span`] (at least
+/// 10 s of sending, so per-cause rates have statistics): constant load,
+/// default deployment, the named workload installed over the builder's
+/// label payload.
+fn cell_scenario(kind: SystemKind, workload: &str, level: ContentionLevel, span: Span) -> Timeline {
+    ScenarioBuilder::new(PayloadKind::SendPayment, cell_rate(kind), span.windows)
         .setup(SystemSetup::default())
         .workload_boxed(workload_named(workload, level.knobs()))
         .build()
@@ -188,40 +171,40 @@ pub fn contention(cfg: &ExperimentConfig) -> ContentionResult {
     contention_for(cfg, &SystemKind::ALL, &WORKLOADS)
 }
 
-/// Runs the campaign over `systems` × `workloads` only. Cell seeds are
+/// Runs the campaign over `systems` × `workloads` only (canonicalized to
+/// [`SystemKind::ALL`] × [`WORKLOADS`] order). Cell seeds are
 /// content-addressed by `(system, workload, level)`, so a subset's cells
 /// are byte-identical to the same cells of the full campaign, for any
 /// worker count.
+///
+/// # Panics
+///
+/// Panics on a workload name outside [`WORKLOADS`].
 pub fn contention_for(
     cfg: &ExperimentConfig,
     systems: &[SystemKind],
     workloads: &[&str],
 ) -> ContentionResult {
-    let windows = windows(cfg);
-    let mut items: Vec<(SystemKind, &'static str, ContentionLevel)> = Vec::new();
-    for &system in systems {
-        for &name in WORKLOADS.iter().filter(|n| workloads.contains(n)) {
+    let span = Span::load(cfg);
+    let workloads = canonical(&WORKLOADS, workloads);
+    let mut cells = Vec::new();
+    for system in canonical(&SystemKind::ALL, systems) {
+        for &workload in &workloads {
             for level in LEVELS {
-                items.push((system, name, level));
+                let parts = ["contention", system.label(), workload, level.name];
+                let timeline = cell_scenario(system, workload, level, span);
+                cells.push(Cell::new(&parts, system, timeline, (workload, level)));
             }
         }
     }
-    let cells = crate::exec::run_grid(&items, cfg.jobs, |_, &(system, workload, level)| {
-        let seed = SeedDeriver::new(cfg.seed).seed_parts(&[
-            "contention",
-            system.label(),
-            workload,
-            level.name,
-        ]);
-        let sr = cell_scenario(system, workload, level, windows).run(system, seed);
+    let cells = run_cells(cfg, &cells, |c, sr| {
+        let (workload, level) = c.spec;
         let accepted = sr.stats.accepted.max(1);
         ContentionCell {
-            system,
+            system: c.system,
             workload,
             level,
-            rate: cell_rate(system),
-            goodput: sr.run.mtps,
-            conflicts: sr.stats.conflicts,
+            rate: c.timeline.rate(),
             conflict_share: sr.stats.conflicts as f64 / accepted as f64,
             verified: sr.verified,
             stats: sr.stats,
@@ -251,11 +234,11 @@ impl ContentionCell {
             ("hot_fraction".into(), Json::Num(self.level.hot_fraction)),
             ("account_pool".into(), Json::Num(ACCOUNT_POOL as f64)),
             ("rate".into(), Json::Num(self.rate)),
-            ("goodput".into(), Json::Num(self.goodput)),
+            ("goodput".into(), Json::Num(self.run.mtps)),
             ("scheduled".into(), Json::Num(a.scheduled as f64)),
             ("confirmed".into(), Json::Num(a.confirmed as f64)),
             ("accepted".into(), Json::Num(self.stats.accepted as f64)),
-            ("conflicts".into(), Json::Num(self.conflicts as f64)),
+            ("conflicts".into(), Json::Num(self.stats.conflicts as f64)),
             ("conflict_share".into(), Json::Num(self.conflict_share)),
             ("rejected".into(), Json::Num(self.stats.rejected as f64)),
             ("busy".into(), Json::Num(self.stats.busy as f64)),
@@ -309,8 +292,8 @@ impl Report for ContentionResult {
                     c.level.zipf_s,
                     c.level.hot_fraction,
                     c.rate,
-                    c.goodput,
-                    c.conflicts,
+                    c.run.mtps,
+                    c.stats.conflicts,
                     100.0 * c.conflict_share,
                     c.stats.rejected,
                     c.stats.busy,

@@ -29,7 +29,7 @@
 //! measures a clean before / during / after. Each cell reports goodput
 //! retention during the fault window (vs. the same system's fault-free
 //! baseline cell), end-to-end p99 inflation, time-to-recover after the
-//! heal ([`ChaosRun::recovery_secs`]), and the liveness verdict with its
+//! heal ([`ChaosRun::phases`]), and the liveness verdict with its
 //! view-change and storm counters.
 //!
 //! The flow-based Cordas have no inter-validator network to impair: only
@@ -37,20 +37,19 @@
 //! documented no-ops (cells stay at baseline by construction).
 //!
 //! Every cell's seed is content-addressed by `["grayfail", system, kind,
-//! severity]` (see [`crate::exec`]), so `--systems` filters and any
+//! severity]` (see [`super::harness`]), so `--systems` filters and any
 //! `--jobs` worker count render byte-identical reports.
 
 use super::chaos::fault_domain;
-use super::churn::{payload, steady_rate};
+use super::harness::{canonical, run_cells, steady_payload, steady_rate, Cell, Span};
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
-use crate::client::Windows;
 use crate::json::Json;
 use crate::params::SystemKind;
 use crate::report::Report;
-use crate::scenario::{ScenarioBuilder, Timeline};
+use crate::scenario::{ScenarioBuilder, ScenarioRun, Timeline};
 use coconut_chains::SystemStats;
-use coconut_types::{NodeId, SeedDeriver, SimDuration, SimTime};
+use coconut_types::{NodeId, SimDuration};
 
 /// Straggler time-stretch factors, low → high severity. The mid factor is
 /// chosen to trip every BFT timeout (e.g. 100 ms base delays × 32 exceeds
@@ -69,10 +68,6 @@ pub const WAN_REGIONS: u32 = 3;
 /// Severity labels, in grid order. They are seed components — never
 /// reorder or rename (see [`crate::exec`]).
 pub const SEVERITIES: [&str; 3] = ["low", "mid", "high"];
-
-/// Goodput-recovery threshold after the heal: sustained ≥ 70 % of the
-/// pre-fault mean over a three-bucket window.
-pub const RECOVERY_THRESHOLD: f64 = 0.7;
 
 /// The five injected gray-fault kinds, in grid (and report) order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,7 +126,7 @@ pub struct GrayfailCell {
     /// Whole-run p99 latency over the baseline's (1.0 for the baseline).
     pub p99_inflation: f64,
     /// Virtual seconds from the heal until goodput sustains
-    /// [`RECOVERY_THRESHOLD`] × the pre-fault mean; `None` if it never
+    /// [`super::harness::RECOVERY_THRESHOLD`] × the pre-fault mean; `None` if it never
     /// does (and for the baseline, which has nothing to recover from).
     pub recovery_secs: Option<f64>,
     /// The liveness verdict's label (`"n/a"` if the system exposes no
@@ -177,27 +172,6 @@ impl GrayfailResult {
     }
 }
 
-/// Virtual-time anchors: at least 20 s of sending (scaled), listen = send +
-/// 8 s (long enough to drain, short enough that the end-of-run tail gap
-/// stays under the monitor's 10 s stall gap), fault on at ¼, heal at ½.
-struct Anchors {
-    windows: Windows,
-    fault_from: SimTime,
-    heal_at: SimTime,
-}
-
-fn anchors(cfg: &ExperimentConfig) -> Anchors {
-    let send_secs = ((300.0 * cfg.scale).round() as u64).max(20);
-    Anchors {
-        windows: Windows {
-            send: SimDuration::from_secs(send_secs),
-            listen: SimDuration::from_secs(send_secs + 8),
-        },
-        fault_from: SimTime::from_secs(send_secs / 4),
-        heal_at: SimTime::from_secs(send_secs / 2),
-    }
-}
-
 /// The victim set of the asymmetric-partition arm at severity `sev`:
 /// one node, the back half, or everyone but node 0.
 fn asym_victims(total: u32, sev: usize) -> Vec<NodeId> {
@@ -213,33 +187,33 @@ fn cell_scenario(
     system: SystemKind,
     kind: Option<GrayKind>,
     sev: usize,
-    a: &Anchors,
+    a: Span,
 ) -> (Timeline, String) {
     let total = fault_domain(system).total;
-    let base = ScenarioBuilder::new(payload(system), steady_rate(system), a.windows);
+    let base = ScenarioBuilder::new(steady_payload(system), steady_rate(system), a.windows);
     let Some(kind) = kind else {
         return (base.build(), "-".to_string());
     };
-    let cur = base.at(a.fault_from);
+    let cur = base.at(a.q1());
     match kind {
         GrayKind::SlowLeader => {
             let f = SLOW_FACTORS[sev];
             (
-                cur.slow_node(NodeId(0), f, a.heal_at).build(),
+                cur.slow_node(NodeId(0), f, a.mid()).build(),
                 format!("x{f:.0}"),
             )
         }
         GrayKind::SlowFollower => {
             let f = SLOW_FACTORS[sev];
             (
-                cur.slow_node(NodeId(total - 1), f, a.heal_at).build(),
+                cur.slow_node(NodeId(total - 1), f, a.mid()).build(),
                 format!("x{f:.0}"),
             )
         }
         GrayKind::FlakyLink => {
             let p = FLAKY_PROBS[sev];
             (
-                cur.flaky_link(NodeId(0), NodeId(1), p, a.heal_at).build(),
+                cur.flaky_link(NodeId(0), NodeId(1), p, a.mid()).build(),
                 format!("p={p:.1}"),
             )
         }
@@ -247,7 +221,7 @@ fn cell_scenario(
             let to = asym_victims(total, sev);
             let params = format!("0→{}/{}", to.len(), total);
             (
-                cur.asym_partition(&[NodeId(0)], &to, a.heal_at).build(),
+                cur.asym_partition(&[NodeId(0)], &to, a.mid()).build(),
                 params,
             )
         }
@@ -259,7 +233,7 @@ fn cell_scenario(
                 SimDuration::from_millis(rtt),
             );
             (
-                cur.region_latency(map, a.heal_at).build(),
+                cur.region_latency(map, a.mid()).build(),
                 format!("rtt={rtt}ms"),
             )
         }
@@ -268,20 +242,18 @@ fn cell_scenario(
 
 /// Builds one finished cell from its run, relative to its baseline.
 fn finish_cell(
-    system: SystemKind,
-    kind: Option<GrayKind>,
-    severity: &'static str,
-    params: String,
-    a: &Anchors,
+    c: &Cell<(Option<GrayKind>, &'static str, String)>,
+    a: Span,
     baseline: Option<&GrayfailCell>,
-    sr: crate::scenario::ScenarioRun,
+    sr: ScenarioRun,
 ) -> GrayfailCell {
-    let fault_mtps = sr.run.window_mtps(a.fault_from, a.heal_at);
+    let (kind, severity, params) = &c.spec;
+    let p = sr.run.phases(a.q1(), a.mid(), a.listen_end());
     let (retention, p99_inflation, recovery_secs) = match baseline {
         None => (1.0, 1.0, None),
         Some(b) => {
             let retention = if b.fault_mtps > 0.0 {
-                fault_mtps / b.fault_mtps
+                p.during_mtps / b.fault_mtps
             } else {
                 1.0
             };
@@ -290,12 +262,7 @@ fn finish_cell(
             } else {
                 1.0
             };
-            (
-                retention,
-                inflation,
-                sr.run
-                    .recovery_secs(a.fault_from, a.heal_at, RECOVERY_THRESHOLD),
-            )
+            (retention, inflation, p.recovery_secs)
         }
     };
     let (verdict, view_changes, storms) = sr.run.liveness.as_ref().map_or_else(
@@ -303,11 +270,11 @@ fn finish_cell(
         |l| (l.verdict.label(), l.view_changes, l.storms),
     );
     GrayfailCell {
-        system,
-        kind,
+        system: c.system,
+        kind: *kind,
         severity,
-        params,
-        fault_mtps,
+        params: params.clone(),
+        fault_mtps: p.during_mtps,
         retention,
         p99_inflation,
         recovery_secs,
@@ -324,58 +291,53 @@ pub fn grayfail(cfg: &ExperimentConfig) -> GrayfailResult {
     grayfail_for(cfg, &SystemKind::ALL)
 }
 
-/// Runs the campaign over `systems` only. Cell seeds are content-addressed
-/// by `(system, kind, severity)`, so a subset's cells are byte-identical
-/// to the same cells of the full campaign, for any worker count.
+/// Runs the campaign over `systems` only (canonicalized to
+/// [`SystemKind::ALL`] order). Cell seeds are content-addressed by
+/// `(system, kind, severity)`, so a subset's cells are byte-identical to
+/// the same cells of the full campaign, for any worker count.
 pub fn grayfail_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> GrayfailResult {
-    let a = anchors(cfg);
+    // Faults open at q1 and heal at mid. An 8 s listen margin is long
+    // enough to drain, and short enough that the end-of-run tail gap stays
+    // under the liveness monitor's 10 s stall gap.
+    let a = Span::fault(cfg).with_listen_margin(8);
+    let systems = canonical(&SystemKind::ALL, systems);
     // Baselines first: every fault cell is graded against its system's
     // fault-free run of the same windows and seed scope.
-    let baseline_items: Vec<SystemKind> = systems.to_vec();
-    let baselines = crate::exec::run_grid(&baseline_items, cfg.jobs, |_, &system| {
-        let seed =
-            SeedDeriver::new(cfg.seed).seed_parts(&["grayfail", system.label(), "baseline", "-"]);
-        let (tl, params) = cell_scenario(system, None, 0, &a);
-        finish_cell(system, None, "-", params, &a, None, tl.run(system, seed))
-    });
-    let items: Vec<(SystemKind, GrayKind, usize)> = systems
+    let cells: Vec<_> = systems
         .iter()
-        .flat_map(|&s| {
-            GrayKind::ALL
-                .into_iter()
-                .flat_map(move |k| (0..SEVERITIES.len()).map(move |i| (s, k, i)))
+        .map(|&system| {
+            let (tl, params) = cell_scenario(system, None, 0, a);
+            let parts = ["grayfail", system.label(), "baseline", "-"];
+            Cell::new(&parts, system, tl, (None, "-", params))
         })
         .collect();
-    let fault_cells = crate::exec::run_grid(&items, cfg.jobs, |_, &(system, kind, sev)| {
-        let severity = SEVERITIES[sev];
-        let seed = SeedDeriver::new(cfg.seed).seed_parts(&[
-            "grayfail",
-            system.label(),
-            kind.label(),
-            severity,
-        ]);
-        let (tl, params) = cell_scenario(system, Some(kind), sev, &a);
-        let baseline = baselines.iter().find(|b| b.system == system);
-        finish_cell(
-            system,
-            Some(kind),
-            severity,
-            params,
-            &a,
-            baseline,
-            tl.run(system, seed),
-        )
+    let baselines = run_cells(cfg, &cells, |c, sr| finish_cell(c, a, None, sr));
+    let mut cells = Vec::new();
+    for &system in &systems {
+        for kind in GrayKind::ALL {
+            for (sev, severity) in SEVERITIES.into_iter().enumerate() {
+                let (tl, params) = cell_scenario(system, Some(kind), sev, a);
+                let parts = ["grayfail", system.label(), kind.label(), severity];
+                cells.push(Cell::new(
+                    &parts,
+                    system,
+                    tl,
+                    (Some(kind), severity, params),
+                ));
+            }
+        }
+    }
+    let fault_cells = run_cells(cfg, &cells, |c, sr| {
+        let baseline = baselines.iter().find(|b| b.system == c.system);
+        finish_cell(c, a, baseline, sr)
     });
     // Assemble grid order: per system, the baseline then its fault cells.
     let per_system = GrayKind::ALL.len() * SEVERITIES.len();
-    let mut cells = Vec::with_capacity(baselines.len() + fault_cells.len());
-    for (i, b) in baselines.into_iter().enumerate() {
+    let mut fault_cells = fault_cells.into_iter();
+    let mut cells = Vec::with_capacity(baselines.len() * (per_system + 1));
+    for b in baselines {
         cells.push(b);
-        cells.extend(
-            fault_cells[i * per_system..(i + 1) * per_system]
-                .iter()
-                .cloned(),
-        );
+        cells.extend(fault_cells.by_ref().take(per_system));
     }
     GrayfailResult { cells }
 }

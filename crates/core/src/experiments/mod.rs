@@ -15,6 +15,7 @@ pub mod churn;
 pub mod contention;
 pub mod figures;
 pub mod grayfail;
+pub mod harness;
 pub mod overload;
 pub mod scenarios;
 pub mod tables;
@@ -28,10 +29,10 @@ pub use bottleneck::{
     attribute, bottleneck, bottleneck_for, BottleneckCell, BottleneckResult, BottleneckVerdict,
 };
 pub use chaos::{
-    byzantine_domain, chaos, chaos_sweep, fault_domain, ByzantineDomain, ChaosCell, ChaosResult,
-    DegradationCurve, FaultCampaign, FaultDomain, FaultKind, SweepCell, SweepResult,
+    byzantine_domain, chaos, chaos_for, chaos_sweep, fault_domain, severities, ByzantineDomain,
+    ChaosCell, ChaosResult, DegradationCurve, FaultDomain, FaultKind, SweepCell, SweepResult,
 };
-pub use churn::{churn, churn_for, ChurnArm, ChurnCampaign, ChurnCell, ChurnResult};
+pub use churn::{churn, churn_for, ChurnArm, ChurnCell, ChurnResult};
 pub use contention::{
     contention, contention_for, workload_named, ContentionCell, ContentionLevel, ContentionResult,
     ACCOUNT_POOL, LEVELS, WORKLOADS,
@@ -39,12 +40,12 @@ pub use contention::{
 pub use figures::{fig3, fig4, fig5, Fig3Result, Fig5Result};
 pub use grayfail::{grayfail, grayfail_for, GrayKind, GrayfailCell, GrayfailResult};
 pub use overload::{
-    overload, overload_curves_for, overload_probes_for, tight_limits, MetastableProbe,
-    OverloadCell, OverloadCurve, OverloadResult, ProbeArm,
+    overload, overload_curves_for, overload_for, overload_probes_for, tight_limits,
+    MetastableProbe, OverloadCell, OverloadCurve, OverloadResult, ProbeArm,
 };
 pub use scenarios::{
     render_scenario_list, scenario_library, scenario_names, scenarios, scenarios_for,
-    NamedScenario, ScenarioCampaign, ScenarioCell, ScenarioResult,
+    NamedScenario, ScenarioCell, ScenarioResult,
 };
 pub use tables::{
     table11_12, table13_14, table15_16, table17_18, table19_20, table7_8, table9_10, TableResult,

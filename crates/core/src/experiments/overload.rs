@@ -26,15 +26,15 @@
 //! share one seed — identical schedule, identical deployment — so their
 //! difference is purely the protection under test.
 
+use super::harness::{canonical, run_cells, steady_payload, Cell, Span};
 use super::ExperimentConfig;
 use crate::chaos::{ChaosRun, ClientProtection};
-use crate::client::Windows;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
-use crate::scenario::ScenarioBuilder;
+use crate::scenario::{ScenarioBuilder, Timeline};
 use coconut_chains::runtime::PoolLimits;
-use coconut_types::{PayloadKind, SeedDeriver, SimDuration, SimTime};
+use coconut_types::{SimDuration, SimTime};
 
 /// The offered-load multipliers of the goodput curve, relative to the
 /// system's reference rate.
@@ -72,42 +72,11 @@ pub fn tight_limits(kind: SystemKind) -> PoolLimits {
     }
 }
 
-/// Same payload mapping as the chaos campaign: a write workload for the
-/// Cordas (exercising flows and the notary), DoNothing elsewhere.
-pub(crate) fn payload(kind: SystemKind) -> PayloadKind {
-    match kind {
-        SystemKind::CordaOs | SystemKind::CordaEnterprise => PayloadKind::KeyValueSet,
-        _ => PayloadKind::DoNothing,
-    }
-}
-
-/// Virtual-time anchors, derived from the config's scale. Overload runs
-/// use shorter windows than the chaos campaign: saturation dynamics show
-/// within seconds, and the top multiplier offers 8× the largest rate
-/// limiter.
-#[derive(Debug, Clone, Copy)]
-struct Anchors {
-    windows: Windows,
-    pulse_start: SimTime,
-    pulse_end: SimTime,
-}
-
-fn anchors(cfg: &ExperimentConfig) -> Anchors {
-    // At least 10 virtual seconds of sending so the pre/pulse/post phases
-    // each span multiple 1 s buckets, plus an 8 s listen margin matching
-    // the retry client's finalization timeout.
-    let send_secs = ((100.0 * cfg.scale).round() as u64).max(10);
-    Anchors {
-        windows: Windows {
-            send: SimDuration::from_secs(send_secs),
-            listen: SimDuration::from_secs(send_secs + 8),
-        },
-        // The pulse starts at 3/10 of the send window — late enough that
-        // every system (including Fabric, whose first block waits out the
-        // 2 s batch timeout) has a non-zero pre-pulse baseline.
-        pulse_start: SimTime::from_secs(send_secs * 3 / 10),
-        pulse_end: SimTime::from_secs(send_secs / 2),
-    }
+/// The probe's overload pulse, `[3/10, 1/2)` of the send window: late
+/// enough that every system (including Fabric, whose first block waits
+/// out the 2 s batch timeout) has a non-zero pre-pulse baseline.
+fn pulse(span: Span) -> (SimTime, SimTime) {
+    (span.at(3, 10), span.mid())
 }
 
 /// One goodput-curve cell: one system at one offered-load multiplier.
@@ -227,38 +196,45 @@ impl OverloadResult {
 
 /// One goodput-curve cell as a scenario: base load at the offered rate
 /// over the whole window, tight admission pools, no faults.
-fn curve_scenario(kind: SystemKind, offered: f64, tl: Anchors) -> crate::scenario::Timeline {
-    ScenarioBuilder::new(payload(kind), offered, tl.windows)
+fn curve_scenario(kind: SystemKind, offered: f64, span: Span) -> Timeline {
+    ScenarioBuilder::new(steady_payload(kind), offered, span.windows)
         .setup(SystemSetup::default().with_admission(tight_limits(kind)))
         .build()
 }
 
 /// One probe arm as a scenario: baseline traffic over the full send
-/// window, a `PULSE_MULTIPLIER ×` flash crowd over
-/// `[pulse_start, pulse_end)`, and the protection under test.
-fn probe_scenario(kind: SystemKind, protected: bool, tl: Anchors) -> crate::scenario::Timeline {
+/// window, a `PULSE_MULTIPLIER ×` flash crowd over the [`pulse`], and the
+/// protection under test.
+fn probe_scenario(kind: SystemKind, protected: bool, span: Span) -> Timeline {
     let protection = if protected {
         ClientProtection::overload_default()
     } else {
         ClientProtection::disabled()
     };
-    ScenarioBuilder::new(payload(kind), probe_base_rate(kind), tl.windows)
+    let (start, end) = pulse(span);
+    ScenarioBuilder::new(steady_payload(kind), probe_base_rate(kind), span.windows)
         .setup(SystemSetup::default().with_admission(tight_limits(kind)))
         .protection(protection)
-        .at(tl.pulse_start)
-        .flash_crowd(PULSE_MULTIPLIER, tl.pulse_end)
+        .at(start)
+        .flash_crowd(PULSE_MULTIPLIER, end)
         .build()
 }
 
-/// Runs the overload campaign: the goodput curve (7 systems ×
-/// [`MULTIPLIERS`]) and the metastable probe (7 systems × 2 arms), all
-/// cells independent on the grid executor (`cfg.jobs` workers). Seeds are
-/// content-addressed per cell, so any worker count renders byte-identical
-/// reports.
+/// Runs the overload campaign over all seven systems.
 pub fn overload(cfg: &ExperimentConfig) -> OverloadResult {
+    overload_for(cfg, &SystemKind::ALL)
+}
+
+/// Runs the overload campaign over `systems` (canonicalized to
+/// [`SystemKind::ALL`] order): the goodput curve ([`MULTIPLIERS`] per
+/// system) and the metastable probe (2 arms per system), all cells
+/// independent on the grid executor (`cfg.jobs` workers). Seeds are
+/// content-addressed per cell, so any worker count or subset renders the
+/// same cell bytes.
+pub fn overload_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> OverloadResult {
     OverloadResult {
-        curves: overload_curves_for(cfg, &SystemKind::ALL),
-        probes: overload_probes_for(cfg, &SystemKind::ALL),
+        curves: overload_curves_for(cfg, systems),
+        probes: overload_probes_for(cfg, systems),
     }
 }
 
@@ -266,45 +242,30 @@ pub fn overload(cfg: &ExperimentConfig) -> OverloadResult {
 /// by (system, multiplier), so a subset's cells are byte-identical to the
 /// same cells of the full campaign.
 pub fn overload_curves_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> Vec<OverloadCurve> {
-    let tl = anchors(cfg);
-    let seeds = SeedDeriver::new(cfg.seed);
-
-    struct CurveItem {
-        system: SystemKind,
-        multiplier: f64,
-        seed: u64,
-    }
-    let curve_items: Vec<CurveItem> = systems
-        .iter()
-        .copied()
-        .flat_map(|system| {
-            MULTIPLIERS
-                .into_iter()
-                .map(move |multiplier| (system, multiplier))
-        })
-        .map(|(system, multiplier)| CurveItem {
-            system,
-            multiplier,
-            seed: seeds.seed_parts(&[
-                "overload",
-                system.label(),
-                &format!("{}", (multiplier * 1000.0).round() as u64),
-            ]),
-        })
-        .collect();
-
-    let cells = crate::exec::run_grid(&curve_items, cfg.jobs, |_, item| {
-        let offered = reference_rate(item.system) * item.multiplier;
-        let sr = curve_scenario(item.system, offered, tl).run(item.system, item.seed);
-        OverloadCell {
-            system: item.system,
-            multiplier: item.multiplier,
-            offered,
-            goodput: sr.run.accounting.confirmed as f64 / tl.windows.send.as_secs_f64(),
-            busy: sr.stats.busy,
-            evicted: sr.stats.evicted,
-            run: sr.run,
+    let span = Span::load(cfg);
+    let mut cells = Vec::new();
+    for system in canonical(&SystemKind::ALL, systems) {
+        for multiplier in MULTIPLIERS {
+            let offered = reference_rate(system) * multiplier;
+            let milli = format!("{}", (multiplier * 1000.0).round() as u64);
+            let timeline = curve_scenario(system, offered, span);
+            cells.push(Cell::new(
+                &["overload", system.label(), &milli],
+                system,
+                timeline,
+                multiplier,
+            ));
         }
+    }
+
+    let cells = run_cells(cfg, &cells, |c, sr| OverloadCell {
+        system: c.system,
+        multiplier: c.spec,
+        offered: c.timeline.rate(),
+        goodput: sr.run.accounting.confirmed as f64 / span.windows.send.as_secs_f64(),
+        busy: sr.stats.busy,
+        evicted: sr.stats.evicted,
+        run: sr.run,
     });
 
     let mut curves: Vec<OverloadCurve> = Vec::new();
@@ -324,60 +285,52 @@ pub fn overload_curves_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> Ve
 /// The metastable probes of `systems` only (seeds content-addressed by
 /// system, as with the curves).
 pub fn overload_probes_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> Vec<MetastableProbe> {
-    let tl = anchors(cfg);
-    let seeds = SeedDeriver::new(cfg.seed);
-
-    struct ProbeItem {
-        system: SystemKind,
-        protected: bool,
-        seed: u64,
-    }
-    let probe_items: Vec<ProbeItem> = systems
-        .iter()
-        .copied()
-        .flat_map(|system| [false, true].map(|protected| (system, protected)))
-        .map(|(system, protected)| ProbeItem {
-            system,
-            protected,
+    let span = Span::load(cfg);
+    let (pulse_start, pulse_end) = pulse(span);
+    let systems = canonical(&SystemKind::ALL, systems);
+    let mut cells = Vec::new();
+    for &system in &systems {
+        for protected in [false, true] {
             // Both arms share one seed: identical schedule, identical
             // deployment — the arms differ only in client protection.
-            seed: seeds.seed_parts(&["overload-probe", system.label()]),
-        })
-        .collect();
+            let timeline = probe_scenario(system, protected, span);
+            cells.push(Cell::new(
+                &["overload-probe", system.label()],
+                system,
+                timeline,
+                protected,
+            ));
+        }
+    }
 
-    let arms = crate::exec::run_grid(&probe_items, cfg.jobs, |_, item| {
-        let sr = probe_scenario(item.system, item.protected, tl).run(item.system, item.seed);
-        let run = sr.run;
-        let listen_end = SimTime::ZERO + tl.windows.listen;
+    let arms = run_cells(cfg, &cells, |c, sr| {
+        let p = sr.run.phases(pulse_start, pulse_end, span.listen_end());
         ProbeArm {
-            protected: item.protected,
-            pre_mtps: run.window_mtps(SimTime::ZERO, tl.pulse_start),
-            pulse_mtps: run.window_mtps(tl.pulse_start, tl.pulse_end),
-            post_mtps: run.window_mtps(tl.pulse_end, listen_end),
-            recovery_secs: run.recovery_secs(tl.pulse_start, tl.pulse_end, 0.7),
-            amplification: run.accounting.retry_amplification(),
+            protected: c.spec,
+            pre_mtps: p.pre_mtps,
+            pulse_mtps: p.during_mtps,
+            post_mtps: p.post_mtps,
+            recovery_secs: p.recovery_secs,
+            amplification: sr.run.accounting.retry_amplification(),
             busy: sr.stats.busy,
             evicted: sr.stats.evicted,
-            run,
+            run: sr.run,
         }
     });
 
-    let mut probes = Vec::new();
     let mut arms = arms.into_iter();
-    for &system in systems {
-        let unprotected = arms.next().expect("two arms per system");
-        let protected = arms.next().expect("two arms per system");
-        probes.push(MetastableProbe {
+    systems
+        .into_iter()
+        .map(|system| MetastableProbe {
             system,
             base_rate: probe_base_rate(system),
             pulse_multiplier: PULSE_MULTIPLIER,
-            pulse_start: tl.pulse_start,
-            pulse_end: tl.pulse_end,
-            unprotected,
-            protected,
-        });
-    }
-    probes
+            pulse_start,
+            pulse_end,
+            unprotected: arms.next().expect("two arms per system"),
+            protected: arms.next().expect("two arms per system"),
+        })
+        .collect()
 }
 
 impl OverloadCell {
@@ -624,8 +577,9 @@ mod tests {
     #[test]
     fn pulse_schedule_merges_sorted_and_collision_free() {
         use crate::scenario::overlay_tag;
-        let tl = anchors(&quick());
-        let sched = probe_scenario(SystemKind::Fabric, false, tl).schedule(42);
+        let span = Span::load(&quick());
+        let (pulse_start, pulse_end) = pulse(span);
+        let sched = probe_scenario(SystemKind::Fabric, false, span).schedule(42);
         let base_rate = probe_base_rate(SystemKind::Fabric);
         // Sorted by (at, id) …
         assert!(sched
@@ -639,14 +593,14 @@ mod tests {
         // … and all overlay sends inside the pulse window.
         for s in &sched {
             if s.tx.id().seq() & overlay_tag(0) != 0 {
-                assert!(s.at >= tl.pulse_start && s.at < tl.pulse_end + SimDuration::from_secs(1));
+                assert!(s.at >= pulse_start && s.at < pulse_end + SimDuration::from_secs(1));
             }
         }
         // The overlay adds (PULSE_MULTIPLIER − 1)× base over the pulse
         // window: total ≈ base · (send + (mult − 1) · pulse_len).
-        let pulse_len = (tl.pulse_end - tl.pulse_start).as_secs_f64();
+        let pulse_len = (pulse_end - pulse_start).as_secs_f64();
         let expect =
-            base_rate * (tl.windows.send.as_secs_f64() + (PULSE_MULTIPLIER - 1.0) * pulse_len);
+            base_rate * (span.windows.send.as_secs_f64() + (PULSE_MULTIPLIER - 1.0) * pulse_len);
         let got = sched.len() as f64;
         assert!(
             (got - expect).abs() / expect < 0.05,

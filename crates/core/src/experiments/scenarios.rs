@@ -8,78 +8,31 @@
 //! a partition during a flash crowd, rolling restarts under a diurnal
 //! load cycle, a ramp to saturation. Every cell's seed is
 //! content-addressed by `["scenario", name, system]` (see
-//! [`crate::exec`]), so running one scenario or one system reproduces exactly the
-//! bytes of the full library run, at any worker count.
+//! [`super::harness`]), so running one scenario or one system reproduces
+//! exactly the bytes of the full library run, at any worker count.
 //!
 //! Checkpointed assertions ride on each timeline; their verdicts are part
 //! of the report (and the golden pin), so an expectation that stops
 //! holding shows up as a one-line diff, not a crashed run.
 
 use super::chaos::{byzantine_domain, fault_domain};
+use super::harness::{
+    canonical, run_cells, steady_payload, steady_rate, Cell, Span, RECOVERY_THRESHOLD,
+};
 use super::overload::tight_limits;
 use super::ExperimentConfig;
 use crate::chaos::{ClientProtection, RetryPolicy};
-use crate::client::Windows;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
 use crate::scenario::{Check, CheckOutcome, ScenarioBuilder, Timeline};
 use coconut_chains::Stage;
-use coconut_types::{NodeId, PayloadKind, SeedDeriver, SimDuration, SimTime};
+use coconut_types::{NodeId, SimDuration, SimTime};
 
-/// Virtual-time anchors shared by every library scenario, derived from the
-/// config's scale — the chaos campaign's grid: at least 20 s of sending,
-/// events at the quarter points.
-#[derive(Debug, Clone, Copy)]
-struct Anchors {
-    windows: Windows,
-    /// First quarter of the send window — where disturbances start.
-    q1: SimTime,
-    /// Half of the send window — where single-window disturbances end.
-    mid: SimTime,
-    /// Three quarters of the send window.
-    q3: SimTime,
-    /// End of the send window.
-    send_end: SimTime,
-    /// End of the listen window — where final assertions checkpoint.
-    listen_end: SimTime,
-}
-
-fn anchors(cfg: &ExperimentConfig) -> Anchors {
-    let send_secs = ((300.0 * cfg.scale).round() as u64).max(20);
-    Anchors {
-        windows: Windows {
-            send: SimDuration::from_secs(send_secs),
-            listen: SimDuration::from_secs(send_secs + 10),
-        },
-        q1: SimTime::from_secs(send_secs / 4),
-        mid: SimTime::from_secs(send_secs / 2),
-        q3: SimTime::from_secs(send_secs * 3 / 4),
-        send_end: SimTime::from_secs(send_secs),
-        listen_end: SimTime::from_secs(send_secs + 10),
-    }
-}
-
-/// The chaos campaign's payload mapping: a write workload for the Cordas
-/// (DoNothing would bypass the notary), DoNothing elsewhere.
-fn payload(kind: SystemKind) -> PayloadKind {
-    match kind {
-        SystemKind::CordaOs | SystemKind::CordaEnterprise => PayloadKind::KeyValueSet,
-        _ => PayloadKind::DoNothing,
-    }
-}
-
-/// The chaos campaign's below-saturation steady rates, so throughput
-/// changes are attributable to the timeline's events.
-fn steady_rate(kind: SystemKind) -> f64 {
-    match kind {
-        SystemKind::CordaOs | SystemKind::CordaEnterprise => 4.0,
-        _ => 50.0,
-    }
-}
-
-fn base(kind: SystemKind, a: Anchors) -> ScenarioBuilder {
-    ScenarioBuilder::new(payload(kind), steady_rate(kind), a.windows)
+/// The library's base scenario: the steady load over the fault
+/// campaigns' [`Span`]; events land on its quarter points.
+fn base(kind: SystemKind, a: Span) -> ScenarioBuilder {
+    ScenarioBuilder::new(steady_payload(kind), steady_rate(kind), a.windows)
 }
 
 fn f_nodes(kind: SystemKind) -> Vec<NodeId> {
@@ -113,7 +66,7 @@ pub struct NamedScenario {
     /// The systems the scenario applies to.
     pub systems: fn() -> Vec<SystemKind>,
     /// Compiles the timeline for one system at one scale.
-    build: fn(SystemKind, Anchors) -> Timeline,
+    build: fn(SystemKind, Span) -> Timeline,
 }
 
 impl std::fmt::Debug for NamedScenario {
@@ -124,111 +77,111 @@ impl std::fmt::Debug for NamedScenario {
     }
 }
 
-fn crash_heal(k: SystemKind, a: Anchors) -> Timeline {
+fn crash_heal(k: SystemKind, a: Span) -> Timeline {
     base(k, a)
-        .at(a.q1)
-        .crash_until(&f_nodes(k), a.mid)
-        .at(a.listen_end)
+        .at(a.q1())
+        .crash_until(&f_nodes(k), a.mid())
+        .at(a.listen_end())
         .assert(Check::RestabilizesBy {
-            fault_from: a.q1,
-            fault_until: a.mid,
-            threshold: 0.7,
+            fault_from: a.q1(),
+            fault_until: a.mid(),
+            threshold: RECOVERY_THRESHOLD,
         })
         .assert(Check::DeliveryFloor { min_ratio: 0.95 })
         .assert(Check::SafetyClean)
         .build()
 }
 
-fn beyond_f_halt(k: SystemKind, a: Anchors) -> Timeline {
+fn beyond_f_halt(k: SystemKind, a: Span) -> Timeline {
     let nodes: Vec<NodeId> = (0..fault_domain(k).beyond_f).map(NodeId).collect();
     base(k, a)
         // No retries: the halt must show in raw commits.
         .policy(RetryPolicy::disabled())
-        .at(a.q1)
+        .at(a.q1())
         .crash(&nodes)
-        .at(a.listen_end)
+        .at(a.listen_end())
         // 5 s drain grace: in-flight blocks may still land after the crash.
         .assert(Check::Halted {
-            since: a.q1 + SimDuration::from_secs(5),
+            since: a.q1() + SimDuration::from_secs(5),
         })
         .build()
 }
 
-fn loss_burst(k: SystemKind, a: Anchors) -> Timeline {
+fn loss_burst(k: SystemKind, a: Span) -> Timeline {
     let window = SimDuration::from_secs_f64(a.windows.send.as_secs_f64() / 5.0);
     base(k, a)
-        .at(a.q1)
+        .at(a.q1())
         .loss_burst(0.05, window)
-        .at(a.listen_end)
+        .at(a.listen_end())
         .assert(Check::DeliveryFloor { min_ratio: 0.99 })
         .build()
 }
 
-fn byzantine_quorum_holds(k: SystemKind, a: Anchors) -> Timeline {
+fn byzantine_quorum_holds(k: SystemKind, a: Span) -> Timeline {
     let d = byzantine_domain(k).expect("library restricts this scenario to BFT systems");
     let nodes: Vec<NodeId> = (0..d.f_tolerant).map(NodeId).collect();
     base(k, a)
-        .at(a.q1)
-        .byzantine(&nodes, a.mid)
-        .at(a.listen_end)
+        .at(a.q1())
+        .byzantine(&nodes, a.mid())
+        .at(a.listen_end())
         .assert(Check::SafetyClean)
         .assert(Check::DeliveryFloor { min_ratio: 0.9 })
         .build()
 }
 
-fn byzantine_overrun(k: SystemKind, a: Anchors) -> Timeline {
+fn byzantine_overrun(k: SystemKind, a: Span) -> Timeline {
     let d = byzantine_domain(k).expect("library restricts this scenario to BFT systems");
     let nodes: Vec<NodeId> = (0..d.beyond_f()).map(NodeId).collect();
     base(k, a)
-        .at(a.q1)
-        .byzantine(&nodes, a.mid)
-        .at(a.listen_end)
+        .at(a.q1())
+        .byzantine(&nodes, a.mid())
+        .at(a.listen_end())
         .assert(Check::SafetyViolationsAtLeast { count: 1 })
         .build()
 }
 
-fn overload_pulse(k: SystemKind, a: Anchors) -> Timeline {
+fn overload_pulse(k: SystemKind, a: Span) -> Timeline {
     base(k, a)
         .setup(SystemSetup::default().with_admission(tight_limits(k)))
         .protection(ClientProtection::overload_default())
-        .at(a.q1)
-        .flash_crowd(8.0, a.mid)
-        .at(a.listen_end)
+        .at(a.q1())
+        .flash_crowd(8.0, a.mid())
+        .at(a.listen_end())
         .assert(Check::RestabilizesBy {
-            fault_from: a.q1,
-            fault_until: a.mid,
-            threshold: 0.7,
+            fault_from: a.q1(),
+            fault_until: a.mid(),
+            threshold: RECOVERY_THRESHOLD,
         })
         .build()
 }
 
-fn single_join(k: SystemKind, a: Anchors) -> Timeline {
+fn single_join(k: SystemKind, a: Span) -> Timeline {
     let joiner = NodeId(fault_domain(k).total);
     base(k, a)
         .setup(SystemSetup::default().with_standby(1))
-        .at(a.q1)
+        .at(a.q1())
         .join(joiner)
-        .at(a.listen_end)
+        .at(a.listen_end())
         .assert(Check::EpochsAtLeast { count: 1 })
         .assert(Check::SafetyClean)
         .build()
 }
 
-fn rolling_replace(k: SystemKind, a: Anchors) -> Timeline {
+fn rolling_replace(k: SystemKind, a: Span) -> Timeline {
     let d = fault_domain(k);
     base(k, a)
         .setup(SystemSetup::default().with_standby(1))
-        .at(a.q1)
+        .at(a.q1())
         .join(NodeId(d.total))
-        .at(a.mid)
+        .at(a.mid())
         .leave(NodeId(d.total - 1))
-        .at(a.listen_end)
+        .at(a.listen_end())
         .assert(Check::EpochsAtLeast { count: 2 })
         .assert(Check::SafetyClean)
         .build()
 }
 
-fn churn_under_overload(k: SystemKind, a: Anchors) -> Timeline {
+fn churn_under_overload(k: SystemKind, a: Span) -> Timeline {
     let joiner = NodeId(fault_domain(k).total);
     base(k, a)
         .setup(
@@ -236,78 +189,78 @@ fn churn_under_overload(k: SystemKind, a: Anchors) -> Timeline {
                 .with_standby(1)
                 .with_admission(tight_limits(k)),
         )
-        .at(a.q1)
-        .flash_crowd(8.0, a.q3)
-        .at(a.mid)
+        .at(a.q1())
+        .flash_crowd(8.0, a.q3())
+        .at(a.mid())
         .join(joiner)
-        .at(a.listen_end)
+        .at(a.listen_end())
         .assert(Check::EpochsAtLeast { count: 1 })
         .assert(Check::SafetyClean)
         .build()
 }
 
-fn partition_flash_crowd(k: SystemKind, a: Anchors) -> Timeline {
+fn partition_flash_crowd(k: SystemKind, a: Span) -> Timeline {
     base(k, a)
-        .at(a.q1)
-        .partition(&f_nodes(k), a.mid)
-        .at(a.q1)
-        .flash_crowd(4.0, a.mid)
-        .at(a.listen_end)
+        .at(a.q1())
+        .partition(&f_nodes(k), a.mid())
+        .at(a.q1())
+        .flash_crowd(4.0, a.mid())
+        .at(a.listen_end())
         .assert(Check::RestabilizesBy {
-            fault_from: a.q1,
-            fault_until: a.mid,
-            threshold: 0.7,
+            fault_from: a.q1(),
+            fault_until: a.mid(),
+            threshold: RECOVERY_THRESHOLD,
         })
         .assert(Check::SafetyClean)
         .build()
 }
 
-fn rolling_restart_diurnal(k: SystemKind, a: Anchors) -> Timeline {
+fn rolling_restart_diurnal(k: SystemKind, a: Span) -> Timeline {
     let period = SimDuration::from_secs((a.windows.send.as_secs_f64() / 4.0).max(4.0) as u64);
     base(k, a)
         .at(SimTime::from_secs(2))
-        .diurnal(1.0, period, a.send_end)
-        .at(a.q1)
-        .crash_until(&[NodeId(0)], a.mid)
-        .at(a.mid)
-        .crash_until(&[NodeId(1)], a.q3)
-        .at(a.listen_end)
+        .diurnal(1.0, period, a.send_end())
+        .at(a.q1())
+        .crash_until(&[NodeId(0)], a.mid())
+        .at(a.mid())
+        .crash_until(&[NodeId(1)], a.q3())
+        .at(a.listen_end())
         .assert(Check::RestabilizesBy {
-            fault_from: a.q1,
-            fault_until: a.q3,
-            threshold: 0.7,
+            fault_from: a.q1(),
+            fault_until: a.q3(),
+            threshold: RECOVERY_THRESHOLD,
         })
         .assert(Check::SafetyClean)
         .build()
 }
 
-fn ramp_to_saturation(k: SystemKind, a: Anchors) -> Timeline {
+fn ramp_to_saturation(k: SystemKind, a: Span) -> Timeline {
     base(k, a)
         .setup(SystemSetup::default().with_admission(tight_limits(k)))
         .at(SimTime::from_secs(2))
-        .ramp_load(6.0, a.send_end)
-        .at(a.q1)
+        .ramp_load(6.0, a.send_end())
+        .at(a.q1())
         .assert(Check::GoodputFloor {
             since: SimTime::ZERO,
             min_mtps: steady_rate(k) * 0.5,
         })
-        .at(a.listen_end)
+        .at(a.listen_end())
         .assert(Check::DeliveryFloor { min_ratio: 0.2 })
         .build()
 }
 
-fn slow_leader_flash_crowd(k: SystemKind, a: Anchors) -> Timeline {
+fn slow_leader_flash_crowd(k: SystemKind, a: Span) -> Timeline {
     base(k, a)
         .probes(true)
-        .at(a.q1)
-        .slow_node(NodeId(0), 32.0, a.mid)
-        .at(a.q1)
-        .flash_crowd(2.0, a.mid)
-        .at(a.listen_end)
+        .at(a.q1())
+        .slow_node(NodeId(0), 32.0, a.mid())
+        .at(a.q1())
+        .flash_crowd(2.0, a.mid())
+        .at(a.listen_end())
         .assert(Check::RestabilizesBy {
-            fault_from: a.q1,
-            fault_until: a.mid,
-            threshold: 0.7,
+            fault_from: a.q1(),
+            fault_until: a.mid(),
+            threshold: RECOVERY_THRESHOLD,
         })
         .assert(Check::SafetyClean)
         // The probe-backed check: even with the leader limping under a 2x
@@ -422,62 +375,22 @@ pub fn scenario_names() -> Vec<&'static str> {
     scenario_library().iter().map(|s| s.name).collect()
 }
 
-/// A parameterized library run: which scenarios × systems to execute.
-/// Filtering never changes a remaining cell's numbers — every cell's seed
-/// is content-addressed by `("scenario", name, system)`.
-#[derive(Debug, Clone)]
-pub struct ScenarioCampaign {
-    names: Vec<&'static str>,
-    systems: Vec<SystemKind>,
-}
-
-impl ScenarioCampaign {
-    /// Every library scenario on every system it applies to.
-    pub fn full() -> Self {
-        ScenarioCampaign {
-            names: scenario_names(),
-            systems: SystemKind::ALL.to_vec(),
+/// The `(scenario, system)` cells of `names` × `systems` (both in
+/// canonical order) in report order: each scenario on the systems it
+/// applies to.
+fn scenario_cells(names: &[&str], systems: &[SystemKind]) -> Vec<(NamedScenario, SystemKind)> {
+    let mut out = Vec::new();
+    for s in scenario_library() {
+        if !names.contains(&s.name) {
+            continue;
         }
-    }
-
-    /// Restricts the run to the named scenarios (canonicalized to library
-    /// order). Returns `Err` with the unknown name otherwise.
-    pub fn with_names(mut self, names: &[&str]) -> Result<Self, String> {
-        let library = scenario_names();
-        for n in names {
-            if !library.contains(n) {
-                return Err((*n).to_string());
+        for k in (s.systems)() {
+            if systems.contains(&k) {
+                out.push((s.clone(), k));
             }
         }
-        self.names = library.into_iter().filter(|n| names.contains(n)).collect();
-        Ok(self)
     }
-
-    /// Restricts the run to `systems` (canonicalized to
-    /// [`SystemKind::ALL`] order).
-    pub fn with_systems(mut self, systems: &[SystemKind]) -> Self {
-        self.systems = SystemKind::ALL
-            .into_iter()
-            .filter(|s| systems.contains(s))
-            .collect();
-        self
-    }
-
-    /// Expands into `(scenario, system)` cells in canonical report order.
-    fn cells(&self) -> Vec<(NamedScenario, SystemKind)> {
-        let mut out = Vec::new();
-        for s in scenario_library() {
-            if !self.names.contains(&s.name) {
-                continue;
-            }
-            for k in (s.systems)() {
-                if self.systems.contains(&k) {
-                    out.push((s.clone(), k));
-                }
-            }
-        }
-        out
-    }
+    out
 }
 
 /// One scenario × system cell of the library run.
@@ -590,22 +503,40 @@ impl ScenarioResult {
     }
 }
 
-/// Runs `campaign`'s cells on the grid executor (`cfg.jobs` workers). Each
-/// cell compiles its named timeline at the config's scale and runs it with
-/// the content-addressed seed `("scenario", name, system)` — any worker
-/// count or campaign subset reproduces the same cell bytes.
-pub fn scenarios_for(cfg: &ExperimentConfig, campaign: &ScenarioCampaign) -> ScenarioResult {
-    let a = anchors(cfg);
-    let items = campaign.cells();
-    let cells = crate::exec::run_grid(&items, cfg.jobs, |_, (s, k)| {
-        let seed = SeedDeriver::new(cfg.seed).seed_parts(&["scenario", s.name, k.label()]);
-        let timeline = (s.build)(*k, a);
-        let sr = timeline.run(*k, seed);
+/// Runs the `names` × `systems` cells (canonicalized to library ×
+/// [`SystemKind::ALL`] order) on the grid executor (`cfg.jobs` workers).
+/// Each cell compiles its named timeline at the config's scale and runs
+/// it with the content-addressed seed `("scenario", name, system)` — any
+/// worker count or subset reproduces the same cell bytes.
+///
+/// # Panics
+///
+/// Panics on a name outside the library.
+pub fn scenarios_for(
+    cfg: &ExperimentConfig,
+    systems: &[SystemKind],
+    names: &[&str],
+) -> ScenarioResult {
+    let span = Span::fault(cfg);
+    let names = canonical(&scenario_names(), names);
+    let systems = canonical(&SystemKind::ALL, systems);
+    let cells: Vec<Cell<&'static str>> = scenario_cells(&names, &systems)
+        .into_iter()
+        .map(|(s, k)| {
+            Cell::new(
+                &["scenario", s.name, k.label()],
+                k,
+                (s.build)(k, span),
+                s.name,
+            )
+        })
+        .collect();
+    let cells = run_cells(cfg, &cells, |c, sr| {
         let acct = &sr.run.accounting;
         ScenarioCell {
-            scenario: s.name,
-            system: *k,
-            rate: timeline.rate(),
+            scenario: c.spec,
+            system: c.system,
+            rate: c.timeline.rate(),
             mtps: sr.run.mtps,
             mfls: sr.run.mfls,
             p95: sr.run.p95,
@@ -625,15 +556,12 @@ pub fn scenarios_for(cfg: &ExperimentConfig, campaign: &ScenarioCampaign) -> Sce
             checks: sr.checks,
         }
     });
-    ScenarioResult {
-        names: campaign.names.clone(),
-        cells,
-    }
+    ScenarioResult { names, cells }
 }
 
 /// Runs the full library: every scenario on every system it applies to.
 pub fn scenarios(cfg: &ExperimentConfig) -> ScenarioResult {
-    scenarios_for(cfg, &ScenarioCampaign::full())
+    scenarios_for(cfg, &SystemKind::ALL, &scenario_names())
 }
 
 impl Report for ScenarioResult {
@@ -753,7 +681,7 @@ mod tests {
         assert_eq!(dedup.len(), names.len(), "names must be unique");
         // Every scenario applies to at least one system and compiles on
         // all of them at a small scale.
-        let a = anchors(&quick());
+        let a = Span::fault(&quick());
         for s in scenario_library() {
             let systems = (s.systems)();
             assert!(!systems.is_empty(), "{}", s.name);
@@ -766,34 +694,29 @@ mod tests {
 
     #[test]
     fn campaign_filters_and_rejects_unknown_names() {
-        let c = ScenarioCampaign::full()
-            .with_names(&["crash-heal", "byzantine-overrun"])
-            .unwrap()
-            .with_systems(&[SystemKind::Quorum]);
-        let cells = c.cells();
+        let names = canonical(&scenario_names(), &["byzantine-overrun", "crash-heal"]);
+        assert_eq!(names, ["crash-heal", "byzantine-overrun"]);
+        let cells = scenario_cells(&names, &[SystemKind::Quorum]);
         assert_eq!(cells.len(), 2);
         assert!(cells.iter().all(|(_, k)| *k == SystemKind::Quorum));
-        assert_eq!(
-            ScenarioCampaign::full()
-                .with_names(&["no-such-scenario"])
-                .unwrap_err(),
-            "no-such-scenario"
-        );
+        let unknown = std::panic::catch_unwind(|| {
+            canonical(&scenario_names(), &["no-such-scenario"]);
+        });
+        let message = *unknown.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("\"no-such-scenario\""), "{message}");
     }
 
     #[test]
     fn classics_hold_their_expectations() {
         let r = scenarios_for(
             &quick(),
-            &ScenarioCampaign::full()
-                .with_names(&[
-                    "crash-heal",
-                    "beyond-f-halt",
-                    "byzantine-quorum-holds",
-                    "byzantine-overrun",
-                ])
-                .unwrap()
-                .with_systems(&[SystemKind::Quorum]),
+            &[SystemKind::Quorum],
+            &[
+                "crash-heal",
+                "beyond-f-halt",
+                "byzantine-quorum-holds",
+                "byzantine-overrun",
+            ],
         );
         assert_eq!(r.cells.len(), 4);
         for cell in &r.cells {
@@ -813,13 +736,7 @@ mod tests {
     #[test]
     fn subset_runs_are_byte_identical_to_the_full_library() {
         let full = scenarios(&quick());
-        let subset = scenarios_for(
-            &quick(),
-            &ScenarioCampaign::full()
-                .with_names(&["churn-under-overload"])
-                .unwrap()
-                .with_systems(&[SystemKind::Diem]),
-        );
+        let subset = scenarios_for(&quick(), &[SystemKind::Diem], &["churn-under-overload"]);
         let a = full.cell("churn-under-overload", SystemKind::Diem).unwrap();
         let b = subset
             .cell("churn-under-overload", SystemKind::Diem)

@@ -4,7 +4,7 @@
 //! monitors), and the campaign is golden-pinned and byte-invariant under
 //! worker counts and system subsetting.
 
-use coconut::experiments::{churn, churn_for, ChurnArm, ChurnCampaign, ExperimentConfig};
+use coconut::experiments::{churn, churn_for, ChurnArm, ExperimentConfig};
 use coconut::params::SystemKind;
 use coconut::report::Report;
 
@@ -27,7 +27,8 @@ fn quick_cfg() -> ExperimentConfig {
 fn all_seven_systems_survive_join_and_leave_under_load() {
     let r = churn_for(
         &quick_cfg(),
-        &ChurnCampaign::full().with_arms(&[ChurnArm::SingleJoin, ChurnArm::SingleLeave]),
+        &SystemKind::ALL,
+        &[ChurnArm::SingleJoin, ChurnArm::SingleLeave],
     );
     assert_eq!(r.cells.len(), 7 * 2);
     for c in &r.cells {
@@ -69,12 +70,7 @@ fn all_seven_systems_survive_join_and_leave_under_load() {
 #[test]
 fn bft_monitors_verify_cross_epoch_invariants_during_rolling_replacement() {
     let bft = [SystemKind::Quorum, SystemKind::Sawtooth, SystemKind::Diem];
-    let r = churn_for(
-        &quick_cfg(),
-        &ChurnCampaign::full()
-            .with_systems(&bft)
-            .with_arms(&[ChurnArm::RollingReplace]),
-    );
+    let r = churn_for(&quick_cfg(), &bft, &[ChurnArm::RollingReplace]);
     assert_eq!(r.cells.len(), 3);
     for c in &r.cells {
         assert_eq!(
@@ -117,13 +113,12 @@ fn churn_subset_and_jobs_reproduce_full_campaign_cells() {
         ..quick_cfg()
     };
     let pair = [SystemKind::CordaOs, SystemKind::Bitshares];
-    let campaign = ChurnCampaign::full().with_systems(&pair);
-    let a = churn_for(&cfg(Some(1)), &campaign);
-    let b = churn_for(&cfg(Some(8)), &campaign);
+    let a = churn_for(&cfg(Some(1)), &pair, &ChurnArm::ALL);
+    let b = churn_for(&cfg(Some(8)), &pair, &ChurnArm::ALL);
     assert_eq!(a.render(), b.render());
     assert_eq!(a.to_json(), b.to_json());
 
-    let solo = churn_for(&cfg(Some(2)), &campaign.clone().with_systems(&pair[..1]));
+    let solo = churn_for(&cfg(Some(2)), &pair[..1], &ChurnArm::ALL);
     for sc in &solo.cells {
         let full = a
             .cell(sc.system, sc.arm)

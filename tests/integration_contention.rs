@@ -60,7 +60,7 @@ fn fabric_abort_share_and_corda_notary_conflicts_grow_with_contention() {
             .iter()
             .map(|l| {
                 let c = r.cell(system, "Smallbank", l.name).expect("cell ran");
-                metric(c.conflict_share, c.conflicts)
+                metric(c.conflict_share, c.stats.conflicts)
             })
             .collect()
     };
@@ -160,7 +160,7 @@ fn contention_cells_are_jobs_systems_and_workloads_invariant() {
             .expect("subset cell exists in the pair campaign");
         assert_eq!(full.run.accounting, sub.run.accounting);
         assert_eq!(full.run.buckets, sub.run.buckets);
-        assert_eq!(full.conflicts, sub.conflicts);
+        assert_eq!(full.stats.conflicts, sub.stats.conflicts);
         assert_eq!(full.stats, sub.stats);
     }
 }

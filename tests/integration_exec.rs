@@ -4,9 +4,7 @@
 //! position).
 
 use coconut::client::Windows;
-use coconut::experiments::{
-    chaos, chaos_sweep, table17_18, ExperimentConfig, FaultCampaign, FaultKind,
-};
+use coconut::experiments::{chaos, chaos_sweep, table17_18, ExperimentConfig, FaultKind};
 use coconut::prelude::*;
 use coconut::report;
 use coconut::runner::run_many;
@@ -147,7 +145,7 @@ fn golden_sweep_cfg() -> ExperimentConfig {
 /// pinned byte-for-byte like the classic campaign above.
 #[test]
 fn chaos_sweep_json_matches_golden_file() {
-    let rendered = chaos_sweep(&golden_sweep_cfg(), &FaultCampaign::full()).to_json();
+    let rendered = chaos_sweep(&golden_sweep_cfg(), &SystemKind::ALL, &FaultKind::ALL).to_json();
     let golden = include_str!("golden/chaos_sweep_scale002_seed_c0c0.json");
     assert_eq!(
         rendered.trim_end(),
@@ -166,7 +164,7 @@ fn regenerate_chaos_sweep_golden() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/golden/chaos_sweep_scale002_seed_c0c0.json"
     );
-    let mut json = chaos_sweep(&golden_sweep_cfg(), &FaultCampaign::full()).to_json();
+    let mut json = chaos_sweep(&golden_sweep_cfg(), &SystemKind::ALL, &FaultKind::ALL).to_json();
     json.push('\n');
     std::fs::create_dir_all(std::path::Path::new(path).parent().unwrap()).unwrap();
     std::fs::write(path, json).unwrap();
@@ -178,11 +176,8 @@ fn regenerate_chaos_sweep_golden() {
 #[test]
 fn sweep_subset_reproduces_full_campaign_cells() {
     let cfg = golden_sweep_cfg();
-    let full = chaos_sweep(&cfg, &FaultCampaign::full());
-    let subset = chaos_sweep(
-        &cfg,
-        &FaultCampaign::full().with_systems(&[SystemKind::Sawtooth]),
-    );
+    let full = chaos_sweep(&cfg, &SystemKind::ALL, &FaultKind::ALL);
+    let subset = chaos_sweep(&cfg, &[SystemKind::Sawtooth], &FaultKind::ALL);
     for kind in FaultKind::ALL {
         let a = full
             .curve(SystemKind::Sawtooth, kind)
@@ -210,11 +205,9 @@ fn chaos_sweep_is_jobs_invariant() {
         jobs,
         ..golden_sweep_cfg()
     };
-    let campaign = FaultCampaign::full()
-        .with_systems(&[SystemKind::Fabric, SystemKind::Diem])
-        .with_kinds(&[FaultKind::Crash]);
-    let a = chaos_sweep(&cfg(Some(1)), &campaign);
-    let b = chaos_sweep(&cfg(Some(8)), &campaign);
+    let systems = [SystemKind::Fabric, SystemKind::Diem];
+    let a = chaos_sweep(&cfg(Some(1)), &systems, &[FaultKind::Crash]);
+    let b = chaos_sweep(&cfg(Some(8)), &systems, &[FaultKind::Crash]);
     assert_eq!(a.render(), b.render());
     assert_eq!(a.to_json(), b.to_json());
 }

@@ -123,7 +123,10 @@ fn metastable_probe_protection_reduces_amplification_and_recovery_time() {
             p.system, pr.recovery_secs, u.recovery_secs
         );
     }
-    let sawtooth = &probes[0];
+    let sawtooth = probes
+        .iter()
+        .find(|p| p.system == SystemKind::Sawtooth)
+        .unwrap();
     assert!(
         sawtooth
             .unprotected
@@ -158,14 +161,17 @@ fn overload_curves_collapse_and_are_jobs_and_subset_invariant() {
             assert_eq!((cx.busy, cx.evicted), (cy.busy, cy.evicted), "{}", x.system);
         }
     }
-    for (cx, cy) in a[0].cells.iter().zip(&solo[0].cells) {
+    let ent = a
+        .iter()
+        .find(|c| c.system == SystemKind::CordaEnterprise)
+        .unwrap();
+    for (cx, cy) in ent.cells.iter().zip(&solo[0].cells) {
         assert_eq!(
             cx.run.accounting, cy.run.accounting,
             "subset cells must reproduce the pair's cells"
         );
     }
 
-    let ent = &a[0];
     let knee = ent.knee();
     let last = ent.cells.last().unwrap();
     assert!(

@@ -4,9 +4,7 @@
 //! cells are byte-invariant under worker counts and name/system
 //! subsetting (content-addressed seeds).
 
-use coconut::experiments::{
-    scenario_names, scenarios, scenarios_for, ExperimentConfig, ScenarioCampaign,
-};
+use coconut::experiments::{scenario_names, scenarios, scenarios_for, ExperimentConfig};
 use coconut::params::SystemKind;
 use coconut::report::Report;
 
@@ -46,10 +44,8 @@ fn library_covers_the_classics_and_the_composites() {
 fn classic_assertions_hold_on_a_bft_system() {
     let r = scenarios_for(
         &quick_cfg(),
-        &ScenarioCampaign::full()
-            .with_names(&["crash-heal", "beyond-f-halt", "byzantine-quorum-holds"])
-            .expect("known names")
-            .with_systems(&[SystemKind::Diem]),
+        &[SystemKind::Diem],
+        &["crash-heal", "beyond-f-halt", "byzantine-quorum-holds"],
     );
     assert_eq!(r.cells.len(), 3);
     for c in &r.cells {
@@ -68,12 +64,7 @@ fn classic_assertions_hold_on_a_bft_system() {
 /// that demands it passes.
 #[test]
 fn byzantine_overrun_breaks_safety_on_every_bft_system() {
-    let r = scenarios_for(
-        &quick_cfg(),
-        &ScenarioCampaign::full()
-            .with_names(&["byzantine-overrun"])
-            .expect("known name"),
-    );
+    let r = scenarios_for(&quick_cfg(), &SystemKind::ALL, &["byzantine-overrun"]);
     assert_eq!(r.cells.len(), 3, "three BFT systems");
     for c in &r.cells {
         assert!(!c.safety_ok, "{}: overrun must break safety", c.system);
@@ -87,10 +78,8 @@ fn byzantine_overrun_breaks_safety_on_every_bft_system() {
 fn churn_composites_complete_their_membership_changes() {
     let r = scenarios_for(
         &quick_cfg(),
-        &ScenarioCampaign::full()
-            .with_names(&["single-join", "rolling-replace", "churn-under-overload"])
-            .expect("known names")
-            .with_systems(&[SystemKind::Fabric, SystemKind::Diem]),
+        &[SystemKind::Fabric, SystemKind::Diem],
+        &["single-join", "rolling-replace", "churn-under-overload"],
     );
     assert_eq!(r.cells.len(), 6);
     for c in &r.cells {
@@ -129,10 +118,8 @@ fn subsets_and_worker_counts_never_change_a_cell() {
 
     let subset = scenarios_for(
         &quick_cfg(),
-        &ScenarioCampaign::full()
-            .with_names(&["partition-flash-crowd"])
-            .expect("known name")
-            .with_systems(&[SystemKind::Quorum]),
+        &[SystemKind::Quorum],
+        &["partition-flash-crowd"],
     );
     let a = full
         .cell("partition-flash-crowd", SystemKind::Quorum)
