@@ -551,19 +551,79 @@ enum Action {
     Submit(TxId),
 }
 
-/// The client's timed actions. Ties resolve timeout < submit, then by the
-/// original id, then by insertion order. Each entry also carries the
-/// transaction's schedule position, which never decides an ordering.
-struct Agenda {
-    heap: BinaryHeap<Reverse<(SimTime, Action, u64, usize)>>,
+/// A pending action: `(at, action, insertion seq, schedule position)`.
+type Entry = (SimTime, Action, u64, usize);
+
+/// The client's timed actions: a cursor over the sorted schedule, merged
+/// with a heap that holds only re-queued actions (retries, finalization
+/// timeouts, breaker and AIMD deferrals). Ties resolve timeout < submit,
+/// then by the original id, then by insertion order. Schedule position
+/// `i` counts as inserted `i`-th and heap seqs start at `schedule.len()`,
+/// so the merge pops exactly what one heap holding every action would.
+/// Each entry also carries the transaction's schedule position, which
+/// never decides an ordering.
+struct Agenda<'a> {
+    schedule: &'a [ScheduledTx],
+    next: usize,
+    requeued: BinaryHeap<Reverse<Entry>>,
     seq: u64,
 }
 
-impl Agenda {
+impl<'a> Agenda<'a> {
+    fn new(schedule: &'a [ScheduledTx]) -> Self {
+        Agenda {
+            schedule,
+            next: 0,
+            requeued: BinaryHeap::new(),
+            seq: schedule.len() as u64,
+        }
+    }
+
     fn push(&mut self, at: SimTime, action: Action, i: usize) {
-        self.heap.push(Reverse((at, action, self.seq, i)));
+        self.requeued.push(Reverse((at, action, self.seq, i)));
         self.seq += 1;
     }
+
+    /// Removes and returns the earliest action as `(at, action, position)`.
+    fn pop(&mut self) -> Option<(SimTime, Action, usize)> {
+        let next = self.next;
+        let scheduled = self
+            .schedule
+            .get(next)
+            .map(|s| (s.at, Action::Submit(s.tx.id()), next as u64, next));
+        let (at, action, _, i) = match (scheduled, self.requeued.peek()) {
+            (Some(s), Some(&Reverse(r))) if r < s => self.requeued.pop()?.0,
+            (Some(s), _) => {
+                self.next += 1;
+                s
+            }
+            (None, _) => self.requeued.pop()?.0,
+        };
+        Some((at, action, i))
+    }
+}
+
+/// A re-send's wire id carries its attempt number in bits 56–63 of the
+/// sequence number; an original id leaves them clear.
+const ATTEMPT_SHIFT: u32 = 56;
+
+/// The most re-sends a [`RetryPolicy`] may allow: the last attempt,
+/// `max_retries + 1`, must fit the attempt byte without reaching 256.
+const MAX_RETRIES: u32 = 254;
+
+/// The wire id of attempt `attempt` (≥ 2) of the transaction `orig`.
+fn resend_id(orig: TxId, attempt: u32) -> TxId {
+    TxId::new(
+        orig.client(),
+        orig.seq() | u64::from(attempt) << ATTEMPT_SHIFT,
+    )
+}
+
+/// Splits a wire id into its original id and its attempt byte.
+fn decode_wire_id(wire: TxId) -> (TxId, u32) {
+    let seq = wire.seq();
+    let orig = TxId::new(wire.client(), seq & ((1 << ATTEMPT_SHIFT) - 1));
+    (orig, (seq >> ATTEMPT_SHIFT) as u32)
 }
 
 /// One scheduled transaction's client-side state.
@@ -582,8 +642,9 @@ struct Track {
 /// position, and the confirmations counted inside the listen window.
 struct Observed {
     tracks: Vec<Track>,
-    /// Every wire id the client has used → its schedule position. An
-    /// original id enters at its first pop, a re-send id when derived.
+    /// Each original id the client has popped → its schedule position,
+    /// entered at the first pop. Re-send ids are not stored: `harvest`
+    /// decodes them back to their original.
     positions: HashMap<TxId, usize>,
     listen_end: SimTime,
     bucket_len: SimDuration,
@@ -596,16 +657,22 @@ struct Observed {
 
 impl Observed {
     /// Counts each commit inside the listen window once per scheduled
-    /// transaction. Outcomes for ids the client never sent are ignored.
+    /// transaction. Outcomes for ids the client never sent are ignored:
+    /// a wire id counts only if its original was popped and its attempt
+    /// byte is 0 (the original send) or a re-send attempt already made.
     fn harvest(&mut self, outcomes: Vec<TxOutcome>) {
         for o in outcomes {
             if !o.is_committed() || o.finalized_at > self.listen_end {
                 continue;
             }
-            let Some(&i) = self.positions.get(&o.tx) else {
+            let (orig, attempt) = decode_wire_id(o.tx);
+            let Some(&i) = self.positions.get(&orig) else {
                 continue;
             };
             let track = &mut self.tracks[i];
+            if !(attempt == 0 || (2..=track.attempts).contains(&attempt)) {
+                continue;
+            }
             if track.confirmed {
                 continue; // a retry raced its original; count once
             }
@@ -655,7 +722,11 @@ fn take_retry_token(
 /// which is the fire-and-forget client of §4.4; the campaigns add faults,
 /// retries and protections.
 ///
-/// `schedule` must be ordered by `(at, tx.id())` with distinct ids. The
+/// `schedule` must be ordered by `(at, tx.id())` with distinct ids, and no
+/// id may set bits 56–63 of its sequence number: a re-send travels under
+/// the original id with its attempt number (2 to `max_retries + 1`) in
+/// those bits, so `policy.max_retries` may be at most 254. The loop reads
+/// the schedule in order and keeps only re-queued actions in a heap. The
 /// listen window ends at `SimTime::ZERO + spec.windows.listen`, so a
 /// schedule shifted to start at a later base, with its windows made
 /// absolute, runs back to back on a system that already served an earlier
@@ -682,6 +753,12 @@ fn take_retry_token(
 /// [`DeliveryAccounting`]: one the client never popped is `unsent`, one
 /// popped but never attempted (every send deferred) is `backpressured`,
 /// and an attempted one is classified by its last answer.
+///
+/// # Panics
+///
+/// Panics, naming the schedule position, if `schedule` is out of
+/// `(at, tx.id())` order, an id sets bits 56–63 or an original id repeats;
+/// and if `policy.max_retries` exceeds 254.
 pub fn run_chaos_with_schedule(
     system: &mut (dyn BlockchainSystem + Send),
     spec: &BenchmarkSpec,
@@ -691,6 +768,23 @@ pub fn run_chaos_with_schedule(
     schedule: &[ScheduledTx],
     seed: u64,
 ) -> ChaosRun {
+    assert!(
+        policy.max_retries <= MAX_RETRIES,
+        "max_retries {} exceeds {MAX_RETRIES}: the attempt byte of a re-send id would wrap",
+        policy.max_retries
+    );
+    for (i, s) in schedule.iter().enumerate() {
+        let id = s.tx.id();
+        assert!(
+            id.seq() >> ATTEMPT_SHIFT == 0,
+            "schedule position {i}: id {id} sets bits 56-63, the re-send attempt byte"
+        );
+        assert!(
+            i == 0 || (schedule[i - 1].at, schedule[i - 1].tx.id()) < (s.at, id),
+            "schedule position {i}: id {id} is out of (at, tx.id()) order"
+        );
+    }
+
     let seeds = SeedDeriver::new(seed);
     let mut loss_rng = seeds.rng("client-loss", 0);
     let mut backoff_rng = seeds.rng("backoff", 0);
@@ -724,18 +818,11 @@ pub fn run_chaos_with_schedule(
     let mut client_loss: Option<(f64, SimTime)> = None;
     let mut t_fstx: Option<SimTime> = None;
 
-    let mut agenda = Agenda {
-        heap: BinaryHeap::with_capacity(schedule.len()),
-        seq: 0,
-    };
-    for (i, sched) in schedule.iter().enumerate() {
-        agenda.push(sched.at, Action::Submit(sched.tx.id()), i);
-    }
+    let mut agenda = Agenda::new(schedule);
 
-    while let Some(&Reverse((at, ..))) = agenda.heap.peek() {
+    while let Some((at, action, i)) = agenda.pop() {
         // Interleave faults strictly before client actions at the same time.
-        let fault_due = scheduler.next_due().filter(|&f| f <= at);
-        if let Some(fat) = fault_due {
+        while let Some(fat) = scheduler.next_due().filter(|&f| f <= at) {
             seen.harvest(system.run_until(fat));
             while let Some((fat, event)) = scheduler.pop_due(fat) {
                 match event {
@@ -769,10 +856,8 @@ pub fn run_chaos_with_schedule(
                     }
                 }
             }
-            continue;
         }
 
-        let Reverse((at, action, _, i)) = agenda.heap.pop().expect("peeked");
         if at > listen_end {
             break;
         }
@@ -783,7 +868,11 @@ pub fn run_chaos_with_schedule(
             Action::Submit(orig) => {
                 if track.created.is_none() {
                     track.created = Some(at);
-                    seen.positions.insert(orig, i);
+                    let repeated = seen.positions.insert(orig, i).is_some();
+                    assert!(
+                        !repeated,
+                        "schedule position {i}: duplicate original id {orig}"
+                    );
                 }
                 if track.confirmed {
                     continue; // confirmed while this retry was queued
@@ -814,15 +903,12 @@ pub fn run_chaos_with_schedule(
                 t_fstx.get_or_insert(at);
 
                 // Derive a fresh wire id per re-send so the system treats
-                // it as a new transaction; confirmations map back.
+                // it as a new transaction; `harvest` decodes it back.
                 let wire_id = if track.attempts == 1 {
                     orig
                 } else {
                     seen.accounting.retries += 1;
-                    let derived =
-                        TxId::new(orig.client(), orig.seq() | (track.attempts as u64) << 56);
-                    seen.positions.insert(derived, i);
-                    derived
+                    resend_id(orig, track.attempts)
                 };
                 let template = &schedule[i].tx;
                 let tx =
@@ -1232,6 +1318,123 @@ mod tests {
         assert_eq!((r.accounting.confirmed, r.accounting.retries), (1, 1));
         assert_eq!(r.mfls, 1.5);
         assert!(r.accounting.is_complete());
+    }
+
+    #[test]
+    fn foreign_resend_ids_are_ignored() {
+        // The first send is rejected and the one retry accepted, so the
+        // transaction made attempts 1 and 2; nothing the client sent ever
+        // commits. The second transaction is due after the listen end.
+        let schedule = [tx_at(1, 1, 1), tx_at(2, 12, 1)];
+        let (sent, never_popped) = (schedule[0].tx.id(), schedule[1].tx.id());
+        let at = SimTime::from_secs(3);
+        let commit = |tx: TxId| (at, TxOutcome::committed(tx, BlockId(0), at, 1));
+        let mut sys = Scripted {
+            answers: [SubmitOutcome::Rejected].into(),
+            script: vec![
+                // Attempt byte 1: the first attempt travels as the original.
+                commit(resend_id(sent, 1)),
+                // Attempt byte 3 after only two attempts.
+                commit(resend_id(sent, 3)),
+                // A re-send id of an original the client never popped.
+                commit(resend_id(never_popped, 2)),
+            ],
+            ..Scripted::default()
+        };
+        let policy = RetryPolicy {
+            max_retries: 1,
+            base_backoff: SimDuration::from_millis(500),
+            max_backoff: SimDuration::from_millis(500),
+            jitter: 0.0,
+            ..RetryPolicy::chaos_default()
+        };
+        let r = drive(&mut sys, &schedule, &policy, &ClientProtection::disabled());
+        assert_eq!(sys.submitted.len(), 2);
+        let a = r.accounting;
+        assert_eq!((a.confirmed, a.timed_out, a.unsent), (0, 1, 1), "{a:?}");
+        assert_eq!(r.confirmed_ops, 0);
+    }
+
+    #[test]
+    fn merged_agenda_pops_in_single_heap_order() {
+        let mut rng = SimRng::seed_from_u64(0xA6E4DA);
+        for _ in 0..50 {
+            // Few distinct times and ids, so ties on `at` and on the
+            // original id are common among scheduled and re-queued actions.
+            let mut schedule: Vec<ScheduledTx> = (0..40)
+                .map(|seq| tx_at(seq, rng.gen_range_inclusive(0, 5), 1))
+                .collect();
+            schedule.sort_by_key(|s| (s.at, s.tx.id()));
+            let mut agenda = Agenda::new(&schedule);
+            let mut reference: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
+            for (i, s) in schedule.iter().enumerate() {
+                reference.push(Reverse((s.at, Action::Submit(s.tx.id()), i as u64, i)));
+            }
+            let mut seq = schedule.len() as u64;
+            let mut pushes = 0;
+            while let Some(Reverse((at, action, _, i))) = reference.pop() {
+                assert_eq!(agenda.pop(), Some((at, action, i)));
+                while pushes < 60 && rng.gen_bool(0.6) {
+                    let j = rng.gen_range_inclusive(0, schedule.len() as u64 - 1) as usize;
+                    let id = schedule[j].tx.id();
+                    let action = if rng.gen_bool(0.5) {
+                        Action::Timeout(id)
+                    } else {
+                        Action::Submit(id)
+                    };
+                    let at = at + SimDuration::from_secs(rng.gen_range_inclusive(0, 2));
+                    agenda.push(at, action, j);
+                    reference.push(Reverse((at, action, seq, j)));
+                    seq += 1;
+                    pushes += 1;
+                }
+            }
+            assert_eq!(agenda.pop(), None);
+        }
+    }
+
+    /// Drives an accepting system through `schedule` with `policy`.
+    fn drive_with(schedule: &[ScheduledTx], policy: &RetryPolicy) -> ChaosRun {
+        drive(
+            &mut Scripted::default(),
+            schedule,
+            policy,
+            &ClientProtection::disabled(),
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule position 1: id tx-0.72057594037927938 sets bits 56-63")]
+    fn schedule_ids_must_leave_the_attempt_byte_clear() {
+        drive_with(
+            &[tx_at(1, 1, 1), tx_at(2 | 1 << 56, 2, 1)],
+            &RetryPolicy::disabled(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule position 2: id tx-0.1 is out of (at, tx.id()) order")]
+    fn schedule_must_be_ordered_by_time_then_id() {
+        drive_with(
+            &[tx_at(2, 1, 1), tx_at(3, 2, 1), tx_at(1, 2, 1)],
+            &RetryPolicy::disabled(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "max_retries 255 exceeds 254")]
+    fn max_retries_must_fit_the_attempt_byte() {
+        let policy = RetryPolicy {
+            max_retries: 255,
+            ..RetryPolicy::chaos_default()
+        };
+        drive_with(&[tx_at(1, 1, 1)], &policy);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule position 1: duplicate original id tx-0.1")]
+    fn original_ids_must_not_repeat() {
+        drive_with(&[tx_at(1, 1, 1), tx_at(1, 2, 1)], &RetryPolicy::disabled());
     }
 
     #[test]
