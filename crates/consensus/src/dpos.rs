@@ -10,144 +10,58 @@
 //! insensitive to the network size (§5.8.2: "shifting witnesses finalizing
 //! blocks is a reason for the constant performance").
 
-use std::collections::BTreeSet;
-
-use coconut_simnet::{FaultEvent, NetConfig, NetSim, NetStats, Topology};
+use coconut_simnet::NetSim;
 use coconut_types::{NodeId, SimDuration, SimRng, SimTime};
 
-use crate::liveness::{LivenessMonitor, LivenessReport};
-use crate::{BatchConfig, Command, CommittedBatch, CpuModel, Membership};
+use crate::shell::{Builder, Protocol, Shell};
+use crate::{BatchConfig, Command, CommittedBatch};
 
-/// Base chain-sync time for a joining witness plus a per-produced-block
-/// replay cost; the joiner is only scheduled for slots after this completes.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
-const SYNC_PER_BLOCK: SimDuration = SimDuration::from_millis(2);
+use wire::DposMsg;
 
-/// DPoS messages: slot timers and block announcements.
-#[derive(Debug, Clone)]
-enum DposMsg {
-    /// Fires at a witness at its production slot.
-    SlotTimer { slot: u64 },
-    /// Fires at the node that armed a slot, 0.75 intervals past the slot's
-    /// due time: if the scheduled witness has not produced by then — its
-    /// timers stretched by a gray-slow window — the slot is forfeited and
-    /// the schedule moves on without waiting for the straggler.
-    SlotWatchdog { slot: u64 },
-    /// A produced block being gossiped to the other nodes (apply cost only).
-    BlockAnnounce,
-    /// A joining witness finished replaying the chain.
-    SyncDone { node: NodeId },
+/// CPU cost per packed transaction at the producing witness.
+const PROC_PER_COMMAND: SimDuration = SimDuration::from_micros(3);
+
+/// Messages; public only to the engine shell.
+mod wire {
+    /// DPoS messages: slot timers and block announcements.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum DposMsg {
+        /// Fires at a witness at its production slot.
+        SlotTimer { slot: u64 },
+        /// Fires at the node that armed a slot, 0.75 intervals past the
+        /// slot's due time: if the scheduled witness has not produced by
+        /// then — its timers stretched by a gray-slow window — the slot is
+        /// forfeited and the schedule moves on without waiting for the
+        /// straggler.
+        SlotWatchdog { slot: u64 },
+        /// A produced block being gossiped to the other nodes (apply cost
+        /// only).
+        BlockAnnounce,
+        /// A joining witness finished replaying the chain.
+        SyncDone,
+    }
 }
 
-/// Configuration for a [`DposCluster`]; build with [`DposCluster::builder`].
-#[derive(Debug, Clone)]
-pub struct DposBuilder {
-    witnesses: u32,
-    standby: u32,
-    topology: Option<Topology>,
-    net: NetConfig,
-    seed: u64,
-    batch: BatchConfig,
+/// The DPoS protocol state of a [`DposCluster`].
+#[derive(Debug)]
+pub struct Dpos {
+    rng: SimRng,
+    schedule: Vec<NodeId>,
     block_interval: SimDuration,
-    proc_per_command: SimDuration,
+    produced: u64,
+    missed: u64,
+    /// When the in-flight slot timer was due; a stretched (gray-slow)
+    /// witness fires well past this and forfeits the slot.
+    slot_due: SimTime,
+    /// The lowest slot not yet handled. A slot is handled exactly once —
+    /// by its witness's timer or, if that timer limps past the forfeit
+    /// threshold, by the watchdog that skips it; whichever fires second
+    /// sees `slot < next_expected` and stands down.
+    next_expected: u64,
 }
 
-impl DposBuilder {
-    /// Witness placement (defaults to one witness per server).
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = Some(t);
-        self
-    }
-
-    /// Pre-provisions `k` standby witnesses (ids `witnesses..witnesses + k`)
-    /// that start outside the schedule and can be admitted at runtime via
-    /// [`DposCluster::join`]. Default 0.
-    pub fn standby(mut self, k: u32) -> Self {
-        self.standby = k;
-        self
-    }
-
-    /// Network characteristics.
-    pub fn net(mut self, c: NetConfig) -> Self {
-        self.net = c;
-        self
-    }
-
-    /// RNG seed (drives the per-round witness shuffle).
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Maximum transactions per block.
-    pub fn batch(mut self, b: BatchConfig) -> Self {
-        self.batch = b;
-        self
-    }
-
-    /// BitShares' `block_interval`: the slot length.
-    pub fn block_interval(mut self, d: SimDuration) -> Self {
-        self.block_interval = d;
-        self
-    }
-
-    /// CPU cost per packed transaction at the producing witness.
-    pub fn proc_per_command(mut self, d: SimDuration) -> Self {
-        self.proc_per_command = d;
-        self
-    }
-
-    /// Builds the cluster; the first slot fires after one interval.
-    pub fn build(self) -> DposCluster {
-        let w = self.witnesses;
-        let total = w + self.standby;
-        let topology = self
-            .topology
-            .unwrap_or_else(|| Topology::round_robin(total, total));
-        assert_eq!(
-            topology.node_count(),
-            total,
-            "topology must cover baseline + standby witnesses"
-        );
-        let mut rng = SimRng::seed_from_u64(self.seed ^ 0xD905);
-        let mut schedule: Vec<NodeId> = (0..w).map(NodeId).collect();
-        rng.shuffle(&mut schedule);
-        let mut net = NetSim::new(topology, self.net, self.seed);
-        net.timer(
-            schedule[0],
-            self.block_interval,
-            DposMsg::SlotTimer { slot: 0 },
-        );
-        for &guard in schedule.iter().skip(1) {
-            net.timer(
-                guard,
-                self.block_interval.mul_f64(1.75),
-                DposMsg::SlotWatchdog { slot: 0 },
-            );
-        }
-        let slot_due = SimTime::ZERO + self.block_interval;
-        DposCluster {
-            witnesses: w,
-            membership: Membership::new(w, self.standby),
-            syncing: BTreeSet::new(),
-            alive: vec![true; total as usize],
-            net,
-            cpu: CpuModel::new(total),
-            rng,
-            schedule,
-            batch: self.batch,
-            block_interval: self.block_interval,
-            proc_per_command: self.proc_per_command,
-            pending: Vec::new(),
-            committed: Vec::new(),
-            produced: 0,
-            missed: 0,
-            slot_due,
-            next_expected: 0,
-            liveness: LivenessMonitor::default(),
-        }
-    }
-}
+/// Configuration for a [`DposCluster`]; build with [`Shell::builder`].
+pub type DposBuilder = Builder<Dpos>;
 
 /// A simulated DPoS witness set.
 ///
@@ -165,203 +79,101 @@ impl DposBuilder {
 /// let blocks = dpos.run_until(SimTime::from_secs(3));
 /// assert_eq!(blocks.iter().map(|b| b.commands.len()).sum::<usize>(), 1);
 /// ```
-#[derive(Debug)]
-pub struct DposCluster {
-    witnesses: u32,
-    /// Epoch-versioned witness set over the provisioned universe.
-    membership: Membership,
-    /// Joiners replaying the chain before they may be scheduled.
-    syncing: BTreeSet<NodeId>,
-    alive: Vec<bool>,
-    net: NetSim<DposMsg>,
-    cpu: CpuModel,
-    rng: SimRng,
-    schedule: Vec<NodeId>,
-    batch: BatchConfig,
-    block_interval: SimDuration,
-    proc_per_command: SimDuration,
-    pending: Vec<Command>,
-    committed: Vec<CommittedBatch>,
-    produced: u64,
-    missed: u64,
-    /// When the in-flight slot timer was due; a stretched (gray-slow)
-    /// witness fires well past this and forfeits the slot.
-    slot_due: SimTime,
-    /// The lowest slot not yet handled. A slot is handled exactly once —
-    /// by its witness's timer or, if that timer limps past the forfeit
-    /// threshold, by the watchdog that skips it; whichever fires second
-    /// sees `slot < next_expected` and stands down.
-    next_expected: u64,
-    /// Production-cadence and missed-slot liveness tracker.
-    liveness: LivenessMonitor,
+pub type DposCluster = Shell<Dpos>;
+
+impl DposBuilder {
+    /// BitShares' `block_interval`: the slot length. Default 1 s.
+    pub fn block_interval(mut self, d: SimDuration) -> Self {
+        self.config = d;
+        self
+    }
 }
 
-impl DposCluster {
-    /// Starts building a DPoS cluster of `witnesses` block producers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `witnesses` is zero.
-    pub fn builder(witnesses: u32) -> DposBuilder {
-        assert!(witnesses > 0, "at least one witness required");
-        DposBuilder {
-            witnesses,
-            standby: 0,
-            topology: None,
-            net: NetConfig::lan(),
-            seed: 0,
-            batch: BatchConfig::new(5000, SimDuration::from_secs(1)),
-            block_interval: SimDuration::from_secs(1),
-            proc_per_command: SimDuration::from_micros(3),
+impl Protocol for Dpos {
+    type Msg = DposMsg;
+    /// The block interval.
+    type Config = SimDuration;
+    const CONFIG: SimDuration = SimDuration::from_secs(1);
+    const BATCH: BatchConfig = BatchConfig {
+        max_commands: 5000,
+        max_wait: SimDuration::from_secs(1),
+    };
+    const SYNC_DONE: DposMsg = DposMsg::SyncDone;
+
+    /// Shuffles the first round's schedule; its first witness produces
+    /// after one interval while the others watch the slot.
+    fn init(b: &DposBuilder, net: &mut NetSim<DposMsg>) -> Self {
+        let block_interval = b.config;
+        let mut rng = SimRng::seed_from_u64(b.seed ^ 0xD905);
+        let mut schedule: Vec<NodeId> = (0..b.nodes).map(NodeId).collect();
+        rng.shuffle(&mut schedule);
+        net.timer(schedule[0], block_interval, DposMsg::SlotTimer { slot: 0 });
+        for &guard in schedule.iter().skip(1) {
+            net.timer(
+                guard,
+                block_interval.mul_f64(1.75),
+                DposMsg::SlotWatchdog { slot: 0 },
+            );
+        }
+        Dpos {
+            rng,
+            schedule,
+            block_interval,
+            produced: 0,
+            missed: 0,
+            slot_due: SimTime::ZERO + block_interval,
+            next_expected: 0,
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
+    /// A joiner replays every produced block.
+    fn sync_units(s: &DposCluster) -> u64 {
+        s.p.produced
     }
 
-    /// Number of witnesses.
-    pub fn node_count(&self) -> u32 {
-        self.witnesses
+    /// No filter: a crashed or departed witness's slot timer still fires,
+    /// so the slot is counted as missed and the schedule moves on.
+    fn admits(_s: &DposCluster, _me: NodeId, _msg: &DposMsg) -> bool {
+        true
     }
 
+    fn deliver(s: &mut DposCluster, me: NodeId, at: SimTime, msg: DposMsg) {
+        match msg {
+            DposMsg::SlotTimer { slot } => s.on_slot(me, at, slot),
+            DposMsg::SlotWatchdog { slot } => s.on_watchdog(me, at, slot),
+            DposMsg::BlockAnnounce => {
+                // Receiving nodes apply the block; cost only.
+                let _ = s.cpu.process(me, at, SimDuration::from_micros(50));
+            }
+            DposMsg::SyncDone => {} // the shell's
+        }
+    }
+
+    /// Rebuilds the production schedule from the current members (a new
+    /// shuffle of the active set, as BitShares does each maintenance
+    /// round). A joiner's first slot comes after this, so it never
+    /// produces before its sync completes; an in-flight slot of a departed
+    /// witness is skipped like a crashed witness's slot.
+    fn on_epoch_change(s: &mut DposCluster) {
+        let mut schedule = s.membership.active_nodes();
+        s.p.rng.shuffle(&mut schedule);
+        s.p.schedule = schedule;
+    }
+}
+
+impl Shell<Dpos> {
     /// Blocks produced so far.
     pub fn blocks_produced(&self) -> u64 {
-        self.produced
+        self.p.produced
     }
 
     /// Slots missed by crashed witnesses.
     pub fn slots_missed(&self) -> u64 {
-        self.missed
-    }
-
-    /// Witnesses currently in the production schedule.
-    pub fn active_count(&self) -> u32 {
-        self.membership.active_count()
-    }
-
-    /// Current witness-set configuration epoch.
-    pub fn config_epoch(&self) -> u64 {
-        self.membership.epoch()
-    }
-
-    /// Starts admitting a pre-provisioned standby witness: it replays the
-    /// chain (longer the more blocks were produced) and only enters the
-    /// regenerated schedule — bumping the epoch — once sync completes.
-    /// Returns `false` if `node` is unknown, already scheduled, or already
-    /// syncing.
-    pub fn join(&mut self, node: NodeId) -> bool {
-        if node.0 >= self.membership.provisioned()
-            || self.membership.is_active(node)
-            || self.syncing.contains(&node)
-        {
-            return false;
-        }
-        self.syncing.insert(node);
-        let sync = SYNC_BASE + SYNC_PER_BLOCK * self.produced;
-        self.net.timer(node, sync, DposMsg::SyncDone { node });
-        true
-    }
-
-    /// Removes a witness from the schedule, regenerating it over the
-    /// remaining members and bumping the epoch. An in-flight slot assigned
-    /// to the departed witness is skipped like a crashed witness's slot.
-    /// Returns `false` if `node` is not scheduled or is the last witness.
-    pub fn leave(&mut self, node: NodeId) -> bool {
-        if !self.membership.leave(node) {
-            return false;
-        }
-        self.regenerate_schedule();
-        true
-    }
-
-    /// Rebuilds the production schedule from the current members (a new
-    /// shuffle of the active set, as BitShares does each maintenance round).
-    fn regenerate_schedule(&mut self) {
-        let mut schedule = self.membership.active_nodes();
-        self.rng.shuffle(&mut schedule);
-        self.schedule = schedule;
-    }
-
-    /// Network counters.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
-    }
-
-    /// The liveness monitor's verdict as of the current virtual time.
-    pub fn liveness_report(&self) -> LivenessReport {
-        self.liveness.report(self.net.now())
-    }
-
-    /// Applies a network-level fault (partition, heal, loss burst, latency
-    /// spike) to the cluster's message fabric. Crash/restart events are not
-    /// network faults and return `false`.
-    pub fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.net.apply_fault(at, event)
-    }
-
-    /// Commands waiting to be packed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submits a command (a BitShares transaction, possibly carrying many
-    /// operations) for inclusion.
-    pub fn submit(&mut self, cmd: Command) {
-        self.pending.push(cmd);
-    }
-
-    /// Crashes a witness; its slots are skipped.
-    pub fn crash(&mut self, node: NodeId) {
-        self.alive[node.0 as usize] = false;
-    }
-
-    /// Recovers a crashed witness.
-    pub fn recover(&mut self, node: NodeId) {
-        self.alive[node.0 as usize] = true;
-    }
-
-    /// Runs the slot schedule until `deadline`, returning produced blocks.
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<CommittedBatch> {
-        while let Some(ev) = self.net.pop_at_or_before(deadline) {
-            self.dispatch(ev.dst, ev.at, ev.msg);
-        }
-        self.net.advance_to(deadline);
-        std::mem::take(&mut self.committed)
-    }
-
-    /// Due time of the next internal event.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.net.next_event_time()
+        self.p.missed
     }
 
     fn witness_of(&self, slot: u64) -> NodeId {
-        self.schedule[(slot % self.schedule.len() as u64) as usize]
-    }
-
-    fn dispatch(&mut self, me: NodeId, at: SimTime, msg: DposMsg) {
-        match msg {
-            DposMsg::SlotTimer { slot } => self.on_slot(me, at, slot),
-            DposMsg::SlotWatchdog { slot } => self.on_watchdog(me, at, slot),
-            DposMsg::BlockAnnounce => {
-                // Receiving nodes apply the block; cost only.
-                let _ = self.cpu.process(me, at, SimDuration::from_micros(50));
-            }
-            DposMsg::SyncDone { node } => self.on_sync_done(node),
-        }
-    }
-
-    /// A joiner finished replaying the chain: admit it and regenerate the
-    /// schedule. Its first slot can only come after this point, so a joiner
-    /// never produces before sync completes.
-    fn on_sync_done(&mut self, node: NodeId) {
-        if !self.syncing.remove(&node) {
-            return;
-        }
-        if self.membership.join(node) {
-            self.regenerate_schedule();
-        }
+        self.p.schedule[(slot % self.p.schedule.len() as u64) as usize]
     }
 
     /// Arms `next_slot`'s production timer on its scheduled witness
@@ -371,24 +183,22 @@ impl DposCluster {
     /// timer cannot stall the global schedule (whichever healthy watchdog
     /// fires first forfeits the slot; the rest stand down).
     fn arm_next_slot(&mut self, at: SimTime, next_slot: u64) {
-        if next_slot.is_multiple_of(self.schedule.len() as u64) {
-            let mut schedule = std::mem::take(&mut self.schedule);
-            self.rng.shuffle(&mut schedule);
-            self.schedule = schedule;
+        let interval = self.p.block_interval;
+        if next_slot.is_multiple_of(self.p.schedule.len() as u64) {
+            self.p.rng.shuffle(&mut self.p.schedule);
         }
         let next_witness = self.witness_of(next_slot);
-        self.slot_due = at + self.block_interval;
+        self.p.slot_due = at + interval;
         self.net.timer(
             next_witness,
-            self.block_interval,
+            interval,
             DposMsg::SlotTimer { slot: next_slot },
         );
-        for i in 0..self.schedule.len() {
-            let guard = self.schedule[i];
+        for &guard in &self.p.schedule {
             if guard != next_witness {
                 self.net.timer(
                     guard,
-                    self.block_interval.mul_f64(1.75),
+                    interval.mul_f64(1.75),
                     DposMsg::SlotWatchdog { slot: next_slot },
                 );
             }
@@ -400,17 +210,17 @@ impl DposCluster {
     /// missed beat, like a crash — and keep the cadence going so the rest
     /// of the network does not wait on one straggler.
     fn on_watchdog(&mut self, me: NodeId, at: SimTime, slot: u64) {
-        if slot < self.next_expected || !self.alive[me.0 as usize] {
+        if slot < self.p.next_expected || !self.alive[me.0 as usize] {
             return;
         }
-        self.next_expected = slot + 1;
-        self.missed += 1;
+        self.p.next_expected = slot + 1;
+        self.p.missed += 1;
         self.liveness.observe_view_change(at);
         self.arm_next_slot(at, slot + 1);
     }
 
     fn on_slot(&mut self, me: NodeId, at: SimTime, slot: u64) {
-        if slot < self.next_expected {
+        if slot < self.p.next_expected {
             // A straggler's stretched timer firing for a slot the watchdog
             // already forfeited on its behalf; the miss was counted there.
             return;
@@ -419,8 +229,8 @@ impl DposCluster {
         // (its timers stretched by the simulator) arrives late. Anything
         // more than half an interval past due forfeits the slot, as the
         // rest of the network has moved on.
-        let too_late = at.saturating_since(self.slot_due) > self.block_interval.mul_f64(0.5);
-        self.next_expected = slot + 1;
+        let too_late = at.saturating_since(self.p.slot_due) > self.p.block_interval.mul_f64(0.5);
+        self.p.next_expected = slot + 1;
         // Schedule the next slot first (the schedule reshuffles each round).
         self.arm_next_slot(at, slot + 1);
 
@@ -428,25 +238,25 @@ impl DposCluster {
         // membership while its slot timer was already in flight, and so
         // does a straggler that fired too far past its production window.
         if !self.alive[me.0 as usize] || !self.membership.is_active(me) || too_late {
-            self.missed += 1;
+            self.p.missed += 1;
             self.liveness.observe_view_change(at);
             return;
         }
         self.liveness.observe_progress(me, at);
         if self.pending.is_empty() {
             // Empty block: produced but uninteresting; count it.
-            self.produced += 1;
+            self.p.produced += 1;
             self.liveness.observe_commit(at);
             return;
         }
         let take = self.pending.len().min(self.batch.max_commands);
         let batch: Vec<Command> = self.pending.drain(..take).collect();
-        let cost = self.proc_per_command * batch.len() as u64 + SimDuration::from_micros(100);
+        let cost = PROC_PER_COMMAND * batch.len() as u64 + SimDuration::from_micros(100);
         let done = self.cpu.process(me, at, cost);
         let bytes = 128 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
         self.net
             .broadcast_delayed(me, done - at, bytes, |_| DposMsg::BlockAnnounce);
-        self.produced += 1;
+        self.p.produced += 1;
         self.liveness.observe_commit(done);
         self.committed.push(CommittedBatch {
             commands: batch,
@@ -460,6 +270,8 @@ impl DposCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shell::{SYNC_BASE, SYNC_PER_UNIT};
+    use coconut_simnet::FaultEvent;
     use coconut_types::{ClientId, TxId};
 
     fn tx(seq: u64) -> Command {
@@ -605,7 +417,7 @@ mod tests {
         // Produce some chain history first, then start the join.
         c.run_until(SimTime::from_secs(2));
         assert!(c.join(NodeId(3)));
-        let sync_deadline = c.now() + SYNC_BASE + SYNC_PER_BLOCK * c.blocks_produced();
+        let sync_deadline = c.now() + SYNC_BASE + SYNC_PER_UNIT * c.blocks_produced();
         for s in 50..80 {
             c.submit(tx(s));
         }

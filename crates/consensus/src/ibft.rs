@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use coconut_types::{Hasher64, NodeId, SimDuration};
 
-use crate::three_phase::{Builder, Cluster, Msg, Node, Policy, CHANGE_BYTES};
+use crate::three_phase::{Builder, Cluster, Msg, Node, Policy, CHANGE_BYTES, PROC_PER_MSG};
 use crate::Command;
 
 /// The IBFT policy of the three-phase engine.
@@ -98,7 +98,7 @@ impl Policy for Ibft {
     }
 
     fn on_timeout(c: &mut IbftCluster, me: NodeId, height: u64, round: u64) {
-        let node = &mut c.nodes[me.0 as usize];
+        let node = &mut c.p.nodes[me.0 as usize];
         if node.height != height
             || node.view != round
             || node
@@ -115,7 +115,7 @@ impl Policy for Ibft {
         }
         *voted = new_round;
         let now = c.net.now();
-        let done = c.cpu.process(me, now, c.proc_per_msg);
+        let done = c.cpu.process(me, now, PROC_PER_MSG);
         c.net
             .broadcast_delayed(me, done - now, CHANGE_BYTES, |_| Msg::ViewChange {
                 height,
@@ -126,7 +126,7 @@ impl Policy for Ibft {
 
     fn on_view_change(c: &mut IbftCluster, me: NodeId, height: u64, round: u64) {
         let quorum = c.quorum();
-        let node = &mut c.nodes[me.0 as usize];
+        let node = &mut c.p.nodes[me.0 as usize];
         if node.height != height || round <= node.view {
             return;
         }
@@ -156,16 +156,16 @@ impl Policy for Ibft {
     }
 
     fn align_joiner(c: &mut IbftCluster, joiner: NodeId) {
-        c.nodes[joiner.0 as usize].view = 0;
+        c.p.nodes[joiner.0 as usize].view = 0;
     }
 
     /// Every active validator realigns on (next height, round 0) and
     /// watches it; then its proposer re-proposes.
     fn restart_epoch(c: &mut IbftCluster) {
-        let height = c.next_height;
-        for (i, node) in c.nodes.iter_mut().enumerate() {
+        let height = c.p.next_height;
+        for (i, node) in c.p.nodes.iter_mut().enumerate() {
             node.change = RoundChange::default();
-            if node.alive && c.membership.is_active(NodeId(i as u32)) {
+            if c.alive[i] && c.membership.is_active(NodeId(i as u32)) {
                 node.height = height;
                 node.view = 0;
             }
@@ -173,7 +173,7 @@ impl Policy for Ibft {
         c.watch_active(height, 0);
         c.net.timer(
             c.leader(height, 0),
-            c.period,
+            c.p.period,
             Msg::ProposeTimer { height, view: 0 },
         );
     }

@@ -16,7 +16,9 @@
 //! Engines share a vocabulary — [`Command`]s go in, [`CommittedBatch`]es come
 //! out — and a per-node CPU queue model ([`CpuModel`]) so that the quadratic
 //! message complexity of the BFT protocols translates into the scalability
-//! degradation the paper measures in §5.8.2.
+//! degradation the paper measures in §5.8.2. Every engine but the notary is
+//! a [`shell::Protocol`] on one [`shell::Shell`], which owns the builder,
+//! membership, network, queues, join/sync and the fault surface.
 //!
 //! # Example
 //!
@@ -42,6 +44,7 @@ pub mod notary;
 pub mod pbft;
 pub mod raft;
 pub mod safety;
+pub mod shell;
 pub mod three_phase;
 
 pub use liveness::{LivenessConfig, LivenessMonitor, LivenessReport, LivenessVerdict};

@@ -26,7 +26,7 @@ use std::collections::HashMap;
 
 use coconut_types::{Hasher64, NodeId, SimDuration};
 
-use crate::three_phase::{Builder, Cluster, Msg, Node, Policy, CHANGE_BYTES};
+use crate::three_phase::{Builder, Cluster, Msg, Node, Policy, CHANGE_BYTES, PROC_PER_MSG};
 use crate::Command;
 
 /// The PBFT policy of the three-phase engine.
@@ -96,8 +96,8 @@ impl Policy for Pbft {
     }
 
     fn on_timeout(c: &mut PbftCluster, me: NodeId, seq: u64, view: u64) {
-        let node = &c.nodes[me.0 as usize];
-        if node.view != view || seq < c.next_height {
+        let node = &c.p.nodes[me.0 as usize];
+        if node.view != view || seq < c.p.next_height {
             return; // stale timer
         }
         let slot = node.slots.get(&(seq, view));
@@ -113,8 +113,8 @@ impl Policy for Pbft {
         }
         let new_view = view + 1;
         let now = c.net.now();
-        let done = c.cpu.process(me, now, c.proc_per_msg);
-        let change = &mut c.nodes[me.0 as usize].change;
+        let done = c.cpu.process(me, now, PROC_PER_MSG);
+        let change = &mut c.p.nodes[me.0 as usize].change;
         if change.voted >= new_view {
             return;
         }
@@ -131,7 +131,7 @@ impl Policy for Pbft {
     fn on_view_change(c: &mut PbftCluster, me: NodeId, _seq: u64, new_view: u64) {
         let quorum = c.quorum();
         let is_new_primary = c.leader(0, new_view) == me;
-        let node = &mut c.nodes[me.0 as usize];
+        let node = &mut c.p.nodes[me.0 as usize];
         if new_view <= node.view {
             return;
         }
@@ -142,7 +142,7 @@ impl Policy for Pbft {
             // Only the incoming primary reaches this branch, so each
             // successful view change is counted once cluster-wide.
             c.liveness.observe_view_change(now);
-            let done = c.cpu.process(me, now, c.proc_per_msg);
+            let done = c.cpu.process(me, now, PROC_PER_MSG);
             adopt_view(c, me, new_view);
             c.net
                 .broadcast_delayed(me, done - now, CHANGE_BYTES, |_| Msg::NewView {
@@ -151,9 +151,9 @@ impl Policy for Pbft {
             // The new primary re-proposes pending work.
             c.net.timer(
                 me,
-                c.period,
+                c.p.period,
                 Msg::ProposeTimer {
-                    height: c.next_height,
+                    height: c.p.next_height,
                     view: new_view,
                 },
             );
@@ -161,16 +161,16 @@ impl Policy for Pbft {
     }
 
     fn on_new_view(c: &mut PbftCluster, me: NodeId, view: u64) {
-        if view > c.nodes[me.0 as usize].view {
+        if view > c.p.nodes[me.0 as usize].view {
             adopt_view(c, me, view);
-            c.watch(me, c.next_height, view);
+            c.watch(me, c.p.next_height, view);
         }
     }
 
     /// The joiner adopts the highest view among its peers.
     fn align_joiner(c: &mut PbftCluster, joiner: NodeId) {
         let view = highest_active_view(c);
-        let joiner = &mut c.nodes[joiner.0 as usize];
+        let joiner = &mut c.p.nodes[joiner.0 as usize];
         joiner.view = view;
         joiner.change.voted = joiner.change.voted.max(view);
     }
@@ -179,10 +179,10 @@ impl Policy for Pbft {
     /// and every active replica watches it.
     fn restart_epoch(c: &mut PbftCluster) {
         let view = highest_active_view(c);
-        let seq = c.next_height;
+        let seq = c.p.next_height;
         c.net.timer(
             c.leader(seq, view),
-            c.period,
+            c.p.period,
             Msg::ProposeTimer { height: seq, view },
         );
         c.watch_active(seq, view);
@@ -191,10 +191,10 @@ impl Policy for Pbft {
 
 /// The highest view among live active replicas.
 fn highest_active_view(c: &PbftCluster) -> u64 {
-    c.nodes
+    c.p.nodes
         .iter()
         .enumerate()
-        .filter(|&(i, n)| n.alive && c.membership.is_active(NodeId(i as u32)))
+        .filter(|&(i, _)| c.alive[i] && c.membership.is_active(NodeId(i as u32)))
         .map(|(_, n)| n.view)
         .max()
         .unwrap_or(0)
@@ -203,12 +203,12 @@ fn highest_active_view(c: &PbftCluster) -> u64 {
 /// Moves `me` to `view`. Outstanding uncommitted slots from older views
 /// are abandoned, but their commands are reclaimed into the pending queue.
 fn adopt_view(c: &mut PbftCluster, me: NodeId, view: u64) {
-    let next = c.next_height;
-    let node = &mut c.nodes[me.0 as usize];
+    let next = c.p.next_height;
+    let node = &mut c.p.nodes[me.0 as usize];
     node.view = view;
     node.change.voted = node.change.voted.max(view);
     c.reclaim(me, |seq, v| v < view && seq >= next);
-    c.nodes[me.0 as usize]
+    c.p.nodes[me.0 as usize]
         .slots
         .retain(|&(_, v), s| v >= view || s.committed);
 }
@@ -505,7 +505,6 @@ mod tests {
         let latency = |n: u32| {
             let mut c = PbftCluster::builder(n)
                 .seed(10)
-                .proc_per_msg(SimDuration::from_micros(200))
                 .period(SimDuration::from_millis(10))
                 .build();
             let t0 = c.now();

@@ -7,79 +7,91 @@
 //! commands form log entries (one entry per cut batch, mirroring Fabric's
 //! block-per-entry use of etcd/raft).
 //!
-//! Crash-stop faults can be injected with [`RaftCluster::crash`]; the
+//! Crash-stop faults can be injected with [`Shell::crash`]; the
 //! remaining nodes elect a new leader and keep committing as long as a
 //! majority is alive.
 
-use std::collections::BTreeSet;
-
-use coconut_simnet::{FaultEvent, NetConfig, NetSim, NetStats, Topology};
+use coconut_simnet::NetSim;
 use coconut_types::{NodeId, SimDuration, SimTime};
 
-use crate::liveness::{LivenessMonitor, LivenessReport};
-use crate::{majority_quorum, BatchConfig, Command, CommittedBatch, CpuModel, Membership};
+use crate::shell::{Builder, Protocol, Shell};
+use crate::{majority_quorum, BatchConfig, Command, CommittedBatch};
 
-/// Base catch-up time a learner spends replicating state before its
-/// `AddVoter` entry is proposed, plus a per-committed-entry transfer cost.
-const SYNC_BASE: SimDuration = SimDuration::from_millis(250);
-const SYNC_PER_BATCH: SimDuration = SimDuration::from_millis(2);
+use wire::{ConfigChange, LogEntry, RaftMsg};
+
 const RECONFIG_RETRY: SimDuration = SimDuration::from_millis(100);
+/// Lower bound of the randomized election timeout (upper bound is 2×).
+const ELECTION_TIMEOUT: SimDuration = SimDuration::from_millis(150);
+const HEARTBEAT_INTERVAL: SimDuration = SimDuration::from_millis(50);
+/// Fixed CPU cost of handling any protocol message.
+const PROC_PER_MSG: SimDuration = SimDuration::from_micros(20);
+/// Additional CPU cost per command carried in an `AppendEntries`.
+const PROC_PER_COMMAND: SimDuration = SimDuration::from_micros(2);
 
-/// A single-server membership change carried by a log entry (Raft applies
-/// reconfiguration through the log, one server at a time).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ConfigChange {
-    AddVoter(NodeId),
-    RemoveVoter(NodeId),
-}
+/// Messages and log entries; public only to the engine shell.
+mod wire {
+    use super::*;
 
-/// Raft protocol messages plus local timers.
-#[derive(Debug, Clone)]
-enum RaftMsg {
-    /// Follower/candidate election timer. `generation` invalidates stale timers.
-    ElectionTimeout { generation: u64 },
-    /// Leader heartbeat timer.
-    HeartbeatTimer { generation: u64 },
-    /// Batch-cut timer at the leader.
-    BatchTimer,
-    RequestVote {
-        term: u64,
-        candidate: NodeId,
-        last_log_index: u64,
-        last_log_term: u64,
-    },
-    Vote {
-        term: u64,
-        from: NodeId,
-        granted: bool,
-    },
-    AppendEntries {
-        term: u64,
-        leader: NodeId,
-        prev_index: u64,
-        prev_term: u64,
-        entries: Vec<LogEntry>,
-        leader_commit: u64,
-    },
-    AppendResp {
-        term: u64,
-        from: NodeId,
-        success: bool,
-        match_index: u64,
-    },
-    /// A learner's catch-up finished: propose its `AddVoter` entry.
-    SyncDone { node: NodeId },
-    /// Retry queued membership changes until a leader can append them.
-    ReconfigTimer,
-}
+    /// A single-server membership change carried by a log entry (Raft
+    /// applies reconfiguration through the log, one server at a time).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum ConfigChange {
+        AddVoter(NodeId),
+        RemoveVoter(NodeId),
+    }
 
-/// One replicated log entry: a batch of commands cut by the leader, or a
-/// single-server membership change.
-#[derive(Debug, Clone)]
-struct LogEntry {
-    term: u64,
-    batch: Vec<Command>,
-    config: Option<ConfigChange>,
+    /// One replicated log entry: a batch of commands cut by the leader, or
+    /// a single-server membership change.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct LogEntry {
+        pub(super) term: u64,
+        pub(super) batch: Vec<Command>,
+        pub(super) config: Option<ConfigChange>,
+    }
+
+    /// Raft protocol messages plus local timers.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum RaftMsg {
+        /// Follower/candidate election timer. `generation` invalidates
+        /// stale timers.
+        ElectionTimeout {
+            generation: u64,
+        },
+        /// Leader heartbeat timer.
+        HeartbeatTimer {
+            generation: u64,
+        },
+        /// Batch-cut timer at the leader.
+        BatchTimer,
+        RequestVote {
+            term: u64,
+            candidate: NodeId,
+            last_log_index: u64,
+            last_log_term: u64,
+        },
+        Vote {
+            term: u64,
+            granted: bool,
+        },
+        AppendEntries {
+            term: u64,
+            leader: NodeId,
+            prev_index: u64,
+            prev_term: u64,
+            entries: Vec<LogEntry>,
+            leader_commit: u64,
+        },
+        AppendResp {
+            term: u64,
+            from: NodeId,
+            success: bool,
+            match_index: u64,
+        },
+        /// A learner's catch-up finished: propose its `AddVoter` entry.
+        SyncDone,
+        /// Retry queued membership changes until a leader can append them.
+        ReconfigTimer,
+    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +113,6 @@ struct RaftNode {
     // leader state
     next_index: Vec<u64>,
     match_index: Vec<u64>,
-    alive: bool,
 }
 
 impl RaftNode {
@@ -116,7 +127,6 @@ impl RaftNode {
             timer_generation: 0,
             next_index: vec![1; n],
             match_index: vec![0; n],
-            alive: true,
         }
     }
 
@@ -137,126 +147,19 @@ impl RaftNode {
     }
 }
 
-/// Configuration for a [`RaftCluster`]; build with [`RaftCluster::builder`].
-#[derive(Debug, Clone)]
-pub struct RaftBuilder {
-    nodes: u32,
-    standby: u32,
-    topology: Option<Topology>,
-    net: NetConfig,
-    seed: u64,
-    batch: BatchConfig,
-    election_timeout_min: SimDuration,
-    heartbeat_interval: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
+/// The Raft protocol state of a [`RaftCluster`].
+#[derive(Debug)]
+pub struct Raft {
+    nodes: Vec<RaftNode>,
+    /// Membership changes waiting for a leader to append them.
+    pending_reconfig: Vec<ConfigChange>,
+    pending_since: Option<SimTime>,
+    emitted_index: u64,
+    round: u64,
 }
 
-impl RaftBuilder {
-    /// Node placement (defaults to round-robin over `nodes` servers).
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = Some(t);
-        self
-    }
-
-    /// Pre-provisions `k` standby servers (ids `nodes..nodes + k`) that
-    /// start outside the voter set and can be admitted at runtime via
-    /// [`RaftCluster::join`]. Default 0.
-    pub fn standby(mut self, k: u32) -> Self {
-        self.standby = k;
-        self
-    }
-
-    /// Network characteristics (defaults to [`NetConfig::lan`]).
-    pub fn net(mut self, c: NetConfig) -> Self {
-        self.net = c;
-        self
-    }
-
-    /// RNG seed for election jitter and link latency.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.seed = s;
-        self
-    }
-
-    /// Batch-cut policy for log entries.
-    pub fn batch(mut self, b: BatchConfig) -> Self {
-        self.batch = b;
-        self
-    }
-
-    /// Lower bound of the randomized election timeout (upper bound is 2×).
-    pub fn election_timeout(mut self, d: SimDuration) -> Self {
-        self.election_timeout_min = d;
-        self
-    }
-
-    /// Leader heartbeat interval.
-    pub fn heartbeat_interval(mut self, d: SimDuration) -> Self {
-        self.heartbeat_interval = d;
-        self
-    }
-
-    /// Fixed CPU cost of handling any protocol message.
-    pub fn proc_per_msg(mut self, d: SimDuration) -> Self {
-        self.proc_per_msg = d;
-        self
-    }
-
-    /// Additional CPU cost per command carried in an `AppendEntries`.
-    pub fn proc_per_command(mut self, d: SimDuration) -> Self {
-        self.proc_per_command = d;
-        self
-    }
-
-    /// Builds the cluster.
-    pub fn build(self) -> RaftCluster {
-        let n = self.nodes;
-        let total = n + self.standby;
-        let topology = self
-            .topology
-            .unwrap_or_else(|| Topology::round_robin(total, total));
-        assert_eq!(
-            topology.node_count(),
-            total,
-            "topology must cover baseline + standby nodes"
-        );
-        let mut net = NetSim::new(topology, self.net, self.seed);
-        let mut nodes: Vec<RaftNode> = (0..total).map(|_| RaftNode::new(total as usize)).collect();
-        // Arm initial election timers with per-node jitter (voters only;
-        // standby servers stay inert until admitted).
-        for (i, node) in nodes.iter_mut().enumerate().take(n as usize) {
-            node.timer_generation = 1;
-            let jitter = SimDuration::from_micros(
-                self.election_timeout_min.as_micros() * (i as u64 + 1) / n as u64,
-            );
-            net.timer(
-                NodeId(i as u32),
-                self.election_timeout_min + jitter,
-                RaftMsg::ElectionTimeout { generation: 1 },
-            );
-        }
-        RaftCluster {
-            nodes,
-            membership: Membership::new(n, self.standby),
-            syncing: BTreeSet::new(),
-            pending_reconfig: Vec::new(),
-            net,
-            cpu: CpuModel::new(total),
-            batch: self.batch,
-            pending: Vec::new(),
-            pending_since: None,
-            committed: Vec::new(),
-            emitted_index: 0,
-            election_timeout_min: self.election_timeout_min,
-            heartbeat_interval: self.heartbeat_interval,
-            proc_per_msg: self.proc_per_msg,
-            proc_per_command: self.proc_per_command,
-            round: 0,
-            liveness: LivenessMonitor::default(),
-        }
-    }
-}
+/// Configuration for a [`RaftCluster`]; build with [`Shell::builder`].
+pub type RaftBuilder = Builder<Raft>;
 
 /// A simulated Raft cluster.
 ///
@@ -273,254 +176,69 @@ impl RaftBuilder {
 /// let committed = cluster.run_until(SimTime::from_secs(5));
 /// assert_eq!(committed.len(), 1);
 /// ```
-#[derive(Debug)]
-pub struct RaftCluster {
-    nodes: Vec<RaftNode>,
-    /// Epoch-versioned voter set over the provisioned universe.
-    membership: Membership,
-    /// Learners replicating state ahead of their `AddVoter` entry.
-    syncing: BTreeSet<NodeId>,
-    /// Membership changes waiting for a leader to append them.
-    pending_reconfig: Vec<ConfigChange>,
-    net: NetSim<RaftMsg>,
-    cpu: CpuModel,
-    batch: BatchConfig,
-    pending: Vec<Command>,
-    pending_since: Option<SimTime>,
-    committed: Vec<CommittedBatch>,
-    emitted_index: u64,
-    election_timeout_min: SimDuration,
-    heartbeat_interval: SimDuration,
-    proc_per_msg: SimDuration,
-    proc_per_command: SimDuration,
-    round: u64,
-    /// Commit-cadence and leadership-churn liveness tracker.
-    liveness: LivenessMonitor,
-}
+pub type RaftCluster = Shell<Raft>;
 
-impl RaftCluster {
-    /// Starts building a cluster of `nodes` Raft nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is zero.
-    pub fn builder(nodes: u32) -> RaftBuilder {
-        assert!(nodes > 0, "a cluster needs at least one node");
-        RaftBuilder {
+impl Protocol for Raft {
+    type Msg = RaftMsg;
+    type Config = ();
+    const CONFIG: () = ();
+    /// Fabric's defaults: 500 messages or 2 s, whichever first.
+    const BATCH: BatchConfig = BatchConfig {
+        max_commands: 500,
+        max_wait: SimDuration::from_secs(2),
+    };
+    const SYNC_DONE: RaftMsg = RaftMsg::SyncDone;
+
+    /// Arms the voters' first election timers with per-node jitter;
+    /// standby servers stay inert until admitted.
+    fn init(b: &RaftBuilder, net: &mut NetSim<RaftMsg>) -> Self {
+        let (n, total) = (b.nodes, b.provisioned());
+        let mut nodes: Vec<RaftNode> = (0..total).map(|_| RaftNode::new(total as usize)).collect();
+        for (i, node) in nodes.iter_mut().enumerate().take(n as usize) {
+            node.timer_generation = 1;
+            let jitter =
+                SimDuration::from_micros(ELECTION_TIMEOUT.as_micros() * (i as u64 + 1) / n as u64);
+            net.timer(
+                NodeId(i as u32),
+                ELECTION_TIMEOUT + jitter,
+                RaftMsg::ElectionTimeout { generation: 1 },
+            );
+        }
+        Raft {
             nodes,
-            standby: 0,
-            topology: None,
-            net: NetConfig::lan(),
-            seed: 0,
-            batch: BatchConfig::default(),
-            election_timeout_min: SimDuration::from_millis(150),
-            heartbeat_interval: SimDuration::from_millis(50),
-            proc_per_msg: SimDuration::from_micros(20),
-            proc_per_command: SimDuration::from_micros(2),
+            pending_reconfig: Vec::new(),
+            pending_since: None,
+            emitted_index: 0,
+            round: 0,
         }
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.net.now()
+    /// A learner catches up on every emitted entry.
+    fn sync_units(s: &RaftCluster) -> u64 {
+        s.p.emitted_index
     }
 
-    /// Number of nodes in the cluster.
-    pub fn node_count(&self) -> u32 {
-        self.nodes.len() as u32
+    /// Non-voters: a learner replicates the log (so it is caught up before
+    /// its `AddVoter` entry commits) but holds no vote and starts no
+    /// election; other standby servers are inert. Any server may host a
+    /// reconfiguration retry.
+    fn admits(s: &RaftCluster, me: NodeId, msg: &RaftMsg) -> bool {
+        s.alive[me.0 as usize]
+            && (s.membership.is_active(me)
+                || match msg {
+                    RaftMsg::SyncDone | RaftMsg::ReconfigTimer => true,
+                    RaftMsg::AppendEntries { .. } => s.syncing.contains(&me),
+                    _ => false,
+                })
     }
 
-    /// The current leader, if one is established.
-    pub fn leader(&self) -> Option<NodeId> {
-        let max_term = self.nodes.iter().map(|n| n.term).max()?;
-        self.nodes
-            .iter()
-            .enumerate()
-            .position(|(i, n)| {
-                n.alive
-                    && n.role == Role::Leader
-                    && n.term == max_term
-                    && self.membership.is_active(NodeId(i as u32))
-            })
-            .map(|i| NodeId(i as u32))
-    }
-
-    /// Servers currently in the voter set.
-    pub fn active_count(&self) -> u32 {
-        self.membership.active_count()
-    }
-
-    /// Current membership configuration epoch (bumps when a config entry
-    /// commits).
-    pub fn config_epoch(&self) -> u64 {
-        self.membership.epoch()
-    }
-
-    /// Starts admitting a pre-provisioned standby server: it becomes a
-    /// learner that replicates the log (catch-up takes longer the more
-    /// entries were committed), and when the transfer completes its
-    /// `AddVoter` entry is proposed through the log. The server only joins
-    /// the voter set — bumping the epoch — when that entry commits.
-    /// Returns `false` if `node` is unknown, already a voter, or already
-    /// syncing.
-    pub fn join(&mut self, node: NodeId) -> bool {
-        if node.0 >= self.membership.provisioned()
-            || self.membership.is_active(node)
-            || self.syncing.contains(&node)
-        {
-            return false;
-        }
-        self.syncing.insert(node);
-        // Reset every server's replication cursor for the learner so the
-        // leader ships it the full log from entry 1.
-        let idx = node.0 as usize;
-        for n in &mut self.nodes {
-            n.next_index[idx] = 1;
-            n.match_index[idx] = 0;
-        }
-        let sync = SYNC_BASE + SYNC_PER_BATCH * self.emitted_index;
-        self.net.timer(node, sync, RaftMsg::SyncDone { node });
-        true
-    }
-
-    /// Initiates removal of a voter through the log: a `RemoveVoter` entry
-    /// is appended by the leader and takes effect — bumping the epoch —
-    /// when it commits. Returns `false` if `node` is not a voter or is the
-    /// last one.
-    pub fn leave(&mut self, node: NodeId) -> bool {
-        if !self.membership.is_active(node) || self.membership.active_count() <= 1 {
-            return false;
-        }
-        if self
-            .pending_reconfig
-            .contains(&ConfigChange::RemoveVoter(node))
-        {
-            return false;
-        }
-        self.pending_reconfig.push(ConfigChange::RemoveVoter(node));
-        self.try_submit_reconfig();
-        true
-    }
-
-    /// Network counters.
-    pub fn net_stats(&self) -> NetStats {
-        self.net.stats()
-    }
-
-    /// The liveness monitor's verdict as of the current virtual time.
-    pub fn liveness_report(&self) -> LivenessReport {
-        self.liveness.report(self.net.now())
-    }
-
-    /// Applies a network-level fault (partition, heal, loss burst, latency
-    /// spike) to the cluster's message fabric. Crash/restart events are not
-    /// network faults and return `false`.
-    pub fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.net.apply_fault(at, event)
-    }
-
-    /// Commands accepted but not yet committed.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Submits a command for ordering. Commands queue at the cluster and
-    /// are cut into log entries by the current leader.
-    pub fn submit(&mut self, cmd: Command) {
-        self.pending.push(cmd);
-        if self.pending_since.is_none() {
-            self.pending_since = Some(self.net.now());
-            if let Some(leader) = self.leader() {
-                self.net
-                    .timer(leader, self.batch.max_wait, RaftMsg::BatchTimer);
-            }
-        }
-        if self.pending.len() >= self.batch.max_commands {
-            if let Some(leader) = self.leader() {
-                self.cut_batch(leader);
-            }
-        }
-    }
-
-    /// Crashes a node (crash-stop: it drops all traffic until recovered).
-    pub fn crash(&mut self, node: NodeId) {
-        self.nodes[node.0 as usize].alive = false;
-    }
-
-    /// Recovers a crashed node as a follower.
-    pub fn recover(&mut self, node: NodeId) {
-        let gen;
-        {
-            let n = &mut self.nodes[node.0 as usize];
-            n.alive = true;
-            n.role = Role::Follower;
-            n.timer_generation += 1;
-            gen = n.timer_generation;
-        }
-        // Non-voters stay inert: no election timer until promoted.
-        if !self.membership.is_active(node) {
-            return;
-        }
-        self.net.timer(
-            node,
-            self.election_timeout_min * 2,
-            RaftMsg::ElectionTimeout { generation: gen },
-        );
-    }
-
-    /// Runs the protocol until `deadline`, returning batches committed in
-    /// this window (in commit order).
-    pub fn run_until(&mut self, deadline: SimTime) -> Vec<CommittedBatch> {
-        while let Some(ev) = self.net.pop_at_or_before(deadline) {
-            self.dispatch(ev.dst, ev.at, ev.msg);
-        }
-        self.net.advance_to(deadline);
-        std::mem::take(&mut self.committed)
-    }
-
-    /// Due time of the next internal event, if any.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.net.next_event_time()
-    }
-
-    fn dispatch(&mut self, me: NodeId, at: SimTime, msg: RaftMsg) {
-        if !self.nodes[me.0 as usize].alive {
-            return;
-        }
-        if !self.membership.is_active(me) {
-            // Non-voters: a learner replicates the log (so it is caught up
-            // before its `AddVoter` entry commits) but holds no vote and
-            // starts no election; other standby servers are inert.
-            match msg {
-                RaftMsg::SyncDone { node } => self.on_sync_done(node),
-                RaftMsg::ReconfigTimer => self.try_submit_reconfig(),
-                RaftMsg::AppendEntries {
-                    term,
-                    leader,
-                    prev_index,
-                    prev_term,
-                    entries,
-                    leader_commit,
-                } if self.syncing.contains(&me) => self.on_append_entries(
-                    me,
-                    at,
-                    term,
-                    leader,
-                    prev_index,
-                    prev_term,
-                    entries,
-                    leader_commit,
-                ),
-                _ => {}
-            }
-            return;
-        }
+    fn deliver(s: &mut RaftCluster, me: NodeId, at: SimTime, msg: RaftMsg) {
         match msg {
-            RaftMsg::ElectionTimeout { generation } => self.on_election_timeout(me, generation),
-            RaftMsg::HeartbeatTimer { generation } => self.on_heartbeat_timer(me, generation),
+            RaftMsg::ElectionTimeout { generation } => s.on_election_timeout(me, generation),
+            RaftMsg::HeartbeatTimer { generation } => s.on_heartbeat_timer(me, generation),
             RaftMsg::BatchTimer => {
-                if self.nodes[me.0 as usize].role == Role::Leader && !self.pending.is_empty() {
-                    self.cut_batch(me);
+                if s.p.nodes[me.0 as usize].role == Role::Leader && !s.pending.is_empty() {
+                    s.cut_batch(me);
                 }
             }
             RaftMsg::RequestVote {
@@ -528,12 +246,8 @@ impl RaftCluster {
                 candidate,
                 last_log_index,
                 last_log_term,
-            } => self.on_request_vote(me, at, term, candidate, last_log_index, last_log_term),
-            RaftMsg::Vote {
-                term,
-                from,
-                granted,
-            } => self.on_vote(me, at, term, from, granted),
+            } => s.on_request_vote(me, at, term, candidate, last_log_index, last_log_term),
+            RaftMsg::Vote { term, granted } => s.on_vote(me, term, granted),
             RaftMsg::AppendEntries {
                 term,
                 leader,
@@ -541,7 +255,7 @@ impl RaftCluster {
                 prev_term,
                 entries,
                 leader_commit,
-            } => self.on_append_entries(
+            } => s.on_append_entries(
                 me,
                 at,
                 term,
@@ -556,39 +270,114 @@ impl RaftCluster {
                 from,
                 success,
                 match_index,
-            } => self.on_append_resp(me, at, term, from, success, match_index),
-            RaftMsg::SyncDone { node } => self.on_sync_done(node),
-            RaftMsg::ReconfigTimer => self.try_submit_reconfig(),
+            } => s.on_append_resp(me, term, from, success, match_index),
+            RaftMsg::ReconfigTimer => s.try_submit_reconfig(),
+            RaftMsg::SyncDone => {} // the shell's
         }
     }
 
-    /// A learner finished state transfer: queue its `AddVoter` entry. The
-    /// node stays a non-voting learner until that entry commits.
-    fn on_sync_done(&mut self, node: NodeId) {
-        if !self.syncing.contains(&node) || self.membership.is_active(node) {
+    /// Commands queue at the cluster and are cut into log entries by the
+    /// current leader.
+    fn on_submit(s: &mut RaftCluster) {
+        if s.p.pending_since.is_none() {
+            s.p.pending_since = Some(s.net.now());
+            if let Some(leader) = s.leader() {
+                s.net.timer(leader, s.batch.max_wait, RaftMsg::BatchTimer);
+            }
+        }
+        if s.pending.len() >= s.batch.max_commands {
+            if let Some(leader) = s.leader() {
+                s.cut_batch(leader);
+            }
+        }
+    }
+
+    /// The joiner becomes a learner: every server resets its replication
+    /// cursor for it, so the leader ships it the full log from entry 1.
+    fn on_join(s: &mut RaftCluster, node: NodeId) {
+        let idx = node.0 as usize;
+        for n in &mut s.p.nodes {
+            n.next_index[idx] = 1;
+            n.match_index[idx] = 0;
+        }
+    }
+
+    /// A learner finished state transfer: queue its `AddVoter` entry. It
+    /// stays a non-voting learner, and syncing, until that entry commits.
+    fn on_sync_done(s: &mut RaftCluster, node: NodeId) {
+        if s.membership.is_active(node) {
             return;
         }
-        self.pending_reconfig.push(ConfigChange::AddVoter(node));
-        self.try_submit_reconfig();
+        s.p.pending_reconfig.push(ConfigChange::AddVoter(node));
+        s.try_submit_reconfig();
+    }
+
+    /// Removal goes through the log: a `RemoveVoter` entry is appended by
+    /// the leader and takes effect — bumping the epoch — when it commits.
+    fn leave(s: &mut RaftCluster, node: NodeId) -> bool {
+        let change = ConfigChange::RemoveVoter(node);
+        if !s.membership.is_active(node)
+            || s.membership.active_count() <= 1
+            || s.p.pending_reconfig.contains(&change)
+        {
+            return false;
+        }
+        s.p.pending_reconfig.push(change);
+        s.try_submit_reconfig();
+        true
+    }
+
+    /// A recovered server comes back as a follower; a voter re-arms its
+    /// election timer, a non-voter stays inert until promoted.
+    fn on_recover(s: &mut RaftCluster, node: NodeId) {
+        let n = &mut s.p.nodes[node.0 as usize];
+        n.role = Role::Follower;
+        n.timer_generation += 1;
+        let generation = n.timer_generation;
+        if s.membership.is_active(node) {
+            s.net.timer(
+                node,
+                ELECTION_TIMEOUT * 2,
+                RaftMsg::ElectionTimeout { generation },
+            );
+        }
+    }
+}
+
+impl Shell<Raft> {
+    /// The current leader, if one is established.
+    pub fn leader(&self) -> Option<NodeId> {
+        let max_term = self.p.nodes.iter().map(|n| n.term).max()?;
+        self.p
+            .nodes
+            .iter()
+            .enumerate()
+            .position(|(i, n)| {
+                self.alive[i]
+                    && n.role == Role::Leader
+                    && n.term == max_term
+                    && self.membership.is_active(NodeId(i as u32))
+            })
+            .map(|i| NodeId(i as u32))
     }
 
     /// Appends queued membership changes at the current leader as config
     /// log entries; retries on a timer while no leader is available.
     fn try_submit_reconfig(&mut self) {
-        if self.pending_reconfig.is_empty() {
+        if self.p.pending_reconfig.is_empty() {
             return;
         }
         let Some(leader) = self.leader() else {
             // Host the retry timer on the change's subject node, which is
             // alive by construction.
-            let host = match self.pending_reconfig[0] {
+            let host = match self.p.pending_reconfig[0] {
                 ConfigChange::AddVoter(n) | ConfigChange::RemoveVoter(n) => n,
             };
             self.net.timer(host, RECONFIG_RETRY, RaftMsg::ReconfigTimer);
             return;
         };
-        for change in std::mem::take(&mut self.pending_reconfig) {
-            let node = &mut self.nodes[leader.0 as usize];
+        for change in std::mem::take(&mut self.p.pending_reconfig) {
+            let node = &mut self.p.nodes[leader.0 as usize];
             let term = node.term;
             node.log.push(LogEntry {
                 term,
@@ -610,14 +399,14 @@ impl RaftCluster {
             ConfigChange::AddVoter(node) => {
                 if self.membership.join(node) {
                     self.syncing.remove(&node);
-                    if self.nodes[node.0 as usize].alive {
+                    if self.alive[node.0 as usize] {
                         self.arm_election_timer(node);
                     }
                 }
             }
             ConfigChange::RemoveVoter(node) => {
                 if self.membership.leave(node) {
-                    let n = &mut self.nodes[node.0 as usize];
+                    let n = &mut self.p.nodes[node.0 as usize];
                     // A removed leader steps down; a removed follower just
                     // stops being counted. Bumping the generation cancels
                     // any outstanding timers either way.
@@ -631,14 +420,11 @@ impl RaftCluster {
     }
 
     fn arm_election_timer(&mut self, me: NodeId) {
-        let gen;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            node.timer_generation += 1;
-            gen = node.timer_generation;
-        }
+        let node = &mut self.p.nodes[me.0 as usize];
+        node.timer_generation += 1;
+        let gen = node.timer_generation;
         // Deterministic jitter derived from node id and generation.
-        let base = self.election_timeout_min.as_micros();
+        let base = ELECTION_TIMEOUT.as_micros();
         let jitter = (me.0 as u64 * 7919 + gen * 104_729) % base;
         self.net.timer(
             me,
@@ -648,32 +434,24 @@ impl RaftCluster {
     }
 
     fn on_election_timeout(&mut self, me: NodeId, generation: u64) {
-        {
-            let node = &self.nodes[me.0 as usize];
-            if node.timer_generation != generation || node.role == Role::Leader {
-                return;
-            }
+        let node = &mut self.p.nodes[me.0 as usize];
+        if node.timer_generation != generation || node.role == Role::Leader {
+            return;
         }
         // Become candidate.
-        let (term, last_log_index, last_log_term);
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            node.role = Role::Candidate;
-            node.term += 1;
-            node.voted_for = Some(me);
-            node.votes = 1;
-            term = node.term;
-            last_log_index = node.last_log_index();
-            last_log_term = node.last_log_term();
-        }
+        node.role = Role::Candidate;
+        node.term += 1;
+        node.voted_for = Some(me);
+        node.votes = 1;
+        let (term, last_log_index, last_log_term) =
+            (node.term, node.last_log_index(), node.last_log_term());
         self.arm_election_timer(me);
         if self.membership.active_count() == 1 {
             self.become_leader(me);
             return;
         }
-        let proc = self.proc_per_msg;
         self.net
-            .broadcast_delayed(me, proc, 64, |_| RaftMsg::RequestVote {
+            .broadcast_delayed(me, PROC_PER_MSG, 64, |_| RaftMsg::RequestVote {
                 term,
                 candidate: me,
                 last_log_index,
@@ -690,63 +468,48 @@ impl RaftCluster {
         last_log_index: u64,
         last_log_term: u64,
     ) {
-        let done = self.cpu.process(me, at, self.proc_per_msg);
-        let extra = done - at;
-        let granted;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if term > node.term {
-                node.term = term;
-                node.role = Role::Follower;
-                node.voted_for = None;
-            }
-            let log_ok = last_log_term > node.last_log_term()
-                || (last_log_term == node.last_log_term()
-                    && last_log_index >= node.last_log_index());
-            granted = term == node.term
-                && log_ok
-                && (node.voted_for.is_none() || node.voted_for == Some(candidate));
-            if granted {
-                node.voted_for = Some(candidate);
-            }
-            if granted || term > node.term {
-                // reset election timer on grant
-            }
+        let done = self.cpu.process(me, at, PROC_PER_MSG);
+        let node = &mut self.p.nodes[me.0 as usize];
+        if term > node.term {
+            node.term = term;
+            node.role = Role::Follower;
+            node.voted_for = None;
         }
+        let log_ok = last_log_term > node.last_log_term()
+            || (last_log_term == node.last_log_term() && last_log_index >= node.last_log_index());
+        let granted = term == node.term
+            && log_ok
+            && (node.voted_for.is_none() || node.voted_for == Some(candidate));
         if granted {
+            node.voted_for = Some(candidate);
             self.arm_election_timer(me);
         }
-        let reply_term = self.nodes[me.0 as usize].term;
+        let reply_term = self.p.nodes[me.0 as usize].term;
         self.net.send_delayed(
             me,
             candidate,
-            extra,
+            done - at,
             32,
             RaftMsg::Vote {
                 term: reply_term,
-                from: me,
                 granted,
             },
         );
     }
 
-    fn on_vote(&mut self, me: NodeId, _at: SimTime, term: u64, _from: NodeId, granted: bool) {
-        let should_lead;
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if term > node.term {
-                node.term = term;
-                node.role = Role::Follower;
-                node.voted_for = None;
-                return;
-            }
-            if node.role != Role::Candidate || term != node.term || !granted {
-                return;
-            }
-            node.votes += 1;
-            should_lead = node.votes >= majority_quorum(self.membership.active_count());
+    fn on_vote(&mut self, me: NodeId, term: u64, granted: bool) {
+        let node = &mut self.p.nodes[me.0 as usize];
+        if term > node.term {
+            node.term = term;
+            node.role = Role::Follower;
+            node.voted_for = None;
+            return;
         }
-        if should_lead {
+        if node.role != Role::Candidate || term != node.term || !granted {
+            return;
+        }
+        node.votes += 1;
+        if node.votes >= majority_quorum(self.membership.active_count()) {
             self.become_leader(me);
         }
     }
@@ -755,21 +518,14 @@ impl RaftCluster {
         // Every leadership transition — including the initial election —
         // counts as one cluster-wide view change.
         self.liveness.observe_view_change(self.net.now());
-        let gen;
-        {
-            let last = self.nodes[me.0 as usize].last_log_index();
-            let node = &mut self.nodes[me.0 as usize];
-            node.role = Role::Leader;
-            node.timer_generation += 1;
-            gen = node.timer_generation;
-            for v in &mut node.next_index {
-                *v = last + 1;
-            }
-            for v in &mut node.match_index {
-                *v = 0;
-            }
-            node.match_index[me.0 as usize] = last;
-        }
+        let node = &mut self.p.nodes[me.0 as usize];
+        let last = node.last_log_index();
+        node.role = Role::Leader;
+        node.timer_generation += 1;
+        let gen = node.timer_generation;
+        node.next_index.fill(last + 1);
+        node.match_index.fill(0);
+        node.match_index[me.0 as usize] = last;
         self.net.timer(
             me,
             SimDuration::ZERO,
@@ -782,16 +538,14 @@ impl RaftCluster {
     }
 
     fn on_heartbeat_timer(&mut self, me: NodeId, generation: u64) {
-        {
-            let node = &self.nodes[me.0 as usize];
-            if node.role != Role::Leader || node.timer_generation != generation {
-                return;
-            }
+        let node = &self.p.nodes[me.0 as usize];
+        if node.role != Role::Leader || node.timer_generation != generation {
+            return;
         }
         self.replicate(me);
         self.net.timer(
             me,
-            self.heartbeat_interval,
+            HEARTBEAT_INTERVAL,
             RaftMsg::HeartbeatTimer { generation },
         );
     }
@@ -803,22 +557,18 @@ impl RaftCluster {
         }
         let take = self.pending.len().min(self.batch.max_commands);
         let batch: Vec<Command> = self.pending.drain(..take).collect();
-        self.pending_since = if self.pending.is_empty() {
+        self.p.pending_since = if self.pending.is_empty() {
             None
         } else {
             Some(self.net.now())
         };
-        {
-            let term = self.nodes[leader.0 as usize].term;
-            let node = &mut self.nodes[leader.0 as usize];
-            node.log.push(LogEntry {
-                term,
-                batch,
-                config: None,
-            });
-            let last = node.last_log_index();
-            node.match_index[leader.0 as usize] = last;
-        }
+        let node = &mut self.p.nodes[leader.0 as usize];
+        node.log.push(LogEntry {
+            term: node.term,
+            batch,
+            config: None,
+        });
+        node.match_index[leader.0 as usize] = node.last_log_index();
         // Re-arm the batch timer for what remains.
         if !self.pending.is_empty() {
             self.net
@@ -832,48 +582,37 @@ impl RaftCluster {
     }
 
     fn replicate(&mut self, leader: NodeId) {
-        let n = self.nodes.len();
         let now = self.net.now();
-        for peer in 0..n {
+        for peer in 0..self.p.nodes.len() {
             let peer_id = NodeId(peer as u32);
             if peer_id == leader
                 || (!self.membership.is_active(peer_id) && !self.syncing.contains(&peer_id))
             {
                 continue;
             }
-            let (term, prev_index, prev_term, entries, leader_commit, bytes);
-            {
-                let node = &self.nodes[leader.0 as usize];
-                let next = node.next_index[peer];
-                prev_index = next - 1;
-                prev_term = node.term_at(prev_index);
-                entries = node.log[(next - 1) as usize..].to_vec();
-                term = node.term;
-                leader_commit = node.commit_index;
-                bytes = 64
-                    + entries
-                        .iter()
-                        .flat_map(|e| e.batch.iter())
-                        .map(|c| c.bytes as usize)
-                        .sum::<usize>();
-            }
+            let node = &self.p.nodes[leader.0 as usize];
+            let next = node.next_index[peer];
+            let prev_index = next - 1;
+            let entries = node.log[(next - 1) as usize..].to_vec();
+            let bytes = 64
+                + entries
+                    .iter()
+                    .flat_map(|e| e.batch.iter())
+                    .map(|c| c.bytes as usize)
+                    .sum::<usize>();
             let cmds: usize = entries.iter().map(|e| e.batch.len()).sum();
-            let cost = self.proc_per_msg + self.proc_per_command * cmds as u64;
-            let done = self.cpu.process(leader, now, cost);
-            self.net.send_delayed(
+            let msg = RaftMsg::AppendEntries {
+                term: node.term,
                 leader,
-                peer_id,
-                done - now,
-                bytes,
-                RaftMsg::AppendEntries {
-                    term,
-                    leader,
-                    prev_index,
-                    prev_term,
-                    entries,
-                    leader_commit,
-                },
-            );
+                prev_index,
+                prev_term: node.term_at(prev_index),
+                entries,
+                leader_commit: node.commit_index,
+            };
+            let cost = PROC_PER_MSG + PROC_PER_COMMAND * cmds as u64;
+            let done = self.cpu.process(leader, now, cost);
+            self.net
+                .send_delayed(leader, peer_id, done - now, bytes, msg);
         }
     }
 
@@ -890,60 +629,54 @@ impl RaftCluster {
         leader_commit: u64,
     ) {
         let cmds: usize = entries.iter().map(|e| e.batch.len()).sum();
-        let cost = self.proc_per_msg + self.proc_per_command * cmds as u64;
-        let done = self.cpu.process(me, at, cost);
-        let extra = done - at;
-
-        let (success, match_index, reply_term);
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if term > node.term {
-                node.term = term;
-                node.voted_for = None;
-            }
-            if term == node.term {
-                node.role = Role::Follower;
-            }
-            let log_ok = term == node.term
-                && prev_index <= node.last_log_index()
-                && node.term_at(prev_index) == prev_term;
-            if log_ok {
-                // Truncate any conflicting suffix and append.
-                let appended = entries.len() as u64;
-                for (idx, entry) in (prev_index as usize..).zip(entries) {
-                    if node.log.len() > idx {
-                        if node.log[idx].term != entry.term {
-                            node.log.truncate(idx);
-                            node.log.push(entry);
-                        }
-                    } else {
+        let done = self
+            .cpu
+            .process(me, at, PROC_PER_MSG + PROC_PER_COMMAND * cmds as u64);
+        let node = &mut self.p.nodes[me.0 as usize];
+        if term > node.term {
+            node.term = term;
+            node.voted_for = None;
+        }
+        if term == node.term {
+            node.role = Role::Follower;
+        }
+        let log_ok = term == node.term
+            && prev_index <= node.last_log_index()
+            && node.term_at(prev_index) == prev_term;
+        let (success, match_index) = if log_ok {
+            // Truncate any conflicting suffix and append.
+            let appended = entries.len() as u64;
+            for (idx, entry) in (prev_index as usize..).zip(entries) {
+                if node.log.len() > idx {
+                    if node.log[idx].term != entry.term {
+                        node.log.truncate(idx);
                         node.log.push(entry);
                     }
+                } else {
+                    node.log.push(entry);
                 }
-                node.commit_index = node
-                    .commit_index
-                    .max(leader_commit.min(node.last_log_index()));
-                success = true;
-                // Only what this message covered: the follower's log may hold
-                // a stale suffix longer than the leader's, which must not
-                // raise the leader's match/next indices past its own log.
-                match_index = prev_index + appended;
-            } else {
-                success = false;
-                match_index = 0;
             }
-            reply_term = node.term;
-        }
+            node.commit_index = node
+                .commit_index
+                .max(leader_commit.min(node.last_log_index()));
+            // Only what this message covered: the follower's log may hold
+            // a stale suffix longer than the leader's, which must not
+            // raise the leader's match/next indices past its own log.
+            (true, prev_index + appended)
+        } else {
+            (false, 0)
+        };
+        let reply_term = node.term;
         if success {
             self.liveness.observe_progress(me, at);
         }
-        if term == self.nodes[me.0 as usize].term {
+        if term == reply_term {
             self.arm_election_timer(me);
         }
         self.net.send_delayed(
             me,
             leader,
-            extra,
+            done - at,
             32,
             RaftMsg::AppendResp {
                 term: reply_term,
@@ -957,62 +690,54 @@ impl RaftCluster {
     fn on_append_resp(
         &mut self,
         me: NodeId,
-        _at: SimTime,
         term: u64,
         from: NodeId,
         success: bool,
         match_index: u64,
     ) {
-        {
-            let node = &mut self.nodes[me.0 as usize];
-            if term > node.term {
-                node.term = term;
-                node.role = Role::Follower;
-                node.voted_for = None;
-                return;
-            }
-            if node.role != Role::Leader || term != node.term {
-                return;
-            }
-            let peer = from.0 as usize;
-            if success {
-                node.match_index[peer] = node.match_index[peer].max(match_index);
-                node.next_index[peer] = node.match_index[peer] + 1;
-            } else if self.syncing.contains(&from) {
-                // A learner is doing explicit state transfer: restart its
-                // replication from the beginning instead of walking back one
-                // entry per heartbeat.
-                node.next_index[peer] = 1;
-            } else {
-                node.next_index[peer] = node.next_index[peer].saturating_sub(1).max(1);
-            }
+        let node = &mut self.p.nodes[me.0 as usize];
+        if term > node.term {
+            node.term = term;
+            node.role = Role::Follower;
+            node.voted_for = None;
+            return;
+        }
+        if node.role != Role::Leader || term != node.term {
+            return;
+        }
+        let peer = from.0 as usize;
+        if success {
+            node.match_index[peer] = node.match_index[peer].max(match_index);
+            node.next_index[peer] = node.match_index[peer] + 1;
+        } else if self.syncing.contains(&from) {
+            // A learner is doing explicit state transfer: restart its
+            // replication from the beginning instead of walking back one
+            // entry per heartbeat.
+            node.next_index[peer] = 1;
+        } else {
+            node.next_index[peer] = node.next_index[peer].saturating_sub(1).max(1);
         }
         self.try_advance_commit(me);
     }
 
     fn try_advance_commit(&mut self, leader: NodeId) {
         let quorum = majority_quorum(self.membership.active_count()) as usize;
-        let new_commit;
-        {
-            let node = &self.nodes[leader.0 as usize];
-            // Only voters count toward the commit quorum; learner replicas
-            // advance match_index but carry no weight.
-            let mut sorted: Vec<u64> = node
-                .match_index
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| self.membership.is_active(NodeId(*i as u32)))
-                .map(|(_, &m)| m)
-                .collect();
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            let candidate = sorted[quorum - 1];
-            if candidate > node.commit_index && node.term_at(candidate) == node.term {
-                new_commit = candidate;
-            } else {
-                return;
-            }
+        let node = &self.p.nodes[leader.0 as usize];
+        // Only voters count toward the commit quorum; learner replicas
+        // advance match_index but carry no weight.
+        let mut sorted: Vec<u64> = node
+            .match_index
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| self.membership.is_active(NodeId(*i as u32)))
+            .map(|(_, &m)| m)
+            .collect();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let new_commit = sorted[quorum - 1];
+        if new_commit <= node.commit_index || node.term_at(new_commit) != node.term {
+            return;
         }
-        self.nodes[leader.0 as usize].commit_index = new_commit;
+        self.p.nodes[leader.0 as usize].commit_index = new_commit;
         // Emit newly committed batches exactly once, in order; committed
         // config entries take effect here.
         let now = self.net.now();
@@ -1020,19 +745,19 @@ impl RaftCluster {
         // entries it covers.
         self.liveness.observe_commit(now);
         self.liveness.observe_progress(leader, now);
-        while self.emitted_index < new_commit {
-            self.emitted_index += 1;
+        while self.p.emitted_index < new_commit {
+            self.p.emitted_index += 1;
             let entry =
-                self.nodes[leader.0 as usize].log[(self.emitted_index - 1) as usize].clone();
+                self.p.nodes[leader.0 as usize].log[(self.p.emitted_index - 1) as usize].clone();
             if let Some(change) = entry.config {
                 self.apply_config(change);
             }
             if !entry.batch.is_empty() {
-                self.round += 1;
+                self.p.round += 1;
                 self.committed.push(CommittedBatch {
                     commands: entry.batch,
                     proposer: leader,
-                    round: self.round,
+                    round: self.p.round,
                     committed_at: now,
                 });
             }
@@ -1060,7 +785,7 @@ mod tests {
     fn elects_exactly_one_leader() {
         let c = settled(3, 42);
         let leaders = (0..3)
-            .filter(|&i| c.nodes[i].role == Role::Leader && c.nodes[i].alive)
+            .filter(|&i| c.p.nodes[i].role == Role::Leader && c.alive[i])
             .count();
         assert_eq!(leaders, 1);
     }
@@ -1098,8 +823,8 @@ mod tests {
         // The promoted voter holds the full log.
         let leader = c.leader().unwrap();
         assert_eq!(
-            c.nodes[3].last_log_index(),
-            c.nodes[leader.0 as usize].last_log_index(),
+            c.p.nodes[3].last_log_index(),
+            c.p.nodes[leader.0 as usize].last_log_index(),
             "joiner must be caught up"
         );
         let total: usize = before
@@ -1271,10 +996,10 @@ mod tests {
         c.run_until(c.now() + SimDuration::from_secs(5));
         c.recover(follower);
         c.run_until(c.now() + SimDuration::from_secs(5));
-        let f = &c.nodes[follower.0 as usize];
+        let f = &c.p.nodes[follower.0 as usize];
         assert_eq!(
             f.last_log_index(),
-            c.nodes[leader.0 as usize].last_log_index()
+            c.p.nodes[leader.0 as usize].last_log_index()
         );
     }
 
@@ -1314,21 +1039,23 @@ mod tests {
         c.run_until(SimTime::from_secs(30));
         // All nodes that are alive must have prefix-consistent logs up to
         // the minimum commit index.
-        let min_commit = c
-            .nodes
-            .iter()
-            .filter(|n| n.alive)
-            .map(|n| n.commit_index)
-            .min()
-            .unwrap();
+        let min_commit =
+            c.p.nodes
+                .iter()
+                .zip(&c.alive)
+                .filter(|(_, &alive)| alive)
+                .map(|(n, _)| n.commit_index)
+                .min()
+                .unwrap();
         assert!(min_commit > 0);
         for idx in 1..=min_commit {
-            let terms: Vec<u64> = c
-                .nodes
-                .iter()
-                .filter(|n| n.alive && n.last_log_index() >= idx)
-                .map(|n| n.term_at(idx))
-                .collect();
+            let terms: Vec<u64> =
+                c.p.nodes
+                    .iter()
+                    .zip(&c.alive)
+                    .filter(|(n, &alive)| alive && n.last_log_index() >= idx)
+                    .map(|(n, _)| n.term_at(idx))
+                    .collect();
             assert!(
                 terms.windows(2).all(|w| w[0] == w[1]),
                 "log divergence at {idx}"
