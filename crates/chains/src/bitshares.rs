@@ -28,17 +28,17 @@
 
 use std::collections::HashMap;
 
-use coconut_consensus::dpos::DposCluster;
-use coconut_consensus::{BatchConfig, CpuModel, LivenessReport};
-use coconut_iel::{StateKey, WorldState};
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, Topology};
+use coconut_consensus::dpos::{Dpos, DposCluster};
+use coconut_consensus::{BatchConfig, CommittedBatch, CpuModel};
+use coconut_iel::StateKey;
+use coconut_simnet::{NetConfig, Topology};
 use coconut_types::{
     ClientTx, NodeId, Payload, SeedDeriver, SimDuration, SimTime, TxId, TxOutcome,
 };
 
-use crate::ledger::Ledger;
-use crate::runtime::{command_for, cut_by_budget, ChainRuntime, PoolLimits, Stage, StageProbe};
-use crate::system::{BlockchainSystem, SubmitOutcome, SystemStats};
+use crate::chain::{Chain, Model};
+use crate::runtime::{command_for, cut_by_budget, ChainRuntime, PoolLimits, Stage};
+use crate::system::SubmitOutcome;
 
 /// Configuration of the BitShares deployment.
 #[derive(Debug, Clone)]
@@ -88,13 +88,13 @@ impl Default for BitsharesConfig {
 }
 
 /// The modelled BitShares network (see module docs).
+pub type Bitshares = Chain<BitsharesModel>;
+
+/// BitShares' own state in its [`Chain`].
 #[derive(Debug)]
-pub struct Bitshares {
+pub struct BitsharesModel {
     config: BitsharesConfig,
-    rt: ChainRuntime,
-    dpos: DposCluster,
     exec_cpu: CpuModel,
-    state: WorldState,
     /// Accounts/keys written by transactions still waiting for a block.
     pending_touched: HashMap<StateKey, TxId>,
     touched_by: HashMap<TxId, Vec<StateKey>>,
@@ -126,106 +126,52 @@ impl Bitshares {
             // the count bound loose.
             .batch(BatchConfig::new(100_000, config.block_interval))
             .build();
-        let mut rt = ChainRuntime::new(&seeds, &config.net, config.witnesses, total);
+        let mut rt = ChainRuntime::new(&seeds, &config.net, config.witnesses);
         rt.set_pool_limits(config.pool);
         // The pool bound guards the witness-slot pipeline: a full pool
         // means slots are not draining fast enough — sheds book to
         // `Consensus`.
         rt.probe_mut().set_queue_stage(Stage::Consensus);
-        Bitshares {
-            rt,
+        let witnesses = config.witnesses;
+        let m = BitsharesModel {
             exec_cpu: CpuModel::new(total),
-            dpos,
-            state: WorldState::new(),
             pending_touched: HashMap::new(),
             touched_by: HashMap::new(),
             cooling: Vec::new(),
             config,
             stalled: false,
-        }
+        };
+        Chain::from_parts(rt, dpos, witnesses, m)
     }
 
-    /// The committed world state.
-    pub fn world_state(&self) -> &WorldState {
-        &self.state
-    }
-
-    /// Chain height (non-empty blocks).
-    pub fn height(&self) -> u64 {
-        self.rt.height()
-    }
-
-    /// The hash-linked ledger (tamper-evident block chain).
-    pub fn ledger(&self) -> &Ledger {
-        self.rt.ledger()
-    }
-
-    /// Transactions rejected for interfering with pending ones (the only
-    /// rejection BitShares has, so it is the runtime's rejected counter —
-    /// the runtime itself never fills `conflicts`; [`Self::stats`] aliases
-    /// this into that field).
-    #[allow(clippy::misnamed_getters)]
+    /// Transactions rejected for interfering with pending ones.
     pub fn conflicts(&self) -> u64 {
-        self.rt.stats().rejected
+        BitsharesModel::conflicts(self)
     }
 
     /// `true` once event emission has stalled.
     pub fn is_stalled(&self) -> bool {
-        self.stalled
+        self.m.stalled
     }
 
-    /// Crashes a witness (fault injection). Its production slots are
-    /// simply skipped; the chain continues at reduced cadence.
-    pub fn crash_witness(&mut self, node: NodeId) {
-        self.dpos.crash(node);
-    }
-
-    /// Recovers a crashed witness.
-    pub fn recover_witness(&mut self, node: NodeId) {
-        self.dpos.recover(node);
-    }
-
-    /// The state keys a payload writes (interference footprint).
-    fn written_keys(payload: &Payload) -> Vec<StateKey> {
-        match *payload {
-            Payload::KeyValueSet { key, .. } => vec![StateKey::Kv(key)],
-            Payload::CreateAccount { account, .. } => vec![StateKey::Checking(account)],
-            Payload::SendPayment { from, to, .. } => {
-                vec![StateKey::Checking(from), StateKey::Checking(to)]
-            }
-            Payload::TransactSavings { account, .. } | Payload::DepositChecking { account, .. } => {
-                vec![StateKey::Checking(account), StateKey::Saving(account)]
-            }
-            Payload::WriteCheck { from, to, .. } => {
-                vec![StateKey::Checking(from), StateKey::Checking(to)]
-            }
-            Payload::Amalgamate { from, to } => {
-                vec![
-                    StateKey::Checking(from),
-                    StateKey::Saving(from),
-                    StateKey::Checking(to),
-                ]
-            }
-            _ => vec![],
-        }
-    }
     /// Packs, executes, and notifies one produced block.
-    fn process_block(&mut self, block: coconut_consensus::CommittedBatch) {
+    fn process_block(&mut self, block: CommittedBatch) {
         if block.commands.is_empty() {
             return;
         }
+        let config = &self.m.config;
         let witness = block.proposer;
         // Pack within the slot CPU budget; what does not fit stays for
         // the next block via re-submission to the engine.
-        let budget = self.config.block_interval.mul_f64(self.config.slot_budget);
+        let budget = config.block_interval.mul_f64(config.slot_budget);
         let (packed, overflow, used) = cut_by_budget(
             block.commands,
             budget,
-            self.config.per_tx_overhead,
-            self.config.per_op_cost,
+            config.per_tx_overhead,
+            config.per_op_cost,
         );
         for cmd in overflow {
-            self.dpos.submit(cmd);
+            self.engine.submit(cmd);
         }
         let ops: u64 = packed.iter().map(|c| c.ops as u64).sum();
         let block_id = self.rt.append_block(
@@ -235,18 +181,18 @@ impl Bitshares {
             Some(ops),
         );
         // Execute packed transactions atomically.
-        let exec_done = self.exec_cpu.process(witness, block.committed_at, used);
+        let exec_done = self.m.exec_cpu.process(witness, block.committed_at, used);
         let mut emitted: Vec<(TxId, u32, bool, SimTime)> = Vec::new();
-        let cooling_until = block.committed_at + self.config.block_interval * 2;
+        let cooling_until = block.committed_at + config.block_interval * 2;
         for cmd in &packed {
             let Some(tx) = self.rt.mempool().take(&cmd.tx) else {
                 continue;
             };
             // The footprint keeps interfering for one more block interval
             // (Graphene's duplicate/TaPoS window) before it is released.
-            if let Some(keys) = self.touched_by.remove(&cmd.tx) {
+            if let Some(keys) = self.m.touched_by.remove(&cmd.tx) {
                 for k in keys {
-                    self.cooling.push((cooling_until, k));
+                    self.m.cooling.push((cooling_until, k));
                 }
             }
             let mut scratch = self.state.clone();
@@ -262,7 +208,7 @@ impl Bitshares {
             }
             emitted.push((cmd.tx, cmd.ops, ok, tx.created_at()));
         }
-        if self.stalled {
+        if self.m.stalled {
             // Liveness violation: no events leave the node — everything
             // executed here is shed at the notify stage.
             self.rt
@@ -272,7 +218,7 @@ impl Bitshares {
         }
         // Distribute the block to the other witnesses, then notify.
         let mut persist = exec_done;
-        for w in 0..self.config.witnesses {
+        for w in 0..self.m.config.witnesses {
             if NodeId(w) != witness {
                 persist = persist.max(exec_done + self.rt.hop());
             }
@@ -301,166 +247,117 @@ impl Bitshares {
     }
 }
 
-impl BlockchainSystem for Bitshares {
-    fn name(&self) -> &str {
-        "BitShares"
+/// The state keys a payload writes (interference footprint).
+fn written_keys(payload: &Payload) -> Vec<StateKey> {
+    match *payload {
+        Payload::KeyValueSet { key, .. } => vec![StateKey::Kv(key)],
+        Payload::CreateAccount { account, .. } => vec![StateKey::Checking(account)],
+        Payload::SendPayment { from, to, .. } => {
+            vec![StateKey::Checking(from), StateKey::Checking(to)]
+        }
+        Payload::TransactSavings { account, .. } | Payload::DepositChecking { account, .. } => {
+            vec![StateKey::Checking(account), StateKey::Saving(account)]
+        }
+        Payload::WriteCheck { from, to, .. } => {
+            vec![StateKey::Checking(from), StateKey::Checking(to)]
+        }
+        Payload::Amalgamate { from, to } => {
+            vec![
+                StateKey::Checking(from),
+                StateKey::Saving(from),
+                StateKey::Checking(to),
+            ]
+        }
+        _ => vec![],
     }
+}
 
-    fn node_count(&self) -> u32 {
-        self.config.witnesses
-    }
+impl Model for BitsharesModel {
+    type Protocol = Dpos;
+    const NAME: &'static str = "BitShares";
 
-    fn submit(&mut self, now: SimTime, tx: ClientTx) -> SubmitOutcome {
-        self.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
+    fn submit(c: &mut Bitshares, now: SimTime, tx: ClientTx) -> SubmitOutcome {
+        c.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
         // A pool at capacity sheds with backpressure before any per-tx
         // work (footprint checks) is spent on the submission.
-        self.rt.evict_expired(now);
-        if self.rt.pool_full() {
-            return self.rt.busy();
+        c.rt.evict_expired(now);
+        if c.rt.pool_full() {
+            return c.rt.busy();
         }
-        self.rt.accept();
-        if self.config.conflict_rejection {
+        c.rt.accept();
+        if c.m.config.conflict_rejection {
+            let m = &mut c.m;
             // Release footprints whose cooling window has passed.
-            let mut retained = Vec::with_capacity(self.cooling.len());
-            for (release_at, key) in self.cooling.drain(..) {
+            let mut retained = Vec::with_capacity(m.cooling.len());
+            for (release_at, key) in m.cooling.drain(..) {
                 if release_at <= now {
-                    self.pending_touched.remove(&key);
+                    m.pending_touched.remove(&key);
                 } else {
                     retained.push((release_at, key));
                 }
             }
-            self.cooling = retained;
+            m.cooling = retained;
             let mut keys: Vec<StateKey> = Vec::new();
             for p in tx.payloads() {
-                keys.extend(Self::written_keys(p));
+                keys.extend(written_keys(p));
             }
             keys.sort_unstable();
             keys.dedup();
-            if keys.iter().any(|k| self.pending_touched.contains_key(k)) {
+            if keys.iter().any(|k| m.pending_touched.contains_key(k)) {
                 // Interacting transaction: silently discarded — shed by
                 // the interference check guarding execution.
-                self.rt.reject();
-                self.rt.probe_mut().shed(Stage::Execution, 1);
-                if let Some(limit) = self.config.stall_after_conflicts {
-                    if self.conflicts() >= limit {
-                        self.stalled = true;
+                c.rt.reject();
+                c.rt.probe_mut().shed(Stage::Execution, 1);
+                if let Some(limit) = c.m.config.stall_after_conflicts {
+                    if c.conflicts() >= limit {
+                        c.m.stalled = true;
                     }
                 }
                 return SubmitOutcome::Rejected;
             }
             for k in &keys {
-                self.pending_touched.insert(*k, tx.id());
+                m.pending_touched.insert(*k, tx.id());
             }
-            self.touched_by.insert(tx.id(), keys);
+            m.touched_by.insert(tx.id(), keys);
         }
-        self.rt.mempool().insert(tx.clone());
-        self.dpos.submit(command_for(&tx));
+        c.rt.mempool().insert(tx.clone());
+        c.engine.submit(command_for(&tx));
         SubmitOutcome::Accepted
     }
 
-    fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
+    fn run_until(c: &mut Bitshares, deadline: SimTime) -> Vec<TxOutcome> {
         // Step the witness schedule one event at a time so that overflow
         // re-submissions are pending again before the *next* slot fires.
-        while let Some(t) = self.dpos.next_event_time() {
+        while let Some(t) = c.engine.next_event_time() {
             if t > deadline {
                 break;
             }
-            let blocks = self.dpos.run_until(t);
-            self.rt.sync_membership(self.dpos.active_count());
+            let blocks = c.engine.run_until(t);
+            c.rt.sync_membership(c.engine.active_count());
             for block in blocks {
-                self.process_block(block);
+                c.process_block(block);
             }
         }
-        self.dpos.run_until(deadline); // advance the clock to the window end
-        self.rt.sync_membership(self.dpos.active_count());
-        self.rt.drain(deadline)
+        c.engine.run_until(deadline); // advance the clock to the window end
+        c.rt.sync_membership(c.engine.active_count());
+        c.rt.drain(deadline)
     }
 
-    fn stats(&self) -> SystemStats {
-        let mut s = self.rt.stats_with(self.dpos.net_stats().messages_sent);
-        // Interference with a pending footprint is BitShares' only
-        // rejection, so the ingress counter doubles as the conflict count.
-        s.conflicts = s.rejected;
-        s
+    /// Interference with a pending footprint is BitShares' only
+    /// rejection, so the runtime's rejected counter is the conflict count.
+    fn conflicts(c: &Bitshares) -> u64 {
+        c.rt.stats().rejected
     }
 
-    fn preload(&mut self, payloads: &[Payload]) {
-        for p in payloads {
-            let _ = self.state.apply(p);
-        }
-    }
-
-    fn ledger_state(&self) -> Option<coconut_iel::LedgerState> {
-        Some(coconut_iel::LedgerState::of_world(&self.state))
-    }
-
-    fn crash_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.crash_witness(node);
-        true
-    }
-
-    fn recover_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.recover_witness(node);
-        true
-    }
-
-    fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.dpos.apply_net_fault(at, event)
-    }
-
-    fn join_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.dpos.join(node)
-    }
-
-    fn leave_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.dpos.leave(node)
-    }
-
-    fn config_epoch(&self) -> u64 {
-        self.dpos.config_epoch()
-    }
-
-    fn inject_byzantine(
-        &mut self,
-        node: NodeId,
-        behaviour: ByzantineBehaviour,
-        until: SimTime,
-    ) -> bool {
-        // DPoS schedules one witness per slot: there is no vote quorum to
-        // subvert and no conflicting-proposal race a 2f+1 intersection
-        // argument would catch. Byzantine injection is explicitly not
-        // applicable — the trait default already says so; this override
-        // exists to document the decision for BitShares specifically.
-        let _ = (node, behaviour, until);
-        false
-    }
-
-    fn is_live(&self) -> bool {
-        !self.stalled
-    }
-
-    fn liveness_report(&self) -> Option<LivenessReport> {
-        Some(self.dpos.liveness_report())
-    }
-
-    fn probe(&self) -> Option<&StageProbe> {
-        Some(self.rt.probe())
-    }
-
-    fn probe_mut(&mut self) -> Option<&mut StageProbe> {
-        Some(self.rt.probe_mut())
+    fn is_live(c: &Bitshares) -> bool {
+        !c.m.stalled
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockchainSystem;
     use coconut_types::{AccountId, ClientId, ThreadId};
 
     fn tx_ops(seq: u64, payloads: Vec<Payload>) -> ClientTx {
@@ -514,7 +411,7 @@ mod tests {
             );
         }
         b.run_until(SimTime::from_secs(4));
-        let now = b.dpos.now();
+        let now = b.engine.now();
         // Payment 0→1 pending, then 1→2 interacts via account 1.
         let first = b.submit(
             now,
@@ -539,7 +436,7 @@ mod tests {
             );
         }
         b.run_until(SimTime::from_secs(4));
-        let t1 = b.dpos.now();
+        let t1 = b.engine.now();
         assert!(b
             .submit(
                 t1,
@@ -549,7 +446,7 @@ mod tests {
         b.run_until(t1 + SimDuration::from_secs(5));
         // After the block plus the one-interval cooling window, the same
         // accounts are free again.
-        let t2 = b.dpos.now();
+        let t2 = b.engine.now();
         assert!(b
             .submit(
                 t2,
@@ -572,7 +469,7 @@ mod tests {
             );
         }
         b.run_until(SimTime::from_secs(2));
-        let now = b.dpos.now();
+        let now = b.engine.now();
         assert!(b
             .submit(
                 now,
@@ -602,7 +499,7 @@ mod tests {
             );
         }
         b.run_until(SimTime::from_secs(2));
-        let now = b.dpos.now();
+        let now = b.engine.now();
         // A chain of interacting payments: every second one conflicts.
         for n in 0..40u64 {
             let from = AccountId(n % 19);
@@ -614,8 +511,8 @@ mod tests {
         // Later traffic gets no confirmations (the following Balance
         // benchmark of the unit sees nothing).
         let before = b.run_until(now + SimDuration::from_secs(5)).len();
-        b.submit(b.dpos.now(), single(999, Payload::balance(AccountId(0))));
-        let after = b.run_until(b.dpos.now() + SimDuration::from_secs(5));
+        b.submit(b.engine.now(), single(999, Payload::balance(AccountId(0))));
+        let after = b.run_until(b.engine.now() + SimDuration::from_secs(5));
         assert!(
             after.is_empty(),
             "stalled node emits no events ({before} before)"
@@ -630,7 +527,7 @@ mod tests {
             single(1, Payload::create_account(AccountId(1), 5, 0)),
         );
         b.run_until(SimTime::from_secs(2));
-        let now = b.dpos.now();
+        let now = b.engine.now();
         // 3 ops, the last one overdraws → all discarded, no event.
         let payloads = vec![
             Payload::create_account(AccountId(2), 5, 0),

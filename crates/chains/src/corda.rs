@@ -174,12 +174,7 @@ impl Corda {
         assert!(config.nodes > 0, "need at least one node");
         assert!(config.notaries > 0, "need at least one notary");
         let seeds = SeedDeriver::new(seed);
-        let mut rt = ChainRuntime::new(
-            &seeds,
-            &config.net,
-            config.nodes,
-            config.notaries + config.standby,
-        );
+        let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes);
         rt.set_pool_limits(config.pool);
         // The flow-backlog cap guards work headed for notarization, so
         // generic sheds (busy answers) book against the commit stage.

@@ -17,17 +17,16 @@
 //!   so most of a 200–1600 tx/s workload is still unconfirmed when the
 //!   client stops listening (Table 20: 16,752 of 60,000 received).
 
-use coconut_consensus::diembft::DiemBftCluster;
-use coconut_consensus::{BatchConfig, CpuModel, LivenessReport, SafetyReport};
-use coconut_iel::WorldState;
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, Topology};
+use coconut_consensus::diembft::{DiemBft, DiemBftCluster};
+use coconut_consensus::{BatchConfig, CommittedBatch, CpuModel};
+use coconut_simnet::{NetConfig, Topology};
 use coconut_types::{
     tx::FailReason, ClientTx, NodeId, SeedDeriver, SimDuration, SimTime, TxOutcome,
 };
 
-use crate::ledger::Ledger;
-use crate::runtime::{command_for, ChainRuntime, IngressLoad, PoolLimits, Stage, StageProbe};
-use crate::system::{BlockchainSystem, SubmitOutcome, SystemStats};
+use crate::chain::{Chain, Model};
+use crate::runtime::{command_for, ChainRuntime, IngressLoad, PoolLimits, Stage};
+use crate::system::SubmitOutcome;
 
 /// Configuration of the Diem deployment.
 #[derive(Debug, Clone)]
@@ -83,13 +82,13 @@ impl Default for DiemConfig {
 }
 
 /// The modelled Diem network (see module docs).
+pub type Diem = Chain<DiemModel>;
+
+/// Diem's own state in its [`Chain`].
 #[derive(Debug)]
-pub struct Diem {
+pub struct DiemModel {
     config: DiemConfig,
-    rt: ChainRuntime,
-    engine: DiemBftCluster,
     exec_cpu: CpuModel,
-    state: WorldState,
     next_spike: SimTime,
     spikes: u64,
     /// Mempool-admission load estimator (validators verify and share
@@ -123,194 +122,33 @@ impl Diem {
             Some(interval) => SimTime::ZERO + interval,
             None => SimTime::MAX,
         };
-        let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes, total);
+        let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes);
         rt.set_pool_limits(config.pool);
-        Diem {
-            rt,
+        let nodes = config.nodes;
+        let m = DiemModel {
             exec_cpu: CpuModel::new(total),
-            engine,
-            state: WorldState::new(),
             ingress: IngressLoad::new(SimDuration::from_secs(2), config.ingress_per_tx, 0.9),
             config,
             next_spike,
             spikes: 0,
             current_slowdown: 1.0,
             expired: 0,
-        }
-    }
-
-    /// The committed world state.
-    pub fn world_state(&self) -> &WorldState {
-        &self.state
-    }
-
-    /// Committed block count.
-    pub fn height(&self) -> u64 {
-        self.rt.height()
-    }
-
-    /// The hash-linked ledger (tamper-evident block chain).
-    pub fn ledger(&self) -> &Ledger {
-        self.rt.ledger()
+        };
+        Chain::from_parts(rt, engine, nodes, m)
     }
 
     /// Number of spikes (validator stalls) injected so far.
     pub fn spikes(&self) -> u64 {
-        self.spikes
+        self.m.spikes
     }
 
     /// Transactions dropped because they outlived their expiration.
     pub fn expired(&self) -> u64 {
-        self.expired
+        self.m.expired
     }
 
-    /// Crashes a validator (fault injection). DiemBFT advances past dead
-    /// leaders via timeout certificates while 2f + 1 validators survive.
-    pub fn crash_validator(&mut self, node: NodeId) {
-        self.engine.crash(node);
-    }
-
-    /// Recovers a crashed validator at the highest known round.
-    pub fn recover_validator(&mut self, node: NodeId) {
-        self.engine.recover(node);
-    }
-
-    /// Injects any validator spikes due before `deadline`.
-    fn inject_spikes(&mut self, deadline: SimTime) {
-        let Some(interval) = self.config.spike_interval else {
-            return;
-        };
-        while self.next_spike <= deadline {
-            for v in 0..self.config.nodes {
-                self.exec_cpu
-                    .process(NodeId(v), self.next_spike, self.config.spike_duration);
-            }
-            self.spikes += 1;
-            self.next_spike += interval;
-        }
-    }
-}
-
-impl BlockchainSystem for Diem {
-    fn name(&self) -> &str {
-        "Diem"
-    }
-
-    fn node_count(&self) -> u32 {
-        self.config.nodes
-    }
-
-    fn submit(&mut self, now: SimTime, tx: ClientTx) -> SubmitOutcome {
-        self.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
-        let full = self.engine.pending_len() >= self.config.mempool_limit;
-        let outcome = self.rt.admit(now, &tx, full);
-        if outcome.is_accepted() {
-            // Mempool admission: every validator verifies and shares the
-            // tx — a higher rate limiter leaves less CPU for execution
-            // (Table 19: 64 MTPS at RL = 200 vs 37 at RL = 1600).
-            self.current_slowdown = self.ingress.record(now, tx.op_count() as u32);
-            self.rt
-                .probe_mut()
-                .utilization(Stage::Ingress, 1.0 - 1.0 / self.current_slowdown);
-            self.engine.submit(command_for(&tx));
-        }
-        outcome
-    }
-
-    fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
-        // Interleave spike injections with consensus so a spike only stalls
-        // execution of blocks committed after it.
-        loop {
-            let upto = self.next_spike.min(deadline);
-            let blocks = self.engine.run_until(upto);
-            self.rt.sync_membership(self.engine.active_count());
-            self.process_blocks(blocks);
-            if self.next_spike > deadline {
-                break;
-            }
-            self.inject_spikes(upto);
-        }
-        self.rt.drain(deadline)
-    }
-
-    fn stats(&self) -> SystemStats {
-        self.rt.stats_with(self.engine.net_stats().messages_sent)
-    }
-
-    fn preload(&mut self, payloads: &[coconut_types::Payload]) {
-        for p in payloads {
-            let _ = self.state.apply(p);
-        }
-    }
-
-    fn ledger_state(&self) -> Option<coconut_iel::LedgerState> {
-        Some(coconut_iel::LedgerState::of_world(&self.state))
-    }
-
-    fn crash_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.crash_validator(node);
-        true
-    }
-
-    fn recover_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.recover_validator(node);
-        true
-    }
-
-    fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.engine.apply_net_fault(at, event)
-    }
-
-    fn inject_byzantine(
-        &mut self,
-        node: NodeId,
-        behaviour: ByzantineBehaviour,
-        until: SimTime,
-    ) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.engine.set_byzantine(node, behaviour, until);
-        true
-    }
-
-    fn join_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.engine.join(node)
-    }
-
-    fn leave_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.engine.leave(node)
-    }
-
-    fn config_epoch(&self) -> u64 {
-        self.engine.config_epoch()
-    }
-
-    fn safety_report(&self) -> Option<SafetyReport> {
-        Some(self.engine.safety_report())
-    }
-
-    fn liveness_report(&self) -> Option<LivenessReport> {
-        Some(self.engine.liveness_report())
-    }
-
-    fn probe(&self) -> Option<&StageProbe> {
-        Some(self.rt.probe())
-    }
-
-    fn probe_mut(&mut self) -> Option<&mut StageProbe> {
-        Some(self.rt.probe_mut())
-    }
-}
-
-impl Diem {
-    fn process_blocks(&mut self, blocks: Vec<coconut_consensus::CommittedBatch>) {
+    fn process_blocks(&mut self, blocks: Vec<CommittedBatch>) {
+        let config = &self.m.config;
         for block in blocks {
             if block.commands.is_empty() {
                 continue;
@@ -323,7 +161,7 @@ impl Diem {
             );
             let mut results = Vec::with_capacity(block.commands.len());
             let mut total_cost = SimDuration::ZERO;
-            let slowdown = self.current_slowdown;
+            let slowdown = self.m.current_slowdown;
             let mut expired = 0u64;
             for cmd in &block.commands {
                 let Some(tx) = self.rt.mempool().take(&cmd.tx) else {
@@ -331,22 +169,22 @@ impl Diem {
                 };
                 // Expired transactions are discarded with a cheap check —
                 // no execution, no client notification (a lost tx).
-                if block.committed_at - tx.created_at() > self.config.tx_expiration {
+                if block.committed_at - tx.created_at() > config.tx_expiration {
                     expired += 1;
                     self.rt.probe_mut().shed(Stage::MempoolWait, 1);
                     continue;
                 }
-                let n_factor = 1.0 + 0.02 * self.config.nodes.saturating_sub(4) as f64;
+                let n_factor = 1.0 + 0.02 * config.nodes.saturating_sub(4) as f64;
                 total_cost +=
-                    (self.config.exec_per_tx * tx.op_count() as u64).mul_f64(slowdown * n_factor);
+                    (config.exec_per_tx * tx.op_count() as u64).mul_f64(slowdown * n_factor);
                 let ok = self.state.apply(&tx.payloads()[0]).is_ok();
                 results.push((cmd.tx, cmd.ops, ok, tx.created_at()));
             }
-            self.expired += expired;
+            self.m.expired += expired;
             // Every validator re-executes; the slowest gates notification.
             let persist = self
                 .rt
-                .replicate(&mut self.exec_cpu, block.committed_at, total_cost);
+                .replicate(&mut self.m.exec_cpu, block.committed_at, total_cost);
             // Stage boundaries: mempool wait spans submission → block
             // commitment (DiemBFT's pickup), execution is the block-wide
             // re-execution on every validator, commit waits for the
@@ -370,9 +208,64 @@ impl Diem {
     }
 }
 
+impl DiemModel {
+    /// Injects any validator spikes due before `deadline`.
+    fn inject_spikes(&mut self, deadline: SimTime) {
+        let Some(interval) = self.config.spike_interval else {
+            return;
+        };
+        while self.next_spike <= deadline {
+            for v in 0..self.config.nodes {
+                self.exec_cpu
+                    .process(NodeId(v), self.next_spike, self.config.spike_duration);
+            }
+            self.spikes += 1;
+            self.next_spike += interval;
+        }
+    }
+}
+
+impl Model for DiemModel {
+    type Protocol = DiemBft;
+    const NAME: &'static str = "Diem";
+
+    fn submit(c: &mut Diem, now: SimTime, tx: ClientTx) -> SubmitOutcome {
+        c.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
+        let full = c.engine.pending_len() >= c.m.config.mempool_limit;
+        let outcome = c.rt.admit(now, &tx, full);
+        if outcome.is_accepted() {
+            // Mempool admission: every validator verifies and shares the
+            // tx — a higher rate limiter leaves less CPU for execution
+            // (Table 19: 64 MTPS at RL = 200 vs 37 at RL = 1600).
+            c.m.current_slowdown = c.m.ingress.record(now, tx.op_count() as u32);
+            c.rt.probe_mut()
+                .utilization(Stage::Ingress, 1.0 - 1.0 / c.m.current_slowdown);
+            c.engine.submit(command_for(&tx));
+        }
+        outcome
+    }
+
+    fn run_until(c: &mut Diem, deadline: SimTime) -> Vec<TxOutcome> {
+        // Interleave spike injections with consensus so a spike only stalls
+        // execution of blocks committed after it.
+        loop {
+            let upto = c.m.next_spike.min(deadline);
+            let blocks = c.engine.run_until(upto);
+            c.rt.sync_membership(c.engine.active_count());
+            c.process_blocks(blocks);
+            if c.m.next_spike > deadline {
+                break;
+            }
+            c.m.inject_spikes(upto);
+        }
+        c.rt.drain(deadline)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockchainSystem;
     use coconut_types::{ClientId, Payload, ThreadId, TxId};
 
     fn tx(seq: u64, payload: Payload) -> ClientTx {

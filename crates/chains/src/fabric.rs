@@ -23,15 +23,17 @@
 
 use std::collections::HashMap;
 
-use coconut_consensus::raft::RaftCluster;
-use coconut_consensus::{BatchConfig, Command, CpuModel, LivenessReport};
-use coconut_iel::{simulate, validate_and_apply, RwSet, WorldState};
-use coconut_simnet::{EventQueue, FaultEvent, NetConfig};
-use coconut_types::{ClientTx, NodeId, SeedDeriver, SimDuration, SimTime, TxId, TxOutcome};
+use coconut_consensus::raft::{Raft, RaftCluster};
+use coconut_consensus::{BatchConfig, Command, CommittedBatch, CpuModel};
+use coconut_iel::{simulate, validate_and_apply, RwSet};
+use coconut_simnet::{EventQueue, NetConfig};
+use coconut_types::{
+    tx::FailReason, ClientTx, NodeId, SeedDeriver, SimDuration, SimTime, TxId, TxOutcome,
+};
 
-use crate::ledger::Ledger;
-use crate::runtime::{command_for, ChainRuntime, PoolLimits, Stage, StageProbe};
-use crate::system::{BlockchainSystem, SubmitOutcome, SystemStats};
+use crate::chain::{Chain, Model};
+use crate::runtime::{command_for, ChainRuntime, PoolLimits, Stage};
+use crate::system::SubmitOutcome;
 use crate::util::WorkerPool;
 
 /// Configuration of the Fabric deployment.
@@ -110,18 +112,18 @@ struct InFlight {
 }
 
 /// The modelled Fabric network (see module docs).
+pub type Fabric = Chain<FabricModel>;
+
+/// Fabric's own state in its [`Chain`].
 #[derive(Debug)]
-pub struct Fabric {
+pub struct FabricModel {
     config: FabricConfig,
     /// Orderers currently in the Raft voter set (joins/leaves reconcile
     /// against this; peer-side replication width is a separate role and
     /// does not move with orderer churn).
     orderer_members: u32,
-    rt: ChainRuntime,
-    raft: RaftCluster,
     peer_cpu: CpuModel,
     endorse_pool: Vec<WorkerPool>,
-    state: WorldState,
     in_flight: HashMap<TxId, InFlight>,
     /// Endorsement completions waiting to be injected into the orderer.
     injections: EventQueue<EndorsedTx>,
@@ -148,70 +150,39 @@ impl Fabric {
                 config.batch_timeout,
             ))
             .build();
-        let mut rt = ChainRuntime::new(
-            &seeds,
-            &config.net,
-            config.peers,
-            config.orderers + config.standby,
-        );
+        let mut rt = ChainRuntime::new(&seeds, &config.net, config.peers);
         rt.set_pool_limits(config.pool);
         // The in-flight cap guards the endorsement pipeline, so generic
         // sheds book to `Execution`.
         rt.probe_mut().set_queue_stage(Stage::Execution);
-        Fabric {
+        let peers = config.peers;
+        let m = FabricModel {
             orderer_members: config.orderers,
-            rt,
-            peer_cpu: CpuModel::new(config.peers),
-            endorse_pool: (0..config.peers)
+            peer_cpu: CpuModel::new(peers),
+            endorse_pool: (0..peers)
                 .map(|_| WorkerPool::new(config.endorse_workers))
                 .collect(),
-            raft,
-            state: WorldState::new(),
             in_flight: HashMap::new(),
             injections: EventQueue::new(),
             config,
             valid_txs: 0,
             invalid_txs: 0,
-        }
+        };
+        Chain::from_parts(rt, raft, peers, m)
     }
 
     /// Transactions whose write sets survived MVCC validation.
     pub fn valid_txs(&self) -> u64 {
-        self.valid_txs
+        self.m.valid_txs
     }
 
     /// Transactions appended to the chain but invalidated by MVCC.
     pub fn invalid_txs(&self) -> u64 {
-        self.invalid_txs
+        self.m.invalid_txs
     }
 
-    /// The committed world state (for semantic assertions in tests).
-    pub fn world_state(&self) -> &WorldState {
-        &self.state
-    }
-
-    /// Current chain height.
-    pub fn height(&self) -> u64 {
-        self.rt.height()
-    }
-
-    /// The hash-linked ledger (tamper-evident block chain).
-    pub fn ledger(&self) -> &Ledger {
-        self.rt.ledger()
-    }
-
-    /// Crashes one of the Raft orderers (fault injection). The ordering
-    /// service keeps running while a majority survives.
-    pub fn crash_orderer(&mut self, orderer: NodeId) {
-        self.raft.crash(orderer);
-    }
-
-    /// Recovers a crashed orderer; it rejoins as a follower and catches up.
-    pub fn recover_orderer(&mut self, orderer: NodeId) {
-        self.raft.recover(orderer);
-    }
-
-    fn process_batches(&mut self, batches: Vec<coconut_consensus::CommittedBatch>) {
+    fn process_batches(&mut self, batches: Vec<CommittedBatch>) {
+        let config = &self.m.config;
         for batch in batches {
             let tb = batch.committed_at;
             let block = self.rt.append_block(
@@ -221,16 +192,13 @@ impl Fabric {
                 None,
             );
             // Every peer receives and validates the whole block.
-            let validation = self.config.validate_cost * batch.commands.len() as u64;
-            let persist = self.rt.replicate(&mut self.peer_cpu, tb, validation);
+            let validation = config.validate_cost * batch.commands.len() as u64;
+            let persist = self.rt.replicate(&mut self.m.peer_cpu, tb, validation);
             let lag = persist - tb;
-            let events_broken = self
-                .config
-                .event_break_at
-                .is_some_and(|n| self.config.peers >= n);
-            let events_dropped = lag > self.config.event_drop_backlog;
+            let events_broken = config.event_break_at.is_some_and(|n| config.peers >= n);
+            let events_dropped = lag > config.event_drop_backlog;
             for cmd in &batch.commands {
-                let Some(fl) = self.in_flight.remove(&cmd.tx) else {
+                let Some(fl) = self.m.in_flight.remove(&cmd.tx) else {
                     continue;
                 };
                 // Stage boundaries: ordering spans endorsement completion
@@ -244,9 +212,9 @@ impl Fabric {
                 // chain (and in the client's received count) but do not
                 // touch the world state.
                 if validate_and_apply(&fl.rwset, &mut self.state) {
-                    self.valid_txs += 1;
+                    self.m.valid_txs += 1;
                 } else {
-                    self.invalid_txs += 1;
+                    self.m.invalid_txs += 1;
                 }
                 if events_broken || events_dropped {
                     // The client never learns: shed at the notify stage
@@ -264,68 +232,58 @@ impl Fabric {
     }
 }
 
-impl BlockchainSystem for Fabric {
-    fn name(&self) -> &str {
-        "Fabric"
-    }
+impl Model for FabricModel {
+    type Protocol = Raft;
+    const NAME: &'static str = "Fabric";
 
-    fn node_count(&self) -> u32 {
-        self.config.peers
-    }
-
-    fn submit(&mut self, now: SimTime, tx: ClientTx) -> SubmitOutcome {
+    fn submit(c: &mut Fabric, now: SimTime, tx: ClientTx) -> SubmitOutcome {
         // The in-flight (endorsed, uncommitted) set is Fabric's pending
         // store; at capacity the peer sheds with backpressure before any
         // endorsement work is spent.
-        if self.in_flight.len() >= self.rt.pool_limits().capacity {
-            self.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
-            return self.rt.busy();
+        if c.m.in_flight.len() >= c.rt.pool_limits().capacity {
+            c.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
+            return c.rt.busy();
         }
-        self.rt.accept();
+        c.rt.accept();
         // Endorsement at the client's peer: the simulation consumes peer
         // CPU (shared with block validation), and the gRPC slot stays held
         // from request arrival through the response round-trip — so added
         // network latency throttles endorsement throughput (§5.8.1).
-        let peer = NodeId(tx.id().client().0 % self.config.peers);
-        let arrive = now + self.rt.hop();
-        let cpu = self.config.endorse_cost * tx.op_count() as u64;
-        let cpu_done = self.peer_cpu.process(peer, arrive, cpu);
+        let peer = NodeId(tx.id().client().0 % c.m.config.peers);
+        let arrive = now + c.rt.hop();
+        let cpu = c.m.config.endorse_cost * tx.op_count() as u64;
+        let cpu_done = c.m.peer_cpu.process(peer, arrive, cpu);
         // The slot is held for the endorsement service time plus the
         // request/response legs (not the CPU queueing delay, which gRPC
         // concurrency hides).
-        let hold = cpu + self.rt.hop() + self.rt.hop();
-        let done = self.endorse_pool[peer.0 as usize]
+        let hold = cpu + c.rt.hop() + c.rt.hop();
+        let done = c.m.endorse_pool[peer.0 as usize]
             .process(arrive, hold)
             .max(cpu_done);
         // Stage boundaries: ingress is the client → peer leg, execution
         // is the endorsement sojourn (gRPC slot wait + chaincode CPU).
         {
-            let probe = self.rt.probe_mut();
+            let probe = c.rt.probe_mut();
             probe.span(Stage::Ingress, tx.id(), now, arrive);
             probe.span(Stage::Execution, tx.id(), arrive, done);
         }
         // Simulate against the committed state as of submission; conflicts
         // appear when the state moves before validation.
         let payload = &tx.payloads()[0];
-        let sim = match simulate(payload, &self.state) {
+        let sim = match simulate(payload, &c.state) {
             Ok(sim) => sim,
             Err(_) => {
                 // Endorsement failure: the client learns immediately after
                 // the endorsement round-trip and the tx never reaches the
                 // orderer. (Rare in the paper's workloads.)
-                let event_at = done + self.rt.hop();
-                self.rt
-                    .probe_mut()
+                let event_at = done + c.rt.hop();
+                c.rt.probe_mut()
                     .span(Stage::Notify, tx.id(), done, event_at);
-                self.rt.emit_failed(
-                    tx.id(),
-                    coconut_types::tx::FailReason::ExecutionError,
-                    event_at,
-                );
+                c.rt.emit_failed(tx.id(), FailReason::ExecutionError, event_at);
                 return SubmitOutcome::Accepted;
             }
         };
-        self.in_flight.insert(
+        c.m.in_flight.insert(
             tx.id(),
             InFlight {
                 rwset: sim.rwset,
@@ -334,101 +292,46 @@ impl BlockchainSystem for Fabric {
             },
         );
         let command = command_for(&tx);
-        let inject_at = done + self.rt.hop();
-        self.injections.push(inject_at, EndorsedTx { command });
+        let inject_at = done + c.rt.hop();
+        c.m.injections.push(inject_at, EndorsedTx { command });
         SubmitOutcome::Accepted
     }
 
-    fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
+    fn run_until(c: &mut Fabric, deadline: SimTime) -> Vec<TxOutcome> {
         loop {
-            match self.injections.peek_time() {
+            match c.m.injections.peek_time() {
                 Some(t) if t <= deadline => {
-                    let (at, endorsed) = self.injections.pop().expect("peeked");
-                    let batches = self.raft.run_until(at);
-                    self.process_batches(batches);
-                    self.raft.submit(endorsed.command);
+                    let (at, endorsed) = c.m.injections.pop().expect("peeked");
+                    let batches = c.engine.run_until(at);
+                    c.process_batches(batches);
+                    c.engine.submit(endorsed.command);
                 }
                 _ => break,
             }
         }
-        let batches = self.raft.run_until(deadline);
-        self.process_batches(batches);
-        let active = self.raft.active_count();
-        while self.orderer_members < active {
-            self.rt.note_join();
-            self.orderer_members += 1;
+        let batches = c.engine.run_until(deadline);
+        c.process_batches(batches);
+        let active = c.engine.active_count();
+        while c.m.orderer_members < active {
+            c.rt.note_join();
+            c.m.orderer_members += 1;
         }
-        while self.orderer_members > active {
-            self.rt.note_leave();
-            self.orderer_members -= 1;
+        while c.m.orderer_members > active {
+            c.rt.note_leave();
+            c.m.orderer_members -= 1;
         }
-        self.rt.drain(deadline)
+        c.rt.drain(deadline)
     }
 
-    fn stats(&self) -> SystemStats {
-        let mut s = self.rt.stats_with(self.raft.net_stats().messages_sent);
-        s.conflicts = self.invalid_txs;
-        s
-    }
-
-    fn preload(&mut self, payloads: &[coconut_types::Payload]) {
-        for p in payloads {
-            let _ = self.state.apply(p);
-        }
-    }
-
-    fn ledger_state(&self) -> Option<coconut_iel::LedgerState> {
-        Some(coconut_iel::LedgerState::of_world(&self.state))
-    }
-
-    fn crash_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.crash_orderer(node);
-        true
-    }
-
-    fn recover_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.recover_orderer(node);
-        true
-    }
-
-    fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.raft.apply_net_fault(at, event)
-    }
-
-    fn join_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.raft.join(node)
-    }
-
-    fn leave_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.raft.leave(node)
-    }
-
-    fn config_epoch(&self) -> u64 {
-        self.raft.config_epoch()
-    }
-
-    fn liveness_report(&self) -> Option<LivenessReport> {
-        Some(self.raft.liveness_report())
-    }
-
-    fn probe(&self) -> Option<&StageProbe> {
-        Some(self.rt.probe())
-    }
-
-    fn probe_mut(&mut self) -> Option<&mut StageProbe> {
-        Some(self.rt.probe_mut())
+    fn conflicts(c: &Fabric) -> u64 {
+        c.m.invalid_txs
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockchainSystem;
     use coconut_types::{AccountId, ClientId, Payload, ThreadId};
 
     fn tx(seq: u64, payload: Payload) -> ClientTx {
@@ -516,7 +419,7 @@ mod tests {
         f.submit(t, tx(2, Payload::create_account(AccountId(2), 100, 0)));
         f.run_until(SimTime::from_secs(8));
         // Two concurrent payments endorsed against the same snapshot:
-        let t2 = f.raft.now();
+        let t2 = f.engine.now();
         f.submit(
             t2,
             tx(3, Payload::send_payment(AccountId(1), AccountId(2), 10)),
@@ -652,7 +555,7 @@ mod tests {
             };
             let mut f = Fabric::new(cfg, 10);
             f.run_until(SimTime::from_secs(3));
-            let t = f.raft.now();
+            let t = f.engine.now();
             for s in 0..10 {
                 f.submit(t, tx(s, Payload::DoNothing));
             }

@@ -11,6 +11,11 @@
 //! | [`sawtooth`] | Hyperledger Sawtooth | PBFT | transactions in atomic batches |
 //! | [`diem`] | Diem | DiemBFT | single tx, sequence-numbered accounts |
 //!
+//! Fabric, Quorum, Sawtooth, Diem and BitShares are models on one
+//! [`chain::Chain`] shell, which implements [`BlockchainSystem`] once over
+//! a consensus engine, a world state and the [`ChainRuntime`]; Corda, with
+//! a notary pool instead of a message-level engine, implements it itself.
+//!
 //! Every model is calibrated so that its cost constants land in the paper's
 //! measured throughput/latency range at the paper's configuration; more
 //! importantly, each reproduces its system's *qualitative* anomalies
@@ -42,6 +47,7 @@
 #![warn(missing_docs)]
 
 pub mod bitshares;
+pub mod chain;
 pub mod corda;
 pub mod diem;
 pub mod fabric;

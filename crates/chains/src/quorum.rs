@@ -14,22 +14,23 @@
 //!   "the Quorum nodes generate empty blocks". Once the pool overflows at a
 //!   short block period, the model freezes the pool: accepted transactions
 //!   are never confirmed, IBFT keeps minting empty blocks, and
-//!   [`BlockchainSystem::is_live`] turns `false`.
+//!   [`BlockchainSystem::is_live`](crate::BlockchainSystem::is_live) turns
+//!   `false`.
 //! * **Pool overflow loss**: beyond the pool bound, submissions are
 //!   silently dropped (geth-style), which the client observes as lost
 //!   transactions.
 
-use coconut_consensus::ibft::IbftCluster;
-use coconut_consensus::{BatchConfig, CpuModel, LivenessReport, SafetyReport};
-use coconut_iel::WorldState;
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, Topology};
+use coconut_consensus::ibft::{Ibft, IbftCluster};
+use coconut_consensus::three_phase::Core;
+use coconut_consensus::{BatchConfig, CpuModel};
+use coconut_simnet::{NetConfig, Topology};
 use coconut_types::{
-    tx::FailReason, ClientTx, NodeId, Payload, SeedDeriver, SimDuration, SimTime, TxOutcome,
+    tx::FailReason, ClientTx, Payload, SeedDeriver, SimDuration, SimTime, TxOutcome,
 };
 
-use crate::ledger::Ledger;
-use crate::runtime::{command_for, ChainRuntime, PoolLimits, Stage, StageProbe};
-use crate::system::{BlockchainSystem, SubmitOutcome, SystemStats};
+use crate::chain::{Chain, Model};
+use crate::runtime::{command_for, ChainRuntime, PoolLimits, Stage};
+use crate::system::SubmitOutcome;
 
 /// Configuration of the Quorum deployment.
 #[derive(Debug, Clone)]
@@ -92,13 +93,13 @@ impl Default for QuorumConfig {
 }
 
 /// The modelled Quorum network (see module docs).
+pub type Quorum = Chain<QuorumModel>;
+
+/// Quorum's own state in its [`Chain`].
 #[derive(Debug)]
-pub struct Quorum {
+pub struct QuorumModel {
     config: QuorumConfig,
-    rt: ChainRuntime,
-    ibft: IbftCluster,
     exec_cpu: CpuModel,
-    state: WorldState,
     stalled: bool,
 }
 
@@ -120,52 +121,27 @@ impl Quorum {
             .period(config.block_period)
             .batch(BatchConfig::new(config.block_tx_limit, config.block_period))
             .build();
-        let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes, total);
+        let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes);
         rt.set_pool_limits(config.pool);
         // The txpool bound guards the ordering pipeline: a full pool means
         // IBFT is not draining fast enough, so sheds book to `Consensus`.
         rt.probe_mut().set_queue_stage(Stage::Consensus);
-        Quorum {
-            rt,
+        let nodes = config.nodes;
+        let m = QuorumModel {
             exec_cpu: CpuModel::new(total),
-            ibft,
-            state: WorldState::new(),
             config,
             stalled: false,
-        }
-    }
-
-    /// The committed world state (for semantic assertions).
-    pub fn world_state(&self) -> &WorldState {
-        &self.state
-    }
-
-    /// Chain height including empty blocks.
-    pub fn height(&self) -> u64 {
-        self.rt.height()
-    }
-
-    /// The hash-linked ledger (tamper-evident block chain).
-    pub fn ledger(&self) -> &Ledger {
-        self.rt.ledger()
+        };
+        Chain::from_parts(rt, ibft, nodes, m)
     }
 
     /// `true` once the txpool has frozen (the §5.5 anomaly).
     pub fn is_stalled(&self) -> bool {
-        self.stalled
+        self.m.stalled
     }
+}
 
-    /// Crashes a validator (fault injection). IBFT keeps committing while
-    /// 2f + 1 validators survive; round changes skip dead proposers.
-    pub fn crash_validator(&mut self, node: NodeId) {
-        self.ibft.crash(node);
-    }
-
-    /// Recovers a crashed validator.
-    pub fn recover_validator(&mut self, node: NodeId) {
-        self.ibft.recover(node);
-    }
-
+impl QuorumModel {
     fn exec_cost(&self, payload: &Payload) -> SimDuration {
         let kind = payload.kind();
         let reads = if kind.is_read() { 2 } else { 0 };
@@ -179,63 +155,57 @@ impl Quorum {
     }
 }
 
-impl BlockchainSystem for Quorum {
-    fn name(&self) -> &str {
-        "Quorum"
-    }
+impl Model for QuorumModel {
+    type Protocol = Core<Ibft>;
+    const NAME: &'static str = "Quorum";
 
-    fn node_count(&self) -> u32 {
-        self.config.nodes
-    }
-
-    fn submit(&mut self, now: SimTime, tx: ClientTx) -> SubmitOutcome {
-        self.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
-        if self.stalled {
+    fn submit(c: &mut Quorum, now: SimTime, tx: ClientTx) -> SubmitOutcome {
+        c.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
+        if c.m.stalled {
             // The pool still accepts (geth keeps queueing) but nothing is
             // ever processed; the client sees the transaction as lost —
             // shed inside the frozen ordering stage.
-            self.rt.probe_mut().shed(Stage::Consensus, 1);
-            self.rt.accept();
+            c.rt.probe_mut().shed(Stage::Consensus, 1);
+            c.rt.accept();
             return SubmitOutcome::Accepted;
         }
-        if self.config.stall_anomaly
-            && self.config.block_period <= self.config.stall_period_threshold
-            && self.ibft.pending_len() >= self.config.stall_pool_threshold
+        let config = &c.m.config;
+        if config.stall_anomaly
+            && config.block_period <= config.stall_period_threshold
+            && c.engine.pending_len() >= config.stall_pool_threshold
         {
             // The paper's liveness violation: short block period + high
             // load freezes the pool for good; blocks continue empty.
-            self.stalled = true;
-            let dropped = self.ibft.drop_pending();
-            self.rt.reject_n(dropped as u64);
-            self.rt
-                .probe_mut()
-                .shed(Stage::Consensus, dropped as u64 + 1);
-            self.rt.mempool().clear();
-            self.rt.accept();
+            c.m.stalled = true;
+            let dropped = c.engine.drop_pending();
+            c.rt.reject_n(dropped as u64);
+            c.rt.probe_mut().shed(Stage::Consensus, dropped as u64 + 1);
+            c.rt.mempool().clear();
+            c.rt.accept();
             return SubmitOutcome::Accepted;
         }
-        let full = self.ibft.pending_len() >= self.config.txpool_limit;
-        let outcome = self.rt.admit(now, &tx, full);
+        let full = c.engine.pending_len() >= config.txpool_limit;
+        let outcome = c.rt.admit(now, &tx, full);
         if outcome.is_accepted() {
-            self.ibft.submit(command_for(&tx));
+            c.engine.submit(command_for(&tx));
         }
         outcome
     }
 
-    fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
-        let blocks = self.ibft.run_until(deadline);
-        self.rt.sync_membership(self.ibft.active_count());
+    fn run_until(c: &mut Quorum, deadline: SimTime) -> Vec<TxOutcome> {
+        let blocks = c.engine.run_until(deadline);
+        c.rt.sync_membership(c.engine.active_count());
         for block in blocks {
-            let block_id = self.rt.append_block(
+            let block_id = c.rt.append_block(
                 block.proposer,
                 block.committed_at,
-                block.commands.iter().map(|c| c.tx).collect(),
+                block.commands.iter().map(|cmd| cmd.tx).collect(),
                 None,
             );
             if block.commands.is_empty() {
                 continue;
             }
-            if self.stalled {
+            if c.m.stalled {
                 continue; // in-flight blocks during the freeze notify nobody
             }
             // Every validator executes the block sequentially; the slowest
@@ -244,124 +214,47 @@ impl BlockchainSystem for Quorum {
             let mut costs = SimDuration::ZERO;
             let mut executed = Vec::with_capacity(block.commands.len());
             for cmd in &block.commands {
-                let Some(tx) = self.rt.mempool().take(&cmd.tx) else {
+                let Some(tx) = c.rt.mempool().take(&cmd.tx) else {
                     continue;
                 };
-                let cost = self.exec_cost(&tx.payloads()[0]);
+                let cost = c.m.exec_cost(&tx.payloads()[0]);
                 costs += cost;
                 // Order-execute: failures (reverts) are still mined and the
                 // client still gets a receipt.
-                let ok = self.state.apply(&tx.payloads()[0]).is_ok();
+                let ok = c.state.apply(&tx.payloads()[0]).is_ok();
                 executed.push((cmd.tx, cmd.ops, ok, tx.created_at()));
             }
-            let persist = self
-                .rt
-                .replicate(&mut self.exec_cpu, block.committed_at, costs);
+            let persist = c.rt.replicate(&mut c.m.exec_cpu, block.committed_at, costs);
             // Order-execute stage boundaries: ordering spans submission →
             // block commitment, every validator then executes the whole
             // block (`costs`), and commit waits for the slowest replica.
             let exec_end = block.committed_at + costs;
             for (txid, ops, ok, created_at) in executed {
-                let event_at = persist + self.rt.hop();
-                let probe = self.rt.probe_mut();
+                let event_at = persist + c.rt.hop();
+                let probe = c.rt.probe_mut();
                 probe.span(Stage::Consensus, txid, created_at, block.committed_at);
                 probe.span(Stage::Execution, txid, block.committed_at, exec_end);
                 probe.span(Stage::Commit, txid, exec_end, persist);
                 probe.span(Stage::Notify, txid, persist, event_at);
                 if ok {
-                    self.rt.emit_committed(txid, block_id, event_at, ops);
+                    c.rt.emit_committed(txid, block_id, event_at, ops);
                 } else {
-                    self.rt
-                        .emit_failed(txid, FailReason::ExecutionError, event_at);
+                    c.rt.emit_failed(txid, FailReason::ExecutionError, event_at);
                 }
             }
         }
-        self.rt.drain(deadline)
+        c.rt.drain(deadline)
     }
 
-    fn stats(&self) -> SystemStats {
-        self.rt.stats_with(self.ibft.net_stats().messages_sent)
-    }
-
-    fn preload(&mut self, payloads: &[coconut_types::Payload]) {
-        for p in payloads {
-            let _ = self.state.apply(p);
-        }
-    }
-
-    fn ledger_state(&self) -> Option<coconut_iel::LedgerState> {
-        Some(coconut_iel::LedgerState::of_world(&self.state))
-    }
-
-    fn crash_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.crash_validator(node);
-        true
-    }
-
-    fn recover_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.recover_validator(node);
-        true
-    }
-
-    fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.ibft.apply_net_fault(at, event)
-    }
-
-    fn inject_byzantine(
-        &mut self,
-        node: NodeId,
-        behaviour: ByzantineBehaviour,
-        until: SimTime,
-    ) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.ibft.set_byzantine(node, behaviour, until);
-        true
-    }
-
-    fn join_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.ibft.join(node)
-    }
-
-    fn leave_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.ibft.leave(node)
-    }
-
-    fn config_epoch(&self) -> u64 {
-        self.ibft.config_epoch()
-    }
-
-    fn safety_report(&self) -> Option<SafetyReport> {
-        Some(self.ibft.safety_report())
-    }
-
-    fn liveness_report(&self) -> Option<LivenessReport> {
-        Some(self.ibft.liveness_report())
-    }
-
-    fn is_live(&self) -> bool {
-        !self.stalled
-    }
-
-    fn probe(&self) -> Option<&StageProbe> {
-        Some(self.rt.probe())
-    }
-
-    fn probe_mut(&mut self) -> Option<&mut StageProbe> {
-        Some(self.rt.probe_mut())
+    fn is_live(c: &Quorum) -> bool {
+        !c.m.stalled
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockchainSystem;
     use coconut_types::{AccountId, ClientId, ThreadId, TxId};
 
     fn tx(seq: u64, payload: Payload) -> ClientTx {

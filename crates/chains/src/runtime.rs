@@ -5,10 +5,10 @@
 //! [`SystemStats`] counters, a pending-payload mempool, the outcome bus
 //! that stamps `finalized_at` when the *client* learns a transaction's
 //! fate, the replication barrier ("persisted in all participating
-//! blockchain nodes"), and the crash/recover node registry. This module
-//! owns those pieces once; a model keeps only its protocol-specific
-//! logic (endorsement, block execution, conflict rules, …) and drives
-//! the scaffold.
+//! blockchain nodes"). This module owns those pieces once; a model keeps
+//! only its protocol-specific logic (endorsement, block execution,
+//! conflict rules, …) and drives the scaffold. Crashes and recoveries go
+//! to the consensus engine, which knows its provisioned nodes.
 //!
 //! The scaffold is deliberately *passive*: it never advances time on its
 //! own, so a model's event interleaving — and therefore its RNG stream —
@@ -713,9 +713,6 @@ pub struct ChainRuntime {
     /// Replication width: nodes that must persist before the client is
     /// notified.
     nodes: u32,
-    /// Crashable-role count for the fault registry (Fabric's orderers
-    /// differ from its peers).
-    crashable: u32,
     /// Pipeline-stage instrumentation (disabled by default; see
     /// [`StageProbe`]).
     probe: StageProbe,
@@ -723,11 +720,10 @@ pub struct ChainRuntime {
 
 impl ChainRuntime {
     /// Builds the scaffold. `nodes` is the replication width (every one
-    /// of them persists a block before the client hears about it);
-    /// `crashable` is the size of the model's crashable consensus role.
+    /// of them persists a block before the client hears about it).
     /// The inter-server hop model and the `"hops"` RNG stream come from
     /// `seeds`/`net`, exactly as the hand-rolled models derived them.
-    pub fn new(seeds: &SeedDeriver, net: &NetConfig, nodes: u32, crashable: u32) -> Self {
+    pub fn new(seeds: &SeedDeriver, net: &NetConfig, nodes: u32) -> Self {
         ChainRuntime {
             stats: SystemStats::default(),
             mempool: Mempool::default(),
@@ -737,7 +733,6 @@ impl ChainRuntime {
             inter: net.inter_server,
             ledger: Ledger::new(),
             nodes,
-            crashable,
             probe: StageProbe::new(),
         }
     }
@@ -926,13 +921,6 @@ impl ChainRuntime {
         out
     }
 
-    // --- the crash registry ------------------------------------------------
-
-    /// `true` if `node` names a member of the model's crashable role.
-    pub fn has_node(&self, node: NodeId) -> bool {
-        node.0 < self.crashable
-    }
-
     // --- membership churn ---------------------------------------------------
 
     /// Counts a completed join (for models whose replication width is a
@@ -964,12 +952,6 @@ impl ChainRuntime {
         }
     }
 
-    /// Widens the crashable-role registry to cover pre-provisioned
-    /// standby nodes, so fault injection can target them once admitted.
-    pub fn set_crashable(&mut self, crashable: u32) {
-        self.crashable = crashable;
-    }
-
     /// Current replication width.
     pub fn replication_width(&self) -> u32 {
         self.nodes
@@ -998,7 +980,7 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn rt() -> ChainRuntime {
-        ChainRuntime::new(&SeedDeriver::new(42), &NetConfig::lan(), 4, 3)
+        ChainRuntime::new(&SeedDeriver::new(42), &NetConfig::lan(), 4)
     }
 
     fn tx(seq: u64) -> ClientTx {
@@ -1140,10 +1122,6 @@ mod tests {
         // Reconciling to the same count is a no-op.
         r.sync_membership(3);
         assert_eq!(r.stats().joins, 1);
-        // The registry can widen to cover admitted standby nodes.
-        assert!(!r.has_node(NodeId(3)));
-        r.set_crashable(5);
-        assert!(r.has_node(NodeId(4)));
         // The barrier never collapses to zero nodes.
         r.sync_membership(0);
         assert_eq!(r.replication_width(), 1);
@@ -1178,14 +1156,6 @@ mod tests {
         r.note_finality();
         assert_eq!(r.stats().blocks, 2);
         assert_eq!(r.height(), 1, "finality rounds do not extend the ledger");
-    }
-
-    #[test]
-    fn crash_registry_bounds() {
-        let r = rt();
-        assert!(r.has_node(NodeId(0)));
-        assert!(r.has_node(NodeId(2)));
-        assert!(!r.has_node(NodeId(3)), "crashable role has 3 members");
     }
 
     #[test]

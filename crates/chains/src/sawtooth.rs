@@ -22,17 +22,15 @@
 
 use std::collections::VecDeque;
 
-use coconut_consensus::pbft::PbftCluster;
-use coconut_consensus::{BatchConfig, CpuModel, LivenessReport, SafetyReport};
-use coconut_iel::WorldState;
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, Topology};
-use coconut_types::{
-    tx::FailReason, ClientTx, NodeId, SeedDeriver, SimDuration, SimTime, TxOutcome,
-};
+use coconut_consensus::pbft::{Pbft, PbftCluster};
+use coconut_consensus::three_phase::Core;
+use coconut_consensus::{BatchConfig, CpuModel};
+use coconut_simnet::{NetConfig, Topology};
+use coconut_types::{tx::FailReason, ClientTx, SeedDeriver, SimDuration, SimTime, TxOutcome};
 
-use crate::ledger::Ledger;
-use crate::runtime::{command_for, ChainRuntime, IngressLoad, PoolLimits, Stage, StageProbe};
-use crate::system::{BlockchainSystem, SubmitOutcome, SystemStats};
+use crate::chain::{Chain, Model};
+use crate::runtime::{command_for, ChainRuntime, IngressLoad, PoolLimits, Stage};
+use crate::system::SubmitOutcome;
 
 /// Configuration of the Sawtooth deployment.
 #[derive(Debug, Clone)]
@@ -86,13 +84,13 @@ impl Default for SawtoothConfig {
 }
 
 /// The modelled Sawtooth network (see module docs).
+pub type Sawtooth = Chain<SawtoothModel>;
+
+/// Sawtooth's own state in its [`Chain`].
 #[derive(Debug)]
-pub struct Sawtooth {
+pub struct SawtoothModel {
     config: SawtoothConfig,
-    rt: ChainRuntime,
-    pbft: PbftCluster,
     exec_cpu: CpuModel,
-    state: WorldState,
     aborted_batches: u64,
     /// Per-block (execution-finished-at, batch count): committed batches
     /// still occupying the validator until the transaction processors are
@@ -131,50 +129,23 @@ impl Sawtooth {
                 config.publishing_delay,
             ))
             .build();
-        let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes, total);
+        let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes);
         rt.set_pool_limits(config.pool);
-        Sawtooth {
-            rt,
+        let nodes = config.nodes;
+        let m = SawtoothModel {
             exec_cpu: CpuModel::new(total),
-            pbft,
-            state: WorldState::new(),
             ingress: IngressLoad::new(SimDuration::from_secs(2), config.ingress_per_tx, 0.9),
             config,
             aborted_batches: 0,
             executing: VecDeque::new(),
             current_slowdown: 1.0,
-        }
-    }
-
-    /// The committed world state.
-    pub fn world_state(&self) -> &WorldState {
-        &self.state
-    }
-
-    /// Chain height.
-    pub fn height(&self) -> u64 {
-        self.rt.height()
-    }
-
-    /// The hash-linked ledger (tamper-evident block chain).
-    pub fn ledger(&self) -> &Ledger {
-        self.rt.ledger()
+        };
+        Chain::from_parts(rt, pbft, nodes, m)
     }
 
     /// Batches discarded atomically because an inner transaction failed.
     pub fn aborted_batches(&self) -> u64 {
-        self.aborted_batches
-    }
-
-    /// Crashes a validator (fault injection). PBFT keeps committing while
-    /// 2f + 1 validators survive; view changes replace a dead primary.
-    pub fn crash_validator(&mut self, node: NodeId) {
-        self.pbft.crash(node);
-    }
-
-    /// Recovers a crashed validator.
-    pub fn recover_validator(&mut self, node: NodeId) {
-        self.pbft.recover(node);
+        self.m.aborted_batches
     }
 
     /// Validator queue occupancy in batches: batches waiting for a block
@@ -182,21 +153,19 @@ impl Sawtooth {
     /// Sawtooth's back-pressure looks at — blocks drain the *consensus*
     /// queue, but the transaction processors are the slow stage.
     fn occupancy(&mut self, now: SimTime) -> usize {
-        while let Some(&(done, _)) = self.executing.front() {
+        let executing = &mut self.m.executing;
+        while let Some(&(done, _)) = executing.front() {
             if done <= now {
-                self.executing.pop_front();
+                executing.pop_front();
             } else {
                 break;
             }
         }
-        self.pbft.pending_len()
-            + self
-                .executing
-                .iter()
-                .map(|&(_, n)| n as usize)
-                .sum::<usize>()
+        self.engine.pending_len() + executing.iter().map(|&(_, n)| n as usize).sum::<usize>()
     }
+}
 
+impl SawtoothModel {
     fn pending_stalled(&self) -> bool {
         self.config
             .pending_stall_at
@@ -204,77 +173,71 @@ impl Sawtooth {
     }
 }
 
-impl BlockchainSystem for Sawtooth {
-    fn name(&self) -> &str {
-        "Sawtooth"
-    }
+impl Model for SawtoothModel {
+    type Protocol = Core<Pbft>;
+    const NAME: &'static str = "Sawtooth";
 
-    fn node_count(&self) -> u32 {
-        self.config.nodes
-    }
-
-    fn submit(&mut self, now: SimTime, tx: ClientTx) -> SubmitOutcome {
-        self.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
+    fn submit(c: &mut Sawtooth, now: SimTime, tx: ClientTx) -> SubmitOutcome {
+        c.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
         // Admission work is paid even for batches the full queue turns
         // away — feed the load estimator before the queue decides. The
         // flood-induced slowdown (1/(1 − u)) is what collapses Sawtooth
         // from 66.7 MTPS at RL = 200 to 14.3 at RL = 1600 (Table 17).
-        self.current_slowdown = self.ingress.record(now, tx.op_count() as u32);
-        self.rt
-            .probe_mut()
-            .utilization(Stage::Ingress, 1.0 - 1.0 / self.current_slowdown);
+        c.m.current_slowdown = c.m.ingress.record(now, tx.op_count() as u32);
+        c.rt.probe_mut()
+            .utilization(Stage::Ingress, 1.0 - 1.0 / c.m.current_slowdown);
         // The bounded validator queue is the decisive Sawtooth behaviour:
         // a full queue rejects, and the client must re-send (COCONUT does
         // not, so the batch is lost).
-        if self.occupancy(now) >= self.config.queue_limit {
-            self.rt.reject();
-            self.rt.probe_mut().shed(Stage::MempoolWait, 1);
+        if c.occupancy(now) >= c.m.config.queue_limit {
+            c.rt.reject();
+            c.rt.probe_mut().shed(Stage::MempoolWait, 1);
             return SubmitOutcome::Rejected;
         }
         // The bounded pending store is a second line of defence behind
         // the validator queue: at capacity it sheds with backpressure
         // rather than the queue's hard reject.
-        self.rt.evict_expired(now);
-        if self.rt.pool_full() {
-            return self.rt.busy();
+        c.rt.evict_expired(now);
+        if c.rt.pool_full() {
+            return c.rt.busy();
         }
-        self.rt.accept();
-        if self.pending_stalled() {
+        c.rt.accept();
+        if c.m.pending_stalled() {
             // §5.8.2: at 16/32 nodes everything stays pending forever.
-            self.rt.probe_mut().shed(Stage::Consensus, 1);
+            c.rt.probe_mut().shed(Stage::Consensus, 1);
             return SubmitOutcome::Accepted;
         }
-        self.rt.mempool().insert(tx.clone());
-        self.pbft.submit(command_for(&tx));
+        c.rt.mempool().insert(tx.clone());
+        c.engine.submit(command_for(&tx));
         SubmitOutcome::Accepted
     }
 
-    fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
-        let blocks = self.pbft.run_until(deadline);
-        self.rt.sync_membership(self.pbft.active_count());
+    fn run_until(c: &mut Sawtooth, deadline: SimTime) -> Vec<TxOutcome> {
+        let blocks = c.engine.run_until(deadline);
+        c.rt.sync_membership(c.engine.active_count());
         for block in blocks {
             if block.commands.is_empty() {
                 continue;
             }
-            let ops: u64 = block.commands.iter().map(|c| c.ops as u64).sum();
-            let block_id = self.rt.append_block(
+            let ops: u64 = block.commands.iter().map(|cmd| cmd.ops as u64).sum();
+            let block_id = c.rt.append_block(
                 block.proposer,
                 block.committed_at,
-                block.commands.iter().map(|c| c.tx).collect(),
+                block.commands.iter().map(|cmd| cmd.tx).collect(),
                 Some(ops),
             );
             // Execute every batch at every validator (transaction
             // processors run per node); atomic batches roll back wholesale.
             let mut results = Vec::with_capacity(block.commands.len());
             let mut total_cost = SimDuration::ZERO;
-            let slowdown = self.current_slowdown;
+            let slowdown = c.m.current_slowdown;
             for cmd in &block.commands {
-                let Some(batch) = self.rt.mempool().take(&cmd.tx) else {
+                let Some(batch) = c.rt.mempool().take(&cmd.tx) else {
                     continue;
                 };
-                total_cost += (self.config.exec_per_tx * batch.op_count() as u64).mul_f64(slowdown);
+                total_cost += (c.m.config.exec_per_tx * batch.op_count() as u64).mul_f64(slowdown);
                 // Dry-run the batch atomically: all payloads must succeed.
-                let mut scratch = self.state.clone();
+                let mut scratch = c.state.clone();
                 let mut ok = true;
                 for p in batch.payloads() {
                     if scratch.apply(p).is_err() {
@@ -283,16 +246,15 @@ impl BlockchainSystem for Sawtooth {
                     }
                 }
                 if ok {
-                    self.state = scratch;
+                    c.state = scratch;
                 } else {
-                    self.aborted_batches += 1;
+                    c.m.aborted_batches += 1;
                 }
                 results.push((cmd.tx, cmd.ops, ok, batch.created_at()));
             }
-            let persist = self
-                .rt
-                .replicate(&mut self.exec_cpu, block.committed_at, total_cost);
-            self.executing.push_back((persist, results.len() as u32));
+            let persist =
+                c.rt.replicate(&mut c.m.exec_cpu, block.committed_at, total_cost);
+            c.m.executing.push_back((persist, results.len() as u32));
             // Stage boundaries: batches wait in the validator queue from
             // submission to block commitment (Sawtooth exposes no separate
             // ordering boundary — block inclusion *is* the pickup), then
@@ -300,107 +262,35 @@ impl BlockchainSystem for Sawtooth {
             // slowest replica gates commit.
             let exec_end = block.committed_at + total_cost;
             for (txid, ops, ok, created_at) in results {
-                let event_at = persist + self.rt.hop();
-                let probe = self.rt.probe_mut();
+                let event_at = persist + c.rt.hop();
+                let probe = c.rt.probe_mut();
                 probe.span(Stage::MempoolWait, txid, created_at, block.committed_at);
                 probe.span(Stage::Execution, txid, block.committed_at, exec_end);
                 probe.span(Stage::Commit, txid, exec_end, persist);
                 probe.span(Stage::Notify, txid, persist, event_at);
                 if ok {
-                    self.rt.emit_committed(txid, block_id, event_at, ops);
+                    c.rt.emit_committed(txid, block_id, event_at, ops);
                 } else {
-                    self.rt.emit_failed(txid, FailReason::Conflict, event_at);
+                    c.rt.emit_failed(txid, FailReason::Conflict, event_at);
                 }
             }
         }
-        self.rt.drain(deadline)
+        c.rt.drain(deadline)
     }
 
-    fn stats(&self) -> SystemStats {
-        let mut s = self.rt.stats_with(self.pbft.net_stats().messages_sent);
-        s.conflicts = self.aborted_batches;
-        s
+    fn conflicts(c: &Sawtooth) -> u64 {
+        c.m.aborted_batches
     }
 
-    fn preload(&mut self, payloads: &[coconut_types::Payload]) {
-        for p in payloads {
-            let _ = self.state.apply(p);
-        }
-    }
-
-    fn ledger_state(&self) -> Option<coconut_iel::LedgerState> {
-        Some(coconut_iel::LedgerState::of_world(&self.state))
-    }
-
-    fn crash_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.crash_validator(node);
-        true
-    }
-
-    fn recover_node(&mut self, node: NodeId) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.recover_validator(node);
-        true
-    }
-
-    fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
-        self.pbft.apply_net_fault(at, event)
-    }
-
-    fn inject_byzantine(
-        &mut self,
-        node: NodeId,
-        behaviour: ByzantineBehaviour,
-        until: SimTime,
-    ) -> bool {
-        if !self.rt.has_node(node) {
-            return false;
-        }
-        self.pbft.set_byzantine(node, behaviour, until);
-        true
-    }
-
-    fn join_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.pbft.join(node)
-    }
-
-    fn leave_node(&mut self, _now: SimTime, node: NodeId) -> bool {
-        self.pbft.leave(node)
-    }
-
-    fn config_epoch(&self) -> u64 {
-        self.pbft.config_epoch()
-    }
-
-    fn safety_report(&self) -> Option<SafetyReport> {
-        Some(self.pbft.safety_report())
-    }
-
-    fn liveness_report(&self) -> Option<LivenessReport> {
-        Some(self.pbft.liveness_report())
-    }
-
-    fn is_live(&self) -> bool {
-        !self.pending_stalled()
-    }
-
-    fn probe(&self) -> Option<&StageProbe> {
-        Some(self.rt.probe())
-    }
-
-    fn probe_mut(&mut self) -> Option<&mut StageProbe> {
-        Some(self.rt.probe_mut())
+    fn is_live(c: &Sawtooth) -> bool {
+        !c.m.pending_stalled()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BlockchainSystem;
     use coconut_types::{ClientId, Payload, ThreadId, TxId};
 
     fn batch(seq: u64, payloads: Vec<Payload>) -> ClientTx {
@@ -464,7 +354,7 @@ mod tests {
         assert_eq!(first.len(), 5);
         // After draining, new submissions are accepted again.
         assert!(s
-            .submit(s.pbft.now(), single(9, Payload::DoNothing))
+            .submit(s.engine.now(), single(9, Payload::DoNothing))
             .is_accepted());
     }
 

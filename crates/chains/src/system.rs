@@ -194,6 +194,36 @@ pub trait BlockchainSystem {
         false
     }
 
+    /// Applies one scheduled fault at virtual time `at` and returns the
+    /// verdict of the method it routes to:
+    ///
+    /// - `CrashNode`/`RestartNode` go to [`BlockchainSystem::crash_node`] /
+    ///   [`BlockchainSystem::recover_node`];
+    /// - `EquivocateProposer`/`DoubleVote` go to
+    ///   [`BlockchainSystem::inject_byzantine`] with the event's window
+    ///   converted to an absolute expiry (CFT systems decline the injection
+    ///   and carry no safety report);
+    /// - `JoinNode`/`LeaveNode` go to [`BlockchainSystem::join_node`] /
+    ///   [`BlockchainSystem::leave_node`] (membership churn: the join starts
+    ///   the catch-up path, and the engine admits the voter only after sync
+    ///   completes);
+    /// - network faults go to [`BlockchainSystem::apply_net_fault`].
+    fn apply_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
+        match *event {
+            FaultEvent::CrashNode(node) => self.crash_node(node),
+            FaultEvent::RestartNode(node) => self.recover_node(node),
+            FaultEvent::EquivocateProposer { node, window } => {
+                self.inject_byzantine(node, ByzantineBehaviour::EquivocateProposer, at + window)
+            }
+            FaultEvent::DoubleVote { node, window } => {
+                self.inject_byzantine(node, ByzantineBehaviour::DoubleVote, at + window)
+            }
+            FaultEvent::JoinNode(node) => self.join_node(at, node),
+            FaultEvent::LeaveNode(node) => self.leave_node(at, node),
+            ref net => self.apply_net_fault(at, net),
+        }
+    }
+
     /// The membership configuration epoch: how many completed membership
     /// changes the system has reconfigured through. Systems without
     /// dynamic membership stay at 0.

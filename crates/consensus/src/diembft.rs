@@ -37,7 +37,7 @@ use coconut_simnet::NetSim;
 use coconut_types::{Hasher64, NodeId, SimDuration, SimTime};
 
 use crate::safety::VotePhase;
-use crate::shell::{Bft, Builder, Byzantine, Protocol, Shell};
+use crate::shell::{Bft, Builder, Protocol, Shell};
 use crate::{BatchConfig, Command, CommittedBatch};
 
 use wire::DiemMsg;
@@ -282,15 +282,13 @@ impl Protocol for DiemBft {
     fn before_run(s: &mut DiemBftCluster) {
         s.kick_current_leader();
     }
-}
 
-impl Byzantine for DiemBft {
-    fn bft(&self) -> &Bft {
-        &self.bft
+    fn bft(&self) -> Option<&Bft> {
+        Some(&self.bft)
     }
 
-    fn bft_mut(&mut self) -> &mut Bft {
-        &mut self.bft
+    fn bft_mut(&mut self) -> Option<&mut Bft> {
+        Some(&mut self.bft)
     }
 }
 
@@ -754,7 +752,7 @@ mod tests {
             }
             let (_, more) = c.run_checking_work(SimTime::from_secs(30));
             assert!(busy + more > 0, "the set must be exercised");
-            assert!(c.safety_report().observed.equivocating_proposals > 0);
+            assert!(c.safety_report().unwrap().observed.equivocating_proposals > 0);
         }
     }
 
@@ -931,7 +929,7 @@ mod tests {
             "commits continue through the join"
         );
         assert_eq!((c.active_count(), c.config_epoch()), (5, 1));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(r.violations.is_clean(), "{:?}", r.violations);
     }
 
@@ -951,7 +949,7 @@ mod tests {
             blocks.iter().any(|b| !b.commands.is_empty()),
             "the shrunken validator set keeps committing"
         );
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(r.violations.is_clean(), "{:?}", r.violations);
         assert!(!c.leave(NodeId(0)), "already departed");
     }
@@ -968,7 +966,7 @@ mod tests {
             c.submit(tx(s));
         }
         let _ = c.run_until(c.now() + SimDuration::from_secs(30));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert_eq!(r.violations.presync_votes, 0, "no vote before catch-up");
         assert_eq!(r.violations.stale_epoch_commits, 0);
         assert_eq!(c.active_count(), 5);
@@ -986,7 +984,11 @@ mod tests {
             got += c.run_until(SimTime::from_secs(8)).len();
             c.leave(NodeId(1));
             got += c.run_until(SimTime::from_secs(40)).len();
-            (got, c.config_epoch(), format!("{:?}", c.safety_report()))
+            (
+                got,
+                c.config_epoch(),
+                format!("{:?}", c.safety_report().unwrap()),
+            )
         };
         assert_eq!(run(), run());
     }
@@ -1013,7 +1015,7 @@ mod tests {
             !blocks.is_empty(),
             "f = 1 equivocator must not halt DiemBFT"
         );
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(
             r.observed.equivocating_proposals > 0,
             "the attack must actually run"
@@ -1037,7 +1039,7 @@ mod tests {
             c.submit(tx(s));
         }
         let _ = c.run_until(SimTime::from_secs(30));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         // Under the 2-chain rule the sibling block certifies but never gains
         // a child, so the break surfaces as a conflicting QC, not a commit.
         assert!(
@@ -1062,7 +1064,7 @@ mod tests {
                 c.submit(tx(s));
             }
             let blocks = c.run_until(SimTime::from_secs(30));
-            (format!("{:?}", c.safety_report()), blocks.len())
+            (format!("{:?}", c.safety_report().unwrap()), blocks.len())
         };
         assert_eq!(run(), run());
     }

@@ -327,7 +327,7 @@ mod tests {
             "f = 1 equivocator must not halt block production, got {}",
             blocks.len()
         );
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(r.observed.equivocating_proposals > 0, "attack must run");
         assert_eq!(r.observed.byzantine_nodes, 1);
         assert!(r.violations.is_clean(), "≤ f Byzantine: {:?}", r.violations);
@@ -348,7 +348,7 @@ mod tests {
             c.submit(tx(s));
         }
         let _ = c.run_until(SimTime::from_secs(30));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(
             r.violations.conflicting_commits > 0,
             "f+1 Byzantine must commit a conflicting block: {r:?}"
@@ -371,7 +371,7 @@ mod tests {
                 c.submit(tx(s));
             }
             let blocks = c.run_until(SimTime::from_secs(30));
-            (format!("{:?}", c.safety_report()), blocks.len())
+            (format!("{:?}", c.safety_report().unwrap()), blocks.len())
         };
         assert_eq!(run(), run());
     }
@@ -395,7 +395,7 @@ mod tests {
             "commits continue through the join"
         );
         assert_eq!((c.active_count(), c.config_epoch()), (5, 1));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(r.violations.is_clean(), "{:?}", r.violations);
     }
 
@@ -416,7 +416,7 @@ mod tests {
             "the shrunken validator set keeps committing"
         );
         assert!(blocks.iter().all(|b| b.proposer != NodeId(0)));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(r.violations.is_clean(), "{:?}", r.violations);
         assert!(!c.leave(NodeId(0)), "already departed");
     }
@@ -433,7 +433,7 @@ mod tests {
             c.submit(tx(s));
         }
         let _ = c.run_until(c.now() + SimDuration::from_secs(30));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert_eq!(r.violations.presync_votes, 0, "no vote before catch-up");
         assert_eq!(r.violations.stale_epoch_commits, 0);
         assert_eq!(c.active_count(), 5);
@@ -451,7 +451,11 @@ mod tests {
             got += c.run_until(SimTime::from_secs(8)).len();
             c.leave(NodeId(1));
             got += c.run_until(SimTime::from_secs(40)).len();
-            (got, c.config_epoch(), format!("{:?}", c.safety_report()))
+            (
+                got,
+                c.config_epoch(),
+                format!("{:?}", c.safety_report().unwrap()),
+            )
         };
         assert_eq!(run(), run());
     }

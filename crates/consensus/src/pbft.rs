@@ -373,7 +373,7 @@ mod tests {
         }
         let batches = c.run_until(SimTime::from_secs(30));
         assert!(!batches.is_empty(), "f = 1 equivocator must not halt PBFT");
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(
             r.observed.equivocating_proposals > 0,
             "the attack must actually run"
@@ -397,7 +397,7 @@ mod tests {
             c.submit(tx(s));
         }
         let _ = c.run_until(SimTime::from_secs(30));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(
             r.violations.conflicting_commits > 0,
             "f+1 Byzantine must commit a conflicting block: {r:?}"
@@ -420,7 +420,7 @@ mod tests {
                 c.submit(tx(s));
             }
             let batches = c.run_until(SimTime::from_secs(30));
-            (format!("{:?}", c.safety_report()), batches.len())
+            (format!("{:?}", c.safety_report().unwrap()), batches.len())
         };
         assert_eq!(run(), run());
     }
@@ -441,7 +441,7 @@ mod tests {
         let more = c.run_until(c.now() + SimDuration::from_secs(30));
         assert!(!more.is_empty(), "commits continue through the join");
         assert_eq!((c.active_count(), c.config_epoch()), (5, 1));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(r.violations.is_clean(), "{:?}", r.violations);
     }
 
@@ -460,7 +460,7 @@ mod tests {
         let batches = c.run_until(c.now() + SimDuration::from_secs(30));
         assert!(!batches.is_empty(), "the shrunken cluster keeps committing");
         assert!(batches.iter().all(|b| b.proposer != NodeId(0)));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert!(r.violations.is_clean(), "{:?}", r.violations);
         assert!(!c.leave(NodeId(0)), "already departed");
     }
@@ -477,7 +477,7 @@ mod tests {
             c.submit(tx(s));
         }
         let _ = c.run_until(c.now() + SimDuration::from_secs(30));
-        let r = c.safety_report();
+        let r = c.safety_report().unwrap();
         assert_eq!(r.violations.presync_votes, 0, "no vote before catch-up");
         assert_eq!(r.violations.stale_epoch_commits, 0);
         assert_eq!(c.active_count(), 5);
@@ -495,7 +495,11 @@ mod tests {
             got += c.run_until(SimTime::from_secs(8)).len();
             c.leave(NodeId(1));
             got += c.run_until(SimTime::from_secs(40)).len();
-            (got, c.config_epoch(), format!("{:?}", c.safety_report()))
+            (
+                got,
+                c.config_epoch(),
+                format!("{:?}", c.safety_report().unwrap()),
+            )
         };
         assert_eq!(run(), run());
     }

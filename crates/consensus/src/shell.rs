@@ -103,6 +103,18 @@ pub trait Protocol: Sized + Debug {
 
     /// Runs at the start of every [`Shell::run_until`].
     fn before_run(_s: &mut Shell<Self>) {}
+
+    /// The shared Byzantine-tolerance state of an engine that carries one
+    /// (DiemBFT and the three-phase core). Raft and DPoS keep the default
+    /// `None`: they take no Byzantine flag and carry no safety monitor.
+    fn bft(&self) -> Option<&Bft> {
+        None
+    }
+
+    /// [`Protocol::bft`], mutably.
+    fn bft_mut(&mut self) -> Option<&mut Bft> {
+        None
+    }
 }
 
 /// Configuration for a [`Shell`]; build with [`Shell::builder`].
@@ -264,15 +276,77 @@ impl<P: Protocol> Shell<P> {
         self.liveness.report(self.net.now())
     }
 
-    /// Crashes a node (crash-stop: it stops handling messages).
-    pub fn crash(&mut self, node: NodeId) {
-        self.alive[node.0 as usize] = false;
+    /// Crashes a node (crash-stop: it stops handling messages). Returns
+    /// `false` when `node` is not provisioned.
+    pub fn crash(&mut self, node: NodeId) -> bool {
+        match self.alive.get_mut(node.0 as usize) {
+            Some(alive) => {
+                *alive = false;
+                true
+            }
+            None => false,
+        }
     }
 
     /// Recovers a crashed node through the protocol's recovery path.
-    pub fn recover(&mut self, node: NodeId) {
+    /// Returns `false` when `node` is not provisioned.
+    pub fn recover(&mut self, node: NodeId) -> bool {
+        if node.0 as usize >= self.alive.len() {
+            return false;
+        }
         P::on_recover(self, node);
         self.alive[node.0 as usize] = true;
+        true
+    }
+
+    /// Flags `node` to misbehave (`behaviour`) until virtual time `until`.
+    /// Returns `false` when the protocol carries no [`Bft`] state or
+    /// `node` is not provisioned.
+    pub fn set_byzantine(
+        &mut self,
+        node: NodeId,
+        behaviour: ByzantineBehaviour,
+        until: SimTime,
+    ) -> bool {
+        match self
+            .p
+            .bft_mut()
+            .and_then(|b| b.byz.get_mut(node.0 as usize))
+        {
+            Some(flags) => {
+                flags.arm(behaviour, until);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// The safety monitor's verdict over everything observed so far;
+    /// `None` for a protocol without [`Bft`] state.
+    pub fn safety_report(&self) -> Option<SafetyReport> {
+        self.p.bft().map(|b| b.monitor.report())
+    }
+
+    /// Votes dropped for carrying a superseded membership epoch.
+    pub fn stale_epoch_rejections(&self) -> u64 {
+        self.p.bft().map_or(0, |b| b.stale_epoch_rejections)
+    }
+
+    /// Byzantine quorum (2f + 1) over the active membership.
+    pub(crate) fn quorum(&self) -> u32 {
+        bft_quorum(self.membership.active_count())
+    }
+
+    /// Whether a vote tagged `epoch` belongs to the current membership;
+    /// a stale one is counted and must be dropped.
+    pub(crate) fn current_epoch(&mut self, epoch: u64) -> bool {
+        if epoch == self.membership.epoch() {
+            return true;
+        }
+        if let Some(b) = self.p.bft_mut() {
+            b.stale_epoch_rejections += 1;
+        }
+        false
     }
 
     /// Current active-membership size (`n` of the quorum arithmetic).
@@ -384,50 +458,13 @@ impl Bft {
     }
 }
 
-/// A protocol that carries the shared [`Bft`] state.
-pub trait Byzantine: Protocol {
-    /// The shared Byzantine-tolerance state.
-    fn bft(&self) -> &Bft;
-    /// The shared Byzantine-tolerance state, mutably.
-    fn bft_mut(&mut self) -> &mut Bft;
-}
-
-impl<P: Byzantine> Shell<P> {
-    /// Flags `node` to misbehave (`behaviour`) until virtual time `until`.
-    pub fn set_byzantine(&mut self, node: NodeId, behaviour: ByzantineBehaviour, until: SimTime) {
-        self.p.bft_mut().byz[node.0 as usize].arm(behaviour, until);
-    }
-
-    /// The safety monitor's verdict over everything observed so far.
-    pub fn safety_report(&self) -> SafetyReport {
-        self.p.bft().monitor.report()
-    }
-
-    /// Votes dropped for carrying a superseded membership epoch.
-    pub fn stale_epoch_rejections(&self) -> u64 {
-        self.p.bft().stale_epoch_rejections
-    }
-
-    /// Byzantine quorum (2f + 1) over the active membership.
-    pub(crate) fn quorum(&self) -> u32 {
-        bft_quorum(self.membership.active_count())
-    }
-
-    /// Whether a vote tagged `epoch` belongs to the current membership;
-    /// a stale one is counted and must be dropped.
-    pub(crate) fn current_epoch(&mut self, epoch: u64) -> bool {
-        if epoch == self.membership.epoch() {
-            return true;
-        }
-        self.p.bft_mut().stale_epoch_rejections += 1;
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::dpos::DposCluster;
-    use coconut_types::NodeId;
+    use crate::pbft::PbftCluster;
+    use crate::raft::RaftCluster;
+    use coconut_simnet::ByzantineBehaviour::DoubleVote;
+    use coconut_types::{NodeId, SimTime};
 
     /// `node_count` means provisioned nodes for every engine, DPoS too.
     #[test]
@@ -436,5 +473,27 @@ mod tests {
         assert_eq!((c.node_count(), c.active_count()), (4, 3));
         assert!(c.join(NodeId(3)));
         assert_eq!(c.node_count(), 4);
+    }
+
+    /// Crash, recover and Byzantine flags reach exactly the provisioned
+    /// nodes, standby included; only a protocol with [`super::Bft`] state
+    /// takes the flag and reports safety.
+    #[test]
+    fn fault_surface_covers_the_provisioned_nodes() {
+        let until = SimTime::from_secs(1);
+        let mut d = DposCluster::builder(3).standby(1).build();
+        assert!(d.crash(NodeId(3)) && d.recover(NodeId(3)));
+        assert!(!d.crash(NodeId(4)) && !d.recover(NodeId(4)));
+        assert!(!d.set_byzantine(NodeId(0), DoubleVote, until));
+        assert!(d.safety_report().is_none());
+        let mut r = RaftCluster::builder(3).build();
+        assert!(!r.crash(NodeId(3)));
+        assert!(!r.set_byzantine(NodeId(0), DoubleVote, until));
+        assert!(r.safety_report().is_none());
+        let mut p = PbftCluster::builder(4).standby(1).build();
+        assert!(p.set_byzantine(NodeId(4), DoubleVote, until));
+        assert!(!p.set_byzantine(NodeId(5), DoubleVote, until));
+        assert!(p.crash(NodeId(4)) && !p.crash(NodeId(5)));
+        assert!(p.safety_report().is_some());
     }
 }

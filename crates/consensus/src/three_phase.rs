@@ -43,7 +43,7 @@ use coconut_simnet::NetSim;
 use coconut_types::{NodeId, SimDuration, SimTime};
 
 use crate::safety::VotePhase;
-use crate::shell::{self, Bft, Byzantine, Protocol, Shell};
+use crate::shell::{self, Bft, Protocol, Shell};
 use crate::{BatchConfig, Command, CommittedBatch};
 
 pub(crate) use wire::Msg;
@@ -338,15 +338,13 @@ impl<P: Policy> Protocol for Core<P> {
             .retain(|&(height, _), _| height < next);
         P::restart_epoch(c);
     }
-}
 
-impl<P: Policy> Byzantine for Core<P> {
-    fn bft(&self) -> &Bft {
-        &self.bft
+    fn bft(&self) -> Option<&Bft> {
+        Some(&self.bft)
     }
 
-    fn bft_mut(&mut self) -> &mut Bft {
-        &mut self.bft
+    fn bft_mut(&mut self) -> Option<&mut Bft> {
+        Some(&mut self.bft)
     }
 }
 

@@ -76,9 +76,9 @@ fn scripted_run<P: Policy>(mut c: Cluster<P>) -> (u64, u64) {
         let now = c.now();
         match step {
             // 5 s: the view-0 primary / height-0 proposer crashes.
-            20 => c.crash(NodeId(0)),
+            20 => assert!(c.crash(NodeId(0))),
             // 12 s: it comes back in its old view.
-            48 => c.recover(NodeId(0)),
+            48 => assert!(c.recover(NodeId(0))),
             // 15 s: the latest proposer turns into an equivocating,
             // double-voting leader (f = 1).
             60 => {
@@ -141,7 +141,7 @@ fn scripted_run<P: Policy>(mut c: Cluster<P>) -> (u64, u64) {
         }
         tr.record(c.run_until(at));
     }
-    let safety = c.safety_report();
+    let safety = c.safety_report().unwrap();
     let liveness = c.liveness_report();
     tr.h.write(format!("{safety:?}").as_bytes());
     tr.h.write(format!("{liveness:?}").as_bytes());
@@ -213,8 +213,8 @@ trait Engine {
     fn submit(&mut self, cmd: Command);
     fn run_until(&mut self, deadline: SimTime) -> Vec<CommittedBatch>;
     fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool;
-    fn crash(&mut self, node: NodeId);
-    fn recover(&mut self, node: NodeId);
+    fn crash(&mut self, node: NodeId) -> bool;
+    fn recover(&mut self, node: NodeId) -> bool;
     fn join(&mut self, node: NodeId) -> bool;
     fn leave(&mut self, node: NodeId) -> bool;
     fn messages_sent(&self) -> u64;
@@ -235,10 +235,10 @@ macro_rules! engine {
             fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
                 <$t>::apply_net_fault(self, at, event)
             }
-            fn crash(&mut self, node: NodeId) {
+            fn crash(&mut self, node: NodeId) -> bool {
                 <$t>::crash(self, node)
             }
-            fn recover(&mut self, node: NodeId) {
+            fn recover(&mut self, node: NodeId) -> bool {
                 <$t>::recover(self, node)
             }
             fn join(&mut self, node: NodeId) -> bool {
@@ -390,7 +390,7 @@ fn diembft_trace_is_pinned() {
         },
     );
     let mut h = tr.h;
-    let safety = c.safety_report();
+    let safety = c.safety_report().unwrap();
     let liveness = c.liveness_report();
     h.write(format!("{safety:?}").as_bytes());
     h.write(format!("{liveness:?}").as_bytes());

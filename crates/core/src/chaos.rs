@@ -31,7 +31,7 @@ use std::collections::{BinaryHeap, HashMap};
 
 use coconut_chains::BlockchainSystem;
 use coconut_consensus::{LivenessReport, SafetyReport};
-use coconut_simnet::{ByzantineBehaviour, FaultEvent, FaultPlan, FaultScheduler};
+use coconut_simnet::{FaultEvent, FaultPlan, FaultScheduler};
 use coconut_types::{ClientTx, SeedDeriver, SimDuration, SimRng, SimTime, TxId, TxOutcome};
 
 use crate::client::ScheduledTx;
@@ -734,16 +734,8 @@ fn take_retry_token(
 /// backoff and breaker jitter) derives from `seed`; identical inputs give
 /// identical runs.
 ///
-/// Fault semantics: `CrashNode`/`RestartNode` route to
-/// [`BlockchainSystem::crash_node`] / [`BlockchainSystem::recover_node`];
-/// `EquivocateProposer`/`DoubleVote` route to
-/// [`BlockchainSystem::inject_byzantine`] with the event's window converted
-/// to an absolute expiry (CFT systems decline the injection and the run's
-/// [`ChaosRun::safety`] stays `None`);
-/// `JoinNode`/`LeaveNode` route to [`BlockchainSystem::join_node`] /
-/// [`BlockchainSystem::leave_node`] (membership churn — the join starts the
-/// catch-up path, the engine admits the voter only after sync completes);
-/// network faults route to [`BlockchainSystem::apply_net_fault`]. A
+/// Each fault reaches the system through
+/// [`BlockchainSystem::apply_fault`] at its scheduled time. A
 /// [`FaultEvent::LossBurst`] additionally applies to the *client ingress*:
 /// while the burst is active each submission is dropped with probability
 /// `p` before reaching the system (the client cannot tell — only the
@@ -825,36 +817,10 @@ pub fn run_chaos_with_schedule(
         while let Some(fat) = scheduler.next_due().filter(|&f| f <= at) {
             seen.harvest(system.run_until(fat));
             while let Some((fat, event)) = scheduler.pop_due(fat) {
-                match event {
-                    FaultEvent::CrashNode(node) => {
-                        system.crash_node(node);
-                    }
-                    FaultEvent::RestartNode(node) => {
-                        system.recover_node(node);
-                    }
-                    FaultEvent::EquivocateProposer { node, window } => {
-                        system.inject_byzantine(
-                            node,
-                            ByzantineBehaviour::EquivocateProposer,
-                            fat + window,
-                        );
-                    }
-                    FaultEvent::DoubleVote { node, window } => {
-                        system.inject_byzantine(node, ByzantineBehaviour::DoubleVote, fat + window);
-                    }
-                    FaultEvent::JoinNode(node) => {
-                        system.join_node(fat, node);
-                    }
-                    FaultEvent::LeaveNode(node) => {
-                        system.leave_node(fat, node);
-                    }
-                    ref net_fault => {
-                        if let FaultEvent::LossBurst { p, window } = *net_fault {
-                            client_loss = Some((p, fat + window));
-                        }
-                        system.apply_net_fault(fat, net_fault);
-                    }
+                if let FaultEvent::LossBurst { p, window } = event {
+                    client_loss = Some((p, fat + window));
                 }
+                system.apply_fault(fat, &event);
             }
         }
 

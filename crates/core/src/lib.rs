@@ -41,7 +41,6 @@ pub mod json;
 pub mod params;
 pub mod report;
 pub mod runner;
-pub mod saturation;
 pub mod scenario;
 pub mod stats;
 pub mod workload;
@@ -55,7 +54,6 @@ pub use exec::{cell_seed, run_grid, unit_seed};
 pub use params::{BlockParam, SystemKind, SystemSetup};
 pub use report::Report;
 pub use runner::{run_benchmark, run_unit, BenchmarkResult, BenchmarkSpec, UnitResult};
-pub use saturation::{SaturationResult, SaturationSearch};
 pub use scenario::{
     Check, CheckOutcome, Cursor, LoadPhase, LoadShape, ScenarioBuilder, ScenarioRun, Timeline,
 };

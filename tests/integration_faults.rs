@@ -3,6 +3,7 @@
 //! studies fault-free runs; these tests pin down that the substrates react
 //! to faults the way their protocols prescribe.
 
+use coconut::params::{build_system, SystemKind, SystemSetup};
 use coconut_chains::bitshares::{Bitshares, BitsharesConfig};
 use coconut_chains::corda::{Corda, CordaConfig};
 use coconut_chains::diem::{Diem, DiemConfig};
@@ -10,6 +11,7 @@ use coconut_chains::fabric::{Fabric, FabricConfig};
 use coconut_chains::quorum::{Quorum, QuorumConfig};
 use coconut_chains::sawtooth::{Sawtooth, SawtoothConfig};
 use coconut_chains::BlockchainSystem;
+use coconut_simnet::{ByzantineBehaviour, FaultEvent};
 use coconut_types::{ClientId, ClientTx, NodeId, Payload, SimDuration, SimTime, ThreadId, TxId};
 
 fn tx(seq: u64, payload: Payload, at: SimTime) -> ClientTx {
@@ -30,7 +32,7 @@ fn fabric_survives_one_orderer_crash() {
     let mut f = Fabric::new(cfg, 1);
     f.run_until(SimTime::from_secs(2));
     // Crash one of the three orderers: Raft still has a majority.
-    f.crash_orderer(NodeId(2));
+    assert!(f.crash_node(NodeId(2)));
     f.run_until(SimTime::from_secs(8)); // allow re-election if the leader died
     let gap = SimDuration::from_millis(10); // 100 tx/s
     let mut at = SimTime::from_secs(8);
@@ -56,8 +58,8 @@ fn fabric_halts_without_orderer_majority_and_recovers() {
     };
     let mut f = Fabric::new(cfg, 2);
     f.run_until(SimTime::from_secs(2));
-    f.crash_orderer(NodeId(1));
-    f.crash_orderer(NodeId(2));
+    assert!(f.crash_node(NodeId(1)));
+    assert!(f.crash_node(NodeId(2)));
     let t0 = SimTime::from_secs(3);
     for i in 0..20u64 {
         f.run_until(t0);
@@ -69,7 +71,7 @@ fn fabric_halts_without_orderer_majority_and_recovers() {
         "one of three orderers cannot commit"
     );
     // Recovery restores the pipeline (queued transactions flush).
-    f.recover_orderer(NodeId(1));
+    assert!(f.recover_node(NodeId(1)));
     let recovered = f.run_until(SimTime::from_secs(60));
     assert_eq!(
         recovered.iter().filter(|o| o.is_committed()).count(),
@@ -82,7 +84,7 @@ fn fabric_halts_without_orderer_majority_and_recovers() {
 fn quorum_tolerates_f_and_halts_at_f_plus_one() {
     // n = 4 → f = 1.
     let mut q = Quorum::new(QuorumConfig::default(), 3);
-    q.crash_validator(NodeId(3));
+    assert!(q.crash_node(NodeId(3)));
     let t = SimTime::ZERO;
     for i in 0..10u64 {
         q.submit(t, tx(i, Payload::DoNothing, t));
@@ -95,8 +97,8 @@ fn quorum_tolerates_f_and_halts_at_f_plus_one() {
     );
 
     let mut q2 = Quorum::new(QuorumConfig::default(), 4);
-    q2.crash_validator(NodeId(2));
-    q2.crash_validator(NodeId(3));
+    assert!(q2.crash_node(NodeId(2)));
+    assert!(q2.crash_node(NodeId(3)));
     for i in 0..10u64 {
         q2.submit(t, tx(i, Payload::DoNothing, t));
     }
@@ -117,7 +119,7 @@ fn sawtooth_view_change_replaces_dead_primary_mid_run() {
     let before = s.run_until(SimTime::from_secs(10));
     assert_eq!(before.iter().filter(|o| o.is_committed()).count(), 5);
     // Kill the current primary; later work must still finalize.
-    s.crash_validator(NodeId(0));
+    assert!(s.crash_node(NodeId(0)));
     let t2 = SimTime::from_secs(10);
     for i in 100..105u64 {
         s.submit(t2, tx(i, Payload::DoNothing, t2));
@@ -143,7 +145,7 @@ fn diem_advances_past_dead_leaders() {
     }
     let before = d.run_until(SimTime::from_secs(10));
     assert_eq!(before.iter().filter(|o| o.is_committed()).count(), 5);
-    d.crash_validator(NodeId(1));
+    assert!(d.crash_node(NodeId(1)));
     let t2 = SimTime::from_secs(10);
     for i in 100..105u64 {
         d.submit(t2, tx(i, Payload::DoNothing, t2));
@@ -159,7 +161,7 @@ fn diem_advances_past_dead_leaders() {
 #[test]
 fn bitshares_skips_dead_witness_slots() {
     let mut b = Bitshares::new(BitsharesConfig::default(), 6);
-    b.crash_witness(NodeId(0));
+    assert!(b.crash_node(NodeId(0)));
     let t = SimTime::ZERO;
     for i in 0..30u64 {
         b.submit(t, tx(i, Payload::DoNothing, t));
@@ -171,7 +173,7 @@ fn bitshares_skips_dead_witness_slots() {
         "remaining witnesses pack everything, just later"
     );
     // Recovery brings the witness back into the schedule.
-    b.recover_witness(NodeId(0));
+    assert!(b.recover_node(NodeId(0)));
     let t2 = SimTime::from_secs(10);
     for i in 100..130u64 {
         b.submit(t2, tx(i, Payload::DoNothing, t2));
@@ -185,7 +187,7 @@ fn quorum_round_change_rescues_crashed_proposer_within_timeout() {
     // IBFT's proposer for height 0 is validator 0; crash it before any
     // work so the very first block requires a round change.
     let mut q = Quorum::new(QuorumConfig::default(), 11);
-    q.crash_validator(NodeId(0));
+    assert!(q.crash_node(NodeId(0)));
     let t = SimTime::ZERO;
     for i in 0..10u64 {
         q.submit(t, tx(i, Payload::DoNothing, t));
@@ -218,7 +220,7 @@ fn diem_pacemaker_resumes_within_bounded_time_after_crash() {
 
     // Crash a validator: some following rounds lose their leader, and the
     // pacemaker's timeout certificates must skip them in bounded time.
-    d.crash_validator(NodeId(2));
+    assert!(d.crash_node(NodeId(2)));
     let t2 = SimTime::from_secs(10);
     for i in 100..105u64 {
         d.submit(t2, tx(i, Payload::DoNothing, t2));
@@ -280,7 +282,7 @@ fn bitshares_witness_miss_skips_slots_with_bounded_delay() {
     let interval = cfg.block_interval;
     let witnesses = cfg.witnesses as u64;
     let mut b = Bitshares::new(cfg, 19);
-    b.crash_witness(NodeId(1));
+    assert!(b.crash_node(NodeId(1)));
     let t = SimTime::ZERO;
     for i in 0..12u64 {
         b.submit(t, tx(i, Payload::DoNothing, t));
@@ -303,7 +305,7 @@ fn crash_recover_is_deterministic() {
     let run = || {
         let mut f = Fabric::new(FabricConfig::default(), 7);
         f.run_until(SimTime::from_secs(2));
-        f.crash_orderer(NodeId(0));
+        assert!(f.crash_node(NodeId(0)));
         f.run_until(SimTime::from_secs(6));
         let t = SimTime::from_secs(6);
         for i in 0..20u64 {
@@ -315,4 +317,105 @@ fn crash_recover_is_deterministic() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(), run());
+}
+
+/// Routes `event` to the one of the six fault methods that handles it.
+fn dispatch(s: &mut dyn BlockchainSystem, at: SimTime, event: &FaultEvent) -> bool {
+    match *event {
+        FaultEvent::CrashNode(node) => s.crash_node(node),
+        FaultEvent::RestartNode(node) => s.recover_node(node),
+        FaultEvent::EquivocateProposer { node, window } => {
+            s.inject_byzantine(node, ByzantineBehaviour::EquivocateProposer, at + window)
+        }
+        FaultEvent::DoubleVote { node, window } => {
+            s.inject_byzantine(node, ByzantineBehaviour::DoubleVote, at + window)
+        }
+        FaultEvent::JoinNode(node) => s.join_node(at, node),
+        FaultEvent::LeaveNode(node) => s.leave_node(at, node),
+        ref net => s.apply_net_fault(at, net),
+    }
+}
+
+/// The fault and report surface of all seven systems with one standby:
+/// a crash, restart or Byzantine flag reaches exactly the provisioned
+/// nodes of the crashable role (baseline plus standby), only the three
+/// BFT systems take a Byzantine flag and carry a safety monitor, the
+/// standby joins once, and only a member leaves. `apply_fault` on a twin
+/// returns what the six methods return.
+#[test]
+fn fault_surface_contract_of_every_system() {
+    use FaultEvent::*;
+    let setup = SystemSetup::default().with_standby(1);
+    let window = SimDuration::from_secs(5);
+    for kind in SystemKind::ALL {
+        let bft = matches!(
+            kind,
+            SystemKind::Quorum | SystemKind::Sawtooth | SystemKind::Diem
+        );
+        let corda = matches!(kind, SystemKind::CordaOs | SystemKind::CordaEnterprise);
+        // Members of the crashable role; the standby's id comes next.
+        let members = match kind {
+            SystemKind::Bitshares | SystemKind::Fabric => 3,
+            _ => 4,
+        };
+        let standby = NodeId(members);
+        let outside = NodeId(members + 1);
+        let script = [
+            (CrashNode(NodeId(0)), true),
+            (RestartNode(NodeId(0)), true),
+            (CrashNode(standby), true),
+            (RestartNode(standby), true),
+            (CrashNode(outside), false),
+            (RestartNode(outside), false),
+            (
+                DoubleVote {
+                    node: NodeId(1),
+                    window,
+                },
+                bft,
+            ),
+            (
+                EquivocateProposer {
+                    node: NodeId(1),
+                    window,
+                },
+                bft,
+            ),
+            (
+                DoubleVote {
+                    node: outside,
+                    window,
+                },
+                false,
+            ),
+            (JoinNode(standby), true),
+            (JoinNode(standby), false),
+            (JoinNode(outside), false),
+            (LeaveNode(NodeId(1)), true),
+            (LeaveNode(outside), false),
+            (
+                SlowNode {
+                    node: NodeId(0),
+                    factor: 2.0,
+                    window,
+                },
+                true,
+            ),
+            (Heal, !corda),
+        ];
+        let mut s = build_system(kind, &setup, 11);
+        let mut twin = build_system(kind, &setup, 11);
+        assert_eq!(s.safety_report().is_some(), bft, "{kind}");
+        let mut at = SimTime::from_secs(1);
+        for (event, expected) in &script {
+            s.run_until(at);
+            twin.run_until(at);
+            assert_eq!(dispatch(&mut *s, at, event), *expected, "{kind}: {event:?}");
+            assert_eq!(twin.apply_fault(at, event), *expected, "{kind}: {event:?}");
+            at += SimDuration::from_millis(500);
+        }
+        s.run_until(at);
+        assert_eq!(s.safety_report().is_some(), bft, "{kind}");
+        assert_eq!(twin.safety_report().is_some(), bft, "{kind}");
+    }
 }
