@@ -40,6 +40,16 @@ use crate::chain::{Chain, Model};
 use crate::runtime::{command_for, cut_by_budget, ChainRuntime, PoolLimits, Stage};
 use crate::system::SubmitOutcome;
 
+/// Per-transaction packing/verification overhead at the witness.
+const PER_TX_OVERHEAD: SimDuration = SimDuration::from_micros(1_350);
+/// Per-operation application cost.
+const PER_OP_COST: SimDuration = SimDuration::from_micros(12);
+/// Fraction of the slot the witness may spend producing a block.
+const SLOT_BUDGET: f64 = 0.8;
+/// Conflicted transactions after which event emission stalls (the
+/// liveness violation).
+const STALL_AFTER_CONFLICTS: u64 = 300;
+
 /// Configuration of the BitShares deployment.
 #[derive(Debug, Clone)]
 pub struct BitsharesConfig {
@@ -53,17 +63,6 @@ pub struct BitsharesConfig {
     pub block_interval: SimDuration,
     /// Network characteristics.
     pub net: NetConfig,
-    /// Per-transaction packing/verification overhead at the witness.
-    pub per_tx_overhead: SimDuration,
-    /// Per-operation application cost.
-    pub per_op_cost: SimDuration,
-    /// Fraction of the slot the witness may spend producing a block.
-    pub slot_budget: f64,
-    /// Enables the pending-interference rejection. Disable for ablation.
-    pub conflict_rejection: bool,
-    /// Conflicted transactions after which event emission stalls (the
-    /// liveness violation); `None` disables the stall.
-    pub stall_after_conflicts: Option<u64>,
     /// Bounded-pool parameters for the runtime's pending store; at
     /// capacity the node answers `Busy` instead of queueing unboundedly.
     pub pool: PoolLimits,
@@ -77,11 +76,6 @@ impl Default for BitsharesConfig {
             standby: 0,
             block_interval: SimDuration::from_secs(1),
             net: NetConfig::lan(),
-            per_tx_overhead: SimDuration::from_micros(1_350),
-            per_op_cost: SimDuration::from_micros(12),
-            slot_budget: 0.8,
-            conflict_rejection: true,
-            stall_after_conflicts: Some(300),
             pool: PoolLimits::bounded(100_000),
         }
     }
@@ -159,17 +153,13 @@ impl Bitshares {
         if block.commands.is_empty() {
             return;
         }
-        let config = &self.m.config;
+        let interval = self.m.config.block_interval;
         let witness = block.proposer;
         // Pack within the slot CPU budget; what does not fit stays for
         // the next block via re-submission to the engine.
-        let budget = config.block_interval.mul_f64(config.slot_budget);
-        let (packed, overflow, used) = cut_by_budget(
-            block.commands,
-            budget,
-            config.per_tx_overhead,
-            config.per_op_cost,
-        );
+        let budget = interval.mul_f64(SLOT_BUDGET);
+        let (packed, overflow, used) =
+            cut_by_budget(block.commands, budget, PER_TX_OVERHEAD, PER_OP_COST);
         for cmd in overflow {
             self.engine.submit(cmd);
         }
@@ -183,7 +173,7 @@ impl Bitshares {
         // Execute packed transactions atomically.
         let exec_done = self.m.exec_cpu.process(witness, block.committed_at, used);
         let mut emitted: Vec<(TxId, u32, bool, SimTime)> = Vec::new();
-        let cooling_until = block.committed_at + config.block_interval * 2;
+        let cooling_until = block.committed_at + interval * 2;
         for cmd in &packed {
             let Some(tx) = self.rt.mempool().take(&cmd.tx) else {
                 continue;
@@ -285,41 +275,37 @@ impl Model for BitsharesModel {
             return c.rt.busy();
         }
         c.rt.accept();
-        if c.m.config.conflict_rejection {
-            let m = &mut c.m;
-            // Release footprints whose cooling window has passed.
-            let mut retained = Vec::with_capacity(m.cooling.len());
-            for (release_at, key) in m.cooling.drain(..) {
-                if release_at <= now {
-                    m.pending_touched.remove(&key);
-                } else {
-                    retained.push((release_at, key));
-                }
+        let m = &mut c.m;
+        // Release footprints whose cooling window has passed.
+        let mut retained = Vec::with_capacity(m.cooling.len());
+        for (release_at, key) in m.cooling.drain(..) {
+            if release_at <= now {
+                m.pending_touched.remove(&key);
+            } else {
+                retained.push((release_at, key));
             }
-            m.cooling = retained;
-            let mut keys: Vec<StateKey> = Vec::new();
-            for p in tx.payloads() {
-                keys.extend(written_keys(p));
-            }
-            keys.sort_unstable();
-            keys.dedup();
-            if keys.iter().any(|k| m.pending_touched.contains_key(k)) {
-                // Interacting transaction: silently discarded — shed by
-                // the interference check guarding execution.
-                c.rt.reject();
-                c.rt.probe_mut().shed(Stage::Execution, 1);
-                if let Some(limit) = c.m.config.stall_after_conflicts {
-                    if c.conflicts() >= limit {
-                        c.m.stalled = true;
-                    }
-                }
-                return SubmitOutcome::Rejected;
-            }
-            for k in &keys {
-                m.pending_touched.insert(*k, tx.id());
-            }
-            m.touched_by.insert(tx.id(), keys);
         }
+        m.cooling = retained;
+        let mut keys: Vec<StateKey> = Vec::new();
+        for p in tx.payloads() {
+            keys.extend(written_keys(p));
+        }
+        keys.sort_unstable();
+        keys.dedup();
+        if keys.iter().any(|k| m.pending_touched.contains_key(k)) {
+            // Interacting transaction: silently discarded — shed by the
+            // interference check guarding execution.
+            c.rt.reject();
+            c.rt.probe_mut().shed(Stage::Execution, 1);
+            if c.conflicts() >= STALL_AFTER_CONFLICTS {
+                c.m.stalled = true;
+            }
+            return SubmitOutcome::Rejected;
+        }
+        for k in &keys {
+            m.pending_touched.insert(*k, tx.id());
+        }
+        m.touched_by.insert(tx.id(), keys);
         c.rt.mempool().insert(tx.clone());
         c.engine.submit(command_for(&tx));
         SubmitOutcome::Accepted
@@ -456,42 +442,8 @@ mod tests {
     }
 
     #[test]
-    fn conflict_rejection_can_be_disabled() {
-        let cfg = BitsharesConfig {
-            conflict_rejection: false,
-            ..Default::default()
-        };
-        let mut b = Bitshares::new(cfg, 5);
-        for n in 0..2u64 {
-            b.submit(
-                SimTime::ZERO,
-                single(n, Payload::create_account(AccountId(n), 100, 0)),
-            );
-        }
-        b.run_until(SimTime::from_secs(2));
-        let now = b.engine.now();
-        assert!(b
-            .submit(
-                now,
-                single(10, Payload::send_payment(AccountId(0), AccountId(1), 1))
-            )
-            .is_accepted());
-        assert!(b
-            .submit(
-                now,
-                single(11, Payload::send_payment(AccountId(1), AccountId(0), 1))
-            )
-            .is_accepted());
-        assert_eq!(b.conflicts(), 0);
-    }
-
-    #[test]
     fn conflict_storm_stalls_liveness() {
-        let cfg = BitsharesConfig {
-            stall_after_conflicts: Some(10),
-            ..Default::default()
-        };
-        let mut b = Bitshares::new(cfg, 6);
+        let mut b = Bitshares::new(BitsharesConfig::default(), 6);
         for n in 0..20u64 {
             b.submit(
                 SimTime::ZERO,
@@ -500,8 +452,9 @@ mod tests {
         }
         b.run_until(SimTime::from_secs(2));
         let now = b.engine.now();
-        // A chain of interacting payments: every second one conflicts.
-        for n in 0..40u64 {
+        // A chain of interacting payments: every second one conflicts
+        // until all twenty accounts are pending, then every one does.
+        for n in 0..2 * STALL_AFTER_CONFLICTS {
             let from = AccountId(n % 19);
             let to = AccountId(n % 19 + 1);
             b.submit(now, single(100 + n, Payload::send_payment(from, to, 1)));

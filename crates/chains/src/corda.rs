@@ -46,38 +46,68 @@ pub enum Edition {
     Enterprise,
 }
 
+/// Flow workers per node.
+const FLOW_WORKERS: u32 = 1;
+/// Notaries in the cluster (Table 4: one per server, four servers), capped
+/// by the node count.
+const MAX_NOTARIES: u32 = 4;
+
+/// An edition's calibrated costs (§5.1–§5.2).
+#[derive(Debug)]
+struct Profile {
+    /// CPU cost of one counterparty signature round (excluding network).
+    sign_cost: SimDuration,
+    /// Vault-scan cost per state for the duplicate check of a `Set`.
+    set_scan_per_state: SimDuration,
+    /// Vault-scan cost per state for read flows (`Get`, `Balance`,
+    /// `SendPayment` input resolution).
+    get_scan_per_state: SimDuration,
+    /// Worker time consumed by merely receiving a submission.
+    ingress_cost: SimDuration,
+    /// Fixed flow overhead (session setup, checkpointing).
+    flow_base: SimDuration,
+    /// Notary service time per request.
+    notary_service: SimDuration,
+}
+
+/// Corda Open Source: serial signing with heavyweight checkpointing, a
+/// vault scan so slow that reads time out, and costly submission handling.
+const OPEN_SOURCE: Profile = Profile {
+    sign_cost: SimDuration::from_millis(250),
+    set_scan_per_state: SimDuration::from_micros(300),
+    get_scan_per_state: SimDuration::from_millis(200),
+    ingress_cost: SimDuration::from_millis(24),
+    flow_base: SimDuration::from_millis(5),
+    notary_service: SimDuration::from_millis(5),
+};
+
+/// Corda Enterprise: multithreaded flow processing, roughly an order of
+/// magnitude faster.
+const ENTERPRISE: Profile = Profile {
+    sign_cost: SimDuration::from_millis(55),
+    set_scan_per_state: SimDuration::from_micros(100),
+    get_scan_per_state: SimDuration::from_millis(1),
+    ingress_cost: SimDuration::from_millis(2),
+    flow_base: SimDuration::from_millis(3),
+    notary_service: SimDuration::from_millis(2),
+};
+
 /// Configuration of the Corda deployment.
 #[derive(Debug, Clone)]
 pub struct CordaConfig {
     /// Which edition's performance profile to use.
     pub edition: Edition,
-    /// Number of Corda nodes (paper baseline: 4; all of them sign).
+    /// Number of Corda nodes (paper baseline: 4; all of them sign). The
+    /// notary cluster has one notary per node, at most four.
     pub nodes: u32,
-    /// Number of notaries (Table 4: one per server).
-    pub notaries: u32,
     /// Pre-provisioned standby notaries (ids after the baseline) that
     /// start outside the cluster and can be admitted at runtime via
     /// [`crate::system::BlockchainSystem::join_node`].
     pub standby: u32,
-    /// Flow workers per node.
-    pub flow_workers: u32,
     /// Network characteristics.
     pub net: NetConfig,
-    /// CPU cost of one counterparty signature round (excluding network).
-    pub sign_cost: SimDuration,
     /// `true` → signatures are collected one node after another (OS).
     pub serial_signing: bool,
-    /// Vault-scan cost per state for the duplicate check of a `Set`.
-    pub set_scan_per_state: SimDuration,
-    /// Vault-scan cost per state for read flows (`Get`, `Balance`,
-    /// `SendPayment` input resolution).
-    pub get_scan_per_state: SimDuration,
-    /// Worker time consumed by merely receiving a submission.
-    pub ingress_cost: SimDuration,
-    /// Fixed flow overhead (session setup, checkpointing).
-    pub flow_base: SimDuration,
-    /// Notary service time per request.
-    pub notary_service: SimDuration,
     /// Bounded-pool parameters. Corda queues flows per node, so the
     /// capacity bounds each node's not-yet-finished flow backlog; a node
     /// at capacity answers `Busy` at RPC ingress.
@@ -90,17 +120,9 @@ impl CordaConfig {
         CordaConfig {
             edition: Edition::OpenSource,
             nodes: 4,
-            notaries: 4,
             standby: 0,
-            flow_workers: 1,
             net: NetConfig::lan(),
-            sign_cost: SimDuration::from_millis(250),
             serial_signing: true,
-            set_scan_per_state: SimDuration::from_micros(300),
-            get_scan_per_state: SimDuration::from_millis(200),
-            ingress_cost: SimDuration::from_millis(24),
-            flow_base: SimDuration::from_millis(5),
-            notary_service: SimDuration::from_millis(5),
             pool: PoolLimits::bounded(10_000),
         }
     }
@@ -109,19 +131,8 @@ impl CordaConfig {
     pub fn enterprise() -> Self {
         CordaConfig {
             edition: Edition::Enterprise,
-            nodes: 4,
-            notaries: 4,
-            standby: 0,
-            flow_workers: 1,
-            net: NetConfig::lan(),
-            sign_cost: SimDuration::from_millis(55),
             serial_signing: false,
-            set_scan_per_state: SimDuration::from_micros(100),
-            get_scan_per_state: SimDuration::from_millis(1),
-            ingress_cost: SimDuration::from_millis(2),
-            flow_base: SimDuration::from_millis(3),
-            notary_service: SimDuration::from_millis(2),
-            pool: PoolLimits::bounded(10_000),
+            ..CordaConfig::open_source()
         }
     }
 }
@@ -132,6 +143,8 @@ use crate::util::WorkerPool;
 #[derive(Debug)]
 pub struct Corda {
     config: CordaConfig,
+    /// The edition's calibrated costs.
+    profile: &'static Profile,
     /// Notaries currently in the cluster (joins/leaves reconcile against
     /// this; participant-node replication is a separate role and does not
     /// move with notary churn).
@@ -169,10 +182,14 @@ impl Corda {
     ///
     /// # Panics
     ///
-    /// Panics if `config.nodes` or `config.notaries` is zero.
+    /// Panics if `config.nodes` is zero.
     pub fn new(config: CordaConfig, seed: u64) -> Self {
         assert!(config.nodes > 0, "need at least one node");
-        assert!(config.notaries > 0, "need at least one notary");
+        let notaries = config.nodes.min(MAX_NOTARIES);
+        let profile = match config.edition {
+            Edition::OpenSource => &OPEN_SOURCE,
+            Edition::Enterprise => &ENTERPRISE,
+        };
         let seeds = SeedDeriver::new(seed);
         let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes);
         rt.set_pool_limits(config.pool);
@@ -180,17 +197,17 @@ impl Corda {
         // generic sheds (busy answers) book against the commit stage.
         rt.probe_mut().set_queue_stage(Stage::Commit);
         Corda {
-            notary_members: config.notaries,
+            notary_members: notaries,
+            profile,
             rt,
             pending_flows: (0..config.nodes).map(|_| Vec::new()).collect(),
             workers: (0..config.nodes)
-                .map(|_| WorkerPool::new(config.flow_workers))
+                .map(|_| WorkerPool::new(FLOW_WORKERS))
                 .collect(),
             vault: Vault::new(),
-            notary: NotaryPool::new(config.notaries, config.notary_service)
-                .with_standby(config.standby),
+            notary: NotaryPool::new(notaries, profile.notary_service).with_standby(config.standby),
             ingress: (0..config.nodes)
-                .map(|_| IngressLoad::new(SimDuration::from_secs(1), config.ingress_cost, 0.95))
+                .map(|_| IngressLoad::new(SimDuration::from_secs(1), profile.ingress_cost, 0.95))
                 .collect(),
             pending_writes: HashMap::new(),
             liveness: LivenessMonitor::default(),
@@ -269,13 +286,13 @@ impl Corda {
         if self.config.serial_signing {
             let mut total = session_overhead;
             for _ in 0..others {
-                total += self.config.sign_cost + self.hop() + self.hop();
+                total += self.profile.sign_cost + self.hop() + self.hop();
             }
             total
         } else {
             let mut max = SimDuration::ZERO;
             for _ in 0..others {
-                max = max.max(self.config.sign_cost + self.hop() + self.hop());
+                max = max.max(self.profile.sign_cost + self.hop() + self.hop());
             }
             max + session_overhead
         }
@@ -317,7 +334,7 @@ impl BlockchainSystem for Corda {
         // order per node).
         let built = self.vault.build_tx(payload);
         let scan_cost = match kind {
-            PayloadKind::KeyValueSet => self.config.set_scan_per_state * self.vault.len() as u64,
+            PayloadKind::KeyValueSet => self.profile.set_scan_per_state * self.vault.len() as u64,
             PayloadKind::KeyValueGet
             | PayloadKind::Balance
             | PayloadKind::SendPayment
@@ -326,13 +343,13 @@ impl BlockchainSystem for Corda {
             | PayloadKind::WriteCheck
             | PayloadKind::Amalgamate => {
                 let scanned = built.as_ref().map_or(self.vault.len(), |t| t.scanned);
-                self.config.get_scan_per_state * scanned as u64
+                self.profile.get_scan_per_state * scanned as u64
             }
             _ => SimDuration::ZERO,
         };
 
         // The node's flow machinery also serves RPC ingress; each
-        // submission costs [`CordaConfig::ingress_cost`] of shared CPU, so
+        // submission costs the edition's `ingress_cost` of shared CPU, so
         // at high rate limiters the flows themselves run on what is left —
         // the paper's observation that raising RL from 20 to 160 *drops*
         // Corda OS from 4.08 to 1.04 MTPS (Tables 7–8).
@@ -343,7 +360,7 @@ impl BlockchainSystem for Corda {
         match built {
             Err(_) => {
                 // The flow errors after doing the scan work.
-                let cost = (self.config.flow_base + scan_cost).mul_f64(slowdown);
+                let cost = (self.profile.flow_base + scan_cost).mul_f64(slowdown);
                 let (_, done) = self.workers[node].process_spanned(arrival, cost);
                 self.pending_flows[node].push(done);
                 let event_at = done + self.hop();
@@ -359,7 +376,7 @@ impl BlockchainSystem for Corda {
             }
             Ok(corda_tx) => {
                 let read_only = corda_tx.inputs.is_empty() && corda_tx.outputs.is_empty();
-                let mut cost = self.config.flow_base + scan_cost;
+                let mut cost = self.profile.flow_base + scan_cost;
                 if !read_only {
                     cost += self.signing_time();
                 }
@@ -382,7 +399,7 @@ impl BlockchainSystem for Corda {
                 // signing/notarization path, so it books against Commit; the
                 // scan+build portion of the service time is Execution, the
                 // signature collection onward is Commit again.
-                let exec_part = (self.config.flow_base + scan_cost).mul_f64(slowdown);
+                let exec_part = (self.profile.flow_base + scan_cost).mul_f64(slowdown);
                 let exec_end = start + exec_part;
                 self.rt
                     .probe_mut()

@@ -8,7 +8,7 @@
 //! Anomalies reproduced:
 //! * **Spiking** (§5.7, after Balster): "validators temporarily stop
 //!   validating further transactions". The model stalls every validator's
-//!   execution pipeline for `spike_duration` every `spike_interval`,
+//!   execution pipeline for 5 s every `spike_interval`,
 //!   which keeps blocks from saturating and inflates latency.
 //! * **Admission overhead**: every validator pays CPU to admit each
 //!   gossiped transaction, so higher rate limiters *reduce* throughput
@@ -28,6 +28,19 @@ use crate::chain::{Chain, Model};
 use crate::runtime::{command_for, ChainRuntime, IngressLoad, PoolLimits, Stage};
 use crate::system::SubmitOutcome;
 
+/// Mempool bound; submissions beyond it are dropped.
+const MEMPOOL_LIMIT: usize = 50_000;
+/// CPU cost of executing one transaction at each validator.
+const EXEC_PER_TX: SimDuration = SimDuration::from_micros(10_000);
+/// CPU cost per transaction of mempool admission at every validator.
+const INGRESS_PER_TX: SimDuration = SimDuration::from_micros(400);
+/// How long a spike lasts.
+const SPIKE_DURATION: SimDuration = SimDuration::from_secs(5);
+/// Client-set transaction expiration: a transaction not committed within
+/// this time is discarded by the validators (Diem's
+/// `expiration_timestamp`); the client never hears about it.
+const TX_EXPIRATION: SimDuration = SimDuration::from_secs(30);
+
 /// Configuration of the Diem deployment.
 #[derive(Debug, Clone)]
 pub struct DiemConfig {
@@ -39,24 +52,12 @@ pub struct DiemConfig {
     pub standby: u32,
     /// `max_block_size`: transactions per proposal (paper: 100–2000).
     pub max_block_size: usize,
-    /// Mempool bound; submissions beyond it are dropped.
-    pub mempool_limit: usize,
     /// Network characteristics.
     pub net: NetConfig,
-    /// CPU cost of executing one transaction at each validator.
-    pub exec_per_tx: SimDuration,
-    /// CPU cost per transaction of mempool admission at every validator.
-    pub ingress_per_tx: SimDuration,
     /// How often validators "spike" (stop validating); `None` disables.
     pub spike_interval: Option<SimDuration>,
-    /// How long a spike lasts.
-    pub spike_duration: SimDuration,
-    /// Client-set transaction expiration: a transaction not committed
-    /// within this time is discarded by the validators (Diem's
-    /// `expiration_timestamp`); the client never hears about it.
-    pub tx_expiration: SimDuration,
     /// Bounded-pool parameters for the runtime's pending store; the
-    /// capacity backstops `mempool_limit` with a `Busy` backpressure
+    /// capacity backstops the mempool bound with a `Busy` backpressure
     /// verdict instead of a silent drop.
     pub pool: PoolLimits,
 }
@@ -69,13 +70,8 @@ impl Default for DiemConfig {
             nodes: 4,
             standby: 0,
             max_block_size: 3000,
-            mempool_limit: 50_000,
             net: NetConfig::lan(),
-            exec_per_tx: SimDuration::from_micros(10_000),
-            ingress_per_tx: SimDuration::from_micros(400),
             spike_interval: Some(SimDuration::from_secs(25)),
-            spike_duration: SimDuration::from_secs(5),
-            tx_expiration: SimDuration::from_secs(30),
             pool: PoolLimits::bounded(100_000),
         }
     }
@@ -127,7 +123,7 @@ impl Diem {
         let nodes = config.nodes;
         let m = DiemModel {
             exec_cpu: CpuModel::new(total),
-            ingress: IngressLoad::new(SimDuration::from_secs(2), config.ingress_per_tx, 0.9),
+            ingress: IngressLoad::new(SimDuration::from_secs(2), INGRESS_PER_TX, 0.9),
             config,
             next_spike,
             spikes: 0,
@@ -148,7 +144,7 @@ impl Diem {
     }
 
     fn process_blocks(&mut self, blocks: Vec<CommittedBatch>) {
-        let config = &self.m.config;
+        let nodes = self.m.config.nodes;
         for block in blocks {
             if block.commands.is_empty() {
                 continue;
@@ -169,14 +165,13 @@ impl Diem {
                 };
                 // Expired transactions are discarded with a cheap check —
                 // no execution, no client notification (a lost tx).
-                if block.committed_at - tx.created_at() > config.tx_expiration {
+                if block.committed_at - tx.created_at() > TX_EXPIRATION {
                     expired += 1;
                     self.rt.probe_mut().shed(Stage::MempoolWait, 1);
                     continue;
                 }
-                let n_factor = 1.0 + 0.02 * config.nodes.saturating_sub(4) as f64;
-                total_cost +=
-                    (config.exec_per_tx * tx.op_count() as u64).mul_f64(slowdown * n_factor);
+                let n_factor = 1.0 + 0.02 * nodes.saturating_sub(4) as f64;
+                total_cost += (EXEC_PER_TX * tx.op_count() as u64).mul_f64(slowdown * n_factor);
                 let ok = self.state.apply(&tx.payloads()[0]).is_ok();
                 results.push((cmd.tx, cmd.ops, ok, tx.created_at()));
             }
@@ -217,7 +212,7 @@ impl DiemModel {
         while self.next_spike <= deadline {
             for v in 0..self.config.nodes {
                 self.exec_cpu
-                    .process(NodeId(v), self.next_spike, self.config.spike_duration);
+                    .process(NodeId(v), self.next_spike, SPIKE_DURATION);
             }
             self.spikes += 1;
             self.next_spike += interval;
@@ -231,7 +226,7 @@ impl Model for DiemModel {
 
     fn submit(c: &mut Diem, now: SimTime, tx: ClientTx) -> SubmitOutcome {
         c.rt.probe_mut().span(Stage::Ingress, tx.id(), now, now);
-        let full = c.engine.pending_len() >= c.m.config.mempool_limit;
+        let full = c.engine.pending_len() >= MEMPOOL_LIMIT;
         let outcome = c.rt.admit(now, &tx, full);
         if outcome.is_accepted() {
             // Mempool admission: every validator verifies and shares the
@@ -308,11 +303,9 @@ mod tests {
 
     #[test]
     fn mempool_limit_drops_excess() {
-        let mut cfg = no_spike();
-        cfg.mempool_limit = 20;
-        let mut d = Diem::new(cfg, 3);
+        let mut d = Diem::new(no_spike(), 3);
         let mut rejected = 0;
-        for s in 0..50 {
+        for s in 0..MEMPOOL_LIMIT as u64 + 30 {
             if !d
                 .submit(SimTime::ZERO, tx(s, Payload::DoNothing))
                 .is_accepted()
@@ -331,19 +324,21 @@ mod tests {
         let run = |spike: Option<SimDuration>| {
             let cfg = DiemConfig {
                 spike_interval: spike,
-                spike_duration: SimDuration::from_secs(5),
-                tx_expiration: SimDuration::from_secs(600), // isolate spiking
                 ..Default::default()
             };
             let mut d = Diem::new(cfg, 4);
             let mut outcomes = Vec::new();
-            // 50/s for 60 s — within the ~100/s service rate when calm.
-            for i in 0..3000u64 {
+            // 50/s for 24 s — within the ~100/s service rate when calm.
+            for i in 0..1200u64 {
                 let at = SimTime::from_millis(i * 20);
                 outcomes.extend(d.run_until(at));
                 d.submit(at, tx(i, Payload::DoNothing));
             }
-            outcomes.extend(d.run_until(SimTime::from_secs(62)));
+            // The test transactions are stamped at time zero, so a horizon
+            // inside the 30 s expiration keeps every one of them unexpired:
+            // spiking alone makes the difference.
+            outcomes.extend(d.run_until(SimTime::from_secs(26)));
+            assert_eq!(d.expired(), 0);
             outcomes.len()
         };
         let calm = run(None);

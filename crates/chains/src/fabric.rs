@@ -36,39 +36,40 @@ use crate::runtime::{command_for, ChainRuntime, PoolLimits, Stage};
 use crate::system::SubmitOutcome;
 use crate::util::WorkerPool;
 
+/// Raft orderers (the paper: 3, on servers 1–3).
+const ORDERERS: u32 = 3;
+/// `BatchTimeout`: maximum wait before a partial block is cut.
+const BATCH_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// CPU cost of endorsing one operation at a peer.
+const ENDORSE_COST: SimDuration = SimDuration::from_micros(550);
+/// CPU cost of validating one transaction at each peer.
+const VALIDATE_COST: SimDuration = SimDuration::from_micros(600);
+/// Block events whose peer-side validation lag exceeds this are dropped
+/// before reaching the client (overload loss).
+const EVENT_DROP_BACKLOG: SimDuration = SimDuration::from_secs(8);
+/// Peer count at which the client event service breaks (§5.8.2 observes
+/// 16).
+const EVENT_BREAK_AT: u32 = 16;
+/// Concurrent endorsement (gRPC) slots per peer. Each endorsement holds a
+/// slot for its CPU time *plus* the response round-trip, so added network
+/// latency throttles endorsement throughput — the §5.8.1 finding that
+/// Fabric loses 33–40% under netem.
+const ENDORSE_WORKERS: u32 = 6;
+
 /// Configuration of the Fabric deployment.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// Number of peers (the paper's baseline: 4, one per server).
     pub peers: u32,
-    /// Number of Raft orderers (the paper: 3, on servers 1–3).
-    pub orderers: u32,
     /// Pre-provisioned standby orderers (ids after the baseline) that
     /// start outside the Raft voter set and can be admitted at runtime via
     /// [`crate::system::BlockchainSystem::join_node`].
     pub standby: u32,
     /// `MaxMessageCount`: transactions per block before a cut.
     pub max_message_count: usize,
-    /// `BatchTimeout`: maximum wait before a partial block is cut.
-    pub batch_timeout: SimDuration,
     /// Network characteristics (set [`NetConfig::emulated_latency`] for the
     /// §5.8.1 experiments).
     pub net: NetConfig,
-    /// CPU cost of endorsing one transaction at a peer.
-    pub endorse_cost: SimDuration,
-    /// CPU cost of validating one transaction at each peer.
-    pub validate_cost: SimDuration,
-    /// Block events whose peer-side validation lag exceeds this are dropped
-    /// before reaching the client (overload loss).
-    pub event_drop_backlog: SimDuration,
-    /// Peer count at which the client event service breaks (§5.8.2
-    /// observes 16); `None` disables the anomaly.
-    pub event_break_at: Option<u32>,
-    /// Concurrent endorsement (gRPC) slots per peer. Each endorsement
-    /// holds a slot for its CPU time *plus* the response round-trip, so
-    /// added network latency throttles endorsement throughput — the §5.8.1
-    /// finding that Fabric loses 33–40% under netem.
-    pub endorse_workers: u32,
     /// Bounded-pool parameters: the capacity bounds the endorsed-but-
     /// uncommitted in-flight set; at capacity submissions get `Busy`
     /// backpressure instead of piling further onto the orderer.
@@ -81,16 +82,9 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             peers: 4,
-            orderers: 3,
             standby: 0,
             max_message_count: 500,
-            batch_timeout: SimDuration::from_secs(2),
             net: NetConfig::lan(),
-            endorse_cost: SimDuration::from_micros(550),
-            validate_cost: SimDuration::from_micros(600),
-            event_drop_backlog: SimDuration::from_secs(8),
-            event_break_at: Some(16),
-            endorse_workers: 6,
             pool: PoolLimits::bounded(100_000),
         }
     }
@@ -136,19 +130,15 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if `config.peers` or `config.orderers` is zero.
+    /// Panics if `config.peers` is zero.
     pub fn new(config: FabricConfig, seed: u64) -> Self {
         assert!(config.peers > 0, "need at least one peer");
-        assert!(config.orderers > 0, "need at least one orderer");
         let seeds = SeedDeriver::new(seed);
-        let raft = RaftCluster::builder(config.orderers)
+        let raft = RaftCluster::builder(ORDERERS)
             .standby(config.standby)
             .seed(seeds.seed("orderers", 0))
             .net(config.net.clone())
-            .batch(BatchConfig::new(
-                config.max_message_count,
-                config.batch_timeout,
-            ))
+            .batch(BatchConfig::new(config.max_message_count, BATCH_TIMEOUT))
             .build();
         let mut rt = ChainRuntime::new(&seeds, &config.net, config.peers);
         rt.set_pool_limits(config.pool);
@@ -157,10 +147,10 @@ impl Fabric {
         rt.probe_mut().set_queue_stage(Stage::Execution);
         let peers = config.peers;
         let m = FabricModel {
-            orderer_members: config.orderers,
+            orderer_members: ORDERERS,
             peer_cpu: CpuModel::new(peers),
             endorse_pool: (0..peers)
-                .map(|_| WorkerPool::new(config.endorse_workers))
+                .map(|_| WorkerPool::new(ENDORSE_WORKERS))
                 .collect(),
             in_flight: HashMap::new(),
             injections: EventQueue::new(),
@@ -182,7 +172,7 @@ impl Fabric {
     }
 
     fn process_batches(&mut self, batches: Vec<CommittedBatch>) {
-        let config = &self.m.config;
+        let events_broken = self.m.config.peers >= EVENT_BREAK_AT;
         for batch in batches {
             let tb = batch.committed_at;
             let block = self.rt.append_block(
@@ -192,11 +182,10 @@ impl Fabric {
                 None,
             );
             // Every peer receives and validates the whole block.
-            let validation = config.validate_cost * batch.commands.len() as u64;
+            let validation = VALIDATE_COST * batch.commands.len() as u64;
             let persist = self.rt.replicate(&mut self.m.peer_cpu, tb, validation);
             let lag = persist - tb;
-            let events_broken = config.event_break_at.is_some_and(|n| config.peers >= n);
-            let events_dropped = lag > config.event_drop_backlog;
+            let events_dropped = lag > EVENT_DROP_BACKLOG;
             for cmd in &batch.commands {
                 let Some(fl) = self.m.in_flight.remove(&cmd.tx) else {
                     continue;
@@ -251,7 +240,7 @@ impl Model for FabricModel {
         // network latency throttles endorsement throughput (§5.8.1).
         let peer = NodeId(tx.id().client().0 % c.m.config.peers);
         let arrive = now + c.rt.hop();
-        let cpu = c.m.config.endorse_cost * tx.op_count() as u64;
+        let cpu = ENDORSE_COST * tx.op_count() as u64;
         let cpu_done = c.m.peer_cpu.process(peer, arrive, cpu);
         // The slot is held for the endorsement service time plus the
         // request/response legs (not the CPU queueing delay, which gRPC
@@ -496,7 +485,6 @@ mod tests {
     fn severe_overload_loses_events() {
         let cfg = FabricConfig {
             max_message_count: 100,
-            event_drop_backlog: SimDuration::from_millis(500),
             ..Default::default()
         };
         let mut f = Fabric::new(cfg, 7);

@@ -32,6 +32,22 @@ use crate::chain::{Chain, Model};
 use crate::runtime::{command_for, ChainRuntime, PoolLimits, Stage};
 use crate::system::SubmitOutcome;
 
+/// Maximum transactions pulled into one block.
+const BLOCK_TX_LIMIT: usize = 4096;
+/// Transaction-pool bound (geth-like); submissions beyond it are dropped.
+const TXPOOL_LIMIT: usize = 5120;
+/// Base CPU cost of executing one transaction on a validator.
+const EXEC_BASE: SimDuration = SimDuration::from_micros(1150);
+/// Additional CPU cost per state read.
+const EXEC_PER_READ: SimDuration = SimDuration::from_micros(600);
+/// Additional CPU cost per state write.
+const EXEC_PER_WRITE: SimDuration = SimDuration::from_micros(250);
+/// Block periods at or below this trigger the §5.5 anomaly when the pool
+/// depth reaches [`STALL_POOL_THRESHOLD`].
+const STALL_PERIOD_THRESHOLD: SimDuration = SimDuration::from_secs(2);
+/// Pool depth that, combined with a short block period, freezes the pool.
+const STALL_POOL_THRESHOLD: usize = 500;
+
 /// Configuration of the Quorum deployment.
 #[derive(Debug, Clone)]
 pub struct QuorumConfig {
@@ -43,30 +59,14 @@ pub struct QuorumConfig {
     pub standby: u32,
     /// `istanbul.blockperiod`: minimum spacing between blocks.
     pub block_period: SimDuration,
-    /// Maximum transactions pulled into one block.
-    pub block_tx_limit: usize,
-    /// Transaction-pool bound; submissions beyond it are dropped.
-    pub txpool_limit: usize,
     /// Network characteristics.
     pub net: NetConfig,
-    /// Base CPU cost of executing one transaction on a validator.
-    pub exec_base: SimDuration,
-    /// Additional CPU cost per state read.
-    pub exec_per_read: SimDuration,
-    /// Additional CPU cost per state write.
-    pub exec_per_write: SimDuration,
     /// Enables the §5.5 liveness anomaly (pool freeze at a short block
     /// period under load). Disable for the ablation.
     pub stall_anomaly: bool,
-    /// Block periods at or below this trigger the anomaly when the pool
-    /// depth crosses [`QuorumConfig::stall_pool_threshold`].
-    pub stall_period_threshold: SimDuration,
-    /// Pool depth that, combined with a short block period, freezes the
-    /// pool.
-    pub stall_pool_threshold: usize,
     /// Bounded-pool parameters for the runtime's pending store; the
-    /// capacity backstops `txpool_limit` with a `Busy` backpressure
-    /// verdict instead of a silent geth-style drop.
+    /// capacity backstops the geth-style txpool bound with a `Busy`
+    /// backpressure verdict instead of a silent drop.
     pub pool: PoolLimits,
 }
 
@@ -78,15 +78,8 @@ impl Default for QuorumConfig {
             nodes: 4,
             standby: 0,
             block_period: SimDuration::from_secs(1),
-            block_tx_limit: 4096,
-            txpool_limit: 5120,
             net: NetConfig::lan(),
-            exec_base: SimDuration::from_micros(1150),
-            exec_per_read: SimDuration::from_micros(600),
-            exec_per_write: SimDuration::from_micros(250),
             stall_anomaly: true,
-            stall_period_threshold: SimDuration::from_secs(2),
-            stall_pool_threshold: 500,
             pool: PoolLimits::bounded(50_000),
         }
     }
@@ -119,7 +112,7 @@ impl Quorum {
             .net(config.net.clone())
             .topology(Topology::round_robin(total, total.min(8)))
             .period(config.block_period)
-            .batch(BatchConfig::new(config.block_tx_limit, config.block_period))
+            .batch(BatchConfig::new(BLOCK_TX_LIMIT, config.block_period))
             .build();
         let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes);
         rt.set_pool_limits(config.pool);
@@ -146,9 +139,7 @@ impl QuorumModel {
         let kind = payload.kind();
         let reads = if kind.is_read() { 2 } else { 0 };
         let writes = if kind.is_write() { 2 } else { 0 };
-        let base = self.config.exec_base
-            + self.config.exec_per_read * reads
-            + self.config.exec_per_write * writes;
+        let base = EXEC_BASE + EXEC_PER_READ * reads + EXEC_PER_WRITE * writes;
         // Per-block work grows with the validator set (more signatures to
         // verify, more gossip) — the §5.8.2 downward trend from 8 nodes.
         base.mul_f64(1.0 + 0.02 * self.config.nodes.saturating_sub(4) as f64)
@@ -171,8 +162,8 @@ impl Model for QuorumModel {
         }
         let config = &c.m.config;
         if config.stall_anomaly
-            && config.block_period <= config.stall_period_threshold
-            && c.engine.pending_len() >= config.stall_pool_threshold
+            && config.block_period <= STALL_PERIOD_THRESHOLD
+            && c.engine.pending_len() >= STALL_POOL_THRESHOLD
         {
             // The paper's liveness violation: short block period + high
             // load freezes the pool for good; blocks continue empty.
@@ -184,7 +175,7 @@ impl Model for QuorumModel {
             c.rt.accept();
             return SubmitOutcome::Accepted;
         }
-        let full = c.engine.pending_len() >= config.txpool_limit;
+        let full = c.engine.pending_len() >= TXPOOL_LIMIT;
         let outcome = c.rt.admit(now, &tx, full);
         if outcome.is_accepted() {
             c.engine.submit(command_for(&tx));
@@ -306,12 +297,11 @@ mod tests {
     fn pool_overflow_drops_when_period_is_long() {
         let cfg = QuorumConfig {
             block_period: SimDuration::from_secs(5),
-            txpool_limit: 100,
             ..Default::default()
         };
         let mut q = Quorum::new(cfg, 4);
         let mut rejected = 0;
-        for s in 0..200 {
+        for s in 0..2 * TXPOOL_LIMIT as u64 {
             if !q
                 .submit(SimTime::ZERO, tx(s, Payload::DoNothing))
                 .is_accepted()
@@ -319,7 +309,10 @@ mod tests {
                 rejected += 1;
             }
         }
-        assert_eq!(rejected, 100, "beyond the pool bound, submissions drop");
+        assert_eq!(
+            rejected, TXPOOL_LIMIT,
+            "beyond the pool bound, submissions drop"
+        );
         assert!(q.is_live(), "no stall at a 5 s block period");
     }
 
@@ -328,11 +321,10 @@ mod tests {
         // Table 15: BP = 2 s, RL = 400 → 0 received, empty blocks.
         let cfg = QuorumConfig {
             block_period: SimDuration::from_secs(2),
-            stall_pool_threshold: 200,
             ..Default::default()
         };
         let mut q = Quorum::new(cfg, 5);
-        for s in 0..500 {
+        for s in 0..2 * STALL_POOL_THRESHOLD as u64 {
             q.submit(SimTime::ZERO, tx(s, Payload::DoNothing));
         }
         assert!(q.is_stalled());
@@ -346,12 +338,11 @@ mod tests {
     fn stall_anomaly_can_be_disabled() {
         let cfg = QuorumConfig {
             block_period: SimDuration::from_secs(1),
-            stall_pool_threshold: 200,
             stall_anomaly: false,
             ..Default::default()
         };
         let mut q = Quorum::new(cfg, 6);
-        for s in 0..500 {
+        for s in 0..2 * STALL_POOL_THRESHOLD as u64 {
             q.submit(SimTime::ZERO, tx(s, Payload::DoNothing));
         }
         assert!(q.is_live());

@@ -129,7 +129,7 @@ impl IngressLoad {
 /// validator queue, Diem's per-account mempool windows, Quorum's txpool,
 /// Corda's RPC ingress buffers — and sheds load once it fills instead of
 /// growing without limit. `capacity` is the hard entry bound (a full pool
-/// answers [`SubmitOutcome::Busy`] with `retry_after`), `ttl` evicts
+/// answers [`SubmitOutcome::Busy`] with a 250 ms retry hint), `ttl` evicts
 /// entries that sat unexecuted for too long (counted in
 /// [`SystemStats::evicted`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,37 +138,28 @@ pub struct PoolLimits {
     pub capacity: usize,
     /// Evict entries older than this, if set (scanned on admission).
     pub ttl: Option<SimDuration>,
-    /// Advisory client back-off carried by the `Busy` verdict.
-    pub retry_after: SimDuration,
 }
+
+/// Advisory client back-off carried by every `Busy` verdict.
+const RETRY_AFTER: SimDuration = SimDuration::from_millis(250);
 
 impl PoolLimits {
     /// An effectively unbounded pool (the pre-backpressure behaviour).
     pub fn unbounded() -> Self {
-        PoolLimits {
-            capacity: usize::MAX,
-            ttl: None,
-            retry_after: SimDuration::from_millis(250),
-        }
+        PoolLimits::bounded(usize::MAX)
     }
 
     /// A bounded pool without TTL eviction.
     pub fn bounded(capacity: usize) -> Self {
         PoolLimits {
             capacity,
-            ..PoolLimits::unbounded()
+            ttl: None,
         }
     }
 
     /// Sets the TTL.
     pub fn with_ttl(mut self, ttl: SimDuration) -> Self {
         self.ttl = Some(ttl);
-        self
-    }
-
-    /// Sets the advisory retry delay.
-    pub fn with_retry_after(mut self, retry_after: SimDuration) -> Self {
-        self.retry_after = retry_after;
         self
     }
 }
@@ -739,12 +730,6 @@ impl ChainRuntime {
 
     // --- pipeline-stage probes ---------------------------------------------
 
-    /// Turns on the pipeline-stage probe (off by default; recording is
-    /// strictly passive either way).
-    pub fn enable_probes(&mut self) {
-        self.probe.enable();
-    }
-
     /// The pipeline-stage probe.
     pub fn probe(&self) -> &StageProbe {
         &self.probe
@@ -808,7 +793,7 @@ impl ChainRuntime {
     }
 
     /// Counts one backpressured submission and returns the `Busy`
-    /// verdict carrying the configured retry delay. For models that shed
+    /// verdict carrying the 250 ms retry hint. For models that shed
     /// load outside [`ChainRuntime::admit`] (Fabric's endorsement
     /// pipeline, Corda's per-node flow queues). The probe books the shed
     /// against its queue stage — the stage whose capacity bound tripped.
@@ -816,7 +801,7 @@ impl ChainRuntime {
         self.stats.busy += 1;
         self.probe.shed_queue(1);
         SubmitOutcome::Busy {
-            retry_after: self.pool.retry_after,
+            retry_after: RETRY_AFTER,
         }
     }
 
@@ -1010,13 +995,13 @@ mod tests {
     #[test]
     fn bounded_pool_answers_busy_at_capacity() {
         let mut r = rt();
-        r.set_pool_limits(PoolLimits::bounded(3).with_retry_after(SimDuration::from_millis(100)));
+        r.set_pool_limits(PoolLimits::bounded(3));
         for i in 0..3 {
             assert!(r.admit(SimTime::ZERO, &tx(i), false).is_accepted());
         }
         let verdict = r.admit(SimTime::ZERO, &tx(3), false);
         assert!(verdict.is_busy());
-        assert_eq!(verdict.retry_after(), Some(SimDuration::from_millis(100)));
+        assert_eq!(verdict.retry_after(), Some(RETRY_AFTER));
         assert_eq!(r.mempool().len(), 3, "pool never exceeds its cap");
         let s = r.stats();
         assert_eq!(s.accepted, 3);
@@ -1479,7 +1464,7 @@ mod tests {
     #[test]
     fn runtime_books_generic_sheds_against_queue_stage() {
         let mut r = rt();
-        r.enable_probes();
+        r.probe_mut().enable();
         r.probe_mut().set_queue_stage(Stage::Commit);
         r.set_pool_limits(PoolLimits::bounded(1).with_ttl(SimDuration::from_secs(5)));
         assert!(r.admit(SimTime::ZERO, &tx(1), false).is_accepted());

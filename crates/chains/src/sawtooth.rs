@@ -32,6 +32,17 @@ use crate::chain::{Chain, Model};
 use crate::runtime::{command_for, ChainRuntime, IngressLoad, PoolLimits, Stage};
 use crate::system::SubmitOutcome;
 
+/// Maximum batches per block.
+const BATCHES_PER_BLOCK: usize = 100;
+/// CPU cost of executing one inner transaction at each validator.
+const EXEC_PER_TX: SimDuration = SimDuration::from_micros(7_500);
+/// CPU cost per inner transaction of admitting a gossiped batch at *every*
+/// validator (signature checks) — the load that starves execution at high
+/// rate limiters.
+const INGRESS_PER_TX: SimDuration = SimDuration::from_micros(800);
+/// Node count at which batches stay pending forever (§5.8.2 observes 16).
+const PENDING_STALL_AT: u32 = 16;
+
 /// Configuration of the Sawtooth deployment.
 #[derive(Debug, Clone)]
 pub struct SawtoothConfig {
@@ -43,22 +54,11 @@ pub struct SawtoothConfig {
     pub standby: u32,
     /// `sawtooth.consensus.pbft.block_publishing_delay`.
     pub publishing_delay: SimDuration,
-    /// Maximum batches per block.
-    pub batches_per_block: usize,
     /// Validator queue bound, in batches; beyond it submissions are
     /// rejected.
     pub queue_limit: usize,
     /// Network characteristics.
     pub net: NetConfig,
-    /// CPU cost of executing one inner transaction at each validator.
-    pub exec_per_tx: SimDuration,
-    /// CPU cost per inner transaction of admitting a gossiped batch at
-    /// *every* validator (signature checks) — the load that starves
-    /// execution at high rate limiters.
-    pub ingress_per_tx: SimDuration,
-    /// Node count at which batches stay pending forever (§5.8.2 observes
-    /// 16); `None` disables the anomaly.
-    pub pending_stall_at: Option<u32>,
     /// Bounded-pool parameters for the runtime's pending store. The
     /// validator queue (`queue_limit`) still rejects first, paper-style;
     /// the pool capacity is a second line of defence that answers `Busy`.
@@ -72,12 +72,8 @@ impl Default for SawtoothConfig {
             nodes: 4,
             standby: 0,
             publishing_delay: SimDuration::from_secs(1),
-            batches_per_block: 100,
             queue_limit: 100,
             net: NetConfig::lan(),
-            exec_per_tx: SimDuration::from_micros(7_500),
-            ingress_per_tx: SimDuration::from_micros(800),
-            pending_stall_at: Some(16),
             pool: PoolLimits::bounded(50_000),
         }
     }
@@ -124,17 +120,14 @@ impl Sawtooth {
             // publishing cadence, or idle gaps between slow blocks would
             // look like a dead primary.
             .timeout((config.publishing_delay * 3).max(SimDuration::from_secs(4)))
-            .batch(BatchConfig::new(
-                config.batches_per_block,
-                config.publishing_delay,
-            ))
+            .batch(BatchConfig::new(BATCHES_PER_BLOCK, config.publishing_delay))
             .build();
         let mut rt = ChainRuntime::new(&seeds, &config.net, config.nodes);
         rt.set_pool_limits(config.pool);
         let nodes = config.nodes;
         let m = SawtoothModel {
             exec_cpu: CpuModel::new(total),
-            ingress: IngressLoad::new(SimDuration::from_secs(2), config.ingress_per_tx, 0.9),
+            ingress: IngressLoad::new(SimDuration::from_secs(2), INGRESS_PER_TX, 0.9),
             config,
             aborted_batches: 0,
             executing: VecDeque::new(),
@@ -167,9 +160,7 @@ impl Sawtooth {
 
 impl SawtoothModel {
     fn pending_stalled(&self) -> bool {
-        self.config
-            .pending_stall_at
-            .is_some_and(|n| self.config.nodes >= n)
+        self.config.nodes >= PENDING_STALL_AT
     }
 }
 
@@ -235,7 +226,7 @@ impl Model for SawtoothModel {
                 let Some(batch) = c.rt.mempool().take(&cmd.tx) else {
                     continue;
                 };
-                total_cost += (c.m.config.exec_per_tx * batch.op_count() as u64).mul_f64(slowdown);
+                total_cost += (EXEC_PER_TX * batch.op_count() as u64).mul_f64(slowdown);
                 // Dry-run the batch atomically: all payloads must succeed.
                 let mut scratch = c.state.clone();
                 let mut ok = true;
@@ -377,14 +368,21 @@ mod tests {
     fn publishing_delay_paces_blocks() {
         let cfg = SawtoothConfig {
             publishing_delay: SimDuration::from_secs(2),
-            batches_per_block: 1,
             ..Default::default()
         };
         let mut s = Sawtooth::new(cfg, 5);
+        // One batch per block: each is sent once the previous one is
+        // confirmed, so a block never holds more than one.
+        let mut outcomes = Vec::new();
+        let mut at = SimTime::ZERO;
         for i in 0..3 {
-            s.submit(SimTime::ZERO, single(i, Payload::DoNothing));
+            s.submit(at, single(i, Payload::DoNothing));
+            while outcomes.len() as u64 <= i && at < SimTime::from_secs(30) {
+                at += SimDuration::from_millis(10);
+                outcomes.extend(s.run_until(at));
+            }
         }
-        let outcomes = s.run_until(SimTime::from_secs(30));
+        outcomes.extend(s.run_until(SimTime::from_secs(30)));
         assert_eq!(outcomes.len(), 3);
         for w in outcomes.windows(2) {
             assert!(w[1].finalized_at - w[0].finalized_at >= SimDuration::from_secs(2));

@@ -109,11 +109,6 @@ impl CommittedBatch {
     pub fn op_count(&self) -> u64 {
         self.commands.iter().map(|c| c.ops as u64).sum()
     }
-
-    /// Total serialized bytes across the batch's commands.
-    pub fn byte_size(&self) -> u64 {
-        self.commands.iter().map(|c| c.bytes as u64).sum()
-    }
 }
 
 /// Batch-formation policy: cut a batch when `max_commands` accumulate or
@@ -375,7 +370,6 @@ mod tests {
             committed_at: SimTime::ZERO,
         };
         assert_eq!(b.op_count(), 5);
-        assert_eq!(b.byte_size(), 150);
     }
 
     #[test]

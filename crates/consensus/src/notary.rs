@@ -171,11 +171,6 @@ impl NotaryService {
         }
     }
 
-    /// `true` if `state` has been spent.
-    pub fn is_consumed(&self, state: &StateRef) -> bool {
-        self.consumed.contains(state)
-    }
-
     /// Total requests processed.
     pub fn processed(&self) -> u64 {
         self.processed
@@ -451,7 +446,6 @@ mod tests {
         let r = n.request(SimTime::from_secs(1), tx(3), &[spent, fresh]);
         assert!(!r.is_signed());
         // ...and must NOT consume the fresh input.
-        assert!(!n.is_consumed(&fresh));
         let r2 = n.request(SimTime::from_secs(2), tx(4), &[fresh]);
         assert!(r2.is_signed());
     }

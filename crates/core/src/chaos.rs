@@ -22,9 +22,9 @@
 //! For overload campaigns the client can additionally arm
 //! [`ClientProtection`]: a [`RetryBudget`] token bucket bounding total
 //! re-sends, a [`CircuitBreaker`] that stops hammering a system answering
-//! `Busy`, and an optional [`AimdPolicy`] rate controller. All three are
-//! seeded-deterministic; with [`ClientProtection::disabled`] the loop is
-//! bit-identical to the unprotected client.
+//! `Busy`. Both are seeded-deterministic; with
+//! [`ClientProtection::disabled`] the loop is bit-identical to the
+//! unprotected client.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -292,69 +292,6 @@ impl CircuitBreaker {
     }
 }
 
-/// Additive-increase / multiplicative-decrease client rate control: the
-/// client paces its sends at an adaptive rate that grows on accepted
-/// submissions and collapses on `Busy`/timeouts (TCP-style congestion
-/// avoidance applied to the benchmark client).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AimdPolicy {
-    /// Initial pacing rate (sends per virtual second).
-    pub start_rate: f64,
-    /// Floor the rate never drops below.
-    pub min_rate: f64,
-    /// Ceiling the rate never exceeds.
-    pub max_rate: f64,
-    /// Additive rate gain per accepted submission (per second).
-    pub increase_per_success: f64,
-    /// Multiplicative factor applied on each failure (in `(0, 1)`).
-    pub decrease_factor: f64,
-}
-
-impl AimdPolicy {
-    /// A controller starting at `rate` sends/s, halving on failure and
-    /// regaining 2% of the start rate per success.
-    pub fn for_rate(rate: f64) -> Self {
-        AimdPolicy {
-            start_rate: rate,
-            min_rate: (rate / 100.0).max(0.1),
-            max_rate: rate * 4.0,
-            increase_per_success: rate / 50.0,
-            decrease_factor: 0.5,
-        }
-    }
-}
-
-/// The adaptive state of an [`AimdPolicy`] during a run.
-#[derive(Debug, Clone, Copy)]
-struct AimdState {
-    policy: AimdPolicy,
-    rate: f64,
-    gate: SimTime,
-}
-
-impl AimdState {
-    fn new(policy: AimdPolicy) -> Self {
-        AimdState {
-            policy,
-            rate: policy.start_rate.clamp(policy.min_rate, policy.max_rate),
-            gate: SimTime::ZERO,
-        }
-    }
-
-    /// Advances the pacing gate after a send goes out at `now`.
-    fn pace(&mut self, now: SimTime) {
-        self.gate = now + SimDuration::from_secs_f64(1.0 / self.rate);
-    }
-
-    fn on_success(&mut self) {
-        self.rate = (self.rate + self.policy.increase_per_success).min(self.policy.max_rate);
-    }
-
-    fn on_failure(&mut self) {
-        self.rate = (self.rate * self.policy.decrease_factor).max(self.policy.min_rate);
-    }
-}
-
 /// The client-side overload protections, all optional. With everything
 /// `None` ([`ClientProtection::disabled`]) the chaos loop draws no extra
 /// randomness and behaves bit-identically to the classic client.
@@ -364,8 +301,6 @@ pub struct ClientProtection {
     pub budget: Option<RetryBudget>,
     /// Circuit breaker on consecutive `Busy`/timeout responses.
     pub breaker: Option<BreakerPolicy>,
-    /// AIMD send-rate controller.
-    pub aimd: Option<AimdPolicy>,
 }
 
 impl ClientProtection {
@@ -375,20 +310,17 @@ impl ClientProtection {
     }
 
     /// The overload-suite default: a retry budget of 100 tokens refilling
-    /// at 10/s plus a [`BreakerPolicy::overload_default`] breaker. AIMD
-    /// stays off so the protected arm differs from the unprotected one by
-    /// exactly the two mechanisms under test.
+    /// at 10/s plus a [`BreakerPolicy::overload_default`] breaker.
     pub fn overload_default() -> Self {
         ClientProtection {
             budget: Some(RetryBudget::new(100, 10.0)),
             breaker: Some(BreakerPolicy::overload_default()),
-            aimd: None,
         }
     }
 
     /// `true` when any protection is armed.
     pub fn enabled(&self) -> bool {
-        self.budget.is_some() || self.breaker.is_some() || self.aimd.is_some()
+        self.budget.is_some() || self.breaker.is_some()
     }
 }
 
@@ -556,7 +488,7 @@ type Entry = (SimTime, Action, u64, usize);
 
 /// The client's timed actions: a cursor over the sorted schedule, merged
 /// with a heap that holds only re-queued actions (retries, finalization
-/// timeouts, breaker and AIMD deferrals). Ties resolve timeout < submit,
+/// timeouts and breaker deferrals). Ties resolve timeout < submit,
 /// then by the original id, then by insertion order. Schedule position
 /// `i` counts as inserted `i`-th and heap seqs start at `schedule.len()`,
 /// so the merge pops exactly what one heap holding every action would.
@@ -786,7 +718,6 @@ pub fn run_chaos_with_schedule(
 
     let mut budget = protection.budget;
     let mut breaker = protection.breaker.map(CircuitBreaker::new);
-    let mut aimd = protection.aimd.map(AimdState::new);
 
     let listen_end = SimTime::ZERO + spec.windows.listen;
     let bucket_len = SimDuration::from_secs(1);
@@ -845,13 +776,6 @@ pub fn run_chaos_with_schedule(
                 }
                 // Client-side gates run before the attempt is counted: a
                 // deferred send is re-queued, not consumed.
-                if let Some(a) = aimd.as_mut() {
-                    if at < a.gate {
-                        agenda.push(a.gate, Action::Submit(orig), i);
-                        continue;
-                    }
-                    a.pace(at);
-                }
                 if let Some(b) = breaker.as_mut() {
                     if !b.allow(at) {
                         // Re-queue at the cooldown's end, jittered so the
@@ -899,9 +823,6 @@ pub fn run_chaos_with_schedule(
                     if let Some(b) = breaker.as_mut() {
                         b.on_success();
                     }
-                    if let Some(a) = aimd.as_mut() {
-                        a.on_success();
-                    }
                     if policy.enabled() {
                         agenda.push(at + policy.finalization_timeout, Action::Timeout(orig), i);
                     }
@@ -912,9 +833,6 @@ pub fn run_chaos_with_schedule(
                     track.last_was_busy = true;
                     if let Some(b) = breaker.as_mut() {
                         b.on_failure(at, Some(retry_after));
-                    }
-                    if let Some(a) = aimd.as_mut() {
-                        a.on_failure();
                     }
                     if policy.enabled()
                         && track.attempts <= policy.max_retries
@@ -942,9 +860,6 @@ pub fn run_chaos_with_schedule(
                 }
                 if let Some(b) = breaker.as_mut() {
                     b.on_failure(at, None);
-                }
-                if let Some(a) = aimd.as_mut() {
-                    a.on_failure();
                 }
                 if !take_retry_token(&mut budget, at, &mut seen.accounting) {
                     continue;
@@ -1647,26 +1562,5 @@ mod tests {
         assert!(budget.try_spend(late));
         assert!(budget.try_spend(late));
         assert!(!budget.try_spend(late));
-    }
-
-    #[test]
-    fn aimd_rate_adapts_within_bounds() {
-        let mut a = AimdState::new(AimdPolicy::for_rate(100.0));
-        // Failures halve the rate down to the floor ...
-        for _ in 0..20 {
-            a.on_failure();
-        }
-        assert_eq!(a.rate, a.policy.min_rate);
-        // ... successes regain it additively up to the ceiling.
-        for _ in 0..1000 {
-            a.on_success();
-        }
-        assert_eq!(a.rate, a.policy.max_rate);
-        // Pacing schedules the next send one inter-send gap out.
-        a.pace(SimTime::from_secs(2));
-        assert_eq!(
-            a.gate,
-            SimTime::from_secs(2) + SimDuration::from_secs_f64(1.0 / a.rate)
-        );
     }
 }

@@ -129,13 +129,6 @@ pub struct GrayfailCell {
     /// [`super::harness::RECOVERY_THRESHOLD`] × the pre-fault mean; `None` if it never
     /// does (and for the baseline, which has nothing to recover from).
     pub recovery_secs: Option<f64>,
-    /// The liveness verdict's label (`"n/a"` if the system exposes no
-    /// monitor).
-    pub verdict: String,
-    /// View/round/term changes (or missed slots) the monitor counted.
-    pub view_changes: u64,
-    /// View-change storms the monitor counted.
-    pub storms: u64,
     /// System-side counters at run end.
     pub stats: SystemStats,
     /// The full client-side run (liveness report included).
@@ -146,6 +139,16 @@ impl GrayfailCell {
     /// `"baseline"` or the fault kind's label.
     pub fn kind_label(&self) -> &'static str {
         self.kind.map_or("baseline", GrayKind::label)
+    }
+
+    /// The liveness verdict's label (`"n/a"` if the system exposes no
+    /// monitor), the view/round/term changes (or missed slots) and the
+    /// view-change storms the monitor counted.
+    fn liveness(&self) -> (String, u64, u64) {
+        self.run.liveness.as_ref().map_or_else(
+            || ("n/a".to_string(), 0, 0),
+            |l| (l.verdict.label(), l.view_changes, l.storms),
+        )
     }
 }
 
@@ -265,10 +268,6 @@ fn finish_cell(
             (retention, inflation, p.recovery_secs)
         }
     };
-    let (verdict, view_changes, storms) = sr.run.liveness.as_ref().map_or_else(
-        || ("n/a".to_string(), 0, 0),
-        |l| (l.verdict.label(), l.view_changes, l.storms),
-    );
     GrayfailCell {
         system: c.system,
         kind: *kind,
@@ -278,9 +277,6 @@ fn finish_cell(
         retention,
         p99_inflation,
         recovery_secs,
-        verdict,
-        view_changes,
-        storms,
         stats: sr.stats,
         run: sr.run,
     }
@@ -345,6 +341,7 @@ pub fn grayfail_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> GrayfailR
 impl GrayfailCell {
     fn to_json(&self) -> Json {
         let acct = &self.run.accounting;
+        let (verdict, view_changes, storms) = self.liveness();
         Json::Obj(vec![
             ("system".into(), Json::Str(self.system.label().into())),
             ("kind".into(), Json::Str(self.kind_label().into())),
@@ -357,9 +354,9 @@ impl GrayfailCell {
                 "recovery_secs".into(),
                 self.recovery_secs.map_or(Json::Null, Json::Num),
             ),
-            ("verdict".into(), Json::Str(self.verdict.clone())),
-            ("view_changes".into(), Json::Num(self.view_changes as f64)),
-            ("storms".into(), Json::Num(self.storms as f64)),
+            ("verdict".into(), Json::Str(verdict)),
+            ("view_changes".into(), Json::Num(view_changes as f64)),
+            ("storms".into(), Json::Num(storms as f64)),
             ("mtps".into(), Json::Num(self.run.mtps)),
             ("p99_secs".into(), Json::Num(self.run.p99)),
             ("scheduled".into(), Json::Num(acct.scheduled as f64)),
@@ -397,6 +394,7 @@ impl Report for GrayfailResult {
             let recov = c
                 .recovery_secs
                 .map_or("-".to_string(), |s| format!("{s:.0}"));
+            let (verdict, view_changes, storms) = c.liveness();
             out.push_str(&format!(
                 "{:<15} {:<4} {:<9} {:>9.1} {:>8.0}% {:>7.2} {:>8} {:>6} {:>6}  {}\n",
                 c.kind_label(),
@@ -406,9 +404,9 @@ impl Report for GrayfailResult {
                 100.0 * c.retention,
                 c.p99_inflation,
                 recov,
-                c.view_changes,
-                c.storms,
-                c.verdict,
+                view_changes,
+                storms,
+                verdict,
             ));
         }
         out
@@ -471,7 +469,7 @@ mod tests {
                 .expect("cell present in the larger run");
             assert_eq!(c.run.accounting, other.run.accounting);
             assert_eq!(c.run.buckets, other.run.buckets);
-            assert_eq!(c.verdict, other.verdict);
+            assert_eq!(c.run.liveness, other.run.liveness);
         }
     }
 

@@ -141,9 +141,6 @@ pub struct ProbeArm {
     /// the pre-pulse mean (`None` — never recovered: the metastable
     /// signature).
     pub recovery_secs: Option<f64>,
-    /// Sends per scheduled transaction
-    /// ([`crate::chaos::DeliveryAccounting::retry_amplification`]).
-    pub amplification: f64,
     /// System-side `Busy` answers.
     pub busy: u64,
     /// Transactions shed by TTL eviction.
@@ -311,7 +308,6 @@ pub fn overload_probes_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> Ve
             pulse_mtps: p.during_mtps,
             post_mtps: p.post_mtps,
             recovery_secs: p.recovery_secs,
-            amplification: sr.run.accounting.retry_amplification(),
             busy: sr.stats.busy,
             evicted: sr.stats.evicted,
             run: sr.run,
@@ -393,7 +389,7 @@ impl ProbeArm {
             self.pulse_mtps,
             self.post_mtps,
             rec,
-            self.amplification,
+            a.retry_amplification(),
             a.busy_responses,
             a.budget_exhausted,
             a.breaker_opens,
@@ -422,7 +418,10 @@ impl ProbeArm {
                 "recovery_secs".into(),
                 self.recovery_secs.map_or(Json::Null, Json::Num),
             ),
-            ("retry_amplification".into(), Json::Num(self.amplification)),
+            (
+                "retry_amplification".into(),
+                Json::Num(a.retry_amplification()),
+            ),
             ("delivery_ratio".into(), Json::Num(a.delivery_ratio())),
             ("busy".into(), Json::Num(self.busy as f64)),
             ("evicted".into(), Json::Num(self.evicted as f64)),

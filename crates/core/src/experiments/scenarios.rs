@@ -21,12 +21,12 @@ use super::harness::{
 };
 use super::overload::tight_limits;
 use super::ExperimentConfig;
-use crate::chaos::{ClientProtection, RetryPolicy};
+use crate::chaos::{ChaosRun, ClientProtection, RetryPolicy};
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
 use crate::report::Report;
 use crate::scenario::{Check, CheckOutcome, ScenarioBuilder, Timeline};
-use coconut_chains::Stage;
+use coconut_chains::{Stage, SystemStats};
 use coconut_types::{NodeId, SimDuration, SimTime};
 
 /// The library's base scenario: the steady load over the fault
@@ -402,38 +402,28 @@ pub struct ScenarioCell {
     pub system: SystemKind,
     /// Base offered load (tx/s).
     pub rate: f64,
-    /// Mean throughput over the active span (ops/s).
-    pub mtps: f64,
-    /// Mean finalization latency (s).
-    pub mfls: f64,
-    /// 95th-percentile finalization latency (s).
-    pub p95: f64,
-    /// Confirmed / scheduled.
-    pub delivery_ratio: f64,
-    /// Transactions scheduled.
-    pub scheduled: u64,
-    /// Transactions confirmed.
-    pub confirmed: u64,
-    /// Re-sends performed.
-    pub retries: u64,
-    /// System-side `Busy` answers.
-    pub busy: u64,
-    /// TTL-evicted transactions.
-    pub evicted: u64,
     /// Configuration epochs at the end of the run.
     pub epochs: u64,
-    /// Whether the system still served confirmations at the end.
-    pub live: bool,
-    /// Safety verdict (vacuously `true` for CFT systems).
-    pub safety_ok: bool,
     /// The checkpointed assertions' verdicts, in declaration order.
     pub checks: Vec<CheckOutcome>,
+    /// System-side counters at run end.
+    pub stats: SystemStats,
+    /// The full client-side run (safety report included).
+    pub run: ChaosRun,
 }
 
 impl ScenarioCell {
     /// `true` when every checkpointed assertion held.
     pub fn all_checks_pass(&self) -> bool {
         self.checks.iter().all(|c| c.pass)
+    }
+
+    /// The safety verdict (vacuously `true` for CFT systems).
+    pub fn safety_ok(&self) -> bool {
+        self.run
+            .safety
+            .as_ref()
+            .is_none_or(|r| r.violations.is_clean())
     }
 
     fn render_row(&self) -> String {
@@ -446,36 +436,37 @@ impl ScenarioCell {
             "{:<18} {:>6.0} {:>8.1} {:>7.3} {:>6.3} {:>6} {:>6} {:>6} {:>6} {:>4} {:>6} {:>6}",
             self.system.label(),
             self.rate,
-            self.mtps,
-            self.mfls,
-            self.delivery_ratio,
-            self.retries,
-            self.busy,
-            self.evicted,
+            self.run.mtps,
+            self.run.mfls,
+            self.run.accounting.delivery_ratio(),
+            self.run.accounting.retries,
+            self.stats.busy,
+            self.stats.evicted,
             self.epochs,
-            if self.live { "yes" } else { "no" },
-            if self.safety_ok { "ok" } else { "VIOL" },
+            if self.run.live { "yes" } else { "no" },
+            if self.safety_ok() { "ok" } else { "VIOL" },
             checks,
         )
     }
 
     fn to_json(&self) -> Json {
+        let acct = &self.run.accounting;
         Json::Obj(vec![
             ("scenario".into(), Json::Str(self.scenario.into())),
             ("system".into(), Json::Str(self.system.label().into())),
             ("rate".into(), Json::Num(self.rate)),
-            ("mtps".into(), Json::Num(self.mtps)),
-            ("mfls".into(), Json::Num(self.mfls)),
-            ("p95".into(), Json::Num(self.p95)),
-            ("delivery_ratio".into(), Json::Num(self.delivery_ratio)),
-            ("scheduled".into(), Json::Num(self.scheduled as f64)),
-            ("confirmed".into(), Json::Num(self.confirmed as f64)),
-            ("retries".into(), Json::Num(self.retries as f64)),
-            ("busy".into(), Json::Num(self.busy as f64)),
-            ("evicted".into(), Json::Num(self.evicted as f64)),
+            ("mtps".into(), Json::Num(self.run.mtps)),
+            ("mfls".into(), Json::Num(self.run.mfls)),
+            ("p95".into(), Json::Num(self.run.p95)),
+            ("delivery_ratio".into(), Json::Num(acct.delivery_ratio())),
+            ("scheduled".into(), Json::Num(acct.scheduled as f64)),
+            ("confirmed".into(), Json::Num(acct.confirmed as f64)),
+            ("retries".into(), Json::Num(acct.retries as f64)),
+            ("busy".into(), Json::Num(self.stats.busy as f64)),
+            ("evicted".into(), Json::Num(self.stats.evicted as f64)),
             ("epochs".into(), Json::Num(self.epochs as f64)),
-            ("live".into(), Json::Bool(self.live)),
-            ("safety_ok".into(), Json::Bool(self.safety_ok)),
+            ("live".into(), Json::Bool(self.run.live)),
+            ("safety_ok".into(), Json::Bool(self.safety_ok())),
             (
                 "checks".into(),
                 Json::Arr(self.checks.iter().map(CheckOutcome::to_json).collect()),
@@ -531,30 +522,14 @@ pub fn scenarios_for(
             )
         })
         .collect();
-    let cells = run_cells(cfg, &cells, |c, sr| {
-        let acct = &sr.run.accounting;
-        ScenarioCell {
-            scenario: c.spec,
-            system: c.system,
-            rate: c.timeline.rate(),
-            mtps: sr.run.mtps,
-            mfls: sr.run.mfls,
-            p95: sr.run.p95,
-            delivery_ratio: acct.delivery_ratio(),
-            scheduled: acct.scheduled,
-            confirmed: acct.confirmed,
-            retries: acct.retries,
-            busy: sr.stats.busy,
-            evicted: sr.stats.evicted,
-            epochs: sr.epochs,
-            live: sr.run.live,
-            safety_ok: sr
-                .run
-                .safety
-                .as_ref()
-                .is_none_or(|r| r.violations.is_clean()),
-            checks: sr.checks,
-        }
+    let cells = run_cells(cfg, &cells, |c, sr| ScenarioCell {
+        scenario: c.spec,
+        system: c.system,
+        rate: c.timeline.rate(),
+        epochs: sr.epochs,
+        checks: sr.checks,
+        stats: sr.stats,
+        run: sr.run,
     });
     ScenarioResult { names, cells }
 }
@@ -730,7 +705,7 @@ mod tests {
         }
         // The overrun proves the attack beyond f, and the report says so.
         let overrun = r.cell("byzantine-overrun", SystemKind::Quorum).unwrap();
-        assert!(!overrun.safety_ok);
+        assert!(!overrun.safety_ok());
     }
 
     #[test]

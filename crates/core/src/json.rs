@@ -1,9 +1,9 @@
 //! A minimal JSON value model, writer, and recursive-descent parser.
 //!
 //! The workspace builds with no network registry, so `serde_json` is
-//! replaced by this module: just enough JSON to persist and reload
-//! benchmark results ([`crate::report::save_json`] /
-//! [`crate::report::load_json`]). Numbers are `f64`, objects preserve
+//! replaced by this module: just enough JSON to write results
+//! ([`crate::report::to_json`] and every campaign's `to_json`) and to read
+//! them back ([`parse`]). Numbers are `f64`, objects preserve
 //! insertion order, and the writer emits stable two-space-indented output
 //! so that identical results serialize byte-identically.
 

@@ -16,6 +16,7 @@
 //! # Quickstart
 //!
 //! ```
+//! use coconut::client::Windows;
 //! use coconut::prelude::*;
 //!
 //! // Benchmark the modelled Fabric with the DoNothing workload for two
@@ -24,7 +25,10 @@
 //! let spec = BenchmarkSpec::new(SystemKind::Fabric, PayloadKind::DoNothing)
 //!     .rate(200.0)
 //!     .block_param(BlockParam::MaxMessageCount(20))
-//!     .send_duration(SimDuration::from_secs(2))
+//!     .windows(Windows {
+//!         send: SimDuration::from_secs(2),
+//!         listen: SimDuration::from_millis(2_200),
+//!     })
 //!     .repetitions(1);
 //! let result = run_benchmark(&spec, 42);
 //! assert!(result.mtps.mean > 0.0);
@@ -47,7 +51,7 @@ pub mod workload;
 pub mod zipf;
 
 pub use chaos::{
-    run_chaos_with_schedule, AimdPolicy, BreakerPolicy, BreakerState, ChaosRun, CircuitBreaker,
+    run_chaos_with_schedule, BreakerPolicy, BreakerState, ChaosRun, CircuitBreaker,
     ClientProtection, DeliveryAccounting, RetryBudget, RetryPolicy,
 };
 pub use exec::{cell_seed, run_grid, unit_seed};

@@ -232,7 +232,6 @@ pub fn build_system(
             );
             if let Some(n) = setup.nodes {
                 cfg.nodes = n;
-                cfg.notaries = n.min(4);
             }
             cfg.net = setup.net.clone();
             if let Some(limits) = setup.admission {

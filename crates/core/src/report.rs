@@ -1,8 +1,5 @@
 //! Rendering benchmark results: the paper's table rows and heat maps.
 
-use std::io::Write as _;
-use std::path::Path;
-
 use crate::json::Json;
 use crate::runner::BenchmarkResult;
 use crate::stats::Stats;
@@ -41,12 +38,16 @@ pub trait Report {
 /// # Example
 ///
 /// ```
+/// use coconut::client::Windows;
 /// use coconut::prelude::*;
 ///
 /// let spec = BenchmarkSpec::new(SystemKind::Fabric, PayloadKind::DoNothing)
 ///     .rate(100.0)
 ///     .block_param(BlockParam::MaxMessageCount(20))
-///     .send_duration(SimDuration::from_secs(2))
+///     .windows(Windows {
+///         send: SimDuration::from_secs(2),
+///         listen: SimDuration::from_millis(2_200),
+///     })
 ///     .repetitions(1);
 /// let result = run_benchmark(&spec, 1);
 /// let rendered = table(&[result]);
@@ -192,22 +193,6 @@ pub fn grid_heatmap(rows: &[&str], cols: &[&str], cells: &[Vec<Vec<String>>]) ->
     out
 }
 
-/// Renders a latency-distribution table (mean / p50 / p95 / p99) — an
-/// extension beyond the paper's mean-only reporting.
-pub fn latency_table(results: &[BenchmarkResult]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "| System | Benchmark | RL | MFLS | p50 | p95 | p99 |\n|---|---|---|---|---|---|---|\n",
-    );
-    for r in results {
-        out.push_str(&format!(
-            "| {} | {} | {} | {:.2} | {:.2} | {:.2} | {:.2} |\n",
-            r.system, r.benchmark, r.rate, r.mfls.mean, r.p50.mean, r.p95.mean, r.p99.mean
-        ));
-    }
-    out
-}
-
 /// Renders a log-scale series table for Figure 5 (MTPS vs node count).
 pub fn scalability_table(systems: &[&str], node_counts: &[u32], grid: &[Vec<f64>]) -> String {
     assert_eq!(grid.len(), systems.len(), "one row per system");
@@ -270,15 +255,6 @@ pub fn to_csv(results: &[BenchmarkResult]) -> String {
     out
 }
 
-/// Persists results as CSV (see [`to_csv`]).
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn save_csv(results: &[BenchmarkResult], path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, to_csv(results))
-}
-
 fn stats_to_json(s: &Stats) -> Json {
     Json::Obj(vec![
         ("mean".into(), Json::Num(s.mean)),
@@ -287,28 +263,6 @@ fn stats_to_json(s: &Stats) -> Json {
         ("ci95".into(), Json::Num(s.ci95)),
         ("n".into(), Json::Num(s.n as f64)),
     ])
-}
-
-fn stats_from_json(v: &Json, field: &str) -> std::io::Result<Stats> {
-    let obj = v
-        .get(field)
-        .ok_or_else(|| bad_data(&format!("missing stats field '{field}'")))?;
-    let num = |key: &str| {
-        obj.get(key)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad_data(&format!("missing number '{field}.{key}'")))
-    };
-    Ok(Stats {
-        mean: num("mean")?,
-        sd: num("sd")?,
-        sem: num("sem")?,
-        ci95: num("ci95")?,
-        n: num("n")? as usize,
-    })
-}
-
-fn bad_data(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string())
 }
 
 /// Renders results as pretty JSON (the paper persists all collected
@@ -337,64 +291,6 @@ pub fn to_json(results: &[BenchmarkResult]) -> String {
         })
         .collect();
     Json::Arr(items).to_pretty()
-}
-
-/// Persists results as pretty JSON (see [`to_json`]).
-///
-/// # Errors
-///
-/// Returns any I/O error from creating or writing the file.
-pub fn save_json(results: &[BenchmarkResult], path: &Path) -> std::io::Result<()> {
-    let mut file = std::fs::File::create(path)?;
-    file.write_all(to_json(results).as_bytes())
-}
-
-/// Loads results saved by [`save_json`].
-///
-/// # Errors
-///
-/// Returns I/O or deserialization errors.
-pub fn load_json(path: &Path) -> std::io::Result<Vec<BenchmarkResult>> {
-    let data = std::fs::read_to_string(path)?;
-    let root = crate::json::parse(&data).map_err(|e| bad_data(&e))?;
-    let items = root
-        .as_array()
-        .ok_or_else(|| bad_data("top-level value must be an array"))?;
-    items
-        .iter()
-        .map(|v| {
-            let s = |key: &str| {
-                v.get(key)
-                    .and_then(Json::as_str)
-                    .map(str::to_string)
-                    .ok_or_else(|| bad_data(&format!("missing string '{key}'")))
-            };
-            let num = |key: &str| {
-                v.get(key)
-                    .and_then(Json::as_f64)
-                    .ok_or_else(|| bad_data(&format!("missing number '{key}'")))
-            };
-            Ok(BenchmarkResult {
-                system: s("system")?,
-                benchmark: s("benchmark")?,
-                rate: num("rate")?,
-                block_param: s("block_param")?,
-                ops_per_tx: num("ops_per_tx")? as u32,
-                mtps: stats_from_json(v, "mtps")?,
-                mfls: stats_from_json(v, "mfls")?,
-                p50: stats_from_json(v, "p50")?,
-                p95: stats_from_json(v, "p95")?,
-                p99: stats_from_json(v, "p99")?,
-                duration: stats_from_json(v, "duration")?,
-                received: stats_from_json(v, "received")?,
-                expected: num("expected")?,
-                live: v
-                    .get("live")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| bad_data("missing bool 'live'"))?,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -475,14 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_table_shows_percentiles() {
-        let t = latency_table(&[dummy("Quorum", "Balance", 300.0)]);
-        assert!(t.contains("p95"));
-        assert!(t.contains("3.00"));
-        assert!(t.contains("4.50"));
-    }
-
-    #[test]
     fn scalability_marks_failures() {
         let t = scalability_table(&["Fabric"], &[8, 16, 32], &[vec![700.0, 0.0, 0.0]]);
         assert!(t.contains("700.00"));
@@ -504,28 +392,14 @@ mod tests {
     }
 
     #[test]
-    fn csv_round_trips_to_disk() {
-        let dir = std::env::temp_dir().join("coconut-report-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("results.csv");
-        save_csv(&[dummy("Quorum", "Balance", 365.0)], &path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("Quorum,Balance"));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn json_round_trip() {
-        let dir = std::env::temp_dir().join("coconut-report-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("results.json");
-        let original = vec![dummy("Diem", "Balance", 64.0)];
-        save_json(&original, &path).unwrap();
-        let loaded = load_json(&path).unwrap();
-        assert_eq!(loaded.len(), 1);
-        assert_eq!(loaded[0].system, "Diem");
-        assert_eq!(loaded[0].mtps.mean, 64.0);
-        std::fs::remove_file(&path).ok();
+        let json = to_json(&[dummy("Diem", "Balance", 64.0)]);
+        let parsed = crate::json::parse(&json).unwrap();
+        let rows = parsed.as_array().unwrap();
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[0].get("system").and_then(Json::as_str), Some("Diem"));
+        let mtps = rows[0].get("mtps").unwrap();
+        assert_eq!(mtps.get("mean").and_then(Json::as_f64), Some(64.0));
     }
 
     #[test]

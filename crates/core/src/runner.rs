@@ -83,15 +83,6 @@ impl BenchmarkSpec {
         self
     }
 
-    /// Sets the send window, keeping the paper's 10% listen margin.
-    pub fn send_duration(mut self, send: SimDuration) -> Self {
-        self.windows = Windows {
-            send,
-            listen: send + send / 10,
-        };
-        self
-    }
-
     /// Sets both windows.
     pub fn windows(mut self, windows: Windows) -> Self {
         self.windows = windows;

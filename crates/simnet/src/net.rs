@@ -58,12 +58,6 @@ impl NetConfig {
         self
     }
 
-    /// Replaces the intra-server latency model.
-    pub fn with_intra_server(mut self, model: LatencyModel) -> Self {
-        self.intra_server = model;
-        self
-    }
-
     /// Sets the link bandwidth in bits per second.
     ///
     /// # Panics
@@ -745,11 +739,9 @@ mod tests {
     fn config_builder_validation() {
         let c = NetConfig::lan()
             .with_bandwidth_bps(10)
-            .with_loss_probability(0.5)
-            .with_intra_server(LatencyModel::Zero);
+            .with_loss_probability(0.5);
         assert_eq!(c.bandwidth_bps, 10);
         assert_eq!(c.loss_probability, 0.5);
-        assert_eq!(c.intra_server, LatencyModel::Zero);
     }
 
     #[test]

@@ -105,16 +105,18 @@ fn unit_execution_carries_state_between_benchmarks() {
 
 #[test]
 fn results_serialize_to_json_and_back() {
+    use coconut::json::{parse, Json};
     let r = run_benchmark(&spec(SystemKind::Fabric, PayloadKind::DoNothing), 7);
-    let dir = std::env::temp_dir().join("coconut-e2e-json");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("result.json");
-    coconut::report::save_json(std::slice::from_ref(&r), &path).unwrap();
-    let loaded = coconut::report::load_json(&path).unwrap();
-    assert_eq!(loaded[0].system, r.system);
+    let json = coconut::report::to_json(std::slice::from_ref(&r));
+    let parsed = parse(&json).unwrap();
+    let loaded = &parsed.as_array().unwrap()[0];
+    assert_eq!(
+        loaded.get("system").and_then(Json::as_str),
+        Some(&*r.system)
+    );
+    let mtps = loaded.get("mtps").and_then(|m| m.get("mean"));
     // JSON float parsing may differ in the last ULP.
-    assert!((loaded[0].mtps.mean - r.mtps.mean).abs() < 1e-9);
-    std::fs::remove_file(&path).ok();
+    assert!((mtps.and_then(Json::as_f64).unwrap() - r.mtps.mean).abs() < 1e-9);
 }
 
 #[test]

@@ -1,9 +1,10 @@
 //! Experiment-level integration: the table/figure reproductions produce
 //! the paper's qualitative shapes at reduced scale.
 
+use coconut::experiments::ablations::render_arms;
 use coconut::experiments::{
-    fig3, fig4, fig5, table11_12, table13_14, table15_16, table17_18, table19_20, table7_8,
-    table9_10, ExperimentConfig,
+    all_ablations, fig3, fig4, fig5, table11_12, table13_14, table15_16, table17_18, table19_20,
+    table7_8, table9_10, ExperimentConfig,
 };
 use coconut::prelude::{Report, SystemKind};
 
@@ -251,4 +252,46 @@ fn regenerate_paper_goldens() {
         json.push('\n');
         std::fs::write(format!("{PAPER_GOLDEN_DIR}/{name}.json"), json).unwrap();
     }
+}
+
+const ABLATIONS_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/ablations_scale002_seed_c0c0.txt"
+);
+
+/// Every ablation table as `repro ablations --scale 0.02 --reps 1 --seed
+/// 49344` prints it to stdout.
+fn ablation_tables() -> String {
+    all_ablations(&golden_cfg())
+        .iter()
+        .map(|(title, arms)| render_arms(title, arms) + "\n")
+        .collect()
+}
+
+/// The ablation tables, pinned byte for byte. These arms are the only runs
+/// that set the chain configs' real choices directly: `peers: 16`, four
+/// `max_message_count` values, `queue_limit`, `stall_anomaly`,
+/// `spike_interval` and `serial_signing` on Enterprise.
+///
+/// The two Diem arms are identical at this scale: the first spike (25 s)
+/// falls after the 6 s send window. `diem::tests::spiking_delays_confirmations`
+/// remains the guard for `spike_interval`.
+#[test]
+fn ablation_tables_match_golden_file() {
+    let golden = std::fs::read_to_string(ABLATIONS_GOLDEN)
+        .unwrap_or_else(|e| panic!("{ABLATIONS_GOLDEN}: {e}"));
+    assert_eq!(
+        ablation_tables(),
+        golden,
+        "ablation tables drifted from {ABLATIONS_GOLDEN}; if the change is intentional run: \
+         cargo test --release --test integration_experiments regenerate_ablations_golden -- --ignored"
+    );
+}
+
+/// Rewrites the ablations golden from the current implementation. Run only
+/// when a change is intentional; the diff is the review artifact.
+#[test]
+#[ignore = "regenerates tests/golden/ablations_scale002_seed_c0c0.txt; run explicitly after intentional changes"]
+fn regenerate_ablations_golden() {
+    std::fs::write(ABLATIONS_GOLDEN, ablation_tables()).unwrap();
 }

@@ -112,7 +112,7 @@ fn grayfail_cells_are_jobs_and_subset_invariant() {
             .expect("cell present in the pair run");
         assert_eq!(c.run.accounting, full.run.accounting);
         assert_eq!(c.run.buckets, full.run.buckets);
-        assert_eq!(c.verdict, full.verdict);
+        assert_eq!(c.run.liveness, full.run.liveness);
     }
 }
 

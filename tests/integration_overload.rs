@@ -96,18 +96,20 @@ fn metastable_probe_protection_reduces_amplification_and_recovery_time() {
     let probes = overload_probes_for(&quick_cfg(), &[SystemKind::Sawtooth, SystemKind::Bitshares]);
     for p in &probes {
         let (u, pr) = (&p.unprotected, &p.protected);
+        let u_amp = u.run.accounting.retry_amplification();
+        let pr_amp = pr.run.accounting.retry_amplification();
         assert!(
-            u.amplification > 1.05,
+            u_amp > 1.05,
             "{}: the pulse must stress the unprotected arm (amp {})",
             p.system,
-            u.amplification
+            u_amp
         );
         assert!(
-            pr.amplification < u.amplification,
+            pr_amp < u_amp,
             "{}: protection must strictly reduce retry amplification ({} vs {})",
             p.system,
-            pr.amplification,
-            u.amplification
+            pr_amp,
+            u_amp
         );
         // Recovery no slower: an unrecovered run is worse than any finite
         // recovery time.

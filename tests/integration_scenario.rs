@@ -4,7 +4,9 @@
 //! cells are byte-invariant under worker counts and name/system
 //! subsetting (content-addressed seeds).
 
-use coconut::experiments::{scenario_names, scenarios, scenarios_for, ExperimentConfig};
+use coconut::experiments::{
+    scenario_names, scenarios, scenarios_for, ExperimentConfig, ScenarioCell,
+};
 use coconut::params::SystemKind;
 use coconut::report::Report;
 
@@ -67,7 +69,7 @@ fn byzantine_overrun_breaks_safety_on_every_bft_system() {
     let r = scenarios_for(&quick_cfg(), &SystemKind::ALL, &["byzantine-overrun"]);
     assert_eq!(r.cells.len(), 3, "three BFT systems");
     for c in &r.cells {
-        assert!(!c.safety_ok, "{}: overrun must break safety", c.system);
+        assert!(!c.safety_ok(), "{}: overrun must break safety", c.system);
         assert!(c.all_checks_pass(), "{}: {:?}", c.system, c.checks);
     }
 }
@@ -127,11 +129,17 @@ fn subsets_and_worker_counts_never_change_a_cell() {
     let b = subset
         .cell("partition-flash-crowd", SystemKind::Quorum)
         .expect("cell in subset run");
-    assert_eq!(
-        (a.scheduled, a.confirmed, a.retries, a.epochs, a.mtps),
-        (b.scheduled, b.confirmed, b.retries, b.epochs, b.mtps),
-        "subsetting changed the cell"
-    );
+    let key = |c: &ScenarioCell| {
+        let acct = &c.run.accounting;
+        (
+            acct.scheduled,
+            acct.confirmed,
+            acct.retries,
+            c.epochs,
+            c.run.mtps,
+        )
+    };
+    assert_eq!(key(a), key(b), "subsetting changed the cell");
     assert_eq!(a.checks.len(), b.checks.len());
     for (x, y) in a.checks.iter().zip(&b.checks) {
         assert_eq!((x.check, x.pass), (y.check, y.pass));
