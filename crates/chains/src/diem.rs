@@ -263,13 +263,10 @@ mod tests {
     use crate::BlockchainSystem;
     use coconut_types::{ClientId, Payload, ThreadId, TxId};
 
-    fn tx(seq: u64, payload: Payload) -> ClientTx {
-        ClientTx::single(
-            TxId::new(ClientId(0), seq),
-            ThreadId(0),
-            payload,
-            SimTime::ZERO,
-        )
+    /// A transaction stamped with `sent`, the time it is submitted at:
+    /// Diem's expiration counts from that stamp.
+    fn tx(seq: u64, payload: Payload, sent: SimTime) -> ClientTx {
+        ClientTx::single(TxId::new(ClientId(0), seq), ThreadId(0), payload, sent)
     }
 
     fn no_spike() -> DiemConfig {
@@ -282,7 +279,7 @@ mod tests {
     #[test]
     fn commits_and_notifies() {
         let mut d = Diem::new(no_spike(), 1);
-        d.submit(SimTime::ZERO, tx(1, Payload::DoNothing));
+        d.submit(SimTime::ZERO, tx(1, Payload::DoNothing, SimTime::ZERO));
         let outcomes = d.run_until(SimTime::from_secs(10));
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].is_committed());
@@ -294,7 +291,7 @@ mod tests {
         cfg.max_block_size = 10;
         let mut d = Diem::new(cfg, 2);
         for s in 0..35 {
-            d.submit(SimTime::ZERO, tx(s, Payload::DoNothing));
+            d.submit(SimTime::ZERO, tx(s, Payload::DoNothing, SimTime::ZERO));
         }
         let outcomes = d.run_until(SimTime::from_secs(60));
         assert_eq!(outcomes.iter().filter(|o| o.is_committed()).count(), 35);
@@ -307,7 +304,7 @@ mod tests {
         let mut rejected = 0;
         for s in 0..MEMPOOL_LIMIT as u64 + 30 {
             if !d
-                .submit(SimTime::ZERO, tx(s, Payload::DoNothing))
+                .submit(SimTime::ZERO, tx(s, Payload::DoNothing, SimTime::ZERO))
                 .is_accepted()
             {
                 rejected += 1;
@@ -332,11 +329,11 @@ mod tests {
             for i in 0..1200u64 {
                 let at = SimTime::from_millis(i * 20);
                 outcomes.extend(d.run_until(at));
-                d.submit(at, tx(i, Payload::DoNothing));
+                d.submit(at, tx(i, Payload::DoNothing, at));
             }
-            // The test transactions are stamped at time zero, so a horizon
-            // inside the 30 s expiration keeps every one of them unexpired:
-            // spiking alone makes the difference.
+            // Each transaction is stamped when it is sent, and the horizon
+            // ends 26 s after the first send, inside the 30 s expiration,
+            // so none expires: spiking alone makes the difference.
             outcomes.extend(d.run_until(SimTime::from_secs(26)));
             assert_eq!(d.expired(), 0);
             outcomes.len()
@@ -359,7 +356,10 @@ mod tests {
     #[test]
     fn execution_failures_are_reported() {
         let mut d = Diem::new(no_spike(), 6);
-        d.submit(SimTime::ZERO, tx(1, Payload::key_value_get(404)));
+        d.submit(
+            SimTime::ZERO,
+            tx(1, Payload::key_value_get(404), SimTime::ZERO),
+        );
         let outcomes = d.run_until(SimTime::from_secs(10));
         assert_eq!(outcomes.len(), 1);
         assert!(!outcomes[0].is_committed());
@@ -374,7 +374,7 @@ mod tests {
         for i in 0..2000u64 {
             let at = SimTime::from_micros(i * 500);
             outcomes.extend(d.run_until(at));
-            d.submit(at, tx(i, Payload::DoNothing));
+            d.submit(at, tx(i, Payload::DoNothing, at));
         }
         outcomes.extend(d.run_until(SimTime::from_secs(5)));
         assert!(
@@ -389,7 +389,10 @@ mod tests {
         let run = |seed| {
             let mut d = Diem::new(DiemConfig::default(), seed);
             for s in 0..20 {
-                d.submit(SimTime::ZERO, tx(s, Payload::key_value_set(s, s)));
+                d.submit(
+                    SimTime::ZERO,
+                    tx(s, Payload::key_value_set(s, s), SimTime::ZERO),
+                );
             }
             d.run_until(SimTime::from_secs(30))
                 .iter()

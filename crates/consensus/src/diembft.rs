@@ -31,10 +31,8 @@
 //! [`ByzantineBehaviour`]: coconut_simnet::ByzantineBehaviour
 //! [`SafetyMonitor`]: crate::SafetyMonitor
 
-use std::collections::{HashMap, HashSet};
-
 use coconut_simnet::NetSim;
-use coconut_types::{Hasher64, NodeId, SimDuration, SimTime};
+use coconut_types::{Hasher64, MixMap, MixSet, NodeId, SimDuration, SimTime};
 
 use crate::safety::VotePhase;
 use crate::shell::{Bft, Builder, Protocol, Shell};
@@ -53,7 +51,6 @@ const PROC_PER_COMMAND: SimDuration = SimDuration::from_micros(8);
 
 /// Messages; public only to the engine shell.
 mod wire {
-    use crate::Command;
     use coconut_types::NodeId;
 
     /// DiemBFT protocol messages and pacemaker timers.
@@ -67,12 +64,12 @@ mod wire {
         RoundTimeout {
             round: u64,
         },
+        /// A block of the cluster's block store, by digest; `commands`
+        /// sets the receiver's processing cost.
         Proposal {
             round: u64,
             digest: u64,
-            parent: u64,
-            parent_round: u64,
-            batch: Vec<Command>,
+            commands: u64,
         },
         Vote {
             epoch: u64,
@@ -88,7 +85,8 @@ mod wire {
     }
 }
 
-/// A proposed block as tracked in the (global, for emission) block store.
+/// A proposed block as tracked in the (global, for emission) block store,
+/// which holds the only copy of its batch.
 #[derive(Debug, Clone)]
 struct BlockInfo {
     round: u64,
@@ -109,22 +107,24 @@ struct DiemNode {
 pub struct DiemBft {
     nodes: Vec<DiemNode>,
     /// digest → block (proposals are broadcast; this is the union store).
-    blocks: HashMap<u64, BlockInfo>,
+    /// Every proposed digest is stored before it is sent, and no block is
+    /// ever removed.
+    blocks: MixMap<u64, BlockInfo>,
     /// (round, digest) → vote count at the aggregating leader.
-    votes: HashMap<(u64, u64), u32>,
+    votes: MixMap<(u64, u64), u32>,
     /// digest → round, for certified blocks.
-    qcs: HashMap<u64, u64>,
+    qcs: MixMap<u64, u64>,
     /// Highest formed QC as (round, digest).
     highest_qc: (u64, u64),
-    timeout_votes: HashMap<u64, u32>,
-    committed_digests: HashSet<u64>,
+    timeout_votes: MixMap<u64, u32>,
+    committed_digests: MixSet<u64>,
     /// Digests of certified, uncommitted blocks with a non-empty batch —
     /// the blocks that still need a child QC. Kept in step with `qcs`,
     /// `committed_digests` and `blocks` by [`Shell::refresh_work`] so
     /// [`Shell::has_work`] never scans `qcs`, which is never pruned.
-    uncommitted_work: HashSet<u64>,
+    uncommitted_work: MixSet<u64>,
     last_committed_round: u64,
-    proposed_rounds: HashSet<u64>,
+    proposed_rounds: MixSet<u64>,
     bft: Bft,
 }
 
@@ -179,15 +179,15 @@ impl Protocol for DiemBft {
                     highest_voted: 0,
                 })
                 .collect(),
-            blocks: HashMap::from([(0, genesis)]),
-            votes: HashMap::new(),
-            qcs: HashMap::from([(0, 0)]),
+            blocks: MixMap::from_iter([(0, genesis)]),
+            votes: MixMap::default(),
+            qcs: MixMap::from_iter([(0, 0)]),
             highest_qc: (0, 0),
-            timeout_votes: HashMap::new(),
-            committed_digests: HashSet::new(),
-            uncommitted_work: HashSet::new(),
+            timeout_votes: MixMap::default(),
+            committed_digests: MixSet::default(),
+            uncommitted_work: MixSet::default(),
             last_committed_round: 0,
-            proposed_rounds: HashSet::new(),
+            proposed_rounds: MixSet::default(),
             bft: Bft::new(b),
         }
     }
@@ -204,10 +204,8 @@ impl Protocol for DiemBft {
             DiemMsg::Proposal {
                 round,
                 digest,
-                parent,
-                parent_round,
-                batch,
-            } => s.on_proposal(me, at, round, digest, parent, parent_round, batch),
+                commands,
+            } => s.on_proposal(me, at, round, digest, commands),
             DiemMsg::Vote {
                 epoch,
                 round,
@@ -411,43 +409,50 @@ impl Shell<DiemBft> {
     /// certificate: it extends the highest QC at a non-contiguous round (so
     /// it cannot immediately commit its parent — matching the protocol's
     /// safety rule) under its own digest salt, and never equivocates.
+    ///
+    /// The batch moves into the block store; peers receive its digest and
+    /// command count, and the wire size still counts every command.
     fn propose(&mut self, me: NodeId, round: u64, skip: bool) {
         let take = self.pending.len().min(self.batch.max_commands);
         let batch: Vec<Command> = self.pending.drain(..take).collect();
+        let commands = batch.len() as u64;
+        let bytes = 96 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
         let parent = self.p.highest_qc.1;
         let parent_round = self.p.blocks.get(&parent).map_or(0, |b| b.round);
-        let block = |batch: &[Command]| BlockInfo {
+        let digest = block_digest(if skip { round ^ 0xDEAD } else { round }, parent, &batch);
+        let now = self.net.now();
+        // Equivocation: a second block for the same round over the same
+        // commands, under a salted digest.
+        let alt =
+            (!skip && self.p.bft.byz[me.0 as usize].equivocates(now) && self.p.nodes.len() >= 3)
+                .then(|| block_digest(round ^ 0xB12A_57DE, parent, &batch));
+        let block = |batch| BlockInfo {
             round,
             parent,
             parent_round,
-            batch: batch.to_vec(),
+            batch,
             proposer: me,
         };
-        let digest = block_digest(if skip { round ^ 0xDEAD } else { round }, parent, &batch);
         self.p.proposed_rounds.insert(round);
-        self.p.blocks.insert(digest, block(&batch));
+        if let Some(alt) = alt {
+            self.p.blocks.insert(alt, block(batch.clone()));
+            self.refresh_work(alt);
+        }
+        self.p.blocks.insert(digest, block(batch));
         self.refresh_work(digest);
         self.p.bft.monitor.observe_proposal(0, round, me, digest);
-        let bytes = 96 + batch.iter().map(|c| c.bytes as usize).sum::<usize>();
-        let cost = PROC_PER_MSG + PROC_PER_COMMAND * batch.len() as u64;
-        let now = self.net.now();
+        let cost = PROC_PER_MSG + PROC_PER_COMMAND * commands;
         let extra = self.cpu.process(me, now, cost) - now;
         let proposal = |digest| DiemMsg::Proposal {
             round,
             digest,
-            parent,
-            parent_round,
-            batch: batch.clone(),
+            commands,
         };
-        if !skip && self.p.bft.byz[me.0 as usize].equivocates(now) && self.p.nodes.len() >= 3 {
-            // Equivocation: a second block for the same round over the same
-            // commands, under a salted digest. Fellow Byzantine validators
-            // receive both versions, honest validators are split between
-            // them, and the leader votes for both — with at most `f`
-            // colluders the minority block falls short of a QC.
-            let alt = block_digest(round ^ 0xB12A_57DE, parent, &batch);
-            self.p.blocks.insert(alt, block(&batch));
-            self.refresh_work(alt);
+        if let Some(alt) = alt {
+            // Fellow Byzantine validators receive both versions, honest
+            // validators are split between them, and the leader votes for
+            // both — with at most `f` colluders the minority block falls
+            // short of a QC.
             self.p.bft.monitor.observe_proposal(0, round, me, alt);
             let mut honest_idx = 0usize;
             for i in 0..self.p.nodes.len() {
@@ -483,28 +488,13 @@ impl Shell<DiemBft> {
             .timer(me, ROUND_TIMEOUT, DiemMsg::RoundTimeout { round });
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn on_proposal(
-        &mut self,
-        me: NodeId,
-        at: SimTime,
-        round: u64,
-        digest: u64,
-        parent: u64,
-        parent_round: u64,
-        batch: Vec<Command>,
-    ) {
-        let cost = PROC_PER_MSG + PROC_PER_COMMAND * batch.len() as u64;
+    fn on_proposal(&mut self, me: NodeId, at: SimTime, round: u64, digest: u64, commands: u64) {
+        let cost = PROC_PER_MSG + PROC_PER_COMMAND * commands;
         let _ = self.cpu.process(me, at, cost);
-        let proposer = self.leader_of(round);
-        self.p.blocks.entry(digest).or_insert(BlockInfo {
-            round,
-            parent,
-            parent_round,
-            batch,
-            proposer,
-        });
-        self.refresh_work(digest);
+        assert!(
+            self.p.blocks.contains_key(&digest),
+            "proposal {digest:#x} for round {round} is not in the block store"
+        );
         // A double-voting validator answers a conflicting proposal for the
         // round it just voted in with a second vote, violating the
         // vote-once safety rule.
@@ -603,7 +593,7 @@ impl Shell<DiemBft> {
         let now = self.net.now();
         let p = &mut self.p;
         for digest in chain.into_iter().rev() {
-            let info = &p.blocks[&digest];
+            let info = p.blocks.get_mut(&digest).expect("an ancestor is stored");
             if info.round <= p.last_committed_round {
                 continue;
             }
@@ -617,9 +607,11 @@ impl Shell<DiemBft> {
                 .monitor
                 .observe_epoch_commit(self.membership.epoch(), info.round, digest);
             p.bft.finalize(&info.batch);
+            // A committed block is certified, so its round is at most the
+            // highest QC's and no reclaim reads its batch again.
             if !info.batch.is_empty() {
                 self.committed.push(CommittedBatch {
-                    commands: info.batch.clone(),
+                    commands: std::mem::take(&mut info.batch),
                     proposer: info.proposer,
                     round: info.round,
                     committed_at: now,
@@ -687,7 +679,7 @@ mod tests {
     impl DiemBftCluster {
         /// The full `qcs` scan `has_work` used to make: certified,
         /// uncommitted, non-genesis blocks with a non-empty batch.
-        fn uncommitted_work_by_scan(&self) -> HashSet<u64> {
+        fn uncommitted_work_by_scan(&self) -> MixSet<u64> {
             self.p
                 .qcs
                 .keys()

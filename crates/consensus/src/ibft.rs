@@ -18,9 +18,7 @@
 //!
 //! [`three_phase`]: crate::three_phase
 
-use std::collections::HashMap;
-
-use coconut_types::{Hasher64, NodeId, SimDuration};
+use coconut_types::{Hasher64, MixMap, NodeId, SimDuration};
 
 use crate::three_phase::{Builder, Cluster, Msg, Node, Policy, CHANGE_BYTES, PROC_PER_MSG};
 use crate::Command;
@@ -33,9 +31,9 @@ pub struct Ibft;
 #[derive(Debug, Default)]
 pub struct RoundChange {
     /// Round-change votes received, per (height, round).
-    votes: HashMap<(u64, u64), u32>,
+    votes: MixMap<(u64, u64), u32>,
     /// Highest round this validator has voted to move to, per height.
-    voted: HashMap<u64, u64>,
+    voted: MixMap<u64, u64>,
 }
 
 /// Configuration for an [`IbftCluster`]; build with [`Cluster::builder`].

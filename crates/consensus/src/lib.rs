@@ -250,6 +250,8 @@ pub fn majority_quorum(n: u32) -> u32 {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Membership {
     active: Vec<bool>,
+    /// How many of `active` are set, kept in step by `join` and `leave`.
+    count: u32,
     epoch: u64,
 }
 
@@ -265,7 +267,11 @@ impl Membership {
         assert!(baseline > 0, "membership needs at least one active node");
         let mut active = vec![true; baseline as usize];
         active.resize((baseline + standby) as usize, false);
-        Membership { active, epoch: 0 }
+        Membership {
+            active,
+            count: baseline,
+            epoch: 0,
+        }
     }
 
     /// Total provisioned node ids (active or not).
@@ -275,7 +281,7 @@ impl Membership {
 
     /// Current active-member count — the `n` quorum arithmetic runs on.
     pub fn active_count(&self) -> u32 {
-        self.active.iter().filter(|&&a| a).count() as u32
+        self.count
     }
 
     /// `true` when `node` is provisioned and currently active.
@@ -296,6 +302,7 @@ impl Membership {
         match self.active.get_mut(node.0 as usize) {
             Some(a) if !*a => {
                 *a = true;
+                self.count += 1;
                 self.epoch += 1;
                 true
             }
@@ -307,10 +314,11 @@ impl Membership {
     /// (no epoch change) when `node` is not active or is the last active
     /// member — an empty membership cannot run consensus.
     pub fn leave(&mut self, node: NodeId) -> bool {
-        if !self.is_active(node) || self.active_count() <= 1 {
+        if !self.is_active(node) || self.count <= 1 {
             return false;
         }
         self.active[node.0 as usize] = false;
+        self.count -= 1;
         self.epoch += 1;
         true
     }
@@ -335,8 +343,15 @@ impl Membership {
     /// Panics if no node is active (construction and [`Membership::leave`]
     /// make that unreachable).
     pub fn select(&self, index: u64) -> NodeId {
-        let nodes = self.active_nodes();
-        nodes[(index % nodes.len() as u64) as usize]
+        let k = (index % u64::from(self.count)) as usize;
+        let (id, _) = self
+            .active
+            .iter()
+            .enumerate()
+            .filter(|(_, &a)| a)
+            .nth(k)
+            .expect("the active count matches the active flags");
+        NodeId(id as u32)
     }
 }
 
@@ -493,6 +508,40 @@ mod tests {
         assert_eq!(m.select(1), NodeId(2));
         assert_eq!(m.select(3), NodeId(5));
         assert_eq!(m.select(7), NodeId(5));
+    }
+
+    /// `select` without its `Vec`: over a seeded walk of joins and leaves
+    /// (node 0 leaving and standby nodes admitted among them) it always
+    /// picks `active_nodes()[i % n]`.
+    #[test]
+    fn select_matches_the_active_list_through_churn() {
+        let mut rng = coconut_types::SimRng::seed_from_u64(17);
+        let mut m = Membership::new(5, 3);
+        let check = |m: &Membership| {
+            let nodes = m.active_nodes();
+            assert_eq!(m.active_count() as usize, nodes.len());
+            for i in 0..64u64 {
+                assert_eq!(m.select(i), nodes[(i % nodes.len() as u64) as usize]);
+            }
+        };
+        check(&m);
+        assert!(m.leave(NodeId(0)));
+        check(&m);
+        assert!(m.join(NodeId(6)));
+        check(&m);
+        let mut changes = 0;
+        for _ in 0..200 {
+            let node = NodeId(rng.gen_range_inclusive(0, 7) as u32);
+            let changed = if rng.gen_range_inclusive(0, 1) == 0 {
+                m.join(node)
+            } else {
+                m.leave(node)
+            };
+            changes += u64::from(changed);
+            check(&m);
+        }
+        assert_eq!(m.epoch(), 2 + changes);
+        assert!(changes > 50, "the walk must churn: {changes}");
     }
 
     /// Majority quorums: any two always intersect, for every n.

@@ -22,9 +22,7 @@
 //!
 //! [`three_phase`]: crate::three_phase
 
-use std::collections::HashMap;
-
-use coconut_types::{Hasher64, NodeId, SimDuration};
+use coconut_types::{Hasher64, MixMap, NodeId, SimDuration};
 
 use crate::three_phase::{Builder, Cluster, Msg, Node, Policy, CHANGE_BYTES, PROC_PER_MSG};
 use crate::Command;
@@ -37,7 +35,7 @@ pub struct Pbft;
 #[derive(Debug, Default)]
 pub struct ViewChange {
     /// View-change votes received, per target view.
-    votes: HashMap<u64, u32>,
+    votes: MixMap<u64, u32>,
     /// Highest view this node has voted to move to.
     voted: u64,
 }

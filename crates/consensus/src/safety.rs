@@ -21,19 +21,22 @@
 //!
 //! The monitor distinguishes *observations* (Byzantine behaviour seen on
 //! the wire — expected whenever a fault campaign flags nodes) from
-//! *violations* (safety actually lost — expected only beyond f). All state
-//! is kept in ordered maps (`BTreeMap`, `BTreeSet`, and an ordered set that
-//! stores its first element inline) so reports are deterministic for a
-//! deterministic message schedule.
+//! *violations* (safety actually lost — expected only beyond f). A report
+//! is counters and the number of flagged nodes, and the monitor never
+//! iterates its maps, so reports are deterministic for a deterministic
+//! message schedule whatever order its state is stored in. Proposals,
+//! votes and tallies are kept per `(epoch, slot)` as one short list of
+//! distinct records, so an observation costs one map lookup and a scan of
+//! the records of its own slot.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use coconut_simnet::ByzantineBehaviour;
-use coconut_types::{NodeId, SimTime};
+use coconut_types::{MixMap, NodeId, SimTime};
 
 /// An ordered set that holds its first element inline and spills to a
-/// sorted `Vec` only on the second. Nearly every key the monitor tracks
-/// sees one digest or one voter, and the rest see a handful, so this spares
+/// sorted `Vec` only on the second. Nearly every slot sees one certified
+/// and one committed digest, and the rest see a handful, so this spares
 /// each entry the tree node a `BTreeSet` would allocate.
 #[derive(Debug, Clone, Default)]
 enum InlineSet<T> {
@@ -63,14 +66,51 @@ impl<T: Ord + Copy> InlineSet<T> {
     fn is_empty(&self) -> bool {
         matches!(self, InlineSet::Empty)
     }
+}
 
-    fn len(&self) -> usize {
-        match self {
-            InlineSet::Empty => 0,
-            InlineSet::One(_) => 1,
-            InlineSet::Many(set) => set.len(),
-        }
+/// What a [`Record`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    /// `node` proposed `digest`.
+    Proposal,
+    /// `node` cast a vote of this phase for `digest`.
+    Vote(VotePhase),
+    /// `node` counted the `voters` of this phase for `digest`.
+    Tally(VotePhase),
+}
+
+/// One distinct observation at an `(epoch, slot)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Record {
+    kind: Kind,
+    /// A tally's voters are ids `64 * word + i` for each bit `i` of
+    /// `voters`. A 16-bit word keeps a record at three words and covers
+    /// ids below 2^22.
+    word: u16,
+    node: NodeId,
+    digest: u64,
+    voters: u64,
+}
+
+/// Adds the record that `node` did `kind` for `digest` unless it is there
+/// already. `true` when it is new and `node` had done `kind` for another
+/// digest: an equivocation or a double vote.
+fn conflicts(records: &mut Vec<Record>, kind: Kind, node: NodeId, digest: u64) -> bool {
+    let (mut seen, mut other) = (false, false);
+    for r in records.iter().filter(|r| r.kind == kind && r.node == node) {
+        seen |= r.digest == digest;
+        other |= r.digest != digest;
     }
+    if !seen {
+        records.push(Record {
+            kind,
+            word: 0,
+            node,
+            digest,
+            voters: 0,
+        });
+    }
+    !seen && other
 }
 
 /// Which voting phase a vote belongs to; phases never mix in the counts.
@@ -159,14 +199,11 @@ pub struct SafetyMonitor {
     /// Joiners whose catch-up/state transfer has started but not finished.
     /// Any vote by such a node is a `presync_votes` violation.
     syncing: BTreeSet<NodeId>,
-    /// (epoch, slot, proposer) → digests proposed.
-    proposals: BTreeMap<(u64, u64, NodeId), InlineSet<u64>>,
-    /// (phase, epoch, slot, voter) → digests voted for (global view,
-    /// feeds double-vote detection).
-    voter_digests: BTreeMap<(VotePhase, u64, u64, NodeId), InlineSet<u64>>,
-    /// (observer, phase, epoch, slot, digest) → distinct voters the
-    /// observer has seen (feeds the quorum-size check).
-    tallies: BTreeMap<(NodeId, VotePhase, u64, u64, u64), InlineSet<NodeId>>,
+    /// (epoch, slot) → its distinct records: each proposer's digests
+    /// (equivocation), each voter's digests per phase (double votes, a
+    /// global view), and each observer's voters per phase and digest (the
+    /// quorum-size check).
+    slots: MixMap<(u64, u64), Vec<Record>>,
     /// slot → digests certified by some quorum.
     certificates: BTreeMap<u64, InlineSet<u64>>,
     /// slot → digests committed by some node.
@@ -187,9 +224,7 @@ impl SafetyMonitor {
             config_epoch: 0,
             reconfigurations: 0,
             syncing: BTreeSet::new(),
-            proposals: BTreeMap::new(),
-            voter_digests: BTreeMap::new(),
-            tallies: BTreeMap::new(),
+            slots: MixMap::default(),
             certificates: BTreeMap::new(),
             commits: BTreeMap::new(),
             flagged: BTreeSet::new(),
@@ -257,12 +292,10 @@ impl SafetyMonitor {
     /// Records that `proposer` proposed `digest` for `(epoch, slot)`. A
     /// second distinct digest for the same key is an equivocation.
     pub fn observe_proposal(&mut self, epoch: u64, slot: u64, proposer: NodeId, digest: u64) {
-        let digests = self.proposals.entry((epoch, slot, proposer)).or_default();
-        if !digests.is_empty() && digests.insert(digest) {
+        let records = self.slots.entry((epoch, slot)).or_default();
+        if conflicts(records, Kind::Proposal, proposer, digest) {
             self.equivocating_proposals += 1;
             self.flagged.insert(proposer);
-        } else {
-            digests.insert(digest);
         }
     }
 
@@ -282,20 +315,27 @@ impl SafetyMonitor {
         if self.syncing.contains(&voter) {
             self.violations.presync_votes += 1;
         }
-        let digests = self
-            .voter_digests
-            .entry((phase, epoch, slot, voter))
-            .or_default();
-        if !digests.is_empty() && digests.insert(digest) {
+        let records = self.slots.entry((epoch, slot)).or_default();
+        if conflicts(records, Kind::Vote(phase), voter, digest) {
             self.double_votes += 1;
             self.flagged.insert(voter);
-        } else {
-            digests.insert(digest);
         }
-        self.tallies
-            .entry((observer, phase, epoch, slot, digest))
-            .or_default()
-            .insert(voter);
+        let word = u16::try_from(voter.0 / 64).expect("voter ids are below 2^22");
+        let bit = 1u64 << (voter.0 % 64);
+        let kind = Kind::Tally(phase);
+        match records
+            .iter_mut()
+            .find(|r| (r.kind, r.node, r.word, r.digest) == (kind, observer, word, digest))
+        {
+            Some(r) => r.voters |= bit,
+            None => records.push(Record {
+                kind,
+                word,
+                node: observer,
+                digest,
+                voters: bit,
+            }),
+        }
     }
 
     /// Records that `observer` acted on a full `phase` quorum for `digest`
@@ -310,10 +350,13 @@ impl SafetyMonitor {
         slot: u64,
         digest: u64,
     ) {
-        let distinct = self
-            .tallies
-            .get(&(observer, phase, epoch, slot, digest))
-            .map_or(0, |voters| voters.len() as u32);
+        let distinct: u32 = self.slots.get(&(epoch, slot)).map_or(0, |records| {
+            records
+                .iter()
+                .filter(|r| (r.kind, r.node, r.digest) == (Kind::Tally(phase), observer, digest))
+                .map(|r| r.voters.count_ones())
+                .sum()
+        });
         if distinct < self.quorum {
             self.violations.undersized_quorums += 1;
         }
@@ -397,6 +440,16 @@ mod tests {
 
     const Q: u32 = 3; // n = 4, f = 1
 
+    impl<T> InlineSet<T> {
+        fn len(&self) -> usize {
+            match self {
+                InlineSet::Empty => 0,
+                InlineSet::One(_) => 1,
+                InlineSet::Many(set) => set.len(),
+            }
+        }
+    }
+
     #[test]
     fn clean_run_reports_clean() {
         let mut m = SafetyMonitor::new(Q);
@@ -454,6 +507,19 @@ mod tests {
     }
 
     #[test]
+    fn tallies_count_voters_across_id_words() {
+        let mut m = SafetyMonitor::new(Q);
+        for voter in [1, 64, 130, 64, 1] {
+            m.observe_vote(NodeId(0), VotePhase::Vote, 0, 2, 0xAA, NodeId(voter));
+        }
+        m.observe_quorum(NodeId(0), VotePhase::Vote, 0, 2, 0xAA);
+        assert!(m.report().violations.is_clean(), "three distinct voters");
+        m.begin_epoch(1, 4);
+        m.observe_quorum(NodeId(0), VotePhase::Vote, 0, 2, 0xAA);
+        assert_eq!(m.report().violations.undersized_quorums, 1);
+    }
+
+    #[test]
     fn conflicting_commits_and_certificates_are_violations() {
         let mut m = SafetyMonitor::new(Q);
         m.observe_certificate(4, 0xAA);
@@ -504,6 +570,89 @@ mod tests {
         m.observe_vote(NodeId(1), VotePhase::Commit, 0, 9, 0xAA, NodeId(0));
         m.observe_quorum(NodeId(1), VotePhase::Commit, 0, 9, 0xAA);
         assert_eq!(m.report().violations.undersized_quorums, 0);
+    }
+
+    /// One interleaved stream over two view epochs, out-of-order slots and
+    /// every kind of observation pins the whole report: each counter keeps
+    /// its meaning whatever layout the monitor stores its records in.
+    #[test]
+    fn interleaved_stream_pins_the_exact_report() {
+        use VotePhase::{Commit, Prepare};
+        let mut m = SafetyMonitor::new(Q);
+        let [a, b, c, d, joiner] = [0, 1, 2, 3, 4].map(NodeId);
+        m.observe_sync_start(joiner);
+        // Epoch 0: slot 5 opens before slot 3, and `a` equivocates at 5.
+        m.observe_proposal(0, 5, a, 0x50);
+        m.observe_proposal(0, 3, a, 0x30);
+        m.observe_proposal(0, 5, a, 0x51); // equivocation 1
+        m.observe_proposal(0, 5, a, 0x51); // repeat: not counted again
+        m.observe_proposal(0, 5, b, 0x51); // another proposer: not `a`'s
+        for voter in [a, b, c] {
+            m.observe_vote(d, Prepare, 0, 5, 0x50, voter);
+        }
+        m.observe_vote(d, Prepare, 0, 5, 0x51, b); // double vote 1 (prepare)
+        m.observe_vote(c, Prepare, 0, 5, 0x51, b); // same pair, new observer
+        m.observe_vote(d, Commit, 0, 5, 0x50, b); // other phase: clean
+        m.observe_vote(d, Prepare, 0, 3, 0x30, a);
+        m.observe_quorum(d, Prepare, 0, 5, 0x50); // three distinct voters
+        m.observe_quorum(d, Prepare, 0, 5, 0x51); // one voter: undersized 1
+        m.observe_quorum(c, Prepare, 0, 5, 0x50); // no tally at c: undersized 2
+        m.observe_vote(joiner, Prepare, 0, 5, 0x50, joiner); // presync 1
+        m.observe_proposal(0, 5, a, 0x52); // third digest: equivocation 2
+                                           // Epoch 1 reuses slots 3 and 5; nothing carries over from epoch 0.
+        m.observe_proposal(1, 5, a, 0x55); // a's first proposal in epoch 1
+        m.observe_proposal(1, 3, b, 0x33);
+        m.observe_proposal(1, 3, b, 0x34); // equivocation 3
+        m.observe_vote(a, Prepare, 1, 5, 0x51, b); // epoch 0 vote does not pair
+        for voter in [a, c, c] {
+            m.observe_vote(d, Commit, 1, 3, 0x33, voter);
+        }
+        m.observe_quorum(d, Commit, 1, 3, 0x33); // c twice: undersized 3
+        m.observe_vote(d, Commit, 1, 3, 0x34, c); // double vote 2 (commit)
+        m.observe_vote(d, Commit, 1, 3, 0x35, c); // third digest: double vote 3
+        m.observe_vote(d, Commit, 1, 3, 0x33, d);
+        m.observe_quorum(d, Commit, 1, 3, 0x33); // a, c and d: fine
+                                                 // A late vote for the old epoch's slot 3 after epoch 1 opened.
+        m.observe_vote(d, Prepare, 0, 3, 0x31, a); // double vote 4
+        m.observe_vote(b, Prepare, 0, 3, 0x30, joiner); // presync 2
+        m.observe_sync_complete(joiner);
+        m.observe_vote(b, Prepare, 0, 3, 0x30, joiner); // synced: clean
+                                                        // Certificates and commits are keyed by slot alone.
+        m.observe_certificate(5, 0x50);
+        m.observe_certificate(3, 0x30);
+        m.observe_certificate(5, 0x50);
+        m.observe_certificate(3, 0x33); // conflicting certificate 1
+        m.observe_certificate(3, 0x34); // conflicting certificate 2
+        m.observe_commit(5, 0x50);
+        m.observe_epoch_commit(0, 3, 0x33);
+        m.observe_epoch_commit(0, 5, 0x51); // conflicting commit 1
+        m.begin_epoch(1, 3);
+        m.observe_epoch_commit(0, 7, 0x70); // stale epoch 1
+        m.observe_epoch_commit(1, 7, 0x70);
+        m.observe_vote(a, Commit, 1, 5, 0x55, a);
+        m.observe_quorum(a, Commit, 1, 5, 0x55); // undersized 4
+        assert_eq!(
+            m.report(),
+            SafetyReport {
+                violations: SafetyViolations {
+                    conflicting_commits: 1,
+                    conflicting_certificates: 2,
+                    undersized_quorums: 4,
+                    stale_epoch_commits: 1,
+                    presync_votes: 2,
+                },
+                observed: ByzantineObservations {
+                    equivocating_proposals: 3,
+                    double_votes: 4,
+                    byzantine_nodes: 3,
+                },
+            }
+        );
+    }
+
+    #[test]
+    fn records_stay_three_words() {
+        assert_eq!(std::mem::size_of::<Record>(), 24);
     }
 
     #[test]

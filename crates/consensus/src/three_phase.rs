@@ -36,11 +36,11 @@
 //! [`SafetyMonitor`]: crate::SafetyMonitor
 //! [`LivenessMonitor`]: crate::LivenessMonitor
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Debug;
 
 use coconut_simnet::NetSim;
-use coconut_types::{NodeId, SimDuration, SimTime};
+use coconut_types::{MixMap, NodeId, SimDuration, SimTime};
 
 use crate::safety::VotePhase;
 use crate::shell::{self, Bft, Protocol, Shell};
@@ -156,14 +156,14 @@ mod wire {
 pub(crate) struct Slot {
     pub(crate) digest: Option<u64>,
     pub(crate) batch: Option<Vec<Command>>,
-    prepares: HashMap<u64, u32>,
-    commits: HashMap<u64, u32>,
+    prepares: MixMap<u64, u32>,
+    commits: MixMap<u64, u32>,
     prepared: bool,
     pub(crate) committed: bool,
 }
 
 impl Slot {
-    fn tally(&mut self, phase: VotePhase) -> &mut HashMap<u64, u32> {
+    fn tally(&mut self, phase: VotePhase) -> &mut MixMap<u64, u32> {
         match phase {
             VotePhase::Prepare => &mut self.prepares,
             _ => &mut self.commits,
@@ -178,7 +178,7 @@ pub struct Node<C> {
     pub(crate) height: u64,
     /// Current view (IBFT: the round at `height`).
     pub(crate) view: u64,
-    pub(crate) slots: HashMap<(u64, u64), Slot>,
+    pub(crate) slots: MixMap<(u64, u64), Slot>,
     /// The policy's view/round-change state.
     pub(crate) change: C,
 }
@@ -218,10 +218,10 @@ pub struct Core<P: Policy> {
     pub(crate) timeout: SimDuration,
     /// (height, view) → nodes that reached local commit, for quorum
     /// detection.
-    commit_quorum_times: HashMap<(u64, u64), Vec<(NodeId, SimTime)>>,
+    commit_quorum_times: MixMap<(u64, u64), Vec<(NodeId, SimTime)>>,
     /// (height, view) → the conflicting sibling digest an equivocating
     /// leader broadcast alongside its real proposal.
-    equiv_sibling: HashMap<(u64, u64), u64>,
+    equiv_sibling: MixMap<(u64, u64), u64>,
     bft: Bft,
 }
 
@@ -250,15 +250,15 @@ impl<P: Policy> Protocol for Core<P> {
                 .map(|_| Node {
                     height: 0,
                     view: 0,
-                    slots: HashMap::new(),
+                    slots: MixMap::default(),
                     change: P::Change::default(),
                 })
                 .collect(),
             next_height: 0,
             period,
             timeout,
-            commit_quorum_times: HashMap::new(),
-            equiv_sibling: HashMap::new(),
+            commit_quorum_times: MixMap::default(),
+            equiv_sibling: MixMap::default(),
             bft: Bft::new(b),
         }
     }

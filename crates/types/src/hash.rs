@@ -8,7 +8,9 @@
 //! lanes with avalanche finalization (the SplitMix64 finalizer). This is a
 //! non-cryptographic hash and is documented as such.
 
+use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::BuildHasherDefault;
 
 /// A 256-bit digest used to link blocks and fingerprint transactions.
 ///
@@ -128,6 +130,52 @@ impl Default for Hasher64 {
     }
 }
 
+/// A [`std::hash::Hasher`] for in-memory maps keyed by integers: each word
+/// is folded into the state through the SplitMix64 finalizer. Unlike std's
+/// `RandomState` it is unseeded and far cheaper than SipHash on small
+/// integer keys; it is not meant to resist adversarial keys.
+///
+/// # Example
+///
+/// ```
+/// use coconut_types::hash::MixMap;
+///
+/// let mut rounds: MixMap<u64, u32> = MixMap::default();
+/// *rounds.entry(7).or_insert(0) += 1;
+/// assert_eq!(rounds[&7], 1);
+/// ```
+#[derive(Debug, Clone, Copy, Default)]
+pub struct MixHasher(u64);
+
+impl std::hash::Hasher for MixHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, v: u64) {
+        self.0 = mix64(self.0 ^ v);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of [`MixHasher`].
+pub type MixState = BuildHasherDefault<MixHasher>;
+
+/// A `HashMap` hashed with [`MixHasher`].
+pub type MixMap<K, V> = HashMap<K, V, MixState>;
+
+/// A `HashSet` hashed with [`MixHasher`].
+pub type MixSet<T> = HashSet<T, MixState>;
+
 /// Computes the digest of a block body chained onto its parent digest.
 ///
 /// Four independently keyed 64-bit lanes give a 256-bit result; each lane
@@ -204,6 +252,21 @@ mod tests {
         let mut b = Hasher64::new();
         b.write(b"hello world");
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn mix_hasher_spreads_keys_and_is_unseeded() {
+        use std::hash::{BuildHasher, Hasher};
+        let hash = |v: &(u64, u64)| MixState::default().hash_one(v);
+        assert_eq!(hash(&(1, 2)), hash(&(1, 2)), "no per-process seed");
+        assert_ne!(hash(&(1, 2)), hash(&(2, 1)), "word order matters");
+        let tops: HashSet<u64> = (0..1_000u64).map(|r| hash(&(0, r)) >> 57).collect();
+        assert_eq!(tops.len(), 128, "sequential keys reach every top-7-bit tag");
+        let mut bytes = MixHasher::default();
+        bytes.write(&7u64.to_le_bytes());
+        let mut word = MixHasher::default();
+        word.write_u64(7);
+        assert_eq!(bytes.finish(), word.finish());
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod time;
 pub mod tx;
 
 pub use block::{Block, BlockHeader};
-pub use hash::{chain_hash, Hash256, Hasher64};
+pub use hash::{chain_hash, Hash256, Hasher64, MixMap, MixSet};
 pub use id::{AccountId, BlockId, ClientId, NodeId, StateRef, ThreadId, TxId};
 pub use payload::{Payload, PayloadKind};
 pub use rng::SimRng;
