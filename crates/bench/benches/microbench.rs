@@ -51,6 +51,24 @@ fn main() {
         black_box(sum)
     });
 
+    // The in-order case the queue's sorted runs serve: four fixed-delay
+    // timer streams, each re-armed as its event pops, so every push is
+    // due no earlier than the last one of its stream.
+    group.bench_function("event_queue_timer_streams_1k", || {
+        const DELAYS_US: [u64; 4] = [10, 25, 60, 100];
+        let mut q = EventQueue::new();
+        for (stream, d) in DELAYS_US.iter().enumerate() {
+            q.push(SimTime::from_micros(*d), stream);
+        }
+        let mut sum = 0u64;
+        for _ in 0..1000 {
+            let (t, stream) = q.pop().expect("every stream stays armed");
+            sum += t.as_micros();
+            q.push(t + SimDuration::from_micros(DELAYS_US[stream]), stream);
+        }
+        black_box(sum)
+    });
+
     group.bench_function("netsim_send_deliver_1k", || {
         let mut net: NetSim<u64> = NetSim::new(Topology::paper_baseline(), NetConfig::lan(), 7);
         for i in 0..1000u64 {

@@ -18,12 +18,13 @@
 //! `coconut-core` safe.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use coconut_consensus::{Command, CpuModel};
 use coconut_simnet::{EventQueue, LatencyModel, NetConfig};
 use coconut_types::{
-    tx::FailReason, BlockId, ClientTx, NodeId, SeedDeriver, SimDuration, SimTime, TxId, TxOutcome,
+    tx::FailReason, BlockId, ClientTx, MixMap, NodeId, SeedDeriver, SimDuration, SimTime, TxId,
+    TxOutcome,
 };
 
 use crate::ledger::Ledger;
@@ -181,7 +182,7 @@ impl Default for PoolLimits {
 /// never alias a live entry.
 #[derive(Debug, Default)]
 pub struct Mempool {
-    txs: HashMap<TxId, ClientTx>,
+    txs: MixMap<TxId, ClientTx>,
     order: VecDeque<(SimTime, TxId)>,
 }
 

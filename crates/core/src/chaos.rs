@@ -27,12 +27,12 @@
 //! unprotected client.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use coconut_chains::BlockchainSystem;
 use coconut_consensus::{LivenessReport, SafetyReport};
 use coconut_simnet::{FaultEvent, FaultPlan, FaultScheduler};
-use coconut_types::{ClientTx, SeedDeriver, SimDuration, SimRng, SimTime, TxId, TxOutcome};
+use coconut_types::{ClientTx, MixMap, SeedDeriver, SimDuration, SimRng, SimTime, TxId, TxOutcome};
 
 use crate::client::ScheduledTx;
 use crate::runner::BenchmarkSpec;
@@ -577,7 +577,7 @@ struct Observed {
     /// Each original id the client has popped → its schedule position,
     /// entered at the first pop. Re-send ids are not stored: `harvest`
     /// decodes them back to their original.
-    positions: HashMap<TxId, usize>,
+    positions: MixMap<TxId, usize>,
     listen_end: SimTime,
     bucket_len: SimDuration,
     accounting: DeliveryAccounting,
@@ -725,7 +725,7 @@ pub fn run_chaos_with_schedule(
 
     let mut seen = Observed {
         tracks: vec![Track::default(); schedule.len()],
-        positions: HashMap::with_capacity(schedule.len()),
+        positions: MixMap::with_capacity_and_hasher(schedule.len(), Default::default()),
         listen_end,
         bucket_len,
         accounting: DeliveryAccounting {

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use coconut_types::{AccountId, Payload};
+use coconut_types::{AccountId, MixMap, Payload};
 
 /// A key into the world state: either a KeyValue-IEL key or one of a
 /// banking account's two balances.
@@ -84,8 +84,8 @@ pub struct ExecEffect {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WorldState {
-    values: HashMap<StateKey, u64>,
-    versions: HashMap<StateKey, u64>,
+    values: MixMap<StateKey, u64>,
+    versions: MixMap<StateKey, u64>,
     applied: u64,
     failed: u64,
 }
@@ -639,6 +639,39 @@ mod tests {
             }
             assert_eq!(s.get(&StateKey::Kv(1)), values.last().copied());
             assert_eq!(s.version(&StateKey::Kv(1)), values.len() as u64);
+        }
+    }
+
+    #[test]
+    fn ledger_state_is_independent_of_write_order() {
+        // The world state's maps are unseeded hash maps; a snapshot must
+        // not leak their iteration order, whatever order filled them.
+        let mut gen = coconut_types::SimRng::seed_from_u64(23);
+        for case in 0..16 {
+            let n = gen.gen_range_inclusive(1, 600);
+            let mut writes: Vec<(StateKey, u64)> = (0..n)
+                .flat_map(|i| {
+                    let a = AccountId(i * 7 + 1);
+                    [
+                        (StateKey::Checking(a), i),
+                        (StateKey::Saving(a), i + 1),
+                        (StateKey::Kv(i * 13), i + 2),
+                    ]
+                })
+                .collect();
+            let mut first = WorldState::new();
+            for &(k, v) in &writes {
+                first.raw_write(k, v);
+            }
+            gen.shuffle(&mut writes);
+            let mut second = WorldState::new();
+            for &(k, v) in &writes {
+                second.raw_write(k, v);
+            }
+            let snap = LedgerState::of_world(&first);
+            assert_eq!(snap, LedgerState::of_world(&second), "case {case}");
+            assert_eq!(snap.accounts().len() as u64, n, "case {case}");
+            assert_eq!(snap.kv_count() as u64, n, "case {case}");
         }
     }
 }

@@ -5,7 +5,9 @@
 //! 1 Gbit/s LAN, and `netem` latency emulation) with a seeded
 //! discrete-event simulation:
 //!
-//! * [`EventQueue`] — a deterministic time/sequence-ordered priority queue;
+//! * [`EventQueue`] — a deterministic time/sequence-ordered priority queue:
+//!   a few sorted FIFO runs take in-order pushes, a binary heap the rest,
+//!   and pops come out in exactly one heap's order;
 //! * [`Sim`] — the simulation clock plus typed event scheduling;
 //! * [`LatencyModel`] — constant / uniform / normal (netem-equivalent) link
 //!   latency distributions;
