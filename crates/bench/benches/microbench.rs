@@ -3,18 +3,23 @@
 //! statistics. These quantify the cost per simulated event, which bounds
 //! how much virtual time a full experiment can cover per host second.
 
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
+
 use coconut::client::{build_schedule, Windows};
 use coconut::stats::Stats;
+use coconut::{run_chaos_with_schedule, BenchmarkSpec, ClientProtection, RetryPolicy, SystemKind};
 use coconut_bench::harness::{black_box, Group};
-use coconut_chains::IngressLoad;
+use coconut_chains::{BlockchainSystem, IngressLoad, SubmitOutcome, SystemStats};
 use coconut_consensus::diembft::DiemBftCluster;
 use coconut_consensus::ibft::IbftCluster;
 use coconut_consensus::pbft::PbftCluster;
 use coconut_consensus::raft::RaftCluster;
 use coconut_consensus::{BatchConfig, Command};
-use coconut_simnet::{EventQueue, LatencyModel, NetConfig, NetSim, Topology};
+use coconut_simnet::{EventQueue, FaultPlan, LatencyModel, NetConfig, NetSim, Topology};
 use coconut_types::{
-    chain_hash, ClientId, Hash256, NodeId, PayloadKind, SimDuration, SimRng, SimTime, TxId,
+    chain_hash, BlockId, ClientId, ClientTx, Hash256, NodeId, PayloadKind, SimDuration, SimRng,
+    SimTime, TxId, TxOutcome,
 };
 
 /// Runs `cluster` for `secs` simulated seconds, submitting 5 commands
@@ -68,6 +73,48 @@ fn main() {
         }
         black_box(sum)
     });
+
+    // Figure 4's netem: every delivery draws its own N(12 ms, 2 ms)
+    // delay, so pushes arrive out of time order. 256 messages stay in
+    // flight; each pop sends one more. The plain `(at, seq)` heap is the
+    // reference the queue's sorted runs must not lose to here.
+    {
+        const IN_FLIGHT: u64 = 256;
+        let model = LatencyModel::netem_paper();
+        let mut rng = SimRng::seed_from_u64(12);
+        let delays: Vec<SimDuration> = (0..IN_FLIGHT + 1000)
+            .map(|_| model.sample(&mut rng))
+            .collect();
+        group.bench_function("event_queue_netem_1k", || {
+            let mut q = EventQueue::new();
+            for (i, d) in delays[..IN_FLIGHT as usize].iter().enumerate() {
+                q.push(SimTime::ZERO + *d, i as u64);
+            }
+            let mut sum = 0u64;
+            for d in &delays[IN_FLIGHT as usize..] {
+                let (t, v) = q.pop().expect("the queue stays full");
+                sum += v;
+                q.push(t + *d, v);
+            }
+            black_box(sum)
+        });
+        group.bench_function("binary_heap_netem_1k", || {
+            let mut q = BinaryHeap::new();
+            let mut seq = 0u64;
+            for (i, d) in delays[..IN_FLIGHT as usize].iter().enumerate() {
+                q.push(Reverse((SimTime::ZERO + *d, seq, i as u64)));
+                seq += 1;
+            }
+            let mut sum = 0u64;
+            for d in &delays[IN_FLIGHT as usize..] {
+                let Reverse((t, _, v)) = q.pop().expect("the queue stays full");
+                sum += v;
+                q.push(Reverse((t + *d, seq, v)));
+                seq += 1;
+            }
+            black_box(sum)
+        });
+    }
 
     group.bench_function("netsim_send_deliver_1k", || {
         let mut net: NetSim<u64> = NetSim::new(Topology::paper_baseline(), NetConfig::lan(), 7);
@@ -148,6 +195,31 @@ fn main() {
         black_box(s.len())
     });
 
+    // The client loop alone, in `saturation`'s shape: 40 k sends over
+    // 10 s with the retry client against a system that sheds three sends
+    // in four as `Busy`, so tens of thousands of retries and timeouts
+    // wait in the client's agenda at once.
+    {
+        let windows = Windows {
+            send: SimDuration::from_secs(10),
+            listen: SimDuration::from_secs(18),
+        };
+        let spec = BenchmarkSpec::new(SystemKind::Fabric, PayloadKind::KeyValueSet)
+            .rate(4000.0)
+            .windows(windows)
+            .repetitions(1);
+        let schedule = build_schedule(PayloadKind::KeyValueSet, 4000.0, 1, windows, 3);
+        let (plan, policy) = (FaultPlan::new(), RetryPolicy::chaos_default());
+        let protection = ClientProtection::disabled();
+        group.bench_function("client_loop_busy_retries", || {
+            let mut sys = BusyStub::default();
+            let run =
+                run_chaos_with_schedule(&mut sys, &spec, &plan, &policy, &protection, &schedule, 5);
+            assert!(run.accounting.busy_responses > run.accounting.confirmed);
+            black_box(run.accounting.confirmed)
+        });
+    }
+
     {
         let samples: Vec<f64> = (0..1000).map(|i| (i % 97) as f64).collect();
         group.bench_function("stats_from_1k_samples", || {
@@ -161,4 +233,46 @@ fn main() {
 /// The trickle on a 4-node DiemBFT cluster.
 fn diem_trickle(secs: u64) -> usize {
     trickle!(DiemBftCluster::builder(4).seed(5).build(), secs)
+}
+
+/// A system with no chain behind it: it accepts every fourth send and
+/// commits it 1.5 s later, and sheds the rest as `Busy` with a 100 ms
+/// hold-off, so the client loop's own cost is all that is timed.
+#[derive(Default)]
+struct BusyStub {
+    sends: u64,
+    commits: VecDeque<(SimTime, TxOutcome)>,
+}
+
+impl BlockchainSystem for BusyStub {
+    fn name(&self) -> &str {
+        "busy-stub"
+    }
+
+    fn node_count(&self) -> u32 {
+        1
+    }
+
+    fn submit(&mut self, now: SimTime, tx: ClientTx) -> SubmitOutcome {
+        self.sends += 1;
+        if !self.sends.is_multiple_of(4) {
+            return SubmitOutcome::Busy {
+                retry_after: SimDuration::from_millis(100),
+            };
+        }
+        let at = now + SimDuration::from_millis(1500);
+        let ops = tx.op_count() as u32;
+        self.commits
+            .push_back((at, TxOutcome::committed(tx.id(), BlockId(0), at, ops)));
+        SubmitOutcome::Accepted
+    }
+
+    fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
+        let due = self.commits.partition_point(|(at, _)| *at <= deadline);
+        self.commits.drain(..due).map(|(_, o)| o).collect()
+    }
+
+    fn stats(&self) -> SystemStats {
+        SystemStats::default()
+    }
 }

@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 use std::fmt::Debug;
 
 use coconut_simnet::{ByzantineBehaviour, FaultEvent, NetConfig, NetSim, NetStats, Topology};
-use coconut_types::{NodeId, SimDuration, SimTime};
+use coconut_types::{MixSet, NodeId, SimDuration, SimTime};
 
 use crate::liveness::{LivenessMonitor, LivenessReport};
 use crate::safety::{ByzantineFlags, SafetyMonitor, SafetyReport};
@@ -424,7 +424,7 @@ pub struct Bft {
     stale_epoch_rejections: u64,
     /// Transactions already finalized, so a batch orphaned by a view,
     /// round or epoch change is never re-proposed after it committed.
-    committed_txs: BTreeSet<u64>,
+    committed_txs: MixSet<u64>,
 }
 
 impl Bft {
@@ -433,7 +433,7 @@ impl Bft {
             byz: vec![ByzantineFlags::default(); b.provisioned() as usize],
             monitor: SafetyMonitor::new(bft_quorum(b.nodes)),
             stale_epoch_rejections: 0,
-            committed_txs: BTreeSet::new(),
+            committed_txs: MixSet::default(),
         }
     }
 
@@ -451,7 +451,7 @@ impl Bft {
         pending: &[Command],
         cmds: impl IntoIterator<Item = Command>,
     ) -> Vec<Command> {
-        let mut seen: BTreeSet<u64> = pending.iter().map(|c| c.tx.as_u64()).collect();
+        let mut seen: MixSet<u64> = pending.iter().map(|c| c.tx.as_u64()).collect();
         cmds.into_iter()
             .filter(|c| !self.committed_txs.contains(&c.tx.as_u64()) && seen.insert(c.tx.as_u64()))
             .collect()

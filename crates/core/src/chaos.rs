@@ -32,7 +32,7 @@ use std::collections::BinaryHeap;
 use coconut_chains::BlockchainSystem;
 use coconut_consensus::{LivenessReport, SafetyReport};
 use coconut_simnet::{FaultEvent, FaultPlan, FaultScheduler};
-use coconut_types::{ClientTx, MixMap, SeedDeriver, SimDuration, SimRng, SimTime, TxId, TxOutcome};
+use coconut_types::{ClientId, MixMap, SeedDeriver, SimDuration, SimRng, SimTime, TxId, TxOutcome};
 
 use crate::client::ScheduledTx;
 use crate::runner::BenchmarkSpec;
@@ -475,7 +475,7 @@ impl ChaosRun {
 /// What a pending client action is. Faults are not queued here: the
 /// [`FaultScheduler`] is drained before each action, so a fault at `t`
 /// always precedes a submission at `t`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Action {
     /// Check a transaction's finalization timeout (may schedule a re-send).
     Timeout(TxId),
@@ -483,36 +483,84 @@ enum Action {
     Submit(TxId),
 }
 
-/// A pending action: `(at, action, insertion seq, schedule position)`.
-type Entry = (SimTime, Action, u64, usize);
+/// A pending action's sort key, four words compared lexicographically:
+/// `[at µs, tag << 32 | client, id seq, insertion seq << 32 | position]`,
+/// with tag 0 for a timeout and 1 for a submit. The order is time, then
+/// timeout before submit, then the original id as `(client, seq)`, then
+/// insertion order; the position never decides, because insertion seqs
+/// are unique.
+type Key = [u64; 4];
+
+/// The low half of a key's last word: the schedule position.
+const POSITION_MASK: u64 = (1 << 32) - 1;
+
+fn key(at: SimTime, action: Action, seq: u64, i: usize) -> Key {
+    let (tag, id) = match action {
+        Action::Timeout(id) => (0, id),
+        Action::Submit(id) => (1, id),
+    };
+    [
+        at.as_micros(),
+        tag << 32 | u64::from(id.client().0),
+        id.seq(),
+        seq << 32 | i as u64,
+    ]
+}
+
+/// Splits a key back into `(at, action, position)`.
+fn decode(k: Key) -> (SimTime, Action, usize) {
+    let id = TxId::new(ClientId(k[1] as u32), k[2]);
+    let action = if k[1] >> 32 == 0 {
+        Action::Timeout(id)
+    } else {
+        Action::Submit(id)
+    };
+    let i = (k[3] & POSITION_MASK) as usize;
+    (SimTime::from_micros(k[0]), action, i)
+}
 
 /// The client's timed actions: a cursor over the sorted schedule, merged
-/// with a heap that holds only re-queued actions (retries, finalization
-/// timeouts and breaker deferrals). Ties resolve timeout < submit,
-/// then by the original id, then by insertion order. Schedule position
-/// `i` counts as inserted `i`-th and heap seqs start at `schedule.len()`,
-/// so the merge pops exactly what one heap holding every action would.
-/// Each entry also carries the transaction's schedule position, which
-/// never decides an ordering.
+/// with a [`Calendar`] of re-queued actions (retries, finalization
+/// timeouts and breaker deferrals), each held as a [`Key`]. Schedule
+/// position `i` keys as inserted `i`-th and re-queue seqs start at
+/// `schedule.len()`, so the merge pops exactly what one heap holding
+/// every action would.
 struct Agenda<'a> {
     schedule: &'a [ScheduledTx],
     next: usize,
-    requeued: BinaryHeap<Reverse<Entry>>,
+    requeued: Calendar,
     seq: u64,
 }
 
 impl<'a> Agenda<'a> {
+    /// # Panics
+    ///
+    /// Panics if the schedule has 2³² or more positions.
     fn new(schedule: &'a [ScheduledTx]) -> Self {
+        let seq = schedule.len() as u64;
+        assert!(
+            seq <= POSITION_MASK,
+            "schedule of {seq} transactions: positions must fit 32 bits"
+        );
         Agenda {
             schedule,
             next: 0,
-            requeued: BinaryHeap::new(),
-            seq: schedule.len() as u64,
+            requeued: Calendar::new(),
+            seq,
         }
     }
 
+    /// # Panics
+    ///
+    /// Panics once the schedule and the re-queued actions together reach
+    /// 2³² insertions.
     fn push(&mut self, at: SimTime, action: Action, i: usize) {
-        self.requeued.push(Reverse((at, action, self.seq, i)));
+        assert!(
+            self.seq <= POSITION_MASK,
+            "re-queue {}: insertion seqs must fit 32 bits",
+            self.seq
+        );
+        self.requeued.push(key(at, action, self.seq, i));
         self.seq += 1;
     }
 
@@ -522,16 +570,148 @@ impl<'a> Agenda<'a> {
         let scheduled = self
             .schedule
             .get(next)
-            .map(|s| (s.at, Action::Submit(s.tx.id()), next as u64, next));
-        let (at, action, _, i) = match (scheduled, self.requeued.peek()) {
-            (Some(s), Some(&Reverse(r))) if r < s => self.requeued.pop()?.0,
+            .map(|s| key(s.at, Action::Submit(s.tx.id()), next as u64, next));
+        let k = match (scheduled, self.requeued.peek()) {
+            (Some(s), Some(r)) if r < s => self.requeued.pop()?,
             (Some(s), _) => {
                 self.next += 1;
                 s
             }
-            (None, _) => self.requeued.pop()?.0,
+            (None, _) => self.requeued.pop()?,
         };
-        Some((at, action, i))
+        self.requeued.advance(k[0]);
+        Some(decode(k))
+    }
+}
+
+/// Width of a [`Calendar`] bucket: 2¹⁴ µs, about 16 ms.
+const BUCKET_SHIFT: u32 = 14;
+
+/// Buckets in a [`Calendar`]'s ring: with [`BUCKET_SHIFT`], a horizon of
+/// about 16.8 s, past the 8 s finalization timeout and 4 s backoff cap of
+/// [`RetryPolicy::chaos_default`].
+const BUCKETS: u64 = 1 << 10;
+
+/// A priority queue of keys that pops in key order, built for the
+/// client's pattern: each re-queue comes at or after the instant just
+/// popped. Keys sit unsorted in a ring of time buckets; the earliest
+/// non-empty bucket is sorted descending when first peeked, so its least
+/// key is its last. A key past the ring's horizon goes to a heap. A pop
+/// takes the lesser of the heap top and that bucket's last key, so the
+/// order is exact for any push pattern; a key due before the last pop's
+/// bucket waits in that bucket.
+struct Calendar {
+    /// Slot `b % BUCKETS` holds bucket `b`, the keys whose time over
+    /// 2^BUCKET_SHIFT µs is `b`, for `base <= b < base + BUCKETS`; a key
+    /// due before bucket `base` is filed in it.
+    ring: Vec<Vec<Key>>,
+    /// The bucket of the last popped time.
+    base: u64,
+    /// No bucket before `head` holds a key.
+    head: u64,
+    /// Whether bucket `head` is sorted descending.
+    head_sorted: bool,
+    /// Keys in `ring`.
+    in_ring: usize,
+    /// Keys at least `BUCKETS` buckets past `base` when pushed.
+    far: BinaryHeap<Reverse<Key>>,
+}
+
+impl Calendar {
+    fn new() -> Self {
+        Calendar {
+            ring: vec![Vec::new(); BUCKETS as usize],
+            base: 0,
+            head: 0,
+            head_sorted: false,
+            in_ring: 0,
+            far: BinaryHeap::new(),
+        }
+    }
+
+    fn slot(&mut self, b: u64) -> &mut Vec<Key> {
+        &mut self.ring[(b % BUCKETS) as usize]
+    }
+
+    fn push(&mut self, k: Key) {
+        let b = (k[0] >> BUCKET_SHIFT).max(self.base);
+        if b - self.base >= BUCKETS {
+            self.far.push(Reverse(k));
+            return;
+        }
+        self.in_ring += 1;
+        if b < self.head {
+            // Bucket `b` is empty, so it is sorted once `k` is in.
+            self.head = b;
+            self.head_sorted = true;
+        }
+        let sorted = b == self.head && self.head_sorted;
+        let slot = self.slot(b);
+        if sorted {
+            let at = slot.partition_point(|&c| c > k);
+            slot.insert(at, k);
+        } else {
+            slot.push(k);
+        }
+    }
+
+    /// The least key, first moving `head` to the earliest non-empty bucket
+    /// and sorting it.
+    fn peek(&mut self) -> Option<Key> {
+        if self.in_ring > 0 {
+            while self.slot(self.head).is_empty() {
+                self.move_head(self.head + 1);
+            }
+            if !self.head_sorted {
+                self.slot(self.head).sort_unstable_by(|a, b| b.cmp(a));
+                self.head_sorted = true;
+            }
+        }
+        let near = self.slot(self.head).last().copied();
+        match (near, self.far.peek()) {
+            (Some(n), Some(&Reverse(f))) => Some(n.min(f)),
+            (n, f) => n.or(f.map(|r| r.0)),
+        }
+    }
+
+    /// Removes and returns the least key.
+    fn pop(&mut self) -> Option<Key> {
+        let least = self.peek()?;
+        let head = self.head;
+        let slot = self.slot(head);
+        if slot.last() == Some(&least) {
+            slot.pop();
+            self.in_ring -= 1;
+        } else {
+            self.far.pop();
+        }
+        Some(least)
+    }
+
+    /// Records that the agenda popped an action due at `time` µs. The
+    /// loop re-queues nothing earlier, so the buckets before its own are
+    /// free.
+    fn advance(&mut self, time: u64) {
+        let b = time >> BUCKET_SHIFT;
+        if b > self.base {
+            self.base = b;
+            if self.head < b {
+                self.move_head(b);
+            }
+        }
+    }
+
+    /// Moves `head` on to bucket `b` from a used-up bucket, whose memory
+    /// goes back so that idle slots hold none.
+    fn move_head(&mut self, b: u64) {
+        debug_assert!(
+            self.slot(self.head).is_empty(),
+            "bucket {} still holds keys",
+            self.head
+        );
+        *self.slot(self.head) = Vec::new();
+        self.head = b;
+        self.head_sorted = false;
     }
 }
 
@@ -658,8 +838,8 @@ fn take_retry_token(
 /// id may set bits 56–63 of its sequence number: a re-send travels under
 /// the original id with its attempt number (2 to `max_retries + 1`) in
 /// those bits, so `policy.max_retries` may be at most 254. The loop reads
-/// the schedule in order and keeps only re-queued actions in a heap. The
-/// listen window ends at `SimTime::ZERO + spec.windows.listen`, so a
+/// the schedule in order and keeps only re-queued actions in a calendar
+/// of time buckets. The listen window ends at `SimTime::ZERO + spec.windows.listen`, so a
 /// schedule shifted to start at a later base, with its windows made
 /// absolute, runs back to back on a system that already served an earlier
 /// one (the paper's benchmark units). All randomness (ingress loss,
@@ -682,7 +862,10 @@ fn take_retry_token(
 ///
 /// Panics, naming the schedule position, if `schedule` is out of
 /// `(at, tx.id())` order, an id sets bits 56–63 or an original id repeats;
-/// and if `policy.max_retries` exceeds 254.
+/// if `policy.max_retries` exceeds 254; if the schedule has 2³² or more
+/// positions; and if the schedule and the re-queued actions (retries,
+/// timeouts, breaker deferrals) together reach 2³² insertions, since the
+/// client's agenda keys each by position and insertion seq in 32 bits.
 pub fn run_chaos_with_schedule(
     system: &mut (dyn BlockchainSystem + Send),
     spec: &BenchmarkSpec,
@@ -800,9 +983,7 @@ pub fn run_chaos_with_schedule(
                     seen.accounting.retries += 1;
                     resend_id(orig, track.attempts)
                 };
-                let template = &schedule[i].tx;
-                let tx =
-                    ClientTx::new(wire_id, template.thread(), template.payloads().to_vec(), at);
+                let tx = schedule[i].tx.with_id(wire_id, at);
 
                 // Client-side ingress loss during an active burst window.
                 if let Some((p, until)) = client_loss {
@@ -945,7 +1126,7 @@ mod tests {
     use crate::client::{build_schedule, Windows};
     use crate::params::{build_system, SystemKind, SystemSetup};
     use coconut_chains::SubmitOutcome;
-    use coconut_types::{BlockId, ClientId, PayloadKind, ThreadId};
+    use coconut_types::{BlockId, ClientId, ClientTx, PayloadKind, ThreadId};
 
     fn quick_spec(system: SystemKind, rate: f64) -> BenchmarkSpec {
         // A listen margin generous enough that the send-window tail can
@@ -1236,41 +1417,156 @@ mod tests {
         assert_eq!(r.confirmed_ops, 0);
     }
 
+    /// The agenda's order before compact keys, kept as the reference:
+    /// a derived enum order (timeout before submit, then the id).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum RefAction {
+        Timeout(TxId),
+        Submit(TxId),
+    }
+
+    impl From<Action> for RefAction {
+        fn from(a: Action) -> Self {
+            match a {
+                Action::Timeout(id) => RefAction::Timeout(id),
+                Action::Submit(id) => RefAction::Submit(id),
+            }
+        }
+    }
+
+    impl From<RefAction> for Action {
+        fn from(a: RefAction) -> Self {
+            match a {
+                RefAction::Timeout(id) => Action::Timeout(id),
+                RefAction::Submit(id) => Action::Submit(id),
+            }
+        }
+    }
+
+    /// The reference: one heap of `(at, action, insertion seq, position)`
+    /// tuples holding every action, scheduled and re-queued alike.
+    struct RefAgenda {
+        heap: BinaryHeap<Reverse<(SimTime, RefAction, u64, usize)>>,
+        seq: u64,
+    }
+
+    impl RefAgenda {
+        fn new(schedule: &[ScheduledTx]) -> Self {
+            let mut heap = BinaryHeap::new();
+            for (i, s) in schedule.iter().enumerate() {
+                heap.push(Reverse((s.at, RefAction::Submit(s.tx.id()), i as u64, i)));
+            }
+            RefAgenda {
+                heap,
+                seq: schedule.len() as u64,
+            }
+        }
+
+        fn push(&mut self, at: SimTime, action: Action, i: usize) {
+            self.heap.push(Reverse((at, action.into(), self.seq, i)));
+            self.seq += 1;
+        }
+
+        fn pop(&mut self) -> Option<(SimTime, Action, usize)> {
+            let Reverse((at, action, _, i)) = self.heap.pop()?;
+            Some((at, action.into(), i))
+        }
+    }
+
+    /// Pushes one re-queued action onto both agendas.
+    fn push_both(a: &mut Agenda, r: &mut RefAgenda, at: SimTime, action: Action, i: usize) {
+        a.push(at, action, i);
+        r.push(at, action, i);
+    }
+
+    /// The compact-key agenda pops exactly the reference heap's order.
+    /// Ids come from three clients with scattered seqs and times from six
+    /// instants, so each pop is followed by re-queues that tie with one
+    /// another, with the schedule cursor and with the current instant.
     #[test]
     fn merged_agenda_pops_in_single_heap_order() {
         let mut rng = SimRng::seed_from_u64(0xA6E4DA);
-        for _ in 0..50 {
-            // Few distinct times and ids, so ties on `at` and on the
-            // original id are common among scheduled and re-queued actions.
+        for _ in 0..200 {
             let mut schedule: Vec<ScheduledTx> = (0..40)
-                .map(|seq| tx_at(seq, rng.gen_range_inclusive(0, 5), 1))
+                .map(|n| {
+                    let client = rng.gen_range_inclusive(0, 2) as u32;
+                    let seq = rng.gen_range_inclusive(0, 30) << 8 | n;
+                    let at = SimTime::from_secs(rng.gen_range_inclusive(0, 5));
+                    let id = TxId::new(ClientId(client), seq);
+                    let payloads = vec![coconut_types::Payload::DoNothing];
+                    ScheduledTx {
+                        at,
+                        tx: ClientTx::new(id, ThreadId(0), payloads, at),
+                    }
+                })
                 .collect();
             schedule.sort_by_key(|s| (s.at, s.tx.id()));
+            let n = schedule.len() as u64;
             let mut agenda = Agenda::new(&schedule);
-            let mut reference: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-            for (i, s) in schedule.iter().enumerate() {
-                reference.push(Reverse((s.at, Action::Submit(s.tx.id()), i as u64, i)));
-            }
-            let mut seq = schedule.len() as u64;
+            let mut reference = RefAgenda::new(&schedule);
             let mut pushes = 0;
-            while let Some(Reverse((at, action, _, i))) = reference.pop() {
-                assert_eq!(agenda.pop(), Some((at, action, i)));
-                while pushes < 60 && rng.gen_bool(0.6) {
-                    let j = rng.gen_range_inclusive(0, schedule.len() as u64 - 1) as usize;
-                    let id = schedule[j].tx.id();
-                    let action = if rng.gen_bool(0.5) {
-                        Action::Timeout(id)
-                    } else {
-                        Action::Submit(id)
+            while let Some(expected) = reference.pop() {
+                assert_eq!(agenda.pop(), Some(expected));
+                let (at, _, i) = expected;
+                let id = |j: usize| schedule[j].tx.id();
+                // A breaker deferral with no cooldown left: the same
+                // submit again at the current instant.
+                if rng.gen_bool(0.2) {
+                    push_both(&mut agenda, &mut reference, at, Action::Submit(id(i)), i);
+                }
+                while pushes < 80 && rng.gen_bool(0.6) {
+                    // Any position, so equal-time submits carry ids out of
+                    // schedule order.
+                    let j = rng.gen_range_inclusive(0, n - 1) as usize;
+                    // The current instant, the schedule cursor's next
+                    // time, microseconds later (the same or the next
+                    // calendar bucket), seconds later, or past the
+                    // calendar's horizon.
+                    let when = match rng.gen_range_inclusive(0, 4) {
+                        0 => at,
+                        1 => schedule.get(agenda.next).map_or(at, |s| s.at),
+                        2 => at + SimDuration::from_micros(rng.gen_range_inclusive(1, 10_000)),
+                        3 => at + SimDuration::from_secs(rng.gen_range_inclusive(1, 2)),
+                        _ => at + SimDuration::from_secs(rng.gen_range_inclusive(16, 40)),
                     };
-                    let at = at + SimDuration::from_secs(rng.gen_range_inclusive(0, 2));
-                    agenda.push(at, action, j);
-                    reference.push(Reverse((at, action, seq, j)));
-                    seq += 1;
+                    if rng.gen_bool(0.3) {
+                        // A timeout and a submit tied at one instant.
+                        push_both(&mut agenda, &mut reference, when, Action::Submit(id(j)), j);
+                        let k = rng.gen_range_inclusive(0, n - 1) as usize;
+                        push_both(&mut agenda, &mut reference, when, Action::Timeout(id(k)), k);
+                    } else if rng.gen_bool(0.5) {
+                        push_both(&mut agenda, &mut reference, when, Action::Timeout(id(j)), j);
+                    } else {
+                        push_both(&mut agenda, &mut reference, when, Action::Submit(id(j)), j);
+                    }
                     pushes += 1;
                 }
             }
             assert_eq!(agenda.pop(), None);
+            // Emptied, both take re-queues again and keep one order, even
+            // at an instant before the last pop, which the loop never
+            // pushes but the calendar still files in order.
+            let at = SimTime::from_secs(9);
+            for j in [7, 3, 3, 12, 0] {
+                let id = schedule[j].tx.id();
+                push_both(&mut agenda, &mut reference, at, Action::Submit(id), j);
+                push_both(&mut agenda, &mut reference, at, Action::Timeout(id), j);
+            }
+            while let Some(expected) = reference.pop() {
+                assert_eq!(agenda.pop(), Some(expected));
+            }
+            assert_eq!(agenda.pop(), None);
+        }
+    }
+
+    /// Keys round-trip the largest client, seq and position they can hold.
+    #[test]
+    fn agenda_keys_decode_what_they_encode() {
+        let id = TxId::new(ClientId(u32::MAX), (1 << ATTEMPT_SHIFT) - 1);
+        let at = SimTime::from_micros(u64::MAX);
+        let i = POSITION_MASK as usize;
+        for action in [Action::Timeout(id), Action::Submit(id)] {
+            assert_eq!(decode(key(at, action, POSITION_MASK, i)), (at, action, i));
         }
     }
 

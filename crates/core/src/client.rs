@@ -8,8 +8,10 @@
 //! confirmation, for a period of 300 seconds. The COCONUT client terminates
 //! listening on events after 330 seconds."
 
+use std::sync::Arc;
+
 use coconut_types::{
-    ClientId, ClientTx, PayloadKind, SeedDeriver, SimDuration, SimTime, ThreadId, TxId,
+    ClientId, ClientTx, Payload, PayloadKind, SeedDeriver, SimDuration, SimTime, ThreadId, TxId,
 };
 
 use crate::workload::{paper, Workload};
@@ -142,23 +144,38 @@ pub fn build_schedule_for(
             let mut seq: u64 = 0;
             let mut tx_seq: u64 = 0;
             while at < send_end {
-                let payloads: Vec<_> = (0..ops_per_tx)
-                    .map(|i| workload.payload_at(client, thread, seq + i as u64))
-                    .collect();
-                seq += ops_per_tx as u64;
                 // Per-client tx ids must be unique across threads.
                 let id = TxId::new(client, (t as u64) << 48 | tx_seq);
                 tx_seq += 1;
-                schedule.push(ScheduledTx {
-                    at,
-                    tx: ClientTx::new(id, thread, payloads, at),
+                let tx = client_tx(id, thread, ops_per_tx, at, |k| {
+                    workload.payload_at(client, thread, seq + k)
                 });
+                seq += ops_per_tx as u64;
+                schedule.push(ScheduledTx { at, tx });
                 at += tx_interval;
             }
         }
     }
     schedule.sort_by_key(|s| (s.at, s.tx.id()));
     schedule
+}
+
+/// Transaction `id` carrying the payloads `payload(0..ops)`. One payload
+/// is held inline; several are collected straight into the shared slice
+/// the transaction and all its re-sends point at.
+pub(crate) fn client_tx(
+    id: TxId,
+    thread: ThreadId,
+    ops: u32,
+    at: SimTime,
+    mut payload: impl FnMut(u64) -> Payload,
+) -> ClientTx {
+    if ops == 1 {
+        ClientTx::single(id, thread, payload(0), at)
+    } else {
+        let payloads: Arc<[Payload]> = (0..u64::from(ops)).map(payload).collect();
+        ClientTx::new(id, thread, payloads, at)
+    }
 }
 
 #[cfg(test)]

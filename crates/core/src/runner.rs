@@ -2,7 +2,7 @@
 //! client schedule and computes the paper's metrics.
 
 use coconut_simnet::FaultPlan;
-use coconut_types::{ClientTx, PayloadKind, SeedDeriver, SimDuration, TxId};
+use coconut_types::{PayloadKind, SeedDeriver, SimDuration, TxId};
 
 use crate::chaos::{run_chaos_with_schedule, ChaosRun, ClientProtection, RetryPolicy};
 use crate::client::{build_schedule, ScheduledTx, Windows};
@@ -295,8 +295,10 @@ pub fn run_unit(
             .map(|s| {
                 let at = s.at + base;
                 let id = TxId::new(s.tx.id().client(), s.tx.id().seq() | tag);
-                let tx = ClientTx::new(id, s.tx.thread(), s.tx.payloads().to_vec(), at);
-                ScheduledTx { at, tx }
+                ScheduledTx {
+                    at,
+                    tx: s.tx.with_id(id, at),
+                }
             })
             .collect();
             let spec = BenchmarkSpec {

@@ -40,13 +40,13 @@
 use coconut_chains::{Stage, StageReport, SystemStats};
 use coconut_simnet::{FaultEvent, FaultPlan, LatencyModel, RegionMap};
 use coconut_types::{
-    ClientId, ClientTx, NodeId, PayloadKind, SeedDeriver, SimDuration, SimTime, ThreadId, TxId,
+    ClientId, NodeId, PayloadKind, SeedDeriver, SimDuration, SimTime, ThreadId, TxId,
 };
 
 use std::sync::Arc;
 
 use crate::chaos::{run_chaos_with_schedule, ChaosRun, ClientProtection, RetryPolicy};
-use crate::client::{build_schedule_for, ScheduledTx, Windows};
+use crate::client::{build_schedule_for, client_tx, ScheduledTx, Windows};
 use crate::json::Json;
 use crate::params::{build_system, SystemKind, SystemSetup};
 use crate::runner::BenchmarkSpec;
@@ -708,7 +708,7 @@ impl Timeline {
                         let id = TxId::new(s.tx.id().client(), s.tx.id().seq() | tag);
                         ScheduledTx {
                             at,
-                            tx: ClientTx::new(id, s.tx.thread(), s.tx.payloads().to_vec(), at),
+                            tx: s.tx.with_id(id, at),
                         }
                     })
                     .collect()
@@ -752,13 +752,10 @@ impl Timeline {
                     let client = ClientId((seq % 4) as u32);
                     let thread = ThreadId(((seq / 4) % 4) as u32);
                     let id = TxId::new(client, tag | seq);
-                    let payloads: Vec<_> = (0..self.ops_per_tx)
-                        .map(|k| self.workload.payload_at(client, thread, seq + k as u64))
-                        .collect();
-                    out.push(ScheduledTx {
-                        at,
-                        tx: ClientTx::new(id, thread, payloads, at),
+                    let tx = client_tx(id, thread, self.ops_per_tx, at, |k| {
+                        self.workload.payload_at(client, thread, seq + k)
                     });
+                    out.push(ScheduledTx { at, tx });
                     seq += 1;
                     t += gap;
                 }

@@ -1,5 +1,7 @@
 //! Client transactions and their end-to-end outcomes.
 
+use std::sync::Arc;
+
 use crate::id::{BlockId, ThreadId, TxId};
 use crate::payload::{Payload, PayloadKind};
 use crate::time::SimTime;
@@ -11,7 +13,9 @@ use crate::time::SimTime;
 /// (BitShares), an atomic *batch* of transactions (Sawtooth), or a flow with
 /// input/output states (Corda). The paper's Table 2 maps these structures;
 /// COCONUT represents all of them as a list of payloads, and the per-system
-/// models interpret the list according to their native structure.
+/// models interpret the list according to their native structure. A
+/// single payload is held inline; a longer list is shared, so a clone, or
+/// a re-send built with [`ClientTx::with_id`], never copies it.
 ///
 /// # Example
 ///
@@ -30,22 +34,48 @@ use crate::time::SimTime;
 pub struct ClientTx {
     id: TxId,
     thread: ThreadId,
-    payloads: Vec<Payload>,
+    payloads: Payloads,
     created_at: SimTime,
 }
 
+/// A transaction's operations. A list of one is always held inline, so
+/// equal lists have equal forms and the derived equality holds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Payloads {
+    One(Payload),
+    Many(Arc<[Payload]>),
+}
+
+impl Payloads {
+    fn as_slice(&self) -> &[Payload] {
+        match self {
+            Payloads::One(p) => std::slice::from_ref(p),
+            Payloads::Many(ps) => ps,
+        }
+    }
+}
+
 impl ClientTx {
-    /// Creates a transaction.
+    /// Creates a transaction. A caller building many multi-operation
+    /// transactions can collect each list into an `Arc<[Payload]>`
+    /// directly, so that it is not copied here.
     ///
     /// # Panics
     ///
     /// Panics if `payloads` is empty: every transaction carries at least one
     /// operation.
-    pub fn new(id: TxId, thread: ThreadId, payloads: Vec<Payload>, created_at: SimTime) -> Self {
-        assert!(
-            !payloads.is_empty(),
-            "a transaction must carry at least one payload"
-        );
+    pub fn new(
+        id: TxId,
+        thread: ThreadId,
+        payloads: impl Into<Arc<[Payload]>>,
+        created_at: SimTime,
+    ) -> Self {
+        let payloads: Arc<[Payload]> = payloads.into();
+        let payloads = match &*payloads {
+            [] => panic!("a transaction must carry at least one payload"),
+            [one] => Payloads::One(one.clone()),
+            _ => Payloads::Many(payloads),
+        };
         ClientTx {
             id,
             thread,
@@ -56,7 +86,24 @@ impl ClientTx {
 
     /// Creates a single-operation transaction.
     pub fn single(id: TxId, thread: ThreadId, payload: Payload, created_at: SimTime) -> Self {
-        ClientTx::new(id, thread, vec![payload], created_at)
+        ClientTx {
+            id,
+            thread,
+            payloads: Payloads::One(payload),
+            created_at,
+        }
+    }
+
+    /// The same transaction under another id and creation time: a
+    /// re-send, or a schedule entry re-tagged and shifted. A list of
+    /// payloads is shared, not copied.
+    pub fn with_id(&self, id: TxId, created_at: SimTime) -> Self {
+        ClientTx {
+            id,
+            thread: self.thread,
+            payloads: self.payloads.clone(),
+            created_at,
+        }
     }
 
     /// The transaction's globally unique identifier.
@@ -71,12 +118,12 @@ impl ClientTx {
 
     /// The operations carried by this transaction (≥ 1).
     pub fn payloads(&self) -> &[Payload] {
-        &self.payloads
+        self.payloads.as_slice()
     }
 
     /// Number of operations (BitShares) / inner transactions (Sawtooth).
     pub fn op_count(&self) -> usize {
-        self.payloads.len()
+        self.payloads().len()
     }
 
     /// The instant the client created the transaction (the paper's
@@ -88,12 +135,12 @@ impl ClientTx {
     /// The kind of the first payload; benchmarks are homogeneous so this is
     /// the kind of every payload in practice.
     pub fn kind(&self) -> PayloadKind {
-        self.payloads[0].kind()
+        self.payloads()[0].kind()
     }
 
     /// Total serialized size in bytes across all operations.
     pub fn size_bytes(&self) -> usize {
-        self.payloads.iter().map(Payload::size_bytes).sum()
+        self.payloads().iter().map(Payload::size_bytes).sum()
     }
 }
 
@@ -248,6 +295,37 @@ mod tests {
         );
         assert_eq!(many.size_bytes(), one.size_bytes() * 100);
         assert_eq!(many.op_count(), 100);
+    }
+
+    #[test]
+    fn copies_keep_the_payloads_of_their_original() {
+        let kv = Payload::key_value_set(3, 4);
+        let one = ClientTx::single(tx_id(), ThreadId(1), kv.clone(), SimTime::ZERO);
+        let many = ClientTx::new(
+            tx_id(),
+            ThreadId(1),
+            vec![kv.clone(), Payload::DoNothing],
+            SimTime::ZERO,
+        );
+        // One payload reads the same whichever constructor made it.
+        assert_eq!(
+            ClientTx::new(tx_id(), ThreadId(1), vec![kv.clone()], SimTime::ZERO),
+            one
+        );
+        let later = SimTime::from_secs(2);
+        let resent = TxId::new(ClientId(1), 10);
+        for tx in [one, many] {
+            let copy = tx.with_id(resent, later);
+            assert_eq!((copy.id(), copy.created_at()), (resent, later));
+            assert_eq!(
+                (copy.thread(), copy.payloads()),
+                (tx.thread(), tx.payloads())
+            );
+            assert_ne!(copy, tx);
+            // A list is shared, not copied.
+            let shared = std::ptr::eq(copy.payloads(), tx.payloads());
+            assert_eq!(shared, tx.op_count() > 1);
+        }
     }
 
     #[test]
