@@ -829,10 +829,11 @@ fn take_retry_token(
 
 /// The client loop: runs `schedule` against `system` while replaying
 /// `plan`, with `policy` governing re-sends and `protection` arming the
-/// overload defences. Every measurement goes through here. The paper's
-/// tables and figures pass an empty plan and both policies disabled,
-/// which is the fire-and-forget client of §4.4; the campaigns add faults,
-/// retries and protections.
+/// overload defences. Every measurement goes through here, by way of
+/// [`crate::Timeline::run_on`], its one caller in the library. The paper's
+/// tables, figures and ablations pass an empty plan and both policies
+/// disabled, which is the fire-and-forget client of §4.4; the campaigns
+/// add faults, retries and protections.
 ///
 /// `schedule` must be ordered by `(at, tx.id())` with distinct ids, and no
 /// id may set bits 56–63 of its sequence number: a re-send travels under

@@ -114,7 +114,7 @@ fn seed_of(root: u64, scope: &str, unit: Option<BenchmarkUnit>, spec: &Benchmark
     let send = spec.windows.send.as_micros().to_string();
     let listen = spec.windows.listen.as_micros().to_string();
     let reps = spec.repetitions.to_string();
-    let mut parts = vec![
+    let parts = [
         scope,
         unit.as_str(),
         spec.system.label(),
@@ -128,12 +128,6 @@ fn seed_of(root: u64, scope: &str, unit: Option<BenchmarkUnit>, spec: &Benchmark
         listen.as_str(),
         reps.as_str(),
     ];
-    // The workload component joins the hash only when a non-paper workload
-    // is named, so every pre-existing paper-workload seed is unchanged.
-    if let Some(w) = &spec.workload {
-        parts.push("workload");
-        parts.push(w.as_str());
-    }
     SeedDeriver::new(root).seed_parts(&parts)
 }
 
@@ -258,22 +252,6 @@ mod tests {
         assert_ne!(a, parts(7, &["grayfail", "Fabric", "flaky-link", "mid"]));
         assert_ne!(a, parts(7, &["grayfail", "Fabric", "slow-leader", "high"]));
         assert_ne!(a, parts(8, &["grayfail", "Fabric", "slow-leader", "mid"]));
-    }
-
-    #[test]
-    fn workload_component_joins_seed_only_when_named() {
-        let spec = BenchmarkSpec::new(SystemKind::Fabric, PayloadKind::DoNothing);
-        let a = cell_seed(7, "run-many", &spec);
-        // A named workload changes the seed; None leaves the legacy hash
-        // intact (the invariant every existing golden rests on).
-        assert_ne!(
-            a,
-            cell_seed(7, "run-many", &spec.clone().workload_name("Smallbank"))
-        );
-        assert_ne!(
-            cell_seed(7, "run-many", &spec.clone().workload_name("Smallbank")),
-            cell_seed(7, "run-many", &spec.clone().workload_name("YCSB"))
-        );
     }
 
     #[test]

@@ -9,13 +9,9 @@ use coconut_chains::fabric::{Fabric, FabricConfig};
 use coconut_chains::quorum::{Quorum, QuorumConfig};
 use coconut_chains::sawtooth::{Sawtooth, SawtoothConfig};
 use coconut_chains::BlockchainSystem;
-use coconut_simnet::FaultPlan;
 use coconut_types::{PayloadKind, SimDuration, SimTime};
 
-use crate::chaos::{run_chaos_with_schedule, ClientProtection, RetryPolicy};
-use crate::client::build_schedule;
-use crate::params::SystemKind;
-use crate::runner::{BenchmarkSpec, RepMeasurement};
+use crate::runner::{paper_client, RepMeasurement};
 
 use super::ExperimentConfig;
 
@@ -46,36 +42,25 @@ pub fn render_arms(title: &str, arms: &[AblationArm]) -> String {
     out
 }
 
+/// One arm: the paper's client sending `benchmark` to the custom-configured
+/// `system`, run as a timeline with seed `cfg.seed`.
 fn measure(
     system: &mut (dyn BlockchainSystem + Send),
-    kind: SystemKind,
     benchmark: PayloadKind,
     rate: f64,
     ops: u32,
     cfg: &ExperimentConfig,
 ) -> RepMeasurement {
-    let spec = BenchmarkSpec::new(kind, benchmark)
-        .rate(rate)
-        .ops_per_tx(ops)
-        .windows(cfg.windows())
-        .repetitions(1);
-    let schedule = build_schedule(benchmark, rate, ops, spec.windows, cfg.seed);
-    let run = run_chaos_with_schedule(
-        system,
-        &spec,
-        &FaultPlan::new(),
-        &RetryPolicy::disabled(),
-        &ClientProtection::disabled(),
-        &schedule,
-        cfg.seed,
-    );
-    RepMeasurement::of(&run, &schedule)
+    let timeline = paper_client(benchmark, rate, ops, cfg.windows()).build();
+    RepMeasurement::of(&timeline.run_on(system, cfg.seed).run, ops)
 }
 
 /// All seven ablations as `(title, arms)` pairs, run on the grid executor
-/// (`cfg.jobs` workers). Every ablation seeds its systems from `cfg.seed`
-/// directly — not from its position in this list — so the parallel run is
-/// identical to calling each function by hand.
+/// (`cfg.jobs` workers). Every ablation seeds its systems and its client
+/// loop from `cfg.seed` directly — not from its position in this list — and
+/// draws each arm's schedule from seed stream `("schedule", 0)` of
+/// `cfg.seed`, so the parallel run is identical to calling each function by
+/// hand.
 pub fn all_ablations(cfg: &ExperimentConfig) -> Vec<(&'static str, Vec<AblationArm>)> {
     type AblationFn = fn(&ExperimentConfig) -> Vec<AblationArm>;
     const ABLATIONS: [(&str, AblationFn); 7] = [
@@ -107,14 +92,7 @@ pub fn ablation_corda_signing(cfg: &ExperimentConfig) -> Vec<AblationArm> {
         let mut chain_cfg = CordaConfig::enterprise();
         chain_cfg.serial_signing = serial;
         let mut sys = Corda::new(chain_cfg, cfg.seed);
-        let m = measure(
-            &mut sys,
-            SystemKind::CordaEnterprise,
-            PayloadKind::KeyValueSet,
-            40.0,
-            1,
-            cfg,
-        );
+        let m = measure(&mut sys, PayloadKind::KeyValueSet, 40.0, 1, cfg);
         arms.push(AblationArm {
             label: label.into(),
             measurement: m,
@@ -136,14 +114,7 @@ pub fn ablation_sawtooth_queue(cfg: &ExperimentConfig) -> Vec<AblationArm> {
             ..Default::default()
         };
         let mut sys = Sawtooth::new(chain_cfg, cfg.seed);
-        let m = measure(
-            &mut sys,
-            SystemKind::Sawtooth,
-            PayloadKind::DoNothing,
-            800.0,
-            1,
-            cfg,
-        );
+        let m = measure(&mut sys, PayloadKind::DoNothing, 800.0, 1, cfg);
         arms.push(AblationArm {
             label: label.into(),
             measurement: m,
@@ -163,14 +134,7 @@ pub fn ablation_quorum_stall(cfg: &ExperimentConfig) -> Vec<AblationArm> {
             ..Default::default()
         };
         let mut sys = Quorum::new(chain_cfg, cfg.seed);
-        let m = measure(
-            &mut sys,
-            SystemKind::Quorum,
-            PayloadKind::DoNothing,
-            1600.0,
-            1,
-            cfg,
-        );
+        let m = measure(&mut sys, PayloadKind::DoNothing, 1600.0, 1, cfg);
         arms.push(AblationArm {
             label: label.into(),
             measurement: m,
@@ -191,14 +155,7 @@ pub fn ablation_diem_spiking(cfg: &ExperimentConfig) -> Vec<AblationArm> {
             ..Default::default()
         };
         let mut sys = Diem::new(chain_cfg, cfg.seed);
-        let m = measure(
-            &mut sys,
-            SystemKind::Diem,
-            PayloadKind::DoNothing,
-            200.0,
-            1,
-            cfg,
-        );
+        let m = measure(&mut sys, PayloadKind::DoNothing, 200.0, 1, cfg);
         arms.push(AblationArm {
             label: label.into(),
             measurement: m,
@@ -212,14 +169,7 @@ pub fn ablation_bitshares_ops(cfg: &ExperimentConfig) -> Vec<AblationArm> {
     let mut arms = Vec::new();
     for ops in [1u32, 50, 100] {
         let mut sys = Bitshares::new(BitsharesConfig::default(), cfg.seed);
-        let m = measure(
-            &mut sys,
-            SystemKind::Bitshares,
-            PayloadKind::DoNothing,
-            1600.0,
-            ops,
-            cfg,
-        );
+        let m = measure(&mut sys, PayloadKind::DoNothing, 1600.0, ops, cfg);
         arms.push(AblationArm {
             label: format!("{ops} op(s)/tx"),
             measurement: m,
@@ -239,14 +189,7 @@ pub fn ablation_fabric_block_cutting(cfg: &ExperimentConfig) -> Vec<AblationArm>
         };
         let mut sys = Fabric::new(chain_cfg, cfg.seed);
         sys.run_until(SimTime::from_secs(2));
-        let m = measure(
-            &mut sys,
-            SystemKind::Fabric,
-            PayloadKind::DoNothing,
-            1600.0,
-            1,
-            cfg,
-        );
+        let m = measure(&mut sys, PayloadKind::DoNothing, 1600.0, 1, cfg);
         arms.push(AblationArm {
             label: format!("MM={mm}"),
             measurement: m,
@@ -266,14 +209,7 @@ pub fn ablation_endtoend_vs_node(cfg: &ExperimentConfig) -> Vec<AblationArm> {
     };
     let mut sys = Fabric::new(chain_cfg, cfg.seed);
     sys.run_until(SimTime::from_secs(2));
-    let client_side = measure(
-        &mut sys,
-        SystemKind::Fabric,
-        PayloadKind::DoNothing,
-        400.0,
-        1,
-        cfg,
-    );
+    let client_side = measure(&mut sys, PayloadKind::DoNothing, 400.0, 1, cfg);
     // Node-side view: what the chain itself processed.
     let node_side_txs = sys.valid_txs() + sys.invalid_txs();
     let send_secs = cfg.windows().send.as_secs_f64();

@@ -11,8 +11,11 @@
 //!   filters in report order, so output never depends on the order a
 //!   filter lists them in.
 //! * **Cells** — [`run_cells`] runs [`Cell`]s on the grid executor: it
-//!   derives each cell's seed from its seed parts, runs its
-//!   [`Timeline`], and checks its delivery accounting.
+//!   derives each cell's seed from its seed parts and runs its
+//!   [`Timeline`] on a fresh deployment. [`Timeline::run_on`], the one
+//!   path every client schedule takes (campaign cells, paper benchmarks,
+//!   units and ablations alike), checks the delivery accounting in every
+//!   build.
 //! * **Phases** — [`ChaosRun::phases`] measures a finished cell before,
 //!   during and after its disturbance, with the recovery time after it.
 //!
@@ -240,10 +243,8 @@ impl<T> Cell<T> {
 ///
 /// # Panics
 ///
-/// Panics, naming the cell's seed parts, if a run's delivery accounting
-/// does not classify every scheduled transaction exactly once
-/// ([`crate::DeliveryAccounting::is_complete`]). The check runs in every
-/// build.
+/// Panics, through [`Timeline::run_on`], if a run's delivery accounting
+/// is incomplete.
 pub fn run_cells<T, R, F>(cfg: &ExperimentConfig, cells: &[Cell<T>], finish: F) -> Vec<R>
 where
     T: Sync,
@@ -253,13 +254,7 @@ where
     crate::exec::run_grid(cells, cfg.jobs, |_, cell| {
         let parts: Vec<&str> = cell.parts.iter().map(String::as_str).collect();
         let seed = SeedDeriver::new(cfg.seed).seed_parts(&parts);
-        let sr = cell.timeline.run(cell.system, seed);
-        let a = &sr.run.accounting;
-        assert!(
-            a.is_complete(),
-            "cell {parts:?}: delivery accounting is incomplete: {a:?}"
-        );
-        finish(cell, sr)
+        finish(cell, cell.timeline.run(cell.system, seed))
     })
 }
 

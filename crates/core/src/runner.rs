@@ -1,12 +1,12 @@
 //! Benchmark execution: drives a modelled blockchain with the COCONUT
 //! client schedule and computes the paper's metrics.
 
-use coconut_simnet::FaultPlan;
-use coconut_types::{PayloadKind, SeedDeriver, SimDuration, TxId};
+use coconut_types::{PayloadKind, SeedDeriver};
 
-use crate::chaos::{run_chaos_with_schedule, ChaosRun, ClientProtection, RetryPolicy};
-use crate::client::{build_schedule, ScheduledTx, Windows};
+use crate::chaos::{ChaosRun, RetryPolicy};
+use crate::client::Windows;
 use crate::params::{build_system, BlockParam, SystemKind, SystemSetup};
+use crate::scenario::{ScenarioBuilder, Timeline};
 use crate::stats::Stats;
 use crate::workload::BenchmarkUnit;
 
@@ -28,11 +28,6 @@ pub struct BenchmarkSpec {
     pub windows: Windows,
     /// Repetitions to average over (the paper uses 3).
     pub repetitions: u32,
-    /// Name of the non-paper [`Workload`](crate::workload::Workload)
-    /// driving this spec, if any. Paper benchmarks leave this `None`; it
-    /// joins the content-addressed seed only when set, so every
-    /// pre-existing paper seed is unchanged.
-    pub workload: Option<String>,
 }
 
 impl BenchmarkSpec {
@@ -48,15 +43,7 @@ impl BenchmarkSpec {
             ops_per_tx: 1,
             windows: Windows::paper(),
             repetitions: 3,
-            workload: None,
         }
-    }
-
-    /// Names the non-paper workload driving this spec (adds a `workload`
-    /// component to the content-addressed cell seed).
-    pub fn workload_name(mut self, name: &str) -> Self {
-        self.workload = Some(name.to_string());
-        self
     }
 
     /// Sets the aggregate rate limiter.
@@ -127,11 +114,11 @@ pub struct RepMeasurement {
 }
 
 impl RepMeasurement {
-    /// Projects the client loop's `run` of `schedule` onto the paper's
-    /// metrics. Received payloads and MTPS come from
-    /// [`ChaosRun::confirmed_ops`], which also counts a confirmation
-    /// landing exactly on the listen end.
-    pub fn of(run: &ChaosRun, schedule: &[ScheduledTx]) -> Self {
+    /// Projects the client loop's `run` of a paper schedule, whose every
+    /// transaction carries `ops_per_tx` payloads, onto the paper's metrics.
+    /// Received payloads and MTPS come from [`ChaosRun::confirmed_ops`],
+    /// which also counts a confirmation landing exactly on the listen end.
+    pub fn of(run: &ChaosRun, ops_per_tx: u32) -> Self {
         let received = run.confirmed_ops as f64;
         RepMeasurement {
             mtps: if run.duration > 0.0 {
@@ -145,7 +132,7 @@ impl RepMeasurement {
             p95: run.p95,
             p99: run.p99,
             received,
-            expected: schedule.iter().map(|s| s.tx.op_count() as f64).sum(),
+            expected: run.accounting.scheduled as f64 * f64::from(ops_per_tx),
             live: run.live,
         }
     }
@@ -228,117 +215,78 @@ pub struct UnitResult {
 /// Runs `spec` on a freshly provisioned system per repetition and
 /// aggregates the statistics (the paper's per-table rows).
 pub fn run_benchmark(spec: &BenchmarkSpec, seed: u64) -> BenchmarkResult {
-    let seeds = SeedDeriver::new(seed);
-    let mut reps = Vec::with_capacity(spec.repetitions as usize);
-    for rep in 0..spec.repetitions {
-        let rep_seeds = seeds.for_repetition(rep);
-        let mut system = build_system(spec.system, &spec.setup, rep_seeds.seed("system", 0));
-        let schedule_seed = rep_seeds.seed("schedule", 0);
-        let schedule = build_schedule(
-            spec.benchmark,
-            spec.rate,
-            spec.ops_per_tx,
-            spec.windows,
-            schedule_seed,
-        );
-        let run = run_chaos_with_schedule(
-            system.as_mut(),
-            spec,
-            &FaultPlan::new(),
-            &RetryPolicy::disabled(),
-            &ClientProtection::disabled(),
-            &schedule,
-            schedule_seed,
-        );
-        reps.push(RepMeasurement::of(&run, &schedule));
-    }
+    let timeline = paper_client(spec.benchmark, spec.rate, spec.ops_per_tx, spec.windows).build();
+    let reps = run_reps(spec, &[timeline], seed).remove(0);
     BenchmarkResult::from_reps(spec, &reps)
 }
 
 /// Runs a whole benchmark unit (§4.1): the unit's benchmarks execute
 /// back-to-back on the *same* deployed system; only the clients are
 /// re-provisioned in between. The system is re-provisioned per repetition.
-///
-/// Benchmark `i` of a repetition starts at `base = i × term`: its schedule
-/// is shifted by `base`, its ids are re-tagged with `(i + 1) << 40` so
-/// benchmarks sharing the system never collide, and its windows are made
-/// absolute, so the client loop listens only to this benchmark.
+/// Benchmark `i` runs as unit phase `i` ([`ScenarioBuilder::unit_phase`]):
+/// shifted to start `i × term` in, with ids tagged so benchmarks sharing
+/// the system never collide, listening only to itself.
 pub fn run_unit(
     system: SystemKind,
     unit: BenchmarkUnit,
     template: &BenchmarkSpec,
     seed: u64,
 ) -> UnitResult {
-    let seeds = SeedDeriver::new(seed);
-    let benchmarks: Vec<_> = unit.benchmarks().collect();
-    // reps[b][rep]
-    let mut measurements: Vec<Vec<RepMeasurement>> = vec![Vec::new(); benchmarks.len()];
-    // The paper's client lifecycle: terminate at 420 s for a 300 s send
-    // window; scale that proportionally.
-    let term = template.windows.listen + (template.windows.listen - template.windows.send) * 3;
-
-    for rep in 0..template.repetitions {
-        let rep_seeds = seeds.for_repetition(rep);
-        let mut sys = build_system(system, &template.setup, rep_seeds.seed("system", 0));
-        let mut base = SimDuration::ZERO;
-        for (i, &benchmark) in benchmarks.iter().enumerate() {
-            let tag = (i as u64 + 1) << 40;
-            let schedule_seed = rep_seeds.seed("schedule", i as u64);
-            let schedule: Vec<ScheduledTx> = build_schedule(
-                benchmark,
-                template.rate,
-                template.ops_per_tx,
-                template.windows,
-                schedule_seed,
-            )
-            .into_iter()
-            .map(|s| {
-                let at = s.at + base;
-                let id = TxId::new(s.tx.id().client(), s.tx.id().seq() | tag);
-                ScheduledTx {
-                    at,
-                    tx: s.tx.with_id(id, at),
-                }
-            })
-            .collect();
+    let spec = BenchmarkSpec {
+        system,
+        ..template.clone()
+    };
+    let timelines: Vec<Timeline> = unit
+        .benchmarks()
+        .enumerate()
+        .map(|(i, b)| paper_client(b, spec.rate, spec.ops_per_tx, spec.windows).unit_phase(i))
+        .map(ScenarioBuilder::build)
+        .collect();
+    let benchmarks = unit
+        .benchmarks()
+        .zip(run_reps(&spec, &timelines, seed))
+        .map(|(benchmark, reps)| {
             let spec = BenchmarkSpec {
-                system,
                 benchmark,
-                windows: Windows {
-                    send: base + template.windows.send,
-                    listen: base + template.windows.listen,
-                },
-                ..template.clone()
+                ..spec.clone()
             };
-            let run = run_chaos_with_schedule(
-                sys.as_mut(),
-                &spec,
-                &FaultPlan::new(),
-                &RetryPolicy::disabled(),
-                &ClientProtection::disabled(),
-                &schedule,
-                schedule_seed,
-            );
-            measurements[i].push(RepMeasurement::of(&run, &schedule));
-            base += term;
-        }
-    }
-
-    let results = benchmarks
-        .iter()
-        .zip(&measurements)
-        .map(|(&benchmark, reps)| {
-            let spec = BenchmarkSpec {
-                system,
-                benchmark,
-                ..template.clone()
-            };
-            BenchmarkResult::from_reps(&spec, reps)
+            BenchmarkResult::from_reps(&spec, &reps)
         })
         .collect();
-    UnitResult {
-        benchmarks: results,
+    UnitResult { benchmarks }
+}
+
+/// The paper's fire-and-forget client (§4.4) sending `benchmark` at
+/// `rate` payloads per second over `windows`: no faults, no re-sends, no
+/// protection.
+pub(crate) fn paper_client(
+    benchmark: PayloadKind,
+    rate: f64,
+    ops_per_tx: u32,
+    windows: Windows,
+) -> ScenarioBuilder {
+    ScenarioBuilder::new(benchmark, rate, windows)
+        .ops_per_tx(ops_per_tx)
+        .policy(RetryPolicy::disabled())
+}
+
+/// Runs `timelines` back to back on one deployment of `spec`'s system per
+/// repetition, returning `reps[timeline][repetition]`. Repetition `r`
+/// deploys with seed stream `("system", 0)` of
+/// `SeedDeriver::new(seed).for_repetition(r)` and runs every timeline with
+/// that deriver's root, so timeline `i` (unit phase `i`) draws its
+/// schedule from the repetition's `("schedule", i)`.
+fn run_reps(spec: &BenchmarkSpec, timelines: &[Timeline], seed: u64) -> Vec<Vec<RepMeasurement>> {
+    let mut reps = vec![Vec::with_capacity(spec.repetitions as usize); timelines.len()];
+    for rep in 0..spec.repetitions {
+        let r = SeedDeriver::new(seed).for_repetition(rep);
+        let mut sys = build_system(spec.system, &spec.setup, r.seed("system", 0));
+        for (timeline, out) in timelines.iter().zip(&mut reps) {
+            let run = timeline.run_on(sys.as_mut(), r.root()).run;
+            out.push(RepMeasurement::of(&run, spec.ops_per_tx));
+        }
     }
+    reps
 }
 
 /// Runs many independent benchmarks on a thread pool of `jobs` workers
@@ -356,6 +304,7 @@ pub fn run_many(specs: &[BenchmarkSpec], seed: u64, jobs: Option<usize>) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
+    use coconut_types::SimDuration;
 
     fn quick(system: SystemKind, benchmark: PayloadKind) -> BenchmarkSpec {
         BenchmarkSpec::new(system, benchmark)

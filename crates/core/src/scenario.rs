@@ -37,7 +37,7 @@
 //!    `(at, tx.id())`, and overlay ids carry a per-phase tag bit
 //!    ([`overlay_tag`]) so base and overlay ids can never collide.
 
-use coconut_chains::{Stage, StageReport, SystemStats};
+use coconut_chains::{BlockchainSystem, Stage, StageReport, SystemStats};
 use coconut_simnet::{FaultEvent, FaultPlan, LatencyModel, RegionMap};
 use coconut_types::{
     ClientId, NodeId, PayloadKind, SeedDeriver, SimDuration, SimTime, ThreadId, TxId,
@@ -90,13 +90,32 @@ pub struct LoadPhase {
     pub shape: LoadShape,
 }
 
-/// The id tag of load-overlay phase `i` (0-based): bit 44 shifted by the
-/// phase index plus one, so overlay ids can never collide with the base
-/// schedule (per-client sequence numbers use bits 0..44, threads sit at
-/// 48..56 and retry derivation at 56..). Phase 0's tag equals the overload
-/// campaign's historical pulse tag.
+// The bits of a client transaction's sequence number (`TxId::seq`):
+//
+// | bits  | written by                                                  |
+// |-------|-------------------------------------------------------------|
+// | 0–39  | the per-thread (or per-overlay) sequence number             |
+// | 40–43 | `unit_tag`: unit phase + 1 of a benchmark unit              |
+// | 44–47 | `overlay_tag`: load phase + 1 of an overlay                 |
+// | 48–55 | the workload thread (`client::build_schedule_for`)          |
+// | 56–63 | the re-send attempt byte (`chaos::run_chaos_with_schedule`) |
+//
+// A tag ORs into bits its schedule leaves zero, so tagging a sorted
+// schedule keeps it sorted.
+
+/// The id tag of load-overlay phase `i` (0-based): `i + 1` in bits 44–47
+/// (see the layout above), so overlay ids can never collide with the base
+/// schedule. Phase 0's tag equals the overload campaign's historical pulse
+/// tag.
 pub fn overlay_tag(phase: usize) -> u64 {
     ((phase + 1) as u64) << 44
+}
+
+/// The id tag of benchmark-unit phase `i` (0-based): `i + 1` in bits
+/// 40–43, so the benchmarks of one unit, which share a deployed system,
+/// never reuse each other's ids ([`ScenarioBuilder::unit_phase`]).
+pub fn unit_tag(phase: usize) -> u64 {
+    ((phase + 1) as u64) << 40
 }
 
 /// A checkpointed assertion, evaluated on the deterministic clock at the
@@ -286,6 +305,7 @@ pub struct ScenarioBuilder {
     phases: Vec<LoadPhase>,
     checks: Vec<(SimTime, Check)>,
     probes: bool,
+    unit_phase: Option<usize>,
 }
 
 impl ScenarioBuilder {
@@ -306,6 +326,7 @@ impl ScenarioBuilder {
             phases: Vec::new(),
             checks: Vec::new(),
             probes: false,
+            unit_phase: None,
         }
     }
 
@@ -362,6 +383,23 @@ impl ScenarioBuilder {
         self
     }
 
+    /// Makes the timeline phase `i` (0-based) of a benchmark unit (§4.1),
+    /// whose benchmarks run back to back on one deployed system. Phase `i`
+    /// takes the base schedule from seed stream `("schedule", i)`, starts
+    /// `i × term` in, where `term = listen + 3 × (listen − send)` is the
+    /// paper's client lifecycle (420 s for 300 s of sending), ORs
+    /// [`unit_tag`]`(i)` into its ids, and listens until its shifted listen
+    /// end ([`Timeline::windows`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` does not fit the unit tag's four bits (`i ≥ 15`).
+    pub fn unit_phase(mut self, i: usize) -> Self {
+        assert!(i < 15, "unit phase {i} overflows the 4-bit unit tag");
+        self.unit_phase = Some(i);
+        self
+    }
+
     /// Moves the time cursor to `t`; subsequent cursor calls anchor there.
     pub fn at(self, t: SimTime) -> Cursor {
         Cursor { b: self, t }
@@ -383,6 +421,7 @@ impl ScenarioBuilder {
             phases: self.phases,
             checks: self.checks,
             probes: self.probes,
+            unit_phase: self.unit_phase,
         }
     }
 }
@@ -596,6 +635,7 @@ pub struct Timeline {
     phases: Vec<LoadPhase>,
     checks: Vec<(SimTime, Check)>,
     probes: bool,
+    unit_phase: Option<usize>,
 }
 
 /// The outcome of executing one [`Timeline`] against one system.
@@ -630,9 +670,22 @@ impl Timeline {
         self.rate
     }
 
-    /// The send/listen windows.
+    /// The send/listen windows the client loop runs over: a unit phase's
+    /// are shifted to the phase's start ([`ScenarioBuilder::unit_phase`]).
     pub fn windows(&self) -> Windows {
-        self.windows
+        let start = self.unit_start();
+        Windows {
+            send: start + self.windows.send,
+            listen: start + self.windows.listen,
+        }
+    }
+
+    /// Where the unit phase starts: `i × (listen + 3 × (listen − send))`,
+    /// or zero for a timeline that is not a unit phase.
+    fn unit_start(&self) -> SimDuration {
+        let w = self.windows;
+        let term = w.listen + (w.listen - w.send) * 3;
+        term * self.unit_phase.unwrap_or(0) as u64
     }
 
     /// The compiled fault plan.
@@ -663,16 +716,22 @@ impl Timeline {
     /// with [`overlay_tag`]`(i)`), sorted by `(at, tx.id())`. With no
     /// phases this is the classic client's schedule; with a single flash
     /// phase it is byte-identical to the overload campaign's pulse
-    /// schedule.
+    /// schedule. Unit phase `i` draws its base schedule from stream
+    /// `("schedule", i)` instead, shifted and tagged per
+    /// [`ScenarioBuilder::unit_phase`].
     pub fn schedule(&self, seed: u64) -> Vec<ScheduledTx> {
         let seeds = SeedDeriver::new(seed);
+        let stream = self.unit_phase.map_or(0, |i| i as u64);
         let mut all = build_schedule_for(
             self.workload.as_ref(),
             self.rate,
             self.ops_per_tx,
             self.windows,
-            seeds.seed("schedule", 0),
+            seeds.seed("schedule", stream),
         );
+        if let Some(i) = self.unit_phase {
+            all = shift_and_tag(all, self.unit_start(), unit_tag(i));
+        }
         for (i, phase) in self.phases.iter().enumerate() {
             all.extend(self.overlay(i, phase, &seeds));
         }
@@ -701,17 +760,7 @@ impl Timeline {
                     },
                     overlay_seed,
                 );
-                let offset = phase.start - SimTime::ZERO;
-                sub.into_iter()
-                    .map(|s| {
-                        let at = s.at + offset;
-                        let id = TxId::new(s.tx.id().client(), s.tx.id().seq() | tag);
-                        ScheduledTx {
-                            at,
-                            tx: s.tx.with_id(id, at),
-                        }
-                    })
-                    .collect()
+                shift_and_tag(sub, phase.start - SimTime::ZERO, tag)
             }
             // Varying-rate shapes step the send clock by the instantaneous
             // inter-send gap `1 / r(t)`; when the rate is (near) zero the
@@ -780,16 +829,33 @@ impl Timeline {
         }
     }
 
-    /// Executes the timeline against a fresh deployment of `system`. All
-    /// randomness derives from `seed`: identical `(timeline, system, seed)`
-    /// give identical [`ScenarioRun`]s, regardless of what other cells run
+    /// Executes the timeline against a fresh deployment of `system`, built
+    /// from the timeline's setup and `seed`, by [`Timeline::run_on`] with
+    /// the same `seed`. Identical `(timeline, system, seed)` give
+    /// identical [`ScenarioRun`]s, regardless of what other cells run
     /// around them.
     pub fn run(&self, system: SystemKind, seed: u64) -> ScenarioRun {
-        let spec = BenchmarkSpec::new(system, self.payload)
-            .rate(self.rate)
-            .windows(self.windows)
-            .repetitions(1);
         let mut sys = build_system(system, &self.setup, seed);
+        self.run_on(sys.as_mut(), seed)
+    }
+
+    /// Executes the timeline against `sys` as it stands: arms the probes,
+    /// installs the workload's preload, runs [`Timeline::schedule`]`(seed)`
+    /// through the client loop ([`run_chaos_with_schedule`], whose
+    /// randomness also derives from `seed`), and reads back the stats,
+    /// the ledger check ([`Workload::verify`]), the epochs, the stage
+    /// report and the checks. A system that already served earlier
+    /// timelines keeps its state, so unit phases run back to back on one
+    /// deployment. This is the only library path that runs a client
+    /// schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the system, payload, rate and seed, if the run's
+    /// delivery accounting does not classify every scheduled transaction
+    /// exactly once ([`crate::DeliveryAccounting::is_complete`]). The
+    /// check runs in every build.
+    pub fn run_on(&self, sys: &mut (dyn BlockchainSystem + Send), seed: u64) -> ScenarioRun {
         if self.probes {
             sys.enable_stage_probes();
         }
@@ -800,14 +866,31 @@ impl Timeline {
             sys.preload(&preload);
         }
         let schedule = self.schedule(seed);
+        // The client loop reads only the spec's windows; the kind labels it.
+        let kind = SystemKind::ALL
+            .into_iter()
+            .find(|k| k.label() == sys.name())
+            .unwrap_or_else(|| panic!("{} is not one of the modelled systems", sys.name()));
+        let spec = BenchmarkSpec::new(kind, self.payload)
+            .rate(self.rate)
+            .windows(self.windows())
+            .repetitions(1);
         let run = run_chaos_with_schedule(
-            sys.as_mut(),
+            sys,
             &spec,
             &self.plan,
             &self.policy,
             &self.protection,
             &schedule,
             seed,
+        );
+        let a = &run.accounting;
+        assert!(
+            a.is_complete(),
+            "{} {} at {} tx/s, seed {seed}: delivery accounting is incomplete: {a:?}",
+            sys.name(),
+            self.payload.label(),
+            self.rate
         );
         let stats = sys.stats();
         let verified = sys.ledger_state().map(|l| self.workload.verify(&l));
@@ -831,6 +914,21 @@ impl Timeline {
             verified,
         }
     }
+}
+
+/// `schedule` moved `offset` later with `tag` ORed into every id.
+fn shift_and_tag(schedule: Vec<ScheduledTx>, offset: SimDuration, tag: u64) -> Vec<ScheduledTx> {
+    schedule
+        .into_iter()
+        .map(|s| {
+            let at = s.at + offset;
+            let id = TxId::new(s.tx.id().client(), s.tx.id().seq() | tag);
+            ScheduledTx {
+                at,
+                tx: s.tx.with_id(id, at),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -871,6 +969,65 @@ mod tests {
         assert_eq!(sr.run.accounting.confirmed, sr.run.accounting.scheduled);
         assert!(sr.checks.is_empty());
         assert!(sr.all_checks_pass());
+    }
+
+    /// Unit phase `i` against `run_unit`'s hand-built construction before
+    /// unit phases existed: stream `("schedule", i)` of the repetition,
+    /// shifted `i × term` and re-tagged `(i + 1) << 40`, with absolute
+    /// windows.
+    #[test]
+    fn unit_phases_match_the_hand_built_unit_schedules() {
+        let w = windows();
+        let term = w.listen + (w.listen - w.send) * 3;
+        let r = SeedDeriver::new(17).for_repetition(1);
+        for ops in [1, 50] {
+            let mut base = SimDuration::ZERO;
+            for i in 0..3 {
+                let expect: Vec<ScheduledTx> = build_schedule(
+                    PayloadKind::KeyValueSet,
+                    400.0,
+                    ops,
+                    w,
+                    r.seed("schedule", i as u64),
+                )
+                .into_iter()
+                .map(|s| {
+                    let at = s.at + base;
+                    let id = TxId::new(s.tx.id().client(), s.tx.id().seq() | (i as u64 + 1) << 40);
+                    ScheduledTx {
+                        at,
+                        tx: s.tx.with_id(id, at),
+                    }
+                })
+                .collect();
+                let tl = ScenarioBuilder::new(PayloadKind::KeyValueSet, 400.0, w)
+                    .ops_per_tx(ops)
+                    .unit_phase(i)
+                    .build();
+                let got = tl.schedule(r.root());
+                assert_eq!(got.len(), expect.len(), "ops {ops}, phase {i}");
+                for (a, b) in got.iter().zip(&expect) {
+                    assert!(a.at == b.at && a.tx == b.tx, "ops {ops}, phase {i}");
+                }
+                let absolute = Windows {
+                    send: base + w.send,
+                    listen: base + w.listen,
+                };
+                assert_eq!(tl.windows(), absolute);
+                base += term;
+            }
+        }
+        // Without a unit phase the paper timeline keeps the classic
+        // client's schedule at the repetition's stream 0, unshifted.
+        let tl = ScenarioBuilder::new(PayloadKind::KeyValueSet, 400.0, w).build();
+        let expect = build_schedule(PayloadKind::KeyValueSet, 400.0, 1, w, r.seed("schedule", 0));
+        let got = tl.schedule(r.root());
+        assert_eq!(got.len(), expect.len());
+        assert!(got
+            .iter()
+            .zip(&expect)
+            .all(|(a, b)| a.at == b.at && a.tx == b.tx));
+        assert_eq!(tl.windows(), w);
     }
 
     #[test]

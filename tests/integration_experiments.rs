@@ -196,13 +196,19 @@ fn paper_tables() -> Vec<(&'static str, String)> {
     ]
 }
 
-/// Figures 3 and 4 as `repro fig3` / `repro fig4` write them (Figure 4
-/// starts from Figure 3's best configurations).
+/// Figures 3, 4 and 5 as `repro fig3` / `repro fig4` / `repro fig5` write
+/// them (Figure 4 starts from Figure 3's best configurations; a standalone
+/// Figure 5 uses each system's default DoNothing configuration).
 fn paper_figures() -> Vec<(&'static str, String)> {
     let cfg = golden_cfg();
     let base = fig3(&cfg);
     let f4 = fig4(&cfg, Some(&base));
-    vec![("fig3", base.to_json()), ("fig4", f4.to_json())]
+    let f5 = fig5(&cfg, None);
+    vec![
+        ("fig3", base.to_json()),
+        ("fig4", f4.to_json()),
+        ("fig5", f5.to_json()),
+    ]
 }
 
 const PAPER_GOLDEN_DIR: &str = concat!(
@@ -231,8 +237,9 @@ fn paper_tables_json_match_golden_files() {
     assert_matches_golden(paper_tables());
 }
 
-/// Figures 3 and 4, pinned byte for byte. Release-only: the full grids are
-/// too slow unoptimized, and CI runs the suite in release.
+/// Figures 3, 4 and 5, pinned byte for byte (Figure 5 runs single
+/// benchmarks, not units). Release-only: the full grids are too slow
+/// unoptimized, and CI runs the suite in release.
 #[test]
 #[cfg_attr(
     debug_assertions,
