@@ -35,13 +35,13 @@
 //! (see [`super::harness`]), so `--systems` filters and any `--jobs`
 //! worker count render byte-identical reports.
 
-use super::harness::{canonical, run_cells, steady_payload, Cell, Span};
+use super::harness::{canonical, record, run_cells, steady_payload, Cell, Span};
 use super::overload::{reference_rate, tight_limits};
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
-use crate::report::Report;
+use crate::report::{self, Column, Report};
 use crate::scenario::{ScenarioBuilder, Timeline};
 use coconut_chains::{Stage, StageReport, SystemStats};
 use coconut_types::SimTime;
@@ -243,139 +243,103 @@ pub fn bottleneck_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> Bottlen
 }
 
 impl BottleneckCell {
-    fn to_json(&self) -> Json {
-        let a = &self.run.accounting;
-        let stages = Stage::ALL
-            .into_iter()
-            .map(|s| {
-                let snap = self.report.get(s);
-                Json::Obj(vec![
-                    ("stage".into(), Json::Str(s.label().into())),
-                    ("count".into(), Json::Num(snap.count as f64)),
-                    ("sum_secs".into(), Json::Num(snap.sum_secs)),
-                    ("mean_secs".into(), Json::Num(snap.mean_secs)),
-                    ("p50_secs".into(), Json::Num(snap.p50_secs)),
-                    ("p95_secs".into(), Json::Num(snap.p95_secs)),
-                    ("p99_secs".into(), Json::Num(snap.p99_secs)),
-                    ("max_secs".into(), Json::Num(snap.max_secs)),
-                    ("share".into(), Json::Num(self.report.residence_share(s))),
-                    ("depth_mean".into(), Json::Num(snap.depth_mean)),
-                    ("depth_max".into(), Json::Num(snap.depth_max as f64)),
-                    ("utilization_mean".into(), Json::Num(snap.utilization_mean)),
-                    ("utilization_max".into(), Json::Num(snap.utilization_max)),
-                    ("sheds".into(), Json::Num(snap.sheds as f64)),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("system".into(), Json::Str(self.system.label().into())),
-            ("base_rate".into(), Json::Num(self.base_rate)),
-            ("offered_peak".into(), Json::Num(self.offered_peak)),
-            ("knee_mtps".into(), Json::Num(self.knee_mtps)),
-            ("knee_at_secs".into(), Json::Num(self.knee_at.as_secs_f64())),
-            ("verdict".into(), Json::Str(self.verdict.label().into())),
-            (
-                "saturated".into(),
-                Json::Arr(
-                    self.verdict
-                        .saturated
-                        .iter()
-                        .map(|s| Json::Str(s.label().into()))
-                        .collect(),
-                ),
-            ),
-            ("scheduled".into(), Json::Num(a.scheduled as f64)),
-            ("confirmed".into(), Json::Num(a.confirmed as f64)),
-            ("busy".into(), Json::Num(self.stats.busy as f64)),
-            ("evicted".into(), Json::Num(self.stats.evicted as f64)),
-            ("stages".into(), Json::Arr(stages)),
+    /// The probe's aggregates of stage `s`.
+    fn stage_record(&self, s: Stage) -> Json {
+        let snap = self.report.get(s);
+        Json::obj([
+            ("stage", s.label().into()),
+            ("count", snap.count.into()),
+            ("sum_secs", snap.sum_secs.into()),
+            ("mean_secs", snap.mean_secs.into()),
+            ("p50_secs", snap.p50_secs.into()),
+            ("p95_secs", snap.p95_secs.into()),
+            ("p99_secs", snap.p99_secs.into()),
+            ("max_secs", snap.max_secs.into()),
+            ("share", self.report.residence_share(s).into()),
+            ("depth_mean", snap.depth_mean.into()),
+            ("depth_max", snap.depth_max.into()),
+            ("utilization_mean", snap.utilization_mean.into()),
+            ("utilization_max", snap.utilization_max.into()),
+            ("sheds", snap.sheds.into()),
         ])
+    }
+
+    fn record(&self) -> Json {
+        let keys = "system base_rate offered_peak knee_mtps knee_at_secs verdict saturated \
+            scheduled confirmed busy evicted stages";
+        record(keys, &self.run, Some(&self.stats), |key| match key {
+            "system" => Some(self.system.label().into()),
+            "base_rate" => Some(self.base_rate.into()),
+            "offered_peak" => Some(self.offered_peak.into()),
+            "knee_mtps" => Some(self.knee_mtps.into()),
+            "knee_at_secs" => Some(self.knee_at.as_secs_f64().into()),
+            "verdict" => Some(self.verdict.label().into()),
+            "saturated" => Some(self.verdict.saturated.iter().map(|s| s.label()).collect()),
+            "stages" => Some(Stage::ALL.iter().map(|&s| self.stage_record(s)).collect()),
+            _ => None,
+        })
     }
 }
 
+/// The verdict table's columns.
+const VERDICT_COLUMNS: [Column; 7] = [
+    Column::text("system", 18, "system"),
+    Column::num("base", 8, "base_rate", 0),
+    Column::num("peak", 9, "offered_peak", 0),
+    Column::num("knee", 9, "knee_mtps", 1),
+    Column::num("knee@s", 8, "knee_at_secs", 0),
+    Column::text("verdict", 13, "verdict"),
+    Column::with("saturated", 9, |r| {
+        let stages: Vec<&str> = r
+            .list("saturated")
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        if stages.is_empty() {
+            "-".to_string()
+        } else {
+            stages.join(",")
+        }
+    })
+    .left(),
+];
+
+/// The per-stage breakdown's columns, over a cell's `stages` records.
+const STAGE_COLUMNS: [Column; 11] = [
+    Column::text("stage", 13, "stage"),
+    Column::num("count", 8, "count", 0),
+    Column::with("share", 7, |r| format!("{:.1}%", 100.0 * r.num("share"))),
+    Column::with("mean ms", 9, |r| format!("{:.2}", 1e3 * r.num("mean_secs"))),
+    Column::with("p50 ms", 9, |r| format!("{:.2}", 1e3 * r.num("p50_secs"))),
+    Column::with("p95 ms", 9, |r| format!("{:.2}", 1e3 * r.num("p95_secs"))),
+    Column::with("p99 ms", 9, |r| format!("{:.2}", 1e3 * r.num("p99_secs"))),
+    Column::num("depth", 7, "depth_mean", 1),
+    Column::num("dmax", 7, "depth_max", 0),
+    Column::num("util", 6, "utilization_mean", 2),
+    Column::num("sheds", 7, "sheds", 0),
+];
+
 impl Report for BottleneckResult {
+    fn record(&self) -> Json {
+        let cells = self.cells.iter().map(BottleneckCell::record);
+        Json::obj([("cells", cells.collect())])
+    }
+
     /// Renders the verdict table followed by each system's per-stage
     /// breakdown. Deterministic: the same config yields byte-identical
     /// output.
     fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
+        let record = self.record();
+        let cells = record.list("cells");
+        let mut out = String::from(
             "Bottleneck attribution — ramp to saturation, per-stage residence and verdicts\n\n",
         );
-        out.push_str(&format!(
-            "{:<18} {:>8} {:>9} {:>9} {:>8} {:<13} {}\n",
-            "system", "base", "peak", "knee", "knee@s", "verdict", "saturated"
-        ));
-        out.push_str(&"-".repeat(92));
-        out.push('\n');
-        for c in &self.cells {
-            let saturated = if c.verdict.saturated.is_empty() {
-                "-".to_string()
-            } else {
-                c.verdict
-                    .saturated
-                    .iter()
-                    .map(|s| s.label())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            out.push_str(&format!(
-                "{:<18} {:>8.0} {:>9.0} {:>9.1} {:>8.0} {:<13} {}\n",
-                c.system.label(),
-                c.base_rate,
-                c.offered_peak,
-                c.knee_mtps,
-                c.knee_at.as_secs_f64(),
-                c.verdict.label(),
-                saturated,
-            ));
-        }
-        out.push('\n');
-        for c in &self.cells {
-            out.push_str(&format!("== {}\n", c.system.label()));
-            out.push_str(&format!(
-                "{:<13} {:>8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>6} {:>7}\n",
-                "stage",
-                "count",
-                "share",
-                "mean ms",
-                "p50 ms",
-                "p95 ms",
-                "p99 ms",
-                "depth",
-                "dmax",
-                "util",
-                "sheds",
-            ));
-            for s in Stage::ALL {
-                let snap = c.report.get(s);
-                out.push_str(&format!(
-                    "{:<13} {:>8} {:>6.1}% {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>7.1} {:>7} {:>6.2} {:>7}\n",
-                    s.label(),
-                    snap.count,
-                    100.0 * c.report.residence_share(s),
-                    1e3 * snap.mean_secs,
-                    1e3 * snap.p50_secs,
-                    1e3 * snap.p95_secs,
-                    1e3 * snap.p99_secs,
-                    snap.depth_mean,
-                    snap.depth_max,
-                    snap.utilization_mean,
-                    snap.sheds,
-                ));
-            }
-            out.push('\n');
+        out.push_str(&report::columns(&VERDICT_COLUMNS, cells));
+        for c in cells {
+            out.push_str(&format!("\n== {}\n", c.text("system")));
+            out.push_str(&report::columns(&STAGE_COLUMNS, c.list("stages")));
         }
         out
-    }
-
-    /// The campaign as pretty-printed JSON (same determinism guarantee).
-    fn to_json(&self) -> String {
-        Json::Obj(vec![(
-            "cells".into(),
-            Json::Arr(self.cells.iter().map(BottleneckCell::to_json).collect()),
-        )])
-        .to_pretty()
     }
 }
 

@@ -23,12 +23,14 @@
 //! numbers. Every number is a pure function of the root seed: the same
 //! [`ExperimentConfig`] renders byte-identical reports.
 
-use super::harness::{canonical, run_cells, steady_payload, steady_rate, Cell, Span};
+use super::harness::{
+    canonical, record, run_cells, secs_or, steady_payload, steady_rate, Cell, Span,
+};
 use super::ExperimentConfig;
 use crate::chaos::{ChaosRun, RetryPolicy};
 use crate::json::Json;
 use crate::params::SystemKind;
-use crate::report::{self, Report};
+use crate::report::{self, Column, Report};
 use crate::scenario::{ScenarioBuilder, Timeline};
 use coconut_types::{NodeId, SimDuration};
 
@@ -511,179 +513,86 @@ pub fn chaos_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> ChaosResult 
     }
 }
 
-/// The measured-metrics JSON tail shared by classic arms and sweep cells.
-/// Field names and order are pinned by the golden files — append, never
+/// The measured fields of classic arms and sweep cells, after their
+/// identity fields. Order is pinned by the golden files: append, never
 /// reorder.
-fn metrics_json(
-    rate: f64,
-    pre: f64,
-    fault: f64,
-    post: f64,
-    recovery: Option<f64>,
-    run: &ChaosRun,
-) -> Vec<(String, Json)> {
-    let a = &run.accounting;
-    vec![
-        ("rate".into(), Json::Num(rate)),
-        ("pre_mtps".into(), Json::Num(pre)),
-        ("fault_mtps".into(), Json::Num(fault)),
-        ("post_mtps".into(), Json::Num(post)),
-        (
-            "recovery_secs".into(),
-            recovery.map_or(Json::Null, Json::Num),
-        ),
-        ("mfls".into(), Json::Num(run.mfls)),
-        ("live".into(), Json::Bool(run.live)),
-        ("scheduled".into(), Json::Num(a.scheduled as f64)),
-        ("confirmed".into(), Json::Num(a.confirmed as f64)),
-        ("rejected".into(), Json::Num(a.rejected as f64)),
-        ("timed_out".into(), Json::Num(a.timed_out as f64)),
-        ("lost_in_fault".into(), Json::Num(a.lost_in_fault as f64)),
-        ("retries".into(), Json::Num(a.retries as f64)),
-        ("delivery_ratio".into(), Json::Num(a.delivery_ratio())),
-        (
-            // `null` for CFT systems: safety invariants not applicable.
-            "byzantine".into(),
-            match &run.safety {
-                None => Json::Null,
-                Some(s) => Json::Obj(vec![
-                    (
-                        "conflicting_commits".into(),
-                        Json::Num(s.violations.conflicting_commits as f64),
-                    ),
-                    (
-                        "conflicting_certificates".into(),
-                        Json::Num(s.violations.conflicting_certificates as f64),
-                    ),
-                    (
-                        "undersized_quorums".into(),
-                        Json::Num(s.violations.undersized_quorums as f64),
-                    ),
-                    (
-                        "equivocating_proposals".into(),
-                        Json::Num(s.observed.equivocating_proposals as f64),
-                    ),
-                    (
-                        "double_votes".into(),
-                        Json::Num(s.observed.double_votes as f64),
-                    ),
-                    (
-                        "byzantine_nodes".into(),
-                        Json::Num(s.observed.byzantine_nodes as f64),
-                    ),
-                ]),
-            },
-        ),
-    ]
+const METRIC_KEYS: &str = "rate pre_mtps fault_mtps post_mtps recovery_secs mfls live \
+    scheduled confirmed rejected timed_out lost_in_fault retries delivery_ratio byzantine";
+
+/// The heat map's fields of a sweep cell record.
+const HEATMAP_KEYS: &str = "system fault severity faults recovery_secs delivery_ratio";
+
+/// The measured columns of the classic table and the sweep curves.
+const METRIC_COLUMNS: [Column; 11] = [
+    Column::num("pre", 9, "pre_mtps", 1),
+    Column::num("fault", 9, "fault_mtps", 1),
+    Column::num("post", 9, "post_mtps", 1),
+    Column::with("recovery", 8, recovery),
+    Column::num("deliv", 6, "delivery_ratio", 3),
+    Column::num("rej", 5, "rejected", 0),
+    Column::num("tout", 5, "timed_out", 0),
+    Column::num("lost", 5, "lost_in_fault", 0),
+    Column::num("retry", 5, "retries", 0),
+    Column::with("viol", 5, |r| {
+        byzantine(r, |b| {
+            b.num("conflicting_commits")
+                + b.num("conflicting_certificates")
+                + b.num("undersized_quorums")
+        })
+    }),
+    Column::with("byz", 5, |r| byzantine(r, |b| b.num("byzantine_nodes"))),
+];
+
+/// Recovery seconds, else `never` where a healed fault never recovered
+/// and `—` on the halt and Byzantine arms, which do not heal (sweep cells
+/// have no arm: every sweep fault heals).
+fn recovery(r: &Json) -> String {
+    let arm = r.get("arm").and_then(Json::as_str).unwrap_or("");
+    let healed = arm != "crash-beyond-f" && !arm.starts_with("byz");
+    secs_or(r, "recovery_secs", if healed { "never" } else { "—" })
 }
 
-/// The shared numeric columns of a report row (everything after the
-/// cell-identity columns): pre/fault/post MTPS, recovery, delivery, the
-/// NoT split, and the safety verdict.
-fn metrics_row(pre: f64, fault: f64, post: f64, recovery: &str, run: &ChaosRun) -> String {
-    let (viol, byz) = match &run.safety {
-        Some(s) => (
-            s.violations.total().to_string(),
-            s.observed.byzantine_nodes.to_string(),
-        ),
-        None => ("n/a".to_string(), "n/a".to_string()),
-    };
-    let a = &run.accounting;
-    format!(
-        "{pre:>9.1} {fault:>9.1} {post:>9.1} {recovery:>8} {:>6.3} {:>5} {:>5} {:>5} {:>5} {viol:>5} {byz:>5}",
-        a.delivery_ratio(),
-        a.rejected,
-        a.timed_out,
-        a.lost_in_fault,
-        a.retries,
-    )
-}
-
-/// The shared numeric header matching [`metrics_row`].
-fn metrics_header() -> String {
-    format!(
-        "{:>9} {:>9} {:>9} {:>8} {:>6} {:>5} {:>5} {:>5} {:>5} {:>5} {:>5}",
-        "pre", "fault", "post", "recovery", "deliv", "rej", "tout", "lost", "retry", "viol", "byz",
-    )
+/// A count read from the record's safety counts, `n/a` where safety does
+/// not apply.
+fn byzantine(r: &Json, count: fn(&Json) -> f64) -> String {
+    match r.field("byzantine") {
+        Json::Null => "n/a".to_string(),
+        b => count(b).to_string(),
+    }
 }
 
 impl ChaosCell {
-    fn render_row(&self) -> String {
-        let rec = match self.recovery_secs {
-            Some(s) => format!("{s:.1} s"),
-            // Halt and Byzantine arms are not heal-and-recover experiments.
-            None if self.arm == "crash-beyond-f" || self.arm.starts_with("byz") => "—".to_string(),
-            None => "never".to_string(),
-        };
-        format!(
-            "{:<18} {:<15} {:<16} {}",
-            self.system.label(),
-            self.arm,
-            self.faults,
-            metrics_row(
-                self.pre_mtps,
-                self.fault_mtps,
-                self.post_mtps,
-                &rec,
-                &self.run
-            ),
-        )
-    }
-
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("system".into(), Json::Str(self.system.label().into())),
-            ("arm".into(), Json::Str(self.arm.into())),
-            ("faults".into(), Json::Str(self.faults.clone())),
-        ];
-        fields.extend(metrics_json(
-            self.rate,
-            self.pre_mtps,
-            self.fault_mtps,
-            self.post_mtps,
-            self.recovery_secs,
-            &self.run,
-        ));
-        Json::Obj(fields)
+    fn record(&self) -> Json {
+        let keys = format!("system arm faults {METRIC_KEYS}");
+        record(&keys, &self.run, None, |key| match key {
+            "system" => Some(self.system.label().into()),
+            "arm" => Some(self.arm.into()),
+            "faults" => Some(self.faults.as_str().into()),
+            "rate" => Some(self.rate.into()),
+            "pre_mtps" => Some(self.pre_mtps.into()),
+            "fault_mtps" => Some(self.fault_mtps.into()),
+            "post_mtps" => Some(self.post_mtps.into()),
+            "recovery_secs" => Some(self.recovery_secs.into()),
+            _ => None,
+        })
     }
 }
 
 impl SweepCell {
-    fn render_row(&self) -> String {
-        let rec = match self.recovery_secs {
-            Some(s) => format!("{s:.1} s"),
-            None => "never".to_string(),
-        };
-        format!(
-            "{:>3} {:<16} {}",
-            self.severity,
-            self.faults,
-            metrics_row(
-                self.pre_mtps,
-                self.fault_mtps,
-                self.post_mtps,
-                &rec,
-                &self.run
-            ),
-        )
-    }
-
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("system".into(), Json::Str(self.system.label().into())),
-            ("fault".into(), Json::Str(self.kind.label().into())),
-            ("severity".into(), Json::Num(f64::from(self.severity))),
-            ("faults".into(), Json::Str(self.faults.clone())),
-        ];
-        fields.extend(metrics_json(
-            self.rate,
-            self.pre_mtps,
-            self.fault_mtps,
-            self.post_mtps,
-            self.recovery_secs,
-            &self.run,
-        ));
-        Json::Obj(fields)
+    fn record(&self) -> Json {
+        let keys = format!("system fault severity faults {METRIC_KEYS}");
+        record(&keys, &self.run, None, |key| match key {
+            "system" => Some(self.system.label().into()),
+            "fault" => Some(self.kind.label().into()),
+            "severity" => Some(f64::from(self.severity).into()),
+            "faults" => Some(self.faults.as_str().into()),
+            "rate" => Some(self.rate.into()),
+            "pre_mtps" => Some(self.pre_mtps.into()),
+            "fault_mtps" => Some(self.fault_mtps.into()),
+            "post_mtps" => Some(self.post_mtps.into()),
+            "recovery_secs" => Some(self.recovery_secs.into()),
+            _ => None,
+        })
     }
 }
 
@@ -699,29 +608,25 @@ impl ChaosResult {
 }
 
 impl Report for ChaosResult {
+    /// The campaign as one record: an array of cells in report order.
+    fn record(&self) -> Json {
+        self.cells().map(ChaosCell::record).collect()
+    }
+
     /// Renders the campaign as a fixed-width text report. Deterministic:
     /// the same config yields byte-identical output.
     fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<18} {:<15} {:<16} {}\n",
-            "system",
-            "arm",
-            "faults",
-            metrics_header(),
-        ));
-        out.push_str(&"-".repeat(132));
-        out.push('\n');
-        for c in self.cells() {
-            out.push_str(&c.render_row());
-            out.push('\n');
-        }
-        out
-    }
-
-    /// The campaign as pretty-printed JSON (same determinism guarantee).
-    fn to_json(&self) -> String {
-        Json::Arr(self.cells().map(ChaosCell::to_json).collect()).to_pretty()
+        let ident = [
+            Column::text("system", 18, "system"),
+            Column::text("arm", 15, "arm"),
+            Column::text("faults", 16, "faults"),
+        ];
+        let cols = [&ident[..], &METRIC_COLUMNS].concat();
+        let record = self.record();
+        report::columns(
+            &cols,
+            record.as_array().expect("the campaign record is an array"),
+        )
     }
 }
 
@@ -750,109 +655,89 @@ impl SweepResult {
     /// delivery ratio at the highest tolerated severity per cell, "n/a"
     /// where the axis does not apply (Byzantine counts on CFT systems).
     pub fn render_heatmap(&self) -> String {
-        let col_labels: Vec<&str> = self.kinds.iter().map(|k| k.label()).collect();
-        let row_labels: Vec<&str> = self.systems.iter().map(|s| s.label()).collect();
-        let cells: Vec<Vec<Vec<String>>> = self
-            .systems
+        self.heatmap_text(&self.record())
+    }
+
+    /// The heat map of the sweep's `record`: a row per system, a column
+    /// per fault kind.
+    fn heatmap_text(&self, record: &Json) -> String {
+        let heat = record.list("heatmap");
+        let row = |s: SystemKind| {
+            let cells = self.kinds.iter().map(|k| {
+                let at = |h: &&Json| h.text("system") == s.label() && h.text("fault") == k.label();
+                let text = heat.iter().find(at).map_or("n/a".to_string(), |h| {
+                    let rec = secs_or(h, "recovery_secs", "never");
+                    let deliv = h.num("delivery_ratio");
+                    format!("rec={rec} deliv={deliv:.3} @ {}", h.text("faults"))
+                });
+                (k.label(), text.as_str().into())
+            });
+            Json::obj([("system", s.label().into())].into_iter().chain(cells))
+        };
+        let rows: Vec<Json> = self.systems.iter().map(|&s| row(s)).collect();
+        let kinds = self
+            .kinds
             .iter()
-            .map(|&s| {
-                self.kinds
-                    .iter()
-                    .map(|&k| match self.heatmap_cell(s, k) {
-                        Some(cell) => {
-                            let rec = match cell.recovery_secs {
-                                Some(r) => format!("rec={r:.1} s"),
-                                None => "rec=never".to_string(),
-                            };
-                            vec![
-                                rec,
-                                format!("deliv={:.3}", cell.run.accounting.delivery_ratio()),
-                                format!("@ {}", cell.faults),
-                            ]
-                        }
-                        None => vec!["n/a".to_string()],
-                    })
-                    .collect()
-            })
+            .map(|k| Column::text(k.label(), 40, k.label()));
+        let cols: Vec<Column> = [Column::text("system", 18, "system")]
+            .into_iter()
+            .chain(kinds)
             .collect();
-        report::grid_heatmap(&row_labels, &col_labels, &cells)
+        report::columns(&cols, &rows)
     }
 }
 
 impl Report for SweepResult {
+    /// The sweep's record: the curves (every cell with the full metric
+    /// set) plus the heat map (each tolerated-severity cell's
+    /// identity, recovery and delivery per system × kind).
+    fn record(&self) -> Json {
+        let curves = self.curves.iter().map(|c| {
+            Json::obj([
+                ("system", c.system.label().into()),
+                ("fault", c.kind.label().into()),
+                ("cells", c.cells.iter().map(SweepCell::record).collect()),
+            ])
+        });
+        let heat = self.systems.iter().flat_map(|&s| {
+            self.kinds
+                .iter()
+                .filter_map(move |&k| Some(self.heatmap_cell(s, k)?.record()))
+        });
+        Json::obj([
+            ("curves", curves.collect()),
+            ("heatmap", heat.map(|r| r.select(HEATMAP_KEYS)).collect()),
+        ])
+    }
+
     /// Renders the degradation curves followed by the heat map.
     /// Deterministic: the same campaign and config yield byte-identical
     /// output.
     fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Degradation curves — pre/fault/post MTPS vs fault severity\n\n");
-        for curve in &self.curves {
-            out.push_str(&format!("== {} × {}\n", curve.system.label(), curve.kind));
+        let record = self.record();
+        let ident = [
+            Column::num("sev", 3, "severity", 0),
+            Column::text("faults", 16, "faults"),
+        ];
+        let cols = [&ident[..], &METRIC_COLUMNS].concat();
+        let mut out =
+            String::from("Degradation curves — pre/fault/post MTPS vs fault severity\n\n");
+        for curve in record.list("curves") {
             out.push_str(&format!(
-                "{:>3} {:<16} {}\n",
-                "sev",
-                "faults",
-                metrics_header()
+                "== {} × {}\n",
+                curve.text("system"),
+                curve.text("fault")
             ));
-            for cell in &curve.cells {
-                out.push_str(&cell.render_row());
-                out.push('\n');
-            }
+            let cells = curve.list("cells");
+            out.push_str(&report::columns(&cols, cells));
             out.push('\n');
         }
         out.push_str(
             "Heat map — recovery and delivery at the highest tolerated severity\n\
              (crash: f-tolerant crashes; byzantine: f flagged; loss: largest swept rate)\n\n",
         );
-        out.push_str(&self.render_heatmap());
+        out.push_str(&self.heatmap_text(&record));
         out
-    }
-
-    /// The sweep as pretty-printed JSON: the curves (every cell with the
-    /// full metric set) plus the heat map (recovery and delivery at the
-    /// tolerated severity per system × kind).
-    fn to_json(&self) -> String {
-        let curves = self
-            .curves
-            .iter()
-            .map(|c| {
-                Json::Obj(vec![
-                    ("system".into(), Json::Str(c.system.label().into())),
-                    ("fault".into(), Json::Str(c.kind.label().into())),
-                    (
-                        "cells".into(),
-                        Json::Arr(c.cells.iter().map(SweepCell::to_json).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        let mut heat = Vec::new();
-        for &s in &self.systems {
-            for &k in &self.kinds {
-                let Some(cell) = self.heatmap_cell(s, k) else {
-                    continue;
-                };
-                heat.push(Json::Obj(vec![
-                    ("system".into(), Json::Str(s.label().into())),
-                    ("fault".into(), Json::Str(k.label().into())),
-                    ("severity".into(), Json::Num(f64::from(cell.severity))),
-                    ("faults".into(), Json::Str(cell.faults.clone())),
-                    (
-                        "recovery_secs".into(),
-                        cell.recovery_secs.map_or(Json::Null, Json::Num),
-                    ),
-                    (
-                        "delivery_ratio".into(),
-                        Json::Num(cell.run.accounting.delivery_ratio()),
-                    ),
-                ]));
-            }
-        }
-        Json::Obj(vec![
-            ("curves".into(), Json::Arr(curves)),
-            ("heatmap".into(), Json::Arr(heat)),
-        ])
-        .to_pretty()
     }
 }
 
@@ -1023,7 +908,7 @@ mod tests {
         let from_alone = alone.curve(SystemKind::Quorum, FaultKind::Crash).unwrap();
         assert_eq!(from_both.cells.len(), from_alone.cells.len());
         for (a, b) in from_both.cells.iter().zip(&from_alone.cells) {
-            assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
+            assert_eq!(a.record().to_pretty(), b.record().to_pretty());
         }
     }
 
@@ -1134,7 +1019,7 @@ mod tests {
         let picked = [SystemKind::Quorum, SystemKind::CordaOs];
         let full = chaos(&quick());
         let subset = chaos_for(&quick(), &picked);
-        let json = |c: &ChaosCell| c.to_json().to_pretty();
+        let json = |c: &ChaosCell| c.record().to_pretty();
         let expected: Vec<String> = full
             .cells()
             .filter(|c| picked.contains(&c.system))

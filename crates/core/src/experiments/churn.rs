@@ -26,14 +26,15 @@
 
 use super::chaos::fault_domain;
 use super::harness::{
-    canonical, run_cells, steady_payload, steady_rate, Cell, Span, RECOVERY_THRESHOLD,
+    canonical, record, run_cells, safety, secs_or, steady_payload, steady_rate, Cell, Span,
+    RECOVERY_THRESHOLD,
 };
 use super::overload::tight_limits;
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
-use crate::report::Report;
+use crate::report::{self, Column, Report};
 use crate::scenario::{ScenarioBuilder, Timeline};
 use coconut_types::NodeId;
 
@@ -279,126 +280,63 @@ pub fn churn_for(cfg: &ExperimentConfig, systems: &[SystemKind], arms: &[ChurnAr
 }
 
 impl ChurnCell {
-    fn render_row(&self) -> String {
-        let restab = match self.restabilize_secs {
-            Some(s) => format!("{s:.1} s"),
-            None => "never".to_string(),
-        };
-        format!(
-            "{:<18} {:<15} {:<30} {:>6.0} {:>8.1} {:>8.1} {:>8.1} {:>5.2} {:>7} {:>6} {:>5} {:>6} {:>6}",
-            self.system.label(),
-            self.arm.label(),
-            self.churn,
-            self.rate,
-            self.pre_mtps,
-            self.churn_mtps,
-            self.post_mtps,
-            self.dip_ratio,
-            restab,
-            self.epochs,
-            self.joins,
-            self.leaves,
-            if self.safety_ok { "ok" } else { "VIOL" },
-        )
-    }
-
-    fn to_json(&self) -> Json {
-        let a = &self.run.accounting;
-        Json::Obj(vec![
-            ("system".into(), Json::Str(self.system.label().into())),
-            ("arm".into(), Json::Str(self.arm.label().into())),
-            ("churn".into(), Json::Str(self.churn.clone())),
-            ("rate".into(), Json::Num(self.rate)),
-            ("pre_mtps".into(), Json::Num(self.pre_mtps)),
-            ("churn_mtps".into(), Json::Num(self.churn_mtps)),
-            ("post_mtps".into(), Json::Num(self.post_mtps)),
-            ("dip_ratio".into(), Json::Num(self.dip_ratio)),
-            ("mfls".into(), Json::Num(self.run.mfls)),
-            ("p95".into(), Json::Num(self.run.p95)),
-            (
-                "restabilize_secs".into(),
-                self.restabilize_secs.map_or(Json::Null, Json::Num),
-            ),
-            ("epochs".into(), Json::Num(self.epochs as f64)),
-            ("joins".into(), Json::Num(self.joins as f64)),
-            ("leaves".into(), Json::Num(self.leaves as f64)),
-            ("safety_ok".into(), Json::Bool(self.safety_ok)),
-            ("delivery_ratio".into(), Json::Num(a.delivery_ratio())),
-            ("scheduled".into(), Json::Num(a.scheduled as f64)),
-            ("confirmed".into(), Json::Num(a.confirmed as f64)),
-            ("retries".into(), Json::Num(a.retries as f64)),
-            ("live".into(), Json::Bool(self.run.live)),
-        ])
+    fn record(&self) -> Json {
+        let keys = "system arm churn rate pre_mtps churn_mtps post_mtps dip_ratio mfls p95 \
+            restabilize_secs epochs joins leaves safety_ok delivery_ratio scheduled confirmed \
+            retries live";
+        record(keys, &self.run, None, |key| match key {
+            "system" => Some(self.system.label().into()),
+            "arm" => Some(self.arm.label().into()),
+            "churn" => Some(self.churn.as_str().into()),
+            "rate" => Some(self.rate.into()),
+            "pre_mtps" => Some(self.pre_mtps.into()),
+            "churn_mtps" => Some(self.churn_mtps.into()),
+            "post_mtps" => Some(self.post_mtps.into()),
+            "dip_ratio" => Some(self.dip_ratio.into()),
+            "restabilize_secs" => Some(self.restabilize_secs.into()),
+            "epochs" => Some(self.epochs.into()),
+            "joins" => Some(self.joins.into()),
+            "leaves" => Some(self.leaves.into()),
+            "safety_ok" => Some(self.safety_ok.into()),
+            _ => None,
+        })
     }
 }
 
+/// The churn table's columns.
+const COLUMNS: [Column; 13] = [
+    Column::text("system", 18, "system"),
+    Column::text("arm", 15, "arm"),
+    Column::text("churn", 30, "churn"),
+    Column::num("rate", 6, "rate", 0),
+    Column::num("pre", 8, "pre_mtps", 1),
+    Column::num("churn", 8, "churn_mtps", 1),
+    Column::num("post", 8, "post_mtps", 1),
+    Column::num("dip", 5, "dip_ratio", 2),
+    Column::with("restab", 7, |r| secs_or(r, "restabilize_secs", "never")),
+    Column::num("epochs", 6, "epochs", 0),
+    Column::num("joins", 5, "joins", 0),
+    Column::num("leave", 6, "leaves", 0),
+    Column::with("safety", 6, safety),
+];
+
 impl Report for ChurnResult {
-    /// Renders the per-system churn table. Deterministic: the same config
-    /// yields byte-identical output.
-    fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
-            "Membership churn — epoch-based reconfiguration under steady load\n\
-             (dip = churn-window MTPS / pre-churn MTPS; restab = seconds from the\n\
-             last membership event until ≥ 70 % of the pre-churn mean sustains)\n\n",
-        );
-        out.push_str(&format!(
-            "{:<18} {:<15} {:<30} {:>6} {:>8} {:>8} {:>8} {:>5} {:>7} {:>6} {:>5} {:>6} {:>6}\n",
-            "system",
-            "arm",
-            "churn",
-            "rate",
-            "pre",
-            "churn",
-            "post",
-            "dip",
-            "restab",
-            "epochs",
-            "joins",
-            "leave",
-            "safety",
-        ));
-        out.push_str(&"-".repeat(140));
-        out.push('\n');
-        let mut last_system: Option<SystemKind> = None;
-        for cell in &self.cells {
-            if last_system.is_some_and(|s| s != cell.system) {
-                out.push('\n');
-            }
-            last_system = Some(cell.system);
-            out.push_str(&cell.render_row());
-            out.push('\n');
-        }
-        out
+    fn record(&self) -> Json {
+        Json::obj([
+            ("systems", self.systems.iter().map(|s| s.label()).collect()),
+            ("arms", self.arms.iter().map(|a| a.label()).collect()),
+            ("cells", self.cells.iter().map(ChurnCell::record).collect()),
+        ])
     }
 
-    /// The campaign as pretty-printed JSON (same determinism guarantee).
-    fn to_json(&self) -> String {
-        Json::Obj(vec![
-            (
-                "systems".into(),
-                Json::Arr(
-                    self.systems
-                        .iter()
-                        .map(|s| Json::Str(s.label().into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "arms".into(),
-                Json::Arr(
-                    self.arms
-                        .iter()
-                        .map(|a| Json::Str(a.label().into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "cells".into(),
-                Json::Arr(self.cells.iter().map(ChurnCell::to_json).collect()),
-            ),
-        ])
-        .to_pretty()
+    /// Renders the churn table. Deterministic: the same config yields
+    /// byte-identical output.
+    fn render(&self) -> String {
+        "Membership churn — epoch-based reconfiguration under steady load\n\
+         (dip = churn-window MTPS / pre-churn MTPS; restab = seconds from the\n\
+         last membership event until ≥ 70 % of the pre-churn mean sustains)\n\n"
+            .to_string()
+            + &report::columns(&COLUMNS, self.record().list("cells"))
     }
 }
 

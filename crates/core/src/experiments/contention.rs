@@ -23,12 +23,12 @@
 //! workload, level]` (see [`super::harness`]), so `--systems`,
 //! `--workloads`, and `--jobs` subsets render byte-identical cells.
 
-use super::harness::{canonical, run_cells, Cell, Span};
+use super::harness::{canonical, record, run_cells, Cell, Span};
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
-use crate::report::Report;
+use crate::report::{self, Column, Report};
 use crate::scenario::{ScenarioBuilder, Timeline};
 use crate::workload::{ContentionKnobs, Smallbank, Workload, Ycsb};
 use coconut_chains::SystemStats;
@@ -214,104 +214,78 @@ pub fn contention_for(
     ContentionResult { cells }
 }
 
-/// A verification verdict's stable label.
-fn verified_label(v: &Option<Result<(), String>>) -> String {
-    match v {
-        None => "no-ledger".into(),
-        Some(Ok(())) => "ok".into(),
-        Some(Err(e)) => format!("FAIL: {e}"),
+impl ContentionCell {
+    fn record(&self) -> Json {
+        let verified = match &self.verified {
+            None => "no-ledger".to_string(),
+            Some(Ok(())) => "ok".to_string(),
+            Some(Err(e)) => format!("FAIL: {e}"),
+        };
+        let keys = "system workload level zipf_s hot_fraction account_pool rate goodput \
+            scheduled confirmed accepted conflicts conflict_share rejected busy evicted \
+            timed_out backpressured verified";
+        record(keys, &self.run, Some(&self.stats), |key| match key {
+            "system" => Some(self.system.label().into()),
+            "workload" => Some(self.workload.into()),
+            "level" => Some(self.level.name.into()),
+            "zipf_s" => Some(self.level.zipf_s.into()),
+            "hot_fraction" => Some(self.level.hot_fraction.into()),
+            "account_pool" => Some(ACCOUNT_POOL.into()),
+            "rate" => Some(self.rate.into()),
+            "goodput" => Some(self.run.mtps.into()),
+            "conflict_share" => Some(self.conflict_share.into()),
+            // The system's admission rejections, not the client's.
+            "rejected" => Some(self.stats.rejected.into()),
+            "verified" => Some(verified.as_str().into()),
+            _ => None,
+        })
     }
 }
 
-impl ContentionCell {
-    fn to_json(&self) -> Json {
-        let a = &self.run.accounting;
-        Json::Obj(vec![
-            ("system".into(), Json::Str(self.system.label().into())),
-            ("workload".into(), Json::Str(self.workload.into())),
-            ("level".into(), Json::Str(self.level.name.into())),
-            ("zipf_s".into(), Json::Num(self.level.zipf_s)),
-            ("hot_fraction".into(), Json::Num(self.level.hot_fraction)),
-            ("account_pool".into(), Json::Num(ACCOUNT_POOL as f64)),
-            ("rate".into(), Json::Num(self.rate)),
-            ("goodput".into(), Json::Num(self.run.mtps)),
-            ("scheduled".into(), Json::Num(a.scheduled as f64)),
-            ("confirmed".into(), Json::Num(a.confirmed as f64)),
-            ("accepted".into(), Json::Num(self.stats.accepted as f64)),
-            ("conflicts".into(), Json::Num(self.stats.conflicts as f64)),
-            ("conflict_share".into(), Json::Num(self.conflict_share)),
-            ("rejected".into(), Json::Num(self.stats.rejected as f64)),
-            ("busy".into(), Json::Num(self.stats.busy as f64)),
-            ("evicted".into(), Json::Num(self.stats.evicted as f64)),
-            ("timed_out".into(), Json::Num(a.timed_out as f64)),
-            ("backpressured".into(), Json::Num(a.backpressured as f64)),
-            ("verified".into(), Json::Str(verified_label(&self.verified))),
-        ])
-    }
-}
+/// The columns of each workload's table.
+const COLUMNS: [Column; 12] = [
+    Column::text("system", 18, "system"),
+    Column::text("level", 5, "level"),
+    Column::num("zipf", 6, "zipf_s", 1),
+    Column::num("hot", 6, "hot_fraction", 2),
+    Column::num("rate", 8, "rate", 0),
+    Column::num("goodput", 9, "goodput", 1),
+    Column::num("conflict", 8, "conflicts", 0),
+    Column::with("share", 7, |r| {
+        format!("{:.1}%", 100.0 * r.num("conflict_share"))
+    }),
+    Column::num("reject", 6, "rejected", 0),
+    Column::num("busy", 7, "busy", 0),
+    Column::num("timeout", 8, "timed_out", 0),
+    Column::text("verified", 8, "verified"),
+];
 
 impl Report for ContentionResult {
+    fn record(&self) -> Json {
+        let cells = self.cells.iter().map(ContentionCell::record);
+        Json::obj([("cells", cells.collect())])
+    }
+
     /// Renders one table per workload: goodput and the loss split by cause
     /// across the contention diagonal. Deterministic: the same config
     /// yields byte-identical output.
     fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Contention sweeps — Zipf-skewed Smallbank and YCSB, losses split by cause\n");
-        for &workload in WORKLOADS.iter() {
-            let cells: Vec<&ContentionCell> = self
-                .cells
+        let record = self.record();
+        let mut out = String::from(
+            "Contention sweeps — Zipf-skewed Smallbank and YCSB, losses split by cause\n",
+        );
+        for workload in WORKLOADS {
+            let cells: Vec<&Json> = record
+                .list("cells")
                 .iter()
-                .filter(|c| c.workload == workload)
+                .filter(|c| c.text("workload") == workload)
                 .collect();
-            if cells.is_empty() {
-                continue;
-            }
-            out.push_str(&format!("\n== {workload}\n"));
-            out.push_str(&format!(
-                "{:<18} {:<5} {:>6} {:>6} {:>8} {:>9} {:>8} {:>7} {:>6} {:>7} {:>8} {}\n",
-                "system",
-                "level",
-                "zipf",
-                "hot",
-                "rate",
-                "goodput",
-                "conflict",
-                "share",
-                "reject",
-                "busy",
-                "timeout",
-                "verified",
-            ));
-            out.push_str(&"-".repeat(108));
-            out.push('\n');
-            for c in cells {
-                out.push_str(&format!(
-                    "{:<18} {:<5} {:>6.1} {:>6.2} {:>8.0} {:>9.1} {:>8} {:>6.1}% {:>6} {:>7} {:>8} {}\n",
-                    c.system.label(),
-                    c.level.name,
-                    c.level.zipf_s,
-                    c.level.hot_fraction,
-                    c.rate,
-                    c.run.mtps,
-                    c.stats.conflicts,
-                    100.0 * c.conflict_share,
-                    c.stats.rejected,
-                    c.stats.busy,
-                    c.run.accounting.timed_out,
-                    verified_label(&c.verified),
-                ));
+            if !cells.is_empty() {
+                out.push_str(&format!("\n== {workload}\n"));
+                out.push_str(&report::columns(&COLUMNS, cells));
             }
         }
         out
-    }
-
-    /// The campaign as pretty-printed JSON (same determinism guarantee).
-    fn to_json(&self) -> String {
-        Json::Obj(vec![(
-            "cells".into(),
-            Json::Arr(self.cells.iter().map(ContentionCell::to_json).collect()),
-        )])
-        .to_pretty()
     }
 }
 

@@ -41,16 +41,16 @@ impl Fig3Result {
 }
 
 impl Report for Fig3Result {
+    /// The best cells as a flat JSON row array (grid order).
+    fn record(&self) -> Json {
+        report::records(&self.flat_rows())
+    }
+
     /// Renders the heat map in the paper's layout.
     fn render(&self) -> String {
         let benchmarks: Vec<&str> = PayloadKind::ALL.iter().map(|b| b.label()).collect();
         let systems: Vec<&str> = SystemKind::ALL.iter().map(|s| s.label()).collect();
         report::heatmap(&benchmarks, &systems, &self.grid)
-    }
-
-    /// The best cells as a flat JSON row array (grid order).
-    fn to_json(&self) -> String {
-        report::to_json(&self.flat_rows())
     }
 
     /// The best cells as flat CSV rows (grid order).
@@ -299,41 +299,28 @@ impl Fig5Result {
 }
 
 impl Report for Fig5Result {
+    /// The scalability study as JSON: the node-count axis plus one MTPS
+    /// series per system.
+    fn record(&self) -> Json {
+        let series = SystemKind::ALL.iter().zip(&self.mtps).map(|(s, row)| {
+            Json::obj([
+                ("system", s.label().into()),
+                ("mtps", row.iter().copied().collect()),
+            ])
+        });
+        Json::obj([
+            (
+                "node_counts",
+                self.node_counts.iter().map(|&n| u64::from(n)).collect(),
+            ),
+            ("systems", series.collect()),
+        ])
+    }
+
     /// Renders the scalability table (the log-scale figure's data).
     fn render(&self) -> String {
         let systems: Vec<&str> = SystemKind::ALL.iter().map(|s| s.label()).collect();
         report::scalability_table(&systems, &self.node_counts, &self.mtps)
-    }
-
-    /// The scalability study as JSON: the node-count axis plus one MTPS
-    /// series per system.
-    fn to_json(&self) -> String {
-        let series = SystemKind::ALL
-            .iter()
-            .zip(&self.mtps)
-            .map(|(s, row)| {
-                Json::Obj(vec![
-                    ("system".into(), Json::Str(s.label().into())),
-                    (
-                        "mtps".into(),
-                        Json::Arr(row.iter().map(|&m| Json::Num(m)).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            (
-                "node_counts".into(),
-                Json::Arr(
-                    self.node_counts
-                        .iter()
-                        .map(|&n| Json::Num(f64::from(n)))
-                        .collect(),
-                ),
-            ),
-            ("systems".into(), Json::Arr(series)),
-        ])
-        .to_pretty()
     }
 }
 

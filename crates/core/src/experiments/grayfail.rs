@@ -41,12 +41,12 @@
 //! `--jobs` worker count render byte-identical reports.
 
 use super::chaos::fault_domain;
-use super::harness::{canonical, run_cells, steady_payload, steady_rate, Cell, Span};
+use super::harness::{canonical, record, run_cells, steady_payload, steady_rate, Cell, Span};
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
 use crate::json::Json;
 use crate::params::SystemKind;
-use crate::report::Report;
+use crate::report::{self, Column, Report};
 use crate::scenario::{ScenarioBuilder, ScenarioRun, Timeline};
 use coconut_chains::SystemStats;
 use coconut_types::{NodeId, SimDuration};
@@ -139,16 +139,6 @@ impl GrayfailCell {
     /// `"baseline"` or the fault kind's label.
     pub fn kind_label(&self) -> &'static str {
         self.kind.map_or("baseline", GrayKind::label)
-    }
-
-    /// The liveness verdict's label (`"n/a"` if the system exposes no
-    /// monitor), the view/round/term changes (or missed slots) and the
-    /// view-change storms the monitor counted.
-    fn liveness(&self) -> (String, u64, u64) {
-        self.run.liveness.as_ref().map_or_else(
-            || ("n/a".to_string(), 0, 0),
-            |l| (l.verdict.label(), l.view_changes, l.storms),
-        )
     }
 }
 
@@ -339,86 +329,70 @@ pub fn grayfail_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> GrayfailR
 }
 
 impl GrayfailCell {
-    fn to_json(&self) -> Json {
-        let acct = &self.run.accounting;
-        let (verdict, view_changes, storms) = self.liveness();
-        Json::Obj(vec![
-            ("system".into(), Json::Str(self.system.label().into())),
-            ("kind".into(), Json::Str(self.kind_label().into())),
-            ("severity".into(), Json::Str(self.severity.into())),
-            ("params".into(), Json::Str(self.params.clone())),
-            ("fault_mtps".into(), Json::Num(self.fault_mtps)),
-            ("retention".into(), Json::Num(self.retention)),
-            ("p99_inflation".into(), Json::Num(self.p99_inflation)),
-            (
-                "recovery_secs".into(),
-                self.recovery_secs.map_or(Json::Null, Json::Num),
-            ),
-            ("verdict".into(), Json::Str(verdict)),
-            ("view_changes".into(), Json::Num(view_changes as f64)),
-            ("storms".into(), Json::Num(storms as f64)),
-            ("mtps".into(), Json::Num(self.run.mtps)),
-            ("p99_secs".into(), Json::Num(self.run.p99)),
-            ("scheduled".into(), Json::Num(acct.scheduled as f64)),
-            ("confirmed".into(), Json::Num(acct.confirmed as f64)),
-            ("busy".into(), Json::Num(self.stats.busy as f64)),
-        ])
+    fn record(&self) -> Json {
+        // No liveness monitor: verdict "n/a", no view changes or storms.
+        let (verdict, view_changes, storms) = self.run.liveness.as_ref().map_or_else(
+            || ("n/a".to_string(), 0, 0),
+            |l| (l.verdict.label(), l.view_changes, l.storms),
+        );
+        let keys = "system kind severity params fault_mtps retention p99_inflation recovery_secs \
+            verdict view_changes storms mtps p99_secs scheduled confirmed busy";
+        record(keys, &self.run, Some(&self.stats), |key| match key {
+            "system" => Some(self.system.label().into()),
+            "kind" => Some(self.kind_label().into()),
+            "severity" => Some(self.severity.into()),
+            "params" => Some(self.params.as_str().into()),
+            "fault_mtps" => Some(self.fault_mtps.into()),
+            "retention" => Some(self.retention.into()),
+            "p99_inflation" => Some(self.p99_inflation.into()),
+            "recovery_secs" => Some(self.recovery_secs.into()),
+            "verdict" => Some(verdict.as_str().into()),
+            "view_changes" => Some(view_changes.into()),
+            "storms" => Some(storms.into()),
+            _ => None,
+        })
     }
 }
 
+/// The columns of each system's block.
+const COLUMNS: [Column; 10] = [
+    Column::text("kind", 15, "kind"),
+    Column::text("sev", 4, "severity"),
+    Column::text("params", 9, "params"),
+    Column::num("fault t/s", 9, "fault_mtps", 1),
+    Column::with("retain", 9, |r| {
+        format!("{:.0}%", 100.0 * r.num("retention"))
+    }),
+    Column::num("p99 x", 7, "p99_inflation", 2),
+    Column::with("recov s", 8, |r| {
+        let secs = r.field("recovery_secs").as_f64();
+        secs.map_or_else(|| "-".to_string(), |s| format!("{s:.0}"))
+    }),
+    Column::num("vc", 6, "view_changes", 0),
+    Column::num("storms", 6, "storms", 0),
+    Column::text("verdict", 7, "verdict"),
+];
+
 impl Report for GrayfailResult {
+    fn record(&self) -> Json {
+        let cells = self.cells.iter().map(GrayfailCell::record);
+        Json::obj([("cells", cells.collect())])
+    }
+
     /// Renders the grid, one block per system. Deterministic: the same
     /// config yields byte-identical output.
     fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str("Gray failures — stragglers, flaky links, half-open partitions, WAN\n\n");
-        let mut current: Option<SystemKind> = None;
-        for c in &self.cells {
-            if current != Some(c.system) {
-                current = Some(c.system);
-                out.push_str(&format!("== {}\n", c.system.label()));
-                out.push_str(&format!(
-                    "{:<15} {:<4} {:<9} {:>9} {:>9} {:>7} {:>8} {:>6} {:>6}  {}\n",
-                    "kind",
-                    "sev",
-                    "params",
-                    "fault t/s",
-                    "retain",
-                    "p99 x",
-                    "recov s",
-                    "vc",
-                    "storms",
-                    "verdict",
-                ));
-            }
-            let recov = c
-                .recovery_secs
-                .map_or("-".to_string(), |s| format!("{s:.0}"));
-            let (verdict, view_changes, storms) = c.liveness();
-            out.push_str(&format!(
-                "{:<15} {:<4} {:<9} {:>9.1} {:>8.0}% {:>7.2} {:>8} {:>6} {:>6}  {}\n",
-                c.kind_label(),
-                if c.severity == "-" { "-" } else { c.severity },
-                c.params,
-                c.fault_mtps,
-                100.0 * c.retention,
-                c.p99_inflation,
-                recov,
-                view_changes,
-                storms,
-                verdict,
-            ));
+        let record = self.record();
+        let mut out =
+            String::from("Gray failures — stragglers, flaky links, half-open partitions, WAN\n");
+        for cells in record
+            .list("cells")
+            .chunk_by(|a, b| a.text("system") == b.text("system"))
+        {
+            out.push_str(&format!("\n== {}\n", cells[0].text("system")));
+            out.push_str(&report::columns(&COLUMNS, cells));
         }
         out
-    }
-
-    /// The campaign as pretty-printed JSON (same determinism guarantee).
-    fn to_json(&self) -> String {
-        Json::Obj(vec![(
-            "cells".into(),
-            Json::Arr(self.cells.iter().map(GrayfailCell::to_json).collect()),
-        )])
-        .to_pretty()
     }
 }
 

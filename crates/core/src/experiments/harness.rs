@@ -18,6 +18,10 @@
 //!   build.
 //! * **Phases** — [`ChaosRun::phases`] measures a finished cell before,
 //!   during and after its disturbance, with the recovery time after it.
+//! * **Records** — [`record`] writes a finished cell as one JSON record:
+//!   its own fields and the shared [`metric`]s, in the golden key order.
+//!   `to_json` prints the records and `render` reads its text tables
+//!   from them ([`crate::report::columns`]).
 //!
 //! A cell's seed parts are its coordinates, never its grid position, so
 //! `--systems`, `--workloads`, `--name` and `--jobs` reproduce exactly the
@@ -40,8 +44,10 @@ use std::fmt::Debug;
 use super::ExperimentConfig;
 use crate::chaos::ChaosRun;
 use crate::client::Windows;
+use crate::json::Json;
 use crate::params::SystemKind;
 use crate::scenario::{ScenarioRun, Timeline};
+use coconut_chains::SystemStats;
 use coconut_types::{PayloadKind, SeedDeriver, SimDuration, SimTime};
 
 /// A campaign's client windows at one scale, and the marks its timelines
@@ -256,6 +262,90 @@ where
         let seed = SeedDeriver::new(cfg.seed).seed_parts(&parts);
         finish(cell, cell.timeline.run(cell.system, seed))
     })
+}
+
+/// The metrics campaign cells share, by record key: client-side numbers
+/// from the run and its delivery accounting, and system-side counters
+/// from `stats`. `byzantine` holds the safety monitor's counts, `null`
+/// where safety invariants do not apply (the CFT systems).
+///
+/// # Panics
+///
+/// Panics, naming `key`, on a key outside the table, or on a system-side
+/// key when `stats` is `None`.
+pub fn metric(key: &str, run: &ChaosRun, stats: Option<&SystemStats>) -> Json {
+    let a = &run.accounting;
+    let sys = || stats.unwrap_or_else(|| panic!("metric {key:?} needs system stats"));
+    match key {
+        "mtps" => run.mtps.into(),
+        "mfls" => run.mfls.into(),
+        "p95" => run.p95.into(),
+        "p99_secs" => run.p99.into(),
+        "live" => run.live.into(),
+        "delivery_ratio" => a.delivery_ratio().into(),
+        "retry_amplification" => a.retry_amplification().into(),
+        "scheduled" => a.scheduled.into(),
+        "confirmed" => a.confirmed.into(),
+        "rejected" => a.rejected.into(),
+        "timed_out" => a.timed_out.into(),
+        "lost_in_fault" => a.lost_in_fault.into(),
+        "unsent" => a.unsent.into(),
+        "backpressured" => a.backpressured.into(),
+        "retries" => a.retries.into(),
+        "busy_responses" => a.busy_responses.into(),
+        "budget_exhausted" => a.budget_exhausted.into(),
+        "breaker_opens" => a.breaker_opens.into(),
+        "breaker_open_secs" => a.breaker_open_secs.into(),
+        "busy" => sys().busy.into(),
+        "evicted" => sys().evicted.into(),
+        "accepted" => sys().accepted.into(),
+        "conflicts" => sys().conflicts.into(),
+        "byzantine" => run
+            .safety
+            .as_ref()
+            .map(|s| {
+                let (v, o) = (&s.violations, &s.observed);
+                Json::obj([
+                    ("conflicting_commits", v.conflicting_commits.into()),
+                    (
+                        "conflicting_certificates",
+                        v.conflicting_certificates.into(),
+                    ),
+                    ("undersized_quorums", v.undersized_quorums.into()),
+                    ("equivocating_proposals", o.equivocating_proposals.into()),
+                    ("double_votes", o.double_votes.into()),
+                    ("byzantine_nodes", o.byzantine_nodes.into()),
+                ])
+            })
+            .into(),
+        _ => panic!("no shared metric {key:?}"),
+    }
+}
+
+/// A cell's JSON record: the fields `keys` (space-separated, in the
+/// record's pinned order), each taken from the cell's `own` fields or,
+/// where `own` has none, from the shared [`metric`] table.
+pub fn record(
+    keys: &str,
+    run: &ChaosRun,
+    stats: Option<&SystemStats>,
+    own: impl Fn(&str) -> Option<Json>,
+) -> Json {
+    let value = |k| own(k).unwrap_or_else(|| metric(k, run, stats));
+    Json::obj(keys.split_whitespace().map(|k| (k, value(k))))
+}
+
+/// The seconds under `key` as `"{:.1} s"`, or `none` where the record
+/// holds `null`.
+pub fn secs_or(record: &Json, key: &str, none: &str) -> String {
+    let secs = record.field(key).as_f64();
+    secs.map_or_else(|| none.to_string(), |s| format!("{s:.1} s"))
+}
+
+/// The safety verdict under `safety_ok`: `ok` or `VIOL`.
+pub fn safety(record: &Json) -> String {
+    let ok = record.flag("safety_ok");
+    if ok { "ok" } else { "VIOL" }.to_string()
 }
 
 #[cfg(test)]

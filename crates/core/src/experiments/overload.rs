@@ -26,12 +26,12 @@
 //! share one seed — identical schedule, identical deployment — so their
 //! difference is purely the protection under test.
 
-use super::harness::{canonical, run_cells, steady_payload, Cell, Span};
+use super::harness::{canonical, record, run_cells, secs_or, steady_payload, Cell, Span};
 use super::ExperimentConfig;
 use crate::chaos::{ChaosRun, ClientProtection};
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
-use crate::report::Report;
+use crate::report::{self, Column, Report};
 use crate::scenario::{ScenarioBuilder, Timeline};
 use coconut_chains::runtime::PoolLimits;
 use coconut_types::{SimDuration, SimTime};
@@ -330,235 +330,145 @@ pub fn overload_probes_for(cfg: &ExperimentConfig, systems: &[SystemKind]) -> Ve
 }
 
 impl OverloadCell {
-    fn render_row(&self) -> String {
-        let a = &self.run.accounting;
-        format!(
-            "{:>5.2} {:>9.0} {:>9.1} {:>6.3} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6}",
-            self.multiplier,
-            self.offered,
-            self.goodput,
-            a.delivery_ratio(),
-            self.busy,
-            self.evicted,
-            a.rejected,
-            a.timed_out,
-            a.backpressured,
-            a.unsent,
-            a.retries,
-        )
-    }
-
-    fn to_json(&self) -> Json {
-        let a = &self.run.accounting;
-        Json::Obj(vec![
-            ("multiplier".into(), Json::Num(self.multiplier)),
-            ("offered".into(), Json::Num(self.offered)),
-            ("goodput".into(), Json::Num(self.goodput)),
-            ("delivery_ratio".into(), Json::Num(a.delivery_ratio())),
-            ("busy".into(), Json::Num(self.busy as f64)),
-            ("evicted".into(), Json::Num(self.evicted as f64)),
-            ("scheduled".into(), Json::Num(a.scheduled as f64)),
-            ("confirmed".into(), Json::Num(a.confirmed as f64)),
-            ("rejected".into(), Json::Num(a.rejected as f64)),
-            ("timed_out".into(), Json::Num(a.timed_out as f64)),
-            ("backpressured".into(), Json::Num(a.backpressured as f64)),
-            ("unsent".into(), Json::Num(a.unsent as f64)),
-            ("retries".into(), Json::Num(a.retries as f64)),
-            ("busy_responses".into(), Json::Num(a.busy_responses as f64)),
-            ("mfls".into(), Json::Num(self.run.mfls)),
-        ])
+    fn record(&self) -> Json {
+        let keys = "multiplier offered goodput delivery_ratio busy evicted scheduled confirmed \
+            rejected timed_out backpressured unsent retries busy_responses mfls";
+        record(keys, &self.run, None, |key| match key {
+            "multiplier" => Some(self.multiplier.into()),
+            "offered" => Some(self.offered.into()),
+            "goodput" => Some(self.goodput.into()),
+            "busy" => Some(self.busy.into()),
+            "evicted" => Some(self.evicted.into()),
+            _ => None,
+        })
     }
 }
 
 impl ProbeArm {
-    fn render_row(&self, system: &str) -> String {
-        let a = &self.run.accounting;
-        let rec = match self.recovery_secs {
-            Some(s) => format!("{s:.1} s"),
-            None => "never".to_string(),
+    fn record(&self) -> Json {
+        let keys = "arm pre_mtps pulse_mtps post_mtps recovery_secs retry_amplification \
+            delivery_ratio busy evicted retries busy_responses backpressured budget_exhausted \
+            breaker_opens breaker_open_secs";
+        let arm = if self.protected {
+            "protected"
+        } else {
+            "unprotected"
         };
-        format!(
-            "{:<18} {:<11} {:>8.1} {:>8.1} {:>8.1} {:>8} {:>6.3} {:>7} {:>7} {:>6} {:>8}",
-            system,
-            if self.protected {
-                "protected"
-            } else {
-                "unprotected"
-            },
-            self.pre_mtps,
-            self.pulse_mtps,
-            self.post_mtps,
-            rec,
-            a.retry_amplification(),
-            a.busy_responses,
-            a.budget_exhausted,
-            a.breaker_opens,
-            a.retries,
-        )
-    }
-
-    fn to_json(&self) -> Json {
-        let a = &self.run.accounting;
-        Json::Obj(vec![
-            (
-                "arm".into(),
-                Json::Str(
-                    if self.protected {
-                        "protected"
-                    } else {
-                        "unprotected"
-                    }
-                    .into(),
-                ),
-            ),
-            ("pre_mtps".into(), Json::Num(self.pre_mtps)),
-            ("pulse_mtps".into(), Json::Num(self.pulse_mtps)),
-            ("post_mtps".into(), Json::Num(self.post_mtps)),
-            (
-                "recovery_secs".into(),
-                self.recovery_secs.map_or(Json::Null, Json::Num),
-            ),
-            (
-                "retry_amplification".into(),
-                Json::Num(a.retry_amplification()),
-            ),
-            ("delivery_ratio".into(), Json::Num(a.delivery_ratio())),
-            ("busy".into(), Json::Num(self.busy as f64)),
-            ("evicted".into(), Json::Num(self.evicted as f64)),
-            ("retries".into(), Json::Num(a.retries as f64)),
-            ("busy_responses".into(), Json::Num(a.busy_responses as f64)),
-            ("backpressured".into(), Json::Num(a.backpressured as f64)),
-            (
-                "budget_exhausted".into(),
-                Json::Num(a.budget_exhausted as f64),
-            ),
-            ("breaker_opens".into(), Json::Num(a.breaker_opens as f64)),
-            ("breaker_open_secs".into(), Json::Num(a.breaker_open_secs)),
-        ])
+        record(keys, &self.run, None, |key| match key {
+            "arm" => Some(arm.into()),
+            "pre_mtps" => Some(self.pre_mtps.into()),
+            "pulse_mtps" => Some(self.pulse_mtps.into()),
+            "post_mtps" => Some(self.post_mtps.into()),
+            "recovery_secs" => Some(self.recovery_secs.into()),
+            "busy" => Some(self.busy.into()),
+            "evicted" => Some(self.evicted.into()),
+            _ => None,
+        })
     }
 }
 
+/// The goodput curves' columns.
+const CURVE_COLUMNS: [Column; 11] = [
+    Column::num("mult", 5, "multiplier", 2),
+    Column::num("offered", 9, "offered", 0),
+    Column::num("goodput", 9, "goodput", 1),
+    Column::num("deliv", 6, "delivery_ratio", 3),
+    Column::num("busy", 7, "busy", 0),
+    Column::num("evict", 7, "evicted", 0),
+    Column::num("rej", 6, "rejected", 0),
+    Column::num("tout", 6, "timed_out", 0),
+    Column::num("backp", 6, "backpressured", 0),
+    Column::num("unsent", 6, "unsent", 0),
+    Column::num("retry", 6, "retries", 0),
+];
+
+/// The metastable probe's columns, over arm records that carry their
+/// probe's `system`.
+const PROBE_COLUMNS: [Column; 11] = [
+    Column::text("system", 18, "system"),
+    Column::text("arm", 11, "arm"),
+    Column::num("pre", 8, "pre_mtps", 1),
+    Column::num("pulse", 8, "pulse_mtps", 1),
+    Column::num("post", 8, "post_mtps", 1),
+    Column::with("recovery", 8, |r| secs_or(r, "recovery_secs", "never")),
+    Column::num("amp", 6, "retry_amplification", 3),
+    Column::num("busy", 7, "busy_responses", 0),
+    Column::num("budget", 7, "budget_exhausted", 0),
+    Column::num("opens", 6, "breaker_opens", 0),
+    Column::num("retries", 8, "retries", 0),
+];
+
 impl Report for OverloadResult {
+    fn record(&self) -> Json {
+        let curves = self.curves.iter().map(|c| {
+            let knee = c.knee();
+            Json::obj([
+                ("system", c.system.label().into()),
+                ("reference_rate", c.reference_rate.into()),
+                ("knee_multiplier", knee.multiplier.into()),
+                ("knee_goodput", knee.goodput.into()),
+                ("cells", c.cells.iter().map(OverloadCell::record).collect()),
+            ])
+        });
+        let probes = self.probes.iter().map(|p| {
+            Json::obj([
+                ("system", p.system.label().into()),
+                ("base_rate", p.base_rate.into()),
+                ("pulse_multiplier", p.pulse_multiplier.into()),
+                ("pulse_start_secs", p.pulse_start.as_secs_f64().into()),
+                ("pulse_end_secs", p.pulse_end.as_secs_f64().into()),
+                (
+                    "arms",
+                    Json::Arr(vec![p.unprotected.record(), p.protected.record()]),
+                ),
+            ])
+        });
+        Json::obj([("curves", curves.collect()), ("probes", probes.collect())])
+    }
+
     /// Renders the goodput curves (with per-system knee) followed by the
     /// metastable-probe table. Deterministic: the same config yields
     /// byte-identical output.
     fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(
+        let record = self.record();
+        let mut out = String::from(
             "Goodput curves — confirmed ops/s vs offered load (tight admission pools)\n\n",
         );
-        for curve in &self.curves {
-            out.push_str(&format!(
-                "== {} (reference {} tx/s)\n",
-                curve.system.label(),
-                curve.reference_rate
-            ));
-            out.push_str(&format!(
-                "{:>5} {:>9} {:>9} {:>6} {:>7} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6}\n",
-                "mult",
-                "offered",
-                "goodput",
-                "deliv",
-                "busy",
-                "evict",
-                "rej",
-                "tout",
-                "backp",
-                "unsent",
-                "retry",
-            ));
-            for cell in &curve.cells {
-                out.push_str(&cell.render_row());
-                out.push('\n');
-            }
-            let knee = curve.knee();
+        for c in record.list("curves") {
+            let (system, reference) = (c.text("system"), c.num("reference_rate"));
+            out.push_str(&format!("== {system} (reference {reference} tx/s)\n"));
+            out.push_str(&report::columns(&CURVE_COLUMNS, c.list("cells")));
             out.push_str(&format!(
                 "knee: goodput peaks at {:.2}x ({:.1} ops/s)\n\n",
-                knee.multiplier, knee.goodput
+                c.num("knee_multiplier"),
+                c.num("knee_goodput")
             ));
         }
+        let probes = record.list("probes");
+        let pulse = |key| probes.first().map_or(0.0, |p| p.num(key));
         out.push_str(&format!(
             "Metastable probe — {PULSE_MULTIPLIER:.0}x pulse over [{} s, {} s), budget+breaker vs bare retries\n\n",
-            self.probes
-                .first()
-                .map_or(0, |p| p.pulse_start.as_secs_f64() as u64),
-            self.probes
-                .first()
-                .map_or(0, |p| p.pulse_end.as_secs_f64() as u64),
+            pulse("pulse_start_secs"),
+            pulse("pulse_end_secs"),
         ));
-        out.push_str(&format!(
-            "{:<18} {:<11} {:>8} {:>8} {:>8} {:>8} {:>6} {:>7} {:>7} {:>6} {:>8}\n",
-            "system",
-            "arm",
-            "pre",
-            "pulse",
-            "post",
-            "recovery",
-            "amp",
-            "busy",
-            "budget",
-            "opens",
-            "retries",
-        ));
-        out.push_str(&"-".repeat(110));
-        out.push('\n');
-        for p in &self.probes {
-            out.push_str(&p.unprotected.render_row(p.system.label()));
-            out.push('\n');
-            out.push_str(&p.protected.render_row(p.system.label()));
-            out.push('\n');
-        }
+        // Each arm row carries its probe's system.
+        let arms: Vec<Json> = probes
+            .iter()
+            .flat_map(|p| p.list("arms").iter().map(|a| with_system(p, a)))
+            .collect();
+        out.push_str(&report::columns(&PROBE_COLUMNS, &arms));
         out
     }
+}
 
-    /// The campaign as pretty-printed JSON (same determinism guarantee).
-    fn to_json(&self) -> String {
-        let curves = self
-            .curves
-            .iter()
-            .map(|c| {
-                let knee = c.knee();
-                Json::Obj(vec![
-                    ("system".into(), Json::Str(c.system.label().into())),
-                    ("reference_rate".into(), Json::Num(c.reference_rate)),
-                    ("knee_multiplier".into(), Json::Num(knee.multiplier)),
-                    ("knee_goodput".into(), Json::Num(knee.goodput)),
-                    (
-                        "cells".into(),
-                        Json::Arr(c.cells.iter().map(OverloadCell::to_json).collect()),
-                    ),
-                ])
-            })
-            .collect();
-        let probes = self
-            .probes
-            .iter()
-            .map(|p| {
-                Json::Obj(vec![
-                    ("system".into(), Json::Str(p.system.label().into())),
-                    ("base_rate".into(), Json::Num(p.base_rate)),
-                    ("pulse_multiplier".into(), Json::Num(p.pulse_multiplier)),
-                    (
-                        "pulse_start_secs".into(),
-                        Json::Num(p.pulse_start.as_secs_f64()),
-                    ),
-                    (
-                        "pulse_end_secs".into(),
-                        Json::Num(p.pulse_end.as_secs_f64()),
-                    ),
-                    (
-                        "arms".into(),
-                        Json::Arr(vec![p.unprotected.to_json(), p.protected.to_json()]),
-                    ),
-                ])
-            })
-            .collect();
-        Json::Obj(vec![
-            ("curves".into(), Json::Arr(curves)),
-            ("probes".into(), Json::Arr(probes)),
-        ])
-        .to_pretty()
-    }
+/// `arm`'s record with its `probe`'s system first.
+fn with_system(probe: &Json, arm: &Json) -> Json {
+    let Json::Obj(fields) = arm else {
+        panic!("arm records are objects");
+    };
+    let mut row = vec![("system".to_string(), probe.field("system").clone())];
+    row.extend(fields.iter().cloned());
+    Json::Obj(row)
 }
 
 #[cfg(test)]

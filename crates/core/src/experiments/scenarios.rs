@@ -17,14 +17,15 @@
 
 use super::chaos::{byzantine_domain, fault_domain};
 use super::harness::{
-    canonical, run_cells, steady_payload, steady_rate, Cell, Span, RECOVERY_THRESHOLD,
+    canonical, record, run_cells, safety, steady_payload, steady_rate, Cell, Span,
+    RECOVERY_THRESHOLD,
 };
 use super::overload::tight_limits;
 use super::ExperimentConfig;
 use crate::chaos::{ChaosRun, ClientProtection, RetryPolicy};
 use crate::json::Json;
 use crate::params::{SystemKind, SystemSetup};
-use crate::report::Report;
+use crate::report::{self, Column, Report};
 use crate::scenario::{Check, CheckOutcome, ScenarioBuilder, Timeline};
 use coconut_chains::{Stage, SystemStats};
 use coconut_types::{NodeId, SimDuration, SimTime};
@@ -426,54 +427,42 @@ impl ScenarioCell {
             .is_none_or(|r| r.violations.is_clean())
     }
 
-    fn render_row(&self) -> String {
-        let checks = format!(
-            "{}/{}",
-            self.checks.iter().filter(|c| c.pass).count(),
-            self.checks.len()
-        );
-        format!(
-            "{:<18} {:>6.0} {:>8.1} {:>7.3} {:>6.3} {:>6} {:>6} {:>6} {:>6} {:>4} {:>6} {:>6}",
-            self.system.label(),
-            self.rate,
-            self.run.mtps,
-            self.run.mfls,
-            self.run.accounting.delivery_ratio(),
-            self.run.accounting.retries,
-            self.stats.busy,
-            self.stats.evicted,
-            self.epochs,
-            if self.run.live { "yes" } else { "no" },
-            if self.safety_ok() { "ok" } else { "VIOL" },
-            checks,
-        )
-    }
-
-    fn to_json(&self) -> Json {
-        let acct = &self.run.accounting;
-        Json::Obj(vec![
-            ("scenario".into(), Json::Str(self.scenario.into())),
-            ("system".into(), Json::Str(self.system.label().into())),
-            ("rate".into(), Json::Num(self.rate)),
-            ("mtps".into(), Json::Num(self.run.mtps)),
-            ("mfls".into(), Json::Num(self.run.mfls)),
-            ("p95".into(), Json::Num(self.run.p95)),
-            ("delivery_ratio".into(), Json::Num(acct.delivery_ratio())),
-            ("scheduled".into(), Json::Num(acct.scheduled as f64)),
-            ("confirmed".into(), Json::Num(acct.confirmed as f64)),
-            ("retries".into(), Json::Num(acct.retries as f64)),
-            ("busy".into(), Json::Num(self.stats.busy as f64)),
-            ("evicted".into(), Json::Num(self.stats.evicted as f64)),
-            ("epochs".into(), Json::Num(self.epochs as f64)),
-            ("live".into(), Json::Bool(self.run.live)),
-            ("safety_ok".into(), Json::Bool(self.safety_ok())),
-            (
-                "checks".into(),
-                Json::Arr(self.checks.iter().map(CheckOutcome::to_json).collect()),
-            ),
-        ])
+    fn record(&self) -> Json {
+        let keys = "scenario system rate mtps mfls p95 delivery_ratio scheduled confirmed retries \
+            busy evicted epochs live safety_ok checks";
+        record(keys, &self.run, Some(&self.stats), |key| match key {
+            "scenario" => Some(self.scenario.into()),
+            "system" => Some(self.system.label().into()),
+            "rate" => Some(self.rate.into()),
+            "epochs" => Some(self.epochs.into()),
+            "safety_ok" => Some(self.safety_ok().into()),
+            "checks" => Some(self.checks.iter().map(CheckOutcome::to_json).collect()),
+            _ => None,
+        })
     }
 }
+
+/// The columns of each scenario's table.
+const COLUMNS: [Column; 12] = [
+    Column::text("system", 18, "system"),
+    Column::num("rate", 6, "rate", 0),
+    Column::num("mtps", 8, "mtps", 1),
+    Column::num("mfls", 7, "mfls", 3),
+    Column::num("deliv", 6, "delivery_ratio", 3),
+    Column::num("retry", 6, "retries", 0),
+    Column::num("busy", 6, "busy", 0),
+    Column::num("evict", 6, "evicted", 0),
+    Column::num("epochs", 6, "epochs", 0),
+    Column::with("live", 4, |r| {
+        if r.flag("live") { "yes" } else { "no" }.to_string()
+    }),
+    Column::with("safety", 6, safety),
+    Column::with("checks", 6, |r| {
+        let checks = r.list("checks");
+        let passed = checks.iter().filter(|c| c.flag("pass"));
+        format!("{}/{}", passed.count(), checks.len())
+    }),
+];
 
 /// The outcome of a library run: cells in canonical (scenario, system)
 /// order.
@@ -540,72 +529,49 @@ pub fn scenarios(cfg: &ExperimentConfig) -> ScenarioResult {
 }
 
 impl Report for ScenarioResult {
-    /// Renders one table per scenario. Deterministic: the same config
-    /// yields byte-identical output.
+    fn record(&self) -> Json {
+        Json::obj([
+            ("scenarios", self.names.iter().copied().collect()),
+            (
+                "cells",
+                self.cells.iter().map(ScenarioCell::record).collect(),
+            ),
+        ])
+    }
+
+    /// Renders one table per scenario, each followed by its failed
+    /// checks. Deterministic: the same config yields byte-identical output.
     fn render(&self) -> String {
-        let library = scenario_library();
-        let mut out = String::new();
-        out.push_str("Scenario library — one deterministic timeline engine under every run\n");
-        for name in &self.names {
-            let Some(s) = library.iter().find(|s| s.name == *name) else {
-                continue;
-            };
+        let record = self.record();
+        let mut out =
+            String::from("Scenario library — one deterministic timeline engine under every run\n");
+        for s in scenario_library()
+            .iter()
+            .filter(|s| self.names.contains(&s.name))
+        {
             out.push_str(&format!(
                 "\n== {} — {}\n   {}\n",
                 s.name, s.about, s.timeline
             ));
-            out.push_str(&format!(
-                "{:<18} {:>6} {:>8} {:>7} {:>6} {:>6} {:>6} {:>6} {:>6} {:>4} {:>6} {:>6}\n",
-                "system",
-                "rate",
-                "mtps",
-                "mfls",
-                "deliv",
-                "retry",
-                "busy",
-                "evict",
-                "epochs",
-                "live",
-                "safety",
-                "checks",
-            ));
-            for cell in self.cells.iter().filter(|c| c.scenario == *name) {
-                out.push_str(&cell.render_row());
-                out.push('\n');
-            }
-            for cell in self.cells.iter().filter(|c| c.scenario == *name) {
-                for check in cell.checks.iter().filter(|c| !c.pass) {
+            let cells: Vec<&Json> = record
+                .list("cells")
+                .iter()
+                .filter(|c| c.text("scenario") == s.name)
+                .collect();
+            out.push_str(&report::columns(&COLUMNS, cells.iter().copied()));
+            for c in cells {
+                for check in c.list("checks").iter().filter(|k| !k.flag("pass")) {
                     out.push_str(&format!(
                         "   ! {} @ {:.0} s {}: {}\n",
-                        cell.system.label(),
-                        check.at.as_secs_f64(),
-                        check.check,
-                        check.observed,
+                        c.text("system"),
+                        check.num("at_secs"),
+                        check.text("check"),
+                        check.text("observed"),
                     ));
                 }
             }
         }
         out
-    }
-
-    /// The run as pretty-printed JSON (same determinism guarantee).
-    fn to_json(&self) -> String {
-        Json::Obj(vec![
-            (
-                "scenarios".into(),
-                Json::Arr(
-                    self.names
-                        .iter()
-                        .map(|n| Json::Str((*n).to_string()))
-                        .collect(),
-                ),
-            ),
-            (
-                "cells".into(),
-                Json::Arr(self.cells.iter().map(ScenarioCell::to_json).collect()),
-            ),
-        ])
-        .to_pretty()
     }
 }
 
@@ -716,6 +682,6 @@ mod tests {
         let b = subset
             .cell("churn-under-overload", SystemKind::Diem)
             .unwrap();
-        assert_eq!(a.to_json().to_pretty(), b.to_json().to_pretty());
+        assert_eq!(a.record().to_pretty(), b.record().to_pretty());
     }
 }

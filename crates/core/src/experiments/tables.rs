@@ -6,6 +6,7 @@
 
 use coconut_types::{PayloadKind, SimDuration};
 
+use crate::json::Json;
 use crate::params::{BlockParam, SystemKind, SystemSetup};
 use crate::report::{self, Report};
 use crate::runner::{run_unit, BenchmarkResult, BenchmarkSpec};
@@ -23,14 +24,14 @@ pub struct TableResult {
 }
 
 impl Report for TableResult {
+    /// The rows as a flat JSON array (the [`report::records`] layout).
+    fn record(&self) -> Json {
+        report::records(&self.rows)
+    }
+
     /// Renders the rows in the paper's table layout.
     fn render(&self) -> String {
         format!("{}\n{}", self.title, report::table(&self.rows))
-    }
-
-    /// The rows as a flat JSON array (the [`report::to_json`] layout).
-    fn to_json(&self) -> String {
-        report::to_json(&self.rows)
     }
 
     /// The rows as CSV (the [`report::to_csv`] layout).

@@ -1,9 +1,9 @@
 //! A minimal JSON value model, writer, and recursive-descent parser.
 //!
 //! The workspace builds with no network registry, so `serde_json` is
-//! replaced by this module: just enough JSON to write results
-//! ([`crate::report::to_json`] and every campaign's `to_json`) and to read
-//! them back ([`parse`]). Numbers are `f64`, objects preserve
+//! replaced by this module: just enough JSON to write results (every
+//! [`crate::report::Report::record`]), to read records back field by field
+//! ([`Json::field`] and its typed readers), and to parse them ([`parse`]). Numbers are `f64`, objects preserve
 //! insertion order, and the writer emits stable two-space-indented output
 //! so that identical results serialize byte-identically.
 
@@ -67,6 +67,56 @@ impl Json {
         }
     }
 
+    /// An object of `fields`, in order.
+    pub fn obj<'a>(fields: impl IntoIterator<Item = (&'a str, Json)>) -> Json {
+        Json::Obj(fields.into_iter().map(|(k, v)| (k.into(), v)).collect())
+    }
+
+    /// The value under `key` of a record (an object).
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming `key`, if the record has none: a reader asked for a
+    /// value its writer never recorded. The typed readers below panic the
+    /// same way, and on a value of another type.
+    pub fn field(&self, key: &str) -> &Json {
+        self.get(key)
+            .unwrap_or_else(|| panic!("record has no field {key:?}"))
+    }
+
+    fn typed<'a, T>(&'a self, key: &str, as_t: fn(&'a Json) -> Option<T>) -> T {
+        as_t(self.field(key)).unwrap_or_else(|| panic!("record field {key:?} has another type"))
+    }
+
+    /// The number under `key` of a record.
+    pub fn num(&self, key: &str) -> f64 {
+        self.typed(key, Json::as_f64)
+    }
+
+    /// The string under `key` of a record.
+    pub fn text(&self, key: &str) -> &str {
+        self.typed(key, Json::as_str)
+    }
+
+    /// The boolean under `key` of a record.
+    pub fn flag(&self, key: &str) -> bool {
+        self.typed(key, Json::as_bool)
+    }
+
+    /// The array under `key` of a record.
+    pub fn list(&self, key: &str) -> &[Json] {
+        self.typed(key, Json::as_array)
+    }
+
+    /// The fields `keys` (space-separated) of a record, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the key, if one of them is missing.
+    pub fn select(&self, keys: &str) -> Json {
+        Json::obj(keys.split_whitespace().map(|k| (k, self.field(k).clone())))
+    }
+
     /// Serializes with two-space indentation and a trailing newline-free
     /// final line (like `serde_json::to_string_pretty`).
     pub fn to_pretty(&self) -> String {
@@ -110,6 +160,43 @@ impl Json {
                 out.push('}');
             }
         }
+    }
+}
+
+impl From<f64> for Json {
+    fn from(n: f64) -> Json {
+        Json::Num(n)
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Num(n as f64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_string())
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<Json>> From<Option<T>> for Json {
+    fn from(v: Option<T>) -> Json {
+        v.map_or(Json::Null, Into::into)
+    }
+}
+
+impl<T: Into<Json>> FromIterator<T> for Json {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Json {
+        Json::Arr(items.into_iter().map(Into::into).collect())
     }
 }
 

@@ -6,24 +6,40 @@ use crate::stats::Stats;
 
 /// A renderable experiment report.
 ///
-/// Every experiment-family result — [`Fig3Result`], [`Fig5Result`],
-/// [`TableResult`], [`ChaosResult`], [`SweepResult`] — emits a fixed-width
-/// text rendering and a deterministic pretty-JSON form through this one
-/// interface, so the `repro` binary dispatches output format uniformly
-/// instead of matching per result type. Both forms are pure functions of
-/// the result: identical configs and seeds serialize byte-identically.
+/// Every experiment-family result — the paper's [`Fig3Result`],
+/// [`Fig5Result`] and [`TableResult`], and the campaigns' [`ChaosResult`],
+/// [`SweepResult`], [`OverloadResult`], [`ChurnResult`],
+/// [`ScenarioResult`], [`BottleneckResult`], [`ContentionResult`] and
+/// [`GrayfailResult`] — emits a fixed-width text rendering and a
+/// deterministic pretty-JSON form through this one interface, so the
+/// `repro` binary dispatches output format uniformly instead of matching
+/// per result type. Both forms are pure functions of the result: identical
+/// configs and seeds serialize byte-identically. A campaign's text is a
+/// view of its record: its tables are rendered by [`columns`] from the
+/// cell records that `to_json` prints.
 ///
 /// [`Fig3Result`]: crate::experiments::Fig3Result
 /// [`Fig5Result`]: crate::experiments::Fig5Result
 /// [`TableResult`]: crate::experiments::TableResult
 /// [`ChaosResult`]: crate::experiments::ChaosResult
 /// [`SweepResult`]: crate::experiments::SweepResult
+/// [`OverloadResult`]: crate::experiments::OverloadResult
+/// [`ChurnResult`]: crate::experiments::ChurnResult
+/// [`ScenarioResult`]: crate::experiments::ScenarioResult
+/// [`BottleneckResult`]: crate::experiments::BottleneckResult
+/// [`ContentionResult`]: crate::experiments::ContentionResult
+/// [`GrayfailResult`]: crate::experiments::GrayfailResult
 pub trait Report {
+    /// The result as one JSON record.
+    fn record(&self) -> Json;
+
     /// Renders the result as fixed-width text in the paper's layout.
     fn render(&self) -> String;
 
-    /// The result as pretty-printed JSON (same determinism guarantee).
-    fn to_json(&self) -> String;
+    /// The record as pretty-printed JSON (same determinism guarantee).
+    fn to_json(&self) -> String {
+        self.record().to_pretty()
+    }
 
     /// The result as CSV, for reports whose rows are flat
     /// [`BenchmarkResult`]s; `None` where no flat-row form exists.
@@ -133,64 +149,95 @@ pub fn heatmap(
     out
 }
 
-/// Renders a generic aligned-text heat map: one row per `rows` label, one
-/// column per `cols` label, with `cells[r][c]` holding the stacked text
-/// lines of that cell (an empty cell renders blank). The column width fits
-/// the longest line; output is a pure function of the inputs.
-///
-/// This is the renderer behind the chaos sweep's system × fault-kind grid;
-/// [`heatmap`] stays the [`BenchmarkResult`]-specific Figure 3/4 layout.
+/// What a [`Column`] prints of one record.
+#[derive(Debug, Clone, Copy)]
+enum Show {
+    /// The string under the key.
+    Text(&'static str),
+    /// The number under the key, with this many decimals.
+    Num(&'static str, usize),
+    /// What the function makes of the whole record.
+    With(fn(&Json) -> String),
+}
+
+/// One column of a [`columns`] table: a header, a width and an alignment,
+/// and what to print of each record.
+#[derive(Debug, Clone, Copy)]
+pub struct Column {
+    header: &'static str,
+    width: usize,
+    left: bool,
+    show: Show,
+}
+
+impl Column {
+    const fn new(header: &'static str, width: usize, left: bool, show: Show) -> Column {
+        Column {
+            header,
+            width,
+            left,
+            show,
+        }
+    }
+
+    /// A left-aligned column of the string under `key`.
+    pub const fn text(header: &'static str, width: usize, key: &'static str) -> Column {
+        Column::new(header, width, true, Show::Text(key))
+    }
+
+    /// A right-aligned column of the number under `key`, to `dp` places.
+    pub const fn num(header: &'static str, width: usize, key: &'static str, dp: usize) -> Column {
+        Column::new(header, width, false, Show::Num(key, dp))
+    }
+
+    /// A right-aligned column of what `show` makes of the record.
+    pub const fn with(header: &'static str, width: usize, show: fn(&Json) -> String) -> Column {
+        Column::new(header, width, false, Show::With(show))
+    }
+
+    /// The same column, left-aligned.
+    pub const fn left(self) -> Column {
+        Column { left: true, ..self }
+    }
+
+    /// The column's width, or its header's if that is wider.
+    fn width(&self) -> usize {
+        self.width.max(self.header.chars().count())
+    }
+
+    /// The header, or `record`'s cell, padded to the column's width.
+    fn cell(&self, record: Option<&Json>) -> String {
+        let text = match (record, self.show) {
+            (None, _) => self.header.to_string(),
+            (Some(r), Show::Text(key)) => r.text(key).to_string(),
+            (Some(r), Show::Num(key, dp)) => format!("{:.dp$}", r.num(key)),
+            (Some(r), Show::With(show)) => show(r),
+        };
+        let w = self.width();
+        if self.left {
+            format!("{text:<w$}")
+        } else {
+            format!("{text:>w$}")
+        }
+    }
+}
+
+/// Renders `records` as a fixed-width text table: a header line, a rule
+/// as wide as the columns, and one line per record. Columns are separated
+/// by one space, and no line ends in whitespace.
 ///
 /// # Panics
 ///
-/// Panics unless `cells` is exactly `rows.len()` × `cols.len()`.
-pub fn grid_heatmap(rows: &[&str], cols: &[&str], cells: &[Vec<Vec<String>>]) -> String {
-    assert_eq!(cells.len(), rows.len(), "one cell row per row label");
-    let label_w = rows.iter().map(|r| r.len()).max().unwrap_or(0).max(1) + 2;
-    let cell_w = cols
-        .iter()
-        .map(|c| c.len())
-        .chain(
-            cells
-                .iter()
-                .flat_map(|row| row.iter().flat_map(|cell| cell.iter().map(String::len))),
-        )
-        .max()
-        .unwrap_or(0)
-        .max(4)
-        + 4;
-    let mut out = String::new();
-    out.push_str(&format!("{:label_w$}", ""));
-    for c in cols {
-        out.push_str(&format!("{c:^cell_w$}"));
-    }
-    while out.ends_with(' ') {
-        out.pop();
-    }
-    out.push('\n');
-    for (ri, r) in rows.iter().enumerate() {
-        assert_eq!(cells[ri].len(), cols.len(), "one cell per column label");
-        let depth = cells[ri].iter().map(Vec::len).max().unwrap_or(0).max(1);
-        for line in 0..depth {
-            if line == 0 {
-                out.push_str(&format!("{r:<label_w$}"));
-            } else {
-                out.push_str(&format!("{:label_w$}", ""));
-            }
-            for cell in &cells[ri] {
-                let text = cell.get(line).map_or("", String::as_str);
-                out.push_str(&format!("{text:^cell_w$}"));
-            }
-            // Centering pads both sides; strip the trailing run so the
-            // output has no invisible end-of-line whitespace.
-            while out.ends_with(' ') {
-                out.pop();
-            }
-            out.push('\n');
-        }
-        out.push('\n');
-    }
-    out
+/// Panics, naming the key, if a column reads a field a record lacks.
+pub fn columns<'a>(cols: &[Column], records: impl IntoIterator<Item = &'a Json>) -> String {
+    let line = |record: Option<&Json>| {
+        let cells: Vec<String> = cols.iter().map(|c| c.cell(record)).collect();
+        cells.join(" ").trim_end().to_string() + "\n"
+    };
+    let width: usize = cols.iter().map(|c| c.width() + 1).sum();
+    let rule = "-".repeat(width.saturating_sub(1)) + "\n";
+    let rows = records.into_iter().map(|r| line(Some(r)));
+    [line(None), rule].into_iter().chain(rows).collect()
 }
 
 /// Renders a log-scale series table for Figure 5 (MTPS vs node count).
@@ -256,41 +303,43 @@ pub fn to_csv(results: &[BenchmarkResult]) -> String {
 }
 
 fn stats_to_json(s: &Stats) -> Json {
-    Json::Obj(vec![
-        ("mean".into(), Json::Num(s.mean)),
-        ("sd".into(), Json::Num(s.sd)),
-        ("sem".into(), Json::Num(s.sem)),
-        ("ci95".into(), Json::Num(s.ci95)),
-        ("n".into(), Json::Num(s.n as f64)),
+    Json::obj([
+        ("mean", s.mean.into()),
+        ("sd", s.sd.into()),
+        ("sem", s.sem.into()),
+        ("ci95", s.ci95.into()),
+        ("n", (s.n as u64).into()),
     ])
 }
 
-/// Renders results as pretty JSON (the paper persists all collected
-/// evaluation data; we use a file per experiment). The output is stable:
-/// identical results serialize byte-identically.
+/// Results as a JSON array, one record per result (the paper persists all
+/// collected evaluation data; we use a file per experiment).
+pub fn records(results: &[BenchmarkResult]) -> Json {
+    let record = |r: &BenchmarkResult| {
+        Json::obj([
+            ("system", r.system.as_str().into()),
+            ("benchmark", r.benchmark.as_str().into()),
+            ("rate", r.rate.into()),
+            ("block_param", r.block_param.as_str().into()),
+            ("ops_per_tx", u64::from(r.ops_per_tx).into()),
+            ("mtps", stats_to_json(&r.mtps)),
+            ("mfls", stats_to_json(&r.mfls)),
+            ("p50", stats_to_json(&r.p50)),
+            ("p95", stats_to_json(&r.p95)),
+            ("p99", stats_to_json(&r.p99)),
+            ("duration", stats_to_json(&r.duration)),
+            ("received", stats_to_json(&r.received)),
+            ("expected", r.expected.into()),
+            ("live", r.live.into()),
+        ])
+    };
+    results.iter().map(record).collect()
+}
+
+/// Renders results as pretty JSON: [`records`], printed. The output is
+/// stable: identical results serialize byte-identically.
 pub fn to_json(results: &[BenchmarkResult]) -> String {
-    let items = results
-        .iter()
-        .map(|r| {
-            Json::Obj(vec![
-                ("system".into(), Json::Str(r.system.clone())),
-                ("benchmark".into(), Json::Str(r.benchmark.clone())),
-                ("rate".into(), Json::Num(r.rate)),
-                ("block_param".into(), Json::Str(r.block_param.clone())),
-                ("ops_per_tx".into(), Json::Num(r.ops_per_tx as f64)),
-                ("mtps".into(), stats_to_json(&r.mtps)),
-                ("mfls".into(), stats_to_json(&r.mfls)),
-                ("p50".into(), stats_to_json(&r.p50)),
-                ("p95".into(), stats_to_json(&r.p95)),
-                ("p99".into(), stats_to_json(&r.p99)),
-                ("duration".into(), stats_to_json(&r.duration)),
-                ("received".into(), stats_to_json(&r.received)),
-                ("expected".into(), Json::Num(r.expected)),
-                ("live".into(), Json::Bool(r.live)),
-            ])
-        })
-        .collect();
-    Json::Arr(items).to_pretty()
+    records(results).to_pretty()
 }
 
 #[cfg(test)]
@@ -343,34 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_heatmap_aligns_and_handles_empty_cells() {
-        let cells = vec![
-            vec![
-                vec!["rec=0.0 s".to_string(), "deliv=1.000".to_string()],
-                vec![],
-            ],
-            vec![vec!["n/a".to_string()], vec!["rec=2.0 s".to_string()]],
-        ];
-        let h = grid_heatmap(&["Fabric", "Quorum"], &["crash", "loss"], &cells);
-        assert!(h.contains("crash"));
-        assert!(h.contains("rec=0.0 s"));
-        assert!(h.contains("n/a"));
-        // No line carries trailing whitespace (byte-stable rendering).
-        assert!(h.lines().all(|l| l == l.trim_end()), "{h:?}");
-        // Deterministic.
-        assert_eq!(
-            h,
-            grid_heatmap(&["Fabric", "Quorum"], &["crash", "loss"], &cells)
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "one cell row per row label")]
-    fn grid_heatmap_validates_shape() {
-        let _ = grid_heatmap(&["A", "B"], &["C"], &[vec![vec![]]]);
-    }
-
-    #[test]
     fn scalability_marks_failures() {
         let t = scalability_table(&["Fabric"], &[8, 16, 32], &[vec![700.0, 0.0, 0.0]]);
         assert!(t.contains("700.00"));
@@ -400,6 +421,52 @@ mod tests {
         assert_eq!(rows[0].get("system").and_then(Json::as_str), Some("Diem"));
         let mtps = rows[0].get("mtps").unwrap();
         assert_eq!(mtps.get("mean").and_then(Json::as_f64), Some(64.0));
+    }
+
+    /// Two columns of each alignment; `verified` is wider than its width.
+    const COLS: [Column; 4] = [
+        Column::text("system", 8, "system"),
+        Column::num("rate", 7, "rate", 1),
+        Column::with("ok", 5, |r| r.flag("ok").to_string()),
+        Column::text("verified", 3, "verified"),
+    ];
+
+    fn row(system: &str, rate: f64, ok: bool) -> Json {
+        Json::obj([
+            ("system", system.into()),
+            ("rate", rate.into()),
+            ("ok", ok.into()),
+            ("verified", "-".into()),
+        ])
+    }
+
+    #[test]
+    fn columns_align_cells_and_derive_the_rule_from_the_widths() {
+        let t = columns(
+            &COLS,
+            &[row("Diem", 12.34, true), row("Quorum", 1600.0, false)],
+        );
+        let want = "\
+system      rate    ok verified
+-------------------------------
+Diem        12.3  true -
+Quorum    1600.0 false -
+";
+        assert_eq!(t, want);
+        // The rule spans every column: widths 8 + 7 + 5 + 8 (the header
+        // widens `verified`), plus one space between each pair.
+        assert_eq!(t.lines().nth(1).unwrap().len(), 8 + 7 + 5 + 8 + 3);
+        assert_eq!(
+            columns(&COLS, &[]),
+            want.lines().take(2).collect::<Vec<_>>().join("\n") + "\n"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "record has no field \"rate\"")]
+    fn columns_name_the_key_a_record_lacks() {
+        let partial = Json::obj([("system", "Diem".into())]);
+        let _ = columns(&COLS, [&partial]);
     }
 
     #[test]

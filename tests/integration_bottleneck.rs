@@ -272,6 +272,7 @@ fn bottleneck_cells_are_jobs_and_subset_invariant() {
     let a = bottleneck_for(&cfg(Some(1)), &pair);
     let b = bottleneck_for(&cfg(Some(8)), &pair);
     assert_eq!(a.to_json(), b.to_json(), "worker count must not matter");
+    assert_eq!(a.render(), b.render(), "worker count must not matter");
     let solo = bottleneck_for(&cfg(Some(2)), &pair[..1]);
     let (full, sub) = (&a.cells[0], &solo.cells[0]);
     assert_eq!(full.run.accounting, sub.run.accounting);

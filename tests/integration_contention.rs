@@ -152,6 +152,7 @@ fn contention_cells_are_jobs_systems_and_workloads_invariant() {
     let a = contention_for(&cfg(Some(1)), &pair, &WORKLOADS);
     let b = contention_for(&cfg(Some(8)), &pair, &WORKLOADS);
     assert_eq!(a.to_json(), b.to_json(), "worker count must not matter");
+    assert_eq!(a.render(), b.render(), "worker count must not matter");
     let solo = contention_for(&cfg(Some(2)), &pair[..1], &["YCSB"]);
     assert_eq!(solo.cells.len(), LEVELS.len());
     for sub in &solo.cells {

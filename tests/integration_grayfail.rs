@@ -105,6 +105,7 @@ fn grayfail_cells_are_jobs_and_subset_invariant() {
     let a = grayfail_for(&cfg(Some(1)), &pair);
     let b = grayfail_for(&cfg(Some(8)), &pair);
     assert_eq!(a.to_json(), b.to_json(), "worker count must not matter");
+    assert_eq!(a.render(), b.render(), "worker count must not matter");
     let solo = grayfail_for(&cfg(Some(2)), &pair[..1]);
     for c in &solo.cells {
         let full = a

@@ -117,6 +117,7 @@ fn subsets_and_worker_counts_never_change_a_cell() {
     other_jobs.jobs = Some(5);
     let rejobbed = scenarios(&other_jobs);
     assert_eq!(full.to_json(), rejobbed.to_json(), "worker count leaked");
+    assert_eq!(full.render(), rejobbed.render(), "worker count leaked");
 
     let subset = scenarios_for(
         &quick_cfg(),
