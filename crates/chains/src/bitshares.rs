@@ -26,14 +26,14 @@
 //!   throughput near 600 tx/s while 100-op transactions reach the full
 //!   1,600 op/s of the workload (Table 11).
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use coconut_consensus::dpos::{Dpos, DposCluster};
 use coconut_consensus::{BatchConfig, CommittedBatch, CpuModel};
 use coconut_iel::StateKey;
 use coconut_simnet::{NetConfig, Topology};
 use coconut_types::{
-    ClientTx, NodeId, Payload, SeedDeriver, SimDuration, SimTime, TxId, TxOutcome,
+    ClientTx, MixMap, NodeId, Payload, SeedDeriver, SimDuration, SimTime, TxId, TxOutcome,
 };
 
 use crate::chain::{Chain, Model};
@@ -90,12 +90,14 @@ pub struct BitsharesModel {
     config: BitsharesConfig,
     exec_cpu: CpuModel,
     /// Accounts/keys written by transactions still waiting for a block.
-    pending_touched: HashMap<StateKey, TxId>,
-    touched_by: HashMap<TxId, Vec<StateKey>>,
+    pending_touched: MixMap<StateKey, TxId>,
+    touched_by: MixMap<TxId, Vec<StateKey>>,
     /// Footprints of recently packed transactions, still interfering until
     /// `release_at` (one block interval past packing — Graphene's
-    /// duplicate/TaPoS window).
-    cooling: Vec<(SimTime, StateKey)>,
+    /// duplicate/TaPoS window), sorted by release time. Every footprint
+    /// cools for the same two intervals, so a block's keys nearly always
+    /// go at the back.
+    cooling: VecDeque<(SimTime, StateKey)>,
     stalled: bool,
 }
 
@@ -129,9 +131,9 @@ impl Bitshares {
         let witnesses = config.witnesses;
         let m = BitsharesModel {
             exec_cpu: CpuModel::new(total),
-            pending_touched: HashMap::new(),
-            touched_by: HashMap::new(),
-            cooling: Vec::new(),
+            pending_touched: MixMap::default(),
+            touched_by: MixMap::default(),
+            cooling: VecDeque::new(),
             config,
             stalled: false,
         };
@@ -181,8 +183,10 @@ impl Bitshares {
             // The footprint keeps interfering for one more block interval
             // (Graphene's duplicate/TaPoS window) before it is released.
             if let Some(keys) = self.m.touched_by.remove(&cmd.tx) {
-                for k in keys {
-                    self.m.cooling.push((cooling_until, k));
+                let cooling = &mut self.m.cooling;
+                let at = cooling.partition_point(|&(t, _)| t <= cooling_until);
+                for (i, k) in (at..).zip(keys) {
+                    cooling.insert(i, (cooling_until, k));
                 }
             }
             let mut scratch = self.state.clone();
@@ -277,15 +281,13 @@ impl Model for BitsharesModel {
         c.rt.accept();
         let m = &mut c.m;
         // Release footprints whose cooling window has passed.
-        let mut retained = Vec::with_capacity(m.cooling.len());
-        for (release_at, key) in m.cooling.drain(..) {
-            if release_at <= now {
-                m.pending_touched.remove(&key);
-            } else {
-                retained.push((release_at, key));
+        while let Some(&(release_at, key)) = m.cooling.front() {
+            if release_at > now {
+                break;
             }
+            m.pending_touched.remove(&key);
+            m.cooling.pop_front();
         }
-        m.cooling = retained;
         let mut keys: Vec<StateKey> = Vec::new();
         for p in tx.payloads() {
             keys.extend(written_keys(p));

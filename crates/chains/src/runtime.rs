@@ -178,8 +178,9 @@ impl Default for PoolLimits {
 /// Entries are remembered in arrival order (submissions reach a model in
 /// non-decreasing virtual time), so expiry is a pop-from-the-front scan.
 /// Taken transactions leave stale order entries behind; the scan skips
-/// them — wire-level transaction ids are never reused, so a stale id can
-/// never alias a live entry.
+/// them, and an insert drops those at the front, so the order stays near
+/// the pending set without a TTL — wire-level transaction ids are never
+/// reused, so a stale id can never alias a live entry.
 #[derive(Debug, Default)]
 pub struct Mempool {
     txs: MixMap<TxId, ClientTx>,
@@ -190,6 +191,12 @@ impl Mempool {
     /// Stores a pending transaction; its [`ClientTx::created_at`] stamp
     /// (the submission instant) is its insertion time for TTL purposes.
     pub fn insert(&mut self, tx: ClientTx) {
+        while let Some((_, id)) = self.order.front() {
+            if self.txs.contains_key(id) {
+                break;
+            }
+            self.order.pop_front();
+        }
         self.order.push_back((tx.created_at(), tx.id()));
         self.txs.insert(tx.id(), tx);
     }
@@ -1075,6 +1082,30 @@ mod tests {
         assert_eq!(
             r.admit(SimTime::ZERO, &tx(9), true),
             SubmitOutcome::Rejected
+        );
+    }
+
+    #[test]
+    fn inserts_drop_the_stale_front_that_takes_leave() {
+        let mut pool = Mempool::default();
+        for i in 0..1_000 {
+            pool.insert(tx(i));
+            assert!(pool.take(&tx(i).id()).is_some());
+        }
+        assert_eq!(pool.order.len(), 1, "only the last take's entry is left");
+        // A live front holds the stale entries behind it until it leaves.
+        pool.insert(tx(1_000));
+        for i in 1_001..1_010 {
+            pool.insert(tx(i));
+            pool.take(&tx(i).id());
+        }
+        assert_eq!(pool.order.len(), 10);
+        pool.take(&tx(1_000).id());
+        pool.insert(tx(1_010));
+        assert_eq!((pool.order.len(), pool.len()), (1, 1));
+        assert_eq!(
+            pool.evict_expired(SimTime::from_secs(1), SimDuration::ZERO),
+            1
         );
     }
 

@@ -48,6 +48,8 @@ const ROUND_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 const PROC_PER_MSG: SimDuration = SimDuration::from_micros(40);
 /// Additional CPU cost per command in a proposal.
 const PROC_PER_COMMAND: SimDuration = SimDuration::from_micros(8);
+/// Committed rounds between two prunes of the round-keyed state.
+const PRUNE_EVERY: u64 = 512;
 
 /// Messages; public only to the engine shell.
 mod wire {
@@ -83,6 +85,20 @@ mod wire {
         /// A joiner's catch-up/state transfer finished: activate it.
         SyncDone,
     }
+
+    impl DiemMsg {
+        /// The round the message names, if any.
+        pub fn round(&self) -> Option<u64> {
+            match *self {
+                DiemMsg::ProposeTimer { round }
+                | DiemMsg::RoundTimeout { round }
+                | DiemMsg::Proposal { round, .. }
+                | DiemMsg::Vote { round, .. }
+                | DiemMsg::Timeout { round } => Some(round),
+                DiemMsg::SyncDone => None,
+            }
+        }
+    }
 }
 
 /// A proposed block as tracked in the (global, for emission) block store,
@@ -103,12 +119,14 @@ struct DiemNode {
 }
 
 /// The DiemBFT protocol state of a [`DiemBftCluster`].
+///
+/// Every 512 committed rounds the round-keyed maps drop the rounds that no
+/// code path reads again; certified blocks still waiting to commit stay.
 #[derive(Debug)]
 pub struct DiemBft {
     nodes: Vec<DiemNode>,
     /// digest → block (proposals are broadcast; this is the union store).
-    /// Every proposed digest is stored before it is sent, and no block is
-    /// ever removed.
+    /// Every proposed digest is stored before it is sent.
     blocks: MixMap<u64, BlockInfo>,
     /// (round, digest) → vote count at the aggregating leader.
     votes: MixMap<(u64, u64), u32>,
@@ -118,13 +136,17 @@ pub struct DiemBft {
     highest_qc: (u64, u64),
     timeout_votes: MixMap<u64, u32>,
     committed_digests: MixSet<u64>,
+    /// Blocks committed so far (`committed_digests` is pruned).
+    committed_blocks: u64,
     /// Digests of certified, uncommitted blocks with a non-empty batch —
     /// the blocks that still need a child QC. Kept in step with `qcs`,
     /// `committed_digests` and `blocks` by [`Shell::refresh_work`] so
-    /// [`Shell::has_work`] never scans `qcs`, which is never pruned.
+    /// [`Shell::has_work`] never scans `qcs`.
     uncommitted_work: MixSet<u64>,
     last_committed_round: u64,
     proposed_rounds: MixSet<u64>,
+    /// The committed round at which the next prune runs.
+    prune_at: u64,
     bft: Bft,
 }
 
@@ -185,16 +207,18 @@ impl Protocol for DiemBft {
             highest_qc: (0, 0),
             timeout_votes: MixMap::default(),
             committed_digests: MixSet::default(),
+            committed_blocks: 0,
             uncommitted_work: MixSet::default(),
             last_committed_round: 0,
             proposed_rounds: MixSet::default(),
+            prune_at: PRUNE_EVERY,
             bft: Bft::new(b),
         }
     }
 
     /// A joiner syncs every committed block.
     fn sync_units(s: &DiemBftCluster) -> u64 {
-        s.p.committed_digests.len() as u64
+        s.p.committed_blocks
     }
 
     fn deliver(s: &mut DiemBftCluster, me: NodeId, at: SimTime, msg: DiemMsg) {
@@ -276,8 +300,12 @@ impl Protocol for DiemBft {
         n.round = n.round.max(max_round);
     }
 
-    /// Kicks idle leaders when work arrived between calls.
+    /// Prunes every `PRUNE_EVERY` committed rounds, then kicks idle
+    /// leaders when work arrived between calls.
     fn before_run(s: &mut DiemBftCluster) {
+        if s.p.last_committed_round >= s.p.prune_at {
+            s.prune();
+        }
         s.kick_current_leader();
     }
 
@@ -583,21 +611,25 @@ impl Shell<DiemBft> {
         if !contiguous || parent_digest == 0 || !self.p.qcs.contains_key(&parent_digest) {
             return;
         }
-        // Commit parent and any uncommitted certified ancestors (in order).
+        // Commit parent and its ancestors above the last committed round,
+        // in order. Rounds fall strictly along the parent links, so the
+        // walk stops at the first ancestor at or below that round (genesis
+        // included); those under the prune floor are no longer stored.
         let mut chain = Vec::new();
         let mut cur = parent_digest;
-        while cur != 0 && !self.p.committed_digests.contains(&cur) {
+        while let Some(b) = self.p.blocks.get(&cur) {
+            if b.round <= self.p.last_committed_round {
+                break;
+            }
             chain.push(cur);
-            cur = self.p.blocks.get(&cur).map_or(0, |b| b.parent);
+            cur = b.parent;
         }
         let now = self.net.now();
         let p = &mut self.p;
         for digest in chain.into_iter().rev() {
             let info = p.blocks.get_mut(&digest).expect("an ancestor is stored");
-            if info.round <= p.last_committed_round {
-                continue;
-            }
             p.committed_digests.insert(digest);
+            p.committed_blocks += 1;
             p.uncommitted_work.remove(&digest);
             p.last_committed_round = info.round;
             self.liveness.observe_commit(now);
@@ -664,6 +696,32 @@ impl Shell<DiemBft> {
         }
         self.p.timeout_votes.remove(&round);
     }
+
+    /// Drops the state of every round below the floor, one below the lowest
+    /// of the last committed round and every round a queued message names,
+    /// and returns the floor. A later message names a round taken from a
+    /// handled message or from the highest QC, so no later read reaches
+    /// below the lowest of those; the one round of margin keeps the parent
+    /// a QC at that round reads. The blocks of `uncommitted_work` stay.
+    /// Runs between events only.
+    fn prune(&mut self) -> u64 {
+        let p = &mut self.p;
+        let queued = self.net.queued().filter_map(DiemMsg::round);
+        let floor = queued
+            .fold(p.last_committed_round, u64::min)
+            .saturating_sub(1);
+        p.prune_at = p.last_committed_round + PRUNE_EVERY;
+        let work = &p.uncommitted_work;
+        p.blocks.retain(|d, b| b.round >= floor || work.contains(d));
+        p.qcs.retain(|d, &mut r| r >= floor || work.contains(d));
+        let blocks = &p.blocks;
+        p.committed_digests.retain(|d| blocks.contains_key(d));
+        p.votes.retain(|&(r, _), _| r >= floor);
+        p.timeout_votes.retain(|&r, _| r >= floor);
+        p.proposed_rounds.retain(|&r| r >= floor);
+        p.bft.monitor.forget_below(floor);
+        floor
+    }
 }
 
 #[cfg(test)]
@@ -717,8 +775,157 @@ mod tests {
         }
     }
 
-    fn equivocating_cluster(byzantine: &[u32], seed: u64) -> DiemBftCluster {
-        let mut c = DiemBftCluster::builder(4).seed(seed).build();
+    /// A fault script: runs at the start of every step with its time.
+    type Script = fn(&mut DiemBftCluster, SimTime);
+
+    /// Drives `c` to `end` in 200 ms steps, submitting two commands and
+    /// running `script` at the start of each. With `prune`, each step ends
+    /// by checking the watermark of the last prune (no queued message,
+    /// sent since or before, names a round below its floor) and the work
+    /// set, then prunes; without, `c` never prunes. Returns the commits
+    /// and the last floor.
+    fn drive(
+        c: &mut DiemBftCluster,
+        end: SimTime,
+        script: Script,
+        prune: bool,
+    ) -> (Vec<CommittedBatch>, u64) {
+        if !prune {
+            c.p.prune_at = u64::MAX;
+        }
+        let mut blocks = Vec::new();
+        let (mut seq, mut floor) = (0, 0);
+        while c.now() < end {
+            script(c, c.now());
+            for _ in 0..2 {
+                c.submit(tx(seq));
+                seq += 1;
+            }
+            let step = c.now() + SimDuration::from_millis(200);
+            blocks.extend(c.run_until(step));
+            if prune {
+                let low = c.net.queued().filter_map(DiemMsg::round).min();
+                assert!(
+                    low.is_none_or(|r| r >= floor),
+                    "round {low:?} < floor {floor}"
+                );
+                assert_eq!(c.p.uncommitted_work, c.uncommitted_work_by_scan());
+                floor = c.prune();
+            }
+        }
+        (blocks, floor)
+    }
+
+    /// Pruning after every step leaves the run identical to one that never
+    /// prunes, through each fault the engine handles.
+    #[test]
+    fn pruning_keeps_the_watermark_and_changes_nothing() {
+        let end = SimTime::from_secs(45);
+        let scripts: [(&str, u64, Script); 6] = [
+            ("crash and recover", 51, |c, now| {
+                if now == SimTime::from_secs(5) {
+                    let leader = c.leader_of(c.p.highest_qc.0 + 1);
+                    c.crash(leader);
+                } else if now == SimTime::from_secs(20) {
+                    let crashed = c.alive.iter().position(|&alive| !alive);
+                    c.recover(NodeId(crashed.unwrap() as u32));
+                }
+            }),
+            ("x32 slow node", 52, |c, now| {
+                if now == SimTime::from_secs(5) {
+                    let slow = coconut_simnet::FaultEvent::SlowNode {
+                        node: NodeId(2),
+                        factor: 32.0,
+                        window: SimDuration::from_secs(20),
+                    };
+                    assert!(c.apply_net_fault(now, &slow));
+                }
+            }),
+            ("one equivocator", 31, |c, now| {
+                if now == SimTime::ZERO {
+                    arm_equivocation(c, &[1]);
+                }
+            }),
+            ("f + 1 colluders", 32, |c, now| {
+                if now == SimTime::ZERO {
+                    arm_equivocation(c, &[1, 2]);
+                }
+            }),
+            ("timeout certificates", 53, |c, now| {
+                if now == SimTime::from_secs(3) {
+                    c.crash(NodeId(3));
+                }
+            }),
+            ("join and leave", 44, |c, now| {
+                if now == SimTime::from_secs(4) {
+                    assert!(c.join(NodeId(4)));
+                } else if now == SimTime::from_secs(12) {
+                    assert!(c.leave(NodeId(1)));
+                }
+            }),
+        ];
+        for (name, seed, script) in scripts {
+            let build = || DiemBftCluster::builder(4).standby(1).seed(seed).build();
+            let (mut pruned, mut kept) = (build(), build());
+            let (got, floor) = drive(&mut pruned, end, script, true);
+            let (want, _) = drive(&mut kept, end, script, false);
+            assert!(floor > 0, "{name}: nothing was pruned");
+            assert!(!want.is_empty(), "{name}: nothing committed");
+            assert_eq!(got, want, "{name}: commits");
+            assert_eq!(pruned.net_stats(), kept.net_stats(), "{name}: messages");
+            assert_eq!(pruned.safety_report(), kept.safety_report(), "{name}");
+            assert_eq!(pruned.liveness_report(), kept.liveness_report(), "{name}");
+            assert_eq!(pruned.pending_len(), kept.pending_len(), "{name}");
+            assert_eq!(Protocol::sync_units(&pruned), Protocol::sync_units(&kept));
+            assert!(pruned.p.blocks.len() < kept.p.blocks.len(), "{name}");
+        }
+    }
+
+    /// Under steady load the round-keyed state stops growing with run
+    /// length: the high-water entry counts over 240 s stay within 1.5× of
+    /// those over the first 60 s.
+    #[test]
+    fn state_is_bounded_under_steady_submits() {
+        let mut c = DiemBftCluster::builder(4).seed(61).build();
+        let counts = |c: &DiemBftCluster| {
+            [
+                c.p.blocks.len(),
+                c.p.votes.len(),
+                c.p.proposed_rounds.len(),
+                c.p.bft.monitor.slot_count(),
+            ]
+        };
+        let mut high = [0; 4];
+        let mut at_60 = None;
+        let mut seq = 0;
+        while c.now() < SimTime::from_secs(240) {
+            for _ in 0..20 {
+                c.submit(tx(seq));
+                seq += 1;
+            }
+            let _ = c.run_until(c.now() + SimDuration::from_millis(100));
+            for (h, n) in high.iter_mut().zip(counts(&c)) {
+                *h = (*h).max(n);
+            }
+            if c.now() == SimTime::from_secs(60) {
+                at_60 = Some(high);
+            }
+        }
+        let at_60 = at_60.unwrap();
+        assert!(c.p.last_committed_round > 4 * PRUNE_EVERY, "rounds ran");
+        for (name, (late, early)) in ["blocks", "votes", "proposed rounds", "monitor slots"]
+            .into_iter()
+            .zip(high.into_iter().zip(at_60))
+        {
+            assert!(
+                2 * late <= 3 * early,
+                "{name}: {early} at 60 s, {late} at 240 s"
+            );
+        }
+        assert_eq!(c.p.committed_blocks, c.p.last_committed_round);
+    }
+
+    fn arm_equivocation(c: &mut DiemBftCluster, byzantine: &[u32]) {
         for &node in byzantine {
             for behaviour in [
                 ByzantineBehaviour::EquivocateProposer,
@@ -727,6 +934,11 @@ mod tests {
                 c.set_byzantine(NodeId(node), behaviour, SimTime::from_secs(60));
             }
         }
+    }
+
+    fn equivocating_cluster(byzantine: &[u32], seed: u64) -> DiemBftCluster {
+        let mut c = DiemBftCluster::builder(4).seed(seed).build();
+        arm_equivocation(&mut c, byzantine);
         c
     }
 

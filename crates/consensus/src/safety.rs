@@ -385,6 +385,16 @@ impl SafetyMonitor {
         }
     }
 
+    /// Drops the records of every slot below `slot`, in every epoch. The
+    /// counters and flagged nodes stay, so the report is unchanged; a later
+    /// observation at a forgotten slot would be checked against nothing,
+    /// so call this only below the lowest slot any node can still act on.
+    pub fn forget_below(&mut self, slot: u64) {
+        self.slots.retain(|&(_, s), _| s >= slot);
+        self.certificates = self.certificates.split_off(&slot);
+        self.commits = self.commits.split_off(&slot);
+    }
+
     /// The verdict over everything observed so far.
     pub fn report(&self) -> SafetyReport {
         SafetyReport {
@@ -439,6 +449,13 @@ mod tests {
     use super::*;
 
     const Q: u32 = 3; // n = 4, f = 1
+
+    impl SafetyMonitor {
+        /// Distinct `(epoch, slot)` keys holding records.
+        pub(crate) fn slot_count(&self) -> usize {
+            self.slots.len()
+        }
+    }
 
     impl<T> InlineSet<T> {
         fn len(&self) -> usize {
@@ -648,6 +665,43 @@ mod tests {
                 },
             }
         );
+    }
+
+    #[test]
+    fn forget_below_keeps_the_report_and_checks_the_slots_it_keeps() {
+        let mut m = SafetyMonitor::new(Q);
+        for slot in 1..=6 {
+            m.observe_proposal(0, slot, NodeId(0), slot);
+            m.observe_vote(NodeId(1), VotePhase::Vote, 0, slot, slot, NodeId(2));
+            m.observe_certificate(slot, slot);
+            m.observe_commit(slot, slot);
+        }
+        m.observe_proposal(1, 2, NodeId(3), 0xE);
+        m.observe_proposal(0, 2, NodeId(0), 0xF); // equivocation 1
+        let before = m.report();
+        m.forget_below(4);
+        assert_eq!(m.report(), before, "forgetting changes no counter");
+        let mut slots: Vec<_> = m.slots.keys().copied().collect();
+        slots.sort_unstable();
+        assert_eq!(slots, [(0, 4), (0, 5), (0, 6)], "every epoch is cut");
+        assert_eq!(
+            m.certificates.keys().copied().collect::<Vec<_>>(),
+            [4, 5, 6]
+        );
+        assert_eq!(m.commits.keys().copied().collect::<Vec<_>>(), [4, 5, 6]);
+        // The kept slots still detect every conflict against their records.
+        m.observe_proposal(0, 4, NodeId(0), 0xA); // equivocation 2
+        m.observe_vote(NodeId(1), VotePhase::Vote, 0, 5, 0xB, NodeId(2)); // double vote
+        m.observe_certificate(6, 0xC);
+        m.observe_commit(6, 0xD);
+        let r = m.report();
+        assert_eq!(r.observed.equivocating_proposals, 2);
+        assert_eq!(r.observed.double_votes, 1);
+        assert_eq!(r.violations.conflicting_certificates, 1);
+        assert_eq!(r.violations.conflicting_commits, 1);
+        // A forgotten slot has no records left to conflict with.
+        m.observe_commit(3, 0xD);
+        assert_eq!(m.report().violations.conflicting_commits, 1);
     }
 
     #[test]

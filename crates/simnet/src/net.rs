@@ -421,6 +421,11 @@ impl<M> NetSim<M> {
         self.sim.pending()
     }
 
+    /// Every in-flight message and timer, in no particular order.
+    pub fn queued(&self) -> impl Iterator<Item = &M> {
+        self.sim.queued()
+    }
+
     /// Cuts bidirectional connectivity between `a` and `b`.
     pub fn partition(&mut self, a: NodeId, b: NodeId) {
         self.partitioned.insert(ordered(a, b));

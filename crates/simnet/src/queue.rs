@@ -178,6 +178,13 @@ impl<T> EventQueue<T> {
         self.heap.is_empty() && self.runs.iter().all(VecDeque::is_empty)
     }
 
+    /// Every queued item, in no particular order, without removing any.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        let runs = self.runs.iter().flatten();
+        runs.chain(self.heap.iter().map(|Reverse(e)| e))
+            .map(|e| &e.item)
+    }
+
     /// Drops every queued item.
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -306,6 +313,11 @@ mod tests {
                 94..=98 => {
                     assert_eq!(q.peek_time(), r.peek_time(), "{case}: peek_time");
                     assert_eq!(q.len(), r.heap.len(), "{case}: len");
+                    let mut items: Vec<u64> = q.iter().copied().collect();
+                    let mut want: Vec<u64> = r.heap.iter().map(|Reverse(e)| e.item).collect();
+                    items.sort_unstable();
+                    want.sort_unstable();
+                    assert_eq!(items, want, "{case}: iter");
                     assert_eq!(q.is_empty(), r.heap.is_empty(), "{case}: is_empty");
                 }
                 _ => {

@@ -109,6 +109,11 @@ impl<M> Sim<M> {
         self.queue.len()
     }
 
+    /// Every pending event's payload, in no particular order.
+    pub fn queued(&self) -> impl Iterator<Item = &M> {
+        self.queue.iter().map(|(_, msg)| msg)
+    }
+
     /// Discards all pending events (used when a system halts).
     pub fn clear(&mut self) {
         self.queue.clear();

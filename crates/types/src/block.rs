@@ -1,9 +1,9 @@
 //! Blocks produced by the modelled blockchain systems.
 //!
 //! Corda is block-less (UTXO finality per transaction); every other modelled
-//! system links [`Block`]s with [`chain_hash`].
+//! system links [`Block`]s with [`chain_hash`](crate::chain_hash).
 
-use crate::hash::{chain_hash, Hash256};
+use crate::hash::{ChainHasher, Hash256};
 use crate::id::{BlockId, NodeId, TxId};
 use crate::time::SimTime;
 
@@ -80,13 +80,14 @@ impl Block {
         txs: Vec<TxId>,
         ops: Option<u64>,
     ) -> Self {
-        let mut body = Vec::with_capacity(txs.len() * 8 + 16);
-        body.extend_from_slice(&(parent.header.height + 1).to_le_bytes());
-        body.extend_from_slice(&proposer.0.to_le_bytes());
+        // The body: height, proposer, then every transaction id.
+        let mut h = ChainHasher::new(&parent.header.hash);
+        h.write_u64(parent.header.height + 1);
+        h.write(&proposer.0.to_le_bytes());
         for tx in &txs {
-            body.extend_from_slice(&tx.as_u64().to_le_bytes());
+            h.write_u64(tx.as_u64());
         }
-        let hash = chain_hash(&parent.header.hash, &body);
+        let hash = h.finish();
         let ops = ops.unwrap_or(txs.len() as u64);
         Block {
             header: BlockHeader {

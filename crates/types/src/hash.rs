@@ -194,16 +194,49 @@ pub type MixSet<T> = HashSet<T, MixState>;
 /// assert_ne!(chain_hash(&b_first, b"a"), b);
 /// ```
 pub fn chain_hash(parent: &Hash256, body: &[u8]) -> Hash256 {
-    let mut out = [0u64; 4];
-    for (lane, slot) in out.iter_mut().enumerate() {
-        let mut h = Hasher64::with_key(lane as u64 + 1);
+    let mut h = ChainHasher::new(parent);
+    h.write(body);
+    h.finish()
+}
+
+/// The four lanes of [`chain_hash`] stepped together over one byte stream:
+/// lane `i` is a [`Hasher64`] keyed `i + 1`, so a body fed in pieces
+/// hashes as if it were one slice.
+#[derive(Debug, Clone)]
+pub(crate) struct ChainHasher {
+    lanes: [u64; 4],
+}
+
+impl ChainHasher {
+    /// Starts a digest chained onto `parent`.
+    pub(crate) fn new(parent: &Hash256) -> Self {
+        let mut h = ChainHasher {
+            lanes: std::array::from_fn(|lane| FNV_OFFSET ^ mix64(lane as u64 + 1)),
+        };
         for p in parent.0 {
             h.write_u64(p);
         }
-        h.write(body);
-        *slot = h.finish();
+        h
     }
-    Hash256(out)
+
+    /// Feeds raw bytes into every lane.
+    pub(crate) fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            for lane in &mut self.lanes {
+                *lane = (*lane ^ b as u64).wrapping_mul(FNV_PRIME);
+            }
+        }
+    }
+
+    /// Feeds a little-endian `u64` into every lane.
+    pub(crate) fn write_u64(&mut self, v: u64) {
+        self.write(&v.to_le_bytes());
+    }
+
+    /// The 256-bit digest.
+    pub(crate) fn finish(&self) -> Hash256 {
+        Hash256(self.lanes.map(mix64))
+    }
 }
 
 #[cfg(test)]
@@ -224,6 +257,31 @@ mod tests {
         let b = chain_hash(&Hash256::GENESIS, b"b");
         assert_ne!(a, b);
         assert_ne!(chain_hash(&a, b"x"), chain_hash(&b, b"x"));
+    }
+
+    /// The lanes stepped together equal four separately keyed
+    /// [`Hasher64`]s, however the body is split.
+    #[test]
+    fn chain_hasher_matches_four_keyed_lanes() {
+        let mut rng = crate::SimRng::seed_from_u64(3);
+        for case in 0..50u64 {
+            let parent = Hash256(std::array::from_fn(|_| rng.next_u64()));
+            let body: Vec<u8> = (0..case * 7).map(|_| rng.next_u64() as u8).collect();
+            let want = Hash256(std::array::from_fn(|lane| {
+                let mut h = Hasher64::with_key(lane as u64 + 1);
+                for p in parent.0 {
+                    h.write_u64(p);
+                }
+                h.write(&body);
+                h.finish()
+            }));
+            assert_eq!(chain_hash(&parent, &body), want, "case {case}");
+            let mut split = ChainHasher::new(&parent);
+            let (a, b) = body.split_at(body.len() / 3);
+            split.write(a);
+            split.write(b);
+            assert_eq!(split.finish(), want, "case {case} split");
+        }
     }
 
     #[test]
