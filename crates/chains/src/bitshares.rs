@@ -169,7 +169,7 @@ impl Bitshares {
         let block_id = self.rt.append_block(
             witness,
             block.committed_at,
-            packed.iter().map(|c| c.tx).collect(),
+            packed.iter().map(|c| c.tx),
             Some(ops),
         );
         // Execute packed transactions atomically.

@@ -95,7 +95,7 @@ impl<M: Model> Chain<M> {
         self.rt.height()
     }
 
-    /// The hash-linked ledger (tamper-evident block chain).
+    /// The hash-linked ledger: its tip and running counts.
     pub fn ledger(&self) -> &Ledger {
         self.rt.ledger()
     }
@@ -116,6 +116,10 @@ impl<M: Model> BlockchainSystem for Chain<M> {
 
     fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
         M::run_until(self, deadline)
+    }
+
+    fn listen_until(&mut self, end: SimTime) {
+        self.rt.listen_until(end);
     }
 
     fn stats(&self) -> SystemStats {

@@ -500,6 +500,10 @@ impl BlockchainSystem for Corda {
         self.rt.drain(deadline)
     }
 
+    fn listen_until(&mut self, end: SimTime) {
+        self.rt.listen_until(end);
+    }
+
     fn stats(&self) -> SystemStats {
         let mut s = self.rt.stats();
         s.conflicts = self.notary_conflicts;

@@ -152,7 +152,7 @@ impl Diem {
             let block_id = self.rt.append_block(
                 block.proposer,
                 block.committed_at,
-                block.commands.iter().map(|c| c.tx).collect(),
+                block.commands.iter().map(|c| c.tx),
                 None,
             );
             let mut results = Vec::with_capacity(block.commands.len());

@@ -178,7 +178,7 @@ impl Fabric {
             let block = self.rt.append_block(
                 batch.proposer,
                 tb,
-                batch.commands.iter().map(|c| c.tx).collect(),
+                batch.commands.iter().map(|c| c.tx),
                 None,
             );
             // Every peer receives and validates the whole block.

@@ -190,7 +190,7 @@ impl Model for QuorumModel {
             let block_id = c.rt.append_block(
                 block.proposer,
                 block.committed_at,
-                block.commands.iter().map(|cmd| cmd.tx).collect(),
+                block.commands.iter().map(|cmd| cmd.tx),
                 None,
             );
             if block.commands.is_empty() {

@@ -16,6 +16,12 @@
 //! seed and driven with the same calls produce identical outcome
 //! streams, which is what makes the parallel experiment executor in
 //! `coconut-core` safe.
+//!
+//! The scaffold holds only what a run reads back. The outcome bus counts
+//! every outcome but queues none due after the client's listen end
+//! ([`ChainRuntime::listen_until`]), and the ledger is a hash-chain tip
+//! with running counts ([`Ledger`]), so neither grows with the work a
+//! saturated system leaves unconfirmed.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -706,6 +712,9 @@ pub struct ChainRuntime {
     mempool: Mempool,
     pool: PoolLimits,
     outcomes: EventQueue<TxOutcome>,
+    /// The client's listen end: outcomes due after it are counted but not
+    /// queued ([`ChainRuntime::listen_until`]).
+    listen_end: SimTime,
     rng: coconut_types::SimRng,
     inter: LatencyModel,
     ledger: Ledger,
@@ -728,6 +737,7 @@ impl ChainRuntime {
             mempool: Mempool::default(),
             pool: PoolLimits::unbounded(),
             outcomes: EventQueue::new(),
+            listen_end: SimTime::MAX,
             rng: seeds.rng("hops", 0),
             inter: net.inter_server,
             ledger: Ledger::new(),
@@ -846,13 +856,13 @@ impl ChainRuntime {
 
     // --- blocks and the ledger ---------------------------------------------
 
-    /// Appends a block to the hash-linked ledger and counts it; returns
-    /// the block id at the new height.
+    /// Appends a block carrying `txs` to the hash-linked ledger and
+    /// counts it; returns the block id at the new height.
     pub fn append_block(
         &mut self,
         proposer: NodeId,
         at: SimTime,
-        txs: Vec<TxId>,
+        txs: impl IntoIterator<Item = TxId>,
         ops: Option<u64>,
     ) -> BlockId {
         self.stats.blocks += 1;
@@ -864,7 +874,7 @@ impl ChainRuntime {
         self.stats.blocks += 1;
     }
 
-    /// The hash-linked ledger.
+    /// The hash-linked ledger (its tip and running counts).
     pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
@@ -889,19 +899,30 @@ impl ChainRuntime {
 
     // --- the outcome bus ---------------------------------------------------
 
+    /// Sets the client's listen end: from now on an outcome due after
+    /// `end` is counted in [`SystemStats::outcomes_emitted`] but never
+    /// queued, since no [`ChainRuntime::drain`] the client reads reaches
+    /// it. The runtime starts with no end and stores every outcome.
+    pub fn listen_until(&mut self, end: SimTime) {
+        self.listen_end = end;
+    }
+
     /// Emits a committed outcome to the client at `event_at` (one
     /// notification hop *already included* by the caller's timestamp).
     pub fn emit_committed(&mut self, tx: TxId, block: BlockId, event_at: SimTime, ops: u32) {
-        self.outcomes
-            .push(event_at, TxOutcome::committed(tx, block, event_at, ops));
-        self.stats.outcomes_emitted += 1;
+        self.emit(TxOutcome::committed(tx, block, event_at, ops));
     }
 
     /// Emits a failure outcome to the client at `event_at`.
     pub fn emit_failed(&mut self, tx: TxId, reason: FailReason, event_at: SimTime) {
-        self.outcomes
-            .push(event_at, TxOutcome::failed(tx, reason, event_at));
+        self.emit(TxOutcome::failed(tx, reason, event_at));
+    }
+
+    fn emit(&mut self, outcome: TxOutcome) {
         self.stats.outcomes_emitted += 1;
+        if outcome.finalized_at <= self.listen_end {
+            self.outcomes.push(outcome.finalized_at, outcome);
+        }
     }
 
     /// Drains every outcome whose client notification fired at or
@@ -1166,9 +1187,23 @@ mod tests {
     }
 
     #[test]
+    fn outcomes_due_past_the_listen_end_are_counted_not_queued() {
+        let mut r = rt();
+        let end = SimTime::from_secs(5);
+        r.listen_until(end);
+        r.emit_committed(tx(1).id(), BlockId(1), end, 1);
+        r.emit_committed(tx(2).id(), BlockId(1), end + SimDuration::from_micros(1), 1);
+        r.emit_failed(tx(3).id(), FailReason::Conflict, SimTime::from_secs(9));
+        r.emit_failed(tx(4).id(), FailReason::Conflict, end);
+        assert_eq!(r.stats().outcomes_emitted, 4);
+        let drained: Vec<TxId> = r.drain(SimTime::MAX).iter().map(|o| o.tx).collect();
+        assert_eq!(drained, [tx(1).id(), tx(4).id()]);
+    }
+
+    #[test]
     fn blocks_and_finality_count() {
         let mut r = rt();
-        let b = r.append_block(NodeId(0), SimTime::from_secs(1), vec![tx(1).id()], None);
+        let b = r.append_block(NodeId(0), SimTime::from_secs(1), [tx(1).id()], None);
         assert_eq!(b, BlockId(1));
         r.note_finality();
         assert_eq!(r.stats().blocks, 2);

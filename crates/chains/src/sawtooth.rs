@@ -214,7 +214,7 @@ impl Model for SawtoothModel {
             let block_id = c.rt.append_block(
                 block.proposer,
                 block.committed_at,
-                block.commands.iter().map(|cmd| cmd.tx).collect(),
+                block.commands.iter().map(|cmd| cmd.tx),
                 Some(ops),
             );
             // Execute every batch at every validator (transaction

@@ -104,6 +104,15 @@ pub trait BlockchainSystem {
     /// slightly past `deadline` when a commit straddles it).
     fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome>;
 
+    /// Tells the system that its client stops listening at `end`: an
+    /// outcome due after it may be counted but never returned by
+    /// [`BlockchainSystem::run_until`], since the client would discard it.
+    /// A later call sets a later end. The default ignores it and returns
+    /// every outcome.
+    fn listen_until(&mut self, end: SimTime) {
+        let _ = end;
+    }
+
     /// Aggregate counters.
     fn stats(&self) -> SystemStats;
 

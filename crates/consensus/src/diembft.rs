@@ -147,6 +147,9 @@ pub struct DiemBft {
     proposed_rounds: MixSet<u64>,
     /// The committed round at which the next prune runs.
     prune_at: u64,
+    /// The last kick's `ProposeTimer` as (queue pushes after it, due time,
+    /// leader, round); see [`Shell::kick_current_leader`].
+    last_kick: Option<(u64, SimTime, NodeId, u64)>,
     bft: Bft,
 }
 
@@ -212,6 +215,7 @@ impl Protocol for DiemBft {
             last_committed_round: 0,
             proposed_rounds: MixSet::default(),
             prune_at: PRUNE_EVERY,
+            last_kick: None,
             bft: Bft::new(b),
         }
     }
@@ -336,15 +340,26 @@ impl Shell<DiemBft> {
         self.membership.select(round)
     }
 
+    /// Wakes the leader of the round after the highest QC in 1 µs, unless
+    /// that round is already proposed.
+    ///
+    /// Client actions that share an instant each end in a `run_until`, so
+    /// the same kick can come several times with nothing pushed between.
+    /// Such a twin is skipped: two equal events with consecutive queue
+    /// `seq`s pop back to back, and the second finds the round proposed
+    /// (a no-op) or repeats the first's idle re-arm, itself a back-to-back
+    /// twin. A twin names the same round, so `prune`'s floor is unchanged.
     fn kick_current_leader(&mut self) {
         let round = self.p.highest_qc.0 + 1;
         if !self.p.proposed_rounds.contains(&round) {
             let leader = self.leader_of(round);
-            self.net.timer(
-                leader,
-                SimDuration::from_micros(1),
-                DiemMsg::ProposeTimer { round },
-            );
+            let delay = SimDuration::from_micros(1);
+            let at = self.net.timer_due(leader, delay);
+            if self.p.last_kick != Some((self.net.pushes(), at, leader, round)) {
+                self.net
+                    .timer(leader, delay, DiemMsg::ProposeTimer { round });
+                self.p.last_kick = Some((self.net.pushes(), at, leader, round));
+            }
             if !self.alive[leader.0 as usize] {
                 // A crashed proposer swallows the kick; the pacemaker must
                 // still run so a timeout certificate can skip its round.
@@ -923,6 +938,42 @@ mod tests {
             );
         }
         assert_eq!(c.p.committed_blocks, c.p.last_committed_round);
+    }
+
+    /// `run_until` calls that share an instant kick an idle leader once:
+    /// k calls queue one `ProposeTimer`, not k back-to-back twins.
+    #[test]
+    fn repeated_kicks_at_one_instant_queue_one_timer() {
+        let mut c = DiemBftCluster::builder(4).seed(5).build();
+        let t = SimTime::from_millis(1_234);
+        let _ = c.run_until(t);
+        assert!(c.next_event_time() > Some(t), "every event due at t ran");
+        let round = c.p.highest_qc.0 + 1;
+        assert!(!c.p.proposed_rounds.contains(&round), "idle cluster");
+        let timers = |c: &DiemBftCluster| {
+            c.net
+                .queued()
+                .filter(|m| **m == DiemMsg::ProposeTimer { round })
+                .count()
+        };
+        let (queued, before) = (c.net.queued().count(), timers(&c));
+        for _ in 0..5 {
+            let _ = c.run_until(t);
+        }
+        assert_eq!(timers(&c), before + 1);
+        assert_eq!(c.net.queued().count(), queued + 1);
+        // Any push in between ends the twin: the same kick is queued again.
+        c.net
+            .timer(NodeId(0), SimDuration::from_secs(60), DiemMsg::SyncDone);
+        let _ = c.run_until(t);
+        assert_eq!(timers(&c), before + 2);
+        // Once the kick has fired (its idle re-arm is a push), the next
+        // call kicks again.
+        let later = t + SimDuration::from_micros(1);
+        let _ = c.run_until(later);
+        let _ = c.run_until(later);
+        let due = later + SimDuration::from_micros(1);
+        assert_eq!(c.p.last_kick.map(|k| k.1), Some(due));
     }
 
     fn arm_equivocation(c: &mut DiemBftCluster, byzantine: &[u32]) {

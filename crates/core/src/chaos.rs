@@ -927,6 +927,9 @@ pub fn run_chaos_with_schedule(
 
     let mut agenda = Agenda::new(schedule);
 
+    // `harvest` discards every outcome due after the listen end, so the
+    // system need not keep them.
+    system.listen_until(listen_end);
     while let Some((at, action, i)) = agenda.pop() {
         // Interleave faults strictly before client actions at the same time.
         while let Some(fat) = scheduler.next_due().filter(|&f| f <= at) {

@@ -374,13 +374,20 @@ impl<M> NetSim<M> {
     /// timers fire late, it does not stop. The stretch is decided at
     /// scheduling time (timers armed before the window opens fire on time).
     pub fn timer(&mut self, dst: NodeId, delay: SimDuration, msg: M) {
+        let at = self.timer_due(dst, delay);
+        self.sim.schedule_at(at, dst, msg);
+    }
+
+    /// The instant a [`NetSim::timer`] armed now at `dst` after `delay`
+    /// would fire.
+    pub fn timer_due(&self, dst: NodeId, delay: SimDuration) -> SimTime {
         let stretch = self.stretch(dst);
         let delay = if stretch > 1.0 {
             delay.mul_f64(stretch)
         } else {
             delay
         };
-        self.sim.schedule(delay, dst, msg);
+        self.sim.now() + delay
     }
 
     /// Schedules a local event at an absolute time. Under an active
@@ -424,6 +431,12 @@ impl<M> NetSim<M> {
     /// Every in-flight message and timer, in no particular order.
     pub fn queued(&self) -> impl Iterator<Item = &M> {
         self.sim.queued()
+    }
+
+    /// Messages and timers queued so far, delivered or not
+    /// ([`EventQueue::pushes`](crate::EventQueue::pushes)).
+    pub fn pushes(&self) -> u64 {
+        self.sim.pushes()
     }
 
     /// Cuts bidirectional connectivity between `a` and `b`.

@@ -178,6 +178,13 @@ impl<T> EventQueue<T> {
         self.heap.is_empty() && self.runs.iter().all(VecDeque::is_empty)
     }
 
+    /// Items pushed so far, popped or not: the `seq` the next push gets.
+    /// Two pushes with no push between them have consecutive `seq`s, so
+    /// two equal-time items pushed back to back pop back to back.
+    pub fn pushes(&self) -> u64 {
+        self.seq
+    }
+
     /// Every queued item, in no particular order, without removing any.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         let runs = self.runs.iter().flatten();

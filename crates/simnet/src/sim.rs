@@ -114,6 +114,11 @@ impl<M> Sim<M> {
         self.queue.iter().map(|(_, msg)| msg)
     }
 
+    /// Events scheduled so far, popped or not.
+    pub fn pushes(&self) -> u64 {
+        self.queue.pushes()
+    }
+
     /// Discards all pending events (used when a system halts).
     pub fn clear(&mut self) {
         self.queue.clear();

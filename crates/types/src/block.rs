@@ -1,13 +1,28 @@
-//! Blocks produced by the modelled blockchain systems.
+//! Block headers of the modelled blockchain systems.
 //!
 //! Corda is block-less (UTXO finality per transaction); every other modelled
-//! system links [`Block`]s with [`chain_hash`](crate::chain_hash).
+//! system links its blocks with [`chain_hash`](crate::chain_hash). A block's
+//! hash covers its parent's hash, its height, its proposer and every
+//! transaction id it carries, so a [`BlockHeader`] alone is enough to
+//! extend the chain.
 
 use crate::hash::{ChainHasher, Hash256};
 use crate::id::{BlockId, NodeId, TxId};
 use crate::time::SimTime;
 
 /// The header of a finalized block.
+///
+/// # Example
+///
+/// ```
+/// use coconut_types::{BlockHeader, ClientId, NodeId, SimTime, TxId};
+///
+/// let genesis = BlockHeader::genesis();
+/// let txs = [TxId::new(ClientId(0), 1)];
+/// let (b, n) = genesis.next(NodeId(0), SimTime::from_secs(1), txs);
+/// assert_eq!((b.height, n), (1, 1));
+/// assert_eq!(b.parent, genesis.hash);
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockHeader {
     /// Sequential block identifier (equals the height for linear chains).
@@ -24,167 +39,53 @@ pub struct BlockHeader {
     pub finalized_at: SimTime,
 }
 
-/// A finalized block: a header plus the transactions it carries.
-///
-/// # Example
-///
-/// ```
-/// use coconut_types::{Block, ClientId, Hash256, NodeId, SimTime, TxId};
-///
-/// let genesis = Block::genesis();
-/// let txs = vec![TxId::new(ClientId(0), 1)];
-/// let b = Block::next(&genesis, NodeId(0), SimTime::from_secs(1), txs);
-/// assert_eq!(b.height(), 1);
-/// assert_eq!(b.header().parent, genesis.header().hash);
-/// assert!(b.verify_link(&genesis));
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Block {
-    header: BlockHeader,
-    txs: Vec<TxId>,
-    /// Total operations across carried transactions (≥ `txs.len()` for
-    /// multi-operation systems such as BitShares and Sawtooth batches).
-    ops: u64,
-}
-
-impl Block {
-    /// The genesis block: height 0, no transactions, zero hashes.
+impl BlockHeader {
+    /// The genesis header: height 0, zero hashes.
     pub fn genesis() -> Self {
-        Block {
-            header: BlockHeader {
-                id: BlockId(0),
-                height: 0,
-                parent: Hash256::GENESIS,
-                hash: Hash256::GENESIS,
-                proposer: NodeId(0),
-                finalized_at: SimTime::ZERO,
-            },
-            txs: Vec::new(),
-            ops: 0,
+        BlockHeader {
+            id: BlockId(0),
+            height: 0,
+            parent: Hash256::GENESIS,
+            hash: Hash256::GENESIS,
+            proposer: NodeId(0),
+            finalized_at: SimTime::ZERO,
         }
     }
 
-    /// Builds the block following `parent`, hashing the transaction list
-    /// into the chain.
-    pub fn next(parent: &Block, proposer: NodeId, finalized_at: SimTime, txs: Vec<TxId>) -> Self {
-        Self::next_with_ops(parent, proposer, finalized_at, txs, None)
-    }
-
-    /// Like [`Block::next`] but with an explicit operation count for
-    /// multi-operation transaction structures. `ops = None` counts one
-    /// operation per transaction.
-    pub fn next_with_ops(
-        parent: &Block,
+    /// The header of the block following this one, with the number of
+    /// transactions it carries. The hash walks the body as it streams by:
+    /// height, proposer, then every transaction id.
+    pub fn next(
+        &self,
         proposer: NodeId,
         finalized_at: SimTime,
-        txs: Vec<TxId>,
-        ops: Option<u64>,
-    ) -> Self {
-        // The body: height, proposer, then every transaction id.
-        let mut h = ChainHasher::new(&parent.header.hash);
-        h.write_u64(parent.header.height + 1);
+        txs: impl IntoIterator<Item = TxId>,
+    ) -> (BlockHeader, u64) {
+        let height = self.height + 1;
+        let mut h = ChainHasher::new(&self.hash);
+        h.write_u64(height);
         h.write(&proposer.0.to_le_bytes());
-        for tx in &txs {
+        let mut count = 0;
+        for tx in txs {
             h.write_u64(tx.as_u64());
+            count += 1;
         }
-        let hash = h.finish();
-        let ops = ops.unwrap_or(txs.len() as u64);
-        Block {
-            header: BlockHeader {
-                id: BlockId(parent.header.height + 1),
-                height: parent.header.height + 1,
-                parent: parent.header.hash,
-                hash,
-                proposer,
-                finalized_at,
-            },
-            txs,
-            ops,
-        }
+        let header = BlockHeader {
+            id: BlockId(height),
+            height,
+            parent: self.hash,
+            hash: h.finish(),
+            proposer,
+            finalized_at,
+        };
+        (header, count)
     }
-
-    /// The block header.
-    pub fn header(&self) -> &BlockHeader {
-        &self.header
-    }
-
-    /// Block height (genesis = 0).
-    pub fn height(&self) -> u64 {
-        self.header.height
-    }
-
-    /// Transactions carried by this block.
-    pub fn txs(&self) -> &[TxId] {
-        &self.txs
-    }
-
-    /// Number of carried transactions.
-    pub fn tx_count(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// Total operations across carried transactions.
-    pub fn op_count(&self) -> u64 {
-        self.ops
-    }
-
-    /// `true` if the block carries no transactions (e.g. Quorum's empty
-    /// blocks during a liveness stall).
-    pub fn is_empty(&self) -> bool {
-        self.txs.is_empty()
-    }
-
-    /// Verifies that this block correctly links onto `parent`: matching
-    /// parent digest, consecutive height, and a recomputable hash.
-    pub fn verify_link(&self, parent: &Block) -> bool {
-        if self.header.parent != parent.header.hash
-            || self.header.height != parent.header.height + 1
-        {
-            return false;
-        }
-        let recomputed = Block::next_with_ops(
-            parent,
-            self.header.proposer,
-            self.header.finalized_at,
-            self.txs.clone(),
-            Some(self.ops),
-        );
-        recomputed.header.hash == self.header.hash
-    }
-}
-
-/// Validates an entire chain of blocks starting at genesis.
-///
-/// Returns the height of the first invalid link, or `Ok(())` when every
-/// block correctly extends its predecessor.
-///
-/// # Errors
-///
-/// Returns `Err(height)` for the first block whose link fails verification.
-///
-/// # Example
-///
-/// ```
-/// use coconut_types::block::{validate_chain, Block};
-/// use coconut_types::{NodeId, SimTime};
-///
-/// let g = Block::genesis();
-/// let b1 = Block::next(&g, NodeId(0), SimTime::from_secs(1), vec![]);
-/// let b2 = Block::next(&b1, NodeId(1), SimTime::from_secs(2), vec![]);
-/// assert!(validate_chain(&[g, b1, b2]).is_ok());
-/// ```
-pub fn validate_chain(chain: &[Block]) -> Result<(), u64> {
-    for pair in chain.windows(2) {
-        if !pair[1].verify_link(&pair[0]) {
-            return Err(pair[1].height());
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chain_hash;
     use crate::id::ClientId;
 
     fn tx(seq: u64) -> TxId {
@@ -193,58 +94,80 @@ mod tests {
 
     #[test]
     fn genesis_shape() {
-        let g = Block::genesis();
-        assert_eq!(g.height(), 0);
-        assert!(g.is_empty());
-        assert_eq!(g.header().hash, Hash256::GENESIS);
-        assert_eq!(g.op_count(), 0);
-    }
-
-    #[test]
-    fn chain_links_verify() {
-        let g = Block::genesis();
-        let b1 = Block::next(&g, NodeId(1), SimTime::from_secs(1), vec![tx(1), tx(2)]);
-        let b2 = Block::next(&b1, NodeId(2), SimTime::from_secs(2), vec![tx(3)]);
-        assert!(b1.verify_link(&g));
-        assert!(b2.verify_link(&b1));
-        assert!(!b2.verify_link(&g));
-        assert!(validate_chain(&[g, b1, b2]).is_ok());
-    }
-
-    #[test]
-    fn tampering_breaks_chain() {
-        let g = Block::genesis();
-        let b1 = Block::next(&g, NodeId(1), SimTime::from_secs(1), vec![tx(1)]);
-        let mut b2 = Block::next(&b1, NodeId(2), SimTime::from_secs(2), vec![tx(2)]);
-        b2.txs[0] = tx(99); // tamper with the body without re-hashing
-        assert!(!b2.verify_link(&b1));
-        assert_eq!(validate_chain(&[g, b1, b2]), Err(2));
+        let g = BlockHeader::genesis();
+        assert_eq!(g.height, 0);
+        assert_eq!(g.hash, Hash256::GENESIS);
+        assert_eq!(g.parent, Hash256::GENESIS);
     }
 
     #[test]
     fn heights_and_ids_increment() {
-        let g = Block::genesis();
-        let b1 = Block::next(&g, NodeId(0), SimTime::ZERO, vec![]);
-        assert_eq!(b1.height(), 1);
-        assert_eq!(b1.header().id, BlockId(1));
-        assert_eq!(b1.header().parent, g.header().hash);
+        let g = BlockHeader::genesis();
+        let (b1, n) = g.next(NodeId(0), SimTime::ZERO, []);
+        assert_eq!((b1.height, b1.id, n), (1, BlockId(1), 0));
+        assert_eq!(b1.parent, g.hash);
+        let (b2, _) = b1.next(NodeId(1), SimTime::from_secs(2), [tx(3)]);
+        assert_eq!(b2.height, 2);
+        assert_eq!(b2.parent, b1.hash);
     }
 
     #[test]
-    fn op_count_defaults_to_tx_count() {
-        let g = Block::genesis();
-        let b = Block::next(&g, NodeId(0), SimTime::ZERO, vec![tx(1), tx(2), tx(3)]);
-        assert_eq!(b.op_count(), 3);
-        let batched = Block::next_with_ops(&g, NodeId(0), SimTime::ZERO, vec![tx(1)], Some(100));
-        assert_eq!(batched.op_count(), 100);
-        assert_eq!(batched.tx_count(), 1);
+    fn chain_links_verify() {
+        // Each header links onto its parent's hash at the next height, and
+        // its hash is `chain_hash` over the body: height, proposer, tx ids.
+        let g = BlockHeader::genesis();
+        let (b1, _) = g.next(NodeId(7), SimTime::from_secs(1), [tx(1), tx(2)]);
+        let (b2, _) = b1.next(NodeId(2), SimTime::from_secs(2), [tx(3)]);
+        for (parent, child, proposer, txs) in [
+            (&g, &b1, 7u32, vec![tx(1), tx(2)]),
+            (&b1, &b2, 2, vec![tx(3)]),
+        ] {
+            assert_eq!(child.parent, parent.hash);
+            assert_eq!(child.height, parent.height + 1);
+            let mut body = Vec::new();
+            body.extend_from_slice(&child.height.to_le_bytes());
+            body.extend_from_slice(&proposer.to_le_bytes());
+            for t in txs {
+                body.extend_from_slice(&t.as_u64().to_le_bytes());
+            }
+            assert_eq!(child.hash, chain_hash(&parent.hash, &body));
+        }
+    }
+
+    #[test]
+    fn tampering_breaks_chain() {
+        // A block whose body differs cannot carry the same hash, so every
+        // later link differs too.
+        let g = BlockHeader::genesis();
+        let (b1, _) = g.next(NodeId(1), SimTime::from_secs(1), [tx(1)]);
+        let (b2, _) = b1.next(NodeId(2), SimTime::from_secs(2), [tx(2)]);
+        let (forged, _) = b1.next(NodeId(2), SimTime::from_secs(2), [tx(99)]);
+        assert_ne!(forged.hash, b2.hash);
+        let t = SimTime::from_secs(3);
+        assert_ne!(
+            b2.next(NodeId(0), t, []).0.hash,
+            forged.next(NodeId(0), t, []).0.hash
+        );
+        // Reordering the same transactions is a different body too.
+        let (swapped, _) = b1.next(NodeId(2), SimTime::from_secs(2), [tx(3), tx(2)]);
+        assert_ne!(
+            swapped.hash,
+            b1.next(NodeId(2), SimTime::from_secs(2), [tx(2), tx(3)])
+                .0
+                .hash
+        );
     }
 
     #[test]
     fn different_proposers_give_different_hashes() {
-        let g = Block::genesis();
-        let a = Block::next(&g, NodeId(0), SimTime::ZERO, vec![tx(1)]);
-        let b = Block::next(&g, NodeId(1), SimTime::ZERO, vec![tx(1)]);
-        assert_ne!(a.header().hash, b.header().hash);
+        let g = BlockHeader::genesis();
+        let a = g.next(NodeId(0), SimTime::ZERO, [tx(1)]).0;
+        let b = g.next(NodeId(1), SimTime::ZERO, [tx(1)]).0;
+        assert_ne!(a.hash, b.hash);
+        // The finalization time is header metadata, not hashed.
+        assert_eq!(
+            a.hash,
+            g.next(NodeId(0), SimTime::from_secs(9), [tx(1)]).0.hash
+        );
     }
 }

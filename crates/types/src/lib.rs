@@ -38,7 +38,7 @@ pub mod seed;
 pub mod time;
 pub mod tx;
 
-pub use block::{Block, BlockHeader};
+pub use block::BlockHeader;
 pub use hash::{chain_hash, Hash256, Hasher64, MixMap, MixSet};
 pub use id::{AccountId, BlockId, ClientId, NodeId, StateRef, ThreadId, TxId};
 pub use payload::{Payload, PayloadKind};

@@ -96,3 +96,143 @@ fn parallel_and_serial_execution_agree() {
         assert_eq!(p.received.mean, s.received.mean, "{}", p.system);
     }
 }
+
+mod stores_everything {
+    use coconut_chains::{BlockchainSystem, StageProbe, StageReport, SubmitOutcome, SystemStats};
+    use coconut_consensus::{LivenessReport, SafetyReport};
+    use coconut_simnet::{ByzantineBehaviour, FaultEvent};
+    use coconut_types::{ClientTx, NodeId, Payload, SimTime, TxOutcome};
+
+    /// Forwards every call but `listen_until`, so the system it wraps
+    /// keeps the trait's default and stores every outcome, even those due
+    /// after the client's listen end.
+    pub struct StoresEverything(pub Box<dyn BlockchainSystem + Send>);
+
+    impl BlockchainSystem for StoresEverything {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn node_count(&self) -> u32 {
+            self.0.node_count()
+        }
+        fn submit(&mut self, now: SimTime, tx: ClientTx) -> SubmitOutcome {
+            self.0.submit(now, tx)
+        }
+        fn run_until(&mut self, deadline: SimTime) -> Vec<TxOutcome> {
+            self.0.run_until(deadline)
+        }
+        fn stats(&self) -> SystemStats {
+            self.0.stats()
+        }
+        fn preload(&mut self, payloads: &[Payload]) {
+            self.0.preload(payloads)
+        }
+        fn ledger_state(&self) -> Option<coconut_iel::LedgerState> {
+            self.0.ledger_state()
+        }
+        fn is_live(&self) -> bool {
+            self.0.is_live()
+        }
+        fn crash_node(&mut self, node: NodeId) -> bool {
+            self.0.crash_node(node)
+        }
+        fn recover_node(&mut self, node: NodeId) -> bool {
+            self.0.recover_node(node)
+        }
+        fn apply_net_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
+            self.0.apply_net_fault(at, event)
+        }
+        fn inject_byzantine(
+            &mut self,
+            node: NodeId,
+            b: ByzantineBehaviour,
+            until: SimTime,
+        ) -> bool {
+            self.0.inject_byzantine(node, b, until)
+        }
+        fn join_node(&mut self, now: SimTime, node: NodeId) -> bool {
+            self.0.join_node(now, node)
+        }
+        fn leave_node(&mut self, now: SimTime, node: NodeId) -> bool {
+            self.0.leave_node(now, node)
+        }
+        fn apply_fault(&mut self, at: SimTime, event: &FaultEvent) -> bool {
+            self.0.apply_fault(at, event)
+        }
+        fn config_epoch(&self) -> u64 {
+            self.0.config_epoch()
+        }
+        fn safety_report(&self) -> Option<SafetyReport> {
+            self.0.safety_report()
+        }
+        fn liveness_report(&self) -> Option<LivenessReport> {
+            self.0.liveness_report()
+        }
+        fn probe(&self) -> Option<&StageProbe> {
+            self.0.probe()
+        }
+        fn probe_mut(&mut self) -> Option<&mut StageProbe> {
+            self.0.probe_mut()
+        }
+        fn enable_stage_probes(&mut self) {
+            self.0.enable_stage_probes()
+        }
+        fn stage_report(&self) -> Option<StageReport> {
+            self.0.stage_report()
+        }
+    }
+}
+
+#[test]
+fn dropping_outcomes_past_the_listen_end_changes_no_output() {
+    use coconut::params::build_system;
+    use coconut::ScenarioBuilder;
+    use coconut_types::NodeId;
+    use stores_everything::StoresEverything;
+
+    // Overloaded first phases with re-sends and a slow node leave
+    // outcomes due after their listen end; a lighter second unit phase
+    // on the same deployment then runs while they fall due, under ids it
+    // never sent.
+    let windows = Windows {
+        send: SimDuration::from_secs(10),
+        listen: SimDuration::from_secs(16),
+    };
+    for (kind, rate) in [(SystemKind::Diem, 200.0), (SystemKind::CordaOs, 12.0)] {
+        let phases = [
+            ScenarioBuilder::new(PayloadKind::DoNothing, rate, windows)
+                .probes(true)
+                .at(SimTime::from_secs(1))
+                .slow_node(NodeId(1), 8.0, SimTime::from_secs(2))
+                .build(),
+            ScenarioBuilder::new(PayloadKind::DoNothing, rate / 4.0, windows)
+                .probes(true)
+                .unit_phase(1)
+                .build(),
+        ];
+        let setup = SystemSetup::default();
+        let mut bounded = build_system(kind, &setup, 11);
+        let mut everything = StoresEverything(build_system(kind, &setup, 11));
+        for (i, timeline) in phases.iter().enumerate() {
+            let a = timeline.run_on(bounded.as_mut(), 11);
+            let b = timeline.run_on(&mut everything, 11);
+            assert!(
+                a.run.accounting.confirmed > 0,
+                "{kind} phase {i} confirmed nothing"
+            );
+            assert_eq!(
+                format!("{:?}", a.run),
+                format!("{:?}", b.run),
+                "{kind} phase {i} run"
+            );
+            assert_eq!(a.stats, b.stats, "{kind} phase {i} stats");
+            assert_eq!(a.epochs, b.epochs, "{kind} phase {i} epochs");
+            assert_eq!(a.verified, b.verified, "{kind} phase {i} workload check");
+            assert_eq!(
+                format!("{:?}", a.stage_report),
+                format!("{:?}", b.stage_report),
+                "{kind} phase {i} stage report"
+            );
+        }
+    }
+}
