@@ -74,6 +74,33 @@ fn main() {
         black_box(sum)
     });
 
+    // A pacemaker's timers: each round arms a 3 s timeout and a 100 ms
+    // cadence timer, both scoped by the round. The cadence timer certifies
+    // its round, cancels the round's timeout and opens the next round; one
+    // round in eight gets no cadence timer and waits out its timeout.
+    group.bench_function("event_queue_round_timers_1k", || {
+        const CADENCE: SimDuration = SimDuration::from_millis(100);
+        const TIMEOUT: SimDuration = SimDuration::from_secs(3);
+        let arm = |q: &mut EventQueue<(bool, u64)>, now: SimTime, round: u64| {
+            q.push_scoped(now + TIMEOUT, round, (true, round));
+            if !round.is_multiple_of(8) {
+                q.push_scoped(now + CADENCE, round, (false, round));
+            }
+        };
+        let mut q = EventQueue::new();
+        arm(&mut q, SimTime::ZERO, 1);
+        let mut sum = 0u64;
+        for _ in 0..1000 {
+            let (t, (timeout, round)) = q.pop().expect("the open round stays armed");
+            sum += round;
+            if !timeout {
+                q.cancel_through(round);
+            }
+            arm(&mut q, t, round + 1);
+        }
+        black_box(sum)
+    });
+
     // Figure 4's netem: every delivery draws its own N(12 ms, 2 ms)
     // delay, so pushes arrive out of time order. 256 messages stay in
     // flight; each pop sends one more. The plain `(at, seq)` heap is the

@@ -58,8 +58,13 @@ mod wire {
     /// DiemBFT protocol messages and pacemaker timers.
     #[derive(Debug, Clone, PartialEq)]
     pub enum DiemMsg {
-        /// Leader cadence timer.
+        /// Leader cadence timer: an idle leader re-arms it.
         ProposeTimer {
+            round: u64,
+        },
+        /// A one-shot wake-up of the leader after work arrived between
+        /// calls; an idle leader lets it lapse.
+        Kick {
             round: u64,
         },
         /// Pacemaker timeout for a round.
@@ -91,6 +96,7 @@ mod wire {
         pub fn round(&self) -> Option<u64> {
             match *self {
                 DiemMsg::ProposeTimer { round }
+                | DiemMsg::Kick { round }
                 | DiemMsg::RoundTimeout { round }
                 | DiemMsg::Proposal { round, .. }
                 | DiemMsg::Vote { round, .. }
@@ -147,10 +153,13 @@ pub struct DiemBft {
     proposed_rounds: MixSet<u64>,
     /// The committed round at which the next prune runs.
     prune_at: u64,
-    /// The last kick's `ProposeTimer` as (queue pushes after it, due time,
-    /// leader, round); see [`Shell::kick_current_leader`].
+    /// The last `Kick` as (queue pushes after it, due time, leader,
+    /// round); see [`Shell::kick_current_leader`].
     last_kick: Option<(u64, SimTime, NodeId, u64)>,
     bft: Bft,
+    /// Test-only twin switch: keep dead pacemaker timers queued.
+    #[cfg(test)]
+    keep_dead_timers: bool,
 }
 
 /// Configuration for a [`DiemBftCluster`]; build with [`Shell::builder`].
@@ -184,7 +193,8 @@ impl Protocol for DiemBft {
     /// Round 1's leader proposes after one interval.
     fn init(b: &DiemBftBuilder, net: &mut NetSim<DiemMsg>) -> Self {
         let first_leader = NodeId((1 % b.nodes as u64) as u32);
-        net.timer(
+        arm_timer(
+            net,
             first_leader,
             ROUND_INTERVAL,
             DiemMsg::ProposeTimer { round: 1 },
@@ -217,6 +227,8 @@ impl Protocol for DiemBft {
             prune_at: PRUNE_EVERY,
             last_kick: None,
             bft: Bft::new(b),
+            #[cfg(test)]
+            keep_dead_timers: false,
         }
     }
 
@@ -227,7 +239,8 @@ impl Protocol for DiemBft {
 
     fn deliver(s: &mut DiemBftCluster, me: NodeId, at: SimTime, msg: DiemMsg) {
         match msg {
-            DiemMsg::ProposeTimer { round } => s.on_propose_timer(me, round),
+            DiemMsg::ProposeTimer { round } => s.on_propose_timer(me, round, true),
+            DiemMsg::Kick { round } => s.on_propose_timer(me, round, false),
             DiemMsg::RoundTimeout { round } => s.on_round_timeout(me, round),
             DiemMsg::Proposal {
                 round,
@@ -280,11 +293,9 @@ impl Protocol for DiemBft {
         // The frontier round may be re-proposed under the new epoch.
         s.p.proposed_rounds.retain(|&r| r <= frontier);
         let next = frontier + 1;
-        s.net.timer(
-            s.leader_of(next),
-            ROUND_INTERVAL,
-            DiemMsg::ProposeTimer { round: next },
-        );
+        let leader = s.leader_of(next);
+        let timer = DiemMsg::ProposeTimer { round: next };
+        arm_timer(&mut s.net, leader, ROUND_INTERVAL, timer);
         s.arm_round_timeouts(next);
     }
 
@@ -322,6 +333,14 @@ impl Protocol for DiemBft {
     }
 }
 
+/// Arms the pacemaker timer `msg` at `node` after `delay`, scoped by the
+/// round it names: from the moment the highest QC reaches that round its
+/// handler returns at once, so [`Shell::raise_highest_qc`] cancels it.
+fn arm_timer(net: &mut NetSim<DiemMsg>, node: NodeId, delay: SimDuration, msg: DiemMsg) {
+    let round = msg.round().expect("a pacemaker timer names its round");
+    net.timer_scoped(node, delay, round, msg);
+}
+
 /// The digest of a block at `key` (its round, salted for skip and
 /// equivocated blocks) extending `parent` with `batch`.
 fn block_digest(key: u64, parent: u64, batch: &[Command]) -> u64 {
@@ -340,15 +359,17 @@ impl Shell<DiemBft> {
         self.membership.select(round)
     }
 
-    /// Wakes the leader of the round after the highest QC in 1 µs, unless
-    /// that round is already proposed.
+    /// Wakes the leader of the round after the highest QC with a `Kick`
+    /// in 1 µs, unless that round is already proposed. A kick that finds
+    /// the leader idle lapses; the cadence `ProposeTimer` the round got at
+    /// its QC, at init or at an epoch change re-checks the leader.
     ///
     /// Client actions that share an instant each end in a `run_until`, so
     /// the same kick can come several times with nothing pushed between.
     /// Such a twin is skipped: two equal events with consecutive queue
     /// `seq`s pop back to back, and the second finds the round proposed
-    /// (a no-op) or repeats the first's idle re-arm, itself a back-to-back
-    /// twin. A twin names the same round, so `prune`'s floor is unchanged.
+    /// or the leader idle, a no-op either way. A twin names the same
+    /// round, so `prune`'s floor is unchanged.
     fn kick_current_leader(&mut self) {
         let round = self.p.highest_qc.0 + 1;
         if !self.p.proposed_rounds.contains(&round) {
@@ -356,8 +377,7 @@ impl Shell<DiemBft> {
             let delay = SimDuration::from_micros(1);
             let at = self.net.timer_due(leader, delay);
             if self.p.last_kick != Some((self.net.pushes(), at, leader, round)) {
-                self.net
-                    .timer(leader, delay, DiemMsg::ProposeTimer { round });
+                arm_timer(&mut self.net, leader, delay, DiemMsg::Kick { round });
                 self.p.last_kick = Some((self.net.pushes(), at, leader, round));
             }
             if !self.alive[leader.0 as usize] {
@@ -374,8 +394,12 @@ impl Shell<DiemBft> {
         for i in 0..self.p.nodes.len() {
             let id = NodeId(i as u32);
             if self.alive[i] && self.membership.is_active(id) {
-                self.net
-                    .timer(id, ROUND_TIMEOUT, DiemMsg::RoundTimeout { round });
+                arm_timer(
+                    &mut self.net,
+                    id,
+                    ROUND_TIMEOUT,
+                    DiemMsg::RoundTimeout { round },
+                );
             }
         }
     }
@@ -430,7 +454,8 @@ impl Shell<DiemBft> {
         self.pending = reclaimed;
     }
 
-    fn on_propose_timer(&mut self, me: NodeId, round: u64) {
+    /// A `ProposeTimer` (`cadence`) or `Kick` for `round` at `me`.
+    fn on_propose_timer(&mut self, me: NodeId, round: u64, cadence: bool) {
         if self.leader_of(round) != me || self.p.proposed_rounds.contains(&round) {
             return;
         }
@@ -439,9 +464,11 @@ impl Shell<DiemBft> {
             return;
         }
         if !self.has_work() {
-            // Idle: re-check after an interval.
-            self.net
-                .timer(me, ROUND_INTERVAL, DiemMsg::ProposeTimer { round });
+            if cadence {
+                // Idle: re-check after an interval.
+                let timer = DiemMsg::ProposeTimer { round };
+                arm_timer(&mut self.net, me, ROUND_INTERVAL, timer);
+            }
             return;
         }
         self.propose(me, round, false);
@@ -527,8 +554,8 @@ impl Shell<DiemBft> {
             self.cast_vote(me, round, digest);
         }
         // Arm pacemaker for this round at the leader.
-        self.net
-            .timer(me, ROUND_TIMEOUT, DiemMsg::RoundTimeout { round });
+        let timeout = DiemMsg::RoundTimeout { round };
+        arm_timer(&mut self.net, me, ROUND_TIMEOUT, timeout);
     }
 
     fn on_proposal(&mut self, me: NodeId, at: SimTime, round: u64, digest: u64, commands: u64) {
@@ -551,11 +578,8 @@ impl Shell<DiemBft> {
         node.highest_voted = round;
         self.cast_vote(me, round, digest);
         // Arm pacemaker for the next round.
-        self.net.timer(
-            me,
-            ROUND_TIMEOUT,
-            DiemMsg::RoundTimeout { round: round + 1 },
-        );
+        let timeout = DiemMsg::RoundTimeout { round: round + 1 };
+        arm_timer(&mut self.net, me, ROUND_TIMEOUT, timeout);
     }
 
     fn cast_vote(&mut self, me: NodeId, round: u64, digest: u64) {
@@ -600,19 +624,29 @@ impl Shell<DiemBft> {
             self.p.qcs.insert(digest, round);
             self.refresh_work(digest);
             if round > self.p.highest_qc.0 {
-                self.p.highest_qc = (round, digest);
+                self.raise_highest_qc(round, digest);
             }
             self.try_commit(digest);
             // Chained: the next leader (us) proposes after the round
             // interval (paces NIL rounds; real DiemBFT proposes
             // back-to-back, but the interval is what Diem's round timer
             // amounts to under our virtual clock).
-            self.net.timer(
-                me,
-                ROUND_INTERVAL,
-                DiemMsg::ProposeTimer { round: round + 1 },
-            );
+            let timer = DiemMsg::ProposeTimer { round: round + 1 };
+            arm_timer(&mut self.net, me, ROUND_INTERVAL, timer);
         }
+    }
+
+    /// Makes the QC at `round` the highest and cancels the pacemaker
+    /// timers of every round up to it. That is exact: the highest QC never
+    /// falls, and a `ProposeTimer`, `Kick` or `RoundTimeout` for a round at
+    /// or below it returns at once, so none of them could act again.
+    fn raise_highest_qc(&mut self, round: u64, digest: u64) {
+        self.p.highest_qc = (round, digest);
+        #[cfg(test)]
+        if self.p.keep_dead_timers {
+            return;
+        }
+        self.net.cancel_through(round);
     }
 
     /// 2-chain commit: forming a QC for block B commits B's parent when the
@@ -717,8 +751,9 @@ impl Shell<DiemBft> {
     /// and returns the floor. A later message names a round taken from a
     /// handled message or from the highest QC, so no later read reaches
     /// below the lowest of those; the one round of margin keeps the parent
-    /// a QC at that round reads. The blocks of `uncommitted_work` stay.
-    /// Runs between events only.
+    /// a QC at that round reads. `queued` yields live events only: a
+    /// cancelled timer never pops, so its round is never read. The blocks
+    /// of `uncommitted_work` stay. Runs between events only.
     fn prune(&mut self) -> u64 {
         let p = &mut self.p;
         let queued = self.net.queued().filter_map(DiemMsg::round);
@@ -831,12 +866,9 @@ mod tests {
         (blocks, floor)
     }
 
-    /// Pruning after every step leaves the run identical to one that never
-    /// prunes, through each fault the engine handles.
-    #[test]
-    fn pruning_keeps_the_watermark_and_changes_nothing() {
-        let end = SimTime::from_secs(45);
-        let scripts: [(&str, u64, Script); 6] = [
+    /// One seeded run per fault the engine handles, each with its script.
+    fn fault_scripts() -> [(&'static str, u64, Script); 6] {
+        [
             ("crash and recover", 51, |c, now| {
                 if now == SimTime::from_secs(5) {
                     let leader = c.leader_of(c.p.highest_qc.0 + 1);
@@ -878,10 +910,20 @@ mod tests {
                     assert!(c.leave(NodeId(1)));
                 }
             }),
-        ];
-        for (name, seed, script) in scripts {
-            let build = || DiemBftCluster::builder(4).standby(1).seed(seed).build();
-            let (mut pruned, mut kept) = (build(), build());
+        ]
+    }
+
+    fn fault_cluster(seed: u64) -> DiemBftCluster {
+        DiemBftCluster::builder(4).standby(1).seed(seed).build()
+    }
+
+    /// Pruning after every step leaves the run identical to one that never
+    /// prunes, through each fault the engine handles.
+    #[test]
+    fn pruning_keeps_the_watermark_and_changes_nothing() {
+        let end = SimTime::from_secs(45);
+        for (name, seed, script) in fault_scripts() {
+            let (mut pruned, mut kept) = (fault_cluster(seed), fault_cluster(seed));
             let (got, floor) = drive(&mut pruned, end, script, true);
             let (want, _) = drive(&mut kept, end, script, false);
             assert!(floor > 0, "{name}: nothing was pruned");
@@ -893,6 +935,33 @@ mod tests {
             assert_eq!(pruned.pending_len(), kept.pending_len(), "{name}");
             assert_eq!(Protocol::sync_units(&pruned), Protocol::sync_units(&kept));
             assert!(pruned.p.blocks.len() < kept.p.blocks.len(), "{name}");
+        }
+    }
+
+    /// Cancelling the pacemaker timers of certified rounds leaves the run
+    /// identical to a twin that keeps them queued, through each fault the
+    /// engine handles, while the cancelling cluster holds fewer events.
+    #[test]
+    fn cancelling_dead_timers_changes_nothing() {
+        let end = SimTime::from_secs(45);
+        for (name, seed, script) in fault_scripts() {
+            let (mut lean, mut twin) = (fault_cluster(seed), fault_cluster(seed));
+            twin.p.keep_dead_timers = true;
+            let (got, _) = drive(&mut lean, end, script, true);
+            let (want, _) = drive(&mut twin, end, script, true);
+            assert!(!want.is_empty(), "{name}: nothing committed");
+            assert_eq!(got, want, "{name}: commits");
+            assert_eq!(lean.net_stats(), twin.net_stats(), "{name}: messages");
+            assert_eq!(lean.safety_report(), twin.safety_report(), "{name}");
+            assert_eq!(lean.liveness_report(), twin.liveness_report(), "{name}");
+            assert_eq!(lean.pending_len(), twin.pending_len(), "{name}");
+            assert_eq!(lean.net.pushes(), twin.net.pushes(), "{name}: pushes");
+            assert!(
+                lean.net.pending() < twin.net.pending(),
+                "{name}: {} live events, {} in the twin",
+                lean.net.pending(),
+                twin.net.pending()
+            );
         }
     }
 
@@ -941,7 +1010,8 @@ mod tests {
     }
 
     /// `run_until` calls that share an instant kick an idle leader once:
-    /// k calls queue one `ProposeTimer`, not k back-to-back twins.
+    /// k calls queue one `Kick`, not k back-to-back twins, and a kick that
+    /// finds the leader idle lapses without a re-arm.
     #[test]
     fn repeated_kicks_at_one_instant_queue_one_timer() {
         let mut c = DiemBftCluster::builder(4).seed(5).build();
@@ -950,30 +1020,54 @@ mod tests {
         assert!(c.next_event_time() > Some(t), "every event due at t ran");
         let round = c.p.highest_qc.0 + 1;
         assert!(!c.p.proposed_rounds.contains(&round), "idle cluster");
-        let timers = |c: &DiemBftCluster| {
+        let kicks = |c: &DiemBftCluster| {
             c.net
                 .queued()
-                .filter(|m| **m == DiemMsg::ProposeTimer { round })
+                .filter(|m| **m == DiemMsg::Kick { round })
                 .count()
         };
-        let (queued, before) = (c.net.queued().count(), timers(&c));
+        let (queued, pushes) = (c.net.queued().count(), c.net.pushes());
+        assert_eq!(kicks(&c), 0, "every earlier kick lapsed");
         for _ in 0..5 {
             let _ = c.run_until(t);
         }
-        assert_eq!(timers(&c), before + 1);
+        assert_eq!(kicks(&c), 1);
         assert_eq!(c.net.queued().count(), queued + 1);
         // Any push in between ends the twin: the same kick is queued again.
         c.net
             .timer(NodeId(0), SimDuration::from_secs(60), DiemMsg::SyncDone);
         let _ = c.run_until(t);
-        assert_eq!(timers(&c), before + 2);
-        // Once the kick has fired (its idle re-arm is a push), the next
-        // call kicks again.
+        assert_eq!(kicks(&c), 2);
+        assert_eq!(c.net.pushes(), pushes + 3);
+        // Both kicks fire at the idle leader and push nothing; a call at a
+        // new instant kicks again.
         let later = t + SimDuration::from_micros(1);
         let _ = c.run_until(later);
+        assert_eq!(kicks(&c), 0);
+        assert_eq!(c.net.pushes(), pushes + 3);
         let _ = c.run_until(later);
         let due = later + SimDuration::from_micros(1);
         assert_eq!(c.p.last_kick.map(|k| k.1), Some(due));
+        assert_eq!(c.net.pushes(), pushes + 4);
+    }
+
+    /// An idle cluster driven by a `run_until` every 10 ms pushes the same
+    /// number of events in every 10 s window: one kick per call and one
+    /// cadence timer per interval, not one more re-arm chain per call.
+    #[test]
+    fn idle_cluster_timer_events_stay_flat() {
+        let mut c = DiemBftCluster::builder(4).seed(8).build();
+        let mut windows = Vec::new();
+        for _ in 0..4 {
+            let start = c.net.pushes();
+            for _ in 0..1_000 {
+                let step = c.now() + SimDuration::from_millis(10);
+                assert!(c.run_until(step).is_empty());
+            }
+            windows.push(c.net.pushes() - start);
+        }
+        assert_eq!(c.net_stats().messages_sent, 0, "the cluster stayed idle");
+        assert_eq!(windows, [1_100; 4], "pushes per 10 s window");
     }
 
     fn arm_equivocation(c: &mut DiemBftCluster, byzantine: &[u32]) {

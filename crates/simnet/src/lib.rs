@@ -7,7 +7,8 @@
 //!
 //! * [`EventQueue`] — a deterministic time/sequence-ordered priority queue:
 //!   a few sorted FIFO runs take in-order pushes, a binary heap the rest,
-//!   and pops come out in exactly one heap's order;
+//!   and pops come out in exactly one heap's order; scoped items can be
+//!   cancelled in bulk without moving any live one;
 //! * [`Sim`] — the simulation clock plus typed event scheduling;
 //! * [`LatencyModel`] — constant / uniform / normal (netem-equivalent) link
 //!   latency distributions;

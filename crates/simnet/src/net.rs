@@ -378,6 +378,23 @@ impl<M> NetSim<M> {
         self.sim.schedule_at(at, dst, msg);
     }
 
+    /// Like [`NetSim::timer`], in `scope`: the timer leaves the queue
+    /// unfired once [`NetSim::cancel_through`] reaches `scope`, and is
+    /// dropped at once if its scope is already cancelled. It takes its
+    /// place in the push order either way, so a timer that a protocol
+    /// would ignore on arrival can be cancelled without moving any other
+    /// event (DiemBFT scopes its pacemaker timers by round).
+    pub fn timer_scoped(&mut self, dst: NodeId, delay: SimDuration, scope: u64, msg: M) {
+        let at = self.timer_due(dst, delay);
+        self.sim.schedule_at_scoped(at, scope, dst, msg);
+    }
+
+    /// Cancels every timer in a scope at or below `scope`; messages are
+    /// never scoped.
+    pub fn cancel_through(&mut self, scope: u64) {
+        self.sim.cancel_through(scope);
+    }
+
     /// The instant a [`NetSim::timer`] armed now at `dst` after `delay`
     /// would fire.
     pub fn timer_due(&self, dst: NodeId, delay: SimDuration) -> SimTime {
@@ -423,12 +440,12 @@ impl<M> NetSim<M> {
         self.sim.advance_to(t);
     }
 
-    /// Number of in-flight events.
+    /// Number of in-flight events; cancelled timers are not counted.
     pub fn pending(&self) -> usize {
         self.sim.pending()
     }
 
-    /// Every in-flight message and timer, in no particular order.
+    /// Every in-flight message and live timer, in no particular order.
     pub fn queued(&self) -> impl Iterator<Item = &M> {
         self.sim.queued()
     }
@@ -701,6 +718,23 @@ mod tests {
         assert_eq!((first.dst, first.msg), (NodeId(2), 41));
         let second = net.pop_before(SimTime::MAX).unwrap();
         assert_eq!((second.dst, second.msg), (NodeId(3), 42));
+    }
+
+    #[test]
+    fn cancelled_timers_leave_and_keep_their_place() {
+        let mut net = lan_net();
+        net.slow_node(NodeId(1), 2.0, SimTime::from_secs(5));
+        net.timer_scoped(NodeId(1), SimDuration::from_millis(10), 8, 1);
+        net.timer_scoped(NodeId(2), SimDuration::from_millis(1), 7, 2);
+        net.send(NodeId(0), NodeId(3), 8, 3);
+        net.cancel_through(7);
+        net.timer_scoped(NodeId(2), SimDuration::from_millis(1), 7, 4);
+        assert_eq!((net.pending(), net.queued().count()), (2, 2));
+        assert_eq!(net.pushes(), 4, "the dropped push is counted");
+        assert_eq!(net.pop_before(SimTime::MAX).map(|ev| ev.msg), Some(3));
+        let ev = net.pop_before(SimTime::MAX).unwrap();
+        assert_eq!((ev.at, ev.msg), (SimTime::from_millis(20), 1));
+        assert!(net.pop_before(SimTime::MAX).is_none());
     }
 
     #[test]

@@ -1,4 +1,14 @@
 //! Deterministic event priority queue.
+//!
+//! Items pop in `(at, seq)` order, `seq` being the push counter. An item
+//! may be pushed in a *scope* (a `u64`, such as a consensus round);
+//! [`EventQueue::cancel_through`] kills every item in a scope at or below
+//! a watermark that only rises, and a push into a cancelled scope is
+//! dropped. A dropped push still takes its `seq`, so the order of every
+//! live item and [`EventQueue::pushes`] are those of a queue that kept the
+//! dead items. Dead items leave when they reach the front of their run or
+//! the heap, so the fronts are always live: `pop`, `peek_time`, `iter`
+//! and `len` see live items only.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -13,6 +23,9 @@ use coconut_types::SimTime;
 /// the heap.
 const RUNS: usize = 4;
 
+/// The scope of an unscoped push: no cancellation reaches it.
+const UNSCOPED: u64 = u64::MAX;
+
 /// A priority queue of timestamped items with deterministic FIFO
 /// tie-breaking: items scheduled for the same instant pop in insertion
 /// order.
@@ -24,7 +37,8 @@ const RUNS: usize = 4;
 /// Every run is sorted and `seq` is unique, so each run's front is its
 /// minimum, and popping the least of the fronts and the heap top yields
 /// exactly the `(at, seq)` order of a single heap, for any push pattern.
-/// In-order pushes cost a deque append instead of a heap sift.
+/// In-order pushes cost a deque append instead of a heap sift. Scoped
+/// items (see the module docs) keep that order among the live ones.
 ///
 /// # Example
 ///
@@ -36,22 +50,28 @@ const RUNS: usize = 4;
 /// q.push(SimTime::from_secs(2), "late");
 /// q.push(SimTime::from_secs(1), "early");
 /// q.push(SimTime::from_secs(1), "early-second");
+/// q.push_scoped(SimTime::from_secs(1), 7, "round 7 timer");
+/// q.cancel_through(7);
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "early")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(1), "early-second")));
 /// assert_eq!(q.pop(), Some((SimTime::from_secs(2), "late")));
 /// assert_eq!(q.pop(), None);
+/// assert_eq!(q.pushes(), 4, "the cancelled push kept its seq");
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
     runs: [VecDeque<Entry<T>>; RUNS],
     heap: BinaryHeap<Reverse<Entry<T>>>,
     seq: u64,
+    /// Items in a scope below this are cancelled.
+    live_from: u64,
 }
 
 #[derive(Debug, Clone)]
 struct Entry<T> {
     at: SimTime,
     seq: u64,
+    scope: u64,
     item: T,
 }
 
@@ -85,14 +105,31 @@ impl<T> EventQueue<T> {
             runs: Default::default(),
             heap: BinaryHeap::new(),
             seq: 0,
+            live_from: 0,
         }
     }
 
     /// Schedules `item` at time `at`.
     pub fn push(&mut self, at: SimTime, item: T) {
+        self.push_scoped(at, UNSCOPED, item);
+    }
+
+    /// Schedules `item` at time `at` in `scope`, to be dropped unpopped
+    /// once [`EventQueue::cancel_through`] reaches `scope`. A push into a
+    /// cancelled scope takes its `seq` and is dropped at once. Scope
+    /// `u64::MAX` is never cancelled.
+    pub fn push_scoped(&mut self, at: SimTime, scope: u64, item: T) {
         let seq = self.seq;
         self.seq += 1;
-        let entry = Entry { at, seq, item };
+        if scope < self.live_from {
+            return;
+        }
+        let entry = Entry {
+            at,
+            seq,
+            scope,
+            item,
+        };
         // The new `seq` exceeds every queued one, so the entry's key is not
         // below a run's last key exactly when `at` is not below its time.
         let mut fit: Option<(usize, (SimTime, u64))> = None;
@@ -114,6 +151,32 @@ impl<T> EventQueue<T> {
         }
     }
 
+    /// Cancels every scope at or below `scope`: their queued items never
+    /// pop, and later pushes into them are dropped. A lower `scope` than
+    /// an earlier call's changes nothing.
+    pub fn cancel_through(&mut self, scope: u64) {
+        self.live_from = self.live_from.max(scope.saturating_add(1));
+        for source in 0..=RUNS {
+            self.clean(source);
+        }
+    }
+
+    /// Removes the cancelled items at the front of run `source`, or at the
+    /// heap's top when `source` is [`RUNS`], so that front is live.
+    fn clean(&mut self, source: usize) {
+        let live_from = self.live_from;
+        if source == RUNS {
+            while self.heap.peek().is_some_and(|e| e.0.scope < live_from) {
+                self.heap.pop();
+            }
+        } else {
+            let run = &mut self.runs[source];
+            while run.front().is_some_and(|e| e.scope < live_from) {
+                run.pop_front();
+            }
+        }
+    }
+
     /// Where the earliest item sits (a run index, or [`RUNS`] for the
     /// heap) and its key, if any.
     fn front(&self) -> Option<(usize, (SimTime, u64))> {
@@ -129,13 +192,14 @@ impl<T> EventQueue<T> {
     }
 
     /// Removes the front of run `source`, or the heap's top when `source`
-    /// is [`RUNS`].
+    /// is [`RUNS`], and cleans what is left there.
     fn take(&mut self, source: usize) -> Option<(SimTime, T)> {
         let e = if source == RUNS {
             self.heap.pop().map(|Reverse(e)| e)
         } else {
             self.runs[source].pop_front()
         };
+        self.clean(source);
         e.map(|e| (e.at, e.item))
     }
 
@@ -168,31 +232,35 @@ impl<T> EventQueue<T> {
         self.front().map(|(_, (t, _))| t)
     }
 
-    /// Number of queued items.
+    /// Number of queued live items. Cancelled items still held behind a
+    /// live front are not counted, so this walks the queue.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.runs.iter().map(VecDeque::len).sum::<usize>()
+        self.iter().count()
     }
 
-    /// `true` when no items are queued.
+    /// `true` when no live items are queued.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty() && self.runs.iter().all(VecDeque::is_empty)
     }
 
-    /// Items pushed so far, popped or not: the `seq` the next push gets.
-    /// Two pushes with no push between them have consecutive `seq`s, so
-    /// two equal-time items pushed back to back pop back to back.
+    /// Items pushed so far, popped, cancelled or not: the `seq` the next
+    /// push gets. Two pushes with no push between them have consecutive
+    /// `seq`s, so two equal-time items pushed back to back pop back to
+    /// back.
     pub fn pushes(&self) -> u64 {
         self.seq
     }
 
-    /// Every queued item, in no particular order, without removing any.
+    /// Every queued live item, in no particular order, without removing
+    /// any.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         let runs = self.runs.iter().flatten();
         runs.chain(self.heap.iter().map(|Reverse(e)| e))
+            .filter(|e| e.scope >= self.live_from)
             .map(|e| &e.item)
     }
 
-    /// Drops every queued item.
+    /// Drops every queued item. Cancelled scopes stay cancelled.
     pub fn clear(&mut self) {
         self.heap.clear();
         self.runs.iter_mut().for_each(VecDeque::clear);
@@ -211,10 +279,12 @@ mod tests {
     use coconut_types::{SimDuration, SimRng};
 
     /// The single-heap queue the runs replaced, kept as the reference
-    /// order: `(at, seq)` through one `BinaryHeap`.
+    /// order: `(at, seq)` through one `BinaryHeap`. It keeps cancelled
+    /// entries and skips them when it pops.
     struct HeapQueue<T> {
         heap: BinaryHeap<Reverse<Entry<T>>>,
         seq: u64,
+        live_from: u64,
     }
 
     impl<T> HeapQueue<T> {
@@ -222,18 +292,40 @@ mod tests {
             HeapQueue {
                 heap: BinaryHeap::new(),
                 seq: 0,
+                live_from: 0,
             }
         }
-        fn push(&mut self, at: SimTime, item: T) {
+        fn push_scoped(&mut self, at: SimTime, scope: u64, item: T) {
             let seq = self.seq;
             self.seq += 1;
-            self.heap.push(Reverse(Entry { at, seq, item }));
+            if scope >= self.live_from {
+                self.heap.push(Reverse(Entry {
+                    at,
+                    seq,
+                    scope,
+                    item,
+                }));
+            }
+        }
+        fn cancel_through(&mut self, scope: u64) {
+            self.live_from = self.live_from.max(scope + 1);
+        }
+        fn live(&self) -> impl Iterator<Item = &Entry<T>> {
+            self.heap
+                .iter()
+                .map(|Reverse(e)| e)
+                .filter(|e| e.scope >= self.live_from)
         }
         fn pop(&mut self) -> Option<(SimTime, T)> {
-            self.heap.pop().map(|Reverse(e)| (e.at, e.item))
+            while let Some(Reverse(e)) = self.heap.pop() {
+                if e.scope >= self.live_from {
+                    return Some((e.at, e.item));
+                }
+            }
+            None
         }
         fn peek_time(&self) -> Option<SimTime> {
-            self.heap.peek().map(|Reverse(e)| e.at)
+            self.live().map(Entry::key).min().map(|(at, _)| at)
         }
         fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
             match self.peek_time() {
@@ -253,44 +345,47 @@ mod tests {
     /// mix and asserts every observation matches. `streams` fixed-delay
     /// timer streams (delays of 1..=`streams` ms) are mixed with random
     /// delays, equal-time ties and stragglers behind the clock's streams.
-    /// Returns the largest heap the runs overflowed into.
+    /// Half the pushes are unscoped; the rest name a scope near a rising
+    /// round, which `cancel_through` calls cancel, sometimes before the
+    /// push. Returns the largest heap the runs overflowed into.
     fn drive(seed: u64, streams: u64, ops: usize) -> usize {
         let mut rng = SimRng::seed_from_u64(seed);
         let mut q = EventQueue::new();
         let mut r = HeapQueue::new();
         let mut now = SimTime::ZERO;
         let mut next = 0u64;
+        let mut round = 0u64;
         let mut max_heap = 0;
         for op in 0..ops {
             let case = format!("seed {seed} op {op}");
-            match rng.gen_range_inclusive(0, 99) {
+            let scope = if rng.gen_bool(0.5) {
+                UNSCOPED
+            } else {
+                round + rng.gen_range_inclusive(0, 6) - 2.min(round)
+            };
+            let mut push = |at: SimTime| {
+                q.push_scoped(at, scope, next);
+                r.push_scoped(at, scope, next);
+                next += 1;
+            };
+            match rng.gen_range_inclusive(0, 104) {
                 0..=39 => {
                     let k = rng.gen_range_inclusive(1, streams);
-                    let at = now + SimDuration::from_millis(k);
-                    q.push(at, next);
-                    r.push(at, next);
-                    next += 1;
+                    push(now + SimDuration::from_millis(k));
                 }
                 40..=49 => {
-                    let at = now + SimDuration::from_micros(rng.gen_range_inclusive(0, 50_000));
-                    q.push(at, next);
-                    r.push(at, next);
-                    next += 1;
+                    push(now + SimDuration::from_micros(rng.gen_range_inclusive(0, 50_000)));
                 }
                 50..=54 => {
                     // A burst of ties at one instant.
                     let at = now + SimDuration::from_micros(rng.gen_range_inclusive(0, 3));
                     for _ in 0..rng.gen_range_inclusive(1, 5) {
-                        q.push(at, next);
-                        r.push(at, next);
-                        next += 1;
+                        push(at);
                     }
                 }
                 55..=59 => {
                     // A straggler due at the clock, behind every stream.
-                    q.push(now, next);
-                    r.push(now, next);
-                    next += 1;
+                    push(now);
                 }
                 60..=79 => {
                     let (a, b) = (q.pop(), r.pop());
@@ -319,24 +414,35 @@ mod tests {
                 }
                 94..=98 => {
                     assert_eq!(q.peek_time(), r.peek_time(), "{case}: peek_time");
-                    assert_eq!(q.len(), r.heap.len(), "{case}: len");
                     let mut items: Vec<u64> = q.iter().copied().collect();
-                    let mut want: Vec<u64> = r.heap.iter().map(|Reverse(e)| e.item).collect();
+                    let mut want: Vec<u64> = r.live().map(|e| e.item).collect();
                     items.sort_unstable();
                     want.sort_unstable();
                     assert_eq!(items, want, "{case}: iter");
-                    assert_eq!(q.is_empty(), r.heap.is_empty(), "{case}: is_empty");
+                    assert_eq!(q.len(), want.len(), "{case}: len");
+                    assert_eq!(q.is_empty(), want.is_empty(), "{case}: is_empty");
+                    assert_eq!(q.pushes(), r.seq, "{case}: pushes");
+                }
+                99..=103 => {
+                    // A round certifies (or, at a step of 0, a repeat or
+                    // lower watermark changes nothing).
+                    let through = (round + rng.gen_range_inclusive(0, 2)).saturating_sub(1);
+                    round = round.max(through + 1);
+                    q.cancel_through(through);
+                    r.cancel_through(through);
                 }
                 _ => {
                     if rng.gen_bool(0.2) {
                         q.clear();
                         r.heap.clear();
                         assert!(q.is_empty() && q.peek_time().is_none(), "{case}: clear");
+                        assert_eq!(q.len(), 0, "{case}: clear");
                     }
                 }
             }
             max_heap = max_heap.max(q.heap.len());
         }
+        assert_eq!(q.pushes(), r.seq, "seed {seed}: pushes");
         while let Some(b) = r.pop() {
             assert_eq!(q.pop(), Some(b), "seed {seed}: drain");
         }
@@ -406,6 +512,17 @@ mod tests {
         q.clear();
         assert!(q.is_empty());
         assert_eq!(q.peek_time(), None);
+        // `len` counts live items only, also a cancelled one still held
+        // behind a live front; `clear` keeps cancelled scopes cancelled.
+        q.push(SimTime::ZERO, 3);
+        q.push_scoped(SimTime::from_secs(1), 5, 4);
+        q.push_scoped(SimTime::from_secs(2), 6, 5);
+        q.cancel_through(5);
+        assert_eq!((q.len(), q.iter().count()), (2, 2));
+        q.clear();
+        q.push_scoped(SimTime::ZERO, 5, 6);
+        assert_eq!((q.is_empty(), q.len()), (true, 0));
+        assert_eq!(q.pushes(), 6);
     }
 
     #[test]

@@ -66,6 +66,19 @@ impl<M> Sim<M> {
         self.queue.push(at.max(self.now), (dst, msg));
     }
 
+    /// Like [`Sim::schedule_at`], in `scope`: the event is dropped unpopped
+    /// once [`Sim::cancel_through`] reaches `scope` (see
+    /// [`EventQueue::push_scoped`]).
+    pub fn schedule_at_scoped(&mut self, at: SimTime, scope: u64, dst: NodeId, msg: M) {
+        self.queue.push_scoped(at.max(self.now), scope, (dst, msg));
+    }
+
+    /// Cancels every event in a scope at or below `scope` (see
+    /// [`EventQueue::cancel_through`]).
+    pub fn cancel_through(&mut self, scope: u64) {
+        self.queue.cancel_through(scope);
+    }
+
     /// The due time of the next event, if any.
     pub fn next_event_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
@@ -104,12 +117,13 @@ impl<M> Sim<M> {
         self.now = self.now.max(t);
     }
 
-    /// Number of pending events.
+    /// Number of pending events; cancelled ones are not counted.
     pub fn pending(&self) -> usize {
         self.queue.len()
     }
 
-    /// Every pending event's payload, in no particular order.
+    /// Every pending event's payload, in no particular order; cancelled
+    /// events are left out.
     pub fn queued(&self) -> impl Iterator<Item = &M> {
         self.queue.iter().map(|(_, msg)| msg)
     }
@@ -119,7 +133,8 @@ impl<M> Sim<M> {
         self.queue.pushes()
     }
 
-    /// Discards all pending events (used when a system halts).
+    /// Discards all pending events (used when a system halts). Cancelled
+    /// scopes stay cancelled.
     pub fn clear(&mut self) {
         self.queue.clear();
     }
