@@ -16,9 +16,7 @@ use coconut_consensus::ibft::IbftCluster;
 use coconut_consensus::pbft::PbftCluster;
 use coconut_consensus::raft::RaftCluster;
 use coconut_consensus::{BatchConfig, Command};
-use coconut_simnet::{
-    CalendarQueue, EventQueue, FaultPlan, LatencyModel, NetConfig, NetSim, Topology,
-};
+use coconut_simnet::{EventQueue, FaultPlan, LatencyModel, NetConfig, NetSim, Topology};
 use coconut_types::{
     chain_hash, BlockId, ClientId, ClientTx, Hash256, NodeId, PayloadKind, SimDuration, SimRng,
     SimTime, TxId, TxOutcome,
@@ -58,8 +56,9 @@ fn main() {
         black_box(sum)
     });
 
-    // Four fixed-delay timer streams, each re-armed as its event pops, so
-    // every push is due no earlier than the last one of its stream.
+    // The in-order case the queue's sorted runs serve: four fixed-delay
+    // timer streams, each re-armed as its event pops, so every push is
+    // due no earlier than the last one of its stream.
     group.bench_function("event_queue_timer_streams_1k", || {
         const DELAYS_US: [u64; 4] = [10, 25, 60, 100];
         let mut q = EventQueue::new();
@@ -105,7 +104,7 @@ fn main() {
     // Figure 4's netem: every delivery draws its own N(12 ms, 2 ms)
     // delay, so pushes arrive out of time order. 256 messages stay in
     // flight; each pop sends one more. The plain `(at, seq)` heap is the
-    // reference the queue must not lose to here.
+    // reference the queue's sorted runs must not lose to here.
     {
         const IN_FLIGHT: u64 = 256;
         let model = LatencyModel::netem_paper();
@@ -139,49 +138,6 @@ fn main() {
                 sum += v;
                 q.push(Reverse((t + *d, seq, v)));
                 seq += 1;
-            }
-            black_box(sum)
-        });
-    }
-
-    // The client agenda's pattern on the shared calendar: a cursor sends
-    // every 8 ms and moves the horizon on, each send arms an 8 s
-    // finalization timeout, and one transaction in four is never
-    // confirmed, so its timeouts re-send after `RetryPolicy::chaos_default`
-    // backoffs (250 ms doubling to a 4 s cap, with jitter).
-    {
-        const SEND_EVERY: SimDuration = SimDuration::from_millis(8);
-        let policy = RetryPolicy::chaos_default();
-        group.bench_function("calendar_agenda_2k", || {
-            let mut rng = SimRng::seed_from_u64(8);
-            let mut q = CalendarQueue::new();
-            let (mut pushes, mut sent, mut sum) = (0u64, 0u64, 0u64);
-            for _ in 0..2000 {
-                let send_at = SimTime::ZERO + SEND_EVERY * sent;
-                let (now, (id, attempt, timeout)) = match q.peek() {
-                    Some((at, _)) if at < send_at => {
-                        let (at, _, action) = q.pop().expect("just peeked");
-                        (at, action)
-                    }
-                    _ => {
-                        q.advance(send_at);
-                        sent += 1;
-                        (send_at, (sent - 1, 1, false))
-                    }
-                };
-                sum += id;
-                let requeue = if !timeout {
-                    Some((now + policy.finalization_timeout, (id, attempt, true)))
-                } else if id % 4 == 0 && attempt <= policy.max_retries {
-                    let at = now + policy.backoff(attempt, &mut rng);
-                    Some((at, (id, attempt + 1, false)))
-                } else {
-                    None
-                };
-                if let Some((at, action)) = requeue {
-                    q.push(at, pushes, action);
-                    pushes += 1;
-                }
             }
             black_box(sum)
         });

@@ -26,9 +26,12 @@
 //! [`ClientProtection::disabled`] the loop is bit-identical to the
 //! unprotected client.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use coconut_chains::BlockchainSystem;
 use coconut_consensus::{LivenessReport, SafetyReport};
-use coconut_simnet::{CalendarQueue, FaultEvent, FaultPlan, FaultScheduler};
+use coconut_simnet::{FaultEvent, FaultPlan, FaultScheduler};
 use coconut_types::{ClientId, MixMap, SeedDeriver, SimDuration, SimRng, SimTime, TxId, TxOutcome};
 
 use crate::client::ScheduledTx;
@@ -480,11 +483,13 @@ enum Action {
     Submit(TxId),
 }
 
-/// A pending action's sort key: its time, then the words `[tag << 32 |
-/// client, id seq, insertion seq << 32 | position]`, tag 0 for a timeout
-/// and 1 for a submit: time, then timeout before submit, then the original
-/// id, then insertion order (unique, so the position never decides).
-type Key = (SimTime, [u64; 3]);
+/// A pending action's sort key, four words compared lexicographically:
+/// `[at µs, tag << 32 | client, id seq, insertion seq << 32 | position]`,
+/// with tag 0 for a timeout and 1 for a submit. The order is time, then
+/// timeout before submit, then the original id as `(client, seq)`, then
+/// insertion order; the position never decides, because insertion seqs
+/// are unique.
+type Key = [u64; 4];
 
 /// The low half of a key's last word: the schedule position.
 const POSITION_MASK: u64 = (1 << 32) - 1;
@@ -494,38 +499,36 @@ fn key(at: SimTime, action: Action, seq: u64, i: usize) -> Key {
         Action::Timeout(id) => (0, id),
         Action::Submit(id) => (1, id),
     };
-    let words = [
+    [
+        at.as_micros(),
         tag << 32 | u64::from(id.client().0),
         id.seq(),
         seq << 32 | i as u64,
-    ];
-    (at, words)
+    ]
 }
 
 /// Splits a key back into `(at, action, position)`.
-fn decode((at, k): Key) -> (SimTime, Action, usize) {
-    let id = TxId::new(ClientId(k[0] as u32), k[1]);
-    let action = if k[0] >> 32 == 0 {
+fn decode(k: Key) -> (SimTime, Action, usize) {
+    let id = TxId::new(ClientId(k[1] as u32), k[2]);
+    let action = if k[1] >> 32 == 0 {
         Action::Timeout(id)
     } else {
         Action::Submit(id)
     };
-    (at, action, (k[2] & POSITION_MASK) as usize)
+    let i = (k[3] & POSITION_MASK) as usize;
+    (SimTime::from_micros(k[0]), action, i)
 }
 
 /// The client's timed actions: a cursor over the sorted schedule, merged
-/// with a [`CalendarQueue`] of re-queued actions (retries, finalization
-/// timeouts and breaker deferrals) keyed by their [`Key`] words, which
-/// carry everything an action needs. Schedule position `i` keys as
-/// inserted `i`-th and re-queue seqs start at `schedule.len()`, so the
-/// merge pops exactly what one heap holding every action would. A pop
-/// from the cursor moves the calendar's horizon on
-/// ([`CalendarQueue::advance`]), as nothing is re-queued before it;
-/// otherwise 8 s timeouts plus backoff would spill past the horizon.
+/// with a [`Calendar`] of re-queued actions (retries, finalization
+/// timeouts and breaker deferrals), each held as a [`Key`]. Schedule
+/// position `i` keys as inserted `i`-th and re-queue seqs start at
+/// `schedule.len()`, so the merge pops exactly what one heap holding
+/// every action would.
 struct Agenda<'a> {
     schedule: &'a [ScheduledTx],
     next: usize,
-    requeued: CalendarQueue<[u64; 3], ()>,
+    requeued: Calendar,
     seq: u64,
 }
 
@@ -542,7 +545,7 @@ impl<'a> Agenda<'a> {
         Agenda {
             schedule,
             next: 0,
-            requeued: CalendarQueue::new(),
+            requeued: Calendar::new(),
             seq,
         }
     }
@@ -557,8 +560,7 @@ impl<'a> Agenda<'a> {
             "re-queue {}: insertion seqs must fit 32 bits",
             self.seq
         );
-        let (at, words) = key(at, action, self.seq, i);
-        self.requeued.push(at, words, ());
+        self.requeued.push(key(at, action, self.seq, i));
         self.seq += 1;
     }
 
@@ -569,16 +571,147 @@ impl<'a> Agenda<'a> {
             .schedule
             .get(next)
             .map(|s| key(s.at, Action::Submit(s.tx.id()), next as u64, next));
-        let requeued = self.requeued.peek().map(|(at, &words)| (at, words));
-        let k = match scheduled {
-            Some(s) if requeued.is_none_or(|r| s < r) => {
+        let k = match (scheduled, self.requeued.peek()) {
+            (Some(s), Some(r)) if r < s => self.requeued.pop()?,
+            (Some(s), _) => {
                 self.next += 1;
-                self.requeued.advance(s.0);
                 s
             }
-            _ => self.requeued.pop().map(|(at, words, ())| (at, words))?,
+            (None, _) => self.requeued.pop()?,
         };
+        self.requeued.advance(k[0]);
         Some(decode(k))
+    }
+}
+
+/// Width of a [`Calendar`] bucket: 2¹⁴ µs, about 16 ms.
+const BUCKET_SHIFT: u32 = 14;
+
+/// Buckets in a [`Calendar`]'s ring: with [`BUCKET_SHIFT`], a horizon of
+/// about 16.8 s, past the 8 s finalization timeout and 4 s backoff cap of
+/// [`RetryPolicy::chaos_default`].
+const BUCKETS: u64 = 1 << 10;
+
+/// A priority queue of keys that pops in key order, built for the
+/// client's pattern: each re-queue comes at or after the instant just
+/// popped. Keys sit unsorted in a ring of time buckets; the earliest
+/// non-empty bucket is sorted descending when first peeked, so its least
+/// key is its last. A key past the ring's horizon goes to a heap. A pop
+/// takes the lesser of the heap top and that bucket's last key, so the
+/// order is exact for any push pattern; a key due before the last pop's
+/// bucket waits in that bucket.
+struct Calendar {
+    /// Slot `b % BUCKETS` holds bucket `b`, the keys whose time over
+    /// 2^BUCKET_SHIFT µs is `b`, for `base <= b < base + BUCKETS`; a key
+    /// due before bucket `base` is filed in it.
+    ring: Vec<Vec<Key>>,
+    /// The bucket of the last popped time.
+    base: u64,
+    /// No bucket before `head` holds a key.
+    head: u64,
+    /// Whether bucket `head` is sorted descending.
+    head_sorted: bool,
+    /// Keys in `ring`.
+    in_ring: usize,
+    /// Keys at least `BUCKETS` buckets past `base` when pushed.
+    far: BinaryHeap<Reverse<Key>>,
+}
+
+impl Calendar {
+    fn new() -> Self {
+        Calendar {
+            ring: vec![Vec::new(); BUCKETS as usize],
+            base: 0,
+            head: 0,
+            head_sorted: false,
+            in_ring: 0,
+            far: BinaryHeap::new(),
+        }
+    }
+
+    fn slot(&mut self, b: u64) -> &mut Vec<Key> {
+        &mut self.ring[(b % BUCKETS) as usize]
+    }
+
+    fn push(&mut self, k: Key) {
+        let b = (k[0] >> BUCKET_SHIFT).max(self.base);
+        if b - self.base >= BUCKETS {
+            self.far.push(Reverse(k));
+            return;
+        }
+        self.in_ring += 1;
+        if b < self.head {
+            // Bucket `b` is empty, so it is sorted once `k` is in.
+            self.head = b;
+            self.head_sorted = true;
+        }
+        let sorted = b == self.head && self.head_sorted;
+        let slot = self.slot(b);
+        if sorted {
+            let at = slot.partition_point(|&c| c > k);
+            slot.insert(at, k);
+        } else {
+            slot.push(k);
+        }
+    }
+
+    /// The least key, first moving `head` to the earliest non-empty bucket
+    /// and sorting it.
+    fn peek(&mut self) -> Option<Key> {
+        if self.in_ring > 0 {
+            while self.slot(self.head).is_empty() {
+                self.move_head(self.head + 1);
+            }
+            if !self.head_sorted {
+                self.slot(self.head).sort_unstable_by(|a, b| b.cmp(a));
+                self.head_sorted = true;
+            }
+        }
+        let near = self.slot(self.head).last().copied();
+        match (near, self.far.peek()) {
+            (Some(n), Some(&Reverse(f))) => Some(n.min(f)),
+            (n, f) => n.or(f.map(|r| r.0)),
+        }
+    }
+
+    /// Removes and returns the least key.
+    fn pop(&mut self) -> Option<Key> {
+        let least = self.peek()?;
+        let head = self.head;
+        let slot = self.slot(head);
+        if slot.last() == Some(&least) {
+            slot.pop();
+            self.in_ring -= 1;
+        } else {
+            self.far.pop();
+        }
+        Some(least)
+    }
+
+    /// Records that the agenda popped an action due at `time` µs. The
+    /// loop re-queues nothing earlier, so the buckets before its own are
+    /// free.
+    fn advance(&mut self, time: u64) {
+        let b = time >> BUCKET_SHIFT;
+        if b > self.base {
+            self.base = b;
+            if self.head < b {
+                self.move_head(b);
+            }
+        }
+    }
+
+    /// Moves `head` on to bucket `b` from a used-up bucket (asserted in
+    /// release builds), whose memory goes back so idle slots hold none.
+    fn move_head(&mut self, b: u64) {
+        assert!(
+            self.slot(self.head).is_empty(),
+            "bucket {} still holds keys",
+            self.head
+        );
+        *self.slot(self.head) = Vec::new();
+        self.head = b;
+        self.head_sorted = false;
     }
 }
 
@@ -706,11 +839,11 @@ fn take_retry_token(
 /// id may set bits 56–63 of its sequence number: a re-send travels under
 /// the original id with its attempt number (2 to `max_retries + 1`) in
 /// those bits, so `policy.max_retries` may be at most 254. The loop reads
-/// the schedule in order and keeps only re-queued actions in a
-/// [`CalendarQueue`]. The listen window ends at `SimTime::ZERO +
-/// spec.windows.listen`, so a schedule shifted to start at a later base,
-/// with its windows made absolute, runs back to back on a system that
-/// already served an earlier one (the paper's benchmark units). All randomness (ingress loss,
+/// the schedule in order and keeps only re-queued actions in a calendar
+/// of time buckets. The listen window ends at `SimTime::ZERO + spec.windows.listen`, so a
+/// schedule shifted to start at a later base, with its windows made
+/// absolute, runs back to back on a system that already served an earlier
+/// one (the paper's benchmark units). All randomness (ingress loss,
 /// backoff and breaker jitter) derives from `seed`; identical inputs give
 /// identical runs.
 ///
@@ -993,9 +1126,6 @@ pub fn run_chaos_with_schedule(
 
 #[cfg(test)]
 mod tests {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
     use super::*;
     use crate::client::{build_schedule, Windows};
     use crate::params::{build_system, SystemKind, SystemSetup};

@@ -5,10 +5,10 @@
 //! 1 Gbit/s LAN, and `netem` latency emulation) with a seeded
 //! discrete-event simulation:
 //!
-//! * [`CalendarQueue`] — the one time order: 1,024 buckets of 2¹⁴ µs as
-//!   unsorted lists, the earliest bucket and keys past them in a heap,
-//!   popping in exactly one heap's `(time, key)` order; [`EventQueue`]
-//!   keys it by push counter and can cancel scoped items in bulk;
+//! * [`EventQueue`] — a deterministic time/sequence-ordered priority queue:
+//!   a few sorted FIFO runs take in-order pushes, a binary heap the rest,
+//!   and pops come out in exactly one heap's order; scoped items can be
+//!   cancelled in bulk without moving any live one;
 //! * [`Sim`] — the simulation clock plus typed event scheduling;
 //! * [`LatencyModel`] — constant / uniform / normal (netem-equivalent) link
 //!   latency distributions;
@@ -57,6 +57,6 @@ pub mod topology;
 pub use fault::{ByzantineBehaviour, FaultEvent, FaultPlan, FaultScheduler};
 pub use latency::LatencyModel;
 pub use net::{NetConfig, NetSim, NetStats, RegionMap};
-pub use queue::{CalendarQueue, EventQueue};
+pub use queue::EventQueue;
 pub use sim::{Event, Sim};
 pub use topology::Topology;

@@ -1,243 +1,44 @@
-//! The simulator's one time order: [`CalendarQueue`] pops in `(at, key)`
-//! order. The client loop's agenda keys it by action; [`EventQueue`] by
-//! push counter, for every engine, outcome bus and injection queue.
+//! Deterministic event priority queue.
 //!
-//! An [`EventQueue`] item may be pushed in a *scope* (a `u64`, such as a
-//! consensus round); [`EventQueue::cancel_through`] kills every item in a
-//! scope at or below a watermark that only rises, and a push into a
-//! cancelled scope is dropped but takes its `seq`. A dead item leaves when
-//! it becomes the earliest, so the front is always live, or in a sweep.
+//! Items pop in `(at, seq)` order, `seq` being the push counter. An item
+//! may be pushed in a *scope* (a `u64`, such as a consensus round);
+//! [`EventQueue::cancel_through`] kills every item in a scope at or below
+//! a watermark that only rises, and a push into a cancelled scope is
+//! dropped. A dropped push still takes its `seq`, so the order of every
+//! live item and [`EventQueue::pushes`] are those of a queue that kept the
+//! dead items. Dead items leave when they reach the front of their run or
+//! the heap, so the fronts are always live: `pop`, `peek_time`, `iter`
+//! and `len` see live items only.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use coconut_types::SimTime;
 
-/// Width of a [`CalendarQueue`] bucket: 2¹⁴ µs, about 16 ms.
-const BUCKET_SHIFT: u32 = 14;
-
-/// Buckets in a [`CalendarQueue`]'s ring: a horizon of about 16.8 s, past
-/// the client's 8 s timeout plus 4 s backoff cap and every engine timer.
-const BUCKETS: u64 = 1 << 10;
-
-/// Nodes per slab chunk. A chunk stays a small allocation, which the
-/// allocator hands on from run to run, where one growing block would be
-/// mapped afresh each time (a saturated client agenda holds some 50,000
-/// actions).
-const CHUNK: usize = 1 << 10;
-
-/// The end of a node list.
-const NIL: u32 = u32::MAX;
-
-/// The bucket of time `at`.
-fn bucket(at: SimTime) -> u64 {
-    at.as_micros() >> BUCKET_SHIFT
-}
-
-/// A priority queue of timestamped items in `(at, key)` order, a calendar
-/// queue (Brown, CACM 1988) with a fixed bucket width.
-///
-/// The ring's 1,024 buckets of 2¹⁴ µs (about 16 ms) start at the bucket
-/// of the last pop. Items sit in slab nodes. An item due in a bucket
-/// after the earliest item's goes to that bucket's unsorted list of
-/// nodes, at O(1); the others, and items due past the ring, are `(at,
-/// key, node)` entries of one binary heap, which takes in the earliest
-/// list once its own top reaches that bucket. So the heap's top is always
-/// the earliest item, for any push pattern. No two queued items may share
-/// an `(at, key)`.
-#[derive(Debug, Clone)]
-pub struct CalendarQueue<K, T> {
-    /// While the lists hold items, the heap's top is due before `low`.
-    heap: BinaryHeap<Reverse<(SimTime, K, u32)>>,
-    /// Slot `b % BUCKETS` holds the first node of bucket `b`'s list, last
-    /// pushed first, for `low <= b < base + BUCKETS`, or [`NIL`].
-    ring: Box<[u32]>,
-    /// Items in the lists.
-    listed: usize,
-    /// Chunks of [`CHUNK`] nodes; the vacant ones form a list from
-    /// `vacant`.
-    nodes: Vec<Vec<Node<K, T>>>,
-    vacant: u32,
-    /// The horizon's first bucket: that of the last pop.
-    base: u64,
-    /// The earliest bucket with a list, while the lists hold items.
-    low: u64,
-}
-
-#[derive(Debug, Clone)]
-struct Node<K, T> {
-    at: SimTime,
-    key: K,
-    /// `None` while vacant.
-    item: Option<T>,
-    /// The next node of a bucket's list or of the vacant list.
-    next: u32,
-}
-
-impl<K: Ord + Copy, T> CalendarQueue<K, T> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        CalendarQueue {
-            heap: BinaryHeap::new(),
-            ring: vec![NIL; BUCKETS as usize].into_boxed_slice(),
-            listed: 0,
-            nodes: Vec::new(),
-            vacant: NIL,
-            base: 0,
-            low: 0,
-        }
-    }
-
-    fn node(&mut self, i: u32) -> &mut Node<K, T> {
-        &mut self.nodes[i as usize / CHUNK][i as usize % CHUNK]
-    }
-
-    /// Schedules `item` at time `at` under the tie-break `key`.
-    pub fn push(&mut self, at: SimTime, key: K, item: T) {
-        let node = Node {
-            at,
-            key,
-            item: Some(item),
-            next: NIL,
-        };
-        let i = if self.vacant == NIL {
-            if self.nodes.last().is_none_or(|c| c.len() == CHUNK) {
-                assert!(self.nodes.len() < NIL as usize / CHUNK, "2^32 items");
-                self.nodes.push(Vec::new());
-            }
-            let c = self.nodes.len() - 1;
-            self.nodes[c].push(node);
-            (c * CHUNK + self.nodes[c].len() - 1) as u32
-        } else {
-            let i = self.vacant;
-            self.vacant = std::mem::replace(self.node(i), node).next;
-            i
-        };
-        let (b, first) = (bucket(at), self.heap.peek().map(|e| bucket(e.0 .0)));
-        if (self.base..self.base + BUCKETS).contains(&b) && first.is_some_and(|f| b > f) {
-            self.node(i).next = std::mem::replace(&mut self.ring[(b % BUCKETS) as usize], i);
-            self.low = if self.listed == 0 { b } else { self.low.min(b) };
-            self.listed += 1;
-        } else {
-            self.heap.push(Reverse((at, key, i)));
-        }
-    }
-
-    /// The earliest item's time and key, if any.
-    pub fn peek(&self) -> Option<(SimTime, &K)> {
-        self.heap.peek().map(|Reverse((at, key, _))| (*at, key))
-    }
-
-    /// Removes and returns the earliest item as `(at, key, item)`.
-    pub fn pop(&mut self) -> Option<(SimTime, K, T)> {
-        let Reverse((at, key, i)) = self.heap.pop()?;
-        // Every queued item is at or after this one.
-        self.base = self.base.max(bucket(at));
-        if self.listed > 0 && self.heap.peek().is_none_or(|e| bucket(e.0 .0) >= self.low) {
-            self.refill();
-        }
-        let item = self.node(i).item.take();
-        self.node(i).next = std::mem::replace(&mut self.vacant, i);
-        Some((at, key, item?))
-    }
-
-    /// Moves bucket `low`'s list into the heap, whose top is then due
-    /// before every other list's bucket, and `low` on to the next list.
-    fn refill(&mut self) {
-        let mut i = std::mem::replace(&mut self.ring[(self.low % BUCKETS) as usize], NIL);
-        while i != NIL {
-            let n = self.node(i);
-            let (entry, next) = ((n.at, n.key, i), n.next);
-            self.heap.push(Reverse(entry));
-            self.listed -= 1;
-            i = next;
-        }
-        let from = self.low;
-        while self.listed > 0 && self.ring[(self.low % BUCKETS) as usize] == NIL {
-            self.low += 1;
-            assert!(self.low - from < BUCKETS, "listed items not found");
-        }
-    }
-
-    /// Drops every item whose key fails `keep`, in time about linear in
-    /// the queue's length.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) {
-        let mut kept = Vec::new();
-        self.vacant = NIL;
-        // Chunks before the last are full, so this counts node indices.
-        for (i, n) in self.nodes.iter_mut().flatten().enumerate() {
-            if let Some(item) = n.item.take().filter(|_| keep(&n.key)) {
-                kept.push((n.at, n.key, item));
-            }
-            n.next = std::mem::replace(&mut self.vacant, i as u32);
-        }
-        self.heap.clear();
-        self.ring.fill(NIL);
-        self.listed = 0;
-        for (at, key, item) in kept {
-            self.push(at, key, item);
-        }
-    }
-
-    /// Moves the horizon on to the bucket of `at`, the time of an item
-    /// just taken from a queue merged with this one, so that pushes up to
-    /// about 16.8 s past `at` stay in the ring. A queued item due earlier
-    /// holds the horizon at its own bucket.
-    pub fn advance(&mut self, at: SimTime) {
-        let due = self.heap.peek().map_or(u64::MAX, |Reverse(e)| bucket(e.0));
-        self.base = self.base.max(bucket(at).min(due));
-    }
-
-    /// Number of queued items.
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.listed
-    }
-
-    /// `true` when no items are queued.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Every queued item with its key, in no particular order, without
-    /// removing any.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &T)> {
-        let nodes = self.nodes.iter().flatten();
-        nodes.filter_map(|n| Some((&n.key, n.item.as_ref()?)))
-    }
-
-    /// Drops every queued item.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.ring.fill(NIL);
-        self.listed = 0;
-        self.nodes.clear();
-        self.vacant = NIL;
-    }
-}
-
-impl<K: Ord + Copy, T> Default for CalendarQueue<K, T> {
-    fn default() -> Self {
-        CalendarQueue::new()
-    }
-}
+/// Number of sorted FIFO runs kept beside the heap. Under constant link
+/// latency, engine pushes come as a few interleaved streams of
+/// non-decreasing times (message deliveries, fixed-delay timers), and with
+/// four runs 94–99 % of them fit a run; with one or two runs, 32–62 % do.
+/// Pushes whose delay is drawn per message (netem) fit less often and go to
+/// the heap.
+const RUNS: usize = 4;
 
 /// The scope of an unscoped push: no cancellation reaches it.
 const UNSCOPED: u64 = u64::MAX;
-
-/// The least queue length at which a cancellation sweeps: a sweep walks
-/// every node and the ring.
-const SWEEP_MIN: usize = 256;
 
 /// A priority queue of timestamped items with deterministic FIFO
 /// tie-breaking: items scheduled for the same instant pop in insertion
 /// order.
 ///
-/// Items are ordered by `(at, seq)`, where `seq` is the push counter: a
-/// [`CalendarQueue`] keyed by `(seq, scope)`, in which `seq` alone
-/// decides. Replayed from the seed-1 benchmark workloads, 31–43 % of
-/// pushes go to a later bucket's list, at most 0.24 % past the horizon,
-/// and the rest into the heap. Scoped items (see the module docs) keep
-/// that order among the live ones.
+/// Items are ordered by `(at, seq)`, where `seq` is the push counter. A
+/// push whose key is not below the last key of one of a few sorted FIFO
+/// runs is appended to the run with the greatest such last key (else to
+/// an empty run); only an item that fits no run goes to a binary heap.
+/// Every run is sorted and `seq` is unique, so each run's front is its
+/// minimum, and popping the least of the fronts and the heap top yields
+/// exactly the `(at, seq)` order of a single heap, for any push pattern.
+/// In-order pushes cost a deque append instead of a heap sift. Scoped
+/// items (see the module docs) keep that order among the live ones.
 ///
 /// # Example
 ///
@@ -259,22 +60,52 @@ const SWEEP_MIN: usize = 256;
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<T> {
-    calendar: CalendarQueue<(u64, u64), T>,
+    runs: [VecDeque<Entry<T>>; RUNS],
+    heap: BinaryHeap<Reverse<Entry<T>>>,
     seq: u64,
     /// Items in a scope below this are cancelled.
     live_from: u64,
-    /// The length at which a cancellation next sweeps.
-    sweep_at: usize,
+}
+
+#[derive(Debug, Clone)]
+struct Entry<T> {
+    at: SimTime,
+    seq: u64,
+    scope: u64,
+    item: T,
+}
+
+impl<T> Entry<T> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.at, self.seq)
+    }
+}
+
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+impl<T> Eq for Entry<T> {}
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl<T> Ord for Entry<T> {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().cmp(&other.key())
+    }
 }
 
 impl<T> EventQueue<T> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            calendar: CalendarQueue::new(),
+            runs: Default::default(),
+            heap: BinaryHeap::new(),
             seq: 0,
             live_from: 0,
-            sweep_at: SWEEP_MIN,
         }
     }
 
@@ -288,10 +119,36 @@ impl<T> EventQueue<T> {
     /// cancelled scope takes its `seq` and is dropped at once. Scope
     /// `u64::MAX` is never cancelled.
     pub fn push_scoped(&mut self, at: SimTime, scope: u64, item: T) {
-        if scope >= self.live_from {
-            self.calendar.push(at, (self.seq, scope), item);
-        }
+        let seq = self.seq;
         self.seq += 1;
+        if scope < self.live_from {
+            return;
+        }
+        let entry = Entry {
+            at,
+            seq,
+            scope,
+            item,
+        };
+        // The new `seq` exceeds every queued one, so the entry's key is not
+        // below a run's last key exactly when `at` is not below its time.
+        let mut fit: Option<(usize, (SimTime, u64))> = None;
+        let mut empty = None;
+        for (i, run) in self.runs.iter().enumerate() {
+            match run.back() {
+                Some(last) if last.at <= at => {
+                    if fit.is_none_or(|(_, k)| last.key() > k) {
+                        fit = Some((i, last.key()));
+                    }
+                }
+                Some(_) => {}
+                None => empty = empty.or(Some(i)),
+            }
+        }
+        match fit.map(|(i, _)| i).or(empty) {
+            Some(i) => self.runs[i].push_back(entry),
+            None => self.heap.push(Reverse(entry)),
+        }
     }
 
     /// Cancels every scope at or below `scope`: their queued items never
@@ -299,51 +156,80 @@ impl<T> EventQueue<T> {
     /// an earlier call's changes nothing.
     pub fn cancel_through(&mut self, scope: u64) {
         self.live_from = self.live_from.max(scope.saturating_add(1));
-        if self.calendar.len() >= self.sweep_at {
-            // Sweeping once the queue has doubled since the last sweep
-            // keeps the dead items about as few as the live ones, at
-            // amortised constant cost per push.
-            let live_from = self.live_from;
-            self.calendar.retain(|&(_, scope)| scope >= live_from);
-            self.sweep_at = (2 * self.calendar.len()).max(SWEEP_MIN);
+        for source in 0..=RUNS {
+            self.clean(source);
         }
-        self.clean();
     }
 
-    /// Removes cancelled items from the front, so the front is live.
-    fn clean(&mut self) {
-        while let Some((_, &(_, scope))) = self.calendar.peek() {
-            if scope >= self.live_from {
-                break;
+    /// Removes the cancelled items at the front of run `source`, or at the
+    /// heap's top when `source` is [`RUNS`], so that front is live.
+    fn clean(&mut self, source: usize) {
+        let live_from = self.live_from;
+        if source == RUNS {
+            while self.heap.peek().is_some_and(|e| e.0.scope < live_from) {
+                self.heap.pop();
             }
-            self.calendar.pop();
+        } else {
+            let run = &mut self.runs[source];
+            while run.front().is_some_and(|e| e.scope < live_from) {
+                run.pop_front();
+            }
         }
+    }
+
+    /// Where the earliest item sits (a run index, or [`RUNS`] for the
+    /// heap) and its key, if any.
+    fn front(&self) -> Option<(usize, (SimTime, u64))> {
+        let mut best = self.heap.peek().map(|Reverse(e)| (RUNS, e.key()));
+        for (i, run) in self.runs.iter().enumerate() {
+            if let Some(e) = run.front() {
+                if best.is_none_or(|(_, k)| e.key() < k) {
+                    best = Some((i, e.key()));
+                }
+            }
+        }
+        best
+    }
+
+    /// Removes the front of run `source`, or the heap's top when `source`
+    /// is [`RUNS`], and cleans what is left there.
+    fn take(&mut self, source: usize) -> Option<(SimTime, T)> {
+        let e = if source == RUNS {
+            self.heap.pop().map(|Reverse(e)| e)
+        } else {
+            self.runs[source].pop_front()
+        };
+        self.clean(source);
+        e.map(|e| (e.at, e.item))
     }
 
     /// Removes and returns the earliest item, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        let (at, _, item) = self.calendar.pop()?;
-        self.clean();
-        Some((at, item))
+        let (source, _) = self.front()?;
+        self.take(source)
     }
 
     /// Removes and returns the earliest item only if it is due strictly
     /// before `deadline`.
     pub fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        self.peek_time().filter(|&t| t < deadline)?;
-        self.pop()
+        match self.front() {
+            Some((source, (t, _))) if t < deadline => self.take(source),
+            _ => None,
+        }
     }
 
     /// Removes and returns the earliest item only if it is due at or before
     /// `deadline`.
     pub fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
-        self.peek_time().filter(|&t| t <= deadline)?;
-        self.pop()
+        match self.front() {
+            Some((source, (t, _))) if t <= deadline => self.take(source),
+            _ => None,
+        }
     }
 
     /// The due time of the earliest item, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.calendar.peek().map(|(at, _)| at)
+        self.front().map(|(_, (t, _))| t)
     }
 
     /// Number of queued live items. Cancelled items still held behind a
@@ -354,7 +240,7 @@ impl<T> EventQueue<T> {
 
     /// `true` when no live items are queued.
     pub fn is_empty(&self) -> bool {
-        self.calendar.is_empty()
+        self.heap.is_empty() && self.runs.iter().all(VecDeque::is_empty)
     }
 
     /// Items pushed so far, popped, cancelled or not: the `seq` the next
@@ -368,17 +254,16 @@ impl<T> EventQueue<T> {
     /// Every queued live item, in no particular order, without removing
     /// any.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
-        let live = self
-            .calendar
-            .iter()
-            .filter(|((_, s), _)| *s >= self.live_from);
-        live.map(|(_, item)| item)
+        let runs = self.runs.iter().flatten();
+        runs.chain(self.heap.iter().map(|Reverse(e)| e))
+            .filter(|e| e.scope >= self.live_from)
+            .map(|e| &e.item)
     }
 
     /// Drops every queued item. Cancelled scopes stay cancelled.
     pub fn clear(&mut self) {
-        self.calendar.clear();
-        self.sweep_at = SWEEP_MIN;
+        self.heap.clear();
+        self.runs.iter_mut().for_each(VecDeque::clear);
     }
 }
 
@@ -394,16 +279,16 @@ mod tests {
     use crate::LatencyModel;
     use coconut_types::{SimDuration, SimRng};
 
-    /// The single-heap queue the calendar replaced, kept as the reference
-    /// order: `(at, seq, scope, item)` through one `BinaryHeap`. It keeps
-    /// cancelled entries and skips them when it pops.
-    struct HeapQueue {
-        heap: BinaryHeap<Reverse<(SimTime, u64, u64, u64)>>,
+    /// The single-heap queue the runs replaced, kept as the reference
+    /// order: `(at, seq)` through one `BinaryHeap`. It keeps cancelled
+    /// entries and skips them when it pops.
+    struct HeapQueue<T> {
+        heap: BinaryHeap<Reverse<Entry<T>>>,
         seq: u64,
         live_from: u64,
     }
 
-    impl HeapQueue {
+    impl<T> HeapQueue<T> {
         fn new() -> Self {
             HeapQueue {
                 heap: BinaryHeap::new(),
@@ -411,42 +296,45 @@ mod tests {
                 live_from: 0,
             }
         }
-        fn push_scoped(&mut self, at: SimTime, scope: u64, item: u64) {
-            if scope >= self.live_from {
-                self.heap.push(Reverse((at, self.seq, scope, item)));
-            }
+        fn push_scoped(&mut self, at: SimTime, scope: u64, item: T) {
+            let seq = self.seq;
             self.seq += 1;
+            if scope >= self.live_from {
+                self.heap.push(Reverse(Entry {
+                    at,
+                    seq,
+                    scope,
+                    item,
+                }));
+            }
         }
         fn cancel_through(&mut self, scope: u64) {
             self.live_from = self.live_from.max(scope + 1);
         }
-        fn live(&self) -> impl Iterator<Item = (SimTime, u64, u64)> + '_ {
+        fn live(&self) -> impl Iterator<Item = &Entry<T>> {
             self.heap
                 .iter()
-                .filter(|Reverse(e)| e.2 >= self.live_from)
-                .map(|&Reverse((at, seq, _, item))| (at, seq, item))
+                .map(|Reverse(e)| e)
+                .filter(|e| e.scope >= self.live_from)
         }
-        fn pop(&mut self) -> Option<(SimTime, u64)> {
-            while let Some(Reverse((at, _, scope, item))) = self.heap.pop() {
-                if scope >= self.live_from {
-                    return Some((at, item));
+        fn pop(&mut self) -> Option<(SimTime, T)> {
+            while let Some(Reverse(e)) = self.heap.pop() {
+                if e.scope >= self.live_from {
+                    return Some((e.at, e.item));
                 }
             }
             None
         }
         fn peek_time(&self) -> Option<SimTime> {
-            self.live()
-                .map(|(at, seq, _)| (at, seq))
-                .min()
-                .map(|(at, _)| at)
+            self.live().map(Entry::key).min().map(|(at, _)| at)
         }
-        fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
+        fn pop_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
             match self.peek_time() {
                 Some(t) if t < deadline => self.pop(),
                 _ => None,
             }
         }
-        fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, u64)> {
+        fn pop_at_or_before(&mut self, deadline: SimTime) -> Option<(SimTime, T)> {
             match self.peek_time() {
                 Some(t) if t <= deadline => self.pop(),
                 _ => None,
@@ -455,10 +343,10 @@ mod tests {
     }
 
     /// Asserts that every observation of `q` matches the reference `r`.
-    fn observe(q: &EventQueue<u64>, r: &HeapQueue, case: &str) {
+    fn observe(q: &EventQueue<u64>, r: &HeapQueue<u64>, case: &str) {
         assert_eq!(q.peek_time(), r.peek_time(), "{case}: peek_time");
         let mut items: Vec<u64> = q.iter().copied().collect();
-        let mut want: Vec<u64> = r.live().map(|(_, _, item)| item).collect();
+        let mut want: Vec<u64> = r.live().map(|e| e.item).collect();
         items.sort_unstable();
         want.sort_unstable();
         assert_eq!(items, want, "{case}: iter");
@@ -467,19 +355,21 @@ mod tests {
         assert_eq!(q.pushes(), r.seq, "{case}: pushes");
     }
 
-    /// How often a sweep took the calendar's rarer paths.
-    #[derive(Default)]
-    struct Paths {
-        /// Pushes due past the ring's horizon, into the heap.
-        far: usize,
-        /// Pushes filed in a later bucket's list.
-        listed: usize,
-        /// Pushes due before the horizon's first bucket.
-        early: usize,
-        /// Pushes into the heap that went before its top.
-        head_inserts: usize,
-        /// Cancellations that swept every cancelled item out.
-        sweeps: usize,
+    /// Pushes `n` items due within Figure 4's netem delay of `now`, the
+    /// same to both queues.
+    fn push_netem(
+        q: &mut EventQueue<u64>,
+        r: &mut HeapQueue<u64>,
+        rng: &mut SimRng,
+        now: SimTime,
+        n: u64,
+    ) {
+        let netem = LatencyModel::netem_paper();
+        for _ in 0..n {
+            let at = now + netem.sample(rng);
+            q.push(at, r.seq);
+            r.push_scoped(at, UNSCOPED, r.seq);
+        }
     }
 
     /// Drives [`EventQueue`] and [`HeapQueue`] with one seeded operation
@@ -487,13 +377,13 @@ mod tests {
     /// timer streams (delays of 1..=`streams` ms) are mixed with random
     /// delays, Figure 4's N(12 ms, 2 ms) netem delays, equal-time ties,
     /// stragglers behind the clock's streams, pushes up to 100 ms before
-    /// the clock (so before the last popped bucket) and pushes 16–40 s
-    /// ahead, around the 16.8 s horizon. Half the pushes are unscoped; the
-    /// rest name a scope near a rising round, which `cancel_through` calls
-    /// cancel, sometimes before the push. Once drained, both queues take
-    /// scoped pushes only, which one cancellation removes entirely, and
-    /// then a cleared queue is reused.
-    fn drive(seed: u64, streams: u64, ops: usize) -> Paths {
+    /// the clock and pushes 16–40 s ahead. Half the pushes are unscoped;
+    /// the rest name a scope near a rising round, which `cancel_through`
+    /// calls cancel, sometimes before the push. Once drained, both queues
+    /// take scoped pushes only, which one cancellation removes entirely,
+    /// and then a cleared queue is reused. Returns the largest heap the
+    /// runs overflowed into.
+    fn drive(seed: u64, streams: u64, ops: usize) -> usize {
         let mut rng = SimRng::seed_from_u64(seed);
         let netem = LatencyModel::netem_paper();
         let mut q = EventQueue::new();
@@ -501,7 +391,7 @@ mod tests {
         let mut now = SimTime::ZERO;
         let mut next = 0u64;
         let mut round = 0u64;
-        let mut paths = Paths::default();
+        let mut max_heap = 0;
         for op in 0..ops {
             let case = format!("seed {seed} op {op}");
             let scope = if rng.gen_bool(0.5) {
@@ -510,24 +400,9 @@ mod tests {
                 round + rng.gen_range_inclusive(0, 6) - 2.min(round)
             };
             let mut push = |at: SimTime| {
-                let cal = &q.calendar;
-                let live = scope >= q.live_from;
-                let b = bucket(at).max(cal.base);
-                let far = b - cal.base >= BUCKETS;
-                let early = bucket(at) < cal.base;
-                let listed = cal.listed;
-                let top = cal.peek().map(|(at, &key)| (at, key));
                 q.push_scoped(at, scope, next);
                 r.push_scoped(at, scope, next);
                 next += 1;
-                if live {
-                    let cal = &q.calendar;
-                    paths.far += usize::from(far);
-                    paths.early += usize::from(early);
-                    paths.listed += cal.listed - listed;
-                    let new_top = cal.peek() == Some((at, &(q.seq - 1, scope)));
-                    paths.head_inserts += usize::from(top.is_some() && new_top);
-                }
             };
             match rng.gen_range_inclusive(0, 119) {
                 0..=39 => {
@@ -588,14 +463,8 @@ mod tests {
                     // lower watermark changes nothing).
                     let through = (round + rng.gen_range_inclusive(0, 2)).saturating_sub(1);
                     round = round.max(through + 1);
-                    let sweeps = q.calendar.len() >= q.sweep_at;
                     q.cancel_through(through);
                     r.cancel_through(through);
-                    if sweeps {
-                        paths.sweeps += 1;
-                        let live = q.calendar.iter().all(|(&(_, s), _)| s > through);
-                        assert!(live, "{case}: a sweep left a cancelled item");
-                    }
                 }
                 _ => {
                     if rng.gen_bool(0.2) {
@@ -606,6 +475,7 @@ mod tests {
                     }
                 }
             }
+            max_heap = max_heap.max(q.heap.len());
         }
         assert_eq!(q.pushes(), r.seq, "seed {seed}: pushes");
         while let Some(b) = r.pop() {
@@ -613,80 +483,54 @@ mod tests {
         }
         assert_eq!(q.pop(), None, "seed {seed}: drained");
 
-        // Scoped pushes only, near and past the horizon, then one
-        // cancellation of every queued item.
+        // Scoped pushes, then at most three unscoped ones, which land in
+        // the heap behind the runs' later tails; then one cancellation of
+        // every scope. With no unscoped push, nothing is left.
         for _ in 0..rng.gen_range_inclusive(1, 40) {
             let scope = round + rng.gen_range_inclusive(0, 6);
             let at = now + SimDuration::from_micros(rng.gen_range_inclusive(0, 20_000_000));
-            q.push_scoped(at, scope, next);
-            r.push_scoped(at, scope, next);
-            next += 1;
+            q.push_scoped(at, scope, r.seq);
+            r.push_scoped(at, scope, r.seq);
         }
-        observe(&q, &r, &format!("seed {seed}: scoped only"));
+        let n = rng.gen_range_inclusive(0, 3);
+        push_netem(&mut q, &mut r, &mut rng, now, n);
+        observe(&q, &r, &format!("seed {seed}: before the last cancel"));
         q.cancel_through(round + 6);
         r.cancel_through(round + 6);
-        observe(&q, &r, &format!("seed {seed}: all cancelled"));
-        assert!(q.is_empty(), "seed {seed}: all cancelled");
+        observe(&q, &r, &format!("seed {seed}: after the last cancel"));
+        while let Some(b) = r.pop() {
+            assert_eq!(q.pop(), Some(b), "seed {seed}: drain after the last cancel");
+        }
+        assert!(q.is_empty(), "seed {seed}: drained after the last cancel");
 
         // A cleared queue takes pushes again and keeps one order.
-        for _ in 0..rng.gen_range_inclusive(1, 40) {
-            let at = now + netem.sample(&mut rng);
-            q.push(at, next);
-            r.push_scoped(at, UNSCOPED, next);
-            next += 1;
-        }
+        let n = rng.gen_range_inclusive(1, 40);
+        push_netem(&mut q, &mut r, &mut rng, now, n);
         q.clear();
         r.heap.clear();
         observe(&q, &r, &format!("seed {seed}: cleared"));
-        for _ in 0..rng.gen_range_inclusive(1, 40) {
-            let at = now + netem.sample(&mut rng);
-            q.push(at, next);
-            r.push_scoped(at, UNSCOPED, next);
-            next += 1;
-        }
+        let n = rng.gen_range_inclusive(1, 40);
+        push_netem(&mut q, &mut r, &mut rng, now, n);
         observe(&q, &r, &format!("seed {seed}: reused"));
         while let Some(b) = r.pop() {
             assert_eq!(q.pop(), Some(b), "seed {seed}: drain after reuse");
         }
         assert_eq!(q.pop(), None, "seed {seed}: drained after reuse");
-        paths
+        max_heap
     }
 
     #[test]
-    fn calendar_pops_in_the_single_heap_order() {
+    fn runs_pop_in_the_single_heap_order() {
         for seed in 0..48 {
-            drive(seed, 1 + seed % 12, 3_000);
+            drive(seed, 1 + seed % RUNS as u64, 3_000);
         }
     }
 
     #[test]
-    fn sweep_reaches_every_path() {
-        let paths: Vec<Paths> = (100..108).map(|seed| drive(seed, 12, 3_000)).collect();
-        let total = |f: fn(&Paths) -> usize| paths.iter().map(f).sum::<usize>();
-        assert!(total(|p| p.far) > 0, "no push went past the horizon");
-        assert!(total(|p| p.listed) > 0, "no push went to a later bucket");
-        assert!(total(|p| p.early) > 0, "no push was due before the horizon");
-        assert!(
-            total(|p| p.head_inserts) > 0,
-            "no push went before the heap's top"
-        );
-        assert!(total(|p| p.sweeps) > 0, "no cancellation swept");
-    }
-
-    #[test]
-    fn advance_never_passes_a_queued_item() {
-        let ms = |ms: u64| SimTime::from_micros(ms * 1_000);
-        let mut q = CalendarQueue::new();
-        q.push(ms(0), 0, ());
-        q.push(ms(100), 1, ());
-        q.push(ms(20_000), 2, ());
-        // A hint past queued items holds at the earliest one's bucket, so
-        // an item pushed before the hint still pops in its place.
-        q.advance(ms(30_000));
-        q.push(ms(50), 3, ());
-        q.push(ms(25_000), 4, ());
-        let keys: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, k, ())| k)).collect();
-        assert_eq!(keys, [0, 3, 1, 2, 4]);
+    fn more_streams_than_runs_overflow_into_the_heap() {
+        let streams = 3 * RUNS as u64;
+        let max_heap = (100..108).map(|seed| drive(seed, streams, 3_000)).max();
+        assert!(max_heap.unwrap() > 0, "no push reached the heap");
     }
 
     #[test]
@@ -755,12 +599,7 @@ mod tests {
         // Seeded randomized sweep (formerly a proptest).
         let mut gen = coconut_types::SimRng::seed_from_u64(42);
         for case in 0..64 {
-            // The last case outgrows the slab's first block.
-            let n = if case == 63 {
-                10_000
-            } else {
-                gen.gen_range_inclusive(1, 199) as usize
-            };
+            let n = gen.gen_range_inclusive(1, 199) as usize;
             let times: Vec<u64> = (0..n)
                 .map(|_| gen.gen_range_inclusive(0, 999_999))
                 .collect();
