@@ -6,8 +6,10 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use coconut::client::{build_schedule, Windows};
+use coconut::client::{build_schedule, build_schedule_for, Windows};
+use coconut::experiments::contention::LEVELS;
 use coconut::stats::Stats;
+use coconut::workload::Smallbank;
 use coconut::{run_chaos_with_schedule, BenchmarkSpec, ClientProtection, RetryPolicy, SystemKind};
 use coconut_bench::harness::{black_box, Group};
 use coconut_chains::{BlockchainSystem, IngressLoad, SubmitOutcome, SystemStats};
@@ -219,6 +221,13 @@ fn main() {
 
     group.bench_function("schedule_build_30s_1600tps", || {
         let s = build_schedule(PayloadKind::KeyValueSet, 1600.0, 1, Windows::scaled(0.1), 9);
+        black_box(s.len())
+    });
+    // The same schedule drawn from Smallbank at the contention campaign's
+    // `mid` level: four Zipf-skewed draws per payload.
+    let smallbank = Smallbank::new(LEVELS[1].knobs());
+    group.bench_function("schedule_build_smallbank_30s_1600tps", || {
+        let s = build_schedule_for(&smallbank, 1600.0, 1, Windows::scaled(0.1), 9);
         black_box(s.len())
     });
 

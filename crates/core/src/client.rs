@@ -8,6 +8,9 @@
 //! confirmation, for a period of 300 seconds. The COCONUT client terminates
 //! listening on events after 330 seconds."
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+use std::iter::Peekable;
 use std::sync::Arc;
 
 use coconut_types::{
@@ -114,9 +117,13 @@ pub fn build_schedule(
 /// [`Workload::payload_at`]; timing is seeded exactly as before, so paper
 /// workloads produce bit-identical schedules via either entry point.
 ///
+/// Each workload thread sends in `(at, tx.id())` order, so the schedule is
+/// the merge of the 16 thread streams, with no sort.
+///
 /// # Panics
 ///
-/// Panics if `rate` is not strictly positive or `ops_per_tx` is zero.
+/// Panics if `rate` is not strictly positive, if `ops_per_tx` is zero, or
+/// if `rate` is so high that a thread's send interval rounds to 0 µs.
 pub fn build_schedule_for(
     workload: &dyn Workload,
     rate: f64,
@@ -127,37 +134,76 @@ pub fn build_schedule_for(
     assert!(rate > 0.0, "rate must be positive");
     assert!(ops_per_tx > 0, "ops_per_tx must be at least 1");
     let seeds = SeedDeriver::new(seed);
-    let mut schedule = Vec::new();
     let threads_total = (CLIENTS * THREADS_PER_CLIENT) as f64;
     let payload_rate_per_thread = rate / threads_total;
     let tx_interval = SimDuration::from_secs_f64(ops_per_tx as f64 / payload_rate_per_thread);
-    let send_end = SimTime::ZERO + windows.send;
+    assert!(
+        !tx_interval.is_zero(),
+        "rate {rate} tx/s is too high: a thread's send interval for \
+         {ops_per_tx} op(s) per tx rounds to 0 µs"
+    );
+    let end = SimTime::ZERO + windows.send;
 
-    for c in 0..CLIENTS {
-        for t in 0..THREADS_PER_CLIENT {
-            let client = ClientId(c);
-            let thread = ThreadId(t);
+    let threads = (0..CLIENTS).flat_map(|c| {
+        (0..THREADS_PER_CLIENT).map(move |t| {
+            let (client, thread) = (ClientId(c), ThreadId(t));
             // Deterministic phase offset within one interval.
             let phase_frac =
                 (seeds.seed("phase", (c * THREADS_PER_CLIENT + t) as u64) % 1000) as f64 / 1000.0;
-            let mut at = SimTime::ZERO + tx_interval.mul_f64(phase_frac);
-            let mut seq: u64 = 0;
-            let mut tx_seq: u64 = 0;
-            while at < send_end {
+            let first = SimTime::ZERO + tx_interval.mul_f64(phase_frac);
+            let sends = end
+                .saturating_since(first)
+                .as_micros()
+                .div_ceil(tx_interval.as_micros());
+            (0..sends).map(move |tx_seq| {
+                let at = first + tx_interval * tx_seq;
                 // Per-client tx ids must be unique across threads.
-                let id = TxId::new(client, (t as u64) << 48 | tx_seq);
-                tx_seq += 1;
+                let id = TxId::new(client, u64::from(t) << 48 | tx_seq);
+                let seq = tx_seq * u64::from(ops_per_tx);
                 let tx = client_tx(id, thread, ops_per_tx, at, |k| {
                     workload.payload_at(client, thread, seq + k)
                 });
-                seq += ops_per_tx as u64;
-                schedule.push(ScheduledTx { at, tx });
-                at += tx_interval;
+                ScheduledTx { at, tx }
+            })
+        })
+    });
+    merge(threads)
+}
+
+/// Merges `streams`, each in `(at, tx.id())` order, into one schedule in
+/// that order, reserved once from the streams' size hints. The stream
+/// holding the least send is drained until the next send of another, the
+/// top of a heap of their keys, comes first; then the two swap places.
+pub(crate) fn merge<I: Iterator<Item = ScheduledTx>>(
+    streams: impl IntoIterator<Item = I>,
+) -> Vec<ScheduledTx> {
+    let mut streams: Vec<Peekable<I>> = streams.into_iter().map(Iterator::peekable).collect();
+    let mut schedule = Vec::with_capacity(streams.iter().map(|s| s.size_hint().0).sum());
+    let mut waiting: BinaryHeap<_> = streams
+        .iter_mut()
+        .enumerate()
+        .filter_map(|(i, s)| s.peek().map(|s| Reverse((s.at, s.tx.id(), i))))
+        .collect();
+    let Some(Reverse((_, _, mut i))) = waiting.pop() else {
+        return schedule;
+    };
+    loop {
+        schedule.extend(streams[i].next());
+        match streams[i].peek() {
+            Some(s) => {
+                let key = (s.at, s.tx.id(), i);
+                if let Some(mut next) = waiting.peek_mut() {
+                    if next.0 < key {
+                        i = std::mem::replace(&mut next.0, key).2;
+                    }
+                }
             }
+            None => match waiting.pop() {
+                Some(Reverse((_, _, next))) => i = next,
+                None => return schedule,
+            },
         }
     }
-    schedule.sort_by_key(|s| (s.at, s.tx.id()));
-    schedule
 }
 
 /// Transaction `id` carrying the payloads `payload(0..ops)`. One payload
@@ -284,6 +330,111 @@ mod tests {
         assert!(!schedule.is_empty());
         let kinds: std::collections::HashSet<_> = schedule.iter().map(|s| s.tx.kind()).collect();
         assert!(kinds.len() >= 4, "mixed stream, got {kinds:?}");
+    }
+
+    /// The construction before the merge, kept as the reference: every
+    /// thread's sends appended, then one stable sort.
+    fn reference_schedule(
+        workload: &dyn Workload,
+        rate: f64,
+        ops_per_tx: u32,
+        windows: Windows,
+        seed: u64,
+    ) -> Vec<ScheduledTx> {
+        let seeds = SeedDeriver::new(seed);
+        let mut schedule = Vec::new();
+        let payload_rate_per_thread = rate / (CLIENTS * THREADS_PER_CLIENT) as f64;
+        let tx_interval = SimDuration::from_secs_f64(ops_per_tx as f64 / payload_rate_per_thread);
+        let send_end = SimTime::ZERO + windows.send;
+        for c in 0..CLIENTS {
+            for t in 0..THREADS_PER_CLIENT {
+                let client = ClientId(c);
+                let thread = ThreadId(t);
+                let phase_frac = (seeds.seed("phase", (c * THREADS_PER_CLIENT + t) as u64) % 1000)
+                    as f64
+                    / 1000.0;
+                let mut at = SimTime::ZERO + tx_interval.mul_f64(phase_frac);
+                let mut seq: u64 = 0;
+                let mut tx_seq: u64 = 0;
+                while at < send_end {
+                    let id = TxId::new(client, (t as u64) << 48 | tx_seq);
+                    tx_seq += 1;
+                    let tx = client_tx(id, thread, ops_per_tx, at, |k| {
+                        workload.payload_at(client, thread, seq + k)
+                    });
+                    seq += ops_per_tx as u64;
+                    schedule.push(ScheduledTx { at, tx });
+                    at += tx_interval;
+                }
+            }
+        }
+        schedule.sort_by_key(|s| (s.at, s.tx.id()));
+        schedule
+    }
+
+    #[test]
+    fn merged_threads_are_the_sorted_schedule() {
+        use crate::experiments::contention::LEVELS;
+        use crate::workload::{Smallbank, Ycsb};
+        let window = |us| Windows {
+            send: SimDuration::from_micros(us),
+            listen: SimDuration::from_micros(us),
+        };
+        let mut workloads: Vec<Box<dyn Workload>> = [
+            PayloadKind::DoNothing,
+            PayloadKind::KeyValueSet,
+            PayloadKind::KeyValueGet,
+            PayloadKind::CreateAccount,
+            PayloadKind::SendPayment,
+            PayloadKind::Balance,
+        ]
+        .into_iter()
+        .map(|k| Box::new(paper(k)) as Box<dyn Workload>)
+        .collect();
+        for level in LEVELS {
+            workloads.push(Box::new(Smallbank::new(level.knobs())));
+            workloads.push(Box::new(Ycsb::new(level.knobs())));
+        }
+        for ops in [1, 3] {
+            let per_thread = |interval_us: f64| 16.0 * f64::from(ops) / (interval_us * 1e-6);
+            // (rate, send window in µs): 1 µs and 2 µs intervals, where
+            // many threads share a phase or start a whole interval in;
+            // rates of the paper and the campaigns; and windows shorter
+            // than one interval, or empty.
+            let cases = [
+                (per_thread(1.0), 300),
+                (per_thread(2.0), 301),
+                (per_thread(7.0), 1_000),
+                (1600.0, 2_000_000),
+                (37.0, 3_000_000),
+                (per_thread(1e6), 600_000),
+                (per_thread(1e6), 0),
+            ];
+            for (w, workload) in workloads.iter().enumerate() {
+                for (rate, send_us) in cases {
+                    let seed = (w as u64) << 8 | u64::from(ops);
+                    let got =
+                        build_schedule_for(workload.as_ref(), rate, ops, window(send_us), seed);
+                    let want =
+                        reference_schedule(workload.as_ref(), rate, ops, window(send_us), seed);
+                    let case = format!(
+                        "{} ops {ops} rate {rate} send {send_us} µs",
+                        workload.name()
+                    );
+                    assert_eq!(got.len(), want.len(), "{case}");
+                    assert_eq!(got.capacity(), got.len(), "{case}: reserved exactly");
+                    for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                        assert!(a.at == b.at && a.tx == b.tx, "{case}: position {i}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "rate 1000000000 tx/s is too high")]
+    fn rate_with_a_zero_interval_is_rejected() {
+        let _ = build_schedule(PayloadKind::DoNothing, 1e9, 1, Windows::scaled(0.01), 1);
     }
 
     #[test]

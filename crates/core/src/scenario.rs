@@ -33,8 +33,8 @@
 //!    time only; ties replay in the order the builder added them. A
 //!    timeline that crashes and partitions at one instant applies the
 //!    crash first iff it was declared first.
-//! 3. **Client sends among themselves** — the merged schedule is sorted by
-//!    `(at, tx.id())`, and overlay ids carry a per-phase tag bit
+//! 3. **Client sends among themselves** — the merged schedule is in
+//!    `(at, tx.id())` order, and overlay ids carry a per-phase tag bit
 //!    ([`overlay_tag`]) so base and overlay ids can never collide.
 
 use coconut_chains::{BlockchainSystem, Stage, StageReport, SystemStats};
@@ -46,7 +46,7 @@ use coconut_types::{
 use std::sync::Arc;
 
 use crate::chaos::{run_chaos_with_schedule, ChaosRun, ClientProtection, RetryPolicy};
-use crate::client::{build_schedule_for, client_tx, ScheduledTx, Windows};
+use crate::client::{build_schedule_for, client_tx, merge, ScheduledTx, Windows};
 use crate::json::Json;
 use crate::params::{build_system, SystemKind, SystemSetup};
 use crate::runner::BenchmarkSpec;
@@ -713,16 +713,21 @@ impl Timeline {
     /// Builds the full submission schedule: the base schedule (seed stream
     /// `("schedule", 0)` — identical to the classic client's) merged with
     /// one overlay per load phase (seed stream `("pulse", i)`, ids tagged
-    /// with [`overlay_tag`]`(i)`), sorted by `(at, tx.id())`. With no
+    /// with [`overlay_tag`]`(i)`), in `(at, tx.id())` order. With no
     /// phases this is the classic client's schedule; with a single flash
     /// phase it is byte-identical to the overload campaign's pulse
     /// schedule. Unit phase `i` draws its base schedule from stream
     /// `("schedule", i)` instead, shifted and tagged per
     /// [`ScenarioBuilder::unit_phase`].
+    ///
+    /// Every component is built in that order, so the schedule is their
+    /// merge, with no sort. (A ramp or diurnal overlay faster than one send
+    /// per µs can put two sends of one µs out of id order; such an overlay
+    /// sorts itself.)
     pub fn schedule(&self, seed: u64) -> Vec<ScheduledTx> {
         let seeds = SeedDeriver::new(seed);
         let stream = self.unit_phase.map_or(0, |i| i as u64);
-        let mut all = build_schedule_for(
+        let mut base = build_schedule_for(
             self.workload.as_ref(),
             self.rate,
             self.ops_per_tx,
@@ -730,16 +735,20 @@ impl Timeline {
             seeds.seed("schedule", stream),
         );
         if let Some(i) = self.unit_phase {
-            all = shift_and_tag(all, self.unit_start(), unit_tag(i));
+            base = shift_and_tag(base, self.unit_start(), unit_tag(i));
         }
-        for (i, phase) in self.phases.iter().enumerate() {
-            all.extend(self.overlay(i, phase, &seeds));
+        if self.phases.is_empty() {
+            return base;
         }
-        all.sort_by_key(|s| (s.at, s.tx.id()));
-        all
+        let overlays = self
+            .phases
+            .iter()
+            .enumerate()
+            .map(|(i, phase)| self.overlay(i, phase, &seeds));
+        merge(std::iter::once(base).chain(overlays).map(Vec::into_iter))
     }
 
-    /// The overlay schedule of phase `i`.
+    /// The overlay schedule of phase `i`, in `(at, tx.id())` order.
     fn overlay(&self, i: usize, phase: &LoadPhase, seeds: &SeedDeriver) -> Vec<ScheduledTx> {
         let tag = overlay_tag(i);
         let overlay_seed = seeds.seed("pulse", i as u64);
@@ -766,7 +775,9 @@ impl Timeline {
             // inter-send gap `1 / r(t)`; when the rate is (near) zero the
             // clock probes forward without emitting. Ids carry the phase
             // tag plus a monotone sequence, so they are unique by
-            // construction.
+            // construction. Above one send per µs two sends can round
+            // into one µs with the client rotation wrapping between them,
+            // out of id order; only then is the overlay sorted.
             LoadShape::Ramp { .. } | LoadShape::Diurnal { .. } => {
                 // Floor below which no send is scheduled; while below it
                 // the clock probes forward one gap (1 s) at a time, so a
@@ -779,6 +790,7 @@ impl Timeline {
                 let mut t = 0.0_f64;
                 let mut seq = 0u64;
                 let mut phased = false;
+                let mut sorted = true;
                 while t < span {
                     let r = self.extra_rate(phase, t);
                     if r < MIN_RATE {
@@ -804,9 +816,15 @@ impl Timeline {
                     let tx = client_tx(id, thread, self.ops_per_tx, at, |k| {
                         self.workload.payload_at(client, thread, seq + k)
                     });
+                    sorted &= out
+                        .last()
+                        .is_none_or(|p: &ScheduledTx| (p.at, p.tx.id()) < (at, id));
                     out.push(ScheduledTx { at, tx });
                     seq += 1;
                     t += gap;
+                }
+                if !sorted {
+                    out.sort_by_key(|s| (s.at, s.tx.id()));
                 }
                 out
             }
@@ -1208,6 +1226,84 @@ mod tests {
         let tagged = |tag: u64| sched.iter().filter(|s| s.tx.id().seq() & tag != 0).count();
         assert!(tagged(overlay_tag(0)) > 0);
         assert!(tagged(overlay_tag(1)) > 0);
+    }
+
+    /// The schedule before the merge, kept as the reference: every
+    /// component appended, then one stable sort.
+    fn reference_schedule(tl: &Timeline, seed: u64) -> Vec<ScheduledTx> {
+        let seeds = SeedDeriver::new(seed);
+        let stream = tl.unit_phase.map_or(0, |i| i as u64);
+        let mut all = build_schedule_for(
+            tl.workload.as_ref(),
+            tl.rate,
+            tl.ops_per_tx,
+            tl.windows,
+            seeds.seed("schedule", stream),
+        );
+        if let Some(i) = tl.unit_phase {
+            all = shift_and_tag(all, tl.unit_start(), unit_tag(i));
+        }
+        for (i, phase) in tl.phases.iter().enumerate() {
+            all.extend(tl.overlay(i, phase, &seeds));
+        }
+        all.sort_by_key(|s| (s.at, s.tx.id()));
+        all
+    }
+
+    #[test]
+    fn merged_components_are_the_sorted_schedule() {
+        use crate::workload::{ContentionKnobs, Smallbank};
+        let ms = SimTime::from_millis;
+        let short = Windows {
+            send: SimDuration::from_millis(40),
+            listen: SimDuration::from_millis(60),
+        };
+        let timelines = [
+            // Base only, and a unit phase shifted and tagged.
+            ScenarioBuilder::new(PayloadKind::KeyValueSet, 400.0, windows()).build(),
+            ScenarioBuilder::new(PayloadKind::KeyValueSet, 400.0, windows())
+                .ops_per_tx(3)
+                .unit_phase(2)
+                .build(),
+            // Flash, ramp and diurnal overlays over one base, two of them
+            // overlapping.
+            ScenarioBuilder::new(PayloadKind::DoNothing, 300.0, windows())
+                .workload(Smallbank::new(ContentionKnobs::default()))
+                .at(SimTime::from_secs(1))
+                .flash_crowd(3.0, SimTime::from_secs(6))
+                .at(SimTime::from_secs(4))
+                .ramp_load(6.0, SimTime::from_secs(10))
+                .at(SimTime::from_secs(9))
+                .diurnal(2.0, SimDuration::from_secs(2), SimTime::from_secs(14))
+                .build(),
+            // A ramp opens at zero extra load, so its clock first probes
+            // 1 s ahead; this one then sends about 4 times per µs over its
+            // last ms, and its client rotation puts pairs out of id order.
+            ScenarioBuilder::new(PayloadKind::DoNothing, 500.0, short)
+                .at(ms(5))
+                .ramp_load(8_001.0, ms(1_006))
+                .at(ms(10))
+                .flash_crowd(2.0, ms(30))
+                .build(),
+        ];
+        // The fast ramp was sorted: its sends are no longer in sequence
+        // (generation) order.
+        let fast_ramp = &timelines[3];
+        let overlay = fast_ramp.overlay(0, &fast_ramp.phases[0], &SeedDeriver::new(5));
+        assert!(!overlay.is_sorted_by_key(|s| s.tx.id().seq()));
+        for (t, tl) in timelines.iter().enumerate() {
+            for seed in [5, 6] {
+                let got = tl.schedule(seed);
+                let want = reference_schedule(tl, seed);
+                assert_eq!(got.len(), want.len(), "timeline {t}, seed {seed}");
+                for (i, (a, b)) in got.iter().zip(&want).enumerate() {
+                    assert!(
+                        a.at == b.at && a.tx == b.tx,
+                        "timeline {t}, seed {seed}: position {i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

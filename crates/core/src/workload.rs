@@ -14,7 +14,7 @@
 //! over the final [`LedgerState`].
 
 use coconut_iel::LedgerState;
-use coconut_types::{AccountId, ClientId, Payload, PayloadKind, SeedDeriver, ThreadId};
+use coconut_types::{AccountId, ClientId, Payload, PayloadKind, SeedDeriver, SeedStream, ThreadId};
 
 use crate::zipf::{unit_from_hash, Zipf};
 
@@ -257,12 +257,16 @@ impl Default for ContentionKnobs {
 
 impl ContentionKnobs {
     /// Validates and freezes the knobs into a sampler.
-    fn sampler(&self) -> Zipf {
+    fn sampler(&self) -> Contended {
         assert!(
             (0.0..=1.0).contains(&self.hot_fraction),
             "hot_fraction must be in [0, 1]"
         );
-        Zipf::new(self.account_pool.max(1), self.zipf_s)
+        Contended {
+            zipf: Zipf::new(self.account_pool.max(1), self.zipf_s),
+            hot: WORKLOAD_DRAWS.stream("hot"),
+            rank: WORKLOAD_DRAWS.stream("rank"),
+        }
     }
 
     /// Size of the hot set: the top 5 % of ranks, at least one.
@@ -271,21 +275,32 @@ impl ContentionKnobs {
     }
 }
 
-/// Fixed deriver key for workload-internal draws. The streams are pure
+/// The fixed-key deriver of workload-internal draws. The streams are pure
 /// functions of `(client, thread, seq)` by design — like the paper
 /// workloads they do not vary with the experiment seed, which is what
 /// keeps campaign goldens byte-invariant under `--jobs`/subset filters.
-const WORKLOAD_DRAW_KEY: u64 = 0x5EED_B10C_BE4C_4E55;
+const WORKLOAD_DRAWS: SeedDeriver = SeedDeriver::new(0x5EED_B10C_BE4C_4E55);
 
-/// Draws a Zipf-distributed rank for `(label, uk)` with hot-set mixing.
-fn contended_rank(seeds: &SeedDeriver, zipf: &Zipf, knobs: &ContentionKnobs, uk: u64) -> u64 {
-    let hot_u = unit_from_hash(seeds.seed("hot", uk));
-    let key_u = unit_from_hash(seeds.seed("rank", uk));
-    if hot_u < knobs.hot_fraction {
-        let hot = knobs.hot_set();
-        ((key_u * hot as f64) as u64).min(hot - 1)
-    } else {
-        zipf.sample(key_u)
+/// The Zipf sampler of [`ContentionKnobs`] and the seed streams of its
+/// draws, each label hashed once.
+#[derive(Debug, Clone)]
+struct Contended {
+    zipf: Zipf,
+    hot: SeedStream,
+    rank: SeedStream,
+}
+
+impl Contended {
+    /// Draws a Zipf-distributed rank for `uk` with hot-set mixing.
+    fn rank(&self, knobs: &ContentionKnobs, uk: u64) -> u64 {
+        let hot_u = unit_from_hash(self.hot.seed(uk));
+        let key_u = unit_from_hash(self.rank.seed(uk));
+        if hot_u < knobs.hot_fraction {
+            let hot = knobs.hot_set();
+            ((key_u * hot as f64) as u64).min(hot - 1)
+        } else {
+            self.zipf.sample(key_u)
+        }
     }
 }
 
@@ -299,8 +314,9 @@ fn contended_rank(seeds: &SeedDeriver, zipf: &Zipf, knobs: &ContentionKnobs, uk:
 #[derive(Debug, Clone)]
 pub struct Smallbank {
     knobs: ContentionKnobs,
-    zipf: Zipf,
-    seeds: SeedDeriver,
+    contended: Contended,
+    op: SeedStream,
+    amount: SeedStream,
 }
 
 /// The payload kinds the Smallbank mix emits.
@@ -318,8 +334,9 @@ impl Smallbank {
     /// precomputed here.
     pub fn new(knobs: ContentionKnobs) -> Self {
         Smallbank {
-            zipf: knobs.sampler(),
-            seeds: SeedDeriver::new(WORKLOAD_DRAW_KEY),
+            contended: knobs.sampler(),
+            op: WORKLOAD_DRAWS.stream("sb-op"),
+            amount: WORKLOAD_DRAWS.stream("sb-amt"),
             knobs,
         }
     }
@@ -330,12 +347,7 @@ impl Smallbank {
     }
 
     fn draw_account(&self, salt: u64, uk: u64) -> AccountId {
-        AccountId(contended_rank(
-            &self.seeds,
-            &self.zipf,
-            &self.knobs,
-            uk ^ salt,
-        ))
+        AccountId(self.contended.rank(&self.knobs, uk ^ salt))
     }
 }
 
@@ -350,8 +362,8 @@ impl Workload for Smallbank {
 
     fn payload_at(&self, client: ClientId, thread: ThreadId, seq: u64) -> Payload {
         let uk = unique_key(client, thread, seq);
-        let op = self.seeds.seed("sb-op", uk) % 100;
-        let amount = 1 + self.seeds.seed("sb-amt", uk) % 10;
+        let op = self.op.seed(uk) % 100;
+        let amount = 1 + self.amount.seed(uk) % 10;
         let a = self.draw_account(0, uk);
         // Second party of two-account ops: an independent draw. WriteCheck
         // and Amalgamate tolerate self-transfers (the executor reissues the
@@ -402,8 +414,8 @@ impl Workload for Smallbank {
 #[derive(Debug, Clone)]
 pub struct Ycsb {
     knobs: ContentionKnobs,
-    zipf: Zipf,
-    seeds: SeedDeriver,
+    contended: Contended,
+    op: SeedStream,
 }
 
 /// The payload kinds the YCSB mix emits.
@@ -414,14 +426,14 @@ impl Ycsb {
     /// here.
     pub fn new(knobs: ContentionKnobs) -> Self {
         Ycsb {
-            zipf: knobs.sampler(),
-            seeds: SeedDeriver::new(WORKLOAD_DRAW_KEY),
+            contended: knobs.sampler(),
+            op: WORKLOAD_DRAWS.stream("ycsb-op"),
             knobs,
         }
     }
 
     fn draw_key(&self, uk: u64) -> u64 {
-        contended_rank(&self.seeds, &self.zipf, &self.knobs, uk)
+        self.contended.rank(&self.knobs, uk)
     }
 }
 
@@ -436,7 +448,7 @@ impl Workload for Ycsb {
 
     fn payload_at(&self, client: ClientId, thread: ThreadId, seq: u64) -> Payload {
         let uk = unique_key(client, thread, seq);
-        let op = self.seeds.seed("ycsb-op", uk) % 100;
+        let op = self.op.seed(uk) % 100;
         match op {
             // Update: blind write to a popular key.
             0..=49 => Payload::key_value_set(self.draw_key(uk), seq),

@@ -43,6 +43,6 @@ pub use hash::{chain_hash, Hash256, Hasher64, MixMap, MixSet};
 pub use id::{AccountId, BlockId, ClientId, NodeId, StateRef, ThreadId, TxId};
 pub use payload::{Payload, PayloadKind};
 pub use rng::SimRng;
-pub use seed::SeedDeriver;
+pub use seed::{SeedDeriver, SeedStream};
 pub use time::{SimDuration, SimTime};
 pub use tx::{ClientTx, TxOutcome, TxStatus};

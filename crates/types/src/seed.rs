@@ -45,9 +45,16 @@ impl SeedDeriver {
 
     /// Derives the sub-seed for `(label, index)`.
     pub fn seed(&self, label: &str, index: u64) -> u64 {
+        self.stream(label).seed(index)
+    }
+
+    /// The sub-seeds of one `label`, with the label hashed once: a caller
+    /// that draws many indices under one label feeds only the index.
+    /// `stream(label).seed(i)` equals `seed(label, i)`.
+    pub fn stream(&self, label: &str) -> SeedStream {
         let mut h = Hasher64::with_key(self.root);
-        h.write(label.as_bytes()).write_u64(index);
-        h.finish()
+        h.write(label.as_bytes());
+        SeedStream(h)
     }
 
     /// Builds a seeded [`SimRng`] for `(label, index)`.
@@ -73,6 +80,17 @@ impl SeedDeriver {
     /// reproducible.
     pub fn for_repetition(&self, rep: u32) -> SeedDeriver {
         SeedDeriver::new(self.seed("repetition", rep as u64))
+    }
+}
+
+/// The sub-seeds of one label under one root ([`SeedDeriver::stream`]).
+#[derive(Debug, Clone)]
+pub struct SeedStream(Hasher64);
+
+impl SeedStream {
+    /// The sub-seed for `index`: [`SeedDeriver::seed`]`(label, index)`.
+    pub fn seed(&self, index: u64) -> u64 {
+        self.0.clone().write_u64(index).finish()
     }
 }
 
@@ -122,6 +140,19 @@ mod tests {
             SeedDeriver::new(8).seed_parts(&["a"]),
             SeedDeriver::new(7).seed_parts(&["a"])
         );
+    }
+
+    #[test]
+    fn streams_hash_the_label_once_to_the_same_seeds() {
+        for root in [0, 7, u64::MAX] {
+            let d = SeedDeriver::new(root);
+            for label in ["", "hot", "rank", "sb-op", "a label longer than one word"] {
+                let stream = d.stream(label);
+                for i in [0, 1, 2, 1 << 40, u64::MAX] {
+                    assert_eq!(stream.seed(i), d.seed(label, i), "{root} {label:?} {i}");
+                }
+            }
+        }
     }
 
     #[test]
